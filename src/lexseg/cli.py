@@ -2,7 +2,7 @@
 
 Subcommands: ass, oracle-ass, decompose, depth, filtration, stanley,
 sweep. Exit codes: 0 success, 1 verification mismatch, 2 usage or parse
-error.
+error, 3 internal error (a broken structural guarantee, always a bug).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .filtration import (
 )
 from .monomials import (
     DimensionError,
+    InternalConsistencyError,
     LexSpec,
     MonomialIdeal,
     SpecError,
@@ -42,6 +43,7 @@ from .sweep import DEFAULT_CAP, DEFAULT_PRIMES, SweepCapExceeded, sweep
 
 USAGE_ERROR = 2
 MISMATCH = 1
+INTERNAL_ERROR = 3
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -317,6 +319,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -48,6 +48,11 @@ class IrreducibleIdeal:
     def radical(self) -> PrimeIdeal:
         return PrimeIdeal.from_vars(self.n, (i for i, _ in self.powers))
 
+    def contains(self, other: "IrreducibleIdeal") -> bool:
+        """self >= other: each x_i^e of other is divisible by some x_i^f of self."""
+        mine = dict(self.powers)
+        return all(i in mine and mine[i] <= e for i, e in other.powers)
+
 
 @dataclass(frozen=True)
 class AssResult:
@@ -69,7 +74,7 @@ def _is_pure_power(g: Monomial) -> bool:
 def _split(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     """All irreducible components reachable by recursive splitting.
 
-    May contain redundant components; irredundancy is restored afterwards.
+    May contain redundant components; irredundant_components drops them.
     Pivot: the lex-greatest generator that is not a pure power, split off
     the full power of its lex-smallest (largest-index) variable.
     """
@@ -91,36 +96,27 @@ def _split(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     return _split(left) | _split(right)
 
 
+def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
+    """The split components that contain no other split component.
+
+    Irreducible monomial ideals are prime in the lattice of monomial
+    ideals: one that contains an intersection contains one of its members.
+    So these are already the irredundant irreducible components, and their
+    radicals are Ass(S/I). Unchecked and uncached: irreducible_decomposition
+    adds the intersect-back check.
+    """
+    comps = _split(ideal)
+    return frozenset(
+        c for c in comps if not any(c != other and c.contains(other) for other in comps)
+    )
+
+
 @lru_cache(maxsize=None)
 def irreducible_decomposition(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     """The irredundant irreducible decomposition of a proper nonzero ideal."""
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("cannot decompose the zero or unit ideal")
-    comps = set(_split(ideal))
-    # any component containing another component is redundant
-    comps = {
-        c
-        for c in comps
-        if not any(
-            c != other and c.to_ideal().contains_ideal(other.to_ideal())
-            for other in comps
-        )
-    }
-    # full irredundancy pass: drop components containing the intersection
-    # of the remaining ones
-    keep = sorted(comps, key=lambda c: c.powers)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(keep):
-            others = [k for k in keep if k != c]
-            if not others:
-                continue
-            meet = _intersection(ideal.n, others)
-            if c.to_ideal().contains_ideal(meet):
-                keep.remove(c)
-                changed = True
-    result = frozenset(keep)
+    result = irredundant_components(ideal)
     if _intersection(ideal.n, result) != ideal:
         raise InternalConsistencyError(
             f"decomposition does not intersect back to the input: {ideal}"

@@ -5,13 +5,25 @@ each step adjoins its witness monomial, and the colon of the running
 ideal by the witness must equal the step's prime. The terminal step has
 witness 1 and prime equal to the penultimate ideal (which is then prime),
 so the chain always ends at the unit ideal.
+
+Pretty clean chains (Herzog-Popescu, Manuscripta Math. 2006) come from
+one depth-first search over (prime, witness) steps straight to the unit
+ideal. The candidate primes at each node are the radicals of the
+irredundant irreducible components, and each witness is tested for
+(J : w) = P directly on the generators of J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decompose import associated_primes_oracle, iter_box, witness_box
+from . import kernels
+from .decompose import (
+    associated_primes_oracle,
+    irredundant_components,
+    iter_box,
+    witness_box,
+)
 from .monomials import (
     DomainError,
     InternalConsistencyError,
@@ -26,10 +38,8 @@ from .monomials import (
     ideal_as_prime,
     lexsegment_generators,
     mon_div,
-    mon_lcm,
     mon_mul,
     unit,
-    unit_ideal,
     variable,
 )
 
@@ -66,8 +76,12 @@ class StanleyDecomposition:
 
 
 def _candidate_primes(ideal: MonomialIdeal) -> list[PrimeIdeal]:
-    """Ass(S/J) ordered inclusion-maximal first, lex-smallest tuple first."""
-    primes = associated_primes_oracle(ideal).primes
+    """Ass(S/J) ordered inclusion-maximal first, lex-smallest tuple first.
+
+    Ass(S/J) is the set of radicals of the irredundant irreducible
+    components (Miller-Sturmfels, ch. 5).
+    """
+    primes = {c.radical() for c in irredundant_components(ideal)}
     maximal = [
         p for p in primes if not any(p.is_proper_subset(q) for q in primes)
     ]
@@ -77,36 +91,37 @@ def _candidate_primes(ideal: MonomialIdeal) -> list[PrimeIdeal]:
     return maximal + rest
 
 
-def _witness_candidates(current: MonomialIdeal, prime: PrimeIdeal, bound: MonomialIdeal):
-    """All in-box monomials w in bound \\ current with (current : w) = prime,
-    in lex-descending order."""
-    box = witness_box(current)
-    if not bound.is_unit:
-        extra = [0] * current.n
-        for g in bound.gens:
-            extra = [max(a, b) for a, b in zip(extra, g)]
-        box = mon_lcm(box, tuple(extra))
-    target = prime.to_ideal()
-    for w in iter_box(box):
-        if w in current or w not in bound:
-            continue
-        if colon(current, w) == target:
+def _witness_candidates(current: MonomialIdeal, prime: PrimeIdeal):
+    """All in-box monomials w with (current : w) = prime, lex-descending.
+
+    (J : w) is generated by the g / gcd(g, w) over the generators g of J.
+    It lies inside P exactly when every g exceeds w in some variable of P,
+    that is, when no P-part of a generator divides the P-part of w; and it
+    contains P exactly when x_i * w lies in J for every i in P. The first
+    condition already excludes w in J.
+    """
+    gens = current.gens
+    idx = [i - 1 for i in prime.vars]
+    parts = kernels.minimalize(tuple(tuple(g[i] for i in idx) for g in gens))
+    member = kernels.member
+    for w in iter_box(witness_box(current)):
+        if not member(tuple(w[i] for i in idx), parts) and all(
+            member(w[:i] + (w[i] + 1,) + w[i + 1 :], gens) for i in idx
+        ):
             yield w
 
 
-def _dfs_fill(start: MonomialIdeal, waypoints, witness_key=None):
-    """Depth-first chain construction through the waypoint ideals.
+def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
+    """Depth-first pretty clean chain from start to the unit ideal.
 
-    Extends start step by step up to each waypoint in turn (witnesses are
-    restricted to the next waypoint), ending at the final waypoint, which
-    must be the unit ideal. Prunes any step whose prime would properly
-    contain an earlier step's prime, so a completed chain is pretty clean
-    by construction. Returns the step list or None.
+    Witnesses are tried in _degree_then_lex order. Prunes any step whose
+    prime would properly contain an earlier step's prime, so a completed
+    chain is pretty clean by construction. Returns the step list or None.
 
     Failed states are memoized. A state is determined by the reached
-    ideal, the next waypoint, and the inclusion-minimal primes used so
-    far (only those constrain later steps), so permutations of the same
-    step set collapse to one search.
+    ideal and the inclusion-minimal primes used so far (only those
+    constrain later steps), so permutations of the same step set collapse
+    to one search.
     """
     n = start.n
     dead: set = set()
@@ -117,31 +132,24 @@ def _dfs_fill(start: MonomialIdeal, waypoints, witness_key=None):
             p for p in primes if not any(q.is_proper_subset(p) for q in primes)
         )
 
-    def dfs(current, widx, steps):
-        while widx < len(waypoints) and current == waypoints[widx]:
-            widx += 1
-        if widx == len(waypoints):
-            return steps
-        state = (current, widx, constraint_key(steps))
+    def dfs(current, steps):
+        as_prime = ideal_as_prime(current)
+        if as_prime is not None:
+            if any(s.prime.is_proper_subset(as_prime) for s in steps):
+                return None
+            return steps + [FiltrationStep(unit(n), as_prime)]
+        state = (current, constraint_key(steps))
         if state in dead:
             return None
-        bound = waypoints[widx]
-        if bound.is_unit:
-            as_prime = ideal_as_prime(current)
-            if as_prime is not None:
-                if any(s.prime.is_proper_subset(as_prime) for s in steps):
-                    return None
-                return steps + [FiltrationStep(unit(n), as_prime)]
         for prime in _candidate_primes(current):
             if any(s.prime.is_proper_subset(prime) for s in steps):
                 continue
-            witnesses = _witness_candidates(current, prime, bound)
-            if witness_key is not None:
-                witnesses = sorted(witnesses, key=witness_key)
+            witnesses = sorted(
+                _witness_candidates(current, prime), key=_degree_then_lex
+            )
             for w in witnesses:
                 found = dfs(
                     add_element(current, w),
-                    widx,
                     steps + [FiltrationStep(w, prime)],
                 )
                 if found is not None:
@@ -149,11 +157,11 @@ def _dfs_fill(start: MonomialIdeal, waypoints, witness_key=None):
         dead.add(state)
         return None
 
-    return dfs(start, 0, [])
+    return dfs(start, [])
 
 
 def _degree_then_lex(w: Monomial):
-    # small witnesses first keeps the stage quotients tame; lex-greatest
+    # small witnesses first keeps the quotients tame; lex-greatest
     # breaks ties deterministically
     return (degree(w), tuple(-e for e in w))
 
@@ -168,7 +176,6 @@ def greedy_filtration(ideal: MonomialIdeal) -> PrimeFiltration:
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
     n = ideal.n
-    top = unit_ideal(n)
     steps: list[FiltrationStep] = []
     current = ideal
     while not current.is_unit:
@@ -177,7 +184,7 @@ def greedy_filtration(ideal: MonomialIdeal) -> PrimeFiltration:
             steps.append(FiltrationStep(unit(n), as_prime))
             break
         for prime in _candidate_primes(current):
-            w = next(_witness_candidates(current, prime, top), None)
+            w = next(_witness_candidates(current, prime), None)
             if w is not None:
                 break
         else:
@@ -188,25 +195,17 @@ def greedy_filtration(ideal: MonomialIdeal) -> PrimeFiltration:
 
 
 def staged_filtration(spec: LexSpec) -> PrimeFiltration:
-    """Filtration through the prescribed intermediate ideals for a lexsegment.
+    """Pretty clean filtration of S/I for a lexsegment ideal I.
 
-    The stage boundaries mirror the structural exact sequences: the
-    x1^b1 reduction splices a scaled sub-filtration with the chain down
-    (x1^k); depth-0 specs pass through (I : x1^a1); positive-depth specs
-    pass through (I : x1) and, in the general case, through
-    M = ((I : x1) : xl^d).
+    Two structural reductions are spliced around the search. For b1 > 0,
+    the filtration of the spec divided by x1^b1 is scaled back by x1^b1
+    and followed by the chain down (x1^k); for a1 = 0, the spec is
+    filtered in the ring without its unused leading variables and padded
+    back. Every other spec goes straight to search_filtration.
     """
-    from .depth import DepthClass, depth_class  # local: avoid import cycle
-    from .monomials import SpecKind, classify
-
     n = spec.n
     ideal = lexsegment_generators(spec)
-    if spec.u == spec.v:
-        return PrimeFiltration(
-            ideal, tuple(_run_stages(ideal, [unit_ideal(n)], "principal"))
-        )
-
-    if spec.b1 > 0:
+    if spec.u != spec.v and spec.b1 > 0:
         b1 = spec.b1
         x1b1 = variable(n, 1, b1)
         sub_spec = LexSpec(n, spec.d - b1, mon_div(spec.u, x1b1), mon_div(spec.v, x1b1))
@@ -220,7 +219,7 @@ def staged_filtration(spec: LexSpec) -> PrimeFiltration:
         steps.append(FiltrationStep(unit(n), x1))
         return PrimeFiltration(ideal, tuple(steps))
 
-    if spec.a1 == 0:
+    if spec.u != spec.v and spec.a1 == 0:
         # filter in the smaller ring, then pad back to n variables
         off = next(i for i, e in enumerate(spec.u) if e > 0)
         sub_spec = LexSpec(n - off, spec.d, spec.u[off:], spec.v[off:])
@@ -231,40 +230,10 @@ def staged_filtration(spec: LexSpec) -> PrimeFiltration:
         ]
         return PrimeFiltration(ideal, tuple(steps))
 
-    kind = classify(spec).kind
-    if kind == SpecKind.ARBITRARY:
-        case = depth_class(spec)
-        x1 = variable(n, 1)
-        if case.depth is DepthClass.DEPTH0:
-            boundaries = [colon(ideal, variable(n, 1, spec.a1))]
-        else:
-            l = spec.l
-            i_x1 = colon(ideal, x1)
-            if spec.a_l == spec.d - 1 or spec.q == l:
-                boundaries = [i_x1]
-            else:
-                boundaries = [i_x1, colon(i_x1, variable(n, l, spec.d))]
-    else:
-        boundaries = []
-
-    steps = _run_stages(ideal, boundaries + [unit_ideal(n)], "staged")
-    return PrimeFiltration(ideal, tuple(steps))
-
-
-def _run_stages(start: MonomialIdeal, waypoints, label: str):
-    steps = _dfs_fill(start, waypoints, witness_key=_degree_then_lex)
-    if steps is None and len(waypoints) > 1:
-        # the prescribed intermediate ideals are not always compatible
-        # with a pretty clean ordering (a stage module can have totally
-        # ordered Ass and still admit no pretty clean chain); a direct
-        # search over the whole chain still succeeds for lexsegments
-        steps = _dfs_fill(start, [waypoints[-1]], witness_key=_degree_then_lex)
-    if steps is None:
-        raise InternalConsistencyError(
-            f"{label} construction found no pretty clean chain through "
-            f"{[w.gens for w in waypoints]} from {start.gens}"
-        )
-    return steps
+    found = search_filtration(ideal)
+    if found is None:
+        raise InternalConsistencyError(f"found no pretty clean chain from {ideal.gens}")
+    return found
 
 
 def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
@@ -272,11 +241,12 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
 
     Depth-first over (prime, witness) choices, pruning any prefix where an
     earlier prime would be properly contained in the next one; returns the
-    first complete pretty clean filtration, or None.
+    first complete pretty clean filtration, or None. staged_filtration
+    runs this search for every lexsegment it does not reduce.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
-    found = _dfs_fill(ideal, [unit_ideal(ideal.n)])
+    found = _dfs_fill(ideal)
     if found is None:
         return None
     return PrimeFiltration(ideal, tuple(found))

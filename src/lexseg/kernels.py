@@ -7,7 +7,7 @@ fallback (used by the benchmark and parity tests).
 
 import os
 
-if os.environ.get("LEXSEG_PURE_PYTHON"):
+if os.environ.get("LEXSEG_PURE_PYTHON") == "1":
     from . import _kernels_py as _impl
 
     BACKEND = "python"

@@ -2,8 +2,9 @@
 
 For every (n, d) in range and every pair u >=_lex v of degree-d monomials,
 four check families run: closed-form versus oracle associated primes,
-staged filtration verifiers, depth classifier versus the exact Betti
-oracle (at every configured prime), and the Stanley inequality with the
+the three verifiers on the pretty clean filtration from
+staged_filtration, depth classifier versus the exact Betti oracle (at
+every configured prime), and the Stanley inequality with the
 disjoint-cover certificate.
 """
 

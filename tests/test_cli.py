@@ -5,8 +5,10 @@ import json
 import pytest
 
 from conftest import I, P
+from lexseg import cli
 from lexseg.cli import main
 from lexseg.filtration import greedy_filtration
+from lexseg.monomials import InternalConsistencyError
 from lexseg.serialize import (
     ParseError,
     filtration_from_json,
@@ -148,3 +150,14 @@ class TestCliExitCodes:
 
     def test_sweep_cap(self):
         assert main(["sweep", "--n", "2..2", "--d", "2..2", "--cap", "1"]) == 2
+
+    def test_internal_error_has_its_own_code(self, monkeypatch, capsys):
+        def broken(args):
+            raise InternalConsistencyError("no pretty clean chain")
+
+        monkeypatch.setattr(cli, "_cmd_filtration", broken)
+        code = main(
+            ["filtration", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "internal error: no pretty clean chain\n"

@@ -1,13 +1,20 @@
 """Prime filtrations, verifiers, and Stanley decompositions."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import I, P, spec
-from lexseg.decompose import associated_primes_oracle
+from lexseg.decompose import associated_primes_oracle, iter_box, witness_box
 from lexseg.depth import depth_exact
 from lexseg.filtration import (
     FiltrationStep,
     PrimeFiltration,
+    _candidate_primes,
+    _witness_candidates,
     disjoint_cover_check,
     greedy_filtration,
     max_witness_degree,
@@ -21,6 +28,8 @@ from lexseg.filtration import (
 )
 from lexseg.monomials import (
     DomainError,
+    MonomialIdeal,
+    PrimeIdeal,
     colon,
     ideal_sum,
     lexsegment_generators,
@@ -53,6 +62,46 @@ class TestGreedy:
             greedy_filtration(zero_ideal(2))
         with pytest.raises(DomainError):
             greedy_filtration(unit_ideal(2))
+
+
+@st.composite
+def small_ideals(draw):
+    n = draw(st.integers(2, 5))
+    emax = 3 if n <= 3 else 2
+    exponents = st.tuples(*[st.integers(0, emax)] * n).filter(any)
+    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=5)))
+
+
+def random_ideal(rng):
+    n = rng.randint(2, 5)
+    gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+    gens = [g for g in gens if any(g)] or [(1,) * n]
+    return MonomialIdeal.from_gens(n, gens)
+
+
+class TestSearchPrimitives:
+    @seed(20261017)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_ideals())
+    def test_direct_witness_test_matches_colon(self, ideal):
+        # every in-box w, including those in the ideal, against every prime
+        box = list(iter_box(witness_box(ideal)))
+        for k in range(1, ideal.n + 1):
+            for vars in itertools.combinations(range(1, ideal.n + 1), k):
+                prime = PrimeIdeal.from_vars(ideal.n, vars)
+                expected = [
+                    w for w in box
+                    if w not in ideal and colon(ideal, w) == prime.to_ideal()
+                ]
+                assert list(_witness_candidates(ideal, prime)) == expected
+
+    def test_candidate_primes_are_the_oracle_primes(self):
+        rng = random.Random(20261017)
+        for _ in range(150):
+            ideal = random_ideal(rng)
+            candidates = _candidate_primes(ideal)
+            assert len(set(candidates)) == len(candidates)
+            assert set(candidates) == associated_primes_oracle(ideal).primes
 
 
 class TestSearch:
@@ -98,7 +147,7 @@ class TestStaged:
 
     def test_prescribed_stage_can_be_unrealizable(self):
         # for L(x1x2, x2^2) in 4 variables no pretty clean chain passes
-        # through (I : x1); the fallback drops the waypoint and succeeds
+        # through (I : x1); the search prescribes no intermediate ideal
         f = staged_filtration(spec(4, 2, "x1*x2", "x2^2"))
         assert_fully_verified(f)
 

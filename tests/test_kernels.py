@@ -1,6 +1,10 @@
 """Parity between the compiled and pure-Python kernel backends."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,9 +52,7 @@ class TestPureKernels:
 @needs_compiled
 class TestBackendParity:
     def test_active_backend_is_compiled(self):
-        import os
-
-        if os.environ.get("LEXSEG_PURE_PYTHON"):
+        if os.environ.get("LEXSEG_PURE_PYTHON") == "1":
             assert kernels.BACKEND == "python"
         else:
             assert kernels.BACKEND == "cython"
@@ -78,3 +80,27 @@ class TestBackendParity:
             rows = [r + [0] * (width - len(r)) for r in rows]
             for p in (2, 3, 32003):
                 assert pure.gf_rank(rows, p) == compiled.gf_rank(rows, p)
+
+
+# A stand-in compiled module makes the switch observable without a build.
+BACKEND_PROBE = """
+import sys, types
+fake = types.ModuleType("lexseg._kernels")
+for name in ("divides", "member", "minimalize", "colon_gens", "gf_rank"):
+    setattr(fake, name, None)
+sys.modules["lexseg._kernels"] = fake
+import lexseg
+print(lexseg.BACKEND)
+"""
+
+
+@pytest.mark.parametrize("value, backend", [("0", "cython"), ("1", "python")])
+def test_only_pure_python_1_forces_the_fallback(value, backend):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LEXSEG_PURE_PYTHON=value)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", BACKEND_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == backend

@@ -184,6 +184,12 @@ class TestColonIntersectSum:
     def test_add_element(self):
         assert add_element(I(2, "x1*x2"), (0, 1)) == I(2, "x2")
 
+    @given(ideals3, monomials3)
+    @settings(max_examples=60)
+    def test_add_element_matches_minimalized_sum(self, ideal, m):
+        expected = MonomialIdeal.from_gens(3, ideal.gens + (m,))
+        assert add_element(ideal, m) == expected
+
 
 class TestPrimeIdeal:
     def test_canonical_vars(self):
