@@ -3,18 +3,22 @@
 Micro-benchmarks call both backend modules directly on identical inputs;
 the end-to-end benchmark re-runs a small sweep in a subprocess with
 LEXSEG_PURE_PYTHON=1 so the import-time backend switch takes effect.
+The last line is the line count of src/lexseg/*.py, the source size the
+ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py [--end-to-end]
 """
 
 import argparse
+import glob
 import os
 import random
 import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+sys.path.insert(0, SRC)
 
 from lexseg import _kernels_py as pure  # noqa: E402
 
@@ -82,6 +86,14 @@ def end_to_end():
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def source_lines():
+    total = 0
+    for path in glob.glob(os.path.join(SRC, "lexseg", "*.py")):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--end-to-end", action="store_true")
@@ -97,6 +109,7 @@ def main():
             print(f"  {key:<28} {pure_times[key] / compiled_times[key]:8.2f}x")
     if args.end_to_end:
         end_to_end()
+    print(f"src/lexseg/*.py: {source_lines()} lines")
 
 
 if __name__ == "__main__":

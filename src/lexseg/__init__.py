@@ -7,13 +7,12 @@ from .decompose import (
     irreducible_decomposition,
     krull_dim,
     minimal_primes,
-    witness_search,
+    witnesses,
 )
 from .depth import DepthClass, depth_class, depth_exact
 from .filtration import (
     PrimeFiltration,
     disjoint_cover_check,
-    greedy_filtration,
     sdepth_lower_bound,
     search_filtration,
     staged_filtration,
@@ -36,7 +35,7 @@ from .monomials import (
     lex_compare,
     lexsegment_generators,
     membership,
-    reduce_spec,
+    reduce_fully,
 )
 from .sweep import sweep
 

@@ -17,10 +17,8 @@ from .decompose import associated_primes_oracle, irreducible_decomposition
 from .depth import depth_class, depth_exact
 from .filtration import (
     disjoint_cover_check,
-    greedy_filtration,
     max_witness_degree,
     sdepth_lower_bound,
-    search_filtration,
     staged_filtration,
     stanley_decomposition,
     supp_equals_ass,
@@ -141,7 +139,7 @@ def _cmd_depth(args) -> int:
         return 0
     spec = _load_spec(args)
     out = {"n": spec.n, "d": spec.d, "u": args.u, "v": args.v}
-    work, _, offset = reduce_fully(spec)
+    work = reduce_fully(spec)[0]
     kind = classify(work).kind
     out["class"] = kind.value
     if kind == SpecKind.ARBITRARY and work.d > 1:
@@ -157,16 +155,7 @@ def _cmd_depth(args) -> int:
 
 def _cmd_filtration(args) -> int:
     spec = _load_spec(args)
-    ideal = lexsegment_generators(spec)
-    if args.strategy == "greedy":
-        filtration = greedy_filtration(ideal)
-    elif args.strategy == "search":
-        filtration = search_filtration(ideal)
-        if filtration is None:
-            print("no pretty clean filtration found", file=sys.stderr)
-            return MISMATCH
-    else:
-        filtration = staged_filtration(spec)
+    filtration = staged_filtration(spec)
     out = serialize.filtration_to_json(filtration)
     status = 0
     if args.verify:
@@ -278,9 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filtration", help="prime filtration of S/I")
     add_spec_args(p)
-    p.add_argument(
-        "--strategy", choices=["greedy", "staged", "search"], default="staged"
-    )
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=_cmd_filtration)
 

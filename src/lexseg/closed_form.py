@@ -1,16 +1,18 @@
 """Closed-form associated primes of lexsegment ideals.
 
-The dispatcher normalizes a spec (dividing out x1^b1 and dropping unused
-leading variables), routes the reduced spec to the matching case formula,
-and re-indexes the result back into the original ring. All formulas act
-only on reduced specs and hard-fail otherwise, so normalization happens
-in exactly one place.
+The dispatcher normalizes a spec with reduce_fully, routes the working
+spec to the matching case formula, and reads the rest of the answer off
+the normalization moves: each division by x1^b adds the prime generated
+by the current first variable, and each dropped block of leading
+variables shifts the formula's primes back up. The formulas act only on
+reduced specs and hard-fail otherwise.
 """
 
 from __future__ import annotations
 
 from .depth import DepthClass, depth_class
 from .monomials import (
+    DIVIDE,
     LexSpec,
     Monomial,
     PrimeIdeal,
@@ -140,10 +142,14 @@ def ass_depth_pos(spec: LexSpec, case=None) -> frozenset[PrimeIdeal]:
 def associated_primes_lexsegment(spec: LexSpec) -> frozenset[PrimeIdeal]:
     """Ass(S/I) for an arbitrary lexsegment spec, via the case formulas."""
     n0 = spec.n
-    work, extras, offset = reduce_fully(spec)
-
-    def shift(primes) -> frozenset[PrimeIdeal]:
-        return frozenset(p.shift(offset, n0) for p in primes)
+    work, moves = reduce_fully(spec)
+    extras: set[PrimeIdeal] = set()
+    offset = 0
+    for move, k in moves:
+        if move == DIVIDE:
+            extras.add(PrimeIdeal.from_vars(n0, (offset + 1,)))
+        else:
+            offset += k
 
     kind = classify(work).kind
     if kind == SpecKind.PRINCIPAL:
@@ -165,4 +171,4 @@ def associated_primes_lexsegment(spec: LexSpec) -> frozenset[PrimeIdeal]:
             core = ass_depth0(work)
         else:
             core = ass_depth_pos(work, case)
-    return frozenset(extras) | shift(core)
+    return frozenset(extras) | frozenset(p.shift(offset, n0) for p in core)

@@ -1,18 +1,21 @@
 """Ground-truth associated primes via irredundant irreducible decomposition.
 
 Every monomial ideal is uniquely an irredundant intersection of ideals
-generated by pure variable powers; the associated primes are exactly the
-radicals of those components. Each reported prime is additionally
-confirmed by an explicit witness monomial w with (I : w) = P, so the two
-routes cross-check each other on every call.
+generated by pure variable powers, and Ass(S/I) is exactly the set of
+radicals of those components (Miller-Sturmfels, ch. 5). The oracle takes
+its primes from there and certifies each one with the lex-first witness
+monomial w in the witness box with (I : w) = P; witnesses() is the one
+generator of such witnesses, shared with the filtration search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import kernels
 from .monomials import (
     DomainError,
     InternalConsistencyError,
@@ -20,14 +23,15 @@ from .monomials import (
     MonomialIdeal,
     PrimeIdeal,
     add_element,
-    colon,
     degree,
-    ideal_as_prime,
     intersect,
     max_var,
     min_var,
     variable,
 )
+
+# Largest witness box, in monomials, that witnesses() will scan.
+WITNESS_BOX_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,12 +62,6 @@ class IrreducibleIdeal:
 class AssResult:
     primes: frozenset[PrimeIdeal]
     witnesses: tuple[tuple[PrimeIdeal, Monomial], ...]
-
-    def witness(self, prime: PrimeIdeal) -> Monomial:
-        for p, w in self.witnesses:
-            if p == prime:
-                return w
-        raise KeyError(prime)
 
 
 def _is_pure_power(g: Monomial) -> bool:
@@ -154,57 +152,65 @@ def iter_box(box: Monomial):
     return itertools.product(*(range(e, -1, -1) for e in box))
 
 
-def witness_search(ideal: MonomialIdeal, prime: PrimeIdeal) -> Monomial | None:
-    """A monomial w not in I with (I : w) = P, or None if none fits the box."""
+def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
+    """All in-box monomials w with (I : w) = P, lex-descending.
+
+    (I : w) is generated by the g / gcd(g, w) over the generators g of I.
+    It lies inside P exactly when every g exceeds w in some variable of P,
+    that is, when no P-part of a generator divides the P-part of w; and it
+    contains P exactly when x_i * w lies in I for every i in P. The first
+    condition already excludes w in I. Raises DomainError, before scanning,
+    for a box of more than WITNESS_BOX_LIMIT monomials.
+    """
     if ideal.n != prime.n:
         raise DomainError("variable counts differ")
-    target = prime.to_ideal()
-    for w in iter_box(witness_box(ideal)):
-        if w in ideal:
-            continue
-        if colon(ideal, w) == target:
-            return w
-    return None
+    box = witness_box(ideal)
+    volume = math.prod(e + 1 for e in box)
+    if volume > WITNESS_BOX_LIMIT:
+        raise DomainError(
+            f"witness box {box} holds {volume} monomials, over the limit "
+            f"{WITNESS_BOX_LIMIT}"
+        )
+    gens = ideal.gens
+    idx = [i - 1 for i in prime.vars]
+    parts = kernels.minimalize(tuple(tuple(g[i] for i in idx) for g in gens))
+    member = kernels.member
+    for w in iter_box(box):
+        if not member(tuple(w[i] for i in idx), parts) and all(
+            member(w[:i] + (w[i] + 1,) + w[i + 1 :], gens) for i in idx
+        ):
+            yield w
+
+
+def radicals(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:
+    """Ass(S/I): the radicals of the irredundant irreducible components."""
+    if ideal.is_zero or ideal.is_unit:
+        raise DomainError("the zero and unit ideals have no associated primes")
+    return frozenset(c.radical() for c in irredundant_components(ideal))
 
 
 @lru_cache(maxsize=None)
 def associated_primes_oracle(ideal: MonomialIdeal) -> AssResult:
-    """Ass(S/I) as radicals of the irreducible components, witness-confirmed.
+    """Ass(S/I) of a proper nonzero ideal, each prime with its witness.
 
-    The radicals of the raw split components form a superset of Ass; a
-    single pass over the witness box keeps exactly the candidates that
-    admit a witness w with (I : w) = P. Candidates minimal under
-    inclusion are always associated, so a minimal candidate without an
-    in-box witness is a hard error.
+    The primes are radicals(I); the witness of each is the first one
+    witnesses() yields. A prime with no in-box witness is a hard error.
     """
-    candidates = {c.radical() for c in _split(ideal)}
     found: dict[PrimeIdeal, Monomial] = {}
-    for w in iter_box(witness_box(ideal)):
-        if len(found) == len(candidates):
-            break
-        if w in ideal:
-            continue
-        quotient = colon(ideal, w)
-        p = ideal_as_prime(quotient)
-        if p is not None and p in candidates and p not in found:
-            found[p] = w
-    missing_minimal = [
-        p
-        for p in candidates
-        if p not in found
-        and not any(q.is_proper_subset(p) for q in candidates)
-    ]
-    if missing_minimal:
-        raise InternalConsistencyError(
-            f"no in-box witness for minimal prime(s) "
-            f"{[p.vars for p in missing_minimal]} of {ideal}"
-        )
-    witnesses = tuple(sorted(found.items(), key=lambda pw: pw[0].vars))
-    return AssResult(frozenset(found), witnesses)
+    for p in radicals(ideal):
+        w = next(witnesses(ideal, p), None)
+        if w is None:
+            raise InternalConsistencyError(
+                f"no in-box witness for the prime {p.vars} of {ideal}"
+            )
+        found[p] = w
+    return AssResult(
+        frozenset(found), tuple(sorted(found.items(), key=lambda pw: pw[0].vars))
+    )
 
 
 def minimal_primes(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:
-    primes = associated_primes_oracle(ideal).primes
+    primes = radicals(ideal)
     return frozenset(
         p for p in primes if not any(q.is_proper_subset(p) for q in primes)
     )

@@ -7,24 +7,20 @@ witness 1 and prime equal to the penultimate ideal (which is then prime),
 so the chain always ends at the unit ideal.
 
 Pretty clean chains (Herzog-Popescu, Manuscripta Math. 2006) come from
-one depth-first search over (prime, witness) steps straight to the unit
-ideal. The candidate primes at each node are the radicals of the
-irredundant irreducible components, and each witness is tested for
-(J : w) = P directly on the generators of J.
+one depth-first search, search_filtration, over (prime, witness) steps
+straight to the unit ideal. The candidate primes at each node are
+decompose.radicals and the witnesses come from decompose.witnesses.
+staged_filtration runs that search once, on the spec normalized by
+reduce_fully, and undoes the normalization moves on the chain it finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import kernels
-from .decompose import (
-    associated_primes_oracle,
-    irredundant_components,
-    iter_box,
-    witness_box,
-)
+from .decompose import associated_primes_oracle, radicals, witnesses
 from .monomials import (
+    DIVIDE,
     DomainError,
     InternalConsistencyError,
     LexSpec,
@@ -39,6 +35,7 @@ from .monomials import (
     lexsegment_generators,
     mon_div,
     mon_mul,
+    reduce_fully,
     unit,
     variable,
 )
@@ -76,12 +73,8 @@ class StanleyDecomposition:
 
 
 def _candidate_primes(ideal: MonomialIdeal) -> list[PrimeIdeal]:
-    """Ass(S/J) ordered inclusion-maximal first, lex-smallest tuple first.
-
-    Ass(S/J) is the set of radicals of the irredundant irreducible
-    components (Miller-Sturmfels, ch. 5).
-    """
-    primes = {c.radical() for c in irredundant_components(ideal)}
+    """Ass(S/J) ordered inclusion-maximal first, lex-smallest tuple first."""
+    primes = radicals(ideal)
     maximal = [
         p for p in primes if not any(p.is_proper_subset(q) for q in primes)
     ]
@@ -89,26 +82,6 @@ def _candidate_primes(ideal: MonomialIdeal) -> list[PrimeIdeal]:
     maximal.sort(key=lambda p: p.vars)
     rest.sort(key=lambda p: (-len(p.vars), p.vars))
     return maximal + rest
-
-
-def _witness_candidates(current: MonomialIdeal, prime: PrimeIdeal):
-    """All in-box monomials w with (current : w) = prime, lex-descending.
-
-    (J : w) is generated by the g / gcd(g, w) over the generators g of J.
-    It lies inside P exactly when every g exceeds w in some variable of P,
-    that is, when no P-part of a generator divides the P-part of w; and it
-    contains P exactly when x_i * w lies in J for every i in P. The first
-    condition already excludes w in J.
-    """
-    gens = current.gens
-    idx = [i - 1 for i in prime.vars]
-    parts = kernels.minimalize(tuple(tuple(g[i] for i in idx) for g in gens))
-    member = kernels.member
-    for w in iter_box(witness_box(current)):
-        if not member(tuple(w[i] for i in idx), parts) and all(
-            member(w[:i] + (w[i] + 1,) + w[i + 1 :], gens) for i in idx
-        ):
-            yield w
 
 
 def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
@@ -144,10 +117,7 @@ def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
         for prime in _candidate_primes(current):
             if any(s.prime.is_proper_subset(prime) for s in steps):
                 continue
-            witnesses = sorted(
-                _witness_candidates(current, prime), key=_degree_then_lex
-            )
-            for w in witnesses:
+            for w in sorted(witnesses(current, prime), key=_degree_then_lex):
                 found = dfs(
                     add_element(current, w),
                     steps + [FiltrationStep(w, prime)],
@@ -166,74 +136,37 @@ def _degree_then_lex(w: Monomial):
     return (degree(w), tuple(-e for e in w))
 
 
-def greedy_filtration(ideal: MonomialIdeal) -> PrimeFiltration:
-    """Maximal-prime-first greedy filtration of S/I.
-
-    One pass, no backtracking: lex-smallest maximal associated prime,
-    lex-greatest in-box witness. Always a valid prime filtration; pretty
-    cleanness is checked separately and can fail for some inputs.
-    """
-    if ideal.is_zero or ideal.is_unit:
-        raise DomainError("need a proper nonzero ideal")
-    n = ideal.n
-    steps: list[FiltrationStep] = []
-    current = ideal
-    while not current.is_unit:
-        as_prime = ideal_as_prime(current)
-        if as_prime is not None:
-            steps.append(FiltrationStep(unit(n), as_prime))
-            break
-        for prime in _candidate_primes(current):
-            w = next(_witness_candidates(current, prime), None)
-            if w is not None:
-                break
-        else:
-            raise InternalConsistencyError(f"no witness advances greedy at {current}")
-        steps.append(FiltrationStep(w, prime))
-        current = add_element(current, w)
-    return PrimeFiltration(ideal, tuple(steps))
-
-
 def staged_filtration(spec: LexSpec) -> PrimeFiltration:
     """Pretty clean filtration of S/I for a lexsegment ideal I.
 
-    Two structural reductions are spliced around the search. For b1 > 0,
-    the filtration of the spec divided by x1^b1 is scaled back by x1^b1
-    and followed by the chain down (x1^k); for a1 = 0, the spec is
-    filtered in the ring without its unused leading variables and padded
-    back. Every other spec goes straight to search_filtration.
+    search_filtration runs once, on the spec normalized by reduce_fully.
+    The moves are then undone in reverse on the chain: a division by x1^b
+    scales every witness by x1^b and appends the steps (x1^j, (x1)) for
+    j = b - 1, ..., 0; a dropped block of k leading variables pads every
+    witness and shifts every prime by k.
     """
-    n = spec.n
-    ideal = lexsegment_generators(spec)
-    if spec.u != spec.v and spec.b1 > 0:
-        b1 = spec.b1
-        x1b1 = variable(n, 1, b1)
-        sub_spec = LexSpec(n, spec.d - b1, mon_div(spec.u, x1b1), mon_div(spec.v, x1b1))
-        sub = staged_filtration(sub_spec)
-        steps = [
-            FiltrationStep(mon_mul(s.witness, x1b1), s.prime) for s in sub.steps
-        ]
-        x1 = PrimeIdeal.from_vars(n, (1,))
-        for k in range(b1 - 1, 0, -1):
-            steps.append(FiltrationStep(variable(n, 1, k), x1))
-        steps.append(FiltrationStep(unit(n), x1))
-        return PrimeFiltration(ideal, tuple(steps))
-
-    if spec.u != spec.v and spec.a1 == 0:
-        # filter in the smaller ring, then pad back to n variables
-        off = next(i for i, e in enumerate(spec.u) if e > 0)
-        sub_spec = LexSpec(n - off, spec.d, spec.u[off:], spec.v[off:])
-        sub = staged_filtration(sub_spec)
-        pad = (0,) * off
-        steps = [
-            FiltrationStep(pad + s.witness, s.prime.shift(off, n)) for s in sub.steps
-        ]
-        return PrimeFiltration(ideal, tuple(steps))
-
+    work, moves = reduce_fully(spec)
+    ideal = lexsegment_generators(work)
     found = search_filtration(ideal)
     if found is None:
         raise InternalConsistencyError(f"found no pretty clean chain from {ideal.gens}")
-    return found
+    steps = found.steps
+    n = work.n
+    for move, k in reversed(moves):
+        if move == DIVIDE:
+            x1k = variable(n, 1, k)
+            x1 = PrimeIdeal.from_vars(n, (1,))
+            steps = tuple(
+                FiltrationStep(mon_mul(s.witness, x1k), s.prime) for s in steps
+            ) + tuple(
+                FiltrationStep(variable(n, 1, j), x1) for j in range(k - 1, -1, -1)
+            )
+        else:
+            n += k
+            steps = tuple(
+                FiltrationStep((0,) * k + s.witness, s.prime.shift(k, n)) for s in steps
+            )
+    return PrimeFiltration(lexsegment_generators(spec), steps)
 
 
 def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
@@ -242,7 +175,7 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     Depth-first over (prime, witness) choices, pruning any prefix where an
     earlier prime would be properly contained in the next one; returns the
     first complete pretty clean filtration, or None. staged_filtration
-    runs this search for every lexsegment it does not reduce.
+    runs this search on every normalized lexsegment.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")

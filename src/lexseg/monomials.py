@@ -380,65 +380,29 @@ def lexsegment_generators(spec: LexSpec) -> MonomialIdeal:
     return MonomialIdeal(spec.n, tuple(sorted(gens, reverse=True)))
 
 
-@dataclass(frozen=True)
-class ReduceStep:
-    """Result of one normalization step.
+DIVIDE = "divide"
+DROP = "drop"
 
-    kind: "reduced" (divided out x1^b1), "reindexed" (dropped unused leading
-    variables), "unchanged", or "principal" (the trivial u = v = x1^d case).
-    extra_primes are in the coordinates of the input spec.
+
+def reduce_fully(spec: LexSpec) -> tuple[LexSpec, tuple[tuple[str, int], ...]]:
+    """Normalize a spec until a1 >= 1 and b1 = 0 (or u = v).
+
+    Returns the working spec and the moves made, in order: (DIVIDE, b)
+    divides u and v by x1^b, and (DROP, k) drops k unused leading
+    variables. Each move acts on the spec left by the moves before it.
     """
-
-    kind: str
-    spec: LexSpec | None
-    extra_primes: frozenset[PrimeIdeal]
-    var_offset: int
-
-
-def reduce_spec(spec: LexSpec) -> ReduceStep:
-    """One step of the normalization toward a1 >= 1 and b1 = 0."""
-    if spec.b1 > 0:
-        if spec.d - spec.b1 == 0:
-            # u = v = x1^d
-            return ReduceStep("principal", None, frozenset(), 0)
-        x1b1 = variable(spec.n, 1, spec.b1)
-        reduced = LexSpec(
-            spec.n, spec.d - spec.b1, mon_div(spec.u, x1b1), mon_div(spec.v, x1b1)
-        )
-        extra = frozenset({PrimeIdeal.from_vars(spec.n, (1,))})
-        return ReduceStep("reduced", reduced, extra, 0)
-    if spec.a1 == 0:
-        m = min_var(spec.u)
-        offset = m - 1
-        # v <=_lex u forces supp(v) ⊆ {m..n} as well
-        assert all(e == 0 for e in spec.v[:offset])
-        reindexed = LexSpec(spec.n - offset, spec.d, spec.u[offset:], spec.v[offset:])
-        return ReduceStep("reindexed", reindexed, frozenset(), offset)
-    return ReduceStep("unchanged", spec, frozenset(), 0)
-
-
-def reduce_fully(spec: LexSpec) -> tuple[LexSpec, frozenset[PrimeIdeal], int]:
-    """Apply reduce_spec until a1 >= 1 and b1 = 0 (or u = v).
-
-    Returns the working spec, the primes contributed by the reductions
-    (in the original n-variable coordinates), and the variable offset of
-    the working ring inside the original ring.
-    """
-    n0 = spec.n
-    cur = spec
-    offset = 0
-    extras: set[PrimeIdeal] = set()
-    while cur.u != cur.v:
-        if cur.b1 > 0:
-            extras.add(PrimeIdeal.from_vars(n0, (offset + 1,)))
-            x1b1 = variable(cur.n, 1, cur.b1)
-            cur = LexSpec(
-                cur.n, cur.d - cur.b1, mon_div(cur.u, x1b1), mon_div(cur.v, x1b1)
-            )
-        elif cur.a1 == 0:
-            m = min_var(cur.u)
-            offset += m - 1
-            cur = LexSpec(cur.n - (m - 1), cur.d, cur.u[m - 1 :], cur.v[m - 1 :])
+    moves = []
+    while spec.u != spec.v:
+        if spec.b1 > 0:
+            b = spec.b1
+            x1b = variable(spec.n, 1, b)
+            spec = LexSpec(spec.n, spec.d - b, mon_div(spec.u, x1b), mon_div(spec.v, x1b))
+            moves.append((DIVIDE, b))
+        elif spec.a1 == 0:
+            # v <=_lex u forces supp(v) into the variables of u as well
+            k = min_var(spec.u) - 1
+            spec = LexSpec(spec.n - k, spec.d, spec.u[k:], spec.v[k:])
+            moves.append((DROP, k))
         else:
             break
-    return cur, frozenset(extras), offset
+    return spec, tuple(moves)

@@ -144,7 +144,7 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
     if len(set(depths.values())) > 1:
         record("depth", f"depth differs across primes: {depths}")
     exact = depths[primes[0]]
-    work, _, _ = reduce_fully(spec)
+    work = reduce_fully(spec)[0]
     if classify(work).kind == SpecKind.ARBITRARY and work.d > 1:
         case = depth_class(work)
         work_exact = depth_exact(lexsegment_generators(work), primes[0])

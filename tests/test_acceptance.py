@@ -17,7 +17,6 @@ from lexseg.filtration import (
     FiltrationStep,
     PrimeFiltration,
     disjoint_cover_check,
-    greedy_filtration,
     search_filtration,
     stanley_decomposition,
     verify_prime_filtration,
@@ -128,7 +127,7 @@ def test_criterion_4_depth_coherence(sweep_main, sweep_ext):
     compared = 0
     wrong = 0
     for s in iter_specs((2, 4), (2, 3)):
-        work, _, _ = reduce_fully(s)
+        work = reduce_fully(s)[0]
         if classify(work).kind != SpecKind.ARBITRARY or work.d < 2:
             continue
         compared += 1
@@ -214,7 +213,7 @@ def test_criterion_6_oracle_self_consistency():
 def test_criterion_7_negative_controls():
     """The three constructed failures each produce violation reports."""
     base = MonomialIdeal.from_gens(2, [(1, 1)])
-    good = greedy_filtration(base)
+    good = search_filtration(base)
     swapped = PrimeFiltration(base, (good.steps[1], good.steps[0]))
     fail_swap = not verify_prime_filtration(swapped).ok
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import I, P
 from lexseg import cli
 from lexseg.cli import main
-from lexseg.filtration import greedy_filtration
+from lexseg.filtration import search_filtration
 from lexseg.monomials import InternalConsistencyError
 from lexseg.serialize import (
     ParseError,
@@ -56,7 +56,7 @@ class TestJsonCodecs:
         assert primes_to_json({P(3, 2, 3), P(3, 1)}) == [[1], [2, 3]]
 
     def test_filtration_round_trip(self):
-        f = greedy_filtration(I(2, "x1*x2"))
+        f = search_filtration(I(2, "x1*x2"))
         assert filtration_from_json(filtration_to_json(f)) == f
 
 
@@ -119,6 +119,14 @@ class TestCliExitCodes:
 
     def test_missing_file_usage_error(self):
         assert main(["oracle-ass", "--ideal", "/nonexistent.json"]) == 2
+
+    def test_witness_box_over_limit_is_usage_error(self, tmp_path, capsys):
+        # box 41^4 = 2,825,761 monomials: refused before any scan
+        path = tmp_path / "ideal.json"
+        gens = [[40, 0, 0, 0], [0, 40, 0, 0], [0, 0, 40, 0], [0, 0, 0, 40]]
+        path.write_text(json.dumps({"n": 4, "gens": gens}))
+        assert main(["oracle-ass", "--ideal", str(path)]) == 2
+        assert "witness box" in capsys.readouterr().err
 
     def test_filtration_verify(self, capsys):
         code = main(

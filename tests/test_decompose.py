@@ -1,19 +1,25 @@
 """The decomposition/witness oracle for arbitrary monomial ideals."""
 
+import itertools
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import I, P
 from lexseg.decompose import (
     associated_primes_oracle,
     irreducible_decomposition,
+    iter_box,
     krull_dim,
     minimal_primes,
     witness_box,
-    witness_search,
+    witnesses,
 )
 from lexseg.monomials import (
     DomainError,
     MonomialIdeal,
+    PrimeIdeal,
     colon,
     intersect,
     unit_ideal,
@@ -76,18 +82,18 @@ WITNESS_IDEAL = ("x1*x2", "x1*x3", "x1*x4", "x2^2", "x2*x3")
 class TestWitnessSearch:
     def test_embedded_prime_witness(self):
         ideal = I(4, *WITNESS_IDEAL)
-        w = witness_search(ideal, P(4, 1, 2, 3))
+        w = next(witnesses(ideal, P(4, 1, 2, 3)), None)
         assert w is not None
         assert w not in ideal
         assert colon(ideal, w) == P(4, 1, 2, 3).to_ideal()
 
     def test_witness_is_x1(self):
         ideal = I(4, *WITNESS_IDEAL)
-        assert witness_search(ideal, P(4, 2, 3, 4)) == (1, 0, 0, 0)
+        assert next(witnesses(ideal, P(4, 2, 3, 4))) == (1, 0, 0, 0)
 
     def test_non_associated_prime_has_no_witness(self):
         ideal = I(4, *WITNESS_IDEAL)
-        assert witness_search(ideal, P(4, 4)) is None
+        assert list(witnesses(ideal, P(4, 4))) == []
 
     def test_box_encloses_component_exponents(self):
         box = witness_box(I(2, "x1^2", "x1*x2", "x2^3"))
@@ -127,6 +133,44 @@ class TestAssociatedPrimesOracle:
             radicals = {c.radical() for c in irreducible_decomposition(ideal)}
             assert associated_primes_oracle(ideal).primes == radicals
 
+    def test_rejects_zero_and_unit(self):
+        with pytest.raises(DomainError):
+            associated_primes_oracle(zero_ideal(2))
+        with pytest.raises(DomainError):
+            associated_primes_oracle(unit_ideal(2))
+
+
+@st.composite
+def random_ideals(draw):
+    n = draw(st.integers(2, 5))
+    emax = 3 if n <= 3 else 2
+    exponents = st.tuples(*[st.integers(0, emax)] * n).filter(any)
+    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=6)))
+
+
+class TestOracleAgainstColonScan:
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(random_ideals())
+    def test_primes_and_lex_first_witnesses(self, ideal):
+        # reference: scan the whole box with colon ideals, for every
+        # subset P of the variables
+        result = associated_primes_oracle(ideal)
+        reported = dict(result.witnesses)
+        box = list(iter_box(witness_box(ideal)))
+        for k in range(ideal.n + 1):
+            for vars in itertools.combinations(range(1, ideal.n + 1), k):
+                prime = PrimeIdeal.from_vars(ideal.n, vars)
+                first = next(
+                    (
+                        w for w in box
+                        if w not in ideal and colon(ideal, w) == prime.to_ideal()
+                    ),
+                    None,
+                )
+                assert (prime in result.primes) == (first is not None)
+                assert reported.get(prime) == first
+
 
 class TestMinimalPrimesAndDim:
     def test_principal(self):
@@ -140,3 +184,7 @@ class TestMinimalPrimesAndDim:
 
     def test_artinian(self):
         assert krull_dim(I(2, "x1^2", "x1*x2", "x2^2")) == 0
+
+    def test_rejects_unit(self):
+        with pytest.raises(DomainError):
+            krull_dim(unit_ideal(2))

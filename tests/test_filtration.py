@@ -8,15 +8,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import I, P, spec
-from lexseg.decompose import associated_primes_oracle, iter_box, witness_box
+from lexseg.decompose import associated_primes_oracle, iter_box, witness_box, witnesses
 from lexseg.depth import depth_exact
 from lexseg.filtration import (
     FiltrationStep,
     PrimeFiltration,
     _candidate_primes,
-    _witness_candidates,
     disjoint_cover_check,
-    greedy_filtration,
     max_witness_degree,
     sdepth_lower_bound,
     search_filtration,
@@ -30,7 +28,9 @@ from lexseg.monomials import (
     DomainError,
     MonomialIdeal,
     PrimeIdeal,
+    add_element,
     colon,
+    ideal_as_prime,
     ideal_sum,
     lexsegment_generators,
     unit_ideal,
@@ -44,32 +44,30 @@ def assert_fully_verified(filtration):
         assert report.ok, report.violations
 
 
-class TestGreedy:
-    def test_principal_pinned_steps(self):
-        f = greedy_filtration(I(2, "x1*x2"))
-        assert [(s.witness, s.prime.vars) for s in f.steps] == [
-            ((0, 1), (1,)),
-            ((0, 0), (2,)),
-        ]
-        assert_fully_verified(f)
-
-    def test_maximal_ideal_single_terminal_step(self):
-        f = greedy_filtration(I(2, "x1", "x2"))
-        assert [(s.witness, s.prime.vars) for s in f.steps] == [((0, 0), (1, 2))]
-
-    def test_rejects_trivial(self):
-        with pytest.raises(DomainError):
-            greedy_filtration(zero_ideal(2))
-        with pytest.raises(DomainError):
-            greedy_filtration(unit_ideal(2))
-
-
 @st.composite
 def small_ideals(draw):
     n = draw(st.integers(2, 5))
     emax = 3 if n <= 3 else 2
     exponents = st.tuples(*[st.integers(0, emax)] * n).filter(any)
     return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=5)))
+
+
+def greedy_reference(ideal):
+    """Maximal-prime-first greedy pass: first candidate prime with a witness,
+    its first witness, no backtracking. A reference for search_filtration."""
+    steps = []
+    current = ideal
+    while not current.is_unit:
+        as_prime = ideal_as_prime(current)
+        if as_prime is not None:
+            steps.append(FiltrationStep((0,) * ideal.n, as_prime))
+            break
+        prime, w = next(
+            (p, w) for p in _candidate_primes(current) for w in witnesses(current, p)
+        )
+        steps.append(FiltrationStep(w, prime))
+        current = add_element(current, w)
+    return PrimeFiltration(ideal, tuple(steps))
 
 
 def random_ideal(rng):
@@ -93,7 +91,7 @@ class TestSearchPrimitives:
                     w for w in box
                     if w not in ideal and colon(ideal, w) == prime.to_ideal()
                 ]
-                assert list(_witness_candidates(ideal, prime)) == expected
+                assert list(witnesses(ideal, prime)) == expected
 
     def test_candidate_primes_are_the_oracle_primes(self):
         rng = random.Random(20261017)
@@ -102,6 +100,16 @@ class TestSearchPrimitives:
             candidates = _candidate_primes(ideal)
             assert len(set(candidates)) == len(candidates)
             assert set(candidates) == associated_primes_oracle(ideal).primes
+
+
+class TestGreedy:
+    def test_principal_pinned_steps(self):
+        f = greedy_reference(I(2, "x1*x2"))
+        assert [(s.witness, s.prime.vars) for s in f.steps] == [
+            ((0, 1), (1,)),
+            ((0, 0), (2,)),
+        ]
+        assert_fully_verified(f)
 
 
 class TestSearch:
@@ -114,7 +122,18 @@ class TestSearch:
 
     def test_matches_greedy_on_principal(self):
         f = search_filtration(I(2, "x1*x2"))
-        assert f == greedy_filtration(I(2, "x1*x2"))
+        assert f == greedy_reference(I(2, "x1*x2"))
+        assert_fully_verified(f)
+
+    def test_maximal_ideal_single_terminal_step(self):
+        f = search_filtration(I(2, "x1", "x2"))
+        assert [(s.witness, s.prime.vars) for s in f.steps] == [((0, 0), (1, 2))]
+
+    def test_rejects_trivial(self):
+        with pytest.raises(DomainError):
+            search_filtration(zero_ideal(2))
+        with pytest.raises(DomainError):
+            search_filtration(unit_ideal(2))
 
 
 class TestStaged:
@@ -123,6 +142,27 @@ class TestStaged:
         f = staged_filtration(spec(3, 2, "x1^2", "x1*x3"))
         assert f.steps[-1] == FiltrationStep((0, 0, 0), P(3, 1))
         assert all(s.witness[0] >= 1 for s in f.steps[:-1])
+        assert_fully_verified(f)
+
+    def test_drop_divide_drop_pinned_steps(self):
+        # drop x1, divide by x2^2, drop x2: the search runs on L(x1, x2) in
+        # two variables and every move is undone on its chain
+        f = staged_filtration(spec(4, 3, "x2^2*x3", "x2^2*x4"))
+        assert [(s.witness, s.prime.vars) for s in f.steps] == [
+            ((0, 2, 0, 0), (3, 4)),
+            ((0, 1, 0, 0), (2,)),
+            ((0, 0, 0, 0), (2,)),
+        ]
+        assert_fully_verified(f)
+
+    def test_divide_pinned_steps(self):
+        f = staged_filtration(spec(3, 3, "x1^2*x2", "x1*x3^2"))
+        assert [(s.witness, s.prime.vars) for s in f.steps] == [
+            ((1, 1, 0), (1, 2, 3)),
+            ((1, 0, 1), (1, 2, 3)),
+            ((1, 0, 0), (2, 3)),
+            ((0, 0, 0), (1,)),
+        ]
         assert_fully_verified(f)
 
     def test_depth0_stage_boundary(self):
@@ -178,7 +218,7 @@ class TestStaged:
 
 class TestVerifiers:
     def test_negative_swapped_steps(self):
-        good = greedy_filtration(I(2, "x1*x2"))
+        good = search_filtration(I(2, "x1*x2"))
         swapped = PrimeFiltration(good.base, (good.steps[1], good.steps[0]))
         report = verify_prime_filtration(swapped)
         assert not report.ok
@@ -198,7 +238,7 @@ class TestVerifiers:
 
     def test_supp_mismatch_detected(self):
         # a fake chain claiming only (x1): the missing prime is reported
-        f = greedy_filtration(I(2, "x1*x2"))
+        f = search_filtration(I(2, "x1*x2"))
         tampered = PrimeFiltration(
             f.base, (f.steps[0], FiltrationStep((0, 0), P(2, 1)))
         )
@@ -214,7 +254,7 @@ class TestVerifiers:
 
 class TestStanley:
     def test_principal_spaces(self):
-        f = greedy_filtration(I(2, "x1*x2"))
+        f = search_filtration(I(2, "x1*x2"))
         d = stanley_decomposition(f)
         assert set(d.spaces) == {
             ((0, 1), frozenset({2})),
@@ -223,7 +263,7 @@ class TestStanley:
         assert sdepth_lower_bound(d) == 1
 
     def test_maximal_ideal_bound_zero(self):
-        f = greedy_filtration(I(2, "x1", "x2"))
+        f = search_filtration(I(2, "x1", "x2"))
         d = stanley_decomposition(f)
         assert d.spaces == (((0, 0), frozenset()),)
         assert sdepth_lower_bound(d) == 0
@@ -245,12 +285,12 @@ class TestStanley:
 class TestDisjointCover:
     def test_principal_cover(self):
         ideal = I(2, "x1*x2")
-        d = stanley_decomposition(greedy_filtration(ideal))
+        d = stanley_decomposition(search_filtration(ideal))
         assert disjoint_cover_check(ideal, d, 4).ok
 
     def test_drop_space_reports_misses(self):
         ideal = I(2, "x1*x2")
-        d = stanley_decomposition(greedy_filtration(ideal))
+        d = stanley_decomposition(search_filtration(ideal))
         dropped = type(d)(d.n, d.spaces[:1])
         report = disjoint_cover_check(ideal, dropped, 4)
         assert not report.ok
@@ -258,12 +298,12 @@ class TestDisjointCover:
 
     def test_duplicate_space_reports_double_cover(self):
         ideal = I(2, "x1*x2")
-        d = stanley_decomposition(greedy_filtration(ideal))
+        d = stanley_decomposition(search_filtration(ideal))
         doubled = type(d)(d.n, d.spaces + d.spaces[:1])
         report = disjoint_cover_check(ideal, doubled, 4)
         assert not report.ok
         assert any("twice" in v for v in report.violations)
 
     def test_max_witness_degree(self):
-        f = greedy_filtration(I(2, "x1*x2"))
+        f = search_filtration(I(2, "x1*x2"))
         assert max_witness_degree(f) == 1

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import I, P, spec
 from lexseg.monomials import (
+    DIVIDE,
+    DROP,
     DimensionError,
     LexSpec,
     MonomialIdeal,
@@ -29,7 +31,6 @@ from lexseg.monomials import (
     mon_lcm,
     mon_mul,
     reduce_fully,
-    reduce_spec,
     supp,
     unit,
     unit_ideal,
@@ -256,36 +257,35 @@ class TestLexSpec:
 
 class TestReduction:
     def test_divide_out_x1(self):
-        step = reduce_spec(spec(3, 2, "x1^2", "x1*x3"))
-        assert step.kind == "reduced"
-        assert step.spec == spec(3, 1, "x1", "x3")
-        assert step.extra_primes == frozenset({P(3, 1)})
+        work, moves = reduce_fully(spec(3, 2, "x1^2", "x1*x3"))
+        assert moves == ((DIVIDE, 1),)
+        assert work == spec(3, 1, "x1", "x3")
 
     def test_principal_power_of_x1(self):
-        step = reduce_spec(spec(3, 2, "x1^2", "x1^2"))
-        assert step.kind == "principal"
+        # u = v = x1^d is already the working spec: no move is made
+        s = spec(3, 2, "x1^2", "x1^2")
+        assert reduce_fully(s) == (s, ())
 
     def test_reindex(self):
-        step = reduce_spec(spec(3, 2, "x2*x3", "x3^2"))
-        assert step.kind == "reindexed"
-        assert step.spec == spec(2, 2, "x1*x2", "x2^2")
-        assert step.var_offset == 1
+        work, moves = reduce_fully(spec(3, 2, "x2*x3", "x3^2"))
+        assert moves == ((DROP, 1),)
+        assert work == spec(2, 2, "x1*x2", "x2^2")
 
     def test_reduced_spec_unchanged(self):
         s = spec(3, 2, "x1*x2", "x2*x3")
-        assert reduce_spec(s).kind == "unchanged"
+        assert reduce_fully(s) == (s, ())
 
     def test_reduce_fully_mixed(self):
-        work, extras, offset = reduce_fully(spec(4, 3, "x2^2*x3", "x2^2*x4"))
+        work, moves = reduce_fully(spec(4, 3, "x2^2*x3", "x2^2*x4"))
         # drop x1, divide by x2^2, then drop the now-unused leading variable
+        assert moves == ((DROP, 1), (DIVIDE, 2), (DROP, 1))
         assert work == spec(2, 1, "x1", "x2")
-        assert extras == frozenset({P(4, 2)})
-        assert offset == 2
 
     def test_reduction_matches_colon(self):
         # dividing out x1^b1 is exactly the colon by x1^b1 on generators
         s = spec(3, 3, "x1^2*x2", "x1*x3^2")
-        step = reduce_spec(s)
+        work, moves = reduce_fully(s)
+        assert moves == ((DIVIDE, s.b1),)
         big = lexsegment_generators(s)
-        small = lexsegment_generators(step.spec)
+        small = lexsegment_generators(work)
         assert small == colon(big, variable(3, 1, s.b1))
