@@ -3,8 +3,9 @@
 Micro-benchmarks call both backend modules directly on identical inputs;
 the end-to-end benchmark re-runs a small sweep in a subprocess with
 LEXSEG_PURE_PYTHON=1 so the import-time backend switch takes effect.
-The last line is the line count of src/lexseg/*.py, the source size the
-ROADMAP tracks.
+A depth line times depth_exact at GF(2) and GF(32003) over every n=5,
+d=2 lexsegment, from empty caches. The last line is the line count of
+src/lexseg/*.py, the source size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py [--end-to-end]
 """
@@ -21,6 +22,9 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, SRC)
 
 from lexseg import _kernels_py as pure  # noqa: E402
+from lexseg import depth  # noqa: E402
+from lexseg.monomials import lexsegment_generators  # noqa: E402
+from lexseg.sweep import iter_specs  # noqa: E402
 
 try:
     from lexseg import _kernels as compiled
@@ -86,6 +90,20 @@ def end_to_end():
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def depth_layer():
+    ideals = [lexsegment_generators(s) for s in iter_specs((5, 5), (2, 2))]
+
+    def run():
+        for fn in (depth.depth_exact, depth.lcm_lattice, depth.upper_koszul_complex):
+            fn.cache_clear()
+        for ideal in ideals:
+            for p in (2, 32003):
+                depth.depth_exact(ideal, p)
+
+    best = min(timeit(run) for _ in range(3))
+    print(f"depth_exact, p=2 and 32003, {len(ideals)} n=5 d=2 specs: {best:.3f} s")
+
+
 def source_lines():
     total = 0
     for path in glob.glob(os.path.join(SRC, "lexseg", "*.py")):
@@ -107,6 +125,7 @@ def main():
         print("speedup (pure / cython):")
         for key in pure_times:
             print(f"  {key:<28} {pure_times[key] / compiled_times[key]:8.2f}x")
+    depth_layer()
     if args.end_to_end:
         end_to_end()
     print(f"src/lexseg/*.py: {source_lines()} lines")

@@ -1,11 +1,18 @@
 """Depth of S/I: a lex-criterion classifier for lexsegment ideals and an
 independent exact oracle via multigraded Betti numbers over a prime field.
 
-The oracle route: for each multidegree b in the lcm lattice of the
-minimal generators, the rank of reduced homology of the upper Koszul
-complex K^b(I) gives the Betti number in that multidegree; projective
-dimension and Auslander-Buchsbaum then yield the depth. Characteristic
-is a parameter so the sweep can cross-check two primes.
+The oracle route: for b in the lcm lattice of the minimal generators,
+beta_{i,b}(I) is the rank of reduced homology H~_{i-1} of the upper
+Koszul complex K^b(I) (Hochster's formula; Miller-Sturmfels,
+Combinatorial Commutative Algebra, ch. 1 and 5), and depth(S/I) =
+n - 1 - pd(I) by Auslander-Buchsbaum. Only pd(I) = max{i : beta_{i,b} != 0}
+is needed, so depth_exact searches for it instead of building the whole
+Betti table. K^b(I) lives on the simplex on supp(b): it is either that
+whole (acyclic) simplex or has dimension at most |supp b| - 2, so over
+every field beta_{i,b} != 0 implies i <= |supp b| - 1. The search visits
+the lattice by decreasing |supp b| and stops at the first b whose bound
+cannot beat the best index found so far. Characteristic is a parameter
+(any prime) so the sweep can cross-check two primes.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
 from . import kernels
 from .monomials import (
@@ -28,6 +36,9 @@ from .monomials import (
     supp,
     variable,
 )
+
+# Largest lcm lattice, in monomials, that lcm_lattice() will build.
+LCM_LATTICE_LIMIT = 1 << 16
 
 
 class DepthClass(Enum):
@@ -171,54 +182,50 @@ def homology_ranks(complex: SimplicialComplex, p: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    """Multigraded Betti numbers of the ideal I (not of S/I)."""
-
-    n: int
-    entries: tuple[tuple[int, Monomial, int], ...]  # (i, multidegree, rank)
-
-    def total(self, i: int) -> int:
-        return sum(r for j, _, r in self.entries if j == i)
-
-    @property
-    def max_index(self) -> int:
-        return max((j for j, _, r in self.entries if r > 0), default=0)
-
-
 @lru_cache(maxsize=None)
 def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Monomial]:
-    """lcms of nonempty generator subsets, via closure under pairwise lcm."""
-    gens = set(ideal.gens)
-    lattice = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for b in frontier:
-            for g in gens:
-                l = mon_lcm(b, g)
-                if l not in lattice:
-                    new.add(l)
-        lattice |= new
-        frontier = new
+    """lcms of nonempty generator subsets, adding one generator at a time.
+
+    Raises DomainError as soon as the lattice holds more than
+    LCM_LATTICE_LIMIT monomials.
+    """
+    lattice: set[Monomial] = set()
+    for g in ideal.gens:
+        lattice |= {mon_lcm(b, g) for b in lattice}
+        lattice.add(g)
+        if len(lattice) > LCM_LATTICE_LIMIT:
+            raise DomainError(
+                f"lcm lattice has more than LCM_LATTICE_LIMIT = "
+                f"{LCM_LATTICE_LIMIT} elements"
+            )
     return frozenset(lattice)
 
 
+def _is_prime(p) -> bool:
+    return isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
 @lru_cache(maxsize=None)
-def betti_numbers(ideal: MonomialIdeal, p: int) -> BettiTable:
-    """beta_{i,b}(I) = rank H~_{i-1}(K^b(I)) over the lcm lattice."""
+def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
+    """depth(S/I) = n - 1 - pd(I), with pd(I) found over GF(p), p prime.
+
+    Visits b in the lcm lattice by decreasing |supp b| (then decreasing
+    lex) and reads beta_{i,b} = rank H~_{i-1}(K^b(I)) only for i above the
+    best index so far; stops at the first b with |supp b| - 1 <= best,
+    since beta_{i,b} = 0 for i > |supp b| - 1.
+    """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
-    entries = []
-    for b in sorted(lcm_lattice(ideal), reverse=True):
+    if not _is_prime(p):
+        raise DomainError(f"characteristic {p!r} is not a prime")
+    best = 0  # beta_0 = number of generators > 0
+    order = sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True)
+    for size, b in order:
+        if size - 1 <= best:
+            break
         ranks = homology_ranks(upper_koszul_complex(ideal, b), p)
-        for i, r in enumerate(ranks):  # ranks[i] = H~_{i-1}
-            if r:
-                entries.append((i, b, r))
-    return BettiTable(ideal.n, tuple(entries))
-
-
-def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
-    """depth(S/I) = n - pd(S/I), pd(S/I) = 1 + max{i : beta_i(I) != 0}."""
-    table = betti_numbers(ideal, p)
-    return ideal.n - (1 + table.max_index)
+        for i in range(len(ranks) - 1, best, -1):  # ranks[i] = beta_{i,b}
+            if ranks[i]:
+                best = i
+                break
+    return ideal.n - 1 - best

@@ -82,8 +82,22 @@ def ideal_to_json(ideal: MonomialIdeal) -> dict:
     return {"n": ideal.n, "gens": [list(g) for g in ideal.gens]}
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def ideal_from_json(data: dict) -> MonomialIdeal:
-    return MonomialIdeal.from_gens(int(data["n"]), [tuple(g) for g in data["gens"]])
+    """Ideal from {"n": int, "gens": [[exponents]]}; every exponent must be
+    a non-negative int (bools excluded), else ParseError at that generator."""
+    if not isinstance(data, dict) or not isinstance(data.get("gens"), list):
+        raise ParseError('an ideal is {"n": int, "gens": [[exponents]]}', 0)
+    n, gens = data.get("n"), data["gens"]
+    if not _is_count(n):
+        raise ParseError(f"n = {n!r} is not a non-negative integer", 0)
+    for k, g in enumerate(gens):
+        if not isinstance(g, list) or not all(_is_count(e) for e in g):
+            raise ParseError(f"generator {g!r} needs non-negative integer exponents", k)
+    return MonomialIdeal.from_gens(n, [tuple(g) for g in gens])
 
 
 def filtration_to_json(f: PrimeFiltration) -> dict:

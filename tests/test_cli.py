@@ -52,6 +52,23 @@ class TestJsonCodecs:
         assert ideal_from_json(ideal_to_json(ideal)) == ideal
         assert ideal_to_json(ideal) == {"n": 3, "gens": [[1, 1, 0], [0, 0, 2]]}
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 2, "gens": [[1.5, 1]]},
+            {"n": 2, "gens": [[True, 1]]},
+            {"n": 2, "gens": [[-1, 1]]},
+            {"n": 2, "gens": [[1, "1"]]},
+            {"n": 2.0, "gens": [[1, 1]]},
+            {"gens": [[1, 1]]},
+            {"n": 2, "gens": [1, 1]},
+            [[1, 1]],
+        ],
+    )
+    def test_ideal_rejects_malformed(self, data):
+        with pytest.raises(ParseError):
+            ideal_from_json(data)
+
     def test_primes_sorted(self):
         assert primes_to_json({P(3, 2, 3), P(3, 1)}) == [[1], [2, 3]]
 
@@ -107,6 +124,31 @@ class TestCliExitCodes:
         assert main(["depth", "--ideal", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["depth_exact"] == 0
 
+    @pytest.mark.parametrize("p", ["4", "0"])
+    def test_depth_non_prime_characteristic_usage_error(self, p, capsys):
+        # arithmetic mod 4 would give depth_exact 1 here; the depth is 0
+        code = main(
+            ["depth", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3",
+             "--exact", "--p", p]
+        )
+        assert code == 2
+        assert "not a prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["depth", "oracle-ass"])
+    def test_non_integer_exponent_usage_error(self, command, tmp_path, capsys):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"n": 2, "gens": [[1.5, 1]]}))
+        assert main([command, "--ideal", str(path)]) == 2
+        assert "non-negative integer" in capsys.readouterr().err
+
+    def test_lcm_lattice_over_limit_is_usage_error(self, tmp_path, capsys):
+        # (x1, ..., x20): 2^20 - 1 lcms, refused once 2^16 are built
+        path = tmp_path / "ideal.json"
+        gens = [[int(i == j) for i in range(20)] for j in range(20)]
+        path.write_text(json.dumps({"n": 20, "gens": gens}))
+        assert main(["depth", "--ideal", str(path)]) == 2
+        assert "lcm lattice" in capsys.readouterr().err
+
     def test_oracle_ass_and_decompose(self, tmp_path, capsys):
         path = tmp_path / "ideal.json"
         path.write_text(json.dumps({"n": 2, "gens": [[1, 1], [0, 2]]}))
@@ -155,6 +197,11 @@ class TestCliExitCodes:
         report = json.loads(report_path.read_text())
         assert report["specs_tested"] == 6  # 3 degree-2 monomials in 2 vars
         assert report["mismatch_count"] == 0
+
+    def test_sweep_non_prime_characteristic_usage_error(self, capsys):
+        # arithmetic mod 4 would report false depth and stanley mismatches
+        assert main(["sweep", "--n", "3..3", "--d", "2..2", "--p", "4,32003"]) == 2
+        assert "not a prime" in capsys.readouterr().err
 
     def test_sweep_cap(self):
         assert main(["sweep", "--n", "2..2", "--d", "2..2", "--cap", "1"]) == 2

@@ -1,11 +1,15 @@
 """Depth: the lex-criterion classifier and the Betti-number oracle."""
 
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import I, spec
+from lexseg import depth
 from lexseg.depth import (
     DepthClass,
-    betti_numbers,
     depth_class,
     depth_exact,
     homology_ranks,
@@ -14,12 +18,48 @@ from lexseg.depth import (
 )
 from lexseg.monomials import (
     DomainError,
+    Monomial,
     MonomialIdeal,
     SpecError,
     lexsegment_generators,
+    supp,
     unit_ideal,
     zero_ideal,
 )
+
+
+@dataclass(frozen=True)
+class BettiTable:
+    """Multigraded Betti numbers of the ideal I (not of S/I)."""
+
+    n: int
+    entries: tuple[tuple[int, Monomial, int], ...]  # (i, multidegree, rank)
+
+    def total(self, i: int) -> int:
+        return sum(r for j, _, r in self.entries if j == i)
+
+    @property
+    def max_index(self) -> int:
+        return max((j for j, _, r in self.entries if r > 0), default=0)
+
+
+def betti_numbers(ideal: MonomialIdeal, p: int) -> BettiTable:
+    """Reference for depth_exact: beta_{i,b}(I) = rank H~_{i-1}(K^b(I)) at
+    every b of the lcm lattice, with no pruning."""
+    entries = []
+    for b in sorted(lcm_lattice(ideal), reverse=True):
+        ranks = homology_ranks(upper_koszul_complex(ideal, b), p)
+        for i, r in enumerate(ranks):  # ranks[i] = H~_{i-1}
+            if r:
+                entries.append((i, b, r))
+    return BettiTable(ideal.n, tuple(entries))
+
+
+@st.composite
+def small_ideals(draw):
+    n = draw(st.integers(2, 5))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=6)))
 
 
 class TestDepthClassifier:
@@ -139,3 +179,55 @@ class TestBettiAndDepth:
         ta, tb = betti_numbers(a, 32003), betti_numbers(b, 32003)
         assert [ta.total(i) for i in (0, 1, 2)] == [tb.total(i) for i in (0, 1, 2)]
         assert depth_exact(a) == depth_exact(b)
+
+    def test_rejects_trivial_ideals(self):
+        for ideal in (zero_ideal(2), unit_ideal(2)):
+            with pytest.raises(DomainError):
+                depth_exact(ideal)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, -3, 32001])
+    def test_rejects_non_prime_characteristic(self, p):
+        with pytest.raises(DomainError, match="not a prime"):
+            depth_exact(I(3, "x1*x2", "x2*x3"), p)
+
+    def test_lcm_lattice_limit(self, monkeypatch):
+        # I = (x1, x2) has the 3-element lattice {x1, x2, x1*x2}
+        build = lcm_lattice.__wrapped__  # past the cache, so the limit is read
+        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
+        assert len(build(I(2, "x1", "x2"))) == 3
+        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
+        with pytest.raises(DomainError, match="lcm lattice"):
+            build(I(2, "x1", "x2"))
+
+
+class TestPrunedSearch:
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(small_ideals())
+    def test_matches_reference_and_visits_only_what_can_raise_pd(self, ideal):
+        for p in (2, 32003):
+            table = betti_numbers(ideal, p)
+            # the vanishing bound the search prunes with
+            assert all(i <= len(supp(b)) - 1 for i, b, _ in table.entries)
+            top = {}
+            for i, b, _ in table.entries:
+                top[b] = max(top.get(b, 0), i)
+            visited = []
+
+            def recording(j, b):
+                visited.append(b)
+                return upper_koszul_complex(j, b)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(depth, "upper_koszul_complex", recording)
+                pd = ideal.n - 1 - depth_exact.__wrapped__(ideal, p)  # past the cache
+            assert pd == table.max_index
+            # every visited b could still raise the best index found before
+            # it, and no b left unvisited could raise the final one
+            best = 0
+            for b in visited:
+                assert len(supp(b)) - 1 > best
+                best = max(best, top.get(b, 0))
+            assert all(
+                len(supp(b)) - 1 <= best for b in lcm_lattice(ideal) if b not in visited
+            )
