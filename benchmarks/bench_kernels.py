@@ -4,8 +4,11 @@ Micro-benchmarks call both backend modules directly on identical inputs;
 the end-to-end benchmark re-runs a small sweep in a subprocess with
 LEXSEG_PURE_PYTHON=1 so the import-time backend switch takes effect.
 A depth line times depth_exact at GF(2) and GF(32003) over every n=5,
-d=2 lexsegment, from empty caches. The last line is the line count of
-src/lexseg/*.py, the source size the ROADMAP tracks.
+d=2 lexsegment, and the family lines time each check family of
+lexseg.sweep.check_spec over the 357 n=2..4, d=2..3 specs: closed form,
+oracle, filtration, depth at each prime and cover check. Each is the
+best of 3 runs, each run from empty caches. The last line is the line
+count of src/lexseg/*.py, the source size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py [--end-to-end]
 """
@@ -22,9 +25,9 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, SRC)
 
 from lexseg import _kernels_py as pure  # noqa: E402
-from lexseg import depth  # noqa: E402
+from lexseg import closed_form, decompose, depth, filtration, monomials  # noqa: E402
 from lexseg.monomials import lexsegment_generators  # noqa: E402
-from lexseg.sweep import iter_specs  # noqa: E402
+from lexseg.sweep import DEFAULT_PRIMES, iter_specs  # noqa: E402
 
 try:
     from lexseg import _kernels as compiled
@@ -90,18 +93,57 @@ def end_to_end():
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def clear_caches():
+    for module in (closed_form, decompose, depth, filtration, monomials):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+def best_cold(run, repeats=3):
+    """Best of repeats runs of run(), each from empty caches."""
+
+    def cold():
+        clear_caches()
+        return timeit(run)
+
+    return min(cold() for _ in range(repeats))
+
+
 def depth_layer():
     ideals = [lexsegment_generators(s) for s in iter_specs((5, 5), (2, 2))]
 
     def run():
-        for fn in (depth.depth_exact, depth.lcm_lattice, depth.upper_koszul_complex):
-            fn.cache_clear()
         for ideal in ideals:
             for p in (2, 32003):
                 depth.depth_exact(ideal, p)
 
-    best = min(timeit(run) for _ in range(3))
+    best = best_cold(run)
     print(f"depth_exact, p=2 and 32003, {len(ideals)} n=5 d=2 specs: {best:.3f} s")
+
+
+def sweep_families():
+    specs = list(iter_specs((2, 4), (2, 3)))
+    ideals = [lexsegment_generators(s) for s in specs]
+    chains = [filtration.staged_filtration(s) for s in specs]
+    covers = [
+        (ideal, filtration.stanley_decomposition(f),
+         s.d + filtration.max_witness_degree(f) + 2)
+        for s, ideal, f in zip(specs, ideals, chains)
+    ]
+    families = {
+        "closed form": lambda: [
+            closed_form.associated_primes_lexsegment(s) for s in specs
+        ],
+        "oracle": lambda: [decompose.associated_primes_oracle(i) for i in ideals],
+        "filtration": lambda: [filtration.staged_filtration(s) for s in specs],
+    }
+    for p in DEFAULT_PRIMES:
+        families[f"depth p={p}"] = lambda p=p: [depth.depth_exact(i, p) for i in ideals]
+    families["cover check"] = lambda: [filtration.disjoint_cover_check(*c) for c in covers]
+    print(f"check families, {len(specs)} n=2..4 d=2..3 specs, best of 3, cold caches:")
+    for name, run in families.items():
+        print(f"  {name:<28} {best_cold(run):8.3f} s")
 
 
 def source_lines():
@@ -126,6 +168,7 @@ def main():
         for key in pure_times:
             print(f"  {key:<28} {pure_times[key] / compiled_times[key]:8.2f}x")
     depth_layer()
+    sweep_families()
     if args.end_to_end:
         end_to_end()
     print(f"src/lexseg/*.py: {source_lines()} lines")

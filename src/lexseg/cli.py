@@ -14,7 +14,7 @@ import sys
 from . import serialize
 from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle, irreducible_decomposition
-from .depth import depth_class, depth_exact
+from .depth import _require_prime, depth_class, depth_exact
 from .filtration import (
     disjoint_cover_check,
     max_witness_degree,
@@ -131,6 +131,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_depth(args) -> int:
+    _require_prime(args.p)
     if args.ideal:
         ideal = _load_ideal(args.ideal)
         out = {"ideal": serialize.ideal_to_json(ideal)}

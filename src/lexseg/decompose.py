@@ -2,14 +2,25 @@
 
 Every monomial ideal is uniquely an irredundant intersection of ideals
 generated by pure variable powers, and Ass(S/I) is exactly the set of
-radicals of those components (Miller-Sturmfels, ch. 5). The oracle takes
-its primes from there and certifies each one with the lex-first witness
-monomial w in the witness box with (I : w) = P; witnesses() is the one
-generator of such witnesses, shared with the filtration search.
+radicals of those components (Miller-Sturmfels, Combinatorial Commutative
+Algebra, ch. 5). The oracle takes its primes from there and certifies each
+one with the lex-first witness monomial w in the witness box with
+(I : w) = P; witnesses() is the one generator of such witnesses, shared
+with the filtration search.
+
+Both primitives read the cached split components Q_j, a possibly
+redundant family of irreducible ideals whose intersection is I, and rest
+on one fact: irreducible monomial ideals are prime in the lattice of
+monomial ideals (one that contains an intersection contains a member).
+witnesses() uses it to pin the P-part of a witness to e_j - 1 for a Q_j
+with radical P and scans only the other coordinates;
+irredundant_components() uses it to find the irredundant components with
+one minimalize over an order-reversing encoding of the Q_j.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,11 +62,6 @@ class IrreducibleIdeal:
 
     def radical(self) -> PrimeIdeal:
         return PrimeIdeal.from_vars(self.n, (i for i, _ in self.powers))
-
-    def contains(self, other: "IrreducibleIdeal") -> bool:
-        """self >= other: each x_i^e of other is divisible by some x_i^f of self."""
-        mine = dict(self.powers)
-        return all(i in mine and mine[i] <= e for i, e in other.powers)
 
 
 @dataclass(frozen=True)
@@ -100,13 +106,21 @@ def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     Irreducible monomial ideals are prime in the lattice of monomial
     ideals: one that contains an intersection contains one of its members.
     So these are already the irredundant irreducible components, and their
-    radicals are Ass(S/I). Unchecked and uncached: irreducible_decomposition
-    adds the intersect-back check.
+    radicals are Ass(S/I). With top above every exponent, a component is
+    encoded as v_i = top - e_i on its support and 0 off it; c contains o
+    exactly when v(o) divides v(c), so the survivors are the minimal
+    generators of the encoded vectors. Unchecked and uncached:
+    irreducible_decomposition adds the intersect-back check.
     """
     comps = _split(ideal)
-    return frozenset(
-        c for c in comps if not any(c != other and c.contains(other) for other in comps)
-    )
+    top = 1 + max((e for c in comps for _, e in c.powers), default=0)
+    encoded = {}
+    for c in comps:
+        v = [0] * ideal.n
+        for i, e in c.powers:
+            v[i - 1] = top - e
+        encoded[tuple(v)] = c
+    return frozenset(encoded[v] for v in kernels.minimalize(tuple(encoded)))
 
 
 @lru_cache(maxsize=None)
@@ -147,20 +161,19 @@ def witness_box(ideal: MonomialIdeal) -> Monomial:
     return tuple(box)
 
 
-def iter_box(box: Monomial):
-    """All monomials with exponents bounded by box, lex-descending."""
-    return itertools.product(*(range(e, -1, -1) for e in box))
-
-
 def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
     """All in-box monomials w with (I : w) = P, lex-descending.
 
-    (I : w) is generated by the g / gcd(g, w) over the generators g of I.
-    It lies inside P exactly when every g exceeds w in some variable of P,
-    that is, when no P-part of a generator divides the P-part of w; and it
-    contains P exactly when x_i * w lies in I for every i in P. The first
-    condition already excludes w in I. Raises DomainError, before scanning,
-    for a box of more than WITNESS_BOX_LIMIT monomials.
+    (I : w) is the intersection of the (Q_j : w) over the split components
+    Q_j = (x_i^e_ij : i in A_j) that miss w, each generated by the
+    x_i^(e_ij - w_i). Irreducible ideals are prime in the lattice of
+    monomial ideals, so this equals P only if some Q_j has A_j = P and
+    w_i = e_ij - 1 for every i in P: the P-part of w is one of these pins.
+    For each pin only the coordinates outside P range over the witness
+    box. Every such w already has (I : w) inside (Q_j : w) = P, so it is
+    kept exactly when (I : w) contains P, that is, when x_i * w lies in I
+    for every i in P. Raises DomainError, before scanning, for a box of
+    more than WITNESS_BOX_LIMIT monomials.
     """
     if ideal.n != prime.n:
         raise DomainError("variable counts differ")
@@ -171,14 +184,20 @@ def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
             f"witness box {box} holds {volume} monomials, over the limit "
             f"{WITNESS_BOX_LIMIT}"
         )
-    gens = ideal.gens
+    if ideal.is_unit:
+        return  # (1 : w) = (1) is never prime
     idx = [i - 1 for i in prime.vars]
-    parts = kernels.minimalize(tuple(tuple(g[i] for i in idx) for g in gens))
+    scans = []
+    for c in _split(ideal):
+        if tuple(i for i, _ in c.powers) == prime.vars:
+            ranges = [range(e, -1, -1) for e in box]
+            for i, e in c.powers:
+                ranges[i - 1] = (e - 1,)
+            scans.append(itertools.product(*ranges))
+    gens = ideal.gens
     member = kernels.member
-    for w in iter_box(box):
-        if not member(tuple(w[i] for i in idx), parts) and all(
-            member(w[:i] + (w[i] + 1,) + w[i + 1 :], gens) for i in idx
-        ):
+    for w in heapq.merge(*scans, reverse=True):
+        if all(member(w[:i] + (w[i] + 1,) + w[i + 1 :], gens) for i in idx):
             yield w
 
 

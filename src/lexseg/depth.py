@@ -39,6 +39,8 @@ from .monomials import (
 
 # Largest lcm lattice, in monomials, that lcm_lattice() will build.
 LCM_LATTICE_LIMIT = 1 << 16
+# Largest |supp b| whose 2^|supp b| subsets upper_koszul_complex() will scan.
+KOSZUL_SUPPORT_LIMIT = 16
 
 
 class DepthClass(Enum):
@@ -131,10 +133,19 @@ class SimplicialComplex:
 
 @lru_cache(maxsize=None)
 def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
-    """K^b(I): squarefree sets sigma ⊆ supp(b) with x^b / x^sigma in I."""
+    """K^b(I): squarefree sets sigma ⊆ supp(b) with x^b / x^sigma in I.
+
+    Raises DomainError, before scanning, when |supp b| is over
+    KOSZUL_SUPPORT_LIMIT.
+    """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
     verts = supp(b)
+    if len(verts) > KOSZUL_SUPPORT_LIMIT:
+        raise DomainError(
+            f"|supp b| = {len(verts)} is over KOSZUL_SUPPORT_LIMIT = "
+            f"{KOSZUL_SUPPORT_LIMIT}"
+        )
     faces = set()
     for r in range(len(verts) + 1):
         for sigma in combinations(verts, r):
@@ -201,8 +212,12 @@ def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Monomial]:
     return frozenset(lattice)
 
 
-def _is_prime(p) -> bool:
-    return isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+def _require_prime(p) -> None:
+    """Raises DomainError unless p is a prime, the characteristic of GF(p)."""
+    if not (
+        isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+    ):
+        raise DomainError(f"characteristic {p!r} is not a prime")
 
 
 @lru_cache(maxsize=None)
@@ -216,8 +231,7 @@ def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
-    if not _is_prime(p):
-        raise DomainError(f"characteristic {p!r} is not a prime")
+    _require_prime(p)
     best = 0  # beta_0 = number of generators > 0
     order = sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True)
     for size, b in order:

@@ -17,6 +17,7 @@ reduce_fully, and undoes the normalization moves on the chain it finds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .decompose import associated_primes_oracle, radicals, witnesses
 from .monomials import (
@@ -39,6 +40,10 @@ from .monomials import (
     unit,
     variable,
 )
+
+# Most monomials, C(n + D, n) for degree bound D, that disjoint_cover_check
+# will enumerate.
+COVER_CHECK_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -246,8 +251,20 @@ def disjoint_cover_check(
     ideal: MonomialIdeal, decomposition: StanleyDecomposition, degree_bound: int
 ) -> Report:
     """Finite certificate: up to degree_bound, the spaces partition the
-    standard monomials of I and avoid I entirely."""
+    standard monomials of I and avoid I entirely.
+
+    Raises DomainError, before enumerating, for a negative bound or for
+    more than COVER_CHECK_LIMIT monomials of degree at most the bound.
+    """
     n = ideal.n
+    if degree_bound < 0:
+        raise DomainError(f"degree bound {degree_bound} is negative")
+    count = comb(n + degree_bound, n)
+    if count > COVER_CHECK_LIMIT:
+        raise DomainError(
+            f"degree bound {degree_bound} gives {count} monomials in {n} "
+            f"variables, over the limit COVER_CHECK_LIMIT = {COVER_CHECK_LIMIT}"
+        )
     violations = []
     for d in range(degree_bound + 1):
         for m in enumerate_degree(n, d):

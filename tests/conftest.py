@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import itertools
+import random
+
 import pytest
 
 from lexseg.monomials import LexSpec, MonomialIdeal, PrimeIdeal
@@ -17,6 +20,28 @@ def I(n, *gens):
 
 def spec(n, d, u, v):
     return LexSpec(n, d, parse_monomial(u, n), parse_monomial(v, n))
+
+
+def iter_box(box):
+    """All monomials with exponents bounded by box, lex-descending."""
+    return itertools.product(*(range(e, -1, -1) for e in box))
+
+
+def oracle_random_ideals(seed, count):
+    """Ideals shaped like the oracle benchmark's: n=4..6, 4..10 generators,
+    exponents <= 3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 6)
+        gens = [
+            tuple(rng.randint(0, 3) for _ in range(n))
+            for _ in range(rng.randint(4, 10))
+        ]
+        gens = [g for g in gens if any(g)]
+        if gens:
+            out.append(MonomialIdeal.from_gens(n, gens))
+    return out
 
 
 # The five hand-derived associated-prime fixtures. Each expected set was

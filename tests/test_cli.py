@@ -134,6 +134,14 @@ class TestCliExitCodes:
         assert code == 2
         assert "not a prime" in capsys.readouterr().err
 
+    def test_depth_checks_characteristic_without_exact(self, capsys):
+        code = main(
+            ["depth", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3",
+             "--p", "4"]
+        )
+        assert code == 2
+        assert "not a prime" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["depth", "oracle-ass"])
     def test_non_integer_exponent_usage_error(self, command, tmp_path, capsys):
         path = tmp_path / "ideal.json"
@@ -148,6 +156,13 @@ class TestCliExitCodes:
         path.write_text(json.dumps({"n": 20, "gens": gens}))
         assert main(["depth", "--ideal", str(path)]) == 2
         assert "lcm lattice" in capsys.readouterr().err
+
+    def test_koszul_support_over_limit_is_usage_error(self, tmp_path, capsys):
+        # (x1*...*x30): a one-element lattice, but 2^30 subsets of supp b
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"n": 30, "gens": [[1] * 30]}))
+        assert main(["depth", "--ideal", str(path)]) == 2
+        assert "KOSZUL_SUPPORT_LIMIT" in capsys.readouterr().err
 
     def test_oracle_ass_and_decompose(self, tmp_path, capsys):
         path = tmp_path / "ideal.json"
@@ -187,6 +202,17 @@ class TestCliExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["cover_ok"] is True
         assert out["sdepth_lower_bound"] == 0
+
+    @pytest.mark.parametrize("bound", ["-1", "400"])
+    def test_stanley_cover_bound_usage_error(self, bound, capsys):
+        # -1 checks nothing; 400 in 3 variables is C(403, 3) = 10,827,401
+        # monomials, over COVER_CHECK_LIMIT
+        code = main(
+            ["stanley", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3",
+             "--degree-bound", bound]
+        )
+        assert code == 2
+        assert "degree bound" in capsys.readouterr().err
 
     def test_sweep_small(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import I, P
+from conftest import I, P, iter_box, oracle_random_ideals
 from lexseg.decompose import (
+    IrreducibleIdeal,
+    _split,
     associated_primes_oracle,
     irreducible_decomposition,
-    iter_box,
+    irredundant_components,
     krull_dim,
     minimal_primes,
     witness_box,
@@ -76,6 +78,21 @@ class TestIrreducibleDecomposition:
         assert a == b
 
 
+def contains(c, other):
+    """c >= other: each x_i^e of other is divisible by some x_i^f of c."""
+    mine = dict(c.powers)
+    return all(i in mine and mine[i] <= e for i, e in other.powers)
+
+
+def pairwise_irredundant(ideal):
+    """Reference: the split components that contain no other one, by
+    comparing every pair."""
+    comps = _split(ideal)
+    return frozenset(
+        c for c in comps if not any(c != o and contains(c, o) for o in comps)
+    )
+
+
 WITNESS_IDEAL = ("x1*x2", "x1*x3", "x1*x4", "x2^2", "x2*x3")
 
 
@@ -94,6 +111,13 @@ class TestWitnessSearch:
     def test_non_associated_prime_has_no_witness(self):
         ideal = I(4, *WITNESS_IDEAL)
         assert list(witnesses(ideal, P(4, 4))) == []
+
+    def test_zero_and_unit_ideals(self):
+        # (0 : 1) = 0 is the prime with no variables; (1 : w) is never prime
+        for prime in (P(2), P(2, 1), P(2, 1, 2)):
+            expected = [(0, 0)] if prime == P(2) else []
+            assert list(witnesses(zero_ideal(2), prime)) == expected
+            assert list(witnesses(unit_ideal(2), prime)) == []
 
     def test_box_encloses_component_exponents(self):
         box = witness_box(I(2, "x1^2", "x1*x2", "x2^3"))
@@ -170,6 +194,27 @@ class TestOracleAgainstColonScan:
                 )
                 assert (prime in result.primes) == (first is not None)
                 assert reported.get(prime) == first
+
+
+class TestIrredundantComponents:
+    @seed(20261020)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(random_ideals())
+    def test_matches_pairwise_contains(self, ideal):
+        assert irredundant_components(ideal) == pairwise_irredundant(ideal)
+
+    def test_matches_pairwise_contains_on_oracle_random_ideals(self):
+        for ideal in oracle_random_ideals(20261021, 60):
+            assert irredundant_components(ideal) == pairwise_irredundant(ideal)
+
+    def test_exponent_at_the_top_of_the_encoding(self):
+        # (x1^2*x2, x1^2*x3) splits into (x1^2) and (x2, x3); the largest
+        # exponent sits alone on a support, so it must not encode as 0
+        ideal = I(3, "x1^2*x2", "x1^2*x3")
+        assert irredundant_components(ideal) == pairwise_irredundant(ideal) == {
+            IrreducibleIdeal(3, ((1, 2),)),
+            IrreducibleIdeal(3, ((2, 1), (3, 1))),
+        }
 
 
 class TestMinimalPrimesAndDim:

@@ -120,6 +120,14 @@ class TestUpperKoszul:
         with pytest.raises(DomainError):
             upper_koszul_complex(unit_ideal(2), (1, 1))
 
+    def test_support_limit(self, monkeypatch):
+        # the tests and benchmarks reach |supp b| <= 6, far below the limit
+        build = upper_koszul_complex.__wrapped__  # past the cache
+        monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 2)
+        assert len(build(I(2, "x1", "x2"), (1, 1)).faces) == 3
+        with pytest.raises(DomainError, match="KOSZUL_SUPPORT_LIMIT"):
+            build(I(3, "x1*x2*x3"), (1, 1, 1))
+
 
 class TestHomology:
     def test_point_is_acyclic(self):

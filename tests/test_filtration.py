@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import I, P, spec
-from lexseg.decompose import associated_primes_oracle, iter_box, witness_box, witnesses
+from conftest import I, P, iter_box, oracle_random_ideals, spec
+from lexseg.decompose import associated_primes_oracle, witness_box, witnesses
 from lexseg.depth import depth_exact
 from lexseg.filtration import (
     FiltrationStep,
@@ -46,7 +46,7 @@ def assert_fully_verified(filtration):
 
 @st.composite
 def small_ideals(draw):
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 6))
     emax = 3 if n <= 3 else 2
     exponents = st.tuples(*[st.integers(0, emax)] * n).filter(any)
     return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=5)))
@@ -77,21 +77,29 @@ def random_ideal(rng):
     return MonomialIdeal.from_gens(n, gens)
 
 
+def assert_witnesses_match_box_scan(ideal):
+    # every in-box w, including those in the ideal, against every subset P
+    # of the variables, associated or not, the empty one included
+    colons = [
+        (w, colon(ideal, w)) for w in iter_box(witness_box(ideal)) if w not in ideal
+    ]
+    for k in range(ideal.n + 1):
+        for vars in itertools.combinations(range(1, ideal.n + 1), k):
+            prime = PrimeIdeal.from_vars(ideal.n, vars)
+            expected = [w for w, c in colons if c == prime.to_ideal()]
+            assert list(witnesses(ideal, prime)) == expected
+
+
 class TestSearchPrimitives:
     @seed(20261017)
     @settings(max_examples=60, deadline=None, database=None)
     @given(small_ideals())
     def test_direct_witness_test_matches_colon(self, ideal):
-        # every in-box w, including those in the ideal, against every prime
-        box = list(iter_box(witness_box(ideal)))
-        for k in range(1, ideal.n + 1):
-            for vars in itertools.combinations(range(1, ideal.n + 1), k):
-                prime = PrimeIdeal.from_vars(ideal.n, vars)
-                expected = [
-                    w for w in box
-                    if w not in ideal and colon(ideal, w) == prime.to_ideal()
-                ]
-                assert list(witnesses(ideal, prime)) == expected
+        assert_witnesses_match_box_scan(ideal)
+
+    def test_witnesses_match_colon_on_oracle_random_ideals(self):
+        for ideal in oracle_random_ideals(20261020, 20):
+            assert_witnesses_match_box_scan(ideal)
 
     def test_candidate_primes_are_the_oracle_primes(self):
         rng = random.Random(20261017)
@@ -307,3 +315,15 @@ class TestDisjointCover:
     def test_max_witness_degree(self):
         f = search_filtration(I(2, "x1*x2"))
         assert max_witness_degree(f) == 1
+
+    def test_rejects_negative_and_over_limit_bounds(self, monkeypatch):
+        ideal = I(2, "x1*x2")
+        d = stanley_decomposition(search_filtration(ideal))
+        with pytest.raises(DomainError, match="negative"):
+            disjoint_cover_check(ideal, d, -1)
+        # C(2 + 4, 2) = 15 monomials of degree <= 4 in 2 variables
+        monkeypatch.setattr("lexseg.filtration.COVER_CHECK_LIMIT", 15)
+        assert disjoint_cover_check(ideal, d, 4).ok
+        monkeypatch.setattr("lexseg.filtration.COVER_CHECK_LIMIT", 14)
+        with pytest.raises(DomainError, match="COVER_CHECK_LIMIT"):
+            disjoint_cover_check(ideal, d, 4)
