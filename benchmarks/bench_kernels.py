@@ -6,15 +6,22 @@ LEXSEG_PURE_PYTHON=1 so the import-time backend switch takes effect.
 A depth line times depth_exact at GF(2) and GF(32003) over every n=5,
 d=2 lexsegment, and the family lines time each check family of
 lexseg.sweep.check_spec over the 357 n=2..4, d=2..3 specs: closed form,
-oracle, filtration, depth at each prime and cover check. Each is the
-best of 3 runs, each run from empty caches. The last line is the line
-count of src/lexseg/*.py, the source size the ROADMAP tracks.
+oracle, filtration, depth at each prime and cover check. The digest
+line is the step digest of staged_filtration on the 477 acceptance specs
+(n=2..4, d=2..3 and n=5, d=2): the first 16 hex digits of the sha256 of
+the JSON list, per spec, of [witness, prime.vars] per step. Equal digests
+mean identical chains. The extended line times staged_filtration over
+the 861 n=5, d=3 and n=6, d=2 specs. Each timing is the best of 3 runs,
+each run from empty caches. The last line is the line count of
+src/lexseg/*.py, the source size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py [--end-to-end]
 """
 
 import argparse
 import glob
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -146,6 +153,27 @@ def sweep_families():
         print(f"  {name:<28} {best_cold(run):8.3f} s")
 
 
+def step_digest():
+    specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+    chains = [
+        [[list(step.witness), list(step.prime.vars)] for step in f.steps]
+        for f in map(filtration.staged_filtration, specs)
+    ]
+    digest = hashlib.sha256(json.dumps(chains).encode()).hexdigest()[:16]
+    print(f"staged_filtration step digest, {len(specs)} acceptance specs: {digest}")
+
+
+def extended_filtration():
+    specs = list(iter_specs((5, 5), (3, 3))) + list(iter_specs((6, 6), (2, 2)))
+
+    def run():
+        for s in specs:
+            filtration.staged_filtration(s)
+
+    best = best_cold(run)
+    print(f"staged_filtration, {len(specs)} n=5 d=3 and n=6 d=2 specs: {best:.3f} s")
+
+
 def source_lines():
     total = 0
     for path in glob.glob(os.path.join(SRC, "lexseg", "*.py")):
@@ -169,6 +197,8 @@ def main():
             print(f"  {key:<28} {pure_times[key] / compiled_times[key]:8.2f}x")
     depth_layer()
     sweep_families()
+    step_digest()
+    extended_filtration()
     if args.end_to_end:
         end_to_end()
     print(f"src/lexseg/*.py: {source_lines()} lines")

@@ -34,7 +34,6 @@ from .monomials import (
     enumerate_degree,
     ideal_as_prime,
     lexsegment_generators,
-    mon_div,
     mon_mul,
     reduce_fully,
     unit,
@@ -92,23 +91,16 @@ def _candidate_primes(ideal: MonomialIdeal) -> list[PrimeIdeal]:
 def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
     """Depth-first pretty clean chain from start to the unit ideal.
 
-    Witnesses are tried in _degree_then_lex order. Prunes any step whose
-    prime would properly contain an earlier step's prime, so a completed
-    chain is pretty clean by construction. Returns the step list or None.
-
-    Failed states are memoized. A state is determined by the reached
-    ideal and the inclusion-minimal primes used so far (only those
-    constrain later steps), so permutations of the same step set collapse
-    to one search.
+    The candidate primes at a node J are Ass(S/J) (_candidate_primes),
+    and their witnesses are tried in _degree_then_lex order. Every prime
+    filtration of S/J has every P in Ass(S/J) among its primes
+    (Herzog-Popescu 2006). So when some P in Ass(S/J) properly contains
+    an earlier step's prime, no completion from J is pretty clean: the
+    node returns None on reaching P instead of trying its other primes.
+    A completed chain is pretty clean by construction. Returns the step
+    list or None.
     """
     n = start.n
-    dead: set = set()
-
-    def constraint_key(steps):
-        primes = {s.prime for s in steps}
-        return frozenset(
-            p for p in primes if not any(q.is_proper_subset(p) for q in primes)
-        )
 
     def dfs(current, steps):
         as_prime = ideal_as_prime(current)
@@ -116,12 +108,9 @@ def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
             if any(s.prime.is_proper_subset(as_prime) for s in steps):
                 return None
             return steps + [FiltrationStep(unit(n), as_prime)]
-        state = (current, constraint_key(steps))
-        if state in dead:
-            return None
         for prime in _candidate_primes(current):
             if any(s.prime.is_proper_subset(prime) for s in steps):
-                continue
+                return None
             for w in sorted(witnesses(current, prime), key=_degree_then_lex):
                 found = dfs(
                     add_element(current, w),
@@ -129,7 +118,6 @@ def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
                 )
                 if found is not None:
                     return found
-        dead.add(state)
         return None
 
     return dfs(start, [])
@@ -177,10 +165,12 @@ def staged_filtration(spec: LexSpec) -> PrimeFiltration:
 def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     """Backtracking search for a pretty clean filtration.
 
-    Depth-first over (prime, witness) choices, pruning any prefix where an
-    earlier prime would be properly contained in the next one; returns the
-    first complete pretty clean filtration, or None. staged_filtration
-    runs this search on every normalized lexsegment.
+    Depth-first over (prime, witness) choices (_dfs_fill). A node with
+    ideal J is cut at the first prime of Ass(S/J) that properly contains
+    an earlier step's prime, since every prime filtration of S/J uses
+    every prime of Ass(S/J). Returns the first complete pretty clean
+    filtration, or None. staged_filtration runs this search on every
+    normalized lexsegment.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
@@ -265,15 +255,20 @@ def disjoint_cover_check(
             f"degree bound {degree_bound} gives {count} monomials in {n} "
             f"variables, over the limit COVER_CHECK_LIMIT = {COVER_CHECK_LIMIT}"
         )
+    # w * K[Z] covers m iff m[i] == w[i] outside Z and w <= m
+    spaces = [
+        (k, w, [i for i in range(n) if i + 1 not in free])
+        for k, (w, free) in enumerate(decomposition.spaces)
+    ]
     violations = []
     for d in range(degree_bound + 1):
         for m in enumerate_degree(n, d):
-            covers = []
-            for k, (w, free) in enumerate(decomposition.spaces):
-                if all(x <= y for x, y in zip(w, m)):
-                    quot = mon_div(m, w)
-                    if all(e == 0 or (i + 1) in free for i, e in enumerate(quot)):
-                        covers.append(k)
+            covers = [
+                k
+                for k, w, fixed in spaces
+                if all(m[i] == w[i] for i in fixed)
+                and all(x <= y for x, y in zip(w, m))
+            ]
             if m in ideal:
                 if covers:
                     violations.append(f"{m} lies in I but is covered by {covers}")

@@ -4,8 +4,10 @@ For every (n, d) in range and every pair u >=_lex v of degree-d monomials,
 four check families run: closed-form versus oracle associated primes,
 the three verifiers on the pretty clean filtration from
 staged_filtration, depth classifier versus the exact Betti oracle (at
-every configured prime), and the Stanley inequality with the
-disjoint-cover certificate.
+every configured prime), and the Stanley family: the disjoint-cover
+certificate and the paper's sequentially Cohen-Macaulay corollary,
+depth = n - max|P| over Ass = the sdepth lower bound of the
+decomposition.
 """
 
 from __future__ import annotations
@@ -161,8 +163,14 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
 
     decomposition = stanley_decomposition(filtration)
     bound = sdepth_lower_bound(decomposition)
-    if bound < exact:
-        record("stanley", f"sdepth lower bound {bound} < depth {exact}")
+    # pretty clean implies sequentially CM, where depth = min dim S/P over Ass
+    dim_min = spec.n - max(len(p.vars) for p in oracle)
+    if not exact == dim_min == bound:
+        record(
+            "stanley",
+            f"depth {exact}, n - max|P| over Ass {dim_min} and "
+            f"sdepth lower bound {bound} are not all equal",
+        )
     cover_bound = spec.d + max_witness_degree(filtration) + 2
     cover = disjoint_cover_check(ideal, decomposition, cover_bound)
     if not cover.ok:

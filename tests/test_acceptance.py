@@ -150,12 +150,19 @@ def test_criterion_4_depth_coherence(sweep_main, sweep_ext):
 
 
 def test_criterion_5_stanley_inequality(sweep_main, sweep_ext):
-    """sdepth lower bound >= depth on every swept ideal, with the
-    finite disjoint-cover certificate passing."""
+    """depth == n - max|P| over Ass == sdepth lower bound on every swept
+    ideal (the sequentially Cohen-Macaulay corollary, which implies the
+    Stanley inequality), with the finite disjoint-cover certificate
+    passing."""
     bad = family_mismatches(sweep_main, "stanley") + family_mismatches(
         sweep_ext, "stanley"
     )
-    report_line(5, not bad, f"{len(bad)} Stanley-bound or cover failures")
+    report_line(
+        5,
+        not bad,
+        f"{len(bad)} failures of depth == n - max|P| == sdepth bound "
+        "or of the cover check",
+    )
 
 
 def random_ideal(rng):

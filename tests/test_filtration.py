@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import lexseg.filtration as filtration_module
 from conftest import I, P, iter_box, oracle_random_ideals, spec
 from lexseg.decompose import associated_primes_oracle, witness_box, witnesses
 from lexseg.depth import depth_exact
@@ -14,6 +16,7 @@ from lexseg.filtration import (
     FiltrationStep,
     PrimeFiltration,
     _candidate_primes,
+    _degree_then_lex,
     disjoint_cover_check,
     max_witness_degree,
     sdepth_lower_bound,
@@ -26,16 +29,24 @@ from lexseg.filtration import (
 )
 from lexseg.monomials import (
     DomainError,
+    LexSpec,
     MonomialIdeal,
     PrimeIdeal,
     add_element,
     colon,
+    enumerate_degree,
     ideal_as_prime,
     ideal_sum,
     lexsegment_generators,
+    unit,
     unit_ideal,
     zero_ideal,
 )
+from lexseg.sweep import iter_specs
+
+# Fixed wall-time budget of TestExtendedRange: staged_filtration and the
+# three verifiers on the 861 n=5, d=3 and n=6, d=2 lexsegments.
+EXTENDED_BUDGET_SECONDS = 20.0
 
 
 def assert_fully_verified(filtration):
@@ -108,6 +119,160 @@ class TestSearchPrimitives:
             candidates = _candidate_primes(ideal)
             assert len(set(candidates)) == len(candidates)
             assert set(candidates) == associated_primes_oracle(ideal).primes
+
+
+def unpruned_reference(start, steps=()):
+    """The search before the Ass prune, as a reference: a candidate prime
+    that properly contains an earlier step's prime is skipped, the node's
+    other primes are still tried, and failed states are memoized by the
+    reached ideal and the inclusion-minimal primes used so far. Continues
+    from start after the given steps; returns the completed step list or
+    None."""
+    n = start.n
+    dead = set()
+
+    def constraint_key(steps):
+        primes = {s.prime for s in steps}
+        return frozenset(
+            p for p in primes if not any(q.is_proper_subset(p) for q in primes)
+        )
+
+    def dfs(current, steps):
+        as_prime = ideal_as_prime(current)
+        if as_prime is not None:
+            if any(s.prime.is_proper_subset(as_prime) for s in steps):
+                return None
+            return steps + [FiltrationStep(unit(n), as_prime)]
+        state = (current, constraint_key(steps))
+        if state in dead:
+            return None
+        for prime in _candidate_primes(current):
+            if any(s.prime.is_proper_subset(prime) for s in steps):
+                continue
+            for w in sorted(witnesses(current, prime), key=_degree_then_lex):
+                found = dfs(
+                    add_element(current, w), steps + [FiltrationStep(w, prime)]
+                )
+                if found is not None:
+                    return found
+        dead.add(state)
+        return None
+
+    return dfs(start, list(steps))
+
+
+class SearchRecorder:
+    """Rebuilds the library search tree from its calls of ideal_as_prime
+    (a node is entered), witnesses (a prime is expanded) and add_element
+    (a child is made). A chain only grows its ideal, so the ideals on one
+    path differ and a call on ideal J returns to J's node."""
+
+    def __init__(self, monkeypatch):
+        self.stack = []
+        self.finished = []
+        self.pending = None
+        for name in ("ideal_as_prime", "witnesses", "add_element"):
+            inner = getattr(filtration_module, name)
+            monkeypatch.setattr(
+                filtration_module, name, self._wrap(getattr(self, "_" + name), inner)
+            )
+
+    @staticmethod
+    def _wrap(hook, inner):
+        def wrapped(*args):
+            hook(*args)
+            return inner(*args)
+
+        return wrapped
+
+    def _return_to(self, ideal):
+        while self.stack[-1]["ideal"] != ideal:
+            self.finished.append(self.stack.pop())
+
+    def _ideal_as_prime(self, ideal):
+        steps = self.stack[-1]["steps"] + [self.pending] if self.stack else []
+        self.stack.append({"ideal": ideal, "steps": steps, "expanded": set()})
+
+    def _witnesses(self, ideal, prime):
+        self._return_to(ideal)
+        self.stack[-1]["expanded"].add(prime)
+        self.stack[-1]["prime"] = prime
+
+    def _add_element(self, ideal, w):
+        self._return_to(ideal)
+        self.pending = FiltrationStep(w, self.stack[-1]["prime"])
+
+    def cut_nodes(self, found):
+        """Nodes that returned None without trying every candidate prime:
+        a terminal node whose prime was refused, or an inner node left
+        with an unexpanded prime. When the search succeeds, the nodes still
+        on the stack are its chain and were not cut."""
+        nodes = self.finished + ([] if found is not None else self.stack)
+        return [
+            node
+            for node in nodes
+            if ideal_as_prime(node["ideal"]) is not None
+            or node["expanded"] != set(_candidate_primes(node["ideal"]))
+        ]
+
+
+@st.composite
+def prune_inputs(draw):
+    """Lexsegment ideals with n <= 4 and d <= 3, or small monomial ideals."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 4))
+        d = draw(st.integers(2, 3))
+        mons = enumerate_degree(n, d)
+        i = draw(st.integers(0, len(mons) - 1))
+        j = draw(st.integers(i, len(mons) - 1))
+        return lexsegment_generators(LexSpec(n, d, mons[i], mons[j]))
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=4)))
+
+
+class TestAssPrune:
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(prune_inputs())
+    def test_cut_nodes_have_no_completion(self, ideal):
+        # hypothesis' function-scoped fixture check forbids monkeypatch
+        # here, so the patch context is opened by hand
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            recorder = SearchRecorder(monkeypatch)
+            found = search_filtration(ideal)
+        assert recorder.stack or recorder.finished  # the search was seen
+        for node in recorder.cut_nodes(found):
+            assert unpruned_reference(node["ideal"], node["steps"]) is None, (
+                node["ideal"].gens,
+                [(s.witness, s.prime.vars) for s in node["steps"]],
+            )
+        reference = unpruned_reference(ideal)
+        if reference is None:
+            assert found is None
+        else:
+            assert found is not None and list(found.steps) == reference
+            assert_fully_verified(found)
+
+
+class TestExtendedRange:
+    def test_extended_range_within_budget(self):
+        specs = list(iter_specs((5, 5), (3, 3))) + list(iter_specs((6, 6), (2, 2)))
+        assert len(specs) == 861
+        verifiers = (verify_prime_filtration, verify_pretty_clean, supp_equals_ass)
+        start = time.perf_counter()
+        failures = []
+        for s in specs:
+            f = staged_filtration(s)
+            for verifier in verifiers:
+                report = verifier(f)
+                if not report.ok:
+                    failures.append((s, report.violations))
+        elapsed = time.perf_counter() - start
+        assert not failures, failures[:3]
+        assert elapsed <= EXTENDED_BUDGET_SECONDS, (
+            f"{elapsed:.1f}s over the {EXTENDED_BUDGET_SECONDS:.0f}s budget"
+        )
 
 
 class TestGreedy:
