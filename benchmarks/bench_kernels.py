@@ -6,14 +6,15 @@ LEXSEG_PURE_PYTHON=1 so the import-time backend switch takes effect.
 A depth line times depth_exact at GF(2) and GF(32003) over every n=5,
 d=2 lexsegment, and the family lines time each check family of
 lexseg.sweep.check_spec over the 357 n=2..4, d=2..3 specs: closed form,
-oracle, filtration, depth at each prime and cover check. The digest
-line is the step digest of staged_filtration on the 477 acceptance specs
-(n=2..4, d=2..3 and n=5, d=2): the first 16 hex digits of the sha256 of
-the JSON list, per spec, of [witness, prime.vars] per step. Equal digests
-mean identical chains. The extended line times staged_filtration over
-the 861 n=5, d=3 and n=6, d=2 specs. Each timing is the best of 3 runs,
-each run from empty caches. The last line is the line count of
-src/lexseg/*.py, the source size the ROADMAP tracks.
+oracle, filtration, depth at each prime and stanley certificate. The
+digest line is the step digest of staged_filtration on the 477
+acceptance specs (n=2..4, d=2..3 and n=5, d=2): the first 16 hex digits
+of the sha256 of the JSON list, per spec, of [witness, prime.vars] per
+step. Equal digests mean identical chains. The two extended lines time
+staged_filtration and stanley_certificate over the 861 n=5, d=3 and
+n=6, d=2 specs. Each timing is the best of 3 runs, each run from empty
+caches. The last line is the line count of src/lexseg/*.py, the source
+size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py [--end-to-end]
 """
@@ -129,15 +130,18 @@ def depth_layer():
     print(f"depth_exact, p=2 and 32003, {len(ideals)} n=5 d=2 specs: {best:.3f} s")
 
 
+def stanley_cases(specs, ideals):
+    """(ideal, Stanley decomposition) per spec, the certificate's inputs."""
+    return [
+        (ideal, filtration.stanley_decomposition(filtration.staged_filtration(s)))
+        for s, ideal in zip(specs, ideals)
+    ]
+
+
 def sweep_families():
     specs = list(iter_specs((2, 4), (2, 3)))
     ideals = [lexsegment_generators(s) for s in specs]
-    chains = [filtration.staged_filtration(s) for s in specs]
-    covers = [
-        (ideal, filtration.stanley_decomposition(f),
-         s.d + filtration.max_witness_degree(f) + 2)
-        for s, ideal, f in zip(specs, ideals, chains)
-    ]
+    decompositions = stanley_cases(specs, ideals)
     families = {
         "closed form": lambda: [
             closed_form.associated_primes_lexsegment(s) for s in specs
@@ -147,7 +151,9 @@ def sweep_families():
     }
     for p in DEFAULT_PRIMES:
         families[f"depth p={p}"] = lambda p=p: [depth.depth_exact(i, p) for i in ideals]
-    families["cover check"] = lambda: [filtration.disjoint_cover_check(*c) for c in covers]
+    families["stanley certificate"] = lambda: [
+        filtration.stanley_certificate(*c) for c in decompositions
+    ]
     print(f"check families, {len(specs)} n=2..4 d=2..3 specs, best of 3, cold caches:")
     for name, run in families.items():
         print(f"  {name:<28} {best_cold(run):8.3f} s")
@@ -163,7 +169,7 @@ def step_digest():
     print(f"staged_filtration step digest, {len(specs)} acceptance specs: {digest}")
 
 
-def extended_filtration():
+def extended_range():
     specs = list(iter_specs((5, 5), (3, 3))) + list(iter_specs((6, 6), (2, 2)))
 
     def run():
@@ -172,6 +178,14 @@ def extended_filtration():
 
     best = best_cold(run)
     print(f"staged_filtration, {len(specs)} n=5 d=3 and n=6 d=2 specs: {best:.3f} s")
+    cases = stanley_cases(specs, [lexsegment_generators(s) for s in specs])
+
+    def certify():
+        for case in cases:
+            filtration.stanley_certificate(*case)
+
+    best = best_cold(certify)
+    print(f"stanley_certificate, {len(specs)} n=5 d=3 and n=6 d=2 specs: {best:.3f} s")
 
 
 def source_lines():
@@ -198,7 +212,7 @@ def main():
     depth_layer()
     sweep_families()
     step_digest()
-    extended_filtration()
+    extended_range()
     if args.end_to_end:
         end_to_end()
     print(f"src/lexseg/*.py: {source_lines()} lines")

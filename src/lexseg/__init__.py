@@ -12,10 +12,10 @@ from .decompose import (
 from .depth import DepthClass, depth_class, depth_exact
 from .filtration import (
     PrimeFiltration,
-    disjoint_cover_check,
     sdepth_lower_bound,
     search_filtration,
     staged_filtration,
+    stanley_certificate,
     stanley_decomposition,
     supp_equals_ass,
     verify_pretty_clean,

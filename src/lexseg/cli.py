@@ -16,10 +16,9 @@ from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle, irreducible_decomposition
 from .depth import _require_prime, depth_class, depth_exact
 from .filtration import (
-    disjoint_cover_check,
-    max_witness_degree,
     sdepth_lower_bound,
     staged_filtration,
+    stanley_certificate,
     stanley_decomposition,
     supp_equals_ass,
     verify_pretty_clean,
@@ -180,19 +179,13 @@ def _cmd_stanley(args) -> int:
     ideal = lexsegment_generators(spec)
     filtration = staged_filtration(spec)
     decomposition = stanley_decomposition(filtration)
-    bound = (
-        args.degree_bound
-        if args.degree_bound is not None
-        else spec.d + max_witness_degree(filtration) + 2
-    )
-    cover = disjoint_cover_check(ideal, decomposition, bound)
+    cover = stanley_certificate(ideal, decomposition)
     out = {
         "spaces": [
             {"witness": list(w), "free_vars": sorted(free)}
             for w, free in decomposition.spaces
         ],
         "sdepth_lower_bound": sdepth_lower_bound(decomposition),
-        "degree_bound": bound,
         "cover_ok": cover.ok,
         "cover_violations": list(cover.violations),
     }
@@ -273,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stanley", help="Stanley decomposition and sdepth bound")
     add_spec_args(p)
-    p.add_argument("--degree-bound", type=int, default=None)
     p.set_defaults(func=_cmd_stanley)
 
     p = sub.add_parser("sweep", help="exhaustive verification sweep")

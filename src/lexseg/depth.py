@@ -116,20 +116,6 @@ class SimplicialComplex:
     vertices: tuple[int, ...]
     faces: frozenset[frozenset[int]]
 
-    @property
-    def facets(self) -> tuple[frozenset[int], ...]:
-        return tuple(
-            f
-            for f in sorted(self.faces, key=lambda s: (len(s), sorted(s)))
-            if not any(f < g for g in self.faces)
-        )
-
-    @property
-    def dim(self) -> int:
-        if not self.faces:
-            return -2  # void complex
-        return max(len(f) for f in self.faces) - 1
-
 
 @lru_cache(maxsize=None)
 def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:

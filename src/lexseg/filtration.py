@@ -1,4 +1,5 @@
-"""Pretty clean prime filtrations of S/I and derived Stanley decompositions.
+"""Pretty clean prime filtrations of S/I, their Stanley decompositions and
+an exact certificate for the decompositions.
 
 A filtration is recorded as steps (witness, prime): starting from J = I,
 each step adjoins its witness monomial, and the colon of the running
@@ -12,16 +13,24 @@ straight to the unit ideal. The candidate primes at each node are
 decompose.radicals and the witnesses come from decompose.witnesses.
 staged_filtration runs that search once, on the spec normalized by
 reduce_fully, and undoes the normalization moves on the chain it finds.
+
+Each step (w, P) gives the Stanley space w K[Z], Z the complement of P
+(Herzog-Popescu 2006). stanley_certificate proves that spaces w_i K[Z_i]
+partition the standard monomials of I in every degree, which holds
+exactly when sum_i x^(w_i) prod_(j in P_i) (1 - x_j) equals the
+K-polynomial of S/I. The K-polynomial comes from the Bayer-Stillman
+colon recursion, so no monomials are enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
+from . import kernels
 from .decompose import associated_primes_oracle, radicals, witnesses
 from .monomials import (
     DIVIDE,
+    DimensionError,
     DomainError,
     InternalConsistencyError,
     LexSpec,
@@ -31,7 +40,6 @@ from .monomials import (
     add_element,
     colon,
     degree,
-    enumerate_degree,
     ideal_as_prime,
     lexsegment_generators,
     mon_mul,
@@ -40,9 +48,9 @@ from .monomials import (
     variable,
 )
 
-# Most monomials, C(n + D, n) for degree bound D, that disjoint_cover_check
-# will enumerate.
-COVER_CHECK_LIMIT = 1 << 16
+# Most recursion nodes, terms x^m K(S/(J : m)), that one K-polynomial in
+# stanley_certificate may take.
+K_POLYNOMIAL_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,47 +245,108 @@ def sdepth_lower_bound(decomposition: StanleyDecomposition) -> int:
     return min(len(free) for _, free in decomposition.spaces)
 
 
-def disjoint_cover_check(
-    ideal: MonomialIdeal, decomposition: StanleyDecomposition, degree_bound: int
-) -> Report:
-    """Finite certificate: up to degree_bound, the spaces partition the
-    standard monomials of I and avoid I entirely.
+def _k_polynomial(ideal: MonomialIdeal) -> dict[Monomial, int]:
+    """K-polynomial of S/I as {exponent: coefficient}, zero terms dropped.
 
-    Raises DomainError, before enumerating, for a negative bound or for
-    more than COVER_CHECK_LIMIT monomials of degree at most the bound.
+    The exact sequence 0 -> S/(J : m)(-m) -> S/J -> S/(J + (m)) -> 0 gives
+    K(S/(J + (m))) = K(S/J) - x^m K(S/(J : m)) (Bayer-Stillman 1992). With
+    m the last generator each time, unrolled along g_1 > ... > g_r:
+    K(S/I) = 1 - sum_k x^(g_k) K(S/((g_1, ..., g_(k-1)) : g_k)). Each term
+    is one recursion node; the colon ideals are memoized for this call
+    only. Raises DomainError past K_POLYNOMIAL_LIMIT nodes.
     """
     n = ideal.n
-    if degree_bound < 0:
-        raise DomainError(f"degree bound {degree_bound} is negative")
-    count = comb(n + degree_bound, n)
-    if count > COVER_CHECK_LIMIT:
-        raise DomainError(
-            f"degree bound {degree_bound} gives {count} monomials in {n} "
-            f"variables, over the limit COVER_CHECK_LIMIT = {COVER_CHECK_LIMIT}"
+    memo: dict = {}
+    nodes = 0
+
+    def k(gens):
+        nonlocal nodes
+        if gens in memo:
+            return memo[gens]
+        poly = {(0,) * n: 1}
+        for i, m in enumerate(gens):
+            nodes += 1
+            if nodes > K_POLYNOMIAL_LIMIT:
+                raise DomainError(
+                    f"K-polynomial of the {len(ideal.gens)}-generator ideal needs "
+                    f"over K_POLYNOMIAL_LIMIT = {K_POLYNOMIAL_LIMIT} recursion nodes"
+                )
+            for e, c in k(kernels.colon_gens(gens[:i], m)).items():
+                e = tuple(x + y for x, y in zip(e, m))
+                poly[e] = poly.get(e, 0) - c
+        poly = {e: c for e, c in poly.items() if c}
+        memo[gens] = poly
+        return poly
+
+    return k(ideal.gens)
+
+
+def _stanley_numerator(decomposition: StanleyDecomposition) -> dict[Monomial, int]:
+    """sum_i x^(w_i) prod_(j in P_i) (1 - x_j), P_i the complement of Z_i."""
+    poly: dict = {}
+    for w, free in decomposition.spaces:
+        terms = {w: 1}
+        for j in range(decomposition.n):
+            if j + 1 in free:
+                continue
+            # every exponent in terms has w[j] at j, so the shifted keys are new
+            for e, c in list(terms.items()):
+                terms[e[:j] + (e[j] + 1,) + e[j + 1 :]] = -c
+        for e, c in terms.items():
+            poly[e] = poly.get(e, 0) + c
+    return poly
+
+
+def stanley_certificate(
+    ideal: MonomialIdeal, decomposition: StanleyDecomposition
+) -> Report:
+    """Exact certificate that the spaces w_i K[Z_i] partition the standard
+    monomials of I, in every degree.
+
+    As power series, (K(S/I) - N) / prod_j (1 - x_j) = sum_m (s(m) - c(m)) x^m,
+    where N is _stanley_numerator, s is the indicator of the standard
+    monomials and c(m) the number of spaces that contain m (the sum of
+    their indicators). K(S/I) = N therefore gives c = s: each standard
+    monomial lies in exactly one space, and since every indicator is
+    non-negative, c(m) = 0 on I means that no space meets I.
+
+    Otherwise consider the monomials of least degree with s(m) != c(m),
+    the violations of least degree. K(S/I) - N is the series above times
+    prod_j (1 - x_j), which adds only terms of higher degree, so these are
+    exactly the lowest-degree terms of K(S/I) - N. The report names the
+    lex-greatest of them, the first violation in degree-then-lex order as
+    a degree-bounded enumeration would meet it, and words it from the
+    per-space test at that monomial alone.
+    """
+    if decomposition.n != ideal.n:
+        raise DimensionError(
+            f"decomposition in {decomposition.n} variables, ideal in {ideal.n}"
         )
-    # w * K[Z] covers m iff m[i] == w[i] outside Z and w <= m
-    spaces = [
-        (k, w, [i for i in range(n) if i + 1 not in free])
-        for k, (w, free) in enumerate(decomposition.spaces)
+    k_poly = _k_polynomial(ideal)
+    numerator = _stanley_numerator(decomposition)
+    diff = [
+        e
+        for e in k_poly.keys() | numerator.keys()
+        if k_poly.get(e, 0) != numerator.get(e, 0)
     ]
-    violations = []
-    for d in range(degree_bound + 1):
-        for m in enumerate_degree(n, d):
-            covers = [
-                k
-                for k, w, fixed in spaces
-                if all(m[i] == w[i] for i in fixed)
-                and all(x <= y for x, y in zip(w, m))
-            ]
-            if m in ideal:
-                if covers:
-                    violations.append(f"{m} lies in I but is covered by {covers}")
-            elif len(covers) == 0:
-                violations.append(f"standard monomial {m} is not covered")
-            elif len(covers) > 1:
-                violations.append(f"standard monomial {m} covered twice: {covers}")
-    return Report(tuple(violations))
-
-
-def max_witness_degree(filtration: PrimeFiltration) -> int:
-    return max((degree(s.witness) for s in filtration.steps), default=0)
+    if not diff:
+        return Report(())
+    m = min(diff, key=_degree_then_lex)
+    # w * K[Z] contains m iff w <= m and m[i] == w[i] outside Z
+    covers = [
+        k
+        for k, (w, free) in enumerate(decomposition.spaces)
+        if all(
+            w[i] <= m[i] if i + 1 in free else w[i] == m[i] for i in range(ideal.n)
+        )
+    ]
+    if m in ideal:
+        if covers:
+            return Report((f"{m} lies in I but is covered by {covers}",))
+    elif not covers:
+        return Report((f"standard monomial {m} is not covered",))
+    elif len(covers) > 1:
+        return Report((f"standard monomial {m} covered twice: {covers}",))
+    raise InternalConsistencyError(
+        f"K-polynomial and Stanley numerator differ at {m}, which is covered correctly"
+    )

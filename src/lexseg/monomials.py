@@ -55,11 +55,6 @@ def mon_div(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def mon_gcd(a: Monomial, b: Monomial) -> Monomial:
-    _same_n(a, b)
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
     _same_n(a, b)
     return tuple(max(x, y) for x, y in zip(a, b))
@@ -171,12 +166,6 @@ class MonomialIdeal:
             raise DimensionError(f"monomial length {len(m)} != {self.n}")
         return kernels.member(tuple(m), self.gens)
 
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        """self >= other as ideals: every generator of other lies in self."""
-        if self.n != other.n:
-            raise DimensionError("variable counts differ")
-        return all(g in self for g in other.gens)
-
 
 def zero_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, ())
@@ -260,9 +249,6 @@ class PrimeIdeal:
         return MonomialIdeal(
             self.n, tuple(variable(self.n, i) for i in self.vars)
         )
-
-    def issubset(self, other: "PrimeIdeal") -> bool:
-        return set(self.vars) <= set(other.vars)
 
     def is_proper_subset(self, other: "PrimeIdeal") -> bool:
         return set(self.vars) < set(other.vars)

@@ -4,10 +4,11 @@ For every (n, d) in range and every pair u >=_lex v of degree-d monomials,
 four check families run: closed-form versus oracle associated primes,
 the three verifiers on the pretty clean filtration from
 staged_filtration, depth classifier versus the exact Betti oracle (at
-every configured prime), and the Stanley family: the disjoint-cover
-certificate and the paper's sequentially Cohen-Macaulay corollary,
-depth = n - max|P| over Ass = the sdepth lower bound of the
-decomposition.
+every configured prime), and the Stanley family: the exact Stanley
+certificate (the K-polynomial of S/I against the Hilbert series
+numerator of the decomposition, filtration.stanley_certificate) and the
+paper's sequentially Cohen-Macaulay corollary, depth = n - max|P| over
+Ass = the sdepth lower bound of the decomposition.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle
 from .depth import DepthClass, depth_class, depth_exact
 from .filtration import (
-    disjoint_cover_check,
-    max_witness_degree,
     sdepth_lower_bound,
     staged_filtration,
+    stanley_certificate,
     stanley_decomposition,
     supp_equals_ass,
     verify_pretty_clean,
@@ -171,10 +171,9 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
             f"depth {exact}, n - max|P| over Ass {dim_min} and "
             f"sdepth lower bound {bound} are not all equal",
         )
-    cover_bound = spec.d + max_witness_degree(filtration) + 2
-    cover = disjoint_cover_check(ideal, decomposition, cover_bound)
-    if not cover.ok:
-        record("stanley", f"cover check: {'; '.join(cover.violations[:5])}")
+    certificate = stanley_certificate(ideal, decomposition)
+    if not certificate.ok:
+        record("stanley", f"certificate: {'; '.join(certificate.violations)}")
 
     return found
 

@@ -16,8 +16,8 @@ from lexseg.depth import DepthClass, depth_class, depth_exact
 from lexseg.filtration import (
     FiltrationStep,
     PrimeFiltration,
-    disjoint_cover_check,
     search_filtration,
+    stanley_certificate,
     stanley_decomposition,
     verify_prime_filtration,
 )
@@ -152,8 +152,7 @@ def test_criterion_4_depth_coherence(sweep_main, sweep_ext):
 def test_criterion_5_stanley_inequality(sweep_main, sweep_ext):
     """depth == n - max|P| over Ass == sdepth lower bound on every swept
     ideal (the sequentially Cohen-Macaulay corollary, which implies the
-    Stanley inequality), with the finite disjoint-cover certificate
-    passing."""
+    Stanley inequality), with the exact Stanley certificate passing."""
     bad = family_mismatches(sweep_main, "stanley") + family_mismatches(
         sweep_ext, "stanley"
     )
@@ -161,7 +160,7 @@ def test_criterion_5_stanley_inequality(sweep_main, sweep_ext):
         5,
         not bad,
         f"{len(bad)} failures of depth == n - max|P| == sdepth bound "
-        "or of the cover check",
+        "or of the Stanley certificate",
     )
 
 
@@ -226,9 +225,9 @@ def test_criterion_7_negative_controls():
 
     decomposition = stanley_decomposition(good)
     dropped = type(decomposition)(2, decomposition.spaces[:1])
-    fail_drop = not disjoint_cover_check(base, dropped, 4).ok
+    fail_drop = not stanley_certificate(base, dropped).ok
     doubled = type(decomposition)(2, decomposition.spaces + decomposition.spaces[:1])
-    fail_double = not disjoint_cover_check(base, doubled, 4).ok
+    fail_double = not stanley_certificate(base, doubled).ok
 
     ok = fail_swap and fail_drop and fail_double
     report_line(

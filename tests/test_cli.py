@@ -201,18 +201,26 @@ class TestCliExitCodes:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["cover_ok"] is True
+        assert out["cover_violations"] == []
         assert out["sdepth_lower_bound"] == 0
+        assert "degree_bound" not in out
 
-    @pytest.mark.parametrize("bound", ["-1", "400"])
-    def test_stanley_cover_bound_usage_error(self, bound, capsys):
-        # -1 checks nothing; 400 in 3 variables is C(403, 3) = 10,827,401
-        # monomials, over COVER_CHECK_LIMIT
+    def test_stanley_degree_bound_refused(self, capsys):
+        # the certificate is exact, so there is no degree bound to set
         code = main(
             ["stanley", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3",
-             "--degree-bound", bound]
+             "--degree-bound", "4"]
         )
         assert code == 2
-        assert "degree bound" in capsys.readouterr().err
+        assert "--degree-bound" in capsys.readouterr().err
+
+    def test_stanley_certificate_over_limit_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("lexseg.filtration.K_POLYNOMIAL_LIMIT", 1)
+        code = main(
+            ["stanley", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3"]
+        )
+        assert code == 2
+        assert "K_POLYNOMIAL_LIMIT" in capsys.readouterr().err
 
     def test_sweep_small(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

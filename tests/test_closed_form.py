@@ -9,10 +9,47 @@ from lexseg.closed_form import (
     ass_final,
     ass_initial,
     associated_primes_lexsegment,
-    supp_witness_primes,
 )
 from lexseg.decompose import associated_primes_oracle
-from lexseg.monomials import SpecError, colon, lexsegment_generators
+from lexseg.monomials import (
+    LexSpec,
+    Monomial,
+    PrimeIdeal,
+    SpecError,
+    colon,
+    lexsegment_generators,
+    mon_div,
+    mon_mul,
+    supp,
+    variable,
+)
+
+
+def supp_witness_primes(spec: LexSpec) -> list[tuple[PrimeIdeal, Monomial]]:
+    """The primes (x1..xj) for j in supp(v) \\ {n}, with explicit witnesses.
+
+    Each witness w = (v / x_j) * xn^(d - bn) is checked sound against the
+    generated ideal: w not in I and (I : w) = (x1, ..., xj).
+    """
+    n, d = spec.n, spec.d
+    if spec.a1 == 0:
+        raise SpecError("x1 must divide u")
+    if spec.b1 > 0:
+        raise SpecError("x1 must not divide v")
+    if spec.v == variable(n, n, d):
+        raise SpecError("v = xn^d is excluded")
+    ideal = lexsegment_generators(spec)
+    bn = spec.v[n - 1]
+    out = []
+    for j in supp(spec.v):
+        if j == n:
+            continue
+        w = mon_mul(mon_div(spec.v, variable(n, j)), variable(n, n, d - bn))
+        prime = PrimeIdeal.span(n, 1, j)
+        if w in ideal or colon(ideal, w) != prime.to_ideal():
+            raise SpecError(f"witness {w} for {prime.vars} failed its soundness check")
+        out.append((prime, w))
+    return out
 
 
 class TestSuppWitnessPrimes:

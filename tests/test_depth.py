@@ -28,6 +28,22 @@ from lexseg.monomials import (
 )
 
 
+def facets(k):
+    """Inclusion-maximal faces of the complex k, smallest first."""
+    return tuple(
+        f
+        for f in sorted(k.faces, key=lambda s: (len(s), sorted(s)))
+        if not any(f < g for g in k.faces)
+    )
+
+
+def dim(k):
+    """Largest face size of the complex k minus one; -2 for the void complex."""
+    if not k.faces:
+        return -2
+    return max(len(f) for f in k.faces) - 1
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """Multigraded Betti numbers of the ideal I (not of S/I)."""
@@ -112,7 +128,7 @@ class TestUpperKoszul:
         assert k.faces == frozenset(
             {frozenset(), frozenset({1}), frozenset({2})}
         )
-        assert k.dim == 0
+        assert dim(k) == 0
 
     def test_rejects_trivial_ideals(self):
         with pytest.raises(DomainError):
@@ -140,7 +156,7 @@ class TestHomology:
         # joined by {1,2}, so it is contractible; use the disjoint pair via
         # I = (x1^2, x2^2) at b = (2, 2) quotients instead
         k = upper_koszul_complex(I(2, "x1^2", "x2^2"), (2, 2))
-        assert k.facets == (frozenset({1}), frozenset({2}))
+        assert facets(k) == (frozenset({1}), frozenset({2}))
         assert homology_ranks(k, 2) == [0, 1]
 
     def test_empty_complex_has_hminus1(self):

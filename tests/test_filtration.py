@@ -3,6 +3,8 @@
 import itertools
 import random
 import time
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, seed, settings
@@ -15,25 +17,29 @@ from lexseg.depth import depth_exact
 from lexseg.filtration import (
     FiltrationStep,
     PrimeFiltration,
+    Report,
+    StanleyDecomposition,
     _candidate_primes,
     _degree_then_lex,
-    disjoint_cover_check,
-    max_witness_degree,
+    _k_polynomial,
     sdepth_lower_bound,
     search_filtration,
     staged_filtration,
+    stanley_certificate,
     stanley_decomposition,
     supp_equals_ass,
     verify_pretty_clean,
     verify_prime_filtration,
 )
 from lexseg.monomials import (
+    DimensionError,
     DomainError,
     LexSpec,
     MonomialIdeal,
     PrimeIdeal,
     add_element,
     colon,
+    degree,
     enumerate_degree,
     ideal_as_prime,
     ideal_sum,
@@ -44,9 +50,14 @@ from lexseg.monomials import (
 )
 from lexseg.sweep import iter_specs
 
-# Fixed wall-time budget of TestExtendedRange: staged_filtration and the
-# three verifiers on the 861 n=5, d=3 and n=6, d=2 lexsegments.
+# Fixed wall-time budget of TestExtendedRange: staged_filtration, the
+# three verifiers and stanley_certificate on the 861 n=5, d=3 and n=6, d=2
+# lexsegments.
 EXTENDED_BUDGET_SECONDS = 20.0
+
+# Most monomials, C(n + D, n) for degree bound D, that
+# bounded_cover_reference will enumerate.
+COVER_CHECK_LIMIT = 1 << 16
 
 
 def assert_fully_verified(filtration):
@@ -264,10 +275,11 @@ class TestExtendedRange:
         failures = []
         for s in specs:
             f = staged_filtration(s)
-            for verifier in verifiers:
-                report = verifier(f)
-                if not report.ok:
-                    failures.append((s, report.violations))
+            reports = [verifier(f) for verifier in verifiers]
+            reports.append(
+                stanley_certificate(lexsegment_generators(s), stanley_decomposition(f))
+            )
+            failures.extend((s, r.violations) for r in reports if not r.ok)
         elapsed = time.perf_counter() - start
         assert not failures, failures[:3]
         assert elapsed <= EXTENDED_BUDGET_SECONDS, (
@@ -455,17 +467,133 @@ class TestStanley:
             assert bound >= depth_exact(lexsegment_generators(s))
 
 
+def bounded_cover_reference(
+    ideal: MonomialIdeal, decomposition: StanleyDecomposition, degree_bound: int
+) -> Report:
+    """Finite certificate: up to degree_bound, the spaces partition the
+    standard monomials of I and avoid I entirely. The reference for
+    stanley_certificate.
+
+    Raises DomainError, before enumerating, for a negative bound or for
+    more than COVER_CHECK_LIMIT monomials of degree at most the bound.
+    """
+    n = ideal.n
+    if degree_bound < 0:
+        raise DomainError(f"degree bound {degree_bound} is negative")
+    count = comb(n + degree_bound, n)
+    if count > COVER_CHECK_LIMIT:
+        raise DomainError(
+            f"degree bound {degree_bound} gives {count} monomials in {n} "
+            f"variables, over the limit COVER_CHECK_LIMIT = {COVER_CHECK_LIMIT}"
+        )
+    # w * K[Z] covers m iff m[i] == w[i] outside Z and w <= m
+    spaces = [
+        (k, w, [i for i in range(n) if i + 1 not in free])
+        for k, (w, free) in enumerate(decomposition.spaces)
+    ]
+    violations = []
+    for d in range(degree_bound + 1):
+        for m in enumerate_degree(n, d):
+            covers = [
+                k
+                for k, w, fixed in spaces
+                if all(m[i] == w[i] for i in fixed)
+                and all(x <= y for x, y in zip(w, m))
+            ]
+            if m in ideal:
+                if covers:
+                    violations.append(f"{m} lies in I but is covered by {covers}")
+            elif len(covers) == 0:
+                violations.append(f"standard monomial {m} is not covered")
+            elif len(covers) > 1:
+                violations.append(f"standard monomial {m} covered twice: {covers}")
+    return Report(tuple(violations))
+
+
+def reference_bound(d, decomposition):
+    """The degree bound the sweep used to give the enumeration:
+    d + max witness degree + 2."""
+    return d + max((degree(w) for w, _ in decomposition.spaces), default=0) + 2
+
+
+@lru_cache(maxsize=None)
+def sweep_decompositions():
+    """(spec, ideal, decomposition) for the 357 n=2..4, d=2..3 specs."""
+    return tuple(
+        (s, lexsegment_generators(s), stanley_decomposition(staged_filtration(s)))
+        for s in iter_specs((2, 4), (2, 3))
+    )
+
+
+def mutate(decomposition, kind, k, j):
+    """A negative: space k dropped, duplicated, its witness times x_j, or
+    x_j toggled in its Z."""
+    spaces = list(decomposition.spaces)
+    w, free = spaces[k]
+    if kind == "drop":
+        del spaces[k]
+    elif kind == "duplicate":
+        spaces.append(spaces[k])
+    elif kind == "shift":
+        spaces[k] = (w[: j - 1] + (w[j - 1] + 1,) + w[j:], free)
+    else:
+        spaces[k] = (w, free ^ {j})
+    return StanleyDecomposition(decomposition.n, tuple(spaces))
+
+
+@st.composite
+def k_polynomial_inputs(draw):
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=0, max_size=5)))
+
+
+class TestKPolynomial:
+    def test_pinned(self):
+        assert _k_polynomial(I(2, "x1*x2")) == {(0, 0): 1, (1, 1): -1}
+        assert _k_polynomial(I(2, "x1^2", "x1*x2", "x2^2")) == {
+            (0, 0): 1,
+            (2, 0): -1,
+            (1, 1): -1,
+            (0, 2): -1,
+            (2, 1): 1,
+            (1, 2): 1,
+        }
+        assert _k_polynomial(zero_ideal(2)) == {(0, 0): 1}
+        assert _k_polynomial(unit_ideal(2)) == {}
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(k_polynomial_inputs())
+    def test_numerator_of_the_standard_monomials(self, ideal):
+        # K(S/I) = (sum of the standard monomials) * prod_j (1 - x_j); in
+        # degrees <= D the product needs only the standard monomials of
+        # degree <= D, and every term of K has degree <= deg lcm(gens)
+        n = ideal.n
+        bound = sum(max((g[i] for g in ideal.gens), default=0) for i in range(n))
+        expected = {}
+        for d in range(bound + 1):
+            for m in enumerate_degree(n, d):
+                if m in ideal:
+                    continue
+                for t in itertools.product((0, 1), repeat=n):
+                    if d + sum(t) <= bound:
+                        e = tuple(x + y for x, y in zip(m, t))
+                        expected[e] = expected.get(e, 0) + (-1) ** sum(t)
+        assert _k_polynomial(ideal) == {e: c for e, c in expected.items() if c}
+
+
 class TestDisjointCover:
     def test_principal_cover(self):
         ideal = I(2, "x1*x2")
         d = stanley_decomposition(search_filtration(ideal))
-        assert disjoint_cover_check(ideal, d, 4).ok
+        assert stanley_certificate(ideal, d).ok
 
     def test_drop_space_reports_misses(self):
         ideal = I(2, "x1*x2")
         d = stanley_decomposition(search_filtration(ideal))
         dropped = type(d)(d.n, d.spaces[:1])
-        report = disjoint_cover_check(ideal, dropped, 4)
+        report = stanley_certificate(ideal, dropped)
         assert not report.ok
         assert any("not covered" in v for v in report.violations)
 
@@ -473,22 +601,59 @@ class TestDisjointCover:
         ideal = I(2, "x1*x2")
         d = stanley_decomposition(search_filtration(ideal))
         doubled = type(d)(d.n, d.spaces + d.spaces[:1])
-        report = disjoint_cover_check(ideal, doubled, 4)
+        report = stanley_certificate(ideal, doubled)
         assert not report.ok
         assert any("twice" in v for v in report.violations)
 
-    def test_max_witness_degree(self):
-        f = search_filtration(I(2, "x1*x2"))
-        assert max_witness_degree(f) == 1
-
-    def test_rejects_negative_and_over_limit_bounds(self, monkeypatch):
+    def test_space_meeting_the_ideal_is_named(self):
+        # freeing x1 in the space x2 * K[x2] covers x1*x2, which lies in I
         ideal = I(2, "x1*x2")
         d = stanley_decomposition(search_filtration(ideal))
-        with pytest.raises(DomainError, match="negative"):
-            disjoint_cover_check(ideal, d, -1)
-        # C(2 + 4, 2) = 15 monomials of degree <= 4 in 2 variables
-        monkeypatch.setattr("lexseg.filtration.COVER_CHECK_LIMIT", 15)
-        assert disjoint_cover_check(ideal, d, 4).ok
-        monkeypatch.setattr("lexseg.filtration.COVER_CHECK_LIMIT", 14)
-        with pytest.raises(DomainError, match="COVER_CHECK_LIMIT"):
-            disjoint_cover_check(ideal, d, 4)
+        k = d.spaces.index(((0, 1), frozenset({2})))
+        widened = mutate(d, "toggle", k, 1)
+        report = stanley_certificate(ideal, widened)
+        assert report.violations == (f"(1, 1) lies in I but is covered by [{k}]",)
+
+    def test_rejects_over_limit_k_polynomial(self, monkeypatch):
+        # (x1^2, x1*x2, x2^2) takes 4 nodes: one per generator, and one
+        # for (x1^2) : x1*x2 = (x1); (x1^2, x1*x2) : x2^2 = (x1) is memoized
+        ideal = I(2, "x1^2", "x1*x2", "x2^2")
+        d = stanley_decomposition(search_filtration(ideal))
+        monkeypatch.setattr("lexseg.filtration.K_POLYNOMIAL_LIMIT", 4)
+        assert stanley_certificate(ideal, d).ok
+        monkeypatch.setattr("lexseg.filtration.K_POLYNOMIAL_LIMIT", 3)
+        with pytest.raises(DomainError, match="K_POLYNOMIAL_LIMIT"):
+            stanley_certificate(ideal, d)
+
+    def test_rejects_decomposition_in_other_variable_count(self):
+        d = stanley_decomposition(search_filtration(I(2, "x1*x2")))
+        with pytest.raises(DimensionError):
+            stanley_certificate(I(3, "x1*x2"), d)
+
+
+class TestCertificateAgainstReference:
+    def test_sweep_decompositions_certify(self):
+        for s, ideal, d in sweep_decompositions():
+            assert stanley_certificate(ideal, d).ok, s
+            assert bounded_cover_reference(ideal, d, reference_bound(s.d, d)).ok, s
+
+    @seed(20261020)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.data())
+    def test_negatives_match_reference(self, data):
+        cases = sweep_decompositions()
+        s, ideal, d = cases[data.draw(st.integers(0, len(cases) - 1))]
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "shift", "toggle"]))
+        k = data.draw(st.integers(0, len(d.spaces) - 1))
+        j = data.draw(st.integers(1, s.n))
+        negative = mutate(d, kind, k, j)
+        report = stanley_certificate(ideal, negative)
+        reference = bounded_cover_reference(
+            ideal, negative, reference_bound(s.d, negative)
+        )
+        assert report.ok == reference.ok
+        if not report.ok:
+            # the named monomial is the reference's first violation, in its
+            # degree-then-lex order, and is reported in the same words
+            assert report.violations[0] in reference.violations
+            assert report.violations == reference.violations[:1]
