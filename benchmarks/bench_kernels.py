@@ -10,11 +10,12 @@ oracle, filtration, depth at each prime and stanley certificate. The
 digest line is the step digest of staged_filtration on the 477
 acceptance specs (n=2..4, d=2..3 and n=5, d=2): the first 16 hex digits
 of the sha256 of the JSON list, per spec, of [witness, prime.vars] per
-step. Equal digests mean identical chains. The two extended lines time
-staged_filtration and stanley_certificate over the 861 n=5, d=3 and
-n=6, d=2 specs. Each timing is the best of 3 runs, each run from empty
-caches. The last line is the line count of src/lexseg/*.py, the source
-size the ROADMAP tracks.
+step. Equal digests mean identical chains. The extended lines time
+staged_filtration, stanley_certificate and depth_exact at each prime
+over the 861 n=5, d=3 and n=6, d=2 specs, and count the gf_rank calls
+of one cold depth_exact pass at both primes. Each timing is the best
+of 3 runs, each run from empty caches. The last line is the line count
+of src/lexseg/*.py, the source size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py [--end-to-end]
 """
@@ -33,7 +34,14 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, SRC)
 
 from lexseg import _kernels_py as pure  # noqa: E402
-from lexseg import closed_form, decompose, depth, filtration, monomials  # noqa: E402
+from lexseg import (  # noqa: E402
+    closed_form,
+    decompose,
+    depth,
+    filtration,
+    kernels,
+    monomials,
+)
 from lexseg.monomials import lexsegment_generators  # noqa: E402
 from lexseg.sweep import DEFAULT_PRIMES, iter_specs  # noqa: E402
 
@@ -186,6 +194,32 @@ def extended_range():
 
     best = best_cold(certify)
     print(f"stanley_certificate, {len(specs)} n=5 d=3 and n=6 d=2 specs: {best:.3f} s")
+    extended_depth(cases)
+
+
+def extended_depth(cases):
+    ideals = [ideal for ideal, _ in cases]
+    for p in DEFAULT_PRIMES:
+        best = best_cold(lambda p=p: [depth.depth_exact(i, p) for i in ideals])
+        print(f"depth_exact p={p}, {len(ideals)} n=5 d=3 and n=6 d=2 specs: "
+              f"{best:.3f} s")
+    rank = kernels.gf_rank
+    calls = 0
+
+    def counting(rows, p):
+        nonlocal calls
+        calls += 1
+        return rank(rows, p)
+
+    clear_caches()
+    kernels.gf_rank = counting
+    try:
+        for ideal in ideals:
+            for p in DEFAULT_PRIMES:
+                depth.depth_exact(ideal, p)
+    finally:
+        kernels.gf_rank = rank
+    print(f"gf_rank calls, depth_exact at both primes on the same specs: {calls}")
 
 
 def source_lines():

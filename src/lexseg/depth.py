@@ -8,11 +8,18 @@ Combinatorial Commutative Algebra, ch. 1 and 5), and depth(S/I) =
 n - 1 - pd(I) by Auslander-Buchsbaum. Only pd(I) = max{i : beta_{i,b} != 0}
 is needed, so depth_exact searches for it instead of building the whole
 Betti table. K^b(I) lives on the simplex on supp(b): it is either that
-whole (acyclic) simplex or has dimension at most |supp b| - 2, so over
-every field beta_{i,b} != 0 implies i <= |supp b| - 1. The search visits
-the lattice by decreasing |supp b| and stops at the first b whose bound
-cannot beat the best index found so far. Characteristic is a parameter
-(any prime) so the sweep can cross-check two primes.
+whole simplex, which is acyclic, or has dimension at most |supp b| - 2, so
+over every field beta_{i,b} != 0 implies i <= |supp b| - 1. The search
+visits the lattice by decreasing |supp b| and stops at the first b whose
+bound cannot beat the best index found so far.
+
+At each visited b only the Betti numbers that could raise the best are
+read. A K^b with all 2^|supp b| faces is the full simplex and is skipped
+with no rank at all. Otherwise i runs from |supp b| - 1 down to best + 1,
+with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of dimension j,
+d_j the boundary map out of dimension j over GF(p), each rank computed
+once per b), and stops at the first nonzero one. Characteristic is a
+parameter (any prime below 2^31) so the sweep can cross-check two primes.
 """
 
 from __future__ import annotations
@@ -32,13 +39,15 @@ from .monomials import (
     SpecError,
     SpecKind,
     classify,
-    mon_lcm,
     supp,
     variable,
 )
 
 # Largest lcm lattice, in monomials, that lcm_lattice() will build.
 LCM_LATTICE_LIMIT = 1 << 16
+# Every characteristic p lies below this: it bounds the trial division in
+# _require_prime and keeps products mod p exact in the compiled gf_rank.
+CHARACTERISTIC_LIMIT = 1 << 31
 # Largest |supp b| whose 2^|supp b| subsets upper_koszul_complex() will scan.
 KOSZUL_SUPPORT_LIMIT = 16
 
@@ -119,9 +128,11 @@ class SimplicialComplex:
 
 @lru_cache(maxsize=None)
 def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
-    """K^b(I): squarefree sets sigma ⊆ supp(b) with x^b / x^sigma in I.
+    """K^b(I): squarefree sets sigma ⊆ supp(b) with x^b / x^sigma in I,
+    built as the subsets of the facets {i : g_i < b_i} over the generators
+    g that divide b.
 
-    Raises DomainError, before scanning, when |supp b| is over
+    Raises DomainError, before building, when |supp b| is over
     KOSZUL_SUPPORT_LIMIT.
     """
     if ideal.is_zero or ideal.is_unit:
@@ -132,51 +143,47 @@ def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex
             f"|supp b| = {len(verts)} is over KOSZUL_SUPPORT_LIMIT = "
             f"{KOSZUL_SUPPORT_LIMIT}"
         )
+    facets = {
+        tuple(i for i, (x, y) in enumerate(zip(g, b), 1) if x < y)
+        for g in ideal.gens
+        if kernels.divides(g, b)
+    }
     faces = set()
-    for r in range(len(verts) + 1):
-        for sigma in combinations(verts, r):
-            quot = list(b)
-            for i in sigma:
-                quot[i - 1] -= 1
-            if tuple(quot) in ideal:
-                faces.add(frozenset(sigma))
+    for facet in facets:
+        for r in range(len(facet) + 1):
+            faces.update(map(frozenset, combinations(facet, r)))
     return SimplicialComplex(verts, frozenset(faces))
 
 
-def homology_ranks(complex: SimplicialComplex, p: int) -> list[int]:
-    """Reduced homology ranks over GF(p), indexed from dimension -1.
+def _betti_from_top(complex: SimplicialComplex, p: int, above: int):
+    """Yields (i, rank H~_{i-1}(complex) over GF(p)) for i = |vertices| - 1
+    down to above + 1, each pair only when asked for.
 
-    Returns [rank H~_{-1}, rank H~_0, rank H~_1, ...].
+    rank H~_{i-1} = f_{i-1} - rk d_{i-1} - rk d_i, where f_j counts the
+    faces of dimension j and d_j is the boundary map out of dimension j;
+    each rank is computed at most once.
     """
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
+    by_size: dict[int, list[tuple[int, ...]]] = {}
     for f in complex.faces:
-        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
-    if not by_dim:
-        return [0]
-    top = max(by_dim)
-    for faces in by_dim.values():
-        faces.sort()
+        by_size.setdefault(len(f), []).append(tuple(sorted(f)))
+    ranks: dict[int, int] = {}
 
-    # rank of boundary map from dimension i to i-1
-    def boundary_rank(i: int) -> int:
-        if i <= -1 or i not in by_dim or (i - 1) not in by_dim:
-            return 0
-        lower = {f: k for k, f in enumerate(by_dim[i - 1])}
-        rows = []
-        for f in by_dim[i]:
-            row = [0] * len(lower)
-            for k in range(len(f)):
-                facet = f[:k] + f[k + 1 :]
-                row[lower[facet]] = 1 if k % 2 == 0 else -1
-            rows.append(row)
-        return kernels.gf_rank(rows, p)
+    def rank(k: int) -> int:
+        """Rank of the boundary map from k-element to (k-1)-element faces."""
+        if k not in ranks:
+            upper, lower = by_size.get(k, ()), by_size.get(k - 1, ())
+            index = {f: j for j, f in enumerate(lower)}
+            rows = []
+            for f in upper:
+                row = [0] * len(lower)
+                for j in range(k):
+                    row[index[f[:j] + f[j + 1 :]]] = 1 if j % 2 == 0 else -1
+                rows.append(row)
+            ranks[k] = kernels.gf_rank(rows, p) if rows and lower else 0
+        return ranks[k]
 
-    ranks = {i: boundary_rank(i) for i in range(top + 2)}
-    out = []
-    for i in range(-1, top + 1):
-        f_i = len(by_dim.get(i, ()))
-        out.append(f_i - ranks.get(i, 0) - ranks.get(i + 1, 0))
-    return out
+    for i in range(len(complex.vertices) - 1, above, -1):
+        yield i, len(by_size.get(i, ())) - rank(i) - rank(i + 1)
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +195,7 @@ def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Monomial]:
     """
     lattice: set[Monomial] = set()
     for g in ideal.gens:
-        lattice |= {mon_lcm(b, g) for b in lattice}
+        lattice |= {tuple(map(max, b, g)) for b in lattice}
         lattice.add(g)
         if len(lattice) > LCM_LATTICE_LIMIT:
             raise DomainError(
@@ -199,7 +206,14 @@ def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Monomial]:
 
 
 def _require_prime(p) -> None:
-    """Raises DomainError unless p is a prime, the characteristic of GF(p)."""
+    """Raises DomainError unless p is a prime below CHARACTERISTIC_LIMIT,
+    the characteristic of GF(p). The limit is tested before the trial
+    division, so that never runs past sqrt(CHARACTERISTIC_LIMIT)."""
+    if isinstance(p, int) and p >= CHARACTERISTIC_LIMIT:
+        raise DomainError(
+            f"characteristic {p} is not below CHARACTERISTIC_LIMIT = "
+            f"{CHARACTERISTIC_LIMIT}"
+        )
     if not (
         isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
     ):
@@ -211,21 +225,25 @@ def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
     """depth(S/I) = n - 1 - pd(I), with pd(I) found over GF(p), p prime.
 
     Visits b in the lcm lattice by decreasing |supp b| (then decreasing
-    lex) and reads beta_{i,b} = rank H~_{i-1}(K^b(I)) only for i above the
-    best index so far; stops at the first b with |supp b| - 1 <= best,
-    since beta_{i,b} = 0 for i > |supp b| - 1.
+    lex) and stops at the first b with |supp b| - 1 <= best, since
+    beta_{i,b} = 0 for i > |supp b| - 1. A visited K^b(I) that is the full
+    simplex is acyclic and is skipped; on any other, beta_{i,b} is read
+    from i = |supp b| - 1 down to best + 1, up to the first nonzero one.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
     _require_prime(p)
     best = 0  # beta_0 = number of generators > 0
-    order = sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True)
+    # |supp b| = len(b) - b.count(0)
+    order = sorted(((len(b) - b.count(0), b) for b in lcm_lattice(ideal)), reverse=True)
     for size, b in order:
         if size - 1 <= best:
             break
-        ranks = homology_ranks(upper_koszul_complex(ideal, b), p)
-        for i in range(len(ranks) - 1, best, -1):  # ranks[i] = beta_{i,b}
-            if ranks[i]:
+        koszul = upper_koszul_complex(ideal, b)
+        if len(koszul.faces) == 1 << size:  # the full simplex: acyclic
+            continue
+        for i, beta in _betti_from_top(koszul, p, best):
+            if beta:
                 best = i
                 break
     return ideal.n - 1 - best

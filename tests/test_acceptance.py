@@ -1,8 +1,9 @@
 """Acceptance gate: the seven top-level criteria, one pass/fail line each.
 
-Criteria 1 and 3-5 share two exhaustive sweeps (n=2..4, d=2..3 and
-n=5, d=2) run once per session; the remaining criteria use frozen
-fixtures, a seeded random-ideal battery, and constructed negatives.
+Criteria 1 and 3-5 share three exhaustive sweeps (n=2..4, d=2..3;
+n=5, d=2; and the wide sweep of n=5, d=3 with n=6, d=2) run once per
+session; the remaining criteria use frozen fixtures, a seeded
+random-ideal battery, and constructed negatives.
 """
 
 import random
@@ -35,6 +36,8 @@ from lexseg.sweep import iter_specs, sweep
 
 MAIN_BUDGET_SECONDS = 60.0
 EXT_BUDGET_SECONDS = 120.0
+# The wide sweep's 861 specs took 4.7 s on a 2-vCPU VM; 20 s leaves over 4x.
+WIDE_BUDGET_SECONDS = 20.0
 
 
 @pytest.fixture(scope="session")
@@ -47,33 +50,46 @@ def sweep_ext():
     return sweep((5, 5), (2, 2))
 
 
+@pytest.fixture(scope="session")
+def sweep_wide():
+    # two sweeps, since sweep((5, 6), (2, 3)) would also take n=5, d=2 and
+    # the 1,596 specs of n=6, d=3
+    return sweep((5, 5), (3, 3)), sweep((6, 6), (2, 2))
+
+
 def report_line(k, ok, detail):
     print(f"[criterion {k}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
 
 
-def family_mismatches(report, family):
-    return [m for m in report.mismatches if m.family == family]
+def family_mismatches(family, *reports):
+    return [m for r in reports for m in r.mismatches if m.family == family]
 
 
-def test_criterion_1_closed_form_vs_oracle(sweep_main, sweep_ext):
-    """Closed form agrees with the oracle over both exhaustive sweeps,
+def test_criterion_1_closed_form_vs_oracle(sweep_main, sweep_ext, sweep_wide):
+    """Closed form agrees with the oracle over the three exhaustive sweeps,
     within the runtime budgets."""
-    bad = family_mismatches(sweep_main, "ass") + family_mismatches(sweep_ext, "ass")
+    bad = family_mismatches("ass", sweep_main, sweep_ext, *sweep_wide)
+    wide_specs = sum(r.specs_tested for r in sweep_wide)
+    wide_seconds = sum(r.seconds for r in sweep_wide)
     ok = (
         not bad
         and sweep_main.specs_tested == 357
         and sweep_ext.specs_tested == 120
+        and wide_specs == 861
         and sweep_main.seconds <= MAIN_BUDGET_SECONDS
         and sweep_ext.seconds <= EXT_BUDGET_SECONDS
+        and wide_seconds <= WIDE_BUDGET_SECONDS
     )
     report_line(
         1,
         ok,
-        f"{sweep_main.specs_tested}+{sweep_ext.specs_tested} specs, "
+        f"{sweep_main.specs_tested}+{sweep_ext.specs_tested}+{wide_specs} specs, "
         f"{len(bad)} prime-set mismatches, "
-        f"{sweep_main.seconds:.1f}s/{MAIN_BUDGET_SECONDS:.0f}s and "
-        f"{sweep_ext.seconds:.1f}s/{EXT_BUDGET_SECONDS:.0f}s",
+        f"{sweep_main.seconds:.1f}s/{MAIN_BUDGET_SECONDS:.0f}s, "
+        f"{sweep_ext.seconds:.1f}s/{EXT_BUDGET_SECONDS:.0f}s and "
+        f"wide sweep (n=5 d=3, n=6 d=2) "
+        f"{wide_seconds:.1f}s/{WIDE_BUDGET_SECONDS:.0f}s",
     )
 
 
@@ -96,12 +112,10 @@ def test_criterion_2_fixture_exactness():
     )
 
 
-def test_criterion_3_filtration_realization(sweep_main, sweep_ext):
+def test_criterion_3_filtration_realization(sweep_main, sweep_ext, sweep_wide):
     """staged_filtration passes all three verifiers on every swept ideal,
     and search_filtration never comes back empty."""
-    bad = family_mismatches(sweep_main, "filtration") + family_mismatches(
-        sweep_ext, "filtration"
-    )
+    bad = family_mismatches("filtration", sweep_main, sweep_ext, *sweep_wide)
     searched = 0
     missing = 0
     for s in iter_specs((2, 4), (2, 3)):
@@ -112,17 +126,15 @@ def test_criterion_3_filtration_realization(sweep_main, sweep_ext):
     report_line(
         3,
         ok,
-        f"{len(bad)} verifier failures across both sweeps; "
+        f"{len(bad)} verifier failures across the three sweeps; "
         f"search found a filtration for {searched - missing}/{searched} ideals",
     )
 
 
-def test_criterion_4_depth_coherence(sweep_main, sweep_ext):
+def test_criterion_4_depth_coherence(sweep_main, sweep_ext, sweep_wide):
     """depth_class matches the Betti-number depth on every arbitrary-class
     spec, and GF(2)/GF(32003) depths agree throughout."""
-    bad = family_mismatches(sweep_main, "depth") + family_mismatches(
-        sweep_ext, "depth"
-    )
+    bad = family_mismatches("depth", sweep_main, sweep_ext, *sweep_wide)
     # direct recount of classifier comparisons, independent of the sweep
     compared = 0
     wrong = 0
@@ -149,13 +161,11 @@ def test_criterion_4_depth_coherence(sweep_main, sweep_ext):
     )
 
 
-def test_criterion_5_stanley_inequality(sweep_main, sweep_ext):
+def test_criterion_5_stanley_inequality(sweep_main, sweep_ext, sweep_wide):
     """depth == n - max|P| over Ass == sdepth lower bound on every swept
     ideal (the sequentially Cohen-Macaulay corollary, which implies the
     Stanley inequality), with the exact Stanley certificate passing."""
-    bad = family_mismatches(sweep_main, "stanley") + family_mismatches(
-        sweep_ext, "stanley"
-    )
+    bad = family_mismatches("stanley", sweep_main, sweep_ext, *sweep_wide)
     report_line(
         5,
         not bad,

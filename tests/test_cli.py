@@ -1,6 +1,10 @@
 """Monomial grammar, JSON codecs, and CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +240,30 @@ class TestCliExitCodes:
         # arithmetic mod 4 would report false depth and stanley mismatches
         assert main(["sweep", "--n", "3..3", "--d", "2..2", "--p", "4,32003"]) == 2
         assert "not a prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["depth", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3",
+             "--exact", "--p", str(2**89 - 1)],
+            ["sweep", "--n", "3..3", "--d", "2..2", "--p", f"2,{2**89 - 1}"],
+        ],
+        ids=["depth", "sweep"],
+    )
+    def test_characteristic_over_limit_exits_promptly(self, args):
+        # 2^89 - 1 is a prime; trial division up to its square root would
+        # not finish, so a separate process with a timeout runs the command
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from lexseg.cli import main; sys.exit(main(sys.argv[1:]))",
+             *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 2
+        assert "CHARACTERISTIC_LIMIT" in out.stderr
 
     def test_sweep_cap(self):
         assert main(["sweep", "--n", "2..2", "--d", "2..2", "--cap", "1"]) == 2

@@ -1,18 +1,19 @@
 """Depth: the lex-criterion classifier and the Betti-number oracle."""
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import I, spec
-from lexseg import depth
+from lexseg import depth, kernels
 from lexseg.depth import (
+    CHARACTERISTIC_LIMIT,
     DepthClass,
     depth_class,
     depth_exact,
-    homology_ranks,
     lcm_lattice,
     upper_koszul_complex,
 )
@@ -44,6 +45,56 @@ def dim(k):
     return max(len(f) for f in k.faces) - 1
 
 
+def homology_ranks(complex, p):
+    """Reduced homology ranks over GF(p), indexed from dimension -1: every
+    boundary rank of the complex, the reference for the ranks depth_exact
+    reads.
+
+    Returns [rank H~_{-1}, rank H~_0, rank H~_1, ...].
+    """
+    by_dim = {}
+    for f in complex.faces:
+        by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
+    if not by_dim:
+        return [0]
+    top = max(by_dim)
+    for faces in by_dim.values():
+        faces.sort()
+
+    # rank of boundary map from dimension i to i-1
+    def boundary_rank(i):
+        if i <= -1 or i not in by_dim or (i - 1) not in by_dim:
+            return 0
+        lower = {f: k for k, f in enumerate(by_dim[i - 1])}
+        rows = []
+        for f in by_dim[i]:
+            row = [0] * len(lower)
+            for k in range(len(f)):
+                facet = f[:k] + f[k + 1 :]
+                row[lower[facet]] = 1 if k % 2 == 0 else -1
+            rows.append(row)
+        return kernels.gf_rank(rows, p)
+
+    ranks = {i: boundary_rank(i) for i in range(top + 2)}
+    out = []
+    for i in range(-1, top + 1):
+        f_i = len(by_dim.get(i, ()))
+        out.append(f_i - ranks.get(i, 0) - ranks.get(i + 1, 0))
+    return out
+
+
+def membership_faces(ideal, b):
+    """K^b(I) by its definition: every sigma ⊆ supp(b) with x^b / x^sigma
+    in I, one membership test per subset."""
+    faces = set()
+    for r in range(len(supp(b)) + 1):
+        for sigma in combinations(supp(b), r):
+            quot = tuple(e - (i + 1 in sigma) for i, e in enumerate(b))
+            if quot in ideal:
+                faces.add(frozenset(sigma))
+    return frozenset(faces)
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """Multigraded Betti numbers of the ideal I (not of S/I)."""
@@ -72,8 +123,8 @@ def betti_numbers(ideal: MonomialIdeal, p: int) -> BettiTable:
 
 
 @st.composite
-def small_ideals(draw):
-    n = draw(st.integers(2, 5))
+def small_ideals(draw, max_n=5):
+    n = draw(st.integers(2, max_n))
     exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
     return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=6)))
 
@@ -135,6 +186,17 @@ class TestUpperKoszul:
             upper_koszul_complex(zero_ideal(2), (1, 1))
         with pytest.raises(DomainError):
             upper_koszul_complex(unit_ideal(2), (1, 1))
+
+    @seed(20261018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(small_ideals(max_n=6), st.lists(st.integers(0, 4), min_size=6, max_size=6))
+    def test_facets_give_the_membership_faces(self, ideal, extra):
+        # every b of the lcm lattice, and one b that need not be in it
+        build = upper_koszul_complex.__wrapped__  # past the cache
+        for b in sorted(lcm_lattice(ideal)) + [tuple(extra[: ideal.n])]:
+            k = build(ideal, b)
+            assert k.vertices == supp(b)
+            assert k.faces == membership_faces(ideal, b)
 
     def test_support_limit(self, monkeypatch):
         # the tests and benchmarks reach |supp b| <= 6, far below the limit
@@ -214,6 +276,20 @@ class TestBettiAndDepth:
         with pytest.raises(DomainError, match="not a prime"):
             depth_exact(I(3, "x1*x2", "x2*x3"), p)
 
+    @pytest.mark.parametrize(
+        "p", [CHARACTERISTIC_LIMIT, 2**61 - 1, 2**89 - 1, 10**30]
+    )
+    def test_rejects_characteristic_over_limit(self, p):
+        # 2^61 - 1 and 2^89 - 1 are primes; trial division up to their
+        # square roots would not finish
+        with pytest.raises(DomainError, match="CHARACTERISTIC_LIMIT"):
+            depth_exact(I(3, "x1*x2", "x2*x3"), p)
+
+    def test_largest_prime_below_the_limit(self):
+        ideal = lexsegment_generators(spec(4, 3, "x1*x3*x4", "x2^2*x3"))
+        assert CHARACTERISTIC_LIMIT == 2**31
+        assert depth_exact(ideal, 2**31 - 1) == depth_exact(ideal, 32003) == 1
+
     def test_lcm_lattice_limit(self, monkeypatch):
         # I = (x1, x2) has the 3-element lattice {x1, x2, x1*x2}
         build = lcm_lattice.__wrapped__  # past the cache, so the limit is read
@@ -255,3 +331,53 @@ class TestPrunedSearch:
             assert all(
                 len(supp(b)) - 1 <= best for b in lcm_lattice(ideal) if b not in visited
             )
+
+
+class TestTargetedRanks:
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(small_ideals(max_n=6))
+    def test_reads_match_reference_and_skips_are_acyclic(self, ideal):
+        read = depth._betti_from_top
+        for p in (2, 32003):
+            visits = []  # [b, the (i, beta) pairs read at b, or None if skipped]
+
+            def building(j, b):
+                visits.append([b, None])
+                return upper_koszul_complex(j, b)
+
+            def reading(k, q, above):
+                visits[-1][1] = reads = []
+                for pair in read(k, q, above):
+                    reads.append(pair)
+                    yield pair
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(depth, "upper_koszul_complex", building)
+                mp.setattr(depth, "_betti_from_top", reading)
+                pd = ideal.n - 1 - depth_exact.__wrapped__(ideal, p)  # past the cache
+            assert pd == betti_numbers(ideal, p).max_index
+            best = 0
+            for b, reads in visits:
+                k = upper_koszul_complex(ideal, b)
+                ranks = homology_ranks(k, p)  # ranks[i] = beta_{i,b}
+                size = len(supp(b))
+                if reads is None:
+                    # skipped: only the full simplex, which is acyclic
+                    assert len(k.faces) == 2**size
+                    assert not any(ranks)
+                    continue
+                # top down from |supp b| - 1, never at or below the best
+                # index so far, and no further than the first nonzero one
+                assert [i for i, _ in reads] == list(
+                    range(size - 1, size - 1 - len(reads), -1)
+                )
+                assert reads[-1][0] > best
+                assert all(beta == 0 for _, beta in reads[:-1])
+                for i, beta in reads:
+                    assert beta == (ranks[i] if i < len(ranks) else 0)
+                if reads[-1][1]:
+                    best = reads[-1][0]
+                else:
+                    assert reads[-1][0] == best + 1
+            assert best == pd
