@@ -1,10 +1,9 @@
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the kernels and the check families of lexseg.
 
-Micro-benchmarks call both backend modules directly on identical inputs;
-the end-to-end benchmark re-runs a small sweep in a subprocess with
-LEXSEG_PURE_PYTHON=1 so the import-time backend switch takes effect.
-A depth line times depth_exact at GF(2) and GF(32003) over every n=5,
-d=2 lexsegment, and the family lines time each check family of
+The kernel lines time divides, member, minimalize, colon_gens and gf_rank
+from lexseg.kernels on fixed seeded inputs, best of 5. A depth line
+times depth_exact at GF(2) and GF(32003) over every n=5, d=2
+lexsegment, and the family lines time each check family of
 lexseg.sweep.check_spec over the 357 n=2..4, d=2..3 specs: closed form,
 oracle, filtration, depth at each prime and stanley certificate. The
 digest line is the step digest of staged_filtration on the 477
@@ -17,23 +16,20 @@ of one cold depth_exact pass at both primes. Each timing is the best
 of 3 runs, each run from empty caches. The last line is the line count
 of src/lexseg/*.py, the source size the ROADMAP tracks.
 
-Run:  python3 benchmarks/bench_kernels.py [--end-to-end]
+Run:  python3 benchmarks/bench_kernels.py
 """
 
-import argparse
 import glob
 import hashlib
 import json
 import os
 import random
-import subprocess
 import sys
 import time
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, SRC)
 
-from lexseg import _kernels_py as pure  # noqa: E402
 from lexseg import (  # noqa: E402
     closed_form,
     decompose,
@@ -44,11 +40,6 @@ from lexseg import (  # noqa: E402
 )
 from lexseg.monomials import lexsegment_generators  # noqa: E402
 from lexseg.sweep import DEFAULT_PRIMES, iter_specs  # noqa: E402
-
-try:
-    from lexseg import _kernels as compiled
-except ImportError:
-    compiled = None
 
 
 def make_inputs(seed=1):
@@ -65,7 +56,6 @@ def make_inputs(seed=1):
 def bench(label, fn, repeats=5):
     best = min(timeit(fn) for _ in range(repeats))
     print(f"  {label:<28} {best * 1000:8.2f} ms")
-    return best
 
 
 def timeit(fn):
@@ -74,39 +64,23 @@ def timeit(fn):
     return time.perf_counter() - t0
 
 
-def run_backend(name, impl):
+def kernel_lines():
     mons, gens, mats = make_inputs()
-    print(f"{name}:")
-    times = {}
-    times["member"] = bench(
-        "member x 400", lambda: [impl.member(m, gens) for m in mons]
+    print("kernels, best of 5:")
+    bench(
+        "divides x 400 x 40",
+        lambda: [kernels.divides(g, m) for m in mons for g in gens],
     )
-    times["minimalize"] = bench(
-        "minimalize(40 gens) x 50", lambda: [impl.minimalize(gens) for _ in range(50)]
+    bench("member x 400", lambda: [kernels.member(m, gens) for m in mons])
+    bench(
+        "minimalize(40 gens) x 50",
+        lambda: [kernels.minimalize(gens) for _ in range(50)],
     )
-    times["colon_gens"] = bench(
-        "colon_gens x 400", lambda: [impl.colon_gens(gens, m) for m in mons]
-    )
-    times["gf_rank"] = bench(
+    bench("colon_gens x 400", lambda: [kernels.colon_gens(gens, m) for m in mons])
+    bench(
         "gf_rank(30x30, p=32003) x 5",
-        lambda: [impl.gf_rank(mat, 32003) for mat in mats],
+        lambda: [kernels.gf_rank(mat, 32003) for mat in mats],
     )
-    return times
-
-
-def end_to_end():
-    code = (
-        "import time, lexseg\n"
-        "from lexseg.sweep import sweep\n"
-        "t0 = time.perf_counter()\n"
-        "r = sweep((2, 3), (2, 3))\n"
-        "assert r.ok\n"
-        "print(f'{lexseg.BACKEND}: sweep n=2..3 d=2..3 "
-        "{time.perf_counter() - t0:.2f}s')\n"
-    )
-    for env_extra in ({}, {"LEXSEG_PURE_PYTHON": "1"}):
-        env = dict(os.environ, **env_extra)
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def clear_caches():
@@ -231,24 +205,11 @@ def source_lines():
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--end-to-end", action="store_true")
-    args = parser.parse_args()
-
-    pure_times = run_backend("pure python", pure)
-    if compiled is None:
-        print("compiled extension not built; skipping comparison")
-    else:
-        compiled_times = run_backend("cython", compiled)
-        print("speedup (pure / cython):")
-        for key in pure_times:
-            print(f"  {key:<28} {pure_times[key] / compiled_times[key]:8.2f}x")
+    kernel_lines()
     depth_layer()
     sweep_families()
     step_digest()
     extended_range()
-    if args.end_to_end:
-        end_to_end()
     print(f"src/lexseg/*.py: {source_lines()} lines")
 
 

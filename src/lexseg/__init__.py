@@ -32,9 +32,7 @@ from .monomials import (
     enumerate_degree,
     ideal_sum,
     intersect,
-    lex_compare,
     lexsegment_generators,
-    membership,
     reduce_fully,
 )
 from .sweep import sweep

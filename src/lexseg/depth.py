@@ -14,12 +14,14 @@ visits the lattice by decreasing |supp b| and stops at the first b whose
 bound cannot beat the best index found so far.
 
 At each visited b only the Betti numbers that could raise the best are
-read. A K^b with all 2^|supp b| faces is the full simplex and is skipped
-with no rank at all. Otherwise i runs from |supp b| - 1 down to best + 1,
-with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of dimension j,
-d_j the boundary map out of dimension j over GF(p), each rank computed
-once per b), and stops at the first nonzero one. Characteristic is a
-parameter (any prime below 2^31) so the sweep can cross-check two primes.
+read. K^b is the full simplex exactly when its top face supp(b) is in it,
+that is when x^(b - 1_supp b) lies in I; such a b is skipped with one
+membership test, before K^b is built. Otherwise i runs from |supp b| - 1
+down to best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j
+faces of dimension j, d_j the boundary map out of dimension j over GF(p),
+each rank computed once per b), and stops at the first nonzero one.
+Characteristic is a parameter (any prime below 2^31) so the sweep can
+cross-check two primes.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .monomials import (
 # Largest lcm lattice, in monomials, that lcm_lattice() will build.
 LCM_LATTICE_LIMIT = 1 << 16
 # Every characteristic p lies below this: it bounds the trial division in
-# _require_prime and keeps products mod p exact in the compiled gf_rank.
+# _require_prime.
 CHARACTERISTIC_LIMIT = 1 << 31
 # Largest |supp b| whose 2^|supp b| subsets upper_koszul_complex() will scan.
 KOSZUL_SUPPORT_LIMIT = 16
@@ -138,11 +140,7 @@ def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
     verts = supp(b)
-    if len(verts) > KOSZUL_SUPPORT_LIMIT:
-        raise DomainError(
-            f"|supp b| = {len(verts)} is over KOSZUL_SUPPORT_LIMIT = "
-            f"{KOSZUL_SUPPORT_LIMIT}"
-        )
+    _require_support(len(verts))
     facets = {
         tuple(i for i, (x, y) in enumerate(zip(g, b), 1) if x < y)
         for g in ideal.gens
@@ -153,6 +151,15 @@ def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex
         for r in range(len(facet) + 1):
             faces.update(map(frozenset, combinations(facet, r)))
     return SimplicialComplex(verts, frozenset(faces))
+
+
+def _require_support(size: int) -> None:
+    """Raises DomainError when |supp b| = size is over KOSZUL_SUPPORT_LIMIT."""
+    if size > KOSZUL_SUPPORT_LIMIT:
+        raise DomainError(
+            f"|supp b| = {size} is over KOSZUL_SUPPORT_LIMIT = "
+            f"{KOSZUL_SUPPORT_LIMIT}"
+        )
 
 
 def _betti_from_top(complex: SimplicialComplex, p: int, above: int):
@@ -226,9 +233,13 @@ def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
 
     Visits b in the lcm lattice by decreasing |supp b| (then decreasing
     lex) and stops at the first b with |supp b| - 1 <= best, since
-    beta_{i,b} = 0 for i > |supp b| - 1. A visited K^b(I) that is the full
-    simplex is acyclic and is skipped; on any other, beta_{i,b} is read
-    from i = |supp b| - 1 down to best + 1, up to the first nonzero one.
+    beta_{i,b} = 0 for i > |supp b| - 1. A visited b with x^(b - 1_supp b)
+    in I has the full simplex as K^b(I), which is acyclic, and is skipped
+    without building it; at any other, beta_{i,b} is read from
+    i = |supp b| - 1 down to best + 1, up to the first nonzero one.
+
+    Raises DomainError when the first visited b, of the largest support,
+    is over KOSZUL_SUPPORT_LIMIT.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
@@ -239,10 +250,10 @@ def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
     for size, b in order:
         if size - 1 <= best:
             break
-        koszul = upper_koszul_complex(ideal, b)
-        if len(koszul.faces) == 1 << size:  # the full simplex: acyclic
-            continue
-        for i, beta in _betti_from_top(koszul, p, best):
+        _require_support(size)
+        if kernels.member(tuple(y - (y > 0) for y in b), ideal.gens):
+            continue  # supp b is a face, so K^b is the full simplex: acyclic
+        for i, beta in _betti_from_top(upper_koszul_complex(ideal, b), p, best):
             if beta:
                 best = i
                 break

@@ -91,18 +91,6 @@ def unit(n: int) -> Monomial:
     return (0,) * n
 
 
-def lex_compare(a: Monomial, b: Monomial) -> int:
-    """-1, 0, or 1 as a <_lex b, a = b, or a >_lex b.
-
-    Plain tuple comparison: the first differing position decides, larger
-    exponent on the earlier variable wins.
-    """
-    _same_n(a, b)
-    if a == b:
-        return 0
-    return 1 if a > b else -1
-
-
 def _same_n(a, b):
     if len(a) != len(b):
         raise DimensionError(f"variable counts differ: {len(a)} vs {len(b)}")
@@ -157,10 +145,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return bool(self.gens) and self.gens[-1] == unit(self.n)
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def __contains__(self, m: Monomial) -> bool:
         if len(m) != self.n:
             raise DimensionError(f"monomial length {len(m)} != {self.n}")
@@ -173,10 +157,6 @@ def zero_ideal(n: int) -> MonomialIdeal:
 
 def unit_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, (unit(n),))
-
-
-def membership(m: Monomial, ideal: MonomialIdeal) -> bool:
-    return tuple(m) in ideal
 
 
 def colon(ideal: MonomialIdeal, w: Monomial) -> MonomialIdeal:
@@ -324,10 +304,6 @@ class LexSpec:
     def q(self) -> int:
         """min(v)."""
         return min_var(self.v)
-
-    @property
-    def supp_v(self) -> tuple[int, ...]:
-        return supp(self.v)
 
     @property
     def l(self) -> int | None:

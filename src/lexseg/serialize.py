@@ -66,10 +66,6 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def monomial_to_json(m: Monomial) -> list[int]:
-    return list(m)
-
-
 def prime_to_json(p: PrimeIdeal) -> list[int]:
     return list(p.vars)
 

@@ -13,13 +13,14 @@ Ass = the sdepth lower bound of the decomposition.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle
-from .depth import DepthClass, depth_class, depth_exact
+from .depth import DepthClass, _require_prime, depth_class, depth_exact
 from .filtration import (
     sdepth_lower_bound,
     staged_filtration,
@@ -30,6 +31,7 @@ from .filtration import (
     verify_prime_filtration,
 )
 from .monomials import (
+    DomainError,
     LexSpec,
     SpecKind,
     classify,
@@ -190,6 +192,21 @@ def sweep(
     jobs: int = 1,
     cap: int = DEFAULT_CAP,
 ) -> SweepReport:
+    """Checks every spec in the ranges with check_spec, on jobs processes.
+
+    Raises DomainError, before any spec is checked or any process started,
+    when jobs is outside 1..os.cpu_count(), a range is empty or a
+    characteristic is not a prime; SweepCapExceeded when some (n, d) has
+    more than cap pairs.
+    """
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise DomainError(f"jobs = {jobs} is outside 1..{cpus}, the CPU count")
+    for name, (lo, hi) in (("n", n_range), ("d", d_range)):
+        if lo > hi:
+            raise DomainError(f"the {name} range {lo}..{hi} is empty")
+    for p in primes:
+        _require_prime(p)
     start = time.perf_counter()
     for n in range(n_range[0], n_range[1] + 1):
         for d in range(d_range[0], d_range[1] + 1):

@@ -1,5 +1,6 @@
 """Monomial grammar, JSON codecs, and CLI exit codes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -23,6 +24,9 @@ from lexseg.serialize import (
     parse_monomial,
     primes_to_json,
 )
+
+# the module, which lexseg.sweep (the function) shadows as an attribute
+sweep_module = importlib.import_module("lexseg.sweep")
 
 
 class TestParseMonomial:
@@ -267,6 +271,41 @@ class TestCliExitCodes:
 
     def test_sweep_cap(self):
         assert main(["sweep", "--n", "2..2", "--d", "2..2", "--cap", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--n", "2..2", "--d", "2..2", "--jobs", "0"], "outside 1.."),
+            (["--n", "2..2", "--d", "2..2", "--jobs", "-1"], "outside 1.."),
+            # one over the CPU count, never more: unchecked, each job forks
+            (["--n", "2..2", "--d", "2..2", "--jobs", str((os.cpu_count() or 1) + 1)],
+             "outside 1.."),
+            (["--n", "3..2", "--d", "2..2"], "range 3..2 is empty"),
+            (["--n", "2..2", "--d", "3..2"], "range 3..2 is empty"),
+            (["--n", "2..2", "--d", "2..2", "--jobs", "2", "--p", "4,32003"],
+             "not a prime"),
+        ],
+        ids=[
+            "jobs-0", "jobs-negative", "jobs-over-cpu-count", "empty-n", "empty-d",
+            "non-prime",
+        ],
+    )
+    def test_sweep_input_refused_before_any_work(
+        self, args, message, monkeypatch, capsys
+    ):
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work started before the input was checked")
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(sweep_module, "check_spec", no_work)
+        assert main(["sweep", *args]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_sweep_process_pool_matches_one_process(self):
+        one = sweep_module.sweep((2, 3), (2, 2), jobs=1)
+        pool = sweep_module.sweep((2, 3), (2, 2), jobs=2)
+        assert one.specs_tested == pool.specs_tested == 6 + 21
+        assert (pool.agreements, pool.mismatches) == (one.agreements, one.mismatches)
 
     def test_internal_error_has_its_own_code(self, monkeypatch, capsys):
         def broken(args):

@@ -300,6 +300,19 @@ class TestBettiAndDepth:
             build(I(2, "x1", "x2"))
 
 
+    def test_support_limit_holds_when_the_first_b_is_skipped(self, monkeypatch):
+        # the one b of support 4, x1^2*x2*x3^3*x4^2, has x1*x3^2*x4 in I: a
+        # full simplex skipped unbuilt, yet its support is held to the limit
+        ideal = I(4, "x1*x4", "x2*x4^2", "x1^2*x3^3")
+        assert [b for b in lcm_lattice(ideal) if len(supp(b)) == 4] == [(2, 1, 3, 2)]
+        exact = depth_exact.__wrapped__  # past the cache
+        monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 3)
+        with pytest.raises(DomainError, match="KOSZUL_SUPPORT_LIMIT"):
+            exact(ideal, 2)
+        monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 4)
+        assert exact(ideal, 2) == 2
+
+
 class TestPrunedSearch:
     @seed(20261019)
     @settings(max_examples=80, deadline=None, database=None)
@@ -322,15 +335,17 @@ class TestPrunedSearch:
                 mp.setattr(depth, "upper_koszul_complex", recording)
                 pd = ideal.n - 1 - depth_exact.__wrapped__(ideal, p)  # past the cache
             assert pd == table.max_index
-            # every visited b could still raise the best index found before
-            # it, and no b left unvisited could raise the final one
+            # every built K^b could still raise the best index found before
+            # it, and no b left unbuilt could raise the final one by its
+            # support
             best = 0
             for b in visited:
                 assert len(supp(b)) - 1 > best
                 best = max(best, top.get(b, 0))
-            assert all(
-                len(supp(b)) - 1 <= best for b in lcm_lattice(ideal) if b not in visited
-            )
+            # or, by its definition, has the full simplex as K^b: acyclic
+            for b in lcm_lattice(ideal):
+                if b not in visited and len(supp(b)) - 1 > best:
+                    assert len(membership_faces(ideal, b)) == 2 ** len(supp(b))
 
 
 class TestTargetedRanks:
@@ -340,7 +355,7 @@ class TestTargetedRanks:
     def test_reads_match_reference_and_skips_are_acyclic(self, ideal):
         read = depth._betti_from_top
         for p in (2, 32003):
-            visits = []  # [b, the (i, beta) pairs read at b, or None if skipped]
+            visits = []  # [b, the (i, beta) pairs read at b] per K^b built
 
             def building(j, b):
                 visits.append([b, None])
@@ -357,18 +372,27 @@ class TestTargetedRanks:
                 mp.setattr(depth, "_betti_from_top", reading)
                 pd = ideal.n - 1 - depth_exact.__wrapped__(ideal, p)  # past the cache
             assert pd == betti_numbers(ideal, p).max_index
+            # replay the search over the lattice against the reference
+            built = dict(visits)
+            order = sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True)
+            replayed = []
             best = 0
-            for b, reads in visits:
-                k = upper_koszul_complex(ideal, b)
-                ranks = homology_ranks(k, p)  # ranks[i] = beta_{i,b}
-                size = len(supp(b))
-                if reads is None:
-                    # skipped: only the full simplex, which is acyclic
-                    assert len(k.faces) == 2**size
+            for size, b in order:
+                if size - 1 <= best:
+                    break
+                ranks = homology_ranks(upper_koszul_complex(ideal, b), p)
+                # skipped unbuilt exactly when, by its definition, K^b is
+                # the full simplex, which is acyclic
+                full = len(membership_faces(ideal, b)) == 2**size
+                assert full == (b not in built)
+                if full:
                     assert not any(ranks)
                     continue
+                replayed.append(b)
+                reads = built[b]
                 # top down from |supp b| - 1, never at or below the best
                 # index so far, and no further than the first nonzero one
+                assert reads, "a K^b was built but none of its ranks read"
                 assert [i for i, _ in reads] == list(
                     range(size - 1, size - 1 - len(reads), -1)
                 )
@@ -380,4 +404,5 @@ class TestTargetedRanks:
                     best = reads[-1][0]
                 else:
                     assert reads[-1][0] == best + 1
+            assert replayed == [b for b, _ in visits]
             assert best == pd

@@ -22,7 +22,6 @@ from lexseg.monomials import (
     ideal_as_prime,
     ideal_sum,
     intersect,
-    lex_compare,
     lexsegment_generators,
     max_var,
     min_var,
@@ -91,19 +90,11 @@ class TestMonomialOps:
 
 class TestLexOrder:
     def test_examples(self):
-        # x1 > x2 > x3; earlier variable with larger exponent wins
-        assert lex_compare((1, 0, 0), (0, 1, 0)) == 1
-        assert lex_compare((1, 1, 0), (1, 0, 2)) == 1
-        assert lex_compare((0, 2, 0), (0, 2, 0)) == 0
-        assert lex_compare((0, 0, 3), (0, 1, 0)) == -1
-
-    def test_transitivity_exhaustive_degree2(self):
-        mons = enumerate_degree(3, 2)
-        for a in mons:
-            for b in mons:
-                for c in mons:
-                    if lex_compare(a, b) >= 0 and lex_compare(b, c) >= 0:
-                        assert lex_compare(a, c) >= 0
+        # x1 > x2 > x3 is tuple order: the earlier variable with the larger
+        # exponent wins
+        assert (1, 0, 0) > (0, 1, 0)
+        assert (1, 1, 0) > (1, 0, 2)
+        assert (0, 0, 3) < (0, 1, 0)
 
     def test_enumerate_degree_descending_and_count(self):
         mons = enumerate_degree(3, 2)
@@ -145,7 +136,6 @@ class TestMonomialIdeal:
     def test_zero_and_unit(self):
         assert zero_ideal(2).is_zero
         assert unit_ideal(2).is_unit
-        assert not unit_ideal(2).is_proper
         assert (5, 7) in unit_ideal(2)
 
     def test_contains_ideal(self):
@@ -248,7 +238,6 @@ class TestLexSpec:
         s = spec(4, 3, "x1*x3^2", "x2^2*x4")
         assert (s.a1, s.b1) == (1, 0)
         assert s.q == 2
-        assert s.supp_v == (2, 4)
         assert (s.l, s.a_l) == (3, 2)
         assert spec(3, 2, "x1^2", "x2*x3").l is None
 
