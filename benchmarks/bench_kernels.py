@@ -13,8 +13,10 @@ step. Equal digests mean identical chains. The extended lines time
 staged_filtration, stanley_certificate and depth_exact at each prime
 over the 861 n=5, d=3 and n=6, d=2 specs, and count the gf_rank calls
 of one cold depth_exact pass at both primes. Each timing is the best
-of 3 runs, each run from empty caches. The last line is the line count
-of src/lexseg/*.py, the source size the ROADMAP tracks.
+of 3 runs, each run from empty caches. The memo lines give the hits,
+misses and entries of every lru_cache after one cold check_spec pass
+over the 477 acceptance specs. The last line is the line count of
+src/lexseg/*.py, the source size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -39,7 +41,7 @@ from lexseg import (  # noqa: E402
     monomials,
 )
 from lexseg.monomials import lexsegment_generators  # noqa: E402
-from lexseg.sweep import DEFAULT_PRIMES, iter_specs  # noqa: E402
+from lexseg.sweep import DEFAULT_PRIMES, check_spec, iter_specs  # noqa: E402
 
 
 def make_inputs(seed=1):
@@ -83,11 +85,19 @@ def kernel_lines():
     )
 
 
-def clear_caches():
+def memos():
+    """{name: function} of every lru_cache in the lexseg modules."""
+    found = {}
     for module in (closed_form, decompose, depth, filtration, monomials):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
+                found[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return found
+
+
+def clear_caches():
+    for fn in memos().values():
+        fn.cache_clear()
 
 
 def best_cold(run, repeats=3):
@@ -141,8 +151,24 @@ def sweep_families():
         print(f"  {name:<28} {best_cold(run):8.3f} s")
 
 
+def acceptance_specs():
+    return list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+
+
+def memo_lines():
+    specs = acceptance_specs()
+    clear_caches()
+    for s in specs:
+        check_spec(s)
+    print(f"memos after one check_spec pass, {len(specs)} acceptance specs:")
+    for name, fn in sorted(memos().items()):
+        info = fn.cache_info()
+        print(f"  {name:<36} hits {info.hits:7}  misses {info.misses:7}  "
+              f"entries {info.currsize:7}")
+
+
 def step_digest():
-    specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+    specs = acceptance_specs()
     chains = [
         [[list(step.witness), list(step.prime.vars)] for step in f.steps]
         for f in map(filtration.staged_filtration, specs)
@@ -208,6 +234,7 @@ def main():
     kernel_lines()
     depth_layer()
     sweep_families()
+    memo_lines()
     step_digest()
     extended_range()
     print(f"src/lexseg/*.py: {source_lines()} lines")

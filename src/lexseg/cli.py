@@ -36,7 +36,7 @@ from .monomials import (
     reduce_fully,
 )
 from .serialize import ParseError
-from .sweep import DEFAULT_CAP, DEFAULT_PRIMES, SweepCapExceeded, sweep
+from .sweep import DEFAULT_CAP, DEFAULT_PRIMES, sweep
 
 USAGE_ERROR = 2
 MISMATCH = 1
@@ -140,7 +140,7 @@ def _cmd_depth(args) -> int:
     spec = _load_spec(args)
     out = {"n": spec.n, "d": spec.d, "u": args.u, "v": args.v}
     work = reduce_fully(spec)[0]
-    kind = classify(work).kind
+    kind = classify(work)
     out["class"] = kind.value
     if kind == SpecKind.ARBITRARY and work.d > 1:
         case = depth_class(work)
@@ -195,17 +195,13 @@ def _cmd_stanley(args) -> int:
 
 def _cmd_sweep(args) -> int:
     primes = tuple(int(p) for p in args.p.split(","))
-    try:
-        report = sweep(
-            _parse_range(args.n),
-            _parse_range(args.d),
-            primes=primes,
-            jobs=args.jobs,
-            cap=args.cap,
-        )
-    except SweepCapExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE_ERROR
+    report = sweep(
+        _parse_range(args.n),
+        _parse_range(args.d),
+        primes=primes,
+        jobs=args.jobs,
+        cap=args.cap,
+    )
     payload = report.to_json()
     if args.json:
         with open(args.json, "w") as fh:

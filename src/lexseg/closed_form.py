@@ -32,7 +32,7 @@ def _require_reduced(spec: LexSpec) -> None:
 def ass_initial(spec: LexSpec) -> frozenset[PrimeIdeal]:
     """Initial segments u = x1^d: primes (x1..xj) for j in supp(v) ∪ {n}."""
     _require_reduced(spec)
-    if classify(spec).kind not in (SpecKind.INITIAL, SpecKind.FULL_SEGMENT):
+    if classify(spec) not in (SpecKind.INITIAL, SpecKind.FULL_SEGMENT):
         raise SpecError("not an initial lexsegment spec")
     n = spec.n
     return frozenset(
@@ -43,7 +43,7 @@ def ass_initial(spec: LexSpec) -> frozenset[PrimeIdeal]:
 def ass_final(spec: LexSpec) -> frozenset[PrimeIdeal]:
     """Final segments v = xn^d with x1 | u, u != x1^d."""
     _require_reduced(spec)
-    if classify(spec).kind != SpecKind.FINAL:
+    if classify(spec) != SpecKind.FINAL:
         raise SpecError("not a final lexsegment spec (or u = x1^d)")
     n = spec.n
     return frozenset({PrimeIdeal.maximal(n), PrimeIdeal.span(n, 2, n)})
@@ -52,7 +52,7 @@ def ass_final(spec: LexSpec) -> frozenset[PrimeIdeal]:
 def ass_depth0(spec: LexSpec) -> frozenset[PrimeIdeal]:
     """Arbitrary class, depth 0: the initial-segment primes plus (x2..xn)."""
     _require_reduced(spec)
-    if classify(spec).kind != SpecKind.ARBITRARY:
+    if classify(spec) != SpecKind.ARBITRARY:
         raise SpecError("not an arbitrary-class spec")
     case = depth_class(spec)
     if case.depth is not DepthClass.DEPTH0:
@@ -73,7 +73,7 @@ def _p_jt(n: int, j: int, t: int) -> PrimeIdeal | None:
 def ass_depth_pos(spec: LexSpec, case=None) -> frozenset[PrimeIdeal]:
     """Arbitrary class with positive depth: the four P_{j,t} formulas."""
     _require_reduced(spec)
-    if classify(spec).kind != SpecKind.ARBITRARY:
+    if classify(spec) != SpecKind.ARBITRARY:
         raise SpecError("not an arbitrary-class spec")
     if case is None:
         case = depth_class(spec)
@@ -118,7 +118,7 @@ def associated_primes_lexsegment(spec: LexSpec) -> frozenset[PrimeIdeal]:
         else:
             offset += k
 
-    kind = classify(work).kind
+    kind = classify(work)
     if kind == SpecKind.PRINCIPAL:
         core = frozenset(
             PrimeIdeal.from_vars(work.n, (i,)) for i in supp(work.u)

@@ -109,7 +109,7 @@ def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     radicals are Ass(S/I). With top above every exponent, a component is
     encoded as v_i = top - e_i on its support and 0 off it; c contains o
     exactly when v(o) divides v(c), so the survivors are the minimal
-    generators of the encoded vectors. Unchecked and uncached:
+    generators of the encoded vectors. Unchecked:
     irreducible_decomposition adds the intersect-back check.
     """
     comps = _split(ideal)
@@ -123,7 +123,6 @@ def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     return frozenset(encoded[v] for v in kernels.minimalize(tuple(encoded)))
 
 
-@lru_cache(maxsize=None)
 def irreducible_decomposition(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     """The irredundant irreducible decomposition of a proper nonzero ideal."""
     if ideal.is_zero or ideal.is_unit:
@@ -208,7 +207,6 @@ def radicals(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:
     return frozenset(c.radical() for c in irredundant_components(ideal))
 
 
-@lru_cache(maxsize=None)
 def associated_primes_oracle(ideal: MonomialIdeal) -> AssResult:
     """Ass(S/I) of a proper nonzero ideal, each prime with its witness.
 

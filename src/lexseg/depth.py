@@ -41,7 +41,6 @@ from .monomials import (
     SpecError,
     SpecKind,
     classify,
-    supp,
     variable,
 )
 
@@ -73,7 +72,7 @@ def depth_class(spec: LexSpec) -> DepthCase:
     the shape of v relative to x2^(d-1)*xj and the position l of the
     second variable of u.
     """
-    if classify(spec).kind != SpecKind.ARBITRARY:
+    if classify(spec) != SpecKind.ARBITRARY:
         raise SpecError("depth classifier only applies to arbitrary-class specs")
     if spec.b1 > 0 or spec.a1 == 0:
         raise SpecError("spec must be reduced (x1 | u, x1 does not divide v)")
@@ -116,41 +115,34 @@ def depth_class(spec: LexSpec) -> DepthCase:
 # exact depth via upper Koszul complexes
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A simplicial complex on a subset of {1..n}, stored as its face set.
-
-    faces contains every face including the empty set when present; the
-    family is closed under subsets by construction.
-    """
-
-    vertices: tuple[int, ...]
-    faces: frozenset[frozenset[int]]
-
-
 @lru_cache(maxsize=None)
-def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
+def upper_koszul_complex(
+    ideal: MonomialIdeal, b: Monomial
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """K^b(I): squarefree sets sigma ⊆ supp(b) with x^b / x^sigma in I,
     built as the subsets of the facets {i : g_i < b_i} over the generators
     g that divide b.
+
+    Returned by face size: entry k holds the k-element faces, each an
+    increasing tuple of variables, for k = 0..|supp b|.
 
     Raises DomainError, before building, when |supp b| is over
     KOSZUL_SUPPORT_LIMIT.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
-    verts = supp(b)
-    _require_support(len(verts))
+    size = len(b) - b.count(0)
+    _require_support(size)
     facets = {
         tuple(i for i, (x, y) in enumerate(zip(g, b), 1) if x < y)
         for g in ideal.gens
         if kernels.divides(g, b)
     }
-    faces = set()
+    by_size = [set() for _ in range(size + 1)]
     for facet in facets:
         for r in range(len(facet) + 1):
-            faces.update(map(frozenset, combinations(facet, r)))
-    return SimplicialComplex(verts, frozenset(faces))
+            by_size[r].update(combinations(facet, r))
+    return tuple(map(tuple, by_size))
 
 
 def _require_support(size: int) -> None:
@@ -162,23 +154,21 @@ def _require_support(size: int) -> None:
         )
 
 
-def _betti_from_top(complex: SimplicialComplex, p: int, above: int):
-    """Yields (i, rank H~_{i-1}(complex) over GF(p)) for i = |vertices| - 1
-    down to above + 1, each pair only when asked for.
+def _betti_from_top(by_size, p: int, above: int):
+    """Yields (i, rank H~_{i-1} over GF(p)) of the complex whose k-element
+    faces are by_size[k], for i = len(by_size) - 2 down to above + 1, each
+    pair only when asked for.
 
     rank H~_{i-1} = f_{i-1} - rk d_{i-1} - rk d_i, where f_j counts the
     faces of dimension j and d_j is the boundary map out of dimension j;
     each rank is computed at most once.
     """
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for f in complex.faces:
-        by_size.setdefault(len(f), []).append(tuple(sorted(f)))
     ranks: dict[int, int] = {}
 
     def rank(k: int) -> int:
         """Rank of the boundary map from k-element to (k-1)-element faces."""
         if k not in ranks:
-            upper, lower = by_size.get(k, ()), by_size.get(k - 1, ())
+            upper, lower = by_size[k], by_size[k - 1]
             index = {f: j for j, f in enumerate(lower)}
             rows = []
             for f in upper:
@@ -189,8 +179,8 @@ def _betti_from_top(complex: SimplicialComplex, p: int, above: int):
             ranks[k] = kernels.gf_rank(rows, p) if rows and lower else 0
         return ranks[k]
 
-    for i in range(len(complex.vertices) - 1, above, -1):
-        yield i, len(by_size.get(i, ())) - rank(i) - rank(i + 1)
+    for i in range(len(by_size) - 2, above, -1):
+        yield i, len(by_size[i]) - rank(i) - rank(i + 1)
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +217,6 @@ def _require_prime(p) -> None:
         raise DomainError(f"characteristic {p!r} is not a prime")
 
 
-@lru_cache(maxsize=None)
 def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
     """depth(S/I) = n - 1 - pd(I), with pd(I) found over GF(p), p prime.
 

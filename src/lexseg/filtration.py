@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .decompose import associated_primes_oracle, radicals, witnesses
+from .decompose import radicals, witnesses
 from .monomials import (
     DIVIDE,
     DimensionError,
@@ -220,8 +220,9 @@ def verify_pretty_clean(filtration: PrimeFiltration) -> Report:
 
 
 def supp_equals_ass(filtration: PrimeFiltration) -> Report:
-    """Supp of the filtration must equal Ass(S/I) from the oracle."""
-    ass = associated_primes_oracle(filtration.base).primes
+    """Supp of the filtration must equal Ass(S/I), the radicals of the
+    irredundant irreducible components (the oracle's prime set)."""
+    ass = radicals(filtration.base)
     support = filtration.support
     violations = []
     for p in sorted(support - ass, key=lambda p: p.vars):

@@ -263,13 +263,6 @@ class SpecKind(Enum):
 
 
 @dataclass(frozen=True)
-class Classification:
-    kind: SpecKind
-    b1_positive: bool
-    a1_zero: bool
-
-
-@dataclass(frozen=True)
 class LexSpec:
     """The tuple (n, d, u, v) defining the lexsegment ideal (L(u, v))."""
 
@@ -319,21 +312,19 @@ class LexSpec:
         return None if l is None else self.u[l - 1]
 
 
-def classify(spec: LexSpec) -> Classification:
-    """Assign the trivial/extremal/arbitrary class plus reduction flags."""
-    x1d = variable(spec.n, 1, spec.d) if spec.n >= 1 else None
+def classify(spec: LexSpec) -> SpecKind:
+    """The trivial, extremal or arbitrary class of the spec."""
+    x1d = variable(spec.n, 1, spec.d)
     xnd = variable(spec.n, spec.n, spec.d)
     if spec.u == spec.v:
-        kind = SpecKind.PRINCIPAL
-    elif spec.u == x1d and spec.v == xnd:
-        kind = SpecKind.FULL_SEGMENT
-    elif spec.u == x1d:
-        kind = SpecKind.INITIAL
-    elif spec.v == xnd:
-        kind = SpecKind.FINAL
-    else:
-        kind = SpecKind.ARBITRARY
-    return Classification(kind, b1_positive=spec.b1 > 0, a1_zero=spec.a1 == 0)
+        return SpecKind.PRINCIPAL
+    if spec.u == x1d and spec.v == xnd:
+        return SpecKind.FULL_SEGMENT
+    if spec.u == x1d:
+        return SpecKind.INITIAL
+    if spec.v == xnd:
+        return SpecKind.FINAL
+    return SpecKind.ARBITRARY
 
 
 def lexsegment_generators(spec: LexSpec) -> MonomialIdeal:

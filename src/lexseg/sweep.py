@@ -45,10 +45,6 @@ DEFAULT_PRIMES = (2, 32003)
 DEFAULT_CAP = 100_000
 
 
-class SweepCapExceeded(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Mismatch:
     n: int
@@ -149,9 +145,11 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
         record("depth", f"depth differs across primes: {depths}")
     exact = depths[primes[0]]
     work = reduce_fully(spec)[0]
-    if classify(work).kind == SpecKind.ARBITRARY and work.d > 1:
+    if classify(work) == SpecKind.ARBITRARY and work.d > 1:
         case = depth_class(work)
-        work_exact = depth_exact(lexsegment_generators(work), primes[0])
+        # I = x1^b I' has the pd of I', and each dropped variable adds one
+        # to the depth
+        work_exact = exact - (spec.n - work.n)
         agree = {
             DepthClass.DEPTH0: work_exact == 0,
             DepthClass.DEPTH1: work_exact == 1,
@@ -195,8 +193,8 @@ def sweep(
     """Checks every spec in the ranges with check_spec, on jobs processes.
 
     Raises DomainError, before any spec is checked or any process started,
-    when jobs is outside 1..os.cpu_count(), a range is empty or a
-    characteristic is not a prime; SweepCapExceeded when some (n, d) has
+    when jobs is outside 1..os.cpu_count(), a range is empty, no
+    characteristic is given or one is not a prime, or some (n, d) has
     more than cap pairs.
     """
     cpus = os.cpu_count() or 1
@@ -205,6 +203,8 @@ def sweep(
     for name, (lo, hi) in (("n", n_range), ("d", d_range)):
         if lo > hi:
             raise DomainError(f"the {name} range {lo}..{hi} is empty")
+    if not primes:
+        raise DomainError("no characteristic given")
     for p in primes:
         _require_prime(p)
     start = time.perf_counter()
@@ -213,7 +213,7 @@ def sweep(
             count = len(enumerate_degree(n, d))
             pairs = count * (count + 1) // 2
             if pairs > cap:
-                raise SweepCapExceeded(
+                raise DomainError(
                     f"(n={n}, d={d}) has {pairs} pairs, exceeding the cap {cap}"
                 )
     specs = list(iter_specs(n_range, d_range))

@@ -140,7 +140,7 @@ def test_criterion_4_depth_coherence(sweep_main, sweep_ext, sweep_wide):
     wrong = 0
     for s in iter_specs((2, 4), (2, 3)):
         work = reduce_fully(s)[0]
-        if classify(work).kind != SpecKind.ARBITRARY or work.d < 2:
+        if classify(work) != SpecKind.ARBITRARY or work.d < 2:
             continue
         compared += 1
         exact = depth_exact(lexsegment_generators(work), 32003)

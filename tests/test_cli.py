@@ -269,8 +269,9 @@ class TestCliExitCodes:
         assert out.returncode == 2
         assert "CHARACTERISTIC_LIMIT" in out.stderr
 
-    def test_sweep_cap(self):
+    def test_sweep_cap(self, capsys):
         assert main(["sweep", "--n", "2..2", "--d", "2..2", "--cap", "1"]) == 2
+        assert "6 pairs, exceeding the cap 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args, message",

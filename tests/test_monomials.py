@@ -242,11 +242,11 @@ class TestLexSpec:
         assert spec(3, 2, "x1^2", "x2*x3").l is None
 
     def test_classify(self):
-        assert classify(spec(3, 2, "x2^2", "x2^2")).kind == SpecKind.PRINCIPAL
-        assert classify(spec(3, 2, "x1^2", "x3^2")).kind == SpecKind.FULL_SEGMENT
-        assert classify(spec(3, 2, "x1^2", "x2*x3")).kind == SpecKind.INITIAL
-        assert classify(spec(3, 2, "x1*x2", "x3^2")).kind == SpecKind.FINAL
-        assert classify(spec(3, 2, "x1*x2", "x2*x3")).kind == SpecKind.ARBITRARY
+        assert classify(spec(3, 2, "x2^2", "x2^2")) == SpecKind.PRINCIPAL
+        assert classify(spec(3, 2, "x1^2", "x3^2")) == SpecKind.FULL_SEGMENT
+        assert classify(spec(3, 2, "x1^2", "x2*x3")) == SpecKind.INITIAL
+        assert classify(spec(3, 2, "x1*x2", "x3^2")) == SpecKind.FINAL
+        assert classify(spec(3, 2, "x1*x2", "x2*x3")) == SpecKind.ARBITRARY
 
     def test_lexsegment_generators(self):
         ideal = lexsegment_generators(spec(3, 2, "x1*x2", "x2*x3"))

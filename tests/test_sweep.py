@@ -1,0 +1,57 @@
+"""The sweep driver: input checks and the depth questions check_spec asks."""
+
+import importlib
+
+import pytest
+
+from conftest import spec
+from lexseg.depth import depth_exact
+from lexseg.monomials import DomainError, lexsegment_generators, reduce_fully
+
+# the module, which lexseg.sweep (the function) shadows as an attribute
+sweep_module = importlib.import_module("lexseg.sweep")
+
+ACCEPTANCE = list(sweep_module.iter_specs((2, 4), (2, 3))) + list(
+    sweep_module.iter_specs((5, 5), (2, 2))
+)
+
+
+def test_no_characteristic_refused_before_any_work(monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(sweep_module, "check_spec", no_work)
+    with pytest.raises(DomainError, match="no characteristic"):
+        sweep_module.sweep((2, 2), (2, 2), primes=())
+
+
+@pytest.mark.parametrize("p", [2, 32003])
+def test_working_spec_depth_from_the_spec_depth(p):
+    # I = x1^b I' has the pd of I', and each dropped variable adds one to
+    # the depth: check_spec reads the working spec's depth off the spec's
+    assert len(ACCEPTANCE) == 477
+    for s in ACCEPTANCE:
+        work = reduce_fully(s)[0]
+        exact = depth_exact(lexsegment_generators(s), p)
+        assert depth_exact(lexsegment_generators(work), p) == exact - (s.n - work.n)
+
+
+@pytest.mark.parametrize("primes", [(2,), (2, 32003), (2, 3, 32003)])
+def test_check_spec_asks_each_depth_once(primes, monkeypatch):
+    # L(x1^2*x2, x1*x2*x3) divides by x1, L(x2*x4, x3^2) drops x1: both
+    # working specs are arbitrary-class and differ from the spec
+    for s in (
+        spec(3, 3, "x1^2*x2", "x1*x2*x3"),
+        spec(4, 2, "x2*x4", "x3^2"),
+        spec(4, 2, "x1*x2", "x2*x3"),
+    ):
+        asked = []
+
+        def counting(ideal, p):
+            asked.append((ideal, p))
+            return depth_exact(ideal, p)
+
+        monkeypatch.setattr(sweep_module, "depth_exact", counting)
+        assert sweep_module.check_spec(s, primes) == []
+        assert asked == [(lexsegment_generators(s), p) for p in primes]
