@@ -1,7 +1,9 @@
 """Benchmark the kernels and the check families of lexseg.
 
 The kernel lines time divides, member, minimalize, colon_gens and gf_rank
-from lexseg.kernels on fixed seeded inputs, best of 5. A depth line
+from lexseg.kernels on fixed seeded inputs, best of 5; one more
+minimalize line takes a redundant input, the 1,600 pairwise lcms of two
+seeded 40-generator sets, as an intersection makes. A depth line
 times depth_exact at GF(2) and GF(32003) over every n=5, d=2
 lexsegment, and the family lines time each check family of
 lexseg.sweep.check_spec over the 357 n=2..4, d=2..3 specs: closed form,
@@ -15,8 +17,15 @@ over the 861 n=5, d=3 and n=6, d=2 specs, and count the gf_rank calls
 of one cold depth_exact pass at both primes. Each timing is the best
 of 3 runs, each run from empty caches. The memo lines give the hits,
 misses and entries of every lru_cache after one cold check_spec pass
-over the 477 acceptance specs. The last line is the line count of
-src/lexseg/*.py, the source size the ROADMAP tracks.
+over the 477 acceptance specs. The oracle-random family line times
+irreducible_decomposition plus associated_primes_oracle over the 804
+pool ideals of the perfbench oracle-random workload (read from
+perfbench/workloads.py, which is only imported), best of 3 cold. The
+oracle digest line is the first 16 hex digits of the sha256 of the JSON
+list, per pool ideal, of [sorted component powers, [[prime.vars,
+witness] per oracle prime]]; equal digests mean identical components,
+primes and witnesses. The last line is the line count of src/lexseg/*.py,
+the source size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -31,6 +40,7 @@ import time
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, SRC)
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "perfbench"))
 
 from lexseg import (  # noqa: E402
     closed_form,
@@ -42,6 +52,7 @@ from lexseg import (  # noqa: E402
 )
 from lexseg.monomials import lexsegment_generators  # noqa: E402
 from lexseg.sweep import DEFAULT_PRIMES, check_spec, iter_specs  # noqa: E402
+from workloads import ORACLE_POOL, oracle_gens  # noqa: E402
 
 
 def make_inputs(seed=1):
@@ -77,6 +88,13 @@ def kernel_lines():
     bench(
         "minimalize(40 gens) x 50",
         lambda: [kernels.minimalize(gens) for _ in range(50)],
+    )
+    lcms = tuple(
+        tuple(max(x, y) for x, y in zip(g, h)) for g in gens for h in mons[40:80]
+    )
+    bench(
+        "minimalize(1,600 lcms) x 5",
+        lambda: [kernels.minimalize(lcms) for _ in range(5)],
     )
     bench("colon_gens x 400", lambda: [kernels.colon_gens(gens, m) for m in mons])
     bench(
@@ -177,6 +195,32 @@ def step_digest():
     print(f"staged_filtration step digest, {len(specs)} acceptance specs: {digest}")
 
 
+def oracle_family():
+    ideals = [
+        monomials.MonomialIdeal.from_gens(*oracle_gens(k)) for k in range(ORACLE_POOL)
+    ]
+
+    def run():
+        for ideal in ideals:
+            decompose.irreducible_decomposition(ideal)
+            decompose.associated_primes_oracle(ideal)
+
+    best = best_cold(run)
+    print(f"oracle-random family, decomposition + oracle, {len(ideals)} pool ideals: "
+          f"{best:.3f} s")
+    rows = [
+        [
+            sorted([list(pe) for pe in c.powers]
+                   for c in decompose.irreducible_decomposition(ideal)),
+            [[list(p.vars), list(w)]
+             for p, w in decompose.associated_primes_oracle(ideal).witnesses],
+        ]
+        for ideal in ideals
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    print(f"oracle digest, {len(ideals)} pool ideals: {digest}")
+
+
 def extended_range():
     specs = list(iter_specs((5, 5), (3, 3))) + list(iter_specs((6, 6), (2, 2)))
 
@@ -236,6 +280,7 @@ def main():
     sweep_families()
     memo_lines()
     step_digest()
+    oracle_family()
     extended_range()
     print(f"src/lexseg/*.py: {source_lines()} lines")
 

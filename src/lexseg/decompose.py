@@ -13,9 +13,12 @@ redundant family of irreducible ideals whose intersection is I, and rest
 on one fact: irreducible monomial ideals are prime in the lattice of
 monomial ideals (one that contains an intersection contains a member).
 witnesses() uses it to pin the P-part of a witness to e_j - 1 for a Q_j
-with radical P and scans only the other coordinates;
-irredundant_components() uses it to find the irredundant components with
-one minimalize over an order-reversing encoding of the Q_j.
+with radical P and scans only the other coordinates; the box and the
+pins of every prime come from one read of the Q_j per ideal
+(_witness_scanner). irredundant_components() uses it to find the
+irredundant components with one minimalize over an order-reversing
+encoding of the Q_j. irreducible_decomposition() checks them by folding
+the components back together, one at a time, and comparing with I.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .monomials import (
     PrimeIdeal,
     add_element,
     degree,
-    intersect,
     max_var,
     min_var,
     variable,
@@ -61,7 +63,8 @@ class IrreducibleIdeal:
         )
 
     def radical(self) -> PrimeIdeal:
-        return PrimeIdeal.from_vars(self.n, (i for i, _ in self.powers))
+        # powers is sorted by variable, each variable once and in 1..n
+        return PrimeIdeal(self.n, tuple(i for i, _ in self.powers))
 
 
 @dataclass(frozen=True)
@@ -136,13 +139,23 @@ def irreducible_decomposition(ideal: MonomialIdeal) -> frozenset[IrreducibleIdea
 
 
 def _intersection(n: int, comps) -> MonomialIdeal:
-    acc = None
+    """The intersection of irreducible ideals, folding one in at a time.
+
+    J ∩ Q for Q = (x_i^e_i : i in A) is generated by the lcms of each
+    generator g of J with each x_i^e_i. If g lies in Q, one of them is g
+    and the others are its multiples, so g stays; otherwise they are g
+    with g_i raised to e_i, one for each i in A.
+    """
+    gens = ((0,) * n,)
     for c in comps:
-        ideal = c.to_ideal() if isinstance(c, IrreducibleIdeal) else c
-        acc = ideal if acc is None else intersect(acc, ideal)
-    if acc is None:
-        raise ValueError("empty component list")
-    return acc
+        met = []
+        for g in gens:
+            if any(g[i - 1] >= e for i, e in c.powers):
+                met.append(g)
+            else:
+                met.extend(g[: i - 1] + (e,) + g[i:] for i, e in c.powers)
+        gens = kernels.minimalize(met)
+    return MonomialIdeal(n, gens)
 
 
 def witness_box(ideal: MonomialIdeal) -> Monomial:
@@ -158,6 +171,47 @@ def witness_box(ideal: MonomialIdeal) -> Monomial:
         for i, e in c.powers:
             box[i - 1] = max(box[i - 1], e)
     return tuple(box)
+
+
+def _witness_scanner(ideal: MonomialIdeal):
+    """The witness scan of every prime of I, from one read of _split(I).
+
+    Returns scan, where scan(P) yields what witnesses(I, P) yields. The
+    witness box and the pins, the powers of the split components grouped
+    by their radical's variables, are computed here once. Raises
+    DomainError for a box of more than WITNESS_BOX_LIMIT monomials.
+    """
+    box = [0] * ideal.n
+    pins: dict[tuple[int, ...], list] = {}
+    for c in _split(ideal):
+        for i, e in c.powers:
+            box[i - 1] = max(box[i - 1], e)
+        pins.setdefault(tuple(i for i, _ in c.powers), []).append(c.powers)
+    volume = math.prod(e + 1 for e in box)
+    if volume > WITNESS_BOX_LIMIT:
+        raise DomainError(
+            f"witness box {tuple(box)} holds {volume} monomials, over the limit "
+            f"{WITNESS_BOX_LIMIT}"
+        )
+    full = [range(e, -1, -1) for e in box]
+    gens = ideal.gens
+
+    def scan(prime: PrimeIdeal):
+        if ideal.is_unit:
+            return  # (1 : w) = (1) is never prime
+        scans = []
+        for powers in pins.get(prime.vars, ()):
+            ranges = list(full)
+            for i, e in powers:
+                ranges[i - 1] = (e - 1,)
+            scans.append(itertools.product(*ranges))
+        idx = [i - 1 for i in prime.vars]
+        member = kernels.member
+        for w in heapq.merge(*scans, reverse=True):
+            if all(member(w[:i] + (w[i] + 1,) + w[i + 1 :], gens) for i in idx):
+                yield w
+
+    return scan
 
 
 def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
@@ -176,28 +230,7 @@ def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
     """
     if ideal.n != prime.n:
         raise DomainError("variable counts differ")
-    box = witness_box(ideal)
-    volume = math.prod(e + 1 for e in box)
-    if volume > WITNESS_BOX_LIMIT:
-        raise DomainError(
-            f"witness box {box} holds {volume} monomials, over the limit "
-            f"{WITNESS_BOX_LIMIT}"
-        )
-    if ideal.is_unit:
-        return  # (1 : w) = (1) is never prime
-    idx = [i - 1 for i in prime.vars]
-    scans = []
-    for c in _split(ideal):
-        if tuple(i for i, _ in c.powers) == prime.vars:
-            ranges = [range(e, -1, -1) for e in box]
-            for i, e in c.powers:
-                ranges[i - 1] = (e - 1,)
-            scans.append(itertools.product(*ranges))
-    gens = ideal.gens
-    member = kernels.member
-    for w in heapq.merge(*scans, reverse=True):
-        if all(member(w[:i] + (w[i] + 1,) + w[i + 1 :], gens) for i in idx):
-            yield w
+    yield from _witness_scanner(ideal)(prime)
 
 
 def radicals(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:
@@ -211,11 +244,14 @@ def associated_primes_oracle(ideal: MonomialIdeal) -> AssResult:
     """Ass(S/I) of a proper nonzero ideal, each prime with its witness.
 
     The primes are radicals(I); the witness of each is the first one
-    witnesses() yields. A prime with no in-box witness is a hard error.
+    witnesses() yields, all read from one _witness_scanner(I). A prime
+    with no in-box witness is a hard error.
     """
     found: dict[PrimeIdeal, Monomial] = {}
-    for p in radicals(ideal):
-        w = next(witnesses(ideal, p), None)
+    primes = radicals(ideal)
+    scan = _witness_scanner(ideal)
+    for p in primes:
+        w = next(scan(p), None)
         if w is None:
             raise InternalConsistencyError(
                 f"no in-box witness for the prime {p.vars} of {ideal}"

@@ -10,7 +10,8 @@ so the chain always ends at the unit ideal.
 Pretty clean chains (Herzog-Popescu, Manuscripta Math. 2006) come from
 one depth-first search, search_filtration, over (prime, witness) steps
 straight to the unit ideal. The candidate primes at each node are
-decompose.radicals and the witnesses come from decompose.witnesses.
+decompose.radicals and the witnesses come from the scan behind
+decompose.witnesses, set up once per node.
 staged_filtration runs that search once, on the spec normalized by
 reduce_fully, and undoes the normalization moves on the chain it finds.
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .decompose import radicals, witnesses
+from .decompose import _witness_scanner, radicals
 from .monomials import (
     DIVIDE,
     DimensionError,
@@ -100,7 +101,8 @@ def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
     """Depth-first pretty clean chain from start to the unit ideal.
 
     The candidate primes at a node J are Ass(S/J) (_candidate_primes),
-    and their witnesses are tried in _degree_then_lex order. Every prime
+    and their witnesses, read from one _witness_scanner(J) per node, are
+    tried in _degree_then_lex order. Every prime
     filtration of S/J has every P in Ass(S/J) among its primes
     (Herzog-Popescu 2006). So when some P in Ass(S/J) properly contains
     an earlier step's prime, no completion from J is pretty clean: the
@@ -116,10 +118,11 @@ def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
             if any(s.prime.is_proper_subset(as_prime) for s in steps):
                 return None
             return steps + [FiltrationStep(unit(n), as_prime)]
+        scan = _witness_scanner(current)
         for prime in _candidate_primes(current):
             if any(s.prime.is_proper_subset(prime) for s in steps):
                 return None
-            for w in sorted(witnesses(current, prime), key=_degree_then_lex):
+            for w in sorted(scan(prime), key=_degree_then_lex):
                 found = dfs(
                     add_element(current, w),
                     steps + [FiltrationStep(w, prime)],

@@ -28,22 +28,21 @@ def member(m, gens):
 def minimalize(gens):
     """Canonical generator tuple: drop non-minimal gens, sort lex-descending.
 
-    Lex order on exponent vectors coincides with tuple order, so the
-    canonical form is plain reverse-sorted tuples.
+    A proper divisor of g is componentwise <= g, so it comes before g in
+    tuple order. Walking the distinct gens in ascending order, g is
+    therefore minimal exactly when no gen kept so far divides it: a
+    dropped gen has a kept divisor, which divides g as well. Lex order on
+    exponent vectors coincides with tuple order, so the canonical form is
+    the kept gens reversed.
     """
-    uniq = sorted(set(gens))
     keep = []
-    for i, g in enumerate(uniq):
-        redundant = False
-        for j, h in enumerate(uniq):
-            if i != j and divides(h, g):
-                # ties between equal tuples are impossible after dedup
-                redundant = True
+    for g in sorted(set(gens)):
+        for h in keep:
+            if divides(h, g):
                 break
-        if redundant:
-            continue
-        keep.append(g)
-    keep.sort(reverse=True)
+        else:
+            keep.append(g)
+    keep.reverse()
     return tuple(keep)
 
 

@@ -1,14 +1,19 @@
 """The decomposition/witness oracle for arbitrary monomial ideals."""
 
+import heapq
 import itertools
+import random
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import lexseg.decompose as decompose_module
 from conftest import I, P, iter_box, oracle_random_ideals
+from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
+    _intersection,
     _split,
     associated_primes_oracle,
     irreducible_decomposition,
@@ -20,6 +25,7 @@ from lexseg.decompose import (
 )
 from lexseg.monomials import (
     DomainError,
+    InternalConsistencyError,
     MonomialIdeal,
     PrimeIdeal,
     colon,
@@ -69,6 +75,40 @@ class TestIrreducibleDecomposition:
         for c in comps:
             rest = [k for k in comps if k != c]
             assert intersection_of(rest, 3) != ideal
+
+    def test_folded_intersection_matches_pairwise_lcms(self):
+        # families of 0..5 irreducible ideals in n = 1..5 variables, now
+        # and then with the zero ideal (no powers) or a repeated member
+        rng = random.Random(20261102)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            comps = []
+            for _ in range(rng.randint(0, 5)):
+                support = [i for i in range(1, n + 1) if rng.random() < 0.5]
+                powers = tuple((i, rng.randint(1, 3)) for i in support)
+                comps.append(IrreducibleIdeal(n, powers))
+            if comps and rng.random() < 0.2:
+                comps.append(rng.choice(comps))
+            assert _intersection(n, comps) == intersection_of(comps, n)
+
+    def test_dropped_component_fails_the_intersect_back_check(self, monkeypatch):
+        ideals = [I(3, "x1*x2", "x1*x3", "x2^2", "x2*x3"), I(2, "x1*x2")]
+        ideals += oracle_random_ideals(20261103, 10)
+        checked = 0
+        for ideal in ideals:
+            full = irredundant_components(ideal)
+            if len(full) < 2:
+                continue
+            for dropped in full:
+                monkeypatch.setattr(
+                    decompose_module,
+                    "irredundant_components",
+                    lambda _ideal, rest=full - {dropped}: rest,
+                )
+                with pytest.raises(InternalConsistencyError):
+                    irreducible_decomposition(ideal)
+                checked += 1
+        assert checked >= 10
 
     def test_determinism(self):
         a = irreducible_decomposition(I(3, "x1*x2", "x2*x3"))
@@ -122,6 +162,66 @@ class TestWitnessSearch:
     def test_box_encloses_component_exponents(self):
         box = witness_box(I(2, "x1^2", "x1*x2", "x2^3"))
         assert box[0] >= 2 and box[1] >= 3
+
+
+def witnesses_reference(ideal, prime):
+    """The per-prime scan that witnesses() ran before the shared
+    _witness_scanner: the box and the pins rebuilt from _split for each
+    prime."""
+    box = witness_box(ideal)
+    if ideal.is_unit:
+        return
+    idx = [i - 1 for i in prime.vars]
+    scans = []
+    for c in _split(ideal):
+        if tuple(i for i, _ in c.powers) == prime.vars:
+            ranges = [range(e, -1, -1) for e in box]
+            for i, e in c.powers:
+                ranges[i - 1] = (e - 1,)
+            scans.append(itertools.product(*ranges))
+    for w in heapq.merge(*scans, reverse=True):
+        if all(
+            kernels.member(w[:i] + (w[i] + 1,) + w[i + 1 :], ideal.gens) for i in idx
+        ):
+            yield w
+
+
+@st.composite
+def witness_ideals(draw):
+    """Ideals in n = 1..6 variables with exponents <= 3."""
+    n = draw(st.integers(1, 6))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=8)))
+
+
+class TestSharedWitnessScan:
+    @seed(20261104)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(witness_ideals())
+    def test_oracle_witness_is_the_first_public_witness(self, ideal):
+        for p, w in associated_primes_oracle(ideal).witnesses:
+            assert w == next(witnesses(ideal, p))
+
+    @seed(20261105)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(witness_ideals())
+    def test_witnesses_match_the_per_prime_scan(self, ideal):
+        # every subset of the variables, associated or not
+        for k in range(ideal.n + 1):
+            for vars in itertools.combinations(range(1, ideal.n + 1), k):
+                prime = PrimeIdeal.from_vars(ideal.n, vars)
+                assert list(witnesses(ideal, prime)) == list(
+                    witnesses_reference(ideal, prime)
+                )
+
+    def test_over_limit_box_raises_on_first_next(self):
+        # box 1025 x 1025 = 1,050,625 monomials, just over 2^20
+        ideal = I(2, "x1^1024", "x2^1024")
+        scan = witnesses(ideal, P(2, 1, 2))  # lazy: nothing raised yet
+        with pytest.raises(DomainError, match="witness box"):
+            next(scan)
+        with pytest.raises(DomainError, match="witness box"):
+            associated_primes_oracle(ideal)
 
 
 class TestAssociatedPrimesOracle:

@@ -174,19 +174,31 @@ def unpruned_reference(start, steps=()):
 
 class SearchRecorder:
     """Rebuilds the library search tree from its calls of ideal_as_prime
-    (a node is entered), witnesses (a prime is expanded) and add_element
-    (a child is made). A chain only grows its ideal, so the ideals on one
-    path differ and a call on ideal J returns to J's node."""
+    (a node is entered), the node's witness scan (a prime is expanded) and
+    add_element (a child is made). A chain only grows its ideal, so the
+    ideals on one path differ and a call on ideal J returns to J's node."""
 
     def __init__(self, monkeypatch):
         self.stack = []
         self.finished = []
         self.pending = None
-        for name in ("ideal_as_prime", "witnesses", "add_element"):
+        for name in ("ideal_as_prime", "add_element"):
             inner = getattr(filtration_module, name)
             monkeypatch.setattr(
                 filtration_module, name, self._wrap(getattr(self, "_" + name), inner)
             )
+        scanner = filtration_module._witness_scanner
+
+        def recorded_scanner(ideal):
+            scan = scanner(ideal)
+
+            def recorded_scan(prime):
+                self._witnesses(ideal, prime)
+                return scan(prime)
+
+            return recorded_scan
+
+        monkeypatch.setattr(filtration_module, "_witness_scanner", recorded_scanner)
 
     @staticmethod
     def _wrap(hook, inner):
