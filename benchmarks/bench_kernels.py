@@ -13,30 +13,40 @@ acceptance specs (n=2..4, d=2..3 and n=5, d=2): the first 16 hex digits
 of the sha256 of the JSON list, per spec, of [witness, prime.vars] per
 step. Equal digests mean identical chains. The extended lines time
 staged_filtration, stanley_certificate and depth_exact at each prime
-over the 861 n=5, d=3 and n=6, d=2 specs, and count the gf_rank calls
-of one cold depth_exact pass at both primes. Each timing is the best
-of 3 runs, each run from empty caches. The memo lines give the hits,
-misses and entries of every lru_cache after one cold check_spec pass
-over the 477 acceptance specs. The oracle-random family line times
-irreducible_decomposition plus associated_primes_oracle over the 804
-pool ideals of the perfbench oracle-random workload (read from
+over the 861 n=5, d=3 and n=6, d=2 specs, and depths_exact at both
+primes in one search, as check_spec asks. On those specs one cold
+depths_exact pass at both primes gives the walk counters: lcm lattice
+elements generated (popped plus queued) and popped by _lattice_walk,
+and upper Koszul complexes K^b built; and the gf_rank calls. Each timing
+is the best of 3 runs, each run from empty caches. The memo lines give
+the hits, misses and entries of every lru_cache after one cold
+check_spec pass over the 477 acceptance specs. The oracle-random family
+line times irreducible_decomposition plus associated_primes_oracle over
+the 804 pool ideals of the perfbench oracle-random workload (read from
 perfbench/workloads.py, which is only imported), best of 3 cold. The
 oracle digest line is the first 16 hex digits of the sha256 of the JSON
 list, per pool ideal, of [sorted component powers, [[prime.vars,
 witness] per oracle prime]]; equal digests mean identical components,
-primes and witnesses. The last line is the line count of src/lexseg/*.py,
-the source size the ROADMAP tracks.
+primes and witnesses. The depth digest line is the first 16 hex digits
+of the sha256 of the JSON list, per ideal, of [depth_exact(I, 2),
+depth_exact(I, 32003)], over the ideals of the 1,338 specs n=2..4,
+d=2..3 (357), n=5, d=2 (120), n=5, d=3 (630) and n=6, d=2 (231), in
+that order and each range in iter_specs order, then the 804 pool
+ideals; equal digests mean identical depths. The last line is the line
+count of src/lexseg/*.py, the source size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
 
 import glob
 import hashlib
+import heapq
 import json
 import os
 import random
 import sys
 import time
+from types import SimpleNamespace
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, SRC)
@@ -247,23 +257,58 @@ def extended_depth(cases):
         best = best_cold(lambda p=p: [depth.depth_exact(i, p) for i in ideals])
         print(f"depth_exact p={p}, {len(ideals)} n=5 d=3 and n=6 d=2 specs: "
               f"{best:.3f} s")
-    rank = kernels.gf_rank
-    calls = 0
+    best = best_cold(lambda: [depth.depths_exact(i, DEFAULT_PRIMES) for i in ideals])
+    print(f"depths_exact at both primes, one search, same specs: {best:.3f} s")
+    counts = dict.fromkeys(("generated", "popped", "K^b built", "gf_rank calls"), 0)
+    walk, push = depth._lattice_walk, depth.heapq.heappush
+    build, rank = depth.upper_koszul_complex, kernels.gf_rank
 
-    def counting(rows, p):
-        nonlocal calls
-        calls += 1
+    def counting_walk(gens):
+        counts["generated"] += 1  # the top
+        for step in walk(gens):
+            counts["popped"] += 1
+            yield step
+
+    def counting_push(heap, item):
+        counts["generated"] += 1
+        push(heap, item)
+
+    def counting_build(ideal, b):
+        counts["K^b built"] += 1
+        return build(ideal, b)
+
+    def counting_rank(rows, p):
+        counts["gf_rank calls"] += 1
         return rank(rows, p)
 
     clear_caches()
-    kernels.gf_rank = counting
+    depth._lattice_walk = counting_walk
+    depth.heapq = SimpleNamespace(heappush=counting_push, heappop=heapq.heappop)
+    depth.upper_koszul_complex = counting_build
+    kernels.gf_rank = counting_rank
     try:
         for ideal in ideals:
-            for p in DEFAULT_PRIMES:
-                depth.depth_exact(ideal, p)
+            depth.depths_exact(ideal, DEFAULT_PRIMES)
     finally:
-        kernels.gf_rank = rank
-    print(f"gf_rank calls, depth_exact at both primes on the same specs: {calls}")
+        depth._lattice_walk, depth.heapq = walk, heapq
+        depth.upper_koszul_complex, kernels.gf_rank = build, rank
+    print("one depths_exact pass at both primes on the same specs:")
+    for name, count in counts.items():
+        print(f"  {name:<28} {count:8}")
+
+
+def depth_digest():
+    specs = [
+        s
+        for n, d in (((2, 4), (2, 3)), ((5, 5), (2, 2)), ((5, 5), (3, 3)), ((6, 6), (2, 2)))
+        for s in iter_specs(n, d)
+    ]
+    ideals = [lexsegment_generators(s) for s in specs] + [
+        monomials.MonomialIdeal.from_gens(*oracle_gens(k)) for k in range(ORACLE_POOL)
+    ]
+    rows = [[depth.depth_exact(i, 2), depth.depth_exact(i, 32003)] for i in ideals]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    print(f"depth digest, {len(specs)} specs and {ORACLE_POOL} pool ideals: {digest}")
 
 
 def source_lines():
@@ -282,6 +327,7 @@ def main():
     step_digest()
     oracle_family()
     extended_range()
+    depth_digest()
     print(f"src/lexseg/*.py: {source_lines()} lines")
 
 

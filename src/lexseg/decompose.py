@@ -91,6 +91,8 @@ def _split(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
             pivot = g
             break
     if pivot is None:
+        if ideal.is_unit:
+            return frozenset()  # the intersection of no components
         powers = tuple(
             sorted((min_var(g), degree(g)) for g in ideal.gens if degree(g) > 0)
         )
@@ -197,8 +199,6 @@ def _witness_scanner(ideal: MonomialIdeal):
     gens = ideal.gens
 
     def scan(prime: PrimeIdeal):
-        if ideal.is_unit:
-            return  # (1 : w) = (1) is never prime
         scans = []
         for powers in pins.get(prime.vars, ()):
             ranges = list(full)

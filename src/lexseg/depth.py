@@ -6,31 +6,34 @@ beta_{i,b}(I) is the rank of reduced homology H~_{i-1} of the upper
 Koszul complex K^b(I) (Hochster's formula; Miller-Sturmfels,
 Combinatorial Commutative Algebra, ch. 1 and 5), and depth(S/I) =
 n - 1 - pd(I) by Auslander-Buchsbaum. Only pd(I) = max{i : beta_{i,b} != 0}
-is needed, so depth_exact searches for it instead of building the whole
+is needed, so depths_exact searches for it instead of building the whole
 Betti table. K^b(I) lives on the simplex on supp(b): it is either that
 whole simplex, which is acyclic, or has dimension at most |supp b| - 2, so
 over every field beta_{i,b} != 0 implies i <= |supp b| - 1. The search
 visits the lattice by decreasing |supp b| and stops at the first b whose
 bound cannot beat the best index found so far.
 
-At each visited b only the Betti numbers that could raise the best are
-read. K^b is the full simplex exactly when its top face supp(b) is in it,
-that is when x^(b - 1_supp b) lies in I; such a b is skipped with one
-membership test, before K^b is built. Otherwise i runs from |supp b| - 1
-down to best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j
-faces of dimension j, d_j the boundary map out of dimension j over GF(p),
-each rank computed once per b), and stops at the first nonzero one.
-Characteristic is a parameter (any prime below 2^31) so the sweep can
-cross-check two primes.
+The lattice is walked lazily, from its top down (_lattice_walk), so the
+search generates only the part it reads. At each visited b only the
+Betti numbers that could raise the best are read. K^b is the full simplex
+exactly when its top face supp(b) is in it, that is when x^(b - 1_supp b)
+lies in I; such a b is skipped with one membership test, before K^b is
+built. Otherwise i runs from |supp b| - 1 down to best + 1, with
+beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of dimension j, d_j
+the boundary map out of dimension j over GF(p), each rank computed once
+per b and prime), and stops at the first nonzero one. Characteristic is a
+parameter (any prime below 2^31), and one walk serves every prime asked
+for, so the sweep can cross-check two primes.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from math import isqrt
+from operator import neg
 
 from . import kernels
 from .monomials import (
@@ -44,7 +47,8 @@ from .monomials import (
     variable,
 )
 
-# Largest lcm lattice, in monomials, that lcm_lattice() will build.
+# Most lcm lattice elements, popped plus queued, that _lattice_walk() will
+# generate.
 LCM_LATTICE_LIMIT = 1 << 16
 # Every characteristic p lies below this: it bounds the trial division in
 # _require_prime.
@@ -115,7 +119,6 @@ def depth_class(spec: LexSpec) -> DepthCase:
 # exact depth via upper Koszul complexes
 
 
-@lru_cache(maxsize=None)
 def upper_koszul_complex(
     ideal: MonomialIdeal, b: Monomial
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -183,23 +186,49 @@ def _betti_from_top(by_size, p: int, above: int):
         yield i, len(by_size[i]) - rank(i) - rank(i + 1)
 
 
-@lru_cache(maxsize=None)
-def lcm_lattice(ideal: MonomialIdeal) -> frozenset[Monomial]:
-    """lcms of nonempty generator subsets, adding one generator at a time.
+def _lattice_walk(gens):
+    """Yields (|supp b|, b) for every b in the lcm lattice of gens, by
+    decreasing |supp b| and then decreasing lex: the order of
+    sorted(((|supp b|, b) for b in the lattice), reverse=True).
 
-    Raises DomainError as soon as the lattice holds more than
-    LCM_LATTICE_LIMIT monomials.
+    Every lattice element below b lies below some
+    b^(i) = lcm{g : g | b, g_i < b_i} with i in supp b, and each b^(i) is
+    itself in the lattice, componentwise below b, so later in the order.
+    So a heap seeded with the lcm of all gens, that pushes each b^(i) of a
+    popped b once, pops the lattice in order: an element not yet popped
+    has an ancestor in the heap that comes no later. The gens dividing
+    b^(i) are exactly those g | b with g_i < b_i, so each queued element
+    carries them. The b^(i) of b are computed only when the next element
+    is asked for.
+
+    Raises DomainError once more than LCM_LATTICE_LIMIT elements, popped
+    plus queued, have been generated.
     """
-    lattice: set[Monomial] = set()
-    for g in ideal.gens:
-        lattice |= {tuple(map(max, b, g)) for b in lattice}
-        lattice.add(g)
-        if len(lattice) > LCM_LATTICE_LIMIT:
-            raise DomainError(
-                f"lcm lattice has more than LCM_LATTICE_LIMIT = "
-                f"{LCM_LATTICE_LIMIT} elements"
+    top = tuple(map(max, zip(*gens)))
+    seen = {top}
+    # heapq pops the least: -|supp b| first, then b negated componentwise
+    heap = [(top.count(0) - len(top), tuple(map(neg, top)), top, gens)]
+    while heap:
+        neg_size, _, b, below = heapq.heappop(heap)
+        yield -neg_size, b
+        for i, e in enumerate(b):
+            if not e:
+                continue
+            lower = [g for g in below if g[i] < e]
+            if not lower:
+                continue  # every g | b has g_i = b_i
+            child = tuple(map(max, zip(*lower)))
+            if child in seen:
+                continue
+            seen.add(child)
+            if len(seen) > LCM_LATTICE_LIMIT:
+                raise DomainError(
+                    f"lcm lattice has more than LCM_LATTICE_LIMIT = "
+                    f"{LCM_LATTICE_LIMIT} elements"
+                )
+            heapq.heappush(
+                heap, (child.count(0) - len(child), tuple(map(neg, child)), child, lower)
             )
-    return frozenset(lattice)
 
 
 def _require_prime(p) -> None:
@@ -217,33 +246,47 @@ def _require_prime(p) -> None:
         raise DomainError(f"characteristic {p!r} is not a prime")
 
 
-def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
-    """depth(S/I) = n - 1 - pd(I), with pd(I) found over GF(p), p prime.
+def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
+    """{p: depth(S/I) = n - 1 - pd(I) over GF(p)} for each prime p in
+    primes, from one walk of the lcm lattice.
 
-    Visits b in the lcm lattice by decreasing |supp b| (then decreasing
-    lex) and stops at the first b with |supp b| - 1 <= best, since
+    Visits b by decreasing |supp b| (then decreasing lex) and stops at the
+    first b with |supp b| - 1 <= best at every prime, since
     beta_{i,b} = 0 for i > |supp b| - 1. A visited b with x^(b - 1_supp b)
     in I has the full simplex as K^b(I), which is acyclic, and is skipped
-    without building it; at any other, beta_{i,b} is read from
-    i = |supp b| - 1 down to best + 1, up to the first nonzero one.
+    without building it. Any other K^b is built once; at each prime whose
+    best is below |supp b| - 1, beta_{i,b} is read from i = |supp b| - 1
+    down to that best + 1, up to the first nonzero one. Each prime thus
+    reads exactly what a search at that prime alone would.
 
-    Raises DomainError when the first visited b, of the largest support,
+    Raises DomainError when no prime is given, one is not a prime below
+    CHARACTERISTIC_LIMIT, or the first visited b, of the largest support,
     is over KOSZUL_SUPPORT_LIMIT.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
-    _require_prime(p)
-    best = 0  # beta_0 = number of generators > 0
-    # |supp b| = len(b) - b.count(0)
-    order = sorted(((len(b) - b.count(0), b) for b in lcm_lattice(ideal)), reverse=True)
-    for size, b in order:
-        if size - 1 <= best:
+    if not primes:
+        raise DomainError("no characteristic given")
+    for p in primes:
+        _require_prime(p)
+    best = dict.fromkeys(primes, 0)  # beta_0 = number of generators > 0
+    for size, b in _lattice_walk(ideal.gens):
+        if size - 1 <= min(best.values()):
             break
         _require_support(size)
         if kernels.member(tuple(y - (y > 0) for y in b), ideal.gens):
             continue  # supp b is a face, so K^b is the full simplex: acyclic
-        for i, beta in _betti_from_top(upper_koszul_complex(ideal, b), p, best):
-            if beta:
-                best = i
-                break
-    return ideal.n - 1 - best
+        k = upper_koszul_complex(ideal, b)
+        for p, found in best.items():
+            if found < size - 1:
+                for i, beta in _betti_from_top(k, p, found):
+                    if beta:
+                        best[p] = i
+                        break
+    return {p: ideal.n - 1 - found for p, found in best.items()}
+
+
+def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
+    """depth(S/I) = n - 1 - pd(I), with pd(I) found over GF(p), p prime:
+    depths_exact at the one prime."""
+    return depths_exact(ideal, (p,))[p]

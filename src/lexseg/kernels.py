@@ -53,30 +53,31 @@ def colon_gens(gens, w):
 
 
 def gf_rank(rows, p):
-    """Rank of an integer matrix over GF(p); rows is a list of lists."""
-    if not rows:
-        return 0
-    mat = [[x % p for x in row] for row in rows]
-    ncols = len(mat[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col]:
-                pivot = r
+    """Rank of an integer matrix over GF(p), p prime; rows is a list of
+    lists.
+
+    Sparse row reduction: each row becomes {column: entry mod p} without
+    its zeros, and is reduced at its leading column by the pivot row kept
+    for that column until it is zero or becomes the pivot of a new
+    leading column, normalized to lead with 1. The rank is the number of
+    pivots.
+    """
+    pivots = {}
+    for row in rows:
+        r = {j: y for j, x in enumerate(row) if x and (y := x % p)}
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(r[lead], p - 2, p)
+                pivots[lead] = {j: x * inv % p for j, x in r.items()}
                 break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], p - 2, p)
-        mat[row] = [(x * inv) % p for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
+            c = r.pop(lead)  # the pivot leads with 1, so this entry cancels
+            for j, x in pivot.items():
+                if j != lead:
+                    y = (r.get(j, 0) - c * x) % p
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]  # c * x != 0 mod p, so y = 0 only for j in r
+    return len(pivots)

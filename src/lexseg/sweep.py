@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle
-from .depth import DepthClass, _require_prime, depth_class, depth_exact
+from .depth import DepthClass, _require_prime, depth_class, depths_exact
 from .filtration import (
     sdepth_lower_bound,
     staged_filtration,
@@ -140,7 +140,7 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
         if not report.ok:
             record("filtration", f"{name}: {'; '.join(report.violations)}")
 
-    depths = {p: depth_exact(ideal, p) for p in primes}
+    depths = depths_exact(ideal, primes)
     if len(set(depths.values())) > 1:
         record("depth", f"depth differs across primes: {depths}")
     exact = depths[primes[0]]

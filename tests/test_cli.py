@@ -158,12 +158,29 @@ class TestCliExitCodes:
         assert "non-negative integer" in capsys.readouterr().err
 
     def test_lcm_lattice_over_limit_is_usage_error(self, tmp_path, capsys):
-        # (x1, ..., x20): 2^20 - 1 lcms, refused once 2^16 are built
+        # (x1, ..., x20): 2^20 - 1 lcms, but the walk's first element, of
+        # support 20, is already over KOSZUL_SUPPORT_LIMIT
         path = tmp_path / "ideal.json"
         gens = [[int(i == j) for i in range(20)] for j in range(20)]
         path.write_text(json.dumps({"n": 20, "gens": gens}))
         assert main(["depth", "--ideal", str(path)]) == 2
-        assert "lcm lattice" in capsys.readouterr().err
+        assert "|supp b| = 20 is over KOSZUL_SUPPORT_LIMIT" in capsys.readouterr().err
+
+    def test_lcm_lattice_walk_over_limit_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # (x1^2, x1*x2, x2^2): the search stops at x1*x2^2 with x1^2*x2^2,
+        # x1^2*x2, x1*x2^2, x1*x2 and x1^2 generated, one short of the
+        # 6-element lattice; the walk refuses the fifth at a limit of 4
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"n": 2, "gens": [[2, 0], [1, 1], [0, 2]]}))
+        depth_module = importlib.import_module("lexseg.depth")
+        monkeypatch.setattr(depth_module, "LCM_LATTICE_LIMIT", 5)
+        assert main(["depth", "--ideal", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["depth_exact"] == 0
+        monkeypatch.setattr(depth_module, "LCM_LATTICE_LIMIT", 4)
+        assert main(["depth", "--ideal", str(path)]) == 2
+        assert "lcm lattice has more than LCM_LATTICE_LIMIT = 4" in capsys.readouterr().err
 
     def test_koszul_support_over_limit_is_usage_error(self, tmp_path, capsys):
         # (x1*...*x30): a one-element lattice, but 2^30 subsets of supp b

@@ -316,6 +316,14 @@ class TestIrredundantComponents:
             IrreducibleIdeal(3, ((2, 1), (3, 1))),
         }
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unit_ideal_is_the_empty_intersection(self, n):
+        # the unit ideal is the intersection of no components; the one
+        # component with no powers would be the zero ideal
+        assert irredundant_components(unit_ideal(n)) == frozenset()
+        assert _intersection(n, irredundant_components(unit_ideal(n))) == unit_ideal(n)
+        assert irredundant_components(zero_ideal(n)) == {IrreducibleIdeal(n, ())}
+
 
 class TestMinimalPrimesAndDim:
     def test_principal(self):

@@ -14,7 +14,7 @@ from lexseg.depth import (
     DepthClass,
     depth_class,
     depth_exact,
-    lcm_lattice,
+    depths_exact,
     upper_koszul_complex,
 )
 from lexseg.monomials import (
@@ -86,6 +86,16 @@ def homology_ranks(complex, p):
         f_i = len(by_dim.get(i, ()))
         out.append(f_i - ranks.get(i, 0) - ranks.get(i + 1, 0))
     return out
+
+
+def lcm_lattice(ideal):
+    """lcms of nonempty generator subsets, adding one generator at a time:
+    the whole lattice, the reference for the walk depth_exact takes."""
+    lattice: set[Monomial] = set()
+    for g in ideal.gens:
+        lattice |= {tuple(map(max, b, g)) for b in lattice}
+        lattice.add(g)
+    return frozenset(lattice)
 
 
 def membership_faces(ideal, b):
@@ -197,9 +207,8 @@ class TestUpperKoszul:
     @given(small_ideals(max_n=6), st.lists(st.integers(0, 4), min_size=6, max_size=6))
     def test_facets_give_the_membership_faces(self, ideal, extra):
         # every b of the lcm lattice, and one b that need not be in it
-        build = upper_koszul_complex.__wrapped__  # past the cache
         for b in sorted(lcm_lattice(ideal)) + [tuple(extra[: ideal.n])]:
-            k = build(ideal, b)
+            k = upper_koszul_complex(ideal, b)
             # one level per face size 0..|supp b|, each of distinct
             # increasing tuples of that size
             assert len(k) == len(supp(b)) + 1
@@ -210,11 +219,10 @@ class TestUpperKoszul:
 
     def test_support_limit(self, monkeypatch):
         # the tests and benchmarks reach |supp b| <= 6, far below the limit
-        build = upper_koszul_complex.__wrapped__  # past the cache
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 2)
-        assert len(faces(build(I(2, "x1", "x2"), (1, 1)))) == 3
+        assert len(faces(upper_koszul_complex(I(2, "x1", "x2"), (1, 1)))) == 3
         with pytest.raises(DomainError, match="KOSZUL_SUPPORT_LIMIT"):
-            build(I(3, "x1*x2*x3"), (1, 1, 1))
+            upper_koszul_complex(I(3, "x1*x2*x3"), (1, 1, 1))
 
 
 class TestHomology:
@@ -301,14 +309,31 @@ class TestBettiAndDepth:
         assert depth_exact(ideal, 2**31 - 1) == depth_exact(ideal, 32003) == 1
 
     def test_lcm_lattice_limit(self, monkeypatch):
-        # I = (x1, x2) has the 3-element lattice {x1, x2, x1*x2}
-        build = lcm_lattice.__wrapped__  # past the cache, so the limit is read
+        # I = (x1, x2) has the 3-element lattice {x1*x2, x1, x2}: the walk
+        # generates the top, then both of its children at once
+        walk = depth._lattice_walk
+        gens = I(2, "x1", "x2").gens
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
-        assert len(build(I(2, "x1", "x2"))) == 3
+        assert list(walk(gens)) == [(2, (1, 1)), (1, (1, 0)), (1, (0, 1))]
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
+        steps = walk(gens)
+        assert next(steps) == (2, (1, 1))  # one element generated so far
         with pytest.raises(DomainError, match="lcm lattice"):
-            build(I(2, "x1", "x2"))
+            next(steps)
 
+    @pytest.mark.parametrize(
+        "n, gens", [(2, ("x1^2", "x1*x2", "x2^2")), (4, ("x1*x2", "x2*x3", "x1*x3", "x4^2"))]
+    )
+    def test_lcm_lattice_limit_counts_the_generated_elements(self, n, gens, monkeypatch):
+        # the whole walk generates each lattice element once: it runs at a
+        # limit of the lattice size and raises at one less
+        ideal = I(n, *gens)
+        size = len(lcm_lattice(ideal))
+        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", size)
+        assert len(list(depth._lattice_walk(ideal.gens))) == size
+        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", size - 1)
+        with pytest.raises(DomainError, match="lcm lattice"):
+            list(depth._lattice_walk(ideal.gens))
 
     def test_support_limit_holds_when_the_first_b_is_skipped(self, monkeypatch):
         # the one b of support 4, x1^2*x2*x3^3*x4^2, has x1*x3^2*x4 in I: a
@@ -320,6 +345,63 @@ class TestBettiAndDepth:
             depth_exact(ideal, 2)
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 4)
         assert depth_exact(ideal, 2) == 2
+
+
+class TestLatticeWalk:
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=7
+            ).map(lambda gens: MonomialIdeal.from_gens(n, gens))
+        )
+    )
+    def test_unstopped_walk_is_the_sorted_lattice(self, ideal):
+        # single generators included: min_size=1 and generators that divide
+        # others minimalize away
+        walked = list(depth._lattice_walk(ideal.gens))
+        assert len(set(walked)) == len(walked)
+        assert walked == sorted(
+            ((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True
+        )
+
+    def test_single_generator_lattice(self):
+        assert list(depth._lattice_walk(I(3, "x1*x3^2").gens)) == [(2, (1, 0, 2))]
+
+    @seed(20261021)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(small_ideals(max_n=6), st.booleans())
+    def test_one_search_equals_a_search_per_prime(self, ideal, backwards):
+        primes = (2, 3, 32003)[:: -1 if backwards else 1]
+        assert depths_exact(ideal, primes) == {p: depth_exact(ideal, p) for p in primes}
+
+    @pytest.mark.parametrize("primes", [(2, 3, 32003), (32003, 3, 2)])
+    def test_one_search_where_the_primes_disagree(self, primes):
+        # the Stanley-Reisner ideal of the 6-vertex real projective plane:
+        # S/I is Cohen-Macaulay, of depth 3, except in characteristic 2,
+        # where H~_1(RP^2; GF(2)) != 0 drops the depth to 2
+        triangles = {
+            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+            (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+        }
+        ideal = MonomialIdeal.from_gens(
+            6,
+            [
+                tuple(int(i in t) for i in range(1, 7))
+                for t in combinations(range(1, 7), 3)
+                if t not in triangles
+            ],
+        )
+        assert depths_exact(ideal, primes) == {2: 2, 3: 3, 32003: 3}
+        assert [depth_exact(ideal, p) for p in (2, 3, 32003)] == [2, 3, 3]
+
+    def test_one_search_checks_every_prime_first(self):
+        ideal = I(3, "x1*x2", "x2*x3")
+        with pytest.raises(DomainError, match="not a prime"):
+            depths_exact(ideal, (2, 4))
+        with pytest.raises(DomainError, match="no characteristic"):
+            depths_exact(ideal, ())
 
 
 class TestPrunedSearch:

@@ -1,5 +1,6 @@
 """The hot-path kernels of lexseg.kernels on small hand-checked inputs,
-and minimalize against its earlier all-pairs body."""
+minimalize against its earlier all-pairs body and gf_rank against its
+earlier dense elimination."""
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -24,6 +25,58 @@ def minimalize_reference(gens):
         keep.append(g)
     keep.sort(reverse=True)
     return tuple(keep)
+
+
+def gf_rank_reference(rows, p):
+    """The dense Gauss-Jordan elimination that the sparse gf_rank replaced."""
+    if not rows:
+        return 0
+    mat = [[x % p for x in row] for row in rows]
+    ncols = len(mat[0])
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row, len(mat)):
+            if mat[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = pow(mat[row][col], p - 2, p)
+        mat[row] = [(x * inv) % p for x in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col]:
+                c = mat[r][col]
+                mat[r] = [(x - c * y) % p for x, y in zip(mat[r], mat[row])]
+        row += 1
+        rank += 1
+        if row == len(mat):
+            break
+    return rank
+
+
+@st.composite
+def matrices(draw):
+    """A prime p and 0..8 rows of 1..8 columns: mostly zeros, entries
+    around 0 and around multiples of p, negatives included, and sometimes
+    a repeated or all-zero row."""
+    p = draw(st.sampled_from([2, 3, 32003, 2**31 - 1]))
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-3, 3),
+        st.integers(-2, 2).map(lambda k: k * p),
+        st.integers(-2, 2).map(lambda k: k * p + 1),
+        st.integers(-(p**2), p**2),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append([0] * ncols)
+    return draw(st.permutations(rows)), p
 
 
 @st.composite
@@ -71,6 +124,20 @@ class TestPureKernels:
         assert kernels.gf_rank([[1, 1], [1, 1]], 2) == 1
         assert kernels.gf_rank([[2, 0], [0, 0]], 2) == 0  # 2 = 0 mod 2
         assert kernels.gf_rank([], 5) == 0
+
+    def test_gf_rank_edges(self):
+        assert kernels.gf_rank([[0, 0], [0, 0]], 3) == 0
+        assert kernels.gf_rank([[3], [-6], [0]], 3) == 0  # one column, all 0 mod 3
+        assert kernels.gf_rank([[-1], [2]], 3) == 1
+        assert kernels.gf_rank([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], 32003) == 2
+        assert kernels.gf_rank([[2**31 - 2, 1], [1, 1]], 2**31 - 1) == 2
+
+    @seed(20261102)
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(matrices())
+    def test_gf_rank_matches_dense_reference(self, case):
+        rows, p = case
+        assert kernels.gf_rank(rows, p) == gf_rank_reference(rows, p)
 
     def test_backend_is_python(self):
         assert lexseg.BACKEND == kernels.BACKEND == "python"

@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 from conftest import spec
-from lexseg.depth import depth_exact
+from lexseg.depth import depth_exact, depths_exact
 from lexseg.monomials import DomainError, lexsegment_generators, reduce_fully
 
 # the module, which lexseg.sweep (the function) shadows as an attribute
@@ -40,7 +40,8 @@ def test_working_spec_depth_from_the_spec_depth(p):
 @pytest.mark.parametrize("primes", [(2,), (2, 32003), (2, 3, 32003)])
 def test_check_spec_asks_each_depth_once(primes, monkeypatch):
     # L(x1^2*x2, x1*x2*x3) divides by x1, L(x2*x4, x3^2) drops x1: both
-    # working specs are arbitrary-class and differ from the spec
+    # working specs are arbitrary-class and differ from the spec. One
+    # search, on the spec's ideal, answers every characteristic.
     for s in (
         spec(3, 3, "x1^2*x2", "x1*x2*x3"),
         spec(4, 2, "x2*x4", "x3^2"),
@@ -48,10 +49,10 @@ def test_check_spec_asks_each_depth_once(primes, monkeypatch):
     ):
         asked = []
 
-        def counting(ideal, p):
-            asked.append((ideal, p))
-            return depth_exact(ideal, p)
+        def counting(ideal, ps):
+            asked.append((ideal, tuple(ps)))
+            return depths_exact(ideal, ps)
 
-        monkeypatch.setattr(sweep_module, "depth_exact", counting)
+        monkeypatch.setattr(sweep_module, "depths_exact", counting)
         assert sweep_module.check_spec(s, primes) == []
-        assert asked == [(lexsegment_generators(s), p) for p in primes]
+        assert asked == [(lexsegment_generators(s), primes)]
