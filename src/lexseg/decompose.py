@@ -8,17 +8,19 @@ one with the lex-first witness monomial w in the witness box with
 (I : w) = P; witnesses() is the one generator of such witnesses, shared
 with the filtration search.
 
-Both primitives read the cached split components Q_j, a possibly
-redundant family of irreducible ideals whose intersection is I, and rest
-on one fact: irreducible monomial ideals are prime in the lattice of
-monomial ideals (one that contains an intersection contains a member).
-witnesses() uses it to pin the P-part of a witness to e_j - 1 for a Q_j
-with radical P and scans only the other coordinates; the box and the
-pins of every prime come from one read of the Q_j per ideal
-(_witness_scanner). irredundant_components() uses it to find the
-irredundant components with one minimalize over an order-reversing
-encoding of the Q_j. irreducible_decomposition() checks them by folding
-the components back together, one at a time, and comparing with I.
+One rule finds the components: _add_generator turns the irredundant
+components of J into those of J + (w), the add-one-generator step of the
+Alexander-dual decomposition algorithms (Milowski, ISSAC 2004; Roune, The
+slice algorithm for irreducible decomposition of monomial ideals, JSC
+2009). _components folds it over the generators of I, and the filtration
+search applies it once per edge of its tree. Both rest on one fact:
+irreducible monomial ideals are prime in the lattice of monomial ideals
+(one that contains an intersection contains a member). witnesses() uses
+it to pin the P-part of a witness to e_j - 1 for a component Q_j with
+radical P and scans only the other coordinates; the box and the pins of
+every prime come from one read of the components (_witness_scanner).
+irreducible_decomposition() checks the components by folding them back
+together, one at a time, and comparing with I.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import kernels
 from .monomials import (
@@ -36,10 +37,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     PrimeIdeal,
-    add_element,
-    degree,
-    max_var,
-    min_var,
     variable,
 )
 
@@ -73,59 +70,98 @@ class AssResult:
     witnesses: tuple[tuple[PrimeIdeal, Monomial], ...]
 
 
-def _is_pure_power(g: Monomial) -> bool:
-    return sum(1 for e in g if e > 0) <= 1
+def _add_generator(n: int, comps, w: Monomial) -> list:
+    """The irredundant components of J + (w), from those of J.
 
+    Components are dense exponent tuples, e_i = 0 where x_i is absent. A
+    component Q that contains w is kept. Any other Q = (x_i^e_i : i in A)
+    has Q + (w) = the intersection over k in supp w of Q + (x_k^w_k), and
+    w not in Q means w_k < e_k for k in A: each term is Q with w_k put at
+    k, a new candidate. A kept component contains no new one, since that
+    would contain Q and the components of J are irredundant, so only new
+    candidates can be redundant. One is dropped when it contains a kept
+    component or another, distinct new candidate.
 
-@lru_cache(maxsize=None)
-def _split(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
-    """All irreducible components reachable by recursive splitting.
-
-    May contain redundant components; irredundant_components drops them.
-    Pivot: the lex-greatest generator that is not a pure power, split off
-    the full power of its lex-smallest (largest-index) variable.
+    Q does not contain a kept c, so Q fails c at some i in supp c: Q_i is
+    0 or above c_i. Q with w_k at k contains c exactly when k is the only
+    such i and w_k <= c_k; one pass over c finds every k for which that
+    holds. Two candidates from the same Q do not contain one another: at
+    its own k' the other one has w_k', and Q_k' is 0 or above w_k'.
     """
-    pivot = None
-    for g in ideal.gens:  # gens are lex-descending
-        if degree(g) > 0 and not _is_pure_power(g):
-            pivot = g
-            break
-    if pivot is None:
-        if ideal.is_unit:
-            return frozenset()  # the intersection of no components
-        powers = tuple(
-            sorted((min_var(g), degree(g)) for g in ideal.gens if degree(g) > 0)
-        )
-        return frozenset({IrreducibleIdeal(ideal.n, powers)})
-    i = max_var(pivot)
-    power = variable(ideal.n, i, pivot[i - 1])
-    rest = tuple(e if j != i - 1 else 0 for j, e in enumerate(pivot))
-    left = add_element(ideal, power)
-    right = add_element(ideal, rest)
-    return _split(left) | _split(right)
+    support = [k for k in range(n) if w[k]]
+    kept, rest = [], []
+    for q in comps:
+        for k in support:
+            if 0 < q[k] <= w[k]:
+                kept.append(q)
+                break
+        else:
+            rest.append(q)
+    if not rest:
+        return kept
+    fresh = set()
+    for q in rest:
+        drop = set()
+        for c in kept:
+            fail = None
+            for i in range(n):
+                e = c[i]
+                if e and not 0 < q[i] <= e:
+                    if fail is not None:
+                        break
+                    fail = i
+            else:
+                if w[fail] <= c[fail]:
+                    drop.add(fail)
+        for k in support:
+            if k not in drop:
+                fresh.add(q[:k] + (w[k],) + q[k + 1 :])
+    if len(rest) > 1:
+        fresh = [c for c in fresh if not any(o != c and _contains(c, o) for o in fresh)]
+    kept.extend(fresh)
+    return kept
+
+
+def _contains(c, o) -> bool:
+    """Component c contains component o: each power of o is a multiple
+    of the power of c at the same variable."""
+    for a, b in zip(c, o):
+        if b and not 0 < a <= b:
+            return False
+    return True
+
+
+def _components(ideal: MonomialIdeal) -> list:
+    """The irredundant irreducible components of I as dense exponent
+    tuples: _add_generator folded over the generators in ascending
+    degree, lex-ascending within a degree, from the zero ideal, the one
+    component with no powers. The unit ideal comes out as the
+    intersection of no components."""
+    comps = [(0,) * ideal.n]
+    for g in sorted(reversed(ideal.gens), key=sum):
+        comps = _add_generator(ideal.n, comps, g)
+    return comps
+
+
+def _support(q) -> tuple[int, ...]:
+    """The variables of a dense component, its radical's vars."""
+    return tuple(itertools.compress(range(1, len(q) + 1), q))
+
+
+def _radicals(n: int, comps) -> set[PrimeIdeal]:
+    """The radicals of the dense components comps in n variables: Ass(S/J)
+    when comps are the irredundant components of J."""
+    return {PrimeIdeal(n, s) for s in {_support(q) for q in comps}}
 
 
 def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
-    """The split components that contain no other split component.
-
-    Irreducible monomial ideals are prime in the lattice of monomial
-    ideals: one that contains an intersection contains one of its members.
-    So these are already the irredundant irreducible components, and their
-    radicals are Ass(S/I). With top above every exponent, a component is
-    encoded as v_i = top - e_i on its support and 0 off it; c contains o
-    exactly when v(o) divides v(c), so the survivors are the minimal
-    generators of the encoded vectors. Unchecked:
-    irreducible_decomposition adds the intersect-back check.
-    """
-    comps = _split(ideal)
-    top = 1 + max((e for c in comps for _, e in c.powers), default=0)
-    encoded = {}
-    for c in comps:
-        v = [0] * ideal.n
-        for i, e in c.powers:
-            v[i - 1] = top - e
-        encoded[tuple(v)] = c
-    return frozenset(encoded[v] for v in kernels.minimalize(tuple(encoded)))
+    """The irredundant irreducible components of I (_components). Their
+    radicals are Ass(S/I). Unchecked: irreducible_decomposition adds the
+    intersect-back check."""
+    return frozenset(
+        IrreducibleIdeal(ideal.n, tuple((i, e) for i, e in enumerate(q, 1) if e))
+        for q in _components(ideal)
+    )
 
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
@@ -160,35 +196,24 @@ def _intersection(n: int, comps) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-def witness_box(ideal: MonomialIdeal) -> Monomial:
-    """Componentwise exponent bound for witness enumeration.
-
-    E_i is the largest exponent of x_i over all irreducible components.
-    The possibly-redundant split components give the same bound or a
-    slightly larger one, which is still a valid enclosure.
-    """
-    comps = _split(ideal)
-    box = [0] * ideal.n
-    for c in comps:
-        for i, e in c.powers:
-            box[i - 1] = max(box[i - 1], e)
-    return tuple(box)
-
-
-def _witness_scanner(ideal: MonomialIdeal):
-    """The witness scan of every prime of I, from one read of _split(I).
+def _witness_scanner(ideal: MonomialIdeal, comps):
+    """The witness scan of every prime of I, from its irredundant
+    components comps (_components).
 
     Returns scan, where scan(P) yields what witnesses(I, P) yields. The
-    witness box and the pins, the powers of the split components grouped
-    by their radical's variables, are computed here once. Raises
+    witness box and the pins, the components grouped by their radical,
+    are computed here once. The box, the componentwise largest exponent
+    over the components, is the lcm of the generators of I. Every
+    exponent of a component is an exponent of a generator. Conversely,
+    let g be a generator with the largest x_i-exponent a. Then g / x_i is
+    not in I, so some component Q contains g but not g / x_i: the power
+    of Q that divides g divides no g / x_i, so it is x_i^a. Raises
     DomainError for a box of more than WITNESS_BOX_LIMIT monomials.
     """
-    box = [0] * ideal.n
+    box = [max(col) for col in zip(*comps)] or [0] * ideal.n
     pins: dict[tuple[int, ...], list] = {}
-    for c in _split(ideal):
-        for i, e in c.powers:
-            box[i - 1] = max(box[i - 1], e)
-        pins.setdefault(tuple(i for i, _ in c.powers), []).append(c.powers)
+    for q in comps:
+        pins.setdefault(_support(q), []).append(q)
     volume = math.prod(e + 1 for e in box)
     if volume > WITNESS_BOX_LIMIT:
         raise DomainError(
@@ -199,12 +224,10 @@ def _witness_scanner(ideal: MonomialIdeal):
     gens = ideal.gens
 
     def scan(prime: PrimeIdeal):
-        scans = []
-        for powers in pins.get(prime.vars, ()):
-            ranges = list(full)
-            for i, e in powers:
-                ranges[i - 1] = (e - 1,)
-            scans.append(itertools.product(*ranges))
+        scans = [
+            itertools.product(*((e - 1,) if e else r for e, r in zip(q, full)))
+            for q in pins.get(prime.vars, ())
+        ]
         idx = [i - 1 for i in prime.vars]
         member = kernels.member
         for w in heapq.merge(*scans, reverse=True):
@@ -217,9 +240,9 @@ def _witness_scanner(ideal: MonomialIdeal):
 def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
     """All in-box monomials w with (I : w) = P, lex-descending.
 
-    (I : w) is the intersection of the (Q_j : w) over the split components
-    Q_j = (x_i^e_ij : i in A_j) that miss w, each generated by the
-    x_i^(e_ij - w_i). Irreducible ideals are prime in the lattice of
+    (I : w) is the intersection of the (Q_j : w) over the irredundant
+    components Q_j = (x_i^e_ij : i in A_j) that miss w, each generated by
+    the x_i^(e_ij - w_i). Irreducible ideals are prime in the lattice of
     monomial ideals, so this equals P only if some Q_j has A_j = P and
     w_i = e_ij - 1 for every i in P: the P-part of w is one of these pins.
     For each pin only the coordinates outside P range over the witness
@@ -230,36 +253,40 @@ def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
     """
     if ideal.n != prime.n:
         raise DomainError("variable counts differ")
-    yield from _witness_scanner(ideal)(prime)
+    yield from _witness_scanner(ideal, _components(ideal))(prime)
+
+
+def _require_proper(ideal: MonomialIdeal) -> None:
+    if ideal.is_zero or ideal.is_unit:
+        raise DomainError("the zero and unit ideals have no associated primes")
 
 
 def radicals(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:
     """Ass(S/I): the radicals of the irredundant irreducible components."""
-    if ideal.is_zero or ideal.is_unit:
-        raise DomainError("the zero and unit ideals have no associated primes")
-    return frozenset(c.radical() for c in irredundant_components(ideal))
+    _require_proper(ideal)
+    return frozenset(_radicals(ideal.n, _components(ideal)))
 
 
 def associated_primes_oracle(ideal: MonomialIdeal) -> AssResult:
     """Ass(S/I) of a proper nonzero ideal, each prime with its witness.
 
-    The primes are radicals(I); the witness of each is the first one
-    witnesses() yields, all read from one _witness_scanner(I). A prime
-    with no in-box witness is a hard error.
+    The primes are the radicals of the irredundant components; the
+    witness of each is the first one witnesses() yields. Both are read
+    from one _components(I). A prime with no in-box witness is a hard
+    error.
     """
-    found: dict[PrimeIdeal, Monomial] = {}
-    primes = radicals(ideal)
-    scan = _witness_scanner(ideal)
-    for p in primes:
+    _require_proper(ideal)
+    comps = _components(ideal)
+    scan = _witness_scanner(ideal, comps)
+    found = []
+    for p in sorted(_radicals(ideal.n, comps), key=lambda p: p.vars):
         w = next(scan(p), None)
         if w is None:
             raise InternalConsistencyError(
                 f"no in-box witness for the prime {p.vars} of {ideal}"
             )
-        found[p] = w
-    return AssResult(
-        frozenset(found), tuple(sorted(found.items(), key=lambda pw: pw[0].vars))
-    )
+        found.append((p, w))
+    return AssResult(frozenset(p for p, _ in found), tuple(found))
 
 
 def minimal_primes(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:

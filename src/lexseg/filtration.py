@@ -9,9 +9,12 @@ so the chain always ends at the unit ideal.
 
 Pretty clean chains (Herzog-Popescu, Manuscripta Math. 2006) come from
 one depth-first search, search_filtration, over (prime, witness) steps
-straight to the unit ideal. The candidate primes at each node are
-decompose.radicals and the witnesses come from the scan behind
-decompose.witnesses, set up once per node.
+straight to the unit ideal. Each node carries the irredundant
+irreducible components of its ideal: the start is decomposed once, and a
+child J + (w) takes one add-one-generator step (decompose._add_generator)
+from its parent's components. The candidate primes at a node are the
+radicals of its components, and the witnesses come from the scan behind
+decompose.witnesses, set up once per node from the same components.
 staged_filtration runs that search once, on the spec normalized by
 reduce_fully, and undoes the normalization moves on the chain it finds.
 
@@ -28,7 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .decompose import _witness_scanner, radicals
+from .decompose import (
+    _add_generator,
+    _components,
+    _radicals,
+    _witness_scanner,
+    radicals,
+)
 from .monomials import (
     DIVIDE,
     DimensionError,
@@ -85,9 +94,11 @@ class StanleyDecomposition:
     spaces: tuple[tuple[Monomial, frozenset[int]], ...]
 
 
-def _candidate_primes(ideal: MonomialIdeal) -> list[PrimeIdeal]:
-    """Ass(S/J) ordered inclusion-maximal first, lex-smallest tuple first."""
-    primes = radicals(ideal)
+def _candidate_primes(n: int, comps) -> list[PrimeIdeal]:
+    """Ass(S/J), the radicals of the irredundant components comps of J in
+    n variables, ordered inclusion-maximal first, lex-smallest tuple
+    first."""
+    primes = _radicals(n, comps)
     maximal = [
         p for p in primes if not any(p.is_proper_subset(q) for q in primes)
     ]
@@ -100,9 +111,12 @@ def _candidate_primes(ideal: MonomialIdeal) -> list[PrimeIdeal]:
 def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
     """Depth-first pretty clean chain from start to the unit ideal.
 
-    The candidate primes at a node J are Ass(S/J) (_candidate_primes),
-    and their witnesses, read from one _witness_scanner(J) per node, are
-    tried in _degree_then_lex order. Every prime
+    Each node J carries its irredundant irreducible components: the start
+    is decomposed once, and the child J + (w) gets its components from
+    one _add_generator step. The candidate primes at J are Ass(S/J)
+    (_candidate_primes), and their witnesses, read from one
+    _witness_scanner(J, components) per node, are tried in
+    _degree_then_lex order. Every prime
     filtration of S/J has every P in Ass(S/J) among its primes
     (Herzog-Popescu 2006). So when some P in Ass(S/J) properly contains
     an earlier step's prime, no completion from J is pretty clean: the
@@ -112,26 +126,27 @@ def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
     """
     n = start.n
 
-    def dfs(current, steps):
+    def dfs(current, comps, steps):
         as_prime = ideal_as_prime(current)
         if as_prime is not None:
             if any(s.prime.is_proper_subset(as_prime) for s in steps):
                 return None
             return steps + [FiltrationStep(unit(n), as_prime)]
-        scan = _witness_scanner(current)
-        for prime in _candidate_primes(current):
+        scan = _witness_scanner(current, comps)
+        for prime in _candidate_primes(n, comps):
             if any(s.prime.is_proper_subset(prime) for s in steps):
                 return None
             for w in sorted(scan(prime), key=_degree_then_lex):
                 found = dfs(
                     add_element(current, w),
+                    _add_generator(n, comps, w),
                     steps + [FiltrationStep(w, prime)],
                 )
                 if found is not None:
                     return found
         return None
 
-    return dfs(start, [])
+    return dfs(start, _components(start), [])
 
 
 def _degree_then_lex(w: Monomial):

@@ -27,6 +27,12 @@ def iter_box(box):
     return itertools.product(*(range(e, -1, -1) for e in box))
 
 
+def witness_box(ideal):
+    """The witness box of I: the lcm of its generators, the componentwise
+    largest exponent (all zero for the zero ideal)."""
+    return tuple(map(max, zip(*ideal.gens))) or (0,) * ideal.n
+
+
 def oracle_random_ideals(seed, count):
     """Ideals shaped like the oracle benchmark's: n=4..6, 4..10 generators,
     exponents <= 3."""

@@ -9,18 +9,17 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lexseg.decompose as decompose_module
-from conftest import I, P, iter_box, oracle_random_ideals
+from conftest import I, P, iter_box, oracle_random_ideals, witness_box
 from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
+    _components,
     _intersection,
-    _split,
     associated_primes_oracle,
     irreducible_decomposition,
     irredundant_components,
     krull_dim,
     minimal_primes,
-    witness_box,
     witnesses,
 )
 from lexseg.monomials import (
@@ -28,9 +27,14 @@ from lexseg.monomials import (
     InternalConsistencyError,
     MonomialIdeal,
     PrimeIdeal,
+    add_element,
     colon,
+    degree,
     intersect,
+    max_var,
+    min_var,
     unit_ideal,
+    variable,
     zero_ideal,
 )
 
@@ -118,6 +122,29 @@ class TestIrreducibleDecomposition:
         assert a == b
 
 
+def _split(ideal):
+    """Reference: every irreducible component reachable by recursive
+    splitting, a possibly redundant family whose intersection is I.
+
+    Pivot: the lex-greatest generator that is not a pure power, split off
+    the full power of its lex-smallest (largest-index) variable:
+    I = (I + (x_i^a)) ∩ (I + (g / x_i^a)). An ideal of pure powers is one
+    component; the unit ideal is the intersection of none.
+    """
+    pivot = next(
+        (g for g in ideal.gens if sum(1 for e in g if e > 0) > 1), None
+    )
+    if pivot is None:
+        if ideal.is_unit:
+            return frozenset()
+        powers = tuple(sorted((min_var(g), degree(g)) for g in ideal.gens))
+        return frozenset({IrreducibleIdeal(ideal.n, powers)})
+    i = max_var(pivot)
+    power = variable(ideal.n, i, pivot[i - 1])
+    rest = tuple(e if j != i - 1 else 0 for j, e in enumerate(pivot))
+    return _split(add_element(ideal, power)) | _split(add_element(ideal, rest))
+
+
 def contains(c, other):
     """c >= other: each x_i^e of other is divisible by some x_i^f of c."""
     mine = dict(c.powers)
@@ -160,14 +187,32 @@ class TestWitnessSearch:
             assert list(witnesses(unit_ideal(2), prime)) == []
 
     def test_box_encloses_component_exponents(self):
-        box = witness_box(I(2, "x1^2", "x1*x2", "x2^3"))
+        ideal = I(2, "x1^2", "x1*x2", "x2^3")
+        box = witness_box(ideal)
         assert box[0] >= 2 and box[1] >= 3
+        for c in irredundant_components(ideal):
+            assert all(e <= box[i - 1] for i, e in c.powers)
+
+    def test_box_from_components_is_the_lcm_of_the_generators(self):
+        # the box _witness_scanner reads off the irredundant components
+        rng = random.Random(20261106)
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            gens = [
+                tuple(rng.randint(0, 4) for _ in range(n))
+                for _ in range(rng.randint(1, 8))
+            ]
+            ideal = MonomialIdeal.from_gens(n, [g for g in gens if any(g)] or [gens[0]])
+            if ideal.is_unit:
+                continue
+            comps = _components(ideal)
+            assert tuple(map(max, zip(*comps))) == witness_box(ideal)
 
 
 def witnesses_reference(ideal, prime):
     """The per-prime scan that witnesses() ran before the shared
-    _witness_scanner: the box and the pins rebuilt from _split for each
-    prime."""
+    _witness_scanner: the box and the pins rebuilt for each prime, the
+    pins from the possibly redundant _split components."""
     box = witness_box(ideal)
     if ideal.is_unit:
         return
@@ -296,7 +341,33 @@ class TestOracleAgainstColonScan:
                 assert reported.get(prime) == first
 
 
+@st.composite
+def fold_ideals(draw):
+    """Ideals in n = 1..6 variables with exponents <= 4 from 1..10
+    generators, pure powers and repeats among them; now and then the zero
+    ideal (no generators) or the unit ideal (the generator 1)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["zero", "unit", "gens", "gens", "gens", "gens"]))
+    if kind == "zero":
+        return zero_ideal(n)
+    if kind == "unit":
+        return unit_ideal(n)
+    monomial = st.tuples(*[st.integers(0, 4)] * n)
+    pure = st.builds(
+        lambda i, e: variable(n, i, e), st.integers(1, n), st.integers(1, 4)
+    )
+    gens = draw(st.lists(st.one_of(monomial, pure), min_size=1, max_size=10))
+    gens += gens[: draw(st.integers(0, 2))]
+    return MonomialIdeal.from_gens(n, gens)
+
+
 class TestIrredundantComponents:
+    @seed(20261107)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(fold_ideals())
+    def test_fold_matches_the_split_reference(self, ideal):
+        assert irredundant_components(ideal) == pairwise_irredundant(ideal)
+
     @seed(20261020)
     @settings(max_examples=120, deadline=None, database=None)
     @given(random_ideals())

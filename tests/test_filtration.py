@@ -11,8 +11,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lexseg.filtration as filtration_module
-from conftest import I, P, iter_box, oracle_random_ideals, spec
-from lexseg.decompose import associated_primes_oracle, witness_box, witnesses
+from conftest import I, P, iter_box, oracle_random_ideals, spec, witness_box
+from lexseg.decompose import (
+    IrreducibleIdeal,
+    _components,
+    associated_primes_oracle,
+    irredundant_components,
+    witnesses,
+)
 from lexseg.depth import depth_exact
 from lexseg.filtration import (
     FiltrationStep,
@@ -74,6 +80,12 @@ def small_ideals(draw):
     return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=5)))
 
 
+def candidate_primes(ideal):
+    """The search's candidate primes at a node with ideal J, from a fresh
+    decomposition of J."""
+    return _candidate_primes(ideal.n, _components(ideal))
+
+
 def greedy_reference(ideal):
     """Maximal-prime-first greedy pass: first candidate prime with a witness,
     its first witness, no backtracking. A reference for search_filtration."""
@@ -85,7 +97,7 @@ def greedy_reference(ideal):
             steps.append(FiltrationStep((0,) * ideal.n, as_prime))
             break
         prime, w = next(
-            (p, w) for p in _candidate_primes(current) for w in witnesses(current, p)
+            (p, w) for p in candidate_primes(current) for w in witnesses(current, p)
         )
         steps.append(FiltrationStep(w, prime))
         current = add_element(current, w)
@@ -127,7 +139,7 @@ class TestSearchPrimitives:
         rng = random.Random(20261017)
         for _ in range(150):
             ideal = random_ideal(rng)
-            candidates = _candidate_primes(ideal)
+            candidates = candidate_primes(ideal)
             assert len(set(candidates)) == len(candidates)
             assert set(candidates) == associated_primes_oracle(ideal).primes
 
@@ -157,7 +169,7 @@ def unpruned_reference(start, steps=()):
         state = (current, constraint_key(steps))
         if state in dead:
             return None
-        for prime in _candidate_primes(current):
+        for prime in candidate_primes(current):
             if any(s.prime.is_proper_subset(prime) for s in steps):
                 continue
             for w in sorted(witnesses(current, prime), key=_degree_then_lex):
@@ -189,8 +201,8 @@ class SearchRecorder:
             )
         scanner = filtration_module._witness_scanner
 
-        def recorded_scanner(ideal):
-            scan = scanner(ideal)
+        def recorded_scanner(ideal, comps):
+            scan = scanner(ideal, comps)
 
             def recorded_scan(prime):
                 self._witnesses(ideal, prime)
@@ -235,7 +247,7 @@ class SearchRecorder:
             node
             for node in nodes
             if ideal_as_prime(node["ideal"]) is not None
-            or node["expanded"] != set(_candidate_primes(node["ideal"]))
+            or node["expanded"] != set(candidate_primes(node["ideal"]))
         ]
 
 
@@ -276,6 +288,52 @@ class TestAssPrune:
         else:
             assert found is not None and list(found.steps) == reference
             assert_fully_verified(found)
+
+
+class TestCarriedComponents:
+    """At every edge J -> J + (w) of the search, the components the child
+    gets from one _add_generator step equal a fresh decomposition."""
+
+    @staticmethod
+    def edges_checked(monkeypatch, specs):
+        # dfs evaluates add_element(J, w) just before _add_generator(n,
+        # comps, w), so the child ideal is the last one add_element made
+        made = []
+        add, step = filtration_module.add_element, filtration_module._add_generator
+
+        def recorded_add(ideal, w):
+            made.append((add(ideal, w), w))
+            return made[-1][0]
+
+        checked = 0
+
+        def checked_step(n, comps, w):
+            nonlocal checked
+            child, child_w = made[-1]
+            assert child_w == w
+            carried = step(n, comps, w)
+            assert len(set(carried)) == len(carried)
+            assert {
+                IrreducibleIdeal(n, tuple((i, e) for i, e in enumerate(q, 1) if e))
+                for q in carried
+            } == irredundant_components(child), (child.gens, w)
+            checked += 1
+            return carried
+
+        monkeypatch.setattr(filtration_module, "add_element", recorded_add)
+        monkeypatch.setattr(filtration_module, "_add_generator", checked_step)
+        for s in specs:
+            staged_filtration(s)
+        return checked
+
+    def test_acceptance_specs(self, monkeypatch):
+        specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+        assert len(specs) == 477
+        assert self.edges_checked(monkeypatch, specs) > 2000
+
+    def test_seeded_sample_of_n6_d3_specs(self, monkeypatch):
+        specs = random.Random(20261108).sample(list(iter_specs((6, 6), (3, 3))), 60)
+        assert self.edges_checked(monkeypatch, specs) > 1000
 
 
 class TestExtendedRange:
