@@ -20,7 +20,12 @@ it to pin the P-part of a witness to e_j - 1 for a component Q_j with
 radical P and scans only the other coordinates; the box and the pins of
 every prime come from one read of the components (_witness_scanner).
 irreducible_decomposition() checks the components by folding them back
-together, one at a time, and comparing with I.
+together, one at a time, and comparing with I (_intersection). That fold
+packs each exponent vector into one int, a field per variable with a
+guard bit on top, sized from the largest exponent of the components so
+that no field can overflow; a guard-bit subtraction then tests
+divisibility and membership in a component in one step. Everything else
+here works on exponent tuples.
 """
 
 from __future__ import annotations
@@ -182,18 +187,52 @@ def _intersection(n: int, comps) -> MonomialIdeal:
     J ∩ Q for Q = (x_i^e_i : i in A) is generated by the lcms of each
     generator g of J with each x_i^e_i. If g lies in Q, one of them is g
     and the others are its multiples, so g stays; otherwise they are g
-    with g_i raised to e_i, one for each i in A.
+    with g_i raised to e_i, one for each i in A. No new lcm divides a g
+    that stays: it would be a multiple of a generator of J outside Q, and
+    the generators of J divide no other one. So only the new lcms are
+    tested, in ascending order, each against the gens kept so far.
+
+    The fold runs on packed exponent vectors: one int each, with a field
+    of w = top.bit_length() + 1 bits per variable and x1 in the most
+    significant field, so int order is tuple (lex) order. top is the
+    largest exponent of the components. Every exponent in the fold is 0
+    or an exponent of a component, even when comps decomposes nothing,
+    so the top bit of each field, its guard bit, stays clear. With H a
+    mask of guard bits, ((g | H) - h) & H keeps the guard bit of a field
+    exactly when g_i >= h_i there, and no field borrows from the one
+    above: h divides g when all guard bits survive, and g lies in Q when
+    one of Q's does (h = Q's powers, H = Q's guard bits). The components
+    go in by ascending power sum, which keeps the running intersection
+    smaller than other orders tried; the result is the same in any order.
     """
-    gens = ((0,) * n,)
-    for c in comps:
-        met = []
+    top = max((e for c in comps for _, e in c.powers), default=0)
+    w = top.bit_length() + 1
+    mask = (1 << w) - 1
+    shift = [(n - i) * w for i in range(n + 1)]  # x_i's field at shift[i]
+    guards = sum(1 << (s + w - 1) for s in shift[1:])
+    gens = [0]
+    for c in sorted(comps, key=lambda c: sum(e for _, e in c.powers)):
+        power = sum(e << shift[i] for i, e in c.powers)
+        guard = sum(1 << (shift[i] + w - 1) for i, _ in c.powers)
+        raised = [(~(mask << shift[i]), e << shift[i]) for i, e in c.powers]
+        kept, met = [], set()
         for g in gens:
-            if any(g[i - 1] >= e for i, e in c.powers):
-                met.append(g)
+            if ((g | guard) - power) & guard:
+                kept.append(g)
             else:
-                met.extend(g[: i - 1] + (e,) + g[i:] for i, e in c.powers)
-        gens = kernels.minimalize(met)
-    return MonomialIdeal(n, gens)
+                met.update((g & clear) | put for clear, put in raised)
+        for g in sorted(met):
+            g_h = g | guards
+            for h in kept:
+                if (g_h - h) & guards == guards:
+                    break
+            else:
+                kept.append(g)
+        gens = kept
+    gens.sort(reverse=True)
+    return MonomialIdeal(
+        n, tuple(tuple((g >> s) & mask for s in shift[1:]) for g in gens)
+    )
 
 
 def _witness_scanner(ideal: MonomialIdeal, comps):

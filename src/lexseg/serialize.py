@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .filtration import FiltrationStep, PrimeFiltration
+from .filtration import PrimeFiltration
 from .monomials import Monomial, MonomialIdeal, PrimeIdeal
 
 
@@ -105,13 +105,3 @@ def filtration_to_json(f: PrimeFiltration) -> dict:
         ],
     }
 
-
-def filtration_from_json(data: dict) -> PrimeFiltration:
-    base = ideal_from_json(data["base"])
-    steps = tuple(
-        FiltrationStep(
-            tuple(s["witness"]), PrimeIdeal.from_vars(base.n, s["prime"])
-        )
-        for s in data["steps"]
-    )
-    return PrimeFiltration(base, steps)

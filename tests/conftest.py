@@ -50,6 +50,23 @@ def oracle_random_ideals(seed, count):
     return out
 
 
+def oracle_pool():
+    """The 804 pool ideals of the oracle-random benchmark workload: ideal
+    k from random.Random(f"oracle-random/{k}"), n=4..6, 4..10 generators,
+    exponents <= 3, redrawn while none is nonzero."""
+    out = []
+    for k in range(804):
+        rng = random.Random(f"oracle-random/{k}")
+        n = rng.randint(4, 6)
+        gens = []
+        while not gens:
+            count = rng.randint(4, 10)
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(count)]
+            gens = [g for g in gens if any(g)]
+        out.append(MonomialIdeal.from_gens(n, gens))
+    return out
+
+
 # The five hand-derived associated-prime fixtures. Each expected set was
 # confirmed against the independent decomposition oracle when the suite
 # was written, and the oracle cross-check is repeated in the tests.

@@ -12,11 +12,10 @@ import pytest
 from conftest import I, P
 from lexseg import cli
 from lexseg.cli import main
-from lexseg.filtration import search_filtration
-from lexseg.monomials import InternalConsistencyError
+from lexseg.filtration import FiltrationStep, PrimeFiltration, search_filtration
+from lexseg.monomials import InternalConsistencyError, PrimeIdeal
 from lexseg.serialize import (
     ParseError,
-    filtration_from_json,
     filtration_to_json,
     format_monomial,
     ideal_from_json,
@@ -27,6 +26,16 @@ from lexseg.serialize import (
 
 # the module, which lexseg.sweep (the function) shadows as an attribute
 sweep_module = importlib.import_module("lexseg.sweep")
+
+
+def filtration_from_json(data):
+    """The inverse of filtration_to_json, for the round-trip test."""
+    base = ideal_from_json(data["base"])
+    steps = tuple(
+        FiltrationStep(tuple(s["witness"]), PrimeIdeal.from_vars(base.n, s["prime"]))
+        for s in data["steps"]
+    )
+    return PrimeFiltration(base, steps)
 
 
 class TestParseMonomial:

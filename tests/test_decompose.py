@@ -1,15 +1,17 @@
 """The decomposition/witness oracle for arbitrary monomial ideals."""
 
+import hashlib
 import heapq
 import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import lexseg.decompose as decompose_module
-from conftest import I, P, iter_box, oracle_random_ideals, witness_box
+from conftest import I, P, iter_box, oracle_pool, oracle_random_ideals, witness_box
 from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
@@ -48,6 +50,66 @@ def intersection_of(comps, n):
     for c in comps:
         acc = intersect(acc, c.to_ideal())
     return acc
+
+
+def tuple_intersection(n, comps):
+    """Reference: the intersect-back fold on exponent tuples, each step
+    minimalized whole by kernels.minimalize."""
+    gens = ((0,) * n,)
+    for c in comps:
+        met = []
+        for g in gens:
+            if any(g[i - 1] >= e for i, e in c.powers):
+                met.append(g)
+            else:
+                met.extend(g[: i - 1] + (e,) + g[i:] for i, e in c.powers)
+        gens = kernels.minimalize(met)
+    return MonomialIdeal(n, gens)
+
+
+# Exponents on both sides of every field width of the packed fold: 1, 3,
+# 7, 15 and 255 fill a field's value bits, 2, 4, 8, 16 and 256 need one
+# bit more.
+EDGE_EXPONENTS = (1, 2, 3, 4, 7, 8, 15, 16, 255, 256)
+
+
+@st.composite
+def irreducible_families(draw):
+    """Families of 0..6 irreducible ideals in n = 1..8 variables, each on
+    0..4 variables (0: the zero ideal), now and then with repeats."""
+    n = draw(st.integers(1, 8))
+    member = st.builds(
+        lambda vars, exps: IrreducibleIdeal(n, tuple(zip(sorted(vars), exps))),
+        st.sets(st.integers(1, n), max_size=min(n, 4)),
+        st.lists(st.sampled_from(EDGE_EXPONENTS), min_size=4, max_size=4),
+    )
+    comps = draw(st.lists(member, max_size=6))
+    if comps:
+        comps += draw(st.lists(st.sampled_from(comps), max_size=2))
+    return n, draw(st.permutations(comps))
+
+
+def corrupted(comps, n, rng):
+    """Every family made from comps by one corruption of one member: an
+    exponent moved by +1 or -1 (not to 0), an exponent raised to 2^20
+    (far above every generator exponent, so over the field width the
+    other members give), or a power moved to a variable the member
+    lacks."""
+    for c in sorted(comps, key=lambda c: c.powers):
+        rest = comps - {c}
+        others = [j for j in range(1, n + 1) if j not in dict(c.powers)]
+        for k, (i, e) in enumerate(c.powers):
+            changes = [e + 1, 1 << 20] + ([e - 1] if e > 1 else [])
+            moved = [
+                IrreducibleIdeal(n, c.powers[:k] + ((i, f),) + c.powers[k + 1 :])
+                for f in changes
+            ]
+            if others:
+                j = rng.choice(others)
+                powers = c.powers[:k] + ((j, e),) + c.powers[k + 1 :]
+                moved.append(IrreducibleIdeal(n, tuple(sorted(powers))))
+            for q in moved:
+                yield rest | {q}
 
 
 class TestIrreducibleDecomposition:
@@ -113,6 +175,54 @@ class TestIrreducibleDecomposition:
                     irreducible_decomposition(ideal)
                 checked += 1
         assert checked >= 10
+
+    def test_corrupted_component_fails_the_intersect_back_check(self, monkeypatch):
+        # a decomposition is unique, so any changed member breaks it
+        ideals = [I(3, "x1*x2", "x1*x3", "x2^2", "x2*x3"), I(2, "x1*x2", "x2^3")]
+        ideals += oracle_random_ideals(20261108, 12)
+        rng = random.Random(20261109)
+        kinds = set()
+        for ideal in ideals:
+            full = irredundant_components(ideal)
+            for family in corrupted(full, ideal.n, rng):
+                monkeypatch.setattr(
+                    decompose_module,
+                    "irredundant_components",
+                    lambda _ideal, family=family: family,
+                )
+                with pytest.raises(InternalConsistencyError):
+                    irreducible_decomposition(ideal)
+                kinds.update(max(e for _, e in q.powers) == 1 << 20 for q in family - full)
+        assert kinds == {False, True}
+
+    @seed(20261110)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(irreducible_families())
+    @example((1, []))
+    @example((8, [IrreducibleIdeal(8, ())]))
+    @example((8, [IrreducibleIdeal(8, ((8, 256),))] * 2 + [IrreducibleIdeal(8, ())]))
+    def test_packed_fold_matches_the_tuple_reference(self, family):
+        n, comps = family
+        assert _intersection(n, comps) == tuple_intersection(n, comps)
+
+    def test_oracle_digest_on_the_pool(self):
+        # output identity: the oracle digest of the 804 oracle-random pool
+        # ideals, the recipe benchmarks/bench_kernels.py prints
+        rows = [
+            [
+                sorted(
+                    [list(pe) for pe in c.powers]
+                    for c in irreducible_decomposition(ideal)
+                ),
+                [
+                    [list(p.vars), list(w)]
+                    for p, w in associated_primes_oracle(ideal).witnesses
+                ],
+            ]
+            for ideal in oracle_pool()
+        ]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert digest == "b18d906419383213"
 
     def test_determinism(self):
         a = irreducible_decomposition(I(3, "x1*x2", "x2*x3"))
