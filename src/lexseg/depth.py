@@ -7,23 +7,27 @@ Koszul complex K^b(I) (Hochster's formula; Miller-Sturmfels,
 Combinatorial Commutative Algebra, ch. 1 and 5), and depth(S/I) =
 n - 1 - pd(I) by Auslander-Buchsbaum. Only pd(I) = max{i : beta_{i,b} != 0}
 is needed, so depths_exact searches for it instead of building the whole
-Betti table. K^b(I) lives on the simplex on supp(b): it is either that
-whole simplex, which is acyclic, or has dimension at most |supp b| - 2, so
-over every field beta_{i,b} != 0 implies i <= |supp b| - 1. The search
-visits the lattice by decreasing |supp b| and stops at the first b whose
-bound cannot beat the best index found so far.
+Betti table. K^b(I) lives on the simplex on supp(b), so over every field
+beta_{i,b} != 0 implies i <= |supp b| - 1. The search visits the lattice
+by decreasing |supp b| and stops at the first b whose bound cannot beat
+the best index found so far.
 
 The lattice is walked lazily, from its top down (_lattice_walk), so the
-search generates only the part it reads. At each visited b only the
-Betti numbers that could raise the best are read. K^b is the full simplex
-exactly when its top face supp(b) is in it, that is when x^(b - 1_supp b)
-lies in I; such a b is skipped with one membership test, before K^b is
-built. Otherwise i runs from |supp b| - 1 down to best + 1, with
-beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of dimension j, d_j
-the boundary map out of dimension j over GF(p), each rank computed once
-per b and prime), and stops at the first nonzero one. Characteristic is a
-parameter (any prime below 2^31), and one walk serves every prime asked
-for, so the sweep can cross-check two primes.
+search generates only the part it reads; each visited b comes with the
+generators g that divide it. Their sets {i : g_i < b_i}, as bitmasks,
+span K^b, and the inclusion-maximal ones are its facets. K^b is a cone
+exactly when some vertex lies in every facet: then each face sigma has
+sigma + {v} in K^b, the straight-line homotopy to v contracts it, and
+its reduced homology vanishes over every field. So a b whose facets
+share a vertex is skipped, before K^b is built; the full simplex, whose
+one facet is supp(b) (x^(b - 1_supp b) in I), is the one-facet case.
+Any other K^b is built as the submasks of its facets. There i runs from
+|supp b| - 1 down to best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} -
+rk d_i (f_j faces of dimension j, d_j the boundary map out of dimension
+j over GF(p), each rank computed once per b and prime), and stops at the
+first nonzero one. Characteristic is a parameter (any prime below 2^31),
+and one walk serves every prime asked for, so the sweep can cross-check
+two primes.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from functools import reduce
+from itertools import compress
 from math import isqrt
-from operator import neg
+from operator import and_, lt, neg
 
 from . import kernels
 from .monomials import (
@@ -53,7 +58,8 @@ LCM_LATTICE_LIMIT = 1 << 16
 # Every characteristic p lies below this: it bounds the trial division in
 # _require_prime.
 CHARACTERISTIC_LIMIT = 1 << 31
-# Largest |supp b| whose 2^|supp b| subsets upper_koszul_complex() will scan.
+# Largest |supp b| at which depths_exact() tests or builds K^b, a complex of
+# up to 2^|supp b| faces.
 KOSZUL_SUPPORT_LIMIT = 16
 
 
@@ -119,33 +125,41 @@ def depth_class(spec: LexSpec) -> DepthCase:
 # exact depth via upper Koszul complexes
 
 
-def upper_koszul_complex(
-    ideal: MonomialIdeal, b: Monomial
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """K^b(I): squarefree sets sigma ⊆ supp(b) with x^b / x^sigma in I,
-    built as the subsets of the facets {i : g_i < b_i} over the generators
-    g that divide b.
+def upper_koszul_complex(facets, b: Monomial) -> list[list[int]]:
+    """K^b(I) from its facets (_facets): the squarefree sets
+    sigma ⊆ supp(b) with x^b / x^sigma in I, which are the subsets of the
+    sets {i : g_i < b_i} over the generators g dividing b.
 
-    Returned by face size: entry k holds the k-element faces, each an
-    increasing tuple of variables, for k = 0..|supp b|.
-
-    Raises DomainError, before building, when |supp b| is over
-    KOSZUL_SUPPORT_LIMIT.
+    Faces are bitmasks, bit i - 1 for the variable x_i. Returned by face
+    size: entry k holds the k-element faces, for k = 0..|supp b|.
     """
-    if ideal.is_zero or ideal.is_unit:
-        raise DomainError("need a proper nonzero ideal")
-    size = len(b) - b.count(0)
-    _require_support(size)
-    facets = {
-        tuple(i for i, (x, y) in enumerate(zip(g, b), 1) if x < y)
-        for g in ideal.gens
-        if kernels.divides(g, b)
-    }
-    by_size = [set() for _ in range(size + 1)]
+    faces = {0} if facets else set()
     for facet in facets:
-        for r in range(len(facet) + 1):
-            by_size[r].update(combinations(facet, r))
-    return tuple(map(tuple, by_size))
+        face = facet
+        while face:
+            faces.add(face)
+            face = (face - 1) & facet
+    by_size = [[] for _ in range(len(b) - b.count(0) + 1)]
+    for face in faces:
+        by_size[face.bit_count()].append(face)
+    return by_size
+
+
+def _facets(b: Monomial, divisors) -> list[int]:
+    """The facets of K^b(I), given the generators that divide b: the
+    inclusion-maximal sets {i : g_i < b_i}, as bitmasks (bit i - 1 for
+    x_i), largest first."""
+    bits = [1 << i for i in range(len(b))]
+    masks = {sum(compress(bits, map(lt, g, b))) for g in divisors}
+    facets: list[int] = []
+    # a kept mask is at least as large, so none that comes later contains it
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        for facet in facets:
+            if mask & facet == mask:
+                break
+        else:
+            facets.append(mask)
+    return facets
 
 
 def _require_support(size: int) -> None:
@@ -169,17 +183,23 @@ def _betti_from_top(by_size, p: int, above: int):
     ranks: dict[int, int] = {}
 
     def rank(k: int) -> int:
-        """Rank of the boundary map from k-element to (k-1)-element faces."""
+        """Rank of the boundary map from k-element to (k-1)-element faces.
+
+        The row of a face f is {column of f minus its j-th smallest
+        vertex: (-1)^j}."""
         if k not in ranks:
-            upper, lower = by_size[k], by_size[k - 1]
-            index = {f: j for j, f in enumerate(lower)}
+            index = {f: j for j, f in enumerate(by_size[k - 1])}
             rows = []
-            for f in upper:
-                row = [0] * len(lower)
-                for j in range(k):
-                    row[index[f[:j] + f[j + 1 :]]] = 1 if j % 2 == 0 else -1
+            for f in by_size[k]:
+                row = {}
+                rest, sign = f, 1
+                while rest:
+                    bit = rest & -rest
+                    row[index[f ^ bit]] = sign
+                    rest ^= bit
+                    sign = -sign
                 rows.append(row)
-            ranks[k] = kernels.gf_rank(rows, p) if rows and lower else 0
+            ranks[k] = kernels.gf_rank(rows, p) if rows else 0
         return ranks[k]
 
     for i in range(len(by_size) - 2, above, -1):
@@ -187,9 +207,9 @@ def _betti_from_top(by_size, p: int, above: int):
 
 
 def _lattice_walk(gens):
-    """Yields (|supp b|, b) for every b in the lcm lattice of gens, by
-    decreasing |supp b| and then decreasing lex: the order of
-    sorted(((|supp b|, b) for b in the lattice), reverse=True).
+    """Yields (|supp b|, b, the gens dividing b) for every b in the lcm
+    lattice of gens, by decreasing |supp b| and then decreasing lex: the
+    order of sorted(((|supp b|, b) for b in the lattice), reverse=True).
 
     Every lattice element below b lies below some
     b^(i) = lcm{g : g | b, g_i < b_i} with i in supp b, and each b^(i) is
@@ -210,7 +230,7 @@ def _lattice_walk(gens):
     heap = [(top.count(0) - len(top), tuple(map(neg, top)), top, gens)]
     while heap:
         neg_size, _, b, below = heapq.heappop(heap)
-        yield -neg_size, b
+        yield -neg_size, b, below
         for i, e in enumerate(b):
             if not e:
                 continue
@@ -252,17 +272,21 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
 
     Visits b by decreasing |supp b| (then decreasing lex) and stops at the
     first b with |supp b| - 1 <= best at every prime, since
-    beta_{i,b} = 0 for i > |supp b| - 1. A visited b with x^(b - 1_supp b)
-    in I has the full simplex as K^b(I), which is acyclic, and is skipped
-    without building it. Any other K^b is built once; at each prime whose
-    best is below |supp b| - 1, beta_{i,b} is read from i = |supp b| - 1
-    down to that best + 1, up to the first nonzero one. Each prime thus
-    reads exactly what a search at that prime alone would.
+    beta_{i,b} = 0 for i > |supp b| - 1. A visited b whose facets, the
+    maximal sets {i : g_i < b_i} over the generators g dividing b, share a
+    vertex v has a cone as K^b(I): v joins every face, so K^b is
+    contractible and acyclic over every field, and b is skipped without
+    building K^b. The full simplex, when x^(b - 1_supp b) is in I, is the
+    cone with the one facet supp(b). Any other K^b is built once; at each
+    prime whose best is below |supp b| - 1, beta_{i,b} is read from
+    i = |supp b| - 1 down to that best + 1, up to the first nonzero one.
+    Each prime thus reads exactly what a search at that prime alone would.
 
     Raises DomainError when no prime is given, one is not a prime below
     CHARACTERISTIC_LIMIT, or the first visited b, of the largest support,
     is over KOSZUL_SUPPORT_LIMIT.
     """
+    primes = tuple(primes)
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
     if not primes:
@@ -270,13 +294,14 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
     for p in primes:
         _require_prime(p)
     best = dict.fromkeys(primes, 0)  # beta_0 = number of generators > 0
-    for size, b in _lattice_walk(ideal.gens):
+    for size, b, divisors in _lattice_walk(ideal.gens):
         if size - 1 <= min(best.values()):
             break
         _require_support(size)
-        if kernels.member(tuple(y - (y > 0) for y in b), ideal.gens):
-            continue  # supp b is a face, so K^b is the full simplex: acyclic
-        k = upper_koszul_complex(ideal, b)
+        facets = _facets(b, divisors)
+        if reduce(and_, facets):
+            continue  # a vertex in every facet: K^b is a cone, so acyclic
+        k = upper_koszul_complex(facets, b)
         for p, found in best.items():
             if found < size - 1:
                 for i, beta in _betti_from_top(k, p, found):

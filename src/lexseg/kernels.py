@@ -53,8 +53,9 @@ def colon_gens(gens, w):
 
 
 def gf_rank(rows, p):
-    """Rank of an integer matrix over GF(p), p prime; rows is a list of
-    lists.
+    """Rank of an integer matrix over GF(p), p prime; each row is a dict
+    {column: entry} that may leave out zeros (a dense list of entries is
+    read as {j: row[j]}).
 
     Sparse row reduction: each row becomes {column: entry mod p} without
     its zeros, and is reduced at its leading column by the pivot row kept
@@ -64,7 +65,8 @@ def gf_rank(rows, p):
     """
     pivots = {}
     for row in rows:
-        r = {j: y for j, x in enumerate(row) if x and (y := x % p)}
+        entries = row.items() if isinstance(row, dict) else enumerate(row)
+        r = {j: y for j, x in entries if x and (y := x % p)}
         while r:
             lead = min(r)
             pivot = pivots.get(lead)

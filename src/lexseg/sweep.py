@@ -197,6 +197,7 @@ def sweep(
     characteristic is given or one is not a prime, or some (n, d) has
     more than cap pairs.
     """
+    primes = tuple(primes)
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
         raise DomainError(f"jobs = {jobs} is outside 1..{cpus}, the CPU count")
@@ -217,10 +218,10 @@ def sweep(
                     f"(n={n}, d={d}) has {pairs} pairs, exceeding the cap {cap}"
                 )
     specs = list(iter_specs(n_range, d_range))
-    report = SweepReport(tuple(n_range), tuple(d_range), tuple(primes))
+    report = SweepReport(tuple(n_range), tuple(d_range), primes)
     report.specs_tested = len(specs)
     if jobs > 1:
-        work = [((s.n, s.d, s.u, s.v), tuple(primes)) for s in specs]
+        work = [((s.n, s.d, s.u, s.v), primes) for s in specs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_check_spec_tuple, work, chunksize=8))
     else:

@@ -31,8 +31,25 @@ from lexseg.monomials import (
 
 def faces(k):
     """The face set of the complex k, which upper_koszul_complex returns
-    as one tuple of faces per face size."""
-    return frozenset(frozenset(f) for level in k for f in level)
+    as one list of bitmask faces (bit i - 1 for x_i) per face size, as
+    sets of variables."""
+    return frozenset(
+        frozenset(i + 1 for i in range(f.bit_length()) if f >> i & 1)
+        for level in k
+        for f in level
+    )
+
+
+def koszul(ideal, b):
+    """K^b(I) as depths_exact builds it: from the facets of the generators
+    that divide b."""
+    divisors = [g for g in ideal.gens if kernels.divides(g, b)]
+    return upper_koszul_complex(depth._facets(b, divisors), b)
+
+
+def is_cone(faces, vertices):
+    """True iff some vertex v has sigma + {v} a face for every face sigma."""
+    return any(all(f | {v} in faces for f in faces) for v in vertices)
 
 
 def facets(k):
@@ -73,7 +90,7 @@ def homology_ranks(complex, p):
         lower = {f: k for k, f in enumerate(by_dim[i - 1])}
         rows = []
         for f in by_dim[i]:
-            row = [0] * len(lower)
+            row = {}
             for k in range(len(f)):
                 facet = f[:k] + f[k + 1 :]
                 row[lower[facet]] = 1 if k % 2 == 0 else -1
@@ -130,11 +147,68 @@ def betti_numbers(ideal: MonomialIdeal, p: int) -> BettiTable:
     every b of the lcm lattice, with no pruning."""
     entries = []
     for b in sorted(lcm_lattice(ideal), reverse=True):
-        ranks = homology_ranks(upper_koszul_complex(ideal, b), p)
+        ranks = homology_ranks(koszul(ideal, b), p)
         for i, r in enumerate(ranks):  # ranks[i] = H~_{i-1}
             if r:
                 entries.append((i, b, r))
     return BettiTable(ideal.n, tuple(entries))
+
+
+def tuple_koszul_complex(ideal, b):
+    """K^b(I) by face size, each face an increasing tuple of variables:
+    the subsets of the facets {i : g_i < b_i} over the g dividing b."""
+    facets = {
+        tuple(i for i, (x, y) in enumerate(zip(g, b), 1) if x < y)
+        for g in ideal.gens
+        if kernels.divides(g, b)
+    }
+    by_size = [set() for _ in range(len(supp(b)) + 1)]
+    for facet in facets:
+        for r in range(len(facet) + 1):
+            by_size[r].update(combinations(facet, r))
+    return tuple(map(tuple, by_size))
+
+
+def tuple_betti_from_top(by_size, p, above):
+    """(i, rank H~_{i-1} over GF(p)) for i = len(by_size) - 2 down to
+    above + 1, from dense boundary rows over tuple faces."""
+    ranks = {}
+
+    def rank(k):
+        if k not in ranks:
+            upper, lower = by_size[k], by_size[k - 1]
+            index = {f: j for j, f in enumerate(lower)}
+            rows = []
+            for f in upper:
+                row = [0] * len(lower)
+                for j in range(k):
+                    row[index[f[:j] + f[j + 1 :]]] = 1 if j % 2 == 0 else -1
+                rows.append(row)
+            ranks[k] = kernels.gf_rank(rows, p) if rows and lower else 0
+        return ranks[k]
+
+    for i in range(len(by_size) - 2, above, -1):
+        yield i, len(by_size[i]) - rank(i) - rank(i + 1)
+
+
+def simplex_skip_depths(ideal, primes):
+    """The search that the cone skip replaced: the same walk order and
+    reads, skipping only a b whose K^b is the full simplex, found by one
+    membership test of x^(b - 1_supp b)."""
+    best = dict.fromkeys(primes, 0)
+    for size, b in sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True):
+        if size - 1 <= min(best.values()):
+            break
+        if kernels.member(tuple(y - (y > 0) for y in b), ideal.gens):
+            continue
+        k = tuple_koszul_complex(ideal, b)
+        for p, found in best.items():
+            if found < size - 1:
+                for i, beta in tuple_betti_from_top(k, p, found):
+                    if beta:
+                        best[p] = i
+                        break
+    return {p: ideal.n - 1 - found for p, found in best.items()}
 
 
 @st.composite
@@ -185,22 +259,16 @@ class TestUpperKoszul:
     def test_faces_at_generator_degree(self):
         # b = x1*x2 for I = (x1*x2): sigma = {} excluded, {1},{2},{1,2} by
         # whether x^b / x^sigma stays in I
-        k = upper_koszul_complex(I(2, "x1*x2"), (1, 1))
+        k = koszul(I(2, "x1*x2"), (1, 1))
         assert faces(k) == frozenset({frozenset()})
 
     def test_two_vertices_no_edge(self):
         # b = x1*x2 for I = (x1, x2): the edge {1,2} would need 1 in I
-        k = upper_koszul_complex(I(2, "x1", "x2"), (1, 1))
+        k = koszul(I(2, "x1", "x2"), (1, 1))
         assert faces(k) == frozenset(
             {frozenset(), frozenset({1}), frozenset({2})}
         )
         assert dim(k) == 0
-
-    def test_rejects_trivial_ideals(self):
-        with pytest.raises(DomainError):
-            upper_koszul_complex(zero_ideal(2), (1, 1))
-        with pytest.raises(DomainError):
-            upper_koszul_complex(unit_ideal(2), (1, 1))
 
     @seed(20261018)
     @settings(max_examples=150, deadline=None, database=None)
@@ -208,40 +276,52 @@ class TestUpperKoszul:
     def test_facets_give_the_membership_faces(self, ideal, extra):
         # every b of the lcm lattice, and one b that need not be in it
         for b in sorted(lcm_lattice(ideal)) + [tuple(extra[: ideal.n])]:
-            k = upper_koszul_complex(ideal, b)
+            divisors = [g for g in ideal.gens if kernels.divides(g, b)]
+            masks = depth._facets(b, divisors)
+            k = upper_koszul_complex(masks, b)
             # one level per face size 0..|supp b|, each of distinct
-            # increasing tuples of that size
+            # bitmasks of that many bits
             assert len(k) == len(supp(b)) + 1
             for size, level in enumerate(k):
                 assert len(set(level)) == len(level)
-                assert all(len(f) == size and list(f) == sorted(f) for f in level)
+                assert all(f.bit_count() == size for f in level)
             assert faces(k) == membership_faces(ideal, b)
+            # the facets are the inclusion-maximal faces, largest first
+            assert faces([masks]) == frozenset(facets(k))
+            assert [m.bit_count() for m in masks] == sorted(
+                (m.bit_count() for m in masks), reverse=True
+            )
 
     def test_support_limit(self, monkeypatch):
-        # the tests and benchmarks reach |supp b| <= 6, far below the limit
+        # the tests and benchmarks reach |supp b| <= 7, far below the
+        # limit; over it the search raises before building K^b
+        def building(facets, b):
+            raise AssertionError("K^b built over KOSZUL_SUPPORT_LIMIT")
+
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 2)
-        assert len(faces(upper_koszul_complex(I(2, "x1", "x2"), (1, 1)))) == 3
+        assert depth_exact(I(2, "x1^2", "x2^2")) == 0
+        monkeypatch.setattr(depth, "upper_koszul_complex", building)
         with pytest.raises(DomainError, match="KOSZUL_SUPPORT_LIMIT"):
-            upper_koszul_complex(I(3, "x1*x2*x3"), (1, 1, 1))
+            depth_exact(I(3, "x1*x2*x3"))
 
 
 class TestHomology:
     def test_point_is_acyclic(self):
         # b = x1*x2 for I = (x1): faces {} and {2}, a single point
-        k = upper_koszul_complex(I(2, "x1"), (1, 1))
+        k = koszul(I(2, "x1"), (1, 1))
         assert homology_ranks(k, 2) == [0, 0]
 
     def test_two_points_have_reduced_h0(self):
         # b = lcm of x1, x2 for I = (x1, x2)... K^b has facets {1} and {2}
         # joined by {1,2}, so it is contractible; use the disjoint pair via
         # I = (x1^2, x2^2) at b = (2, 2) quotients instead
-        k = upper_koszul_complex(I(2, "x1^2", "x2^2"), (2, 2))
+        k = koszul(I(2, "x1^2", "x2^2"), (2, 2))
         assert facets(k) == (frozenset({1}), frozenset({2}))
         assert homology_ranks(k, 2) == [0, 1]
 
     def test_empty_complex_has_hminus1(self):
         # only the empty face: reduced homology concentrated in degree -1
-        k = upper_koszul_complex(I(2, "x1*x2"), (1, 1))
+        k = koszul(I(2, "x1*x2"), (1, 1))
         assert homology_ranks(k, 32003) == [1]
 
 
@@ -314,10 +394,10 @@ class TestBettiAndDepth:
         walk = depth._lattice_walk
         gens = I(2, "x1", "x2").gens
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
-        assert list(walk(gens)) == [(2, (1, 1)), (1, (1, 0)), (1, (0, 1))]
+        assert [step[:2] for step in walk(gens)] == [(2, (1, 1)), (1, (1, 0)), (1, (0, 1))]
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
         steps = walk(gens)
-        assert next(steps) == (2, (1, 1))  # one element generated so far
+        assert next(steps)[:2] == (2, (1, 1))  # one element generated so far
         with pytest.raises(DomainError, match="lcm lattice"):
             next(steps)
 
@@ -337,7 +417,8 @@ class TestBettiAndDepth:
 
     def test_support_limit_holds_when_the_first_b_is_skipped(self, monkeypatch):
         # the one b of support 4, x1^2*x2*x3^3*x4^2, has x1*x3^2*x4 in I: a
-        # full simplex skipped unbuilt, yet its support is held to the limit
+        # full simplex, so a cone, skipped unbuilt, yet its support is held
+        # to the limit
         ideal = I(4, "x1*x4", "x2*x4^2", "x1^2*x3^3")
         assert [b for b in lcm_lattice(ideal) if len(supp(b)) == 4] == [(2, 1, 3, 2)]
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 3)
@@ -360,14 +441,20 @@ class TestLatticeWalk:
     def test_unstopped_walk_is_the_sorted_lattice(self, ideal):
         # single generators included: min_size=1 and generators that divide
         # others minimalize away
-        walked = list(depth._lattice_walk(ideal.gens))
+        walked = [(size, b) for size, b, _ in depth._lattice_walk(ideal.gens)]
         assert len(set(walked)) == len(walked)
         assert walked == sorted(
             ((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True
         )
+        # each b comes with exactly the generators that divide it
+        for _, b, divisors in depth._lattice_walk(ideal.gens):
+            assert sorted(divisors) == sorted(
+                g for g in ideal.gens if kernels.divides(g, b)
+            )
 
     def test_single_generator_lattice(self):
-        assert list(depth._lattice_walk(I(3, "x1*x3^2").gens)) == [(2, (1, 0, 2))]
+        gens = I(3, "x1*x3^2").gens
+        assert list(depth._lattice_walk(gens)) == [(2, (1, 0, 2), gens)]
 
     @seed(20261021)
     @settings(max_examples=150, deadline=None, database=None)
@@ -403,6 +490,73 @@ class TestLatticeWalk:
         with pytest.raises(DomainError, match="no characteristic"):
             depths_exact(ideal, ())
 
+    def test_one_shot_prime_iterable(self):
+        # the primes are read once, so an iterator is checked and searched
+        ideal = I(3, "x1*x2", "x2*x3")
+        assert depths_exact(ideal, iter([2])) == {2: depth_exact(ideal, 2)}
+        assert depths_exact(ideal, (p for p in (2, 3))) == depths_exact(ideal, (2, 3))
+
+
+@st.composite
+def wide_ideals(draw):
+    """n = 1..7 variables, exponents <= 3, 1..9 generators."""
+    n = draw(st.integers(1, 7))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=9)))
+
+
+def search_record(ideal, primes):
+    """(depths_exact(ideal, primes), the b the search tested after its
+    stopping rule, the b whose K^b it built)."""
+    walk, require = depth._lattice_walk, depth._require_support
+    walked, tested, built = [], [], []
+
+    def walking(gens):
+        for step in walk(gens):
+            walked.append(step[1])
+            yield step
+
+    def requiring(size):
+        tested.append(walked[-1])
+        require(size)
+
+    def building(facets, b):
+        built.append(b)
+        return upper_koszul_complex(facets, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depth, "_lattice_walk", walking)
+        mp.setattr(depth, "_require_support", requiring)
+        mp.setattr(depth, "upper_koszul_complex", building)
+        depths = depths_exact(ideal, primes)
+    return depths, tested, built
+
+
+class TestConeSkip:
+    @seed(20261022)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(wide_ideals())
+    def test_skips_exactly_the_cones_and_matches_the_simplex_reference(self, ideal):
+        primes = (2, 3, 32003)
+        depths, tested, built = search_record(ideal, primes)
+        assert depths == simplex_skip_depths(ideal, primes)
+        assert len(set(tested)) == len(tested) and set(built) <= set(tested)
+        # skipped unbuilt exactly when, by its definition, K^b is a cone
+        for b in tested:
+            assert is_cone(membership_faces(ideal, b), supp(b)) == (b not in built)
+
+    def test_a_cone_that_is_not_the_full_simplex_is_skipped(self):
+        # L(x1*x2, x2^2) = (x1*x2, x1*x3, x2^2) at b = x1*x2^2*x3: the
+        # facets {2, 3} (of x1*x2) and {1, 3} (of x2^2) meet in x3, and
+        # x^(b - 1_supp b) = x2 is not in I
+        ideal = lexsegment_generators(spec(3, 2, "x1*x2", "x2^2"))
+        b = (1, 2, 1)
+        k = membership_faces(ideal, b)
+        assert is_cone(k, supp(b)) and len(k) < 2 ** len(supp(b))
+        depths, tested, built = search_record(ideal, (2, 32003))
+        assert b in tested and b not in built
+        assert depths == simplex_skip_depths(ideal, (2, 32003))
+
 
 class TestPrunedSearch:
     @seed(20261019)
@@ -418,9 +572,9 @@ class TestPrunedSearch:
                 top[b] = max(top.get(b, 0), i)
             visited = []
 
-            def recording(j, b):
+            def recording(facets, b):
                 visited.append(b)
-                return upper_koszul_complex(j, b)
+                return upper_koszul_complex(facets, b)
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(depth, "upper_koszul_complex", recording)
@@ -432,11 +586,14 @@ class TestPrunedSearch:
             best = 0
             for b in visited:
                 assert len(supp(b)) - 1 > best
+                assert not is_cone(membership_faces(ideal, b), supp(b))
                 best = max(best, top.get(b, 0))
-            # or, by its definition, has the full simplex as K^b: acyclic
+            # or, by its definition, has a cone as K^b, with every
+            # reference Betti number zero
             for b in lcm_lattice(ideal):
                 if b not in visited and len(supp(b)) - 1 > best:
-                    assert len(membership_faces(ideal, b)) == 2 ** len(supp(b))
+                    assert is_cone(membership_faces(ideal, b), supp(b))
+                    assert b not in top
 
 
 class TestTargetedRanks:
@@ -448,9 +605,9 @@ class TestTargetedRanks:
         for p in (2, 32003):
             visits = []  # [b, the (i, beta) pairs read at b] per K^b built
 
-            def building(j, b):
+            def building(facets, b):
                 visits.append([b, None])
-                return upper_koszul_complex(j, b)
+                return upper_koszul_complex(facets, b)
 
             def reading(k, q, above):
                 visits[-1][1] = reads = []
@@ -471,12 +628,12 @@ class TestTargetedRanks:
             for size, b in order:
                 if size - 1 <= best:
                     break
-                ranks = homology_ranks(upper_koszul_complex(ideal, b), p)
-                # skipped unbuilt exactly when, by its definition, K^b is
-                # the full simplex, which is acyclic
-                full = len(membership_faces(ideal, b)) == 2**size
-                assert full == (b not in built)
-                if full:
+                ranks = homology_ranks(koszul(ideal, b), p)
+                # skipped unbuilt exactly when, by its definition, K^b is a
+                # cone, which is acyclic
+                cone = is_cone(membership_faces(ideal, b), supp(b))
+                assert cone == (b not in built)
+                if cone:
                     assert not any(ranks)
                     continue
                 replayed.append(b)

@@ -27,6 +27,11 @@ def minimalize_reference(gens):
     return tuple(keep)
 
 
+def sparse(rows):
+    """The dense rows as gf_rank takes them: {column: entry}, zeros left out."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def gf_rank_reference(rows, p):
     """The dense Gauss-Jordan elimination that the sparse gf_rank replaced."""
     if not rows:
@@ -120,24 +125,29 @@ class TestPureKernels:
         assert kernels.colon_gens(((1, 1), (0, 2)), (0, 1)) == ((1, 0), (0, 1))
 
     def test_gf_rank(self):
-        assert kernels.gf_rank([[1, 0], [0, 1]], 2) == 2
-        assert kernels.gf_rank([[1, 1], [1, 1]], 2) == 1
-        assert kernels.gf_rank([[2, 0], [0, 0]], 2) == 0  # 2 = 0 mod 2
+        assert kernels.gf_rank([{0: 1}, {1: 1}], 2) == 2
+        assert kernels.gf_rank([{0: 1, 1: 1}, {0: 1, 1: 1}], 2) == 1
+        assert kernels.gf_rank([{0: 2}, {}], 2) == 0  # 2 = 0 mod 2
         assert kernels.gf_rank([], 5) == 0
 
     def test_gf_rank_edges(self):
-        assert kernels.gf_rank([[0, 0], [0, 0]], 3) == 0
-        assert kernels.gf_rank([[3], [-6], [0]], 3) == 0  # one column, all 0 mod 3
-        assert kernels.gf_rank([[-1], [2]], 3) == 1
-        assert kernels.gf_rank([[1, -1, 0], [0, 1, -1], [-1, 0, 1]], 32003) == 2
-        assert kernels.gf_rank([[2**31 - 2, 1], [1, 1]], 2**31 - 1) == 2
+        assert kernels.gf_rank([{}, {}], 3) == 0
+        assert kernels.gf_rank([{0: 3}, {0: -6}, {}], 3) == 0  # one column, all 0 mod 3
+        assert kernels.gf_rank([{0: -1}, {0: 2}], 3) == 1
+        assert kernels.gf_rank([{0: 1, 1: -1}, {1: 1, 2: -1}, {0: -1, 2: 1}], 32003) == 2
+        assert kernels.gf_rank([{0: 2**31 - 2, 1: 1}, {0: 1, 1: 1}], 2**31 - 1) == 2
+        # zeros written out, columns out of order and far apart
+        assert kernels.gf_rank([{5: 0, 0: 0}, {7: 2, 1: 0}, {7: 4, 100: 3}], 2) == 1
 
     @seed(20261102)
     @settings(max_examples=250, deadline=None, database=None)
     @given(matrices())
     def test_gf_rank_matches_dense_reference(self, case):
         rows, p = case
-        assert kernels.gf_rank(rows, p) == gf_rank_reference(rows, p)
+        rank = gf_rank_reference(rows, p)
+        assert kernels.gf_rank(sparse(rows), p) == rank
+        # a dense row is read as {j: row[j]}
+        assert kernels.gf_rank(rows, p) == rank
 
     def test_backend_is_python(self):
         assert lexseg.BACKEND == kernels.BACKEND == "python"

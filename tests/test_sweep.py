@@ -56,3 +56,10 @@ def test_check_spec_asks_each_depth_once(primes, monkeypatch):
         monkeypatch.setattr(sweep_module, "depths_exact", counting)
         assert sweep_module.check_spec(s, primes) == []
         assert asked == [(lexsegment_generators(s), primes)]
+
+
+def test_one_shot_prime_iterable():
+    # the primes are read once: checked up front, then asked of every spec
+    report = sweep_module.sweep((2, 2), (2, 2), primes=(p for p in (2, 3)))
+    assert report.ok and report.specs_tested == 6
+    assert report.primes == (2, 3)
