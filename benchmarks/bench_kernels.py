@@ -32,8 +32,12 @@ of the sha256 of the JSON list, per ideal, of [depth_exact(I, 2),
 depth_exact(I, 32003)], over the ideals of the 1,338 specs n=2..4,
 d=2..3 (357), n=5, d=2 (120), n=5, d=3 (630) and n=6, d=2 (231), in
 that order and each range in iter_specs order, then the 804 pool
-ideals; equal digests mean identical depths. The last line is the line
-count of src/lexseg/*.py, the source size the ROADMAP tracks.
+ideals; equal digests mean identical depths. The n=6, d=3 lines time
+one cold staged_filtration pass over those 1,596 specs, print its step
+digest (the recipe above), and count, in a second pass, the nodes the
+search enters (_witness_scanner calls) and the children it builds
+(_add_generator calls, cut children included). The last line is the
+line count of src/lexseg/*.py, the source size the ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -195,14 +199,48 @@ def memo_lines():
               f"entries {info.currsize:7}")
 
 
-def step_digest():
-    specs = acceptance_specs()
+def chain_digest(filtrations):
     chains = [
         [[list(step.witness), list(step.prime.vars)] for step in f.steps]
-        for f in map(filtration.staged_filtration, specs)
+        for f in filtrations
     ]
-    digest = hashlib.sha256(json.dumps(chains).encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(chains).encode()).hexdigest()[:16]
+
+
+def step_digest():
+    specs = acceptance_specs()
+    digest = chain_digest(map(filtration.staged_filtration, specs))
     print(f"staged_filtration step digest, {len(specs)} acceptance specs: {digest}")
+
+
+def n6_d3_search():
+    specs = list(iter_specs((6, 6), (3, 3)))
+    clear_caches()
+    t0 = time.perf_counter()
+    found = [filtration.staged_filtration(s) for s in specs]
+    seconds = time.perf_counter() - t0
+    print(f"staged_filtration, {len(specs)} n=6 d=3 specs, one cold pass: "
+          f"{seconds:.3f} s, step digest {chain_digest(found)}")
+    counts = dict.fromkeys(("nodes entered", "children built"), 0)
+    scanner, step = filtration._witness_scanner, filtration._add_generator
+
+    def counting_scanner(n, comps):
+        counts["nodes entered"] += 1
+        return scanner(n, comps)
+
+    def counting_step(n, comps, w):
+        counts["children built"] += 1
+        return step(n, comps, w)
+
+    filtration._witness_scanner, filtration._add_generator = counting_scanner, counting_step
+    try:
+        for s in specs:
+            filtration.staged_filtration(s)
+    finally:
+        filtration._witness_scanner, filtration._add_generator = scanner, step
+    print("search counts, same specs:")
+    for name, count in counts.items():
+        print(f"  {name:<28} {count:8}")
 
 
 def oracle_family():
@@ -328,6 +366,7 @@ def main():
     oracle_family()
     extended_range()
     depth_digest()
+    n6_d3_search()
     print(f"src/lexseg/*.py: {source_lines()} lines")
 
 

@@ -5,8 +5,6 @@ from .closed_form import associated_primes_lexsegment
 from .decompose import (
     associated_primes_oracle,
     irreducible_decomposition,
-    krull_dim,
-    minimal_primes,
     witnesses,
 )
 from .depth import DepthClass, depth_class, depth_exact

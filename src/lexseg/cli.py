@@ -2,7 +2,8 @@
 
 Subcommands: ass, oracle-ass, decompose, depth, filtration, stanley,
 sweep. Exit codes: 0 success, 1 verification mismatch, 2 usage or parse
-error, 3 internal error (a broken structural guarantee, always a bug).
+error, 3 internal error (a broken structural guarantee or any other
+uncaught exception, always a bug).
 """
 
 from __future__ import annotations
@@ -296,6 +297,9 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
+    except Exception as exc:  # a crash is a bug, never a mismatch (1)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 
 

@@ -17,8 +17,10 @@ search applies it once per edge of its tree. Both rest on one fact:
 irreducible monomial ideals are prime in the lattice of monomial ideals
 (one that contains an intersection contains a member). witnesses() uses
 it to pin the P-part of a witness to e_j - 1 for a component Q_j with
-radical P and scans only the other coordinates; the box and the pins of
-every prime come from one read of the components (_witness_scanner).
+radical P and scans only the other coordinates, keeping w when every
+component that misses w has Q_j's exponents on P. The box, the pins and
+that test come from the components alone (_witness_scanner), so a node
+of the filtration search needs no generators to find its witnesses.
 irreducible_decomposition() checks the components by folding them back
 together, one at a time, and comparing with I (_intersection). That fold
 packs each exponent vector into one int, a field per variable with a
@@ -35,7 +37,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import kernels
 from .monomials import (
     DomainError,
     InternalConsistencyError,
@@ -235,21 +236,32 @@ def _intersection(n: int, comps) -> MonomialIdeal:
     )
 
 
-def _witness_scanner(ideal: MonomialIdeal, comps):
-    """The witness scan of every prime of I, from its irredundant
-    components comps (_components).
+def _witness_scanner(n: int, comps):
+    """The witness scan of every prime of J in n variables, read from the
+    irredundant components comps of J (_components) alone.
 
-    Returns scan, where scan(P) yields what witnesses(I, P) yields. The
+    Returns scan, where scan(P) yields what witnesses(J, P) yields. The
     witness box and the pins, the components grouped by their radical,
     are computed here once. The box, the componentwise largest exponent
-    over the components, is the lcm of the generators of I. Every
+    over the components, is the lcm of the generators of J. Every
     exponent of a component is an exponent of a generator. Conversely,
     let g be a generator with the largest x_i-exponent a. Then g / x_i is
-    not in I, so some component Q contains g but not g / x_i: the power
+    not in J, so some component Q contains g but not g / x_i: the power
     of Q that divides g divides no g / x_i, so it is x_i^a. Raises
     DomainError for a box of more than WITNESS_BOX_LIMIT monomials.
+
+    (J : w) is the intersection of the (Q : w) over the components Q that
+    miss w, each generated by the x_k^(Q_k - w_k), k in supp Q. Irreducible
+    ideals are prime in the lattice of monomial ideals, so it equals P
+    only if w is pinned at a component Q0 with radical P: w_i = Q0_i - 1
+    for i in P. Then (J : w) lies in (Q0 : w) = P, and it contains x_i
+    for every i in P exactly when every component Q that misses w has
+    Q_i = w_i + 1 for all i in P. That is the whole test: no generator
+    and no colon is read. Each component's powers are kept once as
+    sparse (i, e) pairs, and w lies in it when some pair has e <= w_i.
+    Only the coordinates outside P range over the box.
     """
-    box = [max(col) for col in zip(*comps)] or [0] * ideal.n
+    box = [max(col) for col in zip(*comps)] or [0] * n
     pins: dict[tuple[int, ...], list] = {}
     for q in comps:
         pins.setdefault(_support(q), []).append(q)
@@ -260,39 +272,37 @@ def _witness_scanner(ideal: MonomialIdeal, comps):
             f"{WITNESS_BOX_LIMIT}"
         )
     full = [range(e, -1, -1) for e in box]
-    gens = ideal.gens
+    powers = [(q, [(i, e) for i, e in enumerate(q) if e]) for q in comps]
 
     def scan(prime: PrimeIdeal):
-        scans = [
-            itertools.product(*((e - 1,) if e else r for e, r in zip(q, full)))
-            for q in pins.get(prime.vars, ())
-        ]
         idx = [i - 1 for i in prime.vars]
-        member = kernels.member
+        scans = [
+            itertools.product(*((e - 1,) if e else r for e, r in zip(q0, full)))
+            for q0 in pins.get(prime.vars, ())
+        ]
         for w in heapq.merge(*scans, reverse=True):
-            if all(member(w[:i] + (w[i] + 1,) + w[i + 1 :], gens) for i in idx):
+            for q, pairs in powers:
+                for i, e in pairs:
+                    if e <= w[i]:
+                        break
+                else:  # q misses w
+                    if any(q[i] != w[i] + 1 for i in idx):
+                        break
+            else:
                 yield w
 
     return scan
 
 
 def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
-    """All in-box monomials w with (I : w) = P, lex-descending.
-
-    (I : w) is the intersection of the (Q_j : w) over the irredundant
-    components Q_j = (x_i^e_ij : i in A_j) that miss w, each generated by
-    the x_i^(e_ij - w_i). Irreducible ideals are prime in the lattice of
-    monomial ideals, so this equals P only if some Q_j has A_j = P and
-    w_i = e_ij - 1 for every i in P: the P-part of w is one of these pins.
-    For each pin only the coordinates outside P range over the witness
-    box. Every such w already has (I : w) inside (Q_j : w) = P, so it is
-    kept exactly when (I : w) contains P, that is, when x_i * w lies in I
-    for every i in P. Raises DomainError, before scanning, for a box of
-    more than WITNESS_BOX_LIMIT monomials.
+    """All in-box monomials w with (I : w) = P, lex-descending, found from
+    the irredundant components of I (_witness_scanner, which proves the
+    test). Raises DomainError, before scanning, for a box of more than
+    WITNESS_BOX_LIMIT monomials.
     """
     if ideal.n != prime.n:
         raise DomainError("variable counts differ")
-    yield from _witness_scanner(ideal, _components(ideal))(prime)
+    yield from _witness_scanner(ideal.n, _components(ideal))(prime)
 
 
 def _require_proper(ideal: MonomialIdeal) -> None:
@@ -316,7 +326,7 @@ def associated_primes_oracle(ideal: MonomialIdeal) -> AssResult:
     """
     _require_proper(ideal)
     comps = _components(ideal)
-    scan = _witness_scanner(ideal, comps)
+    scan = _witness_scanner(ideal.n, comps)
     found = []
     for p in sorted(_radicals(ideal.n, comps), key=lambda p: p.vars):
         w = next(scan(p), None)
@@ -326,15 +336,3 @@ def associated_primes_oracle(ideal: MonomialIdeal) -> AssResult:
             )
         found.append((p, w))
     return AssResult(frozenset(p for p, _ in found), tuple(found))
-
-
-def minimal_primes(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:
-    primes = radicals(ideal)
-    return frozenset(
-        p for p in primes if not any(q.is_proper_subset(p) for q in primes)
-    )
-
-
-def krull_dim(ideal: MonomialIdeal) -> int:
-    """dim S/I = n - min height over the minimal primes."""
-    return ideal.n - min(len(p.vars) for p in minimal_primes(ideal))

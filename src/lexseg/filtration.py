@@ -9,14 +9,13 @@ so the chain always ends at the unit ideal.
 
 Pretty clean chains (Herzog-Popescu, Manuscripta Math. 2006) come from
 one depth-first search, search_filtration, over (prime, witness) steps
-straight to the unit ideal. Each node carries the irredundant
-irreducible components of its ideal: the start is decomposed once, and a
-child J + (w) takes one add-one-generator step (decompose._add_generator)
-from its parent's components. The candidate primes at a node are the
-radicals of its components, and the witnesses come from the scan behind
-decompose.witnesses, set up once per node from the same components.
-staged_filtration runs that search once, on the spec normalized by
-reduce_fully, and undoes the normalization moves on the chain it finds.
+straight to the unit ideal. A node is just the irredundant irreducible
+components of its ideal, and a child J + (w) takes one add-one-generator
+step (decompose._add_generator) from its parent's. Its candidate primes,
+its witnesses (the scan behind decompose.witnesses) and the pretty clean
+cut at each child's edge are all read from components. staged_filtration
+runs that search once, on the spec normalized by reduce_fully, and
+undoes the normalization moves on the chain it finds.
 
 Each step (w, P) gives the Stanley space w K[Z], Z the complement of P
 (Herzog-Popescu 2006). stanley_certificate proves that spaces w_i K[Z_i]
@@ -35,6 +34,7 @@ from .decompose import (
     _add_generator,
     _components,
     _radicals,
+    _support,
     _witness_scanner,
     radicals,
 )
@@ -50,7 +50,6 @@ from .monomials import (
     add_element,
     colon,
     degree,
-    ideal_as_prime,
     lexsegment_generators,
     mon_mul,
     reduce_fully,
@@ -108,47 +107,6 @@ def _candidate_primes(n: int, comps) -> list[PrimeIdeal]:
     return maximal + rest
 
 
-def _dfs_fill(start: MonomialIdeal) -> list[FiltrationStep] | None:
-    """Depth-first pretty clean chain from start to the unit ideal.
-
-    Each node J carries its irredundant irreducible components: the start
-    is decomposed once, and the child J + (w) gets its components from
-    one _add_generator step. The candidate primes at J are Ass(S/J)
-    (_candidate_primes), and their witnesses, read from one
-    _witness_scanner(J, components) per node, are tried in
-    _degree_then_lex order. Every prime
-    filtration of S/J has every P in Ass(S/J) among its primes
-    (Herzog-Popescu 2006). So when some P in Ass(S/J) properly contains
-    an earlier step's prime, no completion from J is pretty clean: the
-    node returns None on reaching P instead of trying its other primes.
-    A completed chain is pretty clean by construction. Returns the step
-    list or None.
-    """
-    n = start.n
-
-    def dfs(current, comps, steps):
-        as_prime = ideal_as_prime(current)
-        if as_prime is not None:
-            if any(s.prime.is_proper_subset(as_prime) for s in steps):
-                return None
-            return steps + [FiltrationStep(unit(n), as_prime)]
-        scan = _witness_scanner(current, comps)
-        for prime in _candidate_primes(n, comps):
-            if any(s.prime.is_proper_subset(prime) for s in steps):
-                return None
-            for w in sorted(scan(prime), key=_degree_then_lex):
-                found = dfs(
-                    add_element(current, w),
-                    _add_generator(n, comps, w),
-                    steps + [FiltrationStep(w, prime)],
-                )
-                if found is not None:
-                    return found
-        return None
-
-    return dfs(start, _components(start), [])
-
-
 def _degree_then_lex(w: Monomial):
     # small witnesses first keeps the quotients tame; lex-greatest
     # breaks ties deterministically
@@ -189,21 +147,63 @@ def staged_filtration(spec: LexSpec) -> PrimeFiltration:
 
 
 def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
-    """Backtracking search for a pretty clean filtration.
+    """Depth-first search for a pretty clean filtration of S/I.
 
-    Depth-first over (prime, witness) choices (_dfs_fill). A node with
-    ideal J is cut at the first prime of Ass(S/J) that properly contains
-    an earlier step's prime, since every prime filtration of S/J uses
-    every prime of Ass(S/J). Returns the first complete pretty clean
-    filtration, or None. staged_filtration runs this search on every
-    normalized lexsegment.
+    A node is the list of irredundant components of its ideal J: the
+    start is decomposed once, and the child J + (w) gets its components
+    from one _add_generator step on J's. J is prime exactly when it has
+    one component whose powers are all variables; that node ends the
+    chain with the step (1, J). Any other node tries the primes of
+    Ass(S/J) (_candidate_primes) and each one's witnesses, from one
+    _witness_scanner per node, in _degree_then_lex order (_children).
+
+    The pretty clean rule is tested once, at each child's edge: the child
+    J + (w) of the step (w, P) is cut when one of its radicals properly
+    contains P. Every prime filtration of S/J' uses every prime of
+    Ass(S/J') (Herzog-Popescu 2006), so a chain through J' is pretty
+    clean only if no prime of Ass(S/J') properly contains the prime of a
+    step on its path. Testing P alone is enough, by induction on the
+    path: no radical of J properly contains an earlier step's prime.
+    Multiplication by w gives 0 -> S/P -> S/J -> S/(J + (w)) -> 0, so a
+    prime R of Ass(S/(J + (w))) lies in Ass(S/J) or contains P. If R
+    properly contains an earlier step's prime, it is not in Ass(S/J) and
+    it is not P, a radical of J, so R properly contains P. A completed
+    chain is therefore pretty clean. The path is a stack of child
+    generators, not a recursion, so its length is bounded by time alone.
+    Returns the first complete pretty clean filtration, or None.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
-    found = _dfs_fill(ideal)
-    if found is None:
-        return None
-    return PrimeFiltration(ideal, tuple(found))
+    n = ideal.n
+    comps = _components(ideal)
+    steps: list[FiltrationStep] = []
+    frames = []
+    while not (len(comps) == 1 and max(comps[0]) == 1):
+        frames.append(_children(n, comps))
+        while (child := next(frames[-1], None)) is None:
+            frames.pop()
+            if not frames:
+                return None
+            steps.pop()
+        step, comps = child
+        steps.append(step)
+    steps.append(FiltrationStep(unit(n), PrimeIdeal(n, _support(comps[0]))))
+    return PrimeFiltration(ideal, tuple(steps))
+
+
+def _children(n: int, comps):
+    """The uncut children of a node with components comps, in search
+    order, each as (step, components). Primes are bitmasks here, bit
+    i - 1 for x_i: a child of the step prime p is cut when a radical r of
+    its components has p & r == p != r."""
+    scan = _witness_scanner(n, comps)
+    for prime in _candidate_primes(n, comps):
+        p = sum(1 << (i - 1) for i in prime.vars)
+        for w in sorted(scan(prime), key=_degree_then_lex):
+            child = _add_generator(n, comps, w)
+            radicals = {sum(1 << i for i, e in enumerate(q) if e) for q in child}
+            if not any(p & r == p != r for r in radicals):
+                yield FiltrationStep(w, prime), child
 
 
 def verify_prime_filtration(filtration: PrimeFiltration) -> Report:

@@ -238,18 +238,6 @@ class PrimeIdeal:
         return PrimeIdeal.from_vars(n, (v + offset for v in self.vars))
 
 
-def ideal_as_prime(ideal: MonomialIdeal) -> PrimeIdeal | None:
-    """The PrimeIdeal equal to this ideal, or None if it is not prime."""
-    vars = []
-    for g in ideal.gens:
-        if degree(g) != 1:
-            return None
-        vars.append(min_var(g))
-    if not vars:
-        return None  # zero ideal
-    return PrimeIdeal.from_vars(ideal.n, vars)
-
-
 # ---------------------------------------------------------------------------
 # lexsegment specs
 
@@ -292,11 +280,6 @@ class LexSpec:
     @property
     def b1(self) -> int:
         return self.v[0]
-
-    @property
-    def q(self) -> int:
-        """min(v)."""
-        return min_var(self.v)
 
     @property
     def l(self) -> int | None:

@@ -22,6 +22,14 @@ def spec(n, d, u, v):
     return LexSpec(n, d, parse_monomial(u, n), parse_monomial(v, n))
 
 
+def ideal_as_prime(ideal):
+    """The PrimeIdeal equal to this ideal, or None if it is not prime: a
+    reference read off the generators, not the components."""
+    if ideal.is_zero or any(sum(g) != 1 for g in ideal.gens):
+        return None
+    return PrimeIdeal.from_vars(ideal.n, (g.index(1) + 1 for g in ideal.gens))
+
+
 def iter_box(box):
     """All monomials with exponents bounded by box, lex-descending."""
     return itertools.product(*(range(e, -1, -1) for e in box))

@@ -334,6 +334,32 @@ class TestCliExitCodes:
         assert one.specs_tested == pool.specs_tested == 6 + 21
         assert (pool.agreements, pool.mismatches) == (one.agreements, one.mismatches)
 
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch, capsys):
+        # a crash exits 3, never 1, which means a verification mismatch
+        def broken(args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "_cmd_filtration", broken)
+        code = main(
+            ["filtration", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3"]
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "internal error: RecursionError: maximum recursion depth exceeded\n"
+        )
+
+    def test_long_chain_needs_no_recursion(self, capsys):
+        # L(x1^50, x1*x2^49) has a 1,226-step chain, deeper than the
+        # interpreter's default recursion limit
+        code = main(
+            ["filtration", "--n", "2", "--d", "50", "--u", "x1^50",
+             "--v", "x1*x2^49", "--verify"]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert len(out["steps"]) == 1226
+        assert all(r["ok"] for r in out["verification"].values())
+
     def test_internal_error_has_its_own_code(self, monkeypatch, capsys):
         def broken(args):
             raise InternalConsistencyError("no pretty clean chain")

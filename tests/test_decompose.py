@@ -20,8 +20,6 @@ from lexseg.decompose import (
     associated_primes_oracle,
     irreducible_decomposition,
     irredundant_components,
-    krull_dim,
-    minimal_primes,
     witnesses,
 )
 from lexseg.monomials import (
@@ -504,21 +502,3 @@ class TestIrredundantComponents:
         assert irredundant_components(unit_ideal(n)) == frozenset()
         assert _intersection(n, irredundant_components(unit_ideal(n))) == unit_ideal(n)
         assert irredundant_components(zero_ideal(n)) == {IrreducibleIdeal(n, ())}
-
-
-class TestMinimalPrimesAndDim:
-    def test_principal(self):
-        assert minimal_primes(I(3, "x1*x2")) == frozenset({P(3, 1), P(3, 2)})
-        assert krull_dim(I(3, "x1*x2")) == 2
-
-    def test_drops_embedded(self):
-        ideal = I(3, "x1*x2", "x1*x3", "x2^2", "x2*x3")
-        assert minimal_primes(ideal) == frozenset({P(3, 1, 2), P(3, 2, 3)})
-        assert krull_dim(ideal) == 1
-
-    def test_artinian(self):
-        assert krull_dim(I(2, "x1^2", "x1*x2", "x2^2")) == 0
-
-    def test_rejects_unit(self):
-        with pytest.raises(DomainError):
-            krull_dim(unit_ideal(2))

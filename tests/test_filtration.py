@@ -1,6 +1,8 @@
 """Prime filtrations, verifiers, and Stanley decompositions."""
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from functools import lru_cache
@@ -11,7 +13,15 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import lexseg.filtration as filtration_module
-from conftest import I, P, iter_box, oracle_random_ideals, spec, witness_box
+from conftest import (
+    I,
+    P,
+    ideal_as_prime,
+    iter_box,
+    oracle_random_ideals,
+    spec,
+    witness_box,
+)
 from lexseg.decompose import (
     IrreducibleIdeal,
     _components,
@@ -47,7 +57,6 @@ from lexseg.monomials import (
     colon,
     degree,
     enumerate_degree,
-    ideal_as_prime,
     ideal_sum,
     lexsegment_generators,
     unit,
@@ -185,69 +194,81 @@ def unpruned_reference(start, steps=()):
 
 
 class SearchRecorder:
-    """Rebuilds the library search tree from its calls of ideal_as_prime
-    (a node is entered), the node's witness scan (a prime is expanded) and
-    add_element (a child is made). A chain only grows its ideal, so the
-    ideals on one path differ and a call on ideal J returns to J's node."""
+    """Rebuilds the library search tree from the calls it makes:
+    _components on the start (the root), _add_generator(n, comps, w) for
+    every child built, _witness_scanner(n, comps) for every node entered,
+    and that node's scan(prime) for every prime expanded. A node is known
+    by its components list, the object these calls take or return, and
+    its ideal is rebuilt here as the parent's ideal + (w)."""
 
     def __init__(self, monkeypatch):
-        self.stack = []
-        self.finished = []
-        self.pending = None
-        for name in ("ideal_as_prime", "add_element"):
-            inner = getattr(filtration_module, name)
-            monkeypatch.setattr(
-                filtration_module, name, self._wrap(getattr(self, "_" + name), inner)
-            )
+        self.nodes = []
+        self.by_comps = {}  # id of a node's components -> the node
+        components = filtration_module._components
+        step = filtration_module._add_generator
         scanner = filtration_module._witness_scanner
 
-        def recorded_scanner(ideal, comps):
-            scan = scanner(ideal, comps)
+        def recorded_components(ideal):
+            comps = components(ideal)
+            self._add({"ideal": ideal, "steps": [], "parent": None}, comps)
+            return comps
+
+        def recorded_step(n, comps, w):
+            parent = self.by_comps[id(comps)]
+            carried = step(n, comps, w)
+            self._add(
+                {
+                    "ideal": add_element(parent["ideal"], w),
+                    "steps": parent["steps"] + [FiltrationStep(w, parent["prime"])],
+                    "parent": parent,
+                },
+                carried,
+            )
+            return carried
+
+        def recorded_scanner(n, comps):
+            node = self.by_comps[id(comps)]
+            node["entered"] = True
+            scan = scanner(n, comps)
 
             def recorded_scan(prime):
-                self._witnesses(ideal, prime)
+                node["expanded"].add(prime)
+                node["prime"] = prime
                 return scan(prime)
 
             return recorded_scan
 
+        monkeypatch.setattr(filtration_module, "_components", recorded_components)
+        monkeypatch.setattr(filtration_module, "_add_generator", recorded_step)
         monkeypatch.setattr(filtration_module, "_witness_scanner", recorded_scanner)
 
-    @staticmethod
-    def _wrap(hook, inner):
-        def wrapped(*args):
-            hook(*args)
-            return inner(*args)
-
-        return wrapped
-
-    def _return_to(self, ideal):
-        while self.stack[-1]["ideal"] != ideal:
-            self.finished.append(self.stack.pop())
-
-    def _ideal_as_prime(self, ideal):
-        steps = self.stack[-1]["steps"] + [self.pending] if self.stack else []
-        self.stack.append({"ideal": ideal, "steps": steps, "expanded": set()})
-
-    def _witnesses(self, ideal, prime):
-        self._return_to(ideal)
-        self.stack[-1]["expanded"].add(prime)
-        self.stack[-1]["prime"] = prime
-
-    def _add_element(self, ideal, w):
-        self._return_to(ideal)
-        self.pending = FiltrationStep(w, self.stack[-1]["prime"])
+    def _add(self, node, comps):
+        # the node holds its components, so their id is not reused
+        node.update(comps=comps, entered=False, expanded=set())
+        self.nodes.append(node)
+        self.by_comps[id(comps)] = node
 
     def cut_nodes(self, found):
         """Nodes that returned None without trying every candidate prime:
-        a terminal node whose prime was refused, or an inner node left
-        with an unexpanded prime. When the search succeeds, the nodes still
-        on the stack are its chain and were not cut."""
-        nodes = self.finished + ([] if found is not None else self.stack)
+        a child built but never entered, or an entered node left with an
+        unexpanded prime. When the search succeeds, the last node built is
+        its terminal prime, and that node and its ancestors are its chain
+        and were not cut."""
+        chain = set()
+        if found is not None:
+            node = self.nodes[-1]
+            assert ideal_as_prime(node["ideal"]) is not None
+            while node is not None:
+                chain.add(id(node))
+                node = node["parent"]
         return [
             node
-            for node in nodes
-            if ideal_as_prime(node["ideal"]) is not None
-            or node["expanded"] != set(candidate_primes(node["ideal"]))
+            for node in self.nodes
+            if id(node) not in chain
+            and (
+                not node["entered"]
+                or node["expanded"] != set(candidate_primes(node["ideal"]))
+            )
         ]
 
 
@@ -266,28 +287,55 @@ def prune_inputs(draw):
     return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=4)))
 
 
+def assert_search_matches_reference(ideal):
+    """Every node the search cut has no completion, and the search finds
+    the reference's chain, or no chain when the reference finds none.
+    Returns the recorder and the search's result."""
+    # hypothesis' function-scoped fixture check forbids monkeypatch in
+    # its tests, so the patch context is opened by hand
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        recorder = SearchRecorder(monkeypatch)
+        found = search_filtration(ideal)
+    assert recorder.nodes  # the search was seen
+    for node in recorder.cut_nodes(found):
+        assert unpruned_reference(node["ideal"], node["steps"]) is None, (
+            node["ideal"].gens,
+            [(s.witness, s.prime.vars) for s in node["steps"]],
+        )
+    reference = unpruned_reference(ideal)
+    if reference is None:
+        assert found is None
+    else:
+        assert found is not None and list(found.steps) == reference
+        assert_fully_verified(found)
+    return recorder, found
+
+
 class TestAssPrune:
     @seed(20261018)
     @settings(max_examples=300, deadline=None, database=None)
     @given(prune_inputs())
     def test_cut_nodes_have_no_completion(self, ideal):
-        # hypothesis' function-scoped fixture check forbids monkeypatch
-        # here, so the patch context is opened by hand
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            recorder = SearchRecorder(monkeypatch)
-            found = search_filtration(ideal)
-        assert recorder.stack or recorder.finished  # the search was seen
-        for node in recorder.cut_nodes(found):
-            assert unpruned_reference(node["ideal"], node["steps"]) is None, (
-                node["ideal"].gens,
-                [(s.witness, s.prime.vars) for s in node["steps"]],
-            )
-        reference = unpruned_reference(ideal)
-        if reference is None:
-            assert found is None
-        else:
-            assert found is not None and list(found.steps) == reference
-            assert_fully_verified(found)
+        assert_search_matches_reference(ideal)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ((2, 0, 1, 0), (1, 1, 0, 0), (0, 1, 2, 1)),
+            ((1, 2, 1, 0), (1, 1, 2, 0), (0, 0, 2, 1)),
+            ((1, 2, 0, 0), (1, 0, 2, 0), (0, 0, 1, 1)),
+            ((2, 1, 0, 0), (1, 0, 0, 1), (0, 2, 1, 0), (0, 0, 2, 1)),
+        ],
+    )
+    def test_backtracking_search_matches_the_reference(self, gens):
+        # no acceptance lexsegment and none of the ideals prune_inputs
+        # draws leaves an entered node without a completion; these do,
+        # and the last one has no pretty clean filtration at all
+        recorder, found = assert_search_matches_reference(
+            MonomialIdeal.from_gens(4, gens)
+        )
+        entered = sum(node["entered"] for node in recorder.nodes)
+        assert entered > (1 if found is None else len(found.steps) - 1)
 
 
 class TestCarriedComponents:
@@ -296,34 +344,23 @@ class TestCarriedComponents:
 
     @staticmethod
     def edges_checked(monkeypatch, specs):
-        # dfs evaluates add_element(J, w) just before _add_generator(n,
-        # comps, w), so the child ideal is the last one add_element made
-        made = []
-        add, step = filtration_module.add_element, filtration_module._add_generator
-
-        def recorded_add(ideal, w):
-            made.append((add(ideal, w), w))
-            return made[-1][0]
-
+        recorder = SearchRecorder(monkeypatch)
+        for s in specs:
+            staged_filtration(s)
         checked = 0
-
-        def checked_step(n, comps, w):
-            nonlocal checked
-            child, child_w = made[-1]
-            assert child_w == w
-            carried = step(n, comps, w)
+        for node in recorder.nodes:
+            if node["parent"] is None:
+                continue
+            n, carried = node["ideal"].n, node["comps"]
             assert len(set(carried)) == len(carried)
             assert {
                 IrreducibleIdeal(n, tuple((i, e) for i, e in enumerate(q, 1) if e))
                 for q in carried
-            } == irredundant_components(child), (child.gens, w)
+            } == irredundant_components(node["ideal"]), (
+                node["parent"]["ideal"].gens,
+                node["steps"][-1].witness,
+            )
             checked += 1
-            return carried
-
-        monkeypatch.setattr(filtration_module, "add_element", recorded_add)
-        monkeypatch.setattr(filtration_module, "_add_generator", checked_step)
-        for s in specs:
-            staged_filtration(s)
         return checked
 
     def test_acceptance_specs(self, monkeypatch):
@@ -383,6 +420,18 @@ class TestSearch:
     def test_maximal_ideal_single_terminal_step(self):
         f = search_filtration(I(2, "x1", "x2"))
         assert [(s.witness, s.prime.vars) for s in f.steps] == [((0, 0), (1, 2))]
+
+    def test_step_digest_on_the_acceptance_specs(self):
+        # output identity: the step digest of the 477 acceptance specs,
+        # the recipe benchmarks/bench_kernels.py prints; the oracle digest
+        # has the same gate in tests/test_decompose.py
+        specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+        chains = [
+            [[list(s.witness), list(s.prime.vars)] for s in staged_filtration(x).steps]
+            for x in specs
+        ]
+        digest = hashlib.sha256(json.dumps(chains).encode()).hexdigest()[:16]
+        assert digest == "e6fb339584db5b98"
 
     def test_rejects_trivial(self):
         with pytest.raises(DomainError):

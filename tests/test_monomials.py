@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I, P, spec
+from conftest import I, P, ideal_as_prime, spec
 from lexseg.monomials import (
     DIVIDE,
     DROP,
@@ -19,7 +19,6 @@ from lexseg.monomials import (
     colon,
     degree,
     enumerate_degree,
-    ideal_as_prime,
     ideal_sum,
     intersect,
     lexsegment_generators,
@@ -237,7 +236,6 @@ class TestLexSpec:
     def test_derived_fields(self):
         s = spec(4, 3, "x1*x3^2", "x2^2*x4")
         assert (s.a1, s.b1) == (1, 0)
-        assert s.q == 2
         assert (s.l, s.a_l) == (3, 2)
         assert spec(3, 2, "x1^2", "x2*x3").l is None
 
