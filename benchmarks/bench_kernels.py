@@ -73,8 +73,9 @@ def make_inputs(seed=1):
     rng = random.Random(seed)
     mons = [tuple(rng.randint(0, 4) for _ in range(5)) for _ in range(400)]
     gens = tuple(mons[:40])
+    # sparse rows {column: entry}, as gf_rank takes them
     mats = [
-        [[rng.randint(0, 32002) for _ in range(30)] for _ in range(30)]
+        [{j: rng.randint(0, 32002) for j in range(30)} for _ in range(30)]
         for _ in range(5)
     ]
     return mons, gens, mats

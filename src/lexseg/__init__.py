@@ -28,7 +28,6 @@ from .monomials import (
     classify,
     colon,
     enumerate_degree,
-    ideal_sum,
     intersect,
     lexsegment_generators,
     reduce_fully,

@@ -26,17 +26,14 @@ from .filtration import (
     verify_prime_filtration,
 )
 from .monomials import (
-    DimensionError,
     InternalConsistencyError,
     LexSpec,
     MonomialIdeal,
-    SpecError,
     SpecKind,
     classify,
     lexsegment_generators,
     reduce_fully,
 )
-from .serialize import ParseError
 from .sweep import DEFAULT_CAP, DEFAULT_PRIMES, sweep
 
 USAGE_ERROR = 2
@@ -143,7 +140,7 @@ def _cmd_depth(args) -> int:
     work = reduce_fully(spec)[0]
     kind = classify(work)
     out["class"] = kind.value
-    if kind == SpecKind.ARBITRARY and work.d > 1:
+    if kind == SpecKind.ARBITRARY:
         case = depth_class(work)
         out["depth_class"] = case.depth.name
         if case.subcase:
@@ -289,10 +286,7 @@ def main(argv=None) -> int:
             return USAGE_ERROR
     try:
         return args.func(args)
-    except (ParseError, SpecError, DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # parse, spec and domain errors too
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InternalConsistencyError as exc:

@@ -1,18 +1,17 @@
 """Closed-form associated primes of lexsegment ideals.
 
-The dispatcher normalizes a spec with reduce_fully, routes the working
-spec to the matching case formula, and reads the rest of the answer off
-the normalization moves: each division by x1^b adds the prime generated
-by the current first variable, and each dropped block of leading
-variables shifts the formula's primes back up. The formulas act only on
-reduced specs and hard-fail otherwise.
+The dispatcher normalizes a spec with reduce_fully, I = x^factor * I',
+routes the working spec of I' to the matching case formula, and reads
+the rest of the answer off the factor: each divided variable x_i adds the
+prime (x_i), and the formula's primes shift up past the dropped leading
+variables. The formulas act only on reduced specs and hard-fail
+otherwise.
 """
 
 from __future__ import annotations
 
 from .depth import DepthClass, depth_class
 from .monomials import (
-    DIVIDE,
     LexSpec,
     PrimeIdeal,
     SpecError,
@@ -107,17 +106,13 @@ def ass_depth_pos(spec: LexSpec, case=None) -> frozenset[PrimeIdeal]:
 
 
 def associated_primes_lexsegment(spec: LexSpec) -> frozenset[PrimeIdeal]:
-    """Ass(S/I) for an arbitrary lexsegment spec, via the case formulas."""
-    n0 = spec.n
-    work, moves = reduce_fully(spec)
-    extras: set[PrimeIdeal] = set()
-    offset = 0
-    for move, k in moves:
-        if move == DIVIDE:
-            extras.add(PrimeIdeal.from_vars(n0, (offset + 1,)))
-        else:
-            offset += k
+    """Ass(S/I) for an arbitrary lexsegment spec, via the case formulas.
 
+    With I = x^factor * I' (reduce_fully), Ass(S/I) is the primes (x_i)
+    for i in supp(factor) together with Ass(S/I') shifted past the
+    spec.n - work.n dropped variables."""
+    n = spec.n
+    work, factor = reduce_fully(spec)
     kind = classify(work)
     if kind == SpecKind.PRINCIPAL:
         core = frozenset(
@@ -126,9 +121,7 @@ def associated_primes_lexsegment(spec: LexSpec) -> frozenset[PrimeIdeal]:
     elif work.d == 1:
         # a degree-1 segment (x1, ..., xk) is itself prime
         core = frozenset({PrimeIdeal.span(work.n, 1, max_var(work.v))})
-    elif kind == SpecKind.FULL_SEGMENT:
-        core = frozenset({PrimeIdeal.maximal(work.n)})
-    elif kind == SpecKind.INITIAL:
+    elif kind in (SpecKind.INITIAL, SpecKind.FULL_SEGMENT):
         core = ass_initial(work)
     elif kind == SpecKind.FINAL:
         core = ass_final(work)
@@ -138,4 +131,7 @@ def associated_primes_lexsegment(spec: LexSpec) -> frozenset[PrimeIdeal]:
             core = ass_depth0(work)
         else:
             core = ass_depth_pos(work, case)
-    return frozenset(extras) | frozenset(p.shift(offset, n0) for p in core)
+    k = n - work.n
+    return frozenset(
+        [PrimeIdeal(n, (i,)) for i in supp(factor)] + [p.shift(k, n) for p in core]
+    )

@@ -43,6 +43,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     PrimeIdeal,
+    supp,
     variable,
 )
 
@@ -149,15 +150,10 @@ def _components(ideal: MonomialIdeal) -> list:
     return comps
 
 
-def _support(q) -> tuple[int, ...]:
-    """The variables of a dense component, its radical's vars."""
-    return tuple(itertools.compress(range(1, len(q) + 1), q))
-
-
 def _radicals(n: int, comps) -> set[PrimeIdeal]:
     """The radicals of the dense components comps in n variables: Ass(S/J)
     when comps are the irredundant components of J."""
-    return {PrimeIdeal(n, s) for s in {_support(q) for q in comps}}
+    return {PrimeIdeal(n, s) for s in {supp(q) for q in comps}}
 
 
 def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
@@ -264,7 +260,7 @@ def _witness_scanner(n: int, comps):
     box = [max(col) for col in zip(*comps)] or [0] * n
     pins: dict[tuple[int, ...], list] = {}
     for q in comps:
-        pins.setdefault(_support(q), []).append(q)
+        pins.setdefault(supp(q), []).append(q)
     volume = math.prod(e + 1 for e in box)
     if volume > WITNESS_BOX_LIMIT:
         raise DomainError(

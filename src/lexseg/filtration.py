@@ -14,8 +14,8 @@ components of its ideal, and a child J + (w) takes one add-one-generator
 step (decompose._add_generator) from its parent's. Its candidate primes,
 its witnesses (the scan behind decompose.witnesses) and the pretty clean
 cut at each child's edge are all read from components. staged_filtration
-runs that search once, on the spec normalized by reduce_fully, and
-undoes the normalization moves on the chain it finds.
+runs that search once, on the working spec of reduce_fully, I =
+x^factor * I', and lifts the chain it finds to I through the factor.
 
 Each step (w, P) gives the Stanley space w K[Z], Z the complement of P
 (Herzog-Popescu 2006). stanley_certificate proves that spaces w_i K[Z_i]
@@ -34,12 +34,10 @@ from .decompose import (
     _add_generator,
     _components,
     _radicals,
-    _support,
     _witness_scanner,
     radicals,
 )
 from .monomials import (
-    DIVIDE,
     DimensionError,
     DomainError,
     InternalConsistencyError,
@@ -53,8 +51,8 @@ from .monomials import (
     lexsegment_generators,
     mon_mul,
     reduce_fully,
+    supp,
     unit,
-    variable,
 )
 
 # Most recursion nodes, terms x^m K(S/(J : m)), that one K-polynomial in
@@ -116,34 +114,39 @@ def _degree_then_lex(w: Monomial):
 def staged_filtration(spec: LexSpec) -> PrimeFiltration:
     """Pretty clean filtration of S/I for a lexsegment ideal I.
 
-    search_filtration runs once, on the spec normalized by reduce_fully.
-    The moves are then undone in reverse on the chain: a division by x1^b
-    scales every witness by x1^b and appends the steps (x1^j, (x1)) for
-    j = b - 1, ..., 0; a dropped block of k leading variables pads every
-    witness and shifts every prime by k.
+    search_filtration runs once, on the working spec of reduce_fully:
+    I = x^f * i(I'), where i puts the variables of I' last, after the k
+    dropped ones. Each step (w, P) of the chain of I' becomes
+    (x^f * i(w), i(P)): colons commute with i and with multiplication by
+    x^f, so these steps lead from I to (x^f). Then, for each i in supp(f)
+    from the largest down, the steps (x^g * x_i^j, (x_i)) for j = f_i - 1,
+    ..., 0, with g the part of f on x_1..x_(i-1), lead from (x^g * x_i^f_i)
+    to (x^g), and at the last i to the unit ideal. The appended primes are
+    single variables, which properly contain no nonzero prime, so the
+    chain stays pretty clean. It is the chain that undoing the
+    normalization in reverse builds: reduce_fully divides by the variables
+    of supp(f) in increasing order, so undoing the division by x_i^f_i
+    scales every step of the later divisions, their tails included.
     """
-    work, moves = reduce_fully(spec)
+    work, factor = reduce_fully(spec)
     ideal = lexsegment_generators(work)
     found = search_filtration(ideal)
     if found is None:
         raise InternalConsistencyError(f"found no pretty clean chain from {ideal.gens}")
-    steps = found.steps
-    n = work.n
-    for move, k in reversed(moves):
-        if move == DIVIDE:
-            x1k = variable(n, 1, k)
-            x1 = PrimeIdeal.from_vars(n, (1,))
-            steps = tuple(
-                FiltrationStep(mon_mul(s.witness, x1k), s.prime) for s in steps
-            ) + tuple(
-                FiltrationStep(variable(n, 1, j), x1) for j in range(k - 1, -1, -1)
-            )
-        else:
-            n += k
-            steps = tuple(
-                FiltrationStep((0,) * k + s.witness, s.prime.shift(k, n)) for s in steps
-            )
-    return PrimeFiltration(lexsegment_generators(spec), steps)
+    n, k = spec.n, spec.n - work.n
+    if not k and not any(factor):
+        return found  # work is spec
+    steps = [
+        FiltrationStep(mon_mul(factor, (0,) * k + s.witness), s.prime.shift(k, n))
+        for s in found.steps
+    ]
+    for i in reversed(supp(factor)):
+        prime = PrimeIdeal(n, (i,))
+        steps.extend(
+            FiltrationStep(factor[: i - 1] + (j,) + (0,) * (n - i), prime)
+            for j in range(factor[i - 1] - 1, -1, -1)
+        )
+    return PrimeFiltration(lexsegment_generators(spec), tuple(steps))
 
 
 def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
@@ -187,7 +190,7 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
             steps.pop()
         step, comps = child
         steps.append(step)
-    steps.append(FiltrationStep(unit(n), PrimeIdeal(n, _support(comps[0]))))
+    steps.append(FiltrationStep(unit(n), PrimeIdeal(n, supp(comps[0]))))
     return PrimeFiltration(ideal, tuple(steps))
 
 
@@ -224,17 +227,24 @@ def verify_prime_filtration(filtration: PrimeFiltration) -> Report:
 
 
 def verify_pretty_clean(filtration: PrimeFiltration) -> Report:
-    """No proper inclusion prime_i ⊂ prime_j with i < j."""
-    violations = []
+    """No proper inclusion prime_i ⊂ prime_j with i < j, reported in (i, j)
+    order. Each step's prime, as a bitmask, is compared with the distinct
+    primes before it, so the cost is steps times distinct primes."""
     steps = filtration.steps
-    for i in range(len(steps)):
-        for j in range(i + 1, len(steps)):
-            if steps[i].prime.is_proper_subset(steps[j].prime):
-                violations.append(
-                    f"steps {i} < {j}: ({steps[i].prime.vars}) properly "
-                    f"contained in ({steps[j].prime.vars})"
-                )
-    return Report(tuple(violations))
+    earlier: dict[int, list[int]] = {}  # prime mask -> the steps with it
+    pairs = []
+    for j, step in enumerate(steps):
+        q = sum(1 << i for i in step.prime.vars)
+        for p, at in earlier.items():
+            if p & q == p != q:
+                pairs.extend((i, j) for i in at)
+        earlier.setdefault(q, []).append(j)
+    violations = tuple(
+        f"steps {i} < {j}: ({steps[i].prime.vars}) properly "
+        f"contained in ({steps[j].prime.vars})"
+        for i, j in sorted(pairs)
+    )
+    return Report(violations)
 
 
 def supp_equals_ass(filtration: PrimeFiltration) -> Report:

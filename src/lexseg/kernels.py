@@ -54,8 +54,7 @@ def colon_gens(gens, w):
 
 def gf_rank(rows, p):
     """Rank of an integer matrix over GF(p), p prime; each row is a dict
-    {column: entry} that may leave out zeros (a dense list of entries is
-    read as {j: row[j]}).
+    {column: entry} that may leave out zeros.
 
     Sparse row reduction: each row becomes {column: entry mod p} without
     its zeros, and is reduced at its leading column by the pivot row kept
@@ -65,8 +64,7 @@ def gf_rank(rows, p):
     """
     pivots = {}
     for row in rows:
-        entries = row.items() if isinstance(row, dict) else enumerate(row)
-        r = {j: y for j, x in entries if x and (y := x % p)}
+        r = {j: y for j, x in row.items() if x and (y := x % p)}
         while r:
             lead = min(r)
             pivot = pivots.get(lead)

@@ -8,6 +8,7 @@ comparison of exponent vectors, which this module leans on throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -62,7 +63,7 @@ def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def supp(m: Monomial) -> tuple[int, ...]:
     """1-based indices of the variables dividing m."""
-    return tuple(i + 1 for i, e in enumerate(m) if e > 0)
+    return tuple(itertools.compress(range(1, len(m) + 1), m))
 
 
 def min_var(m: Monomial) -> int:
@@ -151,10 +152,6 @@ class MonomialIdeal:
         return kernels.member(tuple(m), self.gens)
 
 
-def zero_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, ())
-
-
 def unit_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, (unit(n),))
 
@@ -172,12 +169,6 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         raise DimensionError("variable counts differ")
     lcms = [mon_lcm(g, h) for g in a.gens for h in b.gens]
     return MonomialIdeal(a.n, kernels.minimalize(tuple(lcms)))
-
-
-def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.n != b.n:
-        raise DimensionError("variable counts differ")
-    return MonomialIdeal(a.n, kernels.minimalize(a.gens + b.gens))
 
 
 def add_element(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -312,33 +303,34 @@ def classify(spec: LexSpec) -> SpecKind:
 
 def lexsegment_generators(spec: LexSpec) -> MonomialIdeal:
     """The ideal generated by L(u, v): all degree-d monomials between u and v."""
-    gens = [w for w in enumerate_degree(spec.n, spec.d) if spec.v <= w <= spec.u]
-    return MonomialIdeal(spec.n, tuple(sorted(gens, reverse=True)))
+    # enumerate_degree is lex-descending, the canonical generator order
+    gens = tuple(w for w in enumerate_degree(spec.n, spec.d) if spec.v <= w <= spec.u)
+    return MonomialIdeal(spec.n, gens)
 
 
-DIVIDE = "divide"
-DROP = "drop"
-
-
-def reduce_fully(spec: LexSpec) -> tuple[LexSpec, tuple[tuple[str, int], ...]]:
+def reduce_fully(spec: LexSpec) -> tuple[LexSpec, Monomial]:
     """Normalize a spec until a1 >= 1 and b1 = 0 (or u = v).
 
-    Returns the working spec and the moves made, in order: (DIVIDE, b)
-    divides u and v by x1^b, and (DROP, k) drops k unused leading
-    variables. Each move acts on the spec left by the moves before it.
+    Returns (work, factor). factor is the exponent vector divided out, in
+    spec's n variables, and I(spec) = x^factor * i(I(work)), where i puts
+    work's variables last, after the k = spec.n - work.n dropped ones.
+    Each division removes x1^b1 from the current first variable, and each
+    drop removes the unused leading variables (v <=_lex u forces supp(v)
+    into the variables of u as well). No variable is divided twice: b1 = 0
+    after a division, and only a drop brings in a new first variable. So
+    supp(factor) is the set of divided variables, and a variable i of
+    supp(factor) is divided after every smaller one.
     """
-    moves = []
+    factor = [0] * spec.n
     while spec.u != spec.v:
         if spec.b1 > 0:
             b = spec.b1
+            factor[len(factor) - spec.n] = b
             x1b = variable(spec.n, 1, b)
             spec = LexSpec(spec.n, spec.d - b, mon_div(spec.u, x1b), mon_div(spec.v, x1b))
-            moves.append((DIVIDE, b))
         elif spec.a1 == 0:
-            # v <=_lex u forces supp(v) into the variables of u as well
             k = min_var(spec.u) - 1
             spec = LexSpec(spec.n - k, spec.d, spec.u[k:], spec.v[k:])
-            moves.append((DROP, k))
         else:
             break
-    return spec, tuple(moves)
+    return spec, tuple(factor)

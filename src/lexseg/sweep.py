@@ -145,9 +145,9 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
         record("depth", f"depth differs across primes: {depths}")
     exact = depths[primes[0]]
     work = reduce_fully(spec)[0]
-    if classify(work) == SpecKind.ARBITRARY and work.d > 1:
+    if classify(work) == SpecKind.ARBITRARY:
         case = depth_class(work)
-        # I = x1^b I' has the pd of I', and each dropped variable adds one
+        # I = x^factor I' has the pd of I', and each dropped variable adds one
         # to the depth
         work_exact = exact - (spec.n - work.n)
         agree = {

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from lexseg.monomials import LexSpec, MonomialIdeal, PrimeIdeal
+from lexseg import kernels
+from lexseg.monomials import DimensionError, LexSpec, MonomialIdeal, PrimeIdeal
 from lexseg.serialize import parse_monomial
 
 
@@ -20,6 +21,17 @@ def I(n, *gens):
 
 def spec(n, d, u, v):
     return LexSpec(n, d, parse_monomial(u, n), parse_monomial(v, n))
+
+
+def zero_ideal(n):
+    return MonomialIdeal(n, ())
+
+
+def ideal_sum(a, b):
+    """I + J, minimalized from both generator lists."""
+    if a.n != b.n:
+        raise DimensionError("variable counts differ")
+    return MonomialIdeal(a.n, kernels.minimalize(a.gens + b.gens))
 
 
 def ideal_as_prime(ideal):

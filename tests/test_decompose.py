@@ -11,7 +11,15 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import lexseg.decompose as decompose_module
-from conftest import I, P, iter_box, oracle_pool, oracle_random_ideals, witness_box
+from conftest import (
+    I,
+    P,
+    iter_box,
+    oracle_pool,
+    oracle_random_ideals,
+    witness_box,
+    zero_ideal,
+)
 from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
@@ -35,7 +43,6 @@ from lexseg.monomials import (
     min_var,
     unit_ideal,
     variable,
-    zero_ideal,
 )
 
 

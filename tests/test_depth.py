@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import I, spec
+from conftest import I, spec, zero_ideal
 from lexseg import depth, kernels
 from lexseg.depth import (
     CHARACTERISTIC_LIMIT,
@@ -25,7 +25,6 @@ from lexseg.monomials import (
     lexsegment_generators,
     supp,
     unit_ideal,
-    zero_ideal,
 )
 
 
@@ -171,7 +170,7 @@ def tuple_koszul_complex(ideal, b):
 
 def tuple_betti_from_top(by_size, p, above):
     """(i, rank H~_{i-1} over GF(p)) for i = len(by_size) - 2 down to
-    above + 1, from dense boundary rows over tuple faces."""
+    above + 1, from boundary rows over tuple faces."""
     ranks = {}
 
     def rank(k):
@@ -180,7 +179,7 @@ def tuple_betti_from_top(by_size, p, above):
             index = {f: j for j, f in enumerate(lower)}
             rows = []
             for f in upper:
-                row = [0] * len(lower)
+                row = {}
                 for j in range(k):
                     row[index[f[:j] + f[j + 1 :]]] = 1 if j % 2 == 0 else -1
                 rows.append(row)

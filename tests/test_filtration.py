@@ -17,10 +17,12 @@ from conftest import (
     I,
     P,
     ideal_as_prime,
+    ideal_sum,
     iter_box,
     oracle_random_ideals,
     spec,
     witness_box,
+    zero_ideal,
 )
 from lexseg.decompose import (
     IrreducibleIdeal,
@@ -57,11 +59,9 @@ from lexseg.monomials import (
     colon,
     degree,
     enumerate_degree,
-    ideal_sum,
     lexsegment_generators,
     unit,
     unit_ideal,
-    zero_ideal,
 )
 from lexseg.sweep import iter_specs
 
@@ -73,6 +73,31 @@ EXTENDED_BUDGET_SECONDS = 20.0
 # Most monomials, C(n + D, n) for degree bound D, that
 # bounded_cover_reference will enumerate.
 COVER_CHECK_LIMIT = 1 << 16
+
+
+def step_digest(specs):
+    """The first 16 hex digits of the sha256 of the JSON list, per spec, of
+    [witness, prime.vars] per step of staged_filtration: the recipe
+    benchmarks/bench_kernels.py prints."""
+    chains = [
+        [[list(s.witness), list(s.prime.vars)] for s in staged_filtration(x).steps]
+        for x in specs
+    ]
+    return hashlib.sha256(json.dumps(chains).encode()).hexdigest()[:16]
+
+
+def pretty_clean_reference(filtration):
+    """The pairwise verify_pretty_clean that the bitmask pass replaced."""
+    violations = []
+    steps = filtration.steps
+    for i in range(len(steps)):
+        for j in range(i + 1, len(steps)):
+            if steps[i].prime.is_proper_subset(steps[j].prime):
+                violations.append(
+                    f"steps {i} < {j}: ({steps[i].prime.vars}) properly "
+                    f"contained in ({steps[j].prime.vars})"
+                )
+    return Report(tuple(violations))
 
 
 def assert_fully_verified(filtration):
@@ -422,16 +447,17 @@ class TestSearch:
         assert [(s.witness, s.prime.vars) for s in f.steps] == [((0, 0), (1, 2))]
 
     def test_step_digest_on_the_acceptance_specs(self):
-        # output identity: the step digest of the 477 acceptance specs,
-        # the recipe benchmarks/bench_kernels.py prints; the oracle digest
-        # has the same gate in tests/test_decompose.py
+        # output identity: the step digest of the 477 acceptance specs; the
+        # oracle digest has the same gate in tests/test_decompose.py
         specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
-        chains = [
-            [[list(s.witness), list(s.prime.vars)] for s in staged_filtration(x).steps]
-            for x in specs
-        ]
-        digest = hashlib.sha256(json.dumps(chains).encode()).hexdigest()[:16]
-        assert digest == "e6fb339584db5b98"
+        assert step_digest(specs) == "e6fb339584db5b98"
+
+    def test_step_digest_on_the_high_degree_specs(self):
+        # the 821 n=2..3, d=4..6 specs: 34 of them divide by two or more
+        # variables, against 6 of the acceptance specs
+        specs = list(iter_specs((2, 3), (4, 6)))
+        assert len(specs) == 821
+        assert step_digest(specs) == "65b0e695ee0fee2d"
 
     def test_rejects_trivial(self):
         with pytest.raises(DomainError):
@@ -539,6 +565,22 @@ class TestVerifiers:
         report = verify_pretty_clean(f)
         assert not report.ok
         assert "properly" in report.violations[0]
+
+    def test_pretty_clean_matches_the_pairwise_reference(self):
+        # the acceptance chains, each with its steps shuffled: equal
+        # reports, violations in (i, j) order, on passing and failing chains
+        rng = random.Random(20261019)
+        specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+        failing = 0
+        for s in specs:
+            f = staged_filtration(s)
+            steps = list(f.steps)
+            rng.shuffle(steps)
+            shuffled = PrimeFiltration(f.base, tuple(steps))
+            report = verify_pretty_clean(shuffled)
+            assert report == pretty_clean_reference(shuffled)
+            failing += not report.ok
+        assert 0 < failing < len(specs)
 
     def test_supp_mismatch_detected(self):
         # a fake chain claiming only (x1): the missing prime is reported

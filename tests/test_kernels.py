@@ -146,8 +146,6 @@ class TestPureKernels:
         rows, p = case
         rank = gf_rank_reference(rows, p)
         assert kernels.gf_rank(sparse(rows), p) == rank
-        # a dense row is read as {j: row[j]}
-        assert kernels.gf_rank(rows, p) == rank
 
     def test_backend_is_python(self):
         assert lexseg.BACKEND == kernels.BACKEND == "python"

@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I, P, ideal_as_prime, spec
+from conftest import I, P, ideal_as_prime, ideal_sum, spec, zero_ideal
 from lexseg.monomials import (
-    DIVIDE,
-    DROP,
     DimensionError,
     LexSpec,
     MonomialIdeal,
@@ -19,7 +17,6 @@ from lexseg.monomials import (
     colon,
     degree,
     enumerate_degree,
-    ideal_sum,
     intersect,
     lexsegment_generators,
     max_var,
@@ -32,8 +29,8 @@ from lexseg.monomials import (
     unit,
     unit_ideal,
     variable,
-    zero_ideal,
 )
+from lexseg.sweep import iter_specs
 
 
 def mon_gcd(a, b):
@@ -257,35 +254,59 @@ class TestLexSpec:
 
 class TestReduction:
     def test_divide_out_x1(self):
-        work, moves = reduce_fully(spec(3, 2, "x1^2", "x1*x3"))
-        assert moves == ((DIVIDE, 1),)
+        work, factor = reduce_fully(spec(3, 2, "x1^2", "x1*x3"))
+        assert factor == (1, 0, 0)
         assert work == spec(3, 1, "x1", "x3")
 
     def test_principal_power_of_x1(self):
-        # u = v = x1^d is already the working spec: no move is made
+        # u = v = x1^d is already the working spec: nothing is divided out
         s = spec(3, 2, "x1^2", "x1^2")
-        assert reduce_fully(s) == (s, ())
+        assert reduce_fully(s) == (s, (0, 0, 0))
 
     def test_reindex(self):
-        work, moves = reduce_fully(spec(3, 2, "x2*x3", "x3^2"))
-        assert moves == ((DROP, 1),)
+        work, factor = reduce_fully(spec(3, 2, "x2*x3", "x3^2"))
+        assert factor == (0, 0, 0)
         assert work == spec(2, 2, "x1*x2", "x2^2")
 
     def test_reduced_spec_unchanged(self):
         s = spec(3, 2, "x1*x2", "x2*x3")
-        assert reduce_fully(s) == (s, ())
+        assert reduce_fully(s) == (s, (0, 0, 0))
 
     def test_reduce_fully_mixed(self):
-        work, moves = reduce_fully(spec(4, 3, "x2^2*x3", "x2^2*x4"))
-        # drop x1, divide by x2^2, then drop the now-unused leading variable
-        assert moves == ((DROP, 1), (DIVIDE, 2), (DROP, 1))
+        work, factor = reduce_fully(spec(4, 3, "x2^2*x3", "x2^2*x4"))
+        # drop x1, divide by x2^2, then drop the now-unused x2
+        assert factor == (0, 2, 0, 0)
+        assert work == spec(2, 1, "x1", "x2")
+
+    def test_divides_two_variables(self):
+        # divide by x1, drop x1, divide by x2^2, drop x2
+        work, factor = reduce_fully(spec(4, 4, "x1*x2^2*x3", "x1*x2^2*x4"))
+        assert factor == (1, 2, 0, 0)
         assert work == spec(2, 1, "x1", "x2")
 
     def test_reduction_matches_colon(self):
         # dividing out x1^b1 is exactly the colon by x1^b1 on generators
         s = spec(3, 3, "x1^2*x2", "x1*x3^2")
-        work, moves = reduce_fully(s)
-        assert moves == ((DIVIDE, s.b1),)
+        work, factor = reduce_fully(s)
+        assert factor == (s.b1, 0, 0)
         big = lexsegment_generators(s)
         small = lexsegment_generators(work)
         assert small == colon(big, variable(3, 1, s.b1))
+
+    def test_factor_times_work_is_the_ideal(self):
+        # I(spec) = x^factor * i(I(work)), i putting work's variables last,
+        # on the 477 acceptance specs and the 821 n=2..3, d=4..6 specs
+        specs = (
+            list(iter_specs((2, 4), (2, 3)))
+            + list(iter_specs((5, 5), (2, 2)))
+            + list(iter_specs((2, 3), (4, 6)))
+        )
+        assert len(specs) == 477 + 821
+        for s in specs:
+            work, factor = reduce_fully(s)
+            assert work.u == work.v or (work.a1 >= 1 and work.b1 == 0)
+            pad = (0,) * (s.n - work.n)
+            lifted = MonomialIdeal.from_gens(
+                s.n, (mon_mul(factor, pad + g) for g in lexsegment_generators(work).gens)
+            )
+            assert lifted == lexsegment_generators(s)
