@@ -7,13 +7,15 @@ seeded 40-generator sets, as an intersection makes. A depth line
 times depth_exact at GF(2) and GF(32003) over every n=5, d=2
 lexsegment, and the family lines time each check family of
 lexseg.sweep.check_spec over the 357 n=2..4, d=2..3 specs: closed form,
-oracle, filtration, depth at each prime and stanley certificate. The
-digest line is the step digest of staged_filtration on the 477
-acceptance specs (n=2..4, d=2..3 and n=5, d=2): the first 16 hex digits
-of the sha256 of the JSON list, per spec, of [witness, prime.vars] per
-step. Equal digests mean identical chains. The extended lines time
-staged_filtration, stanley_certificate and depth_exact at each prime
-over the 861 n=5, d=3 and n=6, d=2 specs, and depths_exact at both
+oracle, filtration, depth at each prime, stanley certificate and prime
+filtration verifier (verify_prime_filtration on the chains of
+staged_filtration, built outside the timed runs). The digest line is the
+step digest of staged_filtration on the 477 acceptance specs (n=2..4,
+d=2..3 and n=5, d=2): the first 16 hex digits of the sha256 of the JSON
+list, per spec, of [witness, prime.vars] per step. Equal digests mean
+identical chains. The extended lines time staged_filtration,
+stanley_certificate, verify_prime_filtration and depth_exact at each
+prime over the 861 n=5, d=3 and n=6, d=2 specs, and depths_exact at both
 primes in one search, as check_spec asks. On those specs one cold
 depths_exact pass at both primes gives the walk counters: lcm lattice
 elements generated (popped plus queued) and popped by _lattice_walk,
@@ -155,18 +157,20 @@ def depth_layer():
     print(f"depth_exact, p=2 and 32003, {len(ideals)} n=5 d=2 specs: {best:.3f} s")
 
 
-def stanley_cases(specs, ideals):
-    """(ideal, Stanley decomposition) per spec, the certificate's inputs."""
+def stanley_cases(filtrations, ideals):
+    """(ideal, Stanley decomposition) per filtration, the certificate's
+    inputs."""
     return [
-        (ideal, filtration.stanley_decomposition(filtration.staged_filtration(s)))
-        for s, ideal in zip(specs, ideals)
+        (ideal, filtration.stanley_decomposition(f))
+        for f, ideal in zip(filtrations, ideals)
     ]
 
 
 def sweep_families():
     specs = list(iter_specs((2, 4), (2, 3)))
     ideals = [lexsegment_generators(s) for s in specs]
-    decompositions = stanley_cases(specs, ideals)
+    chains = [filtration.staged_filtration(s) for s in specs]
+    decompositions = stanley_cases(chains, ideals)
     families = {
         "closed form": lambda: [
             closed_form.associated_primes_lexsegment(s) for s in specs
@@ -178,6 +182,9 @@ def sweep_families():
         families[f"depth p={p}"] = lambda p=p: [depth.depth_exact(i, p) for i in ideals]
     families["stanley certificate"] = lambda: [
         filtration.stanley_certificate(*c) for c in decompositions
+    ]
+    families["prime filtration verifier"] = lambda: [
+        filtration.verify_prime_filtration(f) for f in chains
     ]
     print(f"check families, {len(specs)} n=2..4 d=2..3 specs, best of 3, cold caches:")
     for name, run in families.items():
@@ -279,7 +286,8 @@ def extended_range():
 
     best = best_cold(run)
     print(f"staged_filtration, {len(specs)} n=5 d=3 and n=6 d=2 specs: {best:.3f} s")
-    cases = stanley_cases(specs, [lexsegment_generators(s) for s in specs])
+    chains = [filtration.staged_filtration(s) for s in specs]
+    cases = stanley_cases(chains, [lexsegment_generators(s) for s in specs])
 
     def certify():
         for case in cases:
@@ -287,6 +295,8 @@ def extended_range():
 
     best = best_cold(certify)
     print(f"stanley_certificate, {len(specs)} n=5 d=3 and n=6 d=2 specs: {best:.3f} s")
+    best = best_cold(lambda: [filtration.verify_prime_filtration(f) for f in chains])
+    print(f"verify_prime_filtration, same specs: {best:.3f} s")
     extended_depth(cases)
 
 

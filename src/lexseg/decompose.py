@@ -23,11 +23,9 @@ that test come from the components alone (_witness_scanner), so a node
 of the filtration search needs no generators to find its witnesses.
 irreducible_decomposition() checks the components by folding them back
 together, one at a time, and comparing with I (_intersection). That fold
-packs each exponent vector into one int, a field per variable with a
-guard bit on top, sized from the largest exponent of the components so
-that no field can overflow; a guard-bit subtraction then tests
-divisibility and membership in a component in one step. Everything else
-here works on exponent tuples.
+runs on packed exponent vectors (kernels._Packing), where one guard-bit
+subtraction tests divisibility and membership in a component. Everything
+else here works on exponent tuples.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from . import kernels
 from .monomials import (
     DomainError,
     InternalConsistencyError,
@@ -189,47 +188,34 @@ def _intersection(n: int, comps) -> MonomialIdeal:
     the generators of J divide no other one. So only the new lcms are
     tested, in ascending order, each against the gens kept so far.
 
-    The fold runs on packed exponent vectors: one int each, with a field
-    of w = top.bit_length() + 1 bits per variable and x1 in the most
-    significant field, so int order is tuple (lex) order. top is the
-    largest exponent of the components. Every exponent in the fold is 0
-    or an exponent of a component, even when comps decomposes nothing,
-    so the top bit of each field, its guard bit, stays clear. With H a
-    mask of guard bits, ((g | H) - h) & H keeps the guard bit of a field
-    exactly when g_i >= h_i there, and no field borrows from the one
-    above: h divides g when all guard bits survive, and g lies in Q when
-    one of Q's does (h = Q's powers, H = Q's guard bits). The components
-    go in by ascending power sum, which keeps the running intersection
-    smaller than other orders tried; the result is the same in any order.
+    The fold runs on packed exponent vectors (kernels._Packing, which
+    proves the guard-bit tests), sized from top, the largest exponent of
+    the components. Every exponent in the fold is 0 or an exponent of a
+    component, even when comps decomposes nothing, so it is at most top.
+    g lies in Q when one of Q's guard bits survives (g | guard) - power,
+    with power Q's powers and guard Q's guard bits. The components go in
+    by ascending power sum, which keeps the running intersection smaller
+    than other orders tried; the result is the same in any order.
     """
     top = max((e for c in comps for _, e in c.powers), default=0)
-    w = top.bit_length() + 1
-    mask = (1 << w) - 1
-    shift = [(n - i) * w for i in range(n + 1)]  # x_i's field at shift[i]
-    guards = sum(1 << (s + w - 1) for s in shift[1:])
+    packing = kernels._Packing(n, top)
+    w, mask, shifts = packing.width, packing.mask, packing.shifts
     gens = [0]
     for c in sorted(comps, key=lambda c: sum(e for _, e in c.powers)):
-        power = sum(e << shift[i] for i, e in c.powers)
-        guard = sum(1 << (shift[i] + w - 1) for i, _ in c.powers)
-        raised = [(~(mask << shift[i]), e << shift[i]) for i, e in c.powers]
+        power = sum(e << shifts[i - 1] for i, e in c.powers)
+        guard = sum(1 << (shifts[i - 1] + w - 1) for i, _ in c.powers)
+        raised = [
+            (~(mask << shifts[i - 1]), e << shifts[i - 1]) for i, e in c.powers
+        ]
         kept, met = [], set()
         for g in gens:
             if ((g | guard) - power) & guard:
                 kept.append(g)
             else:
                 met.update((g & clear) | put for clear, put in raised)
-        for g in sorted(met):
-            g_h = g | guards
-            for h in kept:
-                if (g_h - h) & guards == guards:
-                    break
-            else:
-                kept.append(g)
-        gens = kept
+        gens = packing.extend_minimal(kept, sorted(met))
     gens.sort(reverse=True)
-    return MonomialIdeal(
-        n, tuple(tuple((g >> s) & mask for s in shift[1:]) for g in gens)
-    )
+    return MonomialIdeal(n, tuple(map(packing.unpack, gens)))
 
 
 def _witness_scanner(n: int, comps):

@@ -22,7 +22,9 @@ Each step (w, P) gives the Stanley space w K[Z], Z the complement of P
 partition the standard monomials of I in every degree, which holds
 exactly when sum_i x^(w_i) prod_(j in P_i) (1 - x_j) equals the
 K-polynomial of S/I. The K-polynomial comes from the Bayer-Stillman
-colon recursion, so no monomials are enumerated.
+colon recursion, so no monomials are enumerated. The certificate and
+the chain check of verify_prime_filtration run on packed exponent
+vectors (kernels._Packing).
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     PrimeIdeal,
-    add_element,
-    colon,
     degree,
     lexsegment_generators,
     mon_mul,
@@ -58,6 +58,11 @@ from .monomials import (
 # Most recursion nodes, terms x^m K(S/(J : m)), that one K-polynomial in
 # stanley_certificate may take.
 K_POLYNOMIAL_LIMIT = 1 << 16
+
+# Most nodes, ideals whose children it tries, that one search_filtration
+# may enter. A lexsegment never backtracks, so it enters one node per
+# step of its chain but the last.
+SEARCH_NODE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,9 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     properly contains an earlier step's prime, it is not in Ass(S/J) and
     it is not P, a radical of J, so R properly contains P. A completed
     chain is therefore pretty clean. The path is a stack of child
-    generators, not a recursion, so its length is bounded by time alone.
-    Returns the first complete pretty clean filtration, or None.
+    generators, not a recursion. Returns the first complete pretty clean
+    filtration, or None. Raises DomainError on entering a node past
+    SEARCH_NODE_LIMIT, counting every node entered, backtracked or not.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
@@ -181,7 +187,14 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     comps = _components(ideal)
     steps: list[FiltrationStep] = []
     frames = []
+    entered = 0
     while not (len(comps) == 1 and max(comps[0]) == 1):
+        entered += 1
+        if entered > SEARCH_NODE_LIMIT:
+            raise DomainError(
+                f"filtration search of the {len(ideal.gens)}-generator ideal "
+                f"enters over SEARCH_NODE_LIMIT = {SEARCH_NODE_LIMIT} nodes"
+            )
         frames.append(_children(n, comps))
         while (child := next(frames[-1], None)) is None:
             frames.pop()
@@ -209,19 +222,59 @@ def _children(n: int, comps):
                 yield FiltrationStep(w, prime), child
 
 
+def _largest_exponent(n: int, monomials) -> int:
+    """The largest exponent of the monomials, 0 for none. Raises
+    DimensionError for one not in n variables and DomainError for a
+    negative exponent, which no packing holds."""
+    top = 0
+    for w in monomials:
+        if len(w) != n:
+            raise DimensionError(f"monomial length {len(w)} != {n}")
+        if w:
+            if min(w) < 0:
+                raise DomainError(f"negative exponent in {w}")
+            top = max(top, *w)
+    return top
+
+
 def verify_prime_filtration(filtration: PrimeFiltration) -> Report:
-    """Chain validity: witnesses escape, colons match, terminal unit ideal."""
+    """Chain validity: witnesses escape, colons match, terminal unit ideal.
+
+    The running ideal J starts at the base, and each step adds its
+    witness w: w must lie outside J, (J : w) must equal the step's prime,
+    and the last J must be the unit ideal. The chain runs on packed
+    exponent vectors (kernels._Packing). Each generator of J is a base
+    generator or a witness, a generator of (J : w) is below one of J's,
+    and the prime's generators are variables, so a packing sized from the
+    largest exponent of the base and the witnesses, and at least 1, holds
+    every exponent. Raises DimensionError for a witness not in the base's
+    variables and DomainError for a negative exponent.
+    """
+    base, steps = filtration.base, filtration.steps
+    n = base.n
+    top = _largest_exponent(n, [*base.gens, *(s.witness for s in steps)])
+    packing = kernels._Packing(n, max(top, 1))
+    pack, guards = packing.pack, packing.guards
+    targets: dict = {}  # prime -> its packed generators, None in other n
+    current = [pack(g) for g in base.gens]
     violations = []
-    current = filtration.base
-    for k, step in enumerate(filtration.steps):
-        if step.witness in current:
+    for k, step in enumerate(steps):
+        w = pack(step.witness)
+        if packing.member(w, current):
             violations.append(f"step {k}: witness {step.witness} already in the chain")
-        elif colon(current, step.witness) != step.prime.to_ideal():
+            continue
+        prime = step.prime
+        if prime not in targets:
+            ideal = prime.to_ideal()
+            targets[prime] = tuple(map(pack, ideal.gens)) if ideal.n == n else None
+        if packing.colon(current, w) != targets[prime]:
             violations.append(
                 f"step {k}: colon by {step.witness} is not ({step.prime.vars})"
             )
-        current = add_element(current, step.witness)
-    if not current.is_unit:
+        # J + (w): w lies outside J, so only the generators it divides go
+        current = [g for g in current if ((g | guards) - w) & guards != guards]
+        current.append(w)
+    if 0 not in current:  # the unit ideal is generated by 1 alone
         violations.append("chain does not terminate at the unit ideal")
     return Report(tuple(violations))
 
@@ -247,10 +300,12 @@ def verify_pretty_clean(filtration: PrimeFiltration) -> Report:
     return Report(violations)
 
 
-def supp_equals_ass(filtration: PrimeFiltration) -> Report:
+def supp_equals_ass(filtration: PrimeFiltration, ass=None) -> Report:
     """Supp of the filtration must equal Ass(S/I), the radicals of the
-    irredundant irreducible components (the oracle's prime set)."""
-    ass = radicals(filtration.base)
+    irredundant irreducible components (the oracle's prime set). A caller
+    that holds Ass(S/I) already passes it as ass; None computes it."""
+    if ass is None:
+        ass = radicals(filtration.base)
     support = filtration.support
     violations = []
     for p in sorted(support - ass, key=lambda p: p.vars):
@@ -274,8 +329,9 @@ def sdepth_lower_bound(decomposition: StanleyDecomposition) -> int:
     return min(len(free) for _, free in decomposition.spaces)
 
 
-def _k_polynomial(ideal: MonomialIdeal) -> dict[Monomial, int]:
-    """K-polynomial of S/I as {exponent: coefficient}, zero terms dropped.
+def _k_polynomial(packing, gens: tuple) -> dict[int, int]:
+    """K-polynomial of S/I as {packed exponent: coefficient}, zero terms
+    dropped, for I generated by the packed, lex-descending minimal gens.
 
     The exact sequence 0 -> S/(J : m)(-m) -> S/J -> S/(J + (m)) -> 0 gives
     K(S/(J + (m))) = K(S/J) - x^m K(S/(J : m)) (Bayer-Stillman 1992). With
@@ -283,47 +339,62 @@ def _k_polynomial(ideal: MonomialIdeal) -> dict[Monomial, int]:
     K(S/I) = 1 - sum_k x^(g_k) K(S/((g_1, ..., g_(k-1)) : g_k)). Each term
     is one recursion node; the colon ideals are memoized for this call
     only. Raises DomainError past K_POLYNOMIAL_LIMIT nodes.
+
+    No exponent exceeds the largest exponent of gens, so a packing sized
+    from it holds the recursion. K(S/J) is the sum over sets s of
+    generators of J of (-1)^|s| x^lcm(s) (the Taylor resolution), so each
+    of its terms divides lcm(J). The colon J_k = (g_1, ..., g_(k-1)) : g_k
+    is generated by the (g_j - g_k)_+, so a term of x^(g_k) K(S/J_k) is
+    at most g_k + max_j (g_j - g_k)_+ = lcm(g_1, ..., g_k) componentwise;
+    the partial sums are the K-polynomials of (g_1, ..., g_k). The
+    generators of J_k lie below those of J, so the bound holds at every
+    depth.
     """
-    n = ideal.n
     memo: dict = {}
     nodes = 0
+    colon = packing.colon
+    count = len(gens)
 
     def k(gens):
         nonlocal nodes
-        if gens in memo:
-            return memo[gens]
-        poly = {(0,) * n: 1}
+        poly = memo.get(gens)
+        if poly is not None:
+            return poly
+        poly = {0: 1}
         for i, m in enumerate(gens):
             nodes += 1
             if nodes > K_POLYNOMIAL_LIMIT:
                 raise DomainError(
-                    f"K-polynomial of the {len(ideal.gens)}-generator ideal needs "
+                    f"K-polynomial of the {count}-generator ideal needs "
                     f"over K_POLYNOMIAL_LIMIT = {K_POLYNOMIAL_LIMIT} recursion nodes"
                 )
-            for e, c in k(kernels.colon_gens(gens[:i], m)).items():
-                e = tuple(x + y for x, y in zip(e, m))
+            for e, c in k(colon(gens[:i], m)).items():
+                e += m
                 poly[e] = poly.get(e, 0) - c
         poly = {e: c for e, c in poly.items() if c}
         memo[gens] = poly
         return poly
 
-    return k(ideal.gens)
+    return k(gens)
 
 
-def _stanley_numerator(decomposition: StanleyDecomposition) -> dict[Monomial, int]:
-    """sum_i x^(w_i) prod_(j in P_i) (1 - x_j), P_i the complement of Z_i."""
+def _stanley_numerator(packing, decomposition: StanleyDecomposition) -> dict[int, int]:
+    """sum_i x^(w_i) prod_(j in P_i) (1 - x_j), P_i the complement of Z_i,
+    as {packed exponent: coefficient}, zero terms dropped. Its exponents
+    are at most w_i + 1, which the packing must hold."""
+    bits = [1 << s for s in packing.shifts]  # x_(j+1) at bits[j]
     poly: dict = {}
     for w, free in decomposition.spaces:
-        terms = {w: 1}
-        for j in range(decomposition.n):
+        terms = {packing.pack(w): 1}
+        for j, bit in enumerate(bits):
             if j + 1 in free:
                 continue
             # every exponent in terms has w[j] at j, so the shifted keys are new
             for e, c in list(terms.items()):
-                terms[e[:j] + (e[j] + 1,) + e[j + 1 :]] = -c
+                terms[e + bit] = -c
         for e, c in terms.items():
             poly[e] = poly.get(e, 0) + c
-    return poly
+    return {e: c for e, c in poly.items() if c}
 
 
 def stanley_certificate(
@@ -346,20 +417,34 @@ def stanley_certificate(
     lex-greatest of them, the first violation in degree-then-lex order as
     a degree-bounded enumeration would meet it, and words it from the
     per-space test at that monomial alone.
+
+    Both polynomials are packed (kernels._Packing), in one layout sized
+    from the largest generator exponent (which bounds K(S/I), see
+    _k_polynomial) and the largest witness exponent plus one (which
+    bounds N), so a witness outside the lcm box of I cannot overflow a
+    field. Only the exponents where they differ are unpacked. Raises
+    DimensionError for a decomposition or a witness in other variables,
+    and DomainError for a negative exponent.
     """
-    if decomposition.n != ideal.n:
+    n = ideal.n
+    if decomposition.n != n:
         raise DimensionError(
-            f"decomposition in {decomposition.n} variables, ideal in {ideal.n}"
+            f"decomposition in {decomposition.n} variables, ideal in {n}"
         )
-    k_poly = _k_polynomial(ideal)
-    numerator = _stanley_numerator(decomposition)
+    top = max(
+        _largest_exponent(n, ideal.gens),
+        _largest_exponent(n, (w for w, _ in decomposition.spaces)) + 1,
+    )
+    packing = kernels._Packing(n, top)
+    k_poly = _k_polynomial(packing, tuple(map(packing.pack, ideal.gens)))
+    numerator = _stanley_numerator(packing, decomposition)
+    if k_poly == numerator:
+        return Report(())
     diff = [
-        e
+        packing.unpack(e)
         for e in k_poly.keys() | numerator.keys()
         if k_poly.get(e, 0) != numerator.get(e, 0)
     ]
-    if not diff:
-        return Report(())
     m = min(diff, key=_degree_then_lex)
     # w * K[Z] contains m iff w <= m and m[i] == w[i] outside Z
     covers = [

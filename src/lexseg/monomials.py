@@ -171,18 +171,6 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(a.n, kernels.minimalize(tuple(lcms)))
 
 
-def add_element(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """I + (m). The generators of I are already minimal, so only m can be
-    redundant, and only generators that m divides can become redundant."""
-    m = tuple(m)
-    if kernels.member(m, ideal.gens):
-        return ideal
-    gens = [g for g in ideal.gens if not kernels.divides(m, g)]
-    gens.append(m)
-    gens.sort(reverse=True)
-    return MonomialIdeal(ideal.n, tuple(gens))
-
-
 # ---------------------------------------------------------------------------
 # prime ideals generated by variables
 

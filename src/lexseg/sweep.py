@@ -131,12 +131,12 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
         )
 
     filtration = staged_filtration(spec)
-    for name, verifier in (
-        ("prime_filtration", verify_prime_filtration),
-        ("pretty_clean", verify_pretty_clean),
-        ("supp_equals_ass", supp_equals_ass),
+    # the oracle's primes are Ass(S/I), the radicals supp_equals_ass reads
+    for name, report in (
+        ("prime_filtration", verify_prime_filtration(filtration)),
+        ("pretty_clean", verify_pretty_clean(filtration)),
+        ("supp_equals_ass", supp_equals_ass(filtration, oracle)),
     ):
-        report = verifier(filtration)
         if not report.ok:
             record("filtration", f"{name}: {'; '.join(report.violations)}")
 

@@ -6,7 +6,14 @@ import random
 import pytest
 
 from lexseg import kernels
-from lexseg.monomials import DimensionError, LexSpec, MonomialIdeal, PrimeIdeal
+from lexseg.filtration import Report
+from lexseg.monomials import (
+    DimensionError,
+    LexSpec,
+    MonomialIdeal,
+    PrimeIdeal,
+    colon,
+)
 from lexseg.serialize import parse_monomial
 
 
@@ -32,6 +39,59 @@ def ideal_sum(a, b):
     if a.n != b.n:
         raise DimensionError("variable counts differ")
     return MonomialIdeal(a.n, kernels.minimalize(a.gens + b.gens))
+
+
+def add_element(ideal, m):
+    """I + (m). The generators of I are already minimal, so only m can be
+    redundant, and only generators that m divides can become redundant."""
+    m = tuple(m)
+    if kernels.member(m, ideal.gens):
+        return ideal
+    gens = [g for g in ideal.gens if not kernels.divides(m, g)]
+    gens.append(m)
+    gens.sort(reverse=True)
+    return MonomialIdeal(ideal.n, tuple(gens))
+
+
+def k_polynomial_reference(ideal):
+    """K-polynomial of S/I as {exponent tuple: coefficient}, zero terms
+    dropped: the Bayer-Stillman recursion of filtration._k_polynomial on
+    exponent tuples, with the same node order and memo, and no node
+    limit. A reference for the packed recursion."""
+    n = ideal.n
+    memo = {}
+
+    def k(gens):
+        if gens in memo:
+            return memo[gens]
+        poly = {(0,) * n: 1}
+        for i, m in enumerate(gens):
+            for e, c in k(kernels.colon_gens(gens[:i], m)).items():
+                e = tuple(x + y for x, y in zip(e, m))
+                poly[e] = poly.get(e, 0) - c
+        poly = {e: c for e, c in poly.items() if c}
+        memo[gens] = poly
+        return poly
+
+    return k(ideal.gens)
+
+
+def prime_filtration_reference(filtration):
+    """verify_prime_filtration on MonomialIdeal values: the chain replayed
+    with colon and add_element. A reference for the packed chain check."""
+    violations = []
+    current = filtration.base
+    for k, step in enumerate(filtration.steps):
+        if step.witness in current:
+            violations.append(f"step {k}: witness {step.witness} already in the chain")
+        elif colon(current, step.witness) != step.prime.to_ideal():
+            violations.append(
+                f"step {k}: colon by {step.witness} is not ({step.prime.vars})"
+            )
+        current = add_element(current, step.witness)
+    if not current.is_unit:
+        violations.append("chain does not terminate at the unit ideal")
+    return Report(tuple(violations))
 
 
 def ideal_as_prime(ideal):

@@ -256,6 +256,14 @@ class TestCliExitCodes:
         assert code == 2
         assert "K_POLYNOMIAL_LIMIT" in capsys.readouterr().err
 
+    def test_filtration_search_over_limit_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", 1)
+        code = main(
+            ["filtration", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3"]
+        )
+        assert code == 2
+        assert "SEARCH_NODE_LIMIT" in capsys.readouterr().err
+
     def test_sweep_small(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"
         code = main(

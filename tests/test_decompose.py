@@ -14,6 +14,7 @@ import lexseg.decompose as decompose_module
 from conftest import (
     I,
     P,
+    add_element,
     iter_box,
     oracle_pool,
     oracle_random_ideals,
@@ -35,7 +36,6 @@ from lexseg.monomials import (
     InternalConsistencyError,
     MonomialIdeal,
     PrimeIdeal,
-    add_element,
     colon,
     degree,
     intersect,

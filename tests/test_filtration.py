@@ -16,14 +16,18 @@ import lexseg.filtration as filtration_module
 from conftest import (
     I,
     P,
+    add_element,
     ideal_as_prime,
     ideal_sum,
     iter_box,
+    k_polynomial_reference,
     oracle_random_ideals,
+    prime_filtration_reference,
     spec,
     witness_box,
     zero_ideal,
 )
+from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
     _components,
@@ -33,6 +37,7 @@ from lexseg.decompose import (
 )
 from lexseg.depth import depth_exact
 from lexseg.filtration import (
+    SEARCH_NODE_LIMIT,
     FiltrationStep,
     PrimeFiltration,
     Report,
@@ -55,13 +60,14 @@ from lexseg.monomials import (
     LexSpec,
     MonomialIdeal,
     PrimeIdeal,
-    add_element,
     colon,
     degree,
     enumerate_degree,
     lexsegment_generators,
+    reduce_fully,
     unit,
     unit_ideal,
+    variable,
 )
 from lexseg.sweep import iter_specs
 
@@ -104,6 +110,60 @@ def assert_fully_verified(filtration):
     for verifier in (verify_prime_filtration, verify_pretty_clean, supp_equals_ass):
         report = verifier(filtration)
         assert report.ok, report.violations
+
+
+def entered_nodes(monkeypatch, ideal):
+    """search_filtration(ideal) and the number of nodes it entered, the
+    _children generators it made, backtracked ones included."""
+    made = []
+    children = filtration_module._children
+
+    def counting(n, comps):
+        made.append(comps)
+        return children(n, comps)
+
+    monkeypatch.setattr(filtration_module, "_children", counting)
+    try:
+        return search_filtration(ideal), len(made)
+    finally:
+        monkeypatch.setattr(filtration_module, "_children", children)
+
+
+def packed_k_polynomial(ideal):
+    """_k_polynomial on I, packed as stanley_certificate packs it with no
+    witness (sized from the largest generator exponent), unpacked."""
+    top = max((e for g in ideal.gens for e in g), default=0)
+    packing = kernels._Packing(ideal.n, top)
+    poly = _k_polynomial(packing, tuple(map(packing.pack, ideal.gens)))
+    return {packing.unpack(e): c for e, c in poly.items()}
+
+
+def corrupted_chains(f, rng):
+    """(kind, steps) pairs: the steps of f, then those steps with one
+    seeded corruption of each kind that their length allows."""
+    n, steps = f.base.n, list(f.steps)
+    yield "valid", steps
+    top = max(e for g in f.base.gens for e in g)
+    k = rng.randrange(len(steps))
+    if len(steps) > 1:
+        i, j = sorted(rng.sample(range(len(steps)), 2))
+        swapped = steps[:]
+        swapped[i] = FiltrationStep(steps[j].witness, steps[i].prime)
+        swapped[j] = FiltrationStep(steps[i].witness, steps[j].prime)
+        yield "swapped witness", swapped
+    chosen = tuple(v for v in range(1, n + 1) if rng.random() < 0.5)
+    if chosen == steps[k].prime.vars:
+        prime = PrimeIdeal(n + 1, (n + 1,))
+    else:
+        prime = P(n, *chosen)
+    head, tail = steps[:k], steps[k + 1 :]
+    yield "wrong prime", head + [FiltrationStep(steps[k].witness, prime)] + tail
+    yield "truncated", steps[: rng.randrange(len(steps))]
+    old = steps[rng.randrange(k)].witness if k else rng.choice(f.base.gens)
+    yield "already in the chain", head + [FiltrationStep(old, steps[k].prime)] + steps[k:]
+    j, w = rng.randrange(n), steps[k].witness
+    high = w[:j] + (top + 1 + rng.randrange(2 * top),) + w[j + 1 :]
+    yield "above every exponent", head + [FiltrationStep(high, steps[k].prime)] + tail
 
 
 @st.composite
@@ -459,6 +519,49 @@ class TestSearch:
         assert len(specs) == 821
         assert step_digest(specs) == "65b0e695ee0fee2d"
 
+    def test_node_limit_stops_a_runaway_search(self, monkeypatch):
+        # with no limit this ideal entered 12,649 nodes in 5 s unfinished
+        ideal = MonomialIdeal.from_gens(
+            4, ((3, 2, 0, 0), (3, 0, 1, 2), (2, 2, 3, 1), (1, 2, 3, 3), (0, 3, 3, 2))
+        )
+        monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", 200)
+        with pytest.raises(DomainError, match="SEARCH_NODE_LIMIT = 200"):
+            search_filtration(ideal)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ((1, 1),),  # a lexsegment: no backtracking
+            ((2, 1, 0, 0), (1, 0, 0, 1), (0, 2, 1, 0), (0, 0, 2, 1)),  # no chain
+        ],
+    )
+    def test_node_limit_counts_every_node_entered(self, monkeypatch, gens):
+        ideal = MonomialIdeal.from_gens(len(gens[0]), gens)
+        found, entered = entered_nodes(monkeypatch, ideal)
+        monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", entered)
+        assert search_filtration(ideal) == found
+        monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", entered - 1)
+        with pytest.raises(DomainError, match="SEARCH_NODE_LIMIT"):
+            search_filtration(ideal)
+
+    def test_lexsegments_enter_one_node_per_step(self, monkeypatch):
+        # the search runs on the working spec; the longest acceptance chain
+        # and the d = 50 chain stay far below the limit
+        specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+        most = 0
+        for s in specs:
+            work = reduce_fully(s)[0]
+            if work.u == work.v:
+                continue  # a principal ideal, searched like any other
+            found, entered = entered_nodes(monkeypatch, lexsegment_generators(work))
+            assert entered == len(found.steps) - 1, s
+            most = max(most, entered)
+        assert 0 < most * 1000 < SEARCH_NODE_LIMIT
+        work = reduce_fully(spec(2, 50, "x1^50", "x1*x2^49"))[0]
+        found, entered = entered_nodes(monkeypatch, lexsegment_generators(work))
+        assert entered == len(found.steps) - 1 == 1224
+        assert entered * 50 < SEARCH_NODE_LIMIT
+
     def test_rejects_trivial(self):
         with pytest.raises(DomainError):
             search_filtration(zero_ideal(2))
@@ -504,8 +607,6 @@ class TestStaged:
         # the chain passes through the boundary ideal
         current = ideal
         seen = {current}
-        from lexseg.monomials import add_element
-
         for step in f.steps:
             current = add_element(current, step.witness)
             seen.add(current)
@@ -581,6 +682,55 @@ class TestVerifiers:
             assert report == pretty_clean_reference(shuffled)
             failing += not report.ok
         assert 0 < failing < len(specs)
+
+    def test_packed_chain_check_matches_the_tuple_reference(self):
+        # every acceptance chain, valid and with each seeded corruption:
+        # equal reports, word for word, from the packed and tuple checks
+        rng = random.Random(20261021)
+        specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+        failing = {}
+        for s in specs:
+            f = staged_filtration(s)
+            for kind, steps in corrupted_chains(f, rng):
+                chain = PrimeFiltration(f.base, tuple(steps))
+                report = verify_prime_filtration(chain)
+                assert report == prime_filtration_reference(chain), (s, kind)
+                failing[kind] = failing.get(kind, 0) + (not report.ok)
+        assert failing.pop("valid") == 0
+        assert failing["wrong prime"] == failing["truncated"] == len(specs)
+        assert all(failing.values()), failing
+
+    def test_wrong_length_witness_raises(self):
+        f = search_filtration(I(2, "x1*x2"))
+        bad = PrimeFiltration(
+            f.base, (f.steps[0], FiltrationStep((0, 0, 0), P(2, 1)))
+        )
+        for verify in (verify_prime_filtration, prime_filtration_reference):
+            with pytest.raises(DimensionError, match=r"^monomial length 3 != 2$"):
+                verify(bad)
+
+    def test_negative_exponent_is_refused(self):
+        # no packed field holds a negative exponent, so both packed checks
+        # refuse one instead of borrowing from the next field
+        f = search_filtration(I(2, "x1*x2"))
+        bad = PrimeFiltration(f.base, (FiltrationStep((2, -1), P(2, 1)),) + f.steps)
+        with pytest.raises(DomainError, match="negative exponent"):
+            verify_prime_filtration(bad)
+        with pytest.raises(DomainError, match="negative exponent"):
+            stanley_certificate(f.base, stanley_decomposition(bad))
+
+    def test_supp_equals_ass_takes_the_oracle_primes(self):
+        # check_spec passes the oracle's primes: the same report as from
+        # the radicals, on verified and tampered chains
+        f = search_filtration(I(2, "x1*x2"))
+        tampered = PrimeFiltration(
+            f.base, (f.steps[0], FiltrationStep((0, 0), P(2, 1)))
+        )
+        specs = list(iter_specs((2, 4), (2, 3)))
+        for chain in [tampered] + [staged_filtration(s) for s in specs]:
+            ass = associated_primes_oracle(chain.base).primes
+            assert supp_equals_ass(chain, ass) == supp_equals_ass(chain)
+        assert not supp_equals_ass(tampered, ass).ok
 
     def test_supp_mismatch_detected(self):
         # a fake chain claiming only (x1): the missing prime is reported
@@ -711,17 +861,44 @@ def k_polynomial_inputs(draw):
 
 class TestKPolynomial:
     def test_pinned(self):
-        assert _k_polynomial(I(2, "x1*x2")) == {(0, 0): 1, (1, 1): -1}
-        assert _k_polynomial(I(2, "x1^2", "x1*x2", "x2^2")) == {
-            (0, 0): 1,
-            (2, 0): -1,
-            (1, 1): -1,
-            (0, 2): -1,
-            (2, 1): 1,
-            (1, 2): 1,
-        }
-        assert _k_polynomial(zero_ideal(2)) == {(0, 0): 1}
-        assert _k_polynomial(unit_ideal(2)) == {}
+        for k_polynomial in (packed_k_polynomial, k_polynomial_reference):
+            assert k_polynomial(I(2, "x1*x2")) == {(0, 0): 1, (1, 1): -1}
+            assert k_polynomial(I(2, "x1^2", "x1*x2", "x2^2")) == {
+                (0, 0): 1,
+                (2, 0): -1,
+                (1, 1): -1,
+                (0, 2): -1,
+                (2, 1): 1,
+                (1, 2): 1,
+            }
+            assert k_polynomial(zero_ideal(2)) == {(0, 0): 1}
+            assert k_polynomial(unit_ideal(2)) == {}
+
+    def test_packed_matches_the_tuple_reference(self):
+        specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+        specs.append(spec(2, 50, "x1^50", "x1*x2^49"))
+        for s in specs:
+            ideal = lexsegment_generators(s)
+            assert packed_k_polynomial(ideal) == k_polynomial_reference(ideal), s
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_packed_at_the_field_width_boundaries(self, k):
+        # a largest exponent of 2^k - 1 fills the k bits below the guard
+        # bit; 2^k takes a field one bit wider. x_i^top stays a generator:
+        # the others have two or more variables.
+        rng = random.Random(20261022 + k)
+        for top in (2**k - 1, 2**k):
+            for _ in range(15):
+                n = rng.randint(2, 4)
+                others = [
+                    tuple(rng.choice((0, 1, top - 1, top)) for _ in range(n))
+                    for _ in range(rng.randint(0, 4))
+                ]
+                gens = [variable(n, rng.randint(1, n), top)]
+                gens += [g for g in others if sum(map(bool, g)) > 1]
+                ideal = MonomialIdeal.from_gens(n, gens)
+                assert max(e for g in ideal.gens for e in g) == top
+                assert packed_k_polynomial(ideal) == k_polynomial_reference(ideal)
 
     @seed(20261019)
     @settings(max_examples=150, deadline=None, database=None)
@@ -741,7 +918,9 @@ class TestKPolynomial:
                     if d + sum(t) <= bound:
                         e = tuple(x + y for x, y in zip(m, t))
                         expected[e] = expected.get(e, 0) + (-1) ** sum(t)
-        assert _k_polynomial(ideal) == {e: c for e, c in expected.items() if c}
+        expected = {e: c for e, c in expected.items() if c}
+        assert packed_k_polynomial(ideal) == expected
+        assert k_polynomial_reference(ideal) == expected
 
 
 class TestDisjointCover:
@@ -797,6 +976,34 @@ class TestCertificateAgainstReference:
         for s, ideal, d in sweep_decompositions():
             assert stanley_certificate(ideal, d).ok, s
             assert bounded_cover_reference(ideal, d, reference_bound(s.d, d)).ok, s
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_witness_outside_the_box_matches_reference(self, k):
+        # a witness exponent 2^k - 1 or 2^k above the lcm box of I: the
+        # packing is sized from the witnesses too, so no field overflows
+        rng = random.Random(20261023 + k)
+        cases = [c for c in sweep_decompositions() if c[0].n <= 3]
+        for _ in range(8):
+            s, ideal, d = rng.choice(cases)
+            box = witness_box(ideal)
+            i, j = rng.randrange(len(d.spaces)), rng.randrange(s.n)
+            w, free = d.spaces[i]
+            for e in (2**k - 1, 2**k):
+                spaces = list(d.spaces)
+                spaces[i] = (w[:j] + (box[j] + e,) + w[j + 1 :], free)
+                negative = StanleyDecomposition(d.n, tuple(spaces))
+                report = stanley_certificate(ideal, negative)
+                reference = bounded_cover_reference(
+                    ideal, negative, reference_bound(s.d, negative)
+                )
+                assert not report.ok
+                assert report.violations == reference.violations[:1]
+
+    def test_rejects_witness_in_other_variable_count(self):
+        d = stanley_decomposition(search_filtration(I(2, "x1*x2")))
+        bad = StanleyDecomposition(2, d.spaces + (((0, 0, 1), frozenset({1})),))
+        with pytest.raises(DimensionError):
+            stanley_certificate(I(2, "x1*x2"), bad)
 
     @seed(20261020)
     @settings(max_examples=400, deadline=None, database=None)

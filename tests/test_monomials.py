@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import I, P, ideal_as_prime, ideal_sum, spec, zero_ideal
+from conftest import (
+    I,
+    P,
+    add_element,
+    ideal_as_prime,
+    ideal_sum,
+    spec,
+    zero_ideal,
+)
 from lexseg.monomials import (
     DimensionError,
     LexSpec,
@@ -12,7 +20,6 @@ from lexseg.monomials import (
     PrimeIdeal,
     SpecError,
     SpecKind,
-    add_element,
     classify,
     colon,
     degree,
