@@ -22,19 +22,23 @@ elements generated (popped plus queued) and popped by _lattice_walk,
 and upper Koszul complexes K^b built; and the gf_rank calls. Each timing
 is the best of 3 runs, each run from empty caches. The memo lines give
 the hits, misses and entries of every lru_cache after one cold
-check_spec pass over the 477 acceptance specs. The oracle-random family
-line times irreducible_decomposition plus associated_primes_oracle over
-the 804 pool ideals of the perfbench oracle-random workload (read from
-perfbench/workloads.py, which is only imported), best of 3 cold. The
-oracle digest line is the first 16 hex digits of the sha256 of the JSON
-list, per pool ideal, of [sorted component powers, [[prime.vars,
-witness] per oracle prime]]; equal digests mean identical components,
-primes and witnesses. The depth digest line is the first 16 hex digits
-of the sha256 of the JSON list, per ideal, of [depth_exact(I, 2),
-depth_exact(I, 32003)], over the ideals of the 1,338 specs n=2..4,
-d=2..3 (357), n=5, d=2 (120), n=5, d=3 (630) and n=6, d=2 (231), in
-that order and each range in iter_specs order, then the 804 pool
-ideals; equal digests mean identical depths. The n=6, d=3 lines time
+check_spec pass over the 477 acceptance specs, the one-entry
+_components memo among them. The oracle-random family line times
+irreducible_decomposition plus associated_primes_oracle over the 804
+pool ideals of the perfbench oracle-random workload (read from
+perfbench/workloads.py, which is only imported), best of 3 cold, and
+counts the folds (_components memo misses) and memo hits of its last
+run. The decomposition lines time _components alone, from a cleared
+memo, over the 804 pool ideals and the ideals of the 1,596 n=6, d=3
+specs, best of 3. The oracle digest line is the first 16 hex digits of
+the sha256 of the JSON list, per pool ideal, of [sorted component
+powers, [[prime.vars, witness] per oracle prime]]; equal digests mean
+identical components, primes and witnesses. The depth digest line is
+the first 16 hex digits of the sha256 of the JSON list, per ideal, of
+[depth_exact(I, 2), depth_exact(I, 32003)], over the ideals of the
+1,338 specs n=2..4, d=2..3 (357), n=5, d=2 (120), n=5, d=3 (630) and
+n=6, d=2 (231), in that order and each range in iter_specs order, then
+the 804 pool ideals; equal digests mean identical depths. The n=6, d=3 lines time
 one cold staged_filtration pass over those 1,596 specs, print its step
 digest (the recipe above), and count, in a second pass, the nodes the
 search enters (_witness_scanner calls) and the children it builds
@@ -262,8 +266,9 @@ def oracle_family():
             decompose.associated_primes_oracle(ideal)
 
     best = best_cold(run)
+    info = decompose._components.cache_info()
     print(f"oracle-random family, decomposition + oracle, {len(ideals)} pool ideals: "
-          f"{best:.3f} s")
+          f"{best:.3f} s, {info.misses} folds, {info.hits} memo hits")
     rows = [
         [
             sorted([list(pe) for pe in c.powers]
@@ -275,6 +280,17 @@ def oracle_family():
     ]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
     print(f"oracle digest, {len(ideals)} pool ideals: {digest}")
+
+
+def decomposition_lines():
+    pool = [
+        monomials.MonomialIdeal.from_gens(*oracle_gens(k)) for k in range(ORACLE_POOL)
+    ]
+    n6 = [lexsegment_generators(s) for s in iter_specs((6, 6), (3, 3))]
+    print("decomposition (_components), best of 3, memo cleared:")
+    for label, ideals in (("pool ideals", pool), ("n=6 d=3 ideals", n6)):
+        best = best_cold(lambda ideals=ideals: list(map(decompose._components, ideals)))
+        print(f"  {len(ideals):5} {label:<22} {best:8.3f} s")
 
 
 def extended_range():
@@ -375,6 +391,7 @@ def main():
     memo_lines()
     step_digest()
     oracle_family()
+    decomposition_lines()
     extended_range()
     depth_digest()
     n6_d3_search()

@@ -13,14 +13,30 @@ components of J into those of J + (w), the add-one-generator step of the
 Alexander-dual decomposition algorithms (Milowski, ISSAC 2004; Roune, The
 slice algorithm for irreducible decomposition of monomial ideals, JSC
 2009). _components folds it over the generators of I, and the filtration
-search applies it once per edge of its tree. Both rest on one fact:
-irreducible monomial ideals are prime in the lattice of monomial ideals
-(one that contains an intersection contains a member). witnesses() uses
-it to pin the P-part of a witness to e_j - 1 for a component Q_j with
-radical P and scans only the other coordinates, keeping w when every
-component that misses w has Q_j's exponents on P. The box, the pins and
-that test come from the components alone (_witness_scanner), so a node
-of the filtration search needs no generators to find its witnesses.
+search applies it once per edge of its tree. A new candidate, a
+component Q that misses w with w_k put at k, is compared for redundancy
+only with the candidates of the same k: at every other k' it keeps
+Q_k', which is 0 or above w_k' since Q misses w, so it contains no
+candidate with w_k' at k' (_add_generator). _components keeps its
+last fold (an lru_cache of one entry), so irreducible_decomposition(I)
+and associated_primes_oracle(I) in a row, or the oracle and the
+filtration search on one ideal, fold once.
+
+Both the fold and the witnesses rest on one fact: irreducible monomial
+ideals are prime in the lattice of monomial ideals (one that contains an
+intersection contains a member). witnesses() uses it to pin the P-part
+of a witness to e_j - 1 for a component Q_j with radical P and scans
+only the other coordinates, keeping w when every component that misses
+w has Q_j's exponents on P. The box, the pins and that test come from
+the components alone (_witness_scanner), so a node of the filtration
+search needs no generators to find its witnesses. The oracle reads one
+witness per prime and scans nothing (_corners): the corner of a
+component Q0 with radical P, Q0_i - 1 on P and the top of the box
+elsewhere, is missed by no component but Q0, since one that misses it
+lies in Q0 and the components are irredundant. So it passes the test,
+and the lex-first witness of P is the lex-greatest such corner (proof
+in associated_primes_oracle).
+
 irreducible_decomposition() checks the components by folding them back
 together, one at a time, and comparing with I (_intersection). That fold
 runs on packed exponent vectors (kernels._Packing), where one guard-bit
@@ -30,6 +46,7 @@ else here works on exponent tuples.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -91,8 +108,13 @@ def _add_generator(n: int, comps, w: Monomial) -> list:
     Q does not contain a kept c, so Q fails c at some i in supp c: Q_i is
     0 or above c_i. Q with w_k at k contains c exactly when k is the only
     such i and w_k <= c_k; one pass over c finds every k for which that
-    holds. Two candidates from the same Q do not contain one another: at
-    its own k' the other one has w_k', and Q_k' is 0 or above w_k'.
+    holds. The new candidates are compared with one another only within
+    the same k, and not at all when one component misses w. Q with w_k at
+    k keeps Q's exponent at every k' != k, so it contains Q' with w_k' at
+    k' only if 0 < Q_k' <= w_k'; then Q contains w, which it misses. So
+    a candidate has one k, and candidates of different k do not contain
+    one another. Two candidates from the same Q do not either: at its own
+    k' the other one has w_k', and Q_k' is 0 or above w_k'.
     """
     support = [k for k in range(n) if w[k]]
     kept, rest = [], []
@@ -105,7 +127,7 @@ def _add_generator(n: int, comps, w: Monomial) -> list:
             rest.append(q)
     if not rest:
         return kept
-    fresh = set()
+    fresh = {}  # new candidate -> the k at which it puts w_k
     for q in rest:
         drop = set()
         for c in kept:
@@ -121,9 +143,17 @@ def _add_generator(n: int, comps, w: Monomial) -> list:
                     drop.add(fail)
         for k in support:
             if k not in drop:
-                fresh.add(q[:k] + (w[k],) + q[k + 1 :])
+                fresh[q[:k] + (w[k],) + q[k + 1 :]] = k
     if len(rest) > 1:
-        fresh = [c for c in fresh if not any(o != c and _contains(c, o) for o in fresh)]
+        groups: dict[int, list] = {}
+        for c, k in fresh.items():
+            groups.setdefault(k, []).append(c)
+        fresh = [
+            c
+            for group in groups.values()
+            for c in group
+            if not any(o != c and _contains(c, o) for o in group)
+        ]
     kept.extend(fresh)
     return kept
 
@@ -137,16 +167,19 @@ def _contains(c, o) -> bool:
     return True
 
 
-def _components(ideal: MonomialIdeal) -> list:
+@functools.lru_cache(maxsize=1)
+def _components(ideal: MonomialIdeal) -> tuple:
     """The irredundant irreducible components of I as dense exponent
     tuples: _add_generator folded over the generators in ascending
     degree, lex-ascending within a degree, from the zero ideal, the one
     component with no powers. The unit ideal comes out as the
-    intersection of no components."""
+    intersection of no components. The last fold is kept, so callers
+    that read one ideal in a row share it; it is a tuple, since they all
+    get the same object."""
     comps = [(0,) * ideal.n]
     for g in sorted(reversed(ideal.gens), key=sum):
         comps = _add_generator(ideal.n, comps, g)
-    return comps
+    return tuple(comps)
 
 
 def _radicals(n: int, comps) -> set[PrimeIdeal]:
@@ -218,19 +251,33 @@ def _intersection(n: int, comps) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(map(packing.unpack, gens)))
 
 
+def _box(n: int, comps) -> list[int]:
+    """The witness box of J in n variables, read from the irredundant
+    components comps of J: the componentwise largest exponent over the
+    components, which is the lcm of the generators of J. Every exponent
+    of a component is an exponent of a generator. Conversely, let g be a
+    generator with the largest x_i-exponent a. Then g / x_i is not in J,
+    so some component Q contains g but not g / x_i: the power of Q that
+    divides g divides no g / x_i, so it is x_i^a. Raises DomainError for
+    a box of more than WITNESS_BOX_LIMIT monomials.
+    """
+    box = [max(col) for col in zip(*comps)] or [0] * n
+    volume = math.prod(e + 1 for e in box)
+    if volume > WITNESS_BOX_LIMIT:
+        raise DomainError(
+            f"witness box {tuple(box)} holds {volume} monomials, over the limit "
+            f"{WITNESS_BOX_LIMIT}"
+        )
+    return box
+
+
 def _witness_scanner(n: int, comps):
     """The witness scan of every prime of J in n variables, read from the
     irredundant components comps of J (_components) alone.
 
     Returns scan, where scan(P) yields what witnesses(J, P) yields. The
-    witness box and the pins, the components grouped by their radical,
-    are computed here once. The box, the componentwise largest exponent
-    over the components, is the lcm of the generators of J. Every
-    exponent of a component is an exponent of a generator. Conversely,
-    let g be a generator with the largest x_i-exponent a. Then g / x_i is
-    not in J, so some component Q contains g but not g / x_i: the power
-    of Q that divides g divides no g / x_i, so it is x_i^a. Raises
-    DomainError for a box of more than WITNESS_BOX_LIMIT monomials.
+    witness box (_box) and the pins, the components grouped by their
+    radical, are computed here once.
 
     (J : w) is the intersection of the (Q : w) over the components Q that
     miss w, each generated by the x_k^(Q_k - w_k), k in supp Q. Irreducible
@@ -243,16 +290,10 @@ def _witness_scanner(n: int, comps):
     sparse (i, e) pairs, and w lies in it when some pair has e <= w_i.
     Only the coordinates outside P range over the box.
     """
-    box = [max(col) for col in zip(*comps)] or [0] * n
+    box = _box(n, comps)
     pins: dict[tuple[int, ...], list] = {}
     for q in comps:
         pins.setdefault(supp(q), []).append(q)
-    volume = math.prod(e + 1 for e in box)
-    if volume > WITNESS_BOX_LIMIT:
-        raise DomainError(
-            f"witness box {tuple(box)} holds {volume} monomials, over the limit "
-            f"{WITNESS_BOX_LIMIT}"
-        )
     full = [range(e, -1, -1) for e in box]
     powers = [(q, [(i, e) for i, e in enumerate(q) if e]) for q in comps]
 
@@ -263,17 +304,52 @@ def _witness_scanner(n: int, comps):
             for q0 in pins.get(prime.vars, ())
         ]
         for w in heapq.merge(*scans, reverse=True):
-            for q, pairs in powers:
-                for i, e in pairs:
-                    if e <= w[i]:
-                        break
-                else:  # q misses w
-                    if any(q[i] != w[i] + 1 for i in idx):
-                        break
-            else:
+            if _passes(w, idx, powers):
                 yield w
 
     return scan
+
+
+def _passes(w: Monomial, idx, powers) -> bool:
+    """The witness test of _witness_scanner for w pinned on the 0-based
+    variables idx: every component q that misses w has q_i = w_i + 1 for
+    i in idx. powers holds each component with its (i, e) pairs."""
+    for q, pairs in powers:
+        for i, e in pairs:
+            if e <= w[i]:
+                break
+        else:  # q misses w
+            if any(q[i] != w[i] + 1 for i in idx):
+                return False
+    return True
+
+
+def _corners(n: int, comps) -> dict[tuple[int, ...], Monomial]:
+    """The lex-first witness of every prime of J in n variables, keyed by
+    the prime's variables, read from the irredundant components comps of
+    J without a scan: the lex-greatest corner over the components with
+    that radical (associated_primes_oracle proves it).
+
+    The pin test of _witness_scanner still runs on every corner, and
+    each corner of a component that contains another one fails it: if Q0
+    contains Q != Q0, Q misses the corner of Q0 and differs from Q0 on
+    its radical. So a redundant comps raises InternalConsistencyError.
+    Raises DomainError for a box over WITNESS_BOX_LIMIT (_box).
+    """
+    box = _box(n, comps)
+    powers = [(q, [(i, e) for i, e in enumerate(q) if e]) for q in comps]
+    found: dict[tuple[int, ...], Monomial] = {}
+    for q0, pairs in powers:
+        w = tuple(e - 1 if e else top for e, top in zip(q0, box))
+        if not _passes(w, [i for i, _ in pairs], powers):
+            raise InternalConsistencyError(
+                f"the corner {w} of the component {q0} is no witness: "
+                "the components are redundant"
+            )
+        key = supp(q0)
+        if key not in found or w > found[key]:
+            found[key] = w
+    return found
 
 
 def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
@@ -299,22 +375,28 @@ def radicals(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:
 
 
 def associated_primes_oracle(ideal: MonomialIdeal) -> AssResult:
-    """Ass(S/I) of a proper nonzero ideal, each prime with its witness.
+    """Ass(S/I) of a proper nonzero ideal, each prime with its witness,
+    both read from one _components(I), the fold that
+    irreducible_decomposition(I) has just made when it ran first.
 
-    The primes are the radicals of the irredundant components; the
-    witness of each is the first one witnesses() yields. Both are read
-    from one _components(I). A prime with no in-box witness is a hard
-    error.
+    The primes are the radicals of the irredundant components. The
+    witness of P is the first one witnesses() yields, but nothing is
+    scanned: it is the lex-greatest corner among the components Q0 with
+    radical P, w_i = Q0_i - 1 for i in P and the top of the box
+    elsewhere (_corners). Let a component Q miss w: Q_i > w_i for every
+    power x_i^Q_i of Q. Off P, w_j is the top of the box, at least Q_j,
+    so Q has no power outside P; on P, Q_i > Q0_i - 1. So Q lies in Q0,
+    and irredundancy forces Q = Q0, which passes the pin test of
+    _witness_scanner. Every witness pinned at Q0 agrees with its corner
+    on P and lies below it elsewhere, so the lex-greatest corner comes
+    first.
+
+    Raises InternalConsistencyError when a corner fails the pin test, as
+    one does for a redundant component list, and DomainError for a
+    witness box over WITNESS_BOX_LIMIT: no box is scanned, but the
+    oracle refuses what witnesses() refuses.
     """
     _require_proper(ideal)
-    comps = _components(ideal)
-    scan = _witness_scanner(ideal.n, comps)
-    found = []
-    for p in sorted(_radicals(ideal.n, comps), key=lambda p: p.vars):
-        w = next(scan(p), None)
-        if w is None:
-            raise InternalConsistencyError(
-                f"no in-box witness for the prime {p.vars} of {ideal}"
-            )
-        found.append((p, w))
-    return AssResult(frozenset(p for p, _ in found), tuple(found))
+    corners = _corners(ideal.n, _components(ideal))
+    found = tuple((PrimeIdeal(ideal.n, key), corners[key]) for key in sorted(corners))
+    return AssResult(frozenset(p for p, _ in found), found)

@@ -94,6 +94,43 @@ def prime_filtration_reference(filtration):
     return Report(tuple(violations))
 
 
+def add_generator_reference(n, comps, w):
+    """decompose._add_generator with its redundancy filter over all pairs
+    of new candidates, not only those of one variable: the components of
+    J + (w) from those of J, as a list. A reference for the grouped
+    filter."""
+    def contains(c, o):
+        # each power of o is a multiple of c's power at its variable
+        return all(not b or 0 < a <= b for a, b in zip(c, o))
+
+    support = [k for k in range(n) if w[k]]
+    kept, rest = [], []
+    for q in comps:
+        if any(0 < q[k] <= w[k] for k in support):
+            kept.append(q)
+        else:
+            rest.append(q)
+    fresh = set()
+    for q in rest:
+        drop = set()
+        for c in kept:
+            fails = [i for i in range(n) if c[i] and not 0 < q[i] <= c[i]]
+            if len(fails) == 1 and w[fails[0]] <= c[fails[0]]:
+                drop.add(fails[0])
+        fresh.update(q[:k] + (w[k],) + q[k + 1 :] for k in support if k not in drop)
+    kept.extend(c for c in fresh if not any(o != c and contains(c, o) for o in fresh))
+    return kept
+
+
+def components_reference(ideal):
+    """decompose._components with add_generator_reference as its step, in
+    the same generator order, as a set of dense exponent tuples."""
+    comps = [(0,) * ideal.n]
+    for g in sorted(reversed(ideal.gens), key=sum):
+        comps = add_generator_reference(ideal.n, comps, g)
+    return set(comps)
+
+
 def ideal_as_prime(ideal):
     """The PrimeIdeal equal to this ideal, or None if it is not prime: a
     reference read off the generators, not the components."""

@@ -15,6 +15,8 @@ from conftest import (
     I,
     P,
     add_element,
+    add_generator_reference,
+    components_reference,
     iter_box,
     oracle_pool,
     oracle_random_ideals,
@@ -24,7 +26,9 @@ from conftest import (
 from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
+    _add_generator,
     _components,
+    _corners,
     _intersection,
     associated_primes_oracle,
     irreducible_decomposition,
@@ -423,6 +427,81 @@ class TestAssociatedPrimesOracle:
         with pytest.raises(DomainError):
             associated_primes_oracle(unit_ideal(2))
 
+    def test_never_scans_for_a_witness(self, monkeypatch):
+        def no_scan(n, comps):
+            raise AssertionError("the oracle built a witness scanner")
+
+        monkeypatch.setattr(decompose_module, "_witness_scanner", no_scan)
+        for ideal in [I(4, *WITNESS_IDEAL)] + oracle_random_ideals(20261111, 40):
+            assert associated_primes_oracle(ideal).primes
+
+
+def redundant_families(comps, n, rng):
+    """comps, each time with one more member that contains a member of
+    comps: a power of it lowered (not to 0), or a power added at a
+    variable it lacks."""
+    for q in comps:
+        for i in range(n):
+            if q[i] > 1:
+                yield comps + [q[:i] + (rng.randint(1, q[i] - 1),) + q[i + 1 :]]
+            elif not q[i]:
+                yield comps + [q[:i] + (rng.randint(1, 4),) + q[i + 1 :]]
+
+
+class TestCorners:
+    def test_redundant_member_raises(self):
+        # (x1) lies in (x1^2): the corner x1^0 of (x1) is missed by
+        # (x1^2), whose x1-exponent is not 0 + 1
+        with pytest.raises(InternalConsistencyError, match="redundant"):
+            _corners(2, [(2, 0), (1, 0)])
+
+    def test_every_redundant_member_raises(self):
+        rng = random.Random(20261112)
+        checked = 0
+        for ideal in [I(3, "x1*x2", "x1*x3", "x2^2", "x2*x3")] + oracle_random_ideals(
+            20261113, 30
+        ):
+            comps = list(_components(ideal))
+            assert _corners(ideal.n, comps)  # irredundant: no error
+            for family in redundant_families(comps, ideal.n, rng):
+                with pytest.raises(InternalConsistencyError):
+                    _corners(ideal.n, family)
+                checked += 1
+        assert checked >= 100
+
+    def test_box_limit_is_kept(self):
+        # the oracle scans no box, but refuses the boxes witnesses() does:
+        # 33^4 monomials are over 2^20, 32^4 are not
+        with pytest.raises(DomainError, match="witness box"):
+            _corners(4, [(32, 32, 32, 32)])
+        assert _corners(4, [(31, 31, 31, 31)]) == {(1, 2, 3, 4): (30, 30, 30, 30)}
+
+
+class TestComponentsMemo:
+    def test_decomposition_then_oracle_fold_once(self):
+        ideal = I(4, *WITNESS_IDEAL)
+        _components.cache_clear()
+        irreducible_decomposition(ideal)
+        associated_primes_oracle(ideal)
+        info = _components.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert isinstance(_components(ideal), tuple)
+
+    def test_pool_folds_once_per_ideal(self):
+        pool = oracle_pool()
+        _components.cache_clear()
+        for ideal in pool:
+            irreducible_decomposition(ideal)
+            associated_primes_oracle(ideal)
+        assert _components.cache_info().misses == len(pool) == 804
+
+    def test_a_new_ideal_refolds(self):
+        a, b = I(2, "x1*x2"), I(2, "x1^2", "x2")
+        _components.cache_clear()
+        for ideal in (a, b, a):
+            assert set(_components(ideal)) == components_reference(ideal)
+        assert _components.cache_info().misses == 3
+
 
 @st.composite
 def random_ideals(draw):
@@ -474,6 +553,31 @@ def fold_ideals(draw):
     gens = draw(st.lists(st.one_of(monomial, pure), min_size=1, max_size=10))
     gens += gens[: draw(st.integers(0, 2))]
     return MonomialIdeal.from_gens(n, gens)
+
+
+@st.composite
+def step_ideals(draw):
+    """Ideals in n = 1..7 variables with exponents <= 5 from 1..14
+    generators."""
+    n = draw(st.integers(1, 7))
+    exponents = st.tuples(*[st.integers(0, 5)] * n)
+    gens = draw(st.lists(exponents, min_size=1, max_size=14))
+    return MonomialIdeal.from_gens(n, gens)
+
+
+class TestGroupedFilter:
+    @seed(20261114)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(step_ideals())
+    def test_matches_the_all_pairs_step(self, ideal):
+        # each step from the same components, then the whole fold
+        n, comps = ideal.n, [(0,) * ideal.n]
+        for g in sorted(reversed(ideal.gens), key=sum):
+            step = _add_generator(n, comps, g)
+            assert len(set(step)) == len(step)
+            assert set(step) == set(add_generator_reference(n, comps, g))
+            comps = step
+        assert set(_components(ideal)) == set(comps) == components_reference(ideal)
 
 
 class TestIrredundantComponents:
