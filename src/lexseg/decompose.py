@@ -2,40 +2,56 @@
 
 Every monomial ideal is uniquely an irredundant intersection of ideals
 generated by pure variable powers, and Ass(S/I) is exactly the set of
-radicals of those components (Miller-Sturmfels, Combinatorial Commutative
-Algebra, ch. 5). The oracle takes its primes from there and certifies each
-one with the lex-first witness monomial w in the witness box with
-(I : w) = P; witnesses() is the one generator of such witnesses, shared
-with the filtration search.
+radicals of those components (Miller-Sturmfels, Combinatorial
+Commutative Algebra, ch. 5). The oracle takes its primes from there and
+certifies each one with the lex-first witness monomial w in the witness
+box with (I : w) = P; witnesses() is the one generator of such
+witnesses, shared with the filtration search. A component is a dense
+exponent tuple, Q_i = 0 where x_i is absent; it misses w when Q_i > w_i
+at every i with Q_i > 0. Say Q fails C at i when C_i > 0 and not
+0 < Q_i <= C_i: Q contains C exactly when it fails C nowhere. Two facts
+are used below. Irreducible monomial ideals are prime in the lattice of
+monomial ideals: one that contains an intersection contains a member.
+And two distinct irredundant components differ in at least two
+coordinates, since if they differed at i alone one would contain the
+other.
 
-One rule finds the components: _add_generator turns the irredundant
-components of J into those of J + (w), the add-one-generator step of the
-Alexander-dual decomposition algorithms (Milowski, ISSAC 2004; Roune, The
-slice algorithm for irreducible decomposition of monomial ideals, JSC
-2009). _components folds it over the generators of I, and the filtration
-search applies it once per edge of its tree. A new candidate, a
-component Q that misses w with w_k put at k, is compared for redundancy
-only with the candidates of the same k: at every other k' it keeps
-Q_k', which is 0 or above w_k' since Q misses w, so it contains no
-candidate with w_k' at k' (_add_generator). _components keeps its
-last fold (an lru_cache of one entry), so irreducible_decomposition(I)
-and associated_primes_oracle(I) in a row, or the oracle and the
-filtration search on one ideal, fold once.
+The components (_add_generator, the add-one-generator step of Milowski,
+ISSAC 2004, and Roune, JSC 2009). From the irredundant components of J,
+those of J + (w) are J's components that contain w and the candidates
+that survive one rule. A component Q that misses w has Q + (w) = the
+intersection of the Q[k], k in supp w, where the candidate Q[k] is Q
+with w_k at k. Q[k] contains Q, so a component that contains w contains
+no candidate: it would contain Q. The rule: Q[k] is redundant exactly
+when Q fails some other component C of J at k alone, with w_k <= C_k. If
+C contains w, that says Q[k] contains C. If C misses w, it says Q[k]
+contains C[k], and w_k <= C_k holds anyway. No other candidate C[k'],
+k' != k, lies in Q[k]: it has w_k' at k', where Q[k] has Q_k', 0 or
+above w_k'. No two candidates are equal, as two components differ in
+two coordinates, so containment among candidates is strict and a
+dropped one lies over a kept one. _components folds the step over the
+generators of I, and the filtration search applies it once per edge of
+its tree. _components keeps its last fold (an lru_cache of one entry),
+so irreducible_decomposition(I) and associated_primes_oracle(I) in a
+row, or the oracle and the filtration search on one ideal, fold once.
 
-Both the fold and the witnesses rest on one fact: irreducible monomial
-ideals are prime in the lattice of monomial ideals (one that contains an
-intersection contains a member). witnesses() uses it to pin the P-part
-of a witness to e_j - 1 for a component Q_j with radical P and scans
-only the other coordinates, keeping w when every component that misses
-w has Q_j's exponents on P. The box, the pins and that test come from
-the components alone (_witness_scanner), so a node of the filtration
-search needs no generators to find its witnesses. The oracle reads one
-witness per prime and scans nothing (_corners): the corner of a
-component Q0 with radical P, Q0_i - 1 on P and the top of the box
-elsewhere, is missed by no component but Q0, since one that misses it
-lies in Q0 and the components are irredundant. So it passes the test,
-and the lex-first witness of P is the lex-greatest such corner (proof
-in associated_primes_oracle).
+The witness test (_witness). (J : w) is the intersection of the (Q : w)
+over the components Q that miss w, each generated by the
+x_i^(Q_i - w_i), i in supp Q. By the lattice fact it is P only if w is
+pinned at a component Q0 with radical P: w_i = Q0_i - 1 for i in P. Then
+(J : w) lies in (Q0 : w) = P, and it contains P exactly when every Q
+that misses w has Q_i = w_i + 1 = Q0_i for all i in P. Such a Q contains
+Q0, so it is Q0. So (J : w) = P exactly when Q0 is the only component
+that misses w: no generator and no colon is read.
+
+The corners (_corners). The corner of Q0, Q0_i - 1 on P and the top of
+the box elsewhere, is missed only by Q0, so it is a witness: a Q that
+misses it has no power off P and Q_i > Q0_i - 1 on P, so Q lies in Q0
+and is Q0. Every witness pinned at Q0 agrees with its corner on P and
+lies below it elsewhere, so the lex-first witness of P is the
+lex-greatest corner over the components with radical P. When Q0 contains
+some Q != Q0, that Q misses Q0's corner too, so a redundant component
+list fails the test at a corner.
 
 irreducible_decomposition() checks the components by folding them back
 together, one at a time, and comparing with I (_intersection). That fold
@@ -94,28 +110,10 @@ class AssResult:
 
 
 def _add_generator(n: int, comps, w: Monomial) -> list:
-    """The irredundant components of J + (w), from those of J.
-
-    Components are dense exponent tuples, e_i = 0 where x_i is absent. A
-    component Q that contains w is kept. Any other Q = (x_i^e_i : i in A)
-    has Q + (w) = the intersection over k in supp w of Q + (x_k^w_k), and
-    w not in Q means w_k < e_k for k in A: each term is Q with w_k put at
-    k, a new candidate. A kept component contains no new one, since that
-    would contain Q and the components of J are irredundant, so only new
-    candidates can be redundant. One is dropped when it contains a kept
-    component or another, distinct new candidate.
-
-    Q does not contain a kept c, so Q fails c at some i in supp c: Q_i is
-    0 or above c_i. Q with w_k at k contains c exactly when k is the only
-    such i and w_k <= c_k; one pass over c finds every k for which that
-    holds. The new candidates are compared with one another only within
-    the same k, and not at all when one component misses w. Q with w_k at
-    k keeps Q's exponent at every k' != k, so it contains Q' with w_k' at
-    k' only if 0 < Q_k' <= w_k'; then Q contains w, which it misses. So
-    a candidate has one k, and candidates of different k do not contain
-    one another. Two candidates from the same Q do not either: at its own
-    k' the other one has w_k', and Q_k' is 0 or above w_k'.
-    """
+    """The irredundant components of J + (w), from those comps of J, as
+    dense exponent tuples (e_i = 0 where x_i is absent): the components
+    that contain w, then the candidates that the one-pass rule of the
+    module docstring keeps."""
     support = [k for k in range(n) if w[k]]
     kept, rest = [], []
     for q in comps:
@@ -125,12 +123,11 @@ def _add_generator(n: int, comps, w: Monomial) -> list:
                 break
         else:
             rest.append(q)
-    if not rest:
-        return kept
-    fresh = {}  # new candidate -> the k at which it puts w_k
     for q in rest:
         drop = set()
-        for c in kept:
+        for c in comps:
+            if c is q:
+                continue
             fail = None
             for i in range(n):
                 e = c[i]
@@ -141,30 +138,8 @@ def _add_generator(n: int, comps, w: Monomial) -> list:
             else:
                 if w[fail] <= c[fail]:
                     drop.add(fail)
-        for k in support:
-            if k not in drop:
-                fresh[q[:k] + (w[k],) + q[k + 1 :]] = k
-    if len(rest) > 1:
-        groups: dict[int, list] = {}
-        for c, k in fresh.items():
-            groups.setdefault(k, []).append(c)
-        fresh = [
-            c
-            for group in groups.values()
-            for c in group
-            if not any(o != c and _contains(c, o) for o in group)
-        ]
-    kept.extend(fresh)
+        kept.extend(q[:k] + (w[k],) + q[k + 1 :] for k in support if k not in drop)
     return kept
-
-
-def _contains(c, o) -> bool:
-    """Component c contains component o: each power of o is a multiple
-    of the power of c at the same variable."""
-    for a, b in zip(c, o):
-        if b and not 0 < a <= b:
-            return False
-    return True
 
 
 @functools.lru_cache(maxsize=1)
@@ -273,75 +248,62 @@ def _box(n: int, comps) -> list[int]:
 
 def _witness_scanner(n: int, comps):
     """The witness scan of every prime of J in n variables, read from the
-    irredundant components comps of J (_components) alone.
-
-    Returns scan, where scan(P) yields what witnesses(J, P) yields. The
-    witness box (_box) and the pins, the components grouped by their
-    radical, are computed here once.
-
-    (J : w) is the intersection of the (Q : w) over the components Q that
-    miss w, each generated by the x_k^(Q_k - w_k), k in supp Q. Irreducible
-    ideals are prime in the lattice of monomial ideals, so it equals P
-    only if w is pinned at a component Q0 with radical P: w_i = Q0_i - 1
-    for i in P. Then (J : w) lies in (Q0 : w) = P, and it contains x_i
-    for every i in P exactly when every component Q that misses w has
-    Q_i = w_i + 1 for all i in P. That is the whole test: no generator
-    and no colon is read. Each component's powers are kept once as
-    sparse (i, e) pairs, and w lies in it when some pair has e <= w_i.
-    Only the coordinates outside P range over the box.
-    """
+    irredundant components comps of J (_components) alone: scan(P)
+    yields what witnesses(J, P) yields. The witness box (_box), the pins
+    (the components grouped by radical) and each component's powers as
+    (i, e) pairs are made once. A scan walks, lex-descending, the
+    monomials pinned at a component with radical P, with only the
+    coordinates off P ranging over the box, and keeps those that pass
+    the witness test (_witness, module docstring)."""
     box = _box(n, comps)
     pins: dict[tuple[int, ...], list] = {}
     for q in comps:
         pins.setdefault(supp(q), []).append(q)
     full = [range(e, -1, -1) for e in box]
-    powers = [(q, [(i, e) for i, e in enumerate(q) if e]) for q in comps]
+    powers = [[(i, e) for i, e in enumerate(q) if e] for q in comps]
 
     def scan(prime: PrimeIdeal):
-        idx = [i - 1 for i in prime.vars]
         scans = [
             itertools.product(*((e - 1,) if e else r for e, r in zip(q0, full)))
             for q0 in pins.get(prime.vars, ())
         ]
         for w in heapq.merge(*scans, reverse=True):
-            if _passes(w, idx, powers):
+            if _witness(w, powers):
                 yield w
 
     return scan
 
 
-def _passes(w: Monomial, idx, powers) -> bool:
-    """The witness test of _witness_scanner for w pinned on the 0-based
-    variables idx: every component q that misses w has q_i = w_i + 1 for
-    i in idx. powers holds each component with its (i, e) pairs."""
-    for q, pairs in powers:
+def _witness(w: Monomial, powers) -> bool:
+    """The witness test for w pinned at a component: no second component
+    misses w (module docstring). powers holds each component's (i, e)
+    pairs; w lies in a component when some pair has e <= w_i."""
+    missed = False
+    for pairs in powers:
         for i, e in pairs:
             if e <= w[i]:
                 break
-        else:  # q misses w
-            if any(q[i] != w[i] + 1 for i in idx):
+        else:
+            if missed:
                 return False
+            missed = True
     return True
 
 
 def _corners(n: int, comps) -> dict[tuple[int, ...], Monomial]:
     """The lex-first witness of every prime of J in n variables, keyed by
-    the prime's variables, read from the irredundant components comps of
-    J without a scan: the lex-greatest corner over the components with
-    that radical (associated_primes_oracle proves it).
-
-    The pin test of _witness_scanner still runs on every corner, and
-    each corner of a component that contains another one fails it: if Q0
-    contains Q != Q0, Q misses the corner of Q0 and differs from Q0 on
-    its radical. So a redundant comps raises InternalConsistencyError.
+    the prime's variables: the lex-greatest corner over the components
+    comps of J with that radical (module docstring), found without a
+    scan. Every corner still gets the witness test (_witness), which a
+    redundant comps fails at some corner: InternalConsistencyError.
     Raises DomainError for a box over WITNESS_BOX_LIMIT (_box).
     """
     box = _box(n, comps)
-    powers = [(q, [(i, e) for i, e in enumerate(q) if e]) for q in comps]
+    powers = [[(i, e) for i, e in enumerate(q) if e] for q in comps]
     found: dict[tuple[int, ...], Monomial] = {}
-    for q0, pairs in powers:
+    for q0 in comps:
         w = tuple(e - 1 if e else top for e, top in zip(q0, box))
-        if not _passes(w, [i for i, _ in pairs], powers):
+        if not _witness(w, powers):
             raise InternalConsistencyError(
                 f"the corner {w} of the component {q0} is no witness: "
                 "the components are redundant"
@@ -354,8 +316,8 @@ def _corners(n: int, comps) -> dict[tuple[int, ...], Monomial]:
 
 def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
     """All in-box monomials w with (I : w) = P, lex-descending, found from
-    the irredundant components of I (_witness_scanner, which proves the
-    test). Raises DomainError, before scanning, for a box of more than
+    the irredundant components of I (_witness_scanner). Raises
+    DomainError, before scanning, for a box of more than
     WITNESS_BOX_LIMIT monomials.
     """
     if ideal.n != prime.n:
@@ -377,24 +339,13 @@ def radicals(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:
 def associated_primes_oracle(ideal: MonomialIdeal) -> AssResult:
     """Ass(S/I) of a proper nonzero ideal, each prime with its witness,
     both read from one _components(I), the fold that
-    irreducible_decomposition(I) has just made when it ran first.
-
-    The primes are the radicals of the irredundant components. The
-    witness of P is the first one witnesses() yields, but nothing is
-    scanned: it is the lex-greatest corner among the components Q0 with
-    radical P, w_i = Q0_i - 1 for i in P and the top of the box
-    elsewhere (_corners). Let a component Q miss w: Q_i > w_i for every
-    power x_i^Q_i of Q. Off P, w_j is the top of the box, at least Q_j,
-    so Q has no power outside P; on P, Q_i > Q0_i - 1. So Q lies in Q0,
-    and irredundancy forces Q = Q0, which passes the pin test of
-    _witness_scanner. Every witness pinned at Q0 agrees with its corner
-    on P and lies below it elsewhere, so the lex-greatest corner comes
-    first.
-
-    Raises InternalConsistencyError when a corner fails the pin test, as
-    one does for a redundant component list, and DomainError for a
-    witness box over WITNESS_BOX_LIMIT: no box is scanned, but the
-    oracle refuses what witnesses() refuses.
+    irreducible_decomposition(I) has just made when it ran first. The
+    primes are the radicals of the components, and the witness of P is
+    the first one witnesses() yields, read in closed form as its
+    lex-greatest corner (_corners; proof in the module docstring), with
+    no scan. Raises InternalConsistencyError when a corner fails the
+    witness test, and DomainError for a witness box over
+    WITNESS_BOX_LIMIT: the oracle refuses what witnesses() refuses.
     """
     _require_proper(ideal)
     corners = _corners(ideal.n, _components(ideal))

@@ -245,6 +245,8 @@ class LexSpec:
             raise SpecError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
         if len(self.u) != self.n or len(self.v) != self.n:
             raise DimensionError("u, v must have length n")
+        if min(self.u) < 0 or min(self.v) < 0:
+            raise SpecError(f"negative exponent in u={self.u} or v={self.v}")
         if degree(self.u) != self.d or degree(self.v) != self.d:
             raise SpecError(
                 f"deg(u)={degree(self.u)}, deg(v)={degree(self.v)}, expected d={self.d}"

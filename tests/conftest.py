@@ -95,10 +95,11 @@ def prime_filtration_reference(filtration):
 
 
 def add_generator_reference(n, comps, w):
-    """decompose._add_generator with its redundancy filter over all pairs
-    of new candidates, not only those of one variable: the components of
-    J + (w) from those of J, as a list. A reference for the grouped
-    filter."""
+    """The add-one-generator step with its redundancy filter in two
+    passes: a new candidate is dropped when it contains a kept component
+    or another new candidate, tested over all pairs of candidates. The
+    components of J + (w) from those of J, as a list. A reference for the
+    one-pass rule of decompose._add_generator."""
     def contains(c, o):
         # each power of o is a multiple of c's power at its variable
         return all(not b or 0 < a <= b for a, b in zip(c, o))

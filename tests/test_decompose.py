@@ -565,7 +565,16 @@ def step_ideals(draw):
     return MonomialIdeal.from_gens(n, gens)
 
 
-class TestGroupedFilter:
+def differ_in_two(comps):
+    """Any two of comps differ in at least two coordinates: the premise
+    of the one-pass redundancy rule."""
+    return all(
+        sum(a != b for a, b in zip(q, c)) >= 2
+        for q, c in itertools.combinations(comps, 2)
+    )
+
+
+class TestOnePassFilter:
     @seed(20261114)
     @settings(max_examples=300, deadline=None, database=None)
     @given(step_ideals())
@@ -575,9 +584,17 @@ class TestGroupedFilter:
         for g in sorted(reversed(ideal.gens), key=sum):
             step = _add_generator(n, comps, g)
             assert len(set(step)) == len(step)
+            assert differ_in_two(step)
             assert set(step) == set(add_generator_reference(n, comps, g))
             comps = step
         assert set(_components(ideal)) == set(comps) == components_reference(ideal)
+
+    def test_steps_differ_in_two_coordinates_on_the_pool(self):
+        for ideal in oracle_pool():
+            n, comps = ideal.n, [(0,) * ideal.n]
+            for g in sorted(reversed(ideal.gens), key=sum):
+                comps = _add_generator(n, comps, g)
+                assert differ_in_two(comps)
 
 
 class TestIrredundantComponents:

@@ -237,6 +237,13 @@ class TestLexSpec:
         with pytest.raises(DimensionError):
             LexSpec(3, 2, (1, 1), (1, 1))
 
+    def test_negative_exponent_is_refused(self):
+        # degree and lex order alone accept both
+        with pytest.raises(SpecError, match="negative exponent"):
+            LexSpec(2, 2, (3, -1), (2, 0))
+        with pytest.raises(SpecError, match="negative exponent"):
+            LexSpec(2, 2, (2, 0), (-1, 3))
+
     def test_derived_fields(self):
         s = spec(4, 3, "x1*x3^2", "x2^2*x4")
         assert (s.a1, s.b1) == (1, 0)
