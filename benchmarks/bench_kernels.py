@@ -18,8 +18,12 @@ stanley_certificate, verify_prime_filtration and depth_exact at each
 prime over the 861 n=5, d=3 and n=6, d=2 specs, and depths_exact at both
 primes in one search, as check_spec asks. On those specs one cold
 depths_exact pass at both primes gives the walk counters: lcm lattice
-elements generated (popped plus queued) and popped by _lattice_walk,
-and upper Koszul complexes K^b built; and the gf_rank calls. Each timing
+elements generated (popped plus queued) and popped by the walk after
+the seed, and upper Koszul complexes K^b built and gf_rank calls, the
+seed's included; and the seed counters: the searches seeded (h >= 2),
+the fiber elements generated and popped by their fiber walks, and the
+seeds hit, as nonzero beta_{h-1,b} read at each prime, and how many of
+those at the fiber's top. Each timing
 is the best of 3 runs, each run from empty caches. The memo lines give
 the hits, misses and entries of every lru_cache after one cold
 check_spec pass over the 477 acceptance specs, the one-entry
@@ -38,7 +42,9 @@ the first 16 hex digits of the sha256 of the JSON list, per ideal, of
 [depth_exact(I, 2), depth_exact(I, 32003)], over the ideals of the
 1,338 specs n=2..4, d=2..3 (357), n=5, d=2 (120), n=5, d=3 (630) and
 n=6, d=2 (231), in that order and each range in iter_specs order, then
-the 804 pool ideals; equal digests mean identical depths. The n=6, d=3 lines time
+the 804 pool ideals; equal digests mean identical depths. The n=6, d=3
+lines time depths_exact at both primes over those 1,596 specs, best of
+3 cold, with the depth digest of the range (the recipe above), then
 one cold staged_filtration pass over those 1,596 specs, print its step
 digest (the recipe above), and count, in a second pass, the nodes the
 search enters (_witness_scanner calls) and the children it builds
@@ -324,18 +330,40 @@ def extended_depth(cases):
               f"{best:.3f} s")
     best = best_cold(lambda: [depth.depths_exact(i, DEFAULT_PRIMES) for i in ideals])
     print(f"depths_exact at both primes, one search, same specs: {best:.3f} s")
+    seed_names = ["seeded searches (h >= 2)", "fiber elements generated",
+                  "fiber elements popped", "hits at the fiber top"]
+    seed_names += [f"hits at p={p}" for p in DEFAULT_PRIMES]
     counts = dict.fromkeys(("generated", "popped", "K^b built", "gf_rank calls"), 0)
-    walk, push = depth._lattice_walk, depth.heapq.heappush
-    build, rank = depth.upper_koszul_complex, kernels.gf_rank
+    seeds = dict.fromkeys(seed_names, 0)
+    walk, push, seed = depth._lattice_walk, depth.heapq.heappush, depth._seed
+    build, rank, betti = depth.upper_koszul_complex, kernels.gf_rank, depth._betti
+    fiber = []  # the b the running seed has popped, while it runs
 
-    def counting_walk(gens):
-        counts["generated"] += 1  # the top
-        for step in walk(gens):
-            counts["popped"] += 1
+    def counting_seed(ideal, primes):
+        fiber.append(None)
+        try:
+            return seed(ideal, primes)
+        finally:
+            fiber.clear()
+
+    def counting_walk(gens, held=()):
+        generated = "fiber elements generated" if fiber else "generated"
+        (seeds if fiber else counts)[generated] += 1  # the top
+        if fiber:
+            seeds["seeded searches (h >= 2)"] += 1
+        for step in walk(gens, held):
+            if fiber:
+                seeds["fiber elements popped"] += 1
+                fiber.append(step[1])
+            else:
+                counts["popped"] += 1
             yield step
 
     def counting_push(heap, item):
-        counts["generated"] += 1
+        if fiber:
+            seeds["fiber elements generated"] += 1
+        else:
+            counts["generated"] += 1
         push(heap, item)
 
     def counting_build(ideal, b):
@@ -346,8 +374,23 @@ def extended_depth(cases):
         counts["gf_rank calls"] += 1
         return rank(rows, p)
 
+    def counting_betti(k, p):
+        beta = betti(k, p)
+        if not fiber:
+            return beta
+
+        def hit(i):
+            found = beta(i)
+            if found:
+                seeds[f"hits at p={p}"] += 1
+                seeds["hits at the fiber top"] += len(fiber) == 2
+            return found
+
+        return hit
+
     clear_caches()
-    depth._lattice_walk = counting_walk
+    depth._lattice_walk, depth._seed = counting_walk, counting_seed
+    depth._betti = counting_betti
     depth.heapq = SimpleNamespace(heappush=counting_push, heappop=heapq.heappop)
     depth.upper_koszul_complex = counting_build
     kernels.gf_rank = counting_rank
@@ -355,11 +398,27 @@ def extended_depth(cases):
         for ideal in ideals:
             depth.depths_exact(ideal, DEFAULT_PRIMES)
     finally:
-        depth._lattice_walk, depth.heapq = walk, heapq
+        depth._lattice_walk, depth._seed, depth._betti = walk, seed, betti
+        depth.heapq = heapq
         depth.upper_koszul_complex, kernels.gf_rank = build, rank
     print("one depths_exact pass at both primes on the same specs:")
     for name, count in counts.items():
         print(f"  {name:<28} {count:8}")
+    print("  its seeds:")
+    for name, count in seeds.items():
+        print(f"  {name:<28} {count:8}")
+
+
+def rows_digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+def n6_d3_depth():
+    ideals = [lexsegment_generators(s) for s in iter_specs((6, 6), (3, 3))]
+    best = best_cold(lambda: [depth.depths_exact(i, DEFAULT_PRIMES) for i in ideals])
+    rows = [list(depth.depths_exact(i, DEFAULT_PRIMES).values()) for i in ideals]
+    print(f"depths_exact at both primes, {len(ideals)} n=6 d=3 specs: {best:.3f} s, "
+          f"depth digest {rows_digest(rows)}")
 
 
 def depth_digest():
@@ -372,8 +431,8 @@ def depth_digest():
         monomials.MonomialIdeal.from_gens(*oracle_gens(k)) for k in range(ORACLE_POOL)
     ]
     rows = [[depth.depth_exact(i, 2), depth.depth_exact(i, 32003)] for i in ideals]
-    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
-    print(f"depth digest, {len(specs)} specs and {ORACLE_POOL} pool ideals: {digest}")
+    print(f"depth digest, {len(specs)} specs and {ORACLE_POOL} pool ideals: "
+          f"{rows_digest(rows)}")
 
 
 def source_lines():
@@ -394,6 +453,7 @@ def main():
     decomposition_lines()
     extended_range()
     depth_digest()
+    n6_d3_depth()
     n6_d3_search()
     print(f"src/lexseg/*.py: {source_lines()} lines")
 

@@ -10,7 +10,44 @@ is needed, so depths_exact searches for it instead of building the whole
 Betti table. K^b(I) lives on the simplex on supp(b), so over every field
 beta_{i,b} != 0 implies i <= |supp b| - 1. The search visits the lattice
 by decreasing |supp b| and stops at the first b whose bound cannot beat
-the best index found so far.
+the best index found so far. It starts that best at h - 1, where h is
+the largest height of an associated prime, from a nonzero
+beta_{h-1,b} it has computed (_seed), so it only visits the b with
+|supp b| >= h + 1.
+
+The seed (a lemma). Let Q0 be an irredundant irreducible component of I
+of height h, with radical P, and let a be its exponent vector, zero off
+P. Then some b in the lcm lattice with b|_P = a has beta_{h-1,b}(I) != 0,
+over every field. Proof: setting x_j = 1 for every j not in P gives an
+ideal I_P of S_P = K[x_i : i in P], and the dehomogenization is exact on
+Z^n-graded modules, so it takes the minimal free resolution of I to a
+Z^P-graded free resolution of I_P, not necessarily minimal, with one
+summand S_P(-b|_P) for each S(-b). Hence
+beta_{i,a}(I_P) <= sum over b with b|_P = a of beta_{i,b}(I). The
+components of I_P are the Q|_P of the components Q of I with radical in
+P, Q0|_P among them. The corner x^(a - 1_P) lies outside Q0 and in every
+other such Q (decompose, the corners), so it lies outside I_P and
+x_i x^(a - 1_P) lies in I_P for each i in P: it is a socle monomial of
+S_P/I_P. So K^a(I_P) holds every proper subset of P and not P, the
+boundary of the simplex on P, a sphere of dimension h - 2, and
+beta_{h-1,a}(I_P) = 1. So pd(I) >= h - 1, and the b that proves it lies
+in the fiber {b in the lattice : b|_P = a}.
+
+The fiber has a top: the lcm of the generators g with g|_P <= a, the
+generators that divide the corner of Q0 plus 1_P. At each i in P one of
+them has g_i = a_i: x_i x^(a - 1_P) lies in I_P and x^(a - 1_P) does
+not, so some generator has g|_P <= a - 1_P + e_i but not g_i < a_i. So
+the top is in the fiber, and every fiber element, an lcm of such
+generators, lies below it. A fiber element c below b differs from b at
+some j outside P, and lies below the child b^(j) of the walk, which is
+then in the fiber too. So the fiber is walked by _lattice_walk itself,
+from that top, with the coordinates in P held fixed. At each b of the
+fiber that is not a cone, beta_{h-1,b} is read at every prime not yet
+seeded, and the fiber is read until every prime is. A fiber that runs
+out first contradicts the lemma: InternalConsistencyError, not a silent
+best of 0. The decomposition only chooses where to look; the seed is a
+computed homology at each prime, so a homology that read every beta as
+zero fails loudly rather than agree with n - h.
 
 The lattice is walked lazily, from its top down (_lattice_walk), so the
 search generates only the part it reads; each visited b comes with the
@@ -40,9 +77,10 @@ from itertools import compress
 from math import isqrt
 from operator import and_, lt, neg
 
-from . import kernels
+from . import decompose, kernels
 from .monomials import (
     DomainError,
+    InternalConsistencyError,
     LexSpec,
     Monomial,
     MonomialIdeal,
@@ -171,14 +209,26 @@ def _require_support(size: int) -> None:
         )
 
 
-def _betti_from_top(by_size, p: int, above: int):
-    """Yields (i, rank H~_{i-1} over GF(p)) of the complex whose k-element
-    faces are by_size[k], for i = len(by_size) - 2 down to above + 1, each
-    pair only when asked for.
+def _koszul(size: int, b: Monomial, divisors):
+    """K^b(I) by face size (upper_koszul_complex), from the generators
+    that divide b, or None when K^b is a cone: its facets (_facets) share
+    a vertex, so it is acyclic over every field and is not built. Raises
+    DomainError first when |supp b| = size is over KOSZUL_SUPPORT_LIMIT
+    (_require_support)."""
+    _require_support(size)
+    facets = _facets(b, divisors)
+    if reduce(and_, facets):
+        return None
+    return upper_koszul_complex(facets, b)
+
+
+def _betti(by_size, p: int):
+    """beta(i) = rank H~_{i-1} over GF(p) of the complex whose k-element
+    faces are by_size[k], for 1 <= i <= len(by_size) - 2.
 
     rank H~_{i-1} = f_{i-1} - rk d_{i-1} - rk d_i, where f_j counts the
     faces of dimension j and d_j is the boundary map out of dimension j;
-    each rank is computed at most once.
+    each rank is computed at most once, when a beta first needs it.
     """
     ranks: dict[int, int] = {}
 
@@ -202,11 +252,13 @@ def _betti_from_top(by_size, p: int, above: int):
             ranks[k] = kernels.gf_rank(rows, p) if rows else 0
         return ranks[k]
 
-    for i in range(len(by_size) - 2, above, -1):
-        yield i, len(by_size[i]) - rank(i) - rank(i + 1)
+    def beta(i: int) -> int:
+        return len(by_size[i]) - rank(i) - rank(i + 1)
+
+    return beta
 
 
-def _lattice_walk(gens):
+def _lattice_walk(gens, held=()):
     """Yields (|supp b|, b, the gens dividing b) for every b in the lcm
     lattice of gens, by decreasing |supp b| and then decreasing lex: the
     order of sorted(((|supp b|, b) for b in the lattice), reverse=True).
@@ -221,24 +273,34 @@ def _lattice_walk(gens):
     carries them. The b^(i) of b are computed only when the next element
     is asked for.
 
+    With held, indices of coordinates held fixed, only the b^(i) with i
+    not held that keep every held coordinate of b are pushed, and the
+    walk yields, in the same order, the fiber of the top: the b with
+    b_i = top_i at every held i. Every fiber element below b lies below
+    one of those b^(i) (module docstring), so the order argument above
+    holds there.
+
     Raises DomainError once more than LCM_LATTICE_LIMIT elements, popped
-    plus queued, have been generated.
+    plus queued, have been generated. A fiber is part of the lattice, so
+    a lattice within the limit is walked, whole or in a fiber.
     """
     top = tuple(map(max, zip(*gens)))
     seen = {top}
+    free = [i for i in range(len(top)) if i not in held]
     # heapq pops the least: -|supp b| first, then b negated componentwise
     heap = [(top.count(0) - len(top), tuple(map(neg, top)), top, gens)]
     while heap:
         neg_size, _, b, below = heapq.heappop(heap)
         yield -neg_size, b, below
-        for i, e in enumerate(b):
+        for i in free:
+            e = b[i]
             if not e:
                 continue
             lower = [g for g in below if g[i] < e]
             if not lower:
                 continue  # every g | b has g_i = b_i
             child = tuple(map(max, zip(*lower)))
-            if child in seen:
+            if child in seen or held and any(child[j] < b[j] for j in held):
                 continue
             seen.add(child)
             if len(seen) > LCM_LATTICE_LIMIT:
@@ -249,6 +311,41 @@ def _lattice_walk(gens):
             heapq.heappush(
                 heap, (child.count(0) - len(child), tuple(map(neg, child)), child, lower)
             )
+
+
+def _seed(ideal: MonomialIdeal, primes) -> int:
+    """h - 1, where h is the largest height of an associated prime of I,
+    once a nonzero beta_{h-1,b}(I) is computed at every prime: then
+    pd(I) >= h - 1. When h = 1 that is beta_0, the number of generators,
+    and nothing is read.
+
+    Q0 is the first component of height h in decompose._components(I),
+    a memo hit when the oracle has just read I. Its fiber
+    (module docstring) is walked by _lattice_walk, over the generators
+    g with g_i <= Q0_i on its radical and with those coordinates held,
+    and every b that is not a cone (_koszul) is read at h - 1 at each
+    prime not yet seeded, until none is left. Raises
+    InternalConsistencyError when the fiber runs out first, which the
+    lemma rules out over every field, and DomainError as _lattice_walk
+    and _koszul do.
+    """
+    q0 = max(decompose._components(ideal), key=lambda q: len(q) - q.count(0))
+    held = tuple(i for i, e in enumerate(q0) if e)
+    h = len(held)
+    if h == 1:
+        return 0
+    gens = [g for g in ideal.gens if all(g[i] <= q0[i] for i in held)]
+    unseeded = list(primes)
+    for size, b, divisors in _lattice_walk(gens, held):
+        k = _koszul(size, b, divisors)
+        if k is not None:
+            unseeded = [p for p in unseeded if not _betti(k, p)(h - 1)]
+            if not unseeded:
+                return h - 1
+    raise InternalConsistencyError(
+        f"no b over the component {q0} of height {h} has beta_{{{h - 1},b}} "
+        f"!= 0 over GF(p) for p in {unseeded}: the homology is wrong"
+    )
 
 
 def _require_prime(p) -> None:
@@ -270,21 +367,26 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
     """{p: depth(S/I) = n - 1 - pd(I) over GF(p)} for each prime p in
     primes, from one walk of the lcm lattice.
 
-    Visits b by decreasing |supp b| (then decreasing lex) and stops at the
-    first b with |supp b| - 1 <= best at every prime, since
-    beta_{i,b} = 0 for i > |supp b| - 1. A visited b whose facets, the
-    maximal sets {i : g_i < b_i} over the generators g dividing b, share a
-    vertex v has a cone as K^b(I): v joins every face, so K^b is
-    contractible and acyclic over every field, and b is skipped without
-    building K^b. The full simplex, when x^(b - 1_supp b) is in I, is the
-    cone with the one facet supp(b). Any other K^b is built once; at each
-    prime whose best is below |supp b| - 1, beta_{i,b} is read from
-    i = |supp b| - 1 down to that best + 1, up to the first nonzero one.
-    Each prime thus reads exactly what a search at that prime alone would.
+    Each prime's best index starts at h - 1 from the seed (_seed), a
+    computed nonzero beta_{h-1,b} in the fiber of a component of the
+    largest height h. The walk visits b by decreasing |supp b| (then
+    decreasing lex) and stops at the first b with |supp b| - 1 <= best at
+    every prime, since beta_{i,b} = 0 for i > |supp b| - 1. A visited b
+    whose facets, the maximal sets {i : g_i < b_i} over the generators g
+    dividing b, share a vertex v has a cone as K^b(I): v joins every
+    face, so K^b is contractible and acyclic over every field, and b is
+    skipped without building K^b (_koszul). The full simplex, when
+    x^(b - 1_supp b) is in I, is the cone with the one facet supp(b).
+    Any other K^b is built once; at each prime whose best is below
+    |supp b| - 1, beta_{i,b} is read from i = |supp b| - 1 down to that
+    best + 1, up to the first nonzero one. Each prime thus reads exactly
+    what a seeded search at that prime alone would.
 
     Raises DomainError when no prime is given, one is not a prime below
-    CHARACTERISTIC_LIMIT, or the first visited b, of the largest support,
-    is over KOSZUL_SUPPORT_LIMIT.
+    CHARACTERISTIC_LIMIT, a walk generates more than LCM_LATTICE_LIMIT
+    elements, or the first b read, of the largest support in the fiber or
+    the lattice, is over KOSZUL_SUPPORT_LIMIT. Raises
+    InternalConsistencyError when the seed finds no nonzero beta.
     """
     primes = tuple(primes)
     if ideal.is_zero or ideal.is_unit:
@@ -293,19 +395,18 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
         raise DomainError("no characteristic given")
     for p in primes:
         _require_prime(p)
-    best = dict.fromkeys(primes, 0)  # beta_0 = number of generators > 0
+    best = dict.fromkeys(primes, _seed(ideal, primes))
     for size, b, divisors in _lattice_walk(ideal.gens):
         if size - 1 <= min(best.values()):
             break
-        _require_support(size)
-        facets = _facets(b, divisors)
-        if reduce(and_, facets):
-            continue  # a vertex in every facet: K^b is a cone, so acyclic
-        k = upper_koszul_complex(facets, b)
+        k = _koszul(size, b, divisors)
+        if k is None:
+            continue
         for p, found in best.items():
             if found < size - 1:
-                for i, beta in _betti_from_top(k, p, found):
-                    if beta:
+                beta = _betti(k, p)
+                for i in range(size - 1, found, -1):
+                    if beta(i):
                         best[p] = i
                         break
     return {p: ideal.n - 1 - found for p, found in best.items()}

@@ -130,6 +130,9 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
             primes_to_json(oracle),
         )
 
+    # read right after the oracle, whose fold of I the seed of the depth
+    # search reuses from the _components memo
+    depths = depths_exact(ideal, primes)
     filtration = staged_filtration(spec)
     # the oracle's primes are Ass(S/I), the radicals supp_equals_ass reads
     for name, report in (
@@ -140,7 +143,6 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
         if not report.ok:
             record("filtration", f"{name}: {'; '.join(report.violations)}")
 
-    depths = depths_exact(ideal, primes)
     if len(set(depths.values())) > 1:
         record("depth", f"depth differs across primes: {depths}")
     exact = depths[primes[0]]

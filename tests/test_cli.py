@@ -178,15 +178,19 @@ class TestCliExitCodes:
     def test_lcm_lattice_walk_over_limit_is_usage_error(
         self, tmp_path, capsys, monkeypatch
     ):
-        # (x1^2, x1*x2, x2^2): the search stops at x1*x2^2 with x1^2*x2^2,
-        # x1^2*x2, x1*x2^2, x1*x2 and x1^2 generated, one short of the
-        # 6-element lattice; the walk refuses the fifth at a limit of 4
+        # (x1*x3, x1*x4, x2*x3, x2*x4) = (x1, x2) ∩ (x3, x4): h = 2 and
+        # pd(I) = 2, so the walk still runs after the seed. The seed's fiber
+        # walk generates 3 elements (x1*x2*x3*x4, x1*x2*x4, x1*x2*x3, or the
+        # same over (x3, x4)), and the walk after it generates the top and
+        # its 4 children, stopping at x1*x2*x3 with beta_2 read at the top;
+        # it refuses the fifth at a limit of 4
         path = tmp_path / "ideal.json"
-        path.write_text(json.dumps({"n": 2, "gens": [[2, 0], [1, 1], [0, 2]]}))
+        gens = [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]]
+        path.write_text(json.dumps({"n": 4, "gens": gens}))
         depth_module = importlib.import_module("lexseg.depth")
         monkeypatch.setattr(depth_module, "LCM_LATTICE_LIMIT", 5)
         assert main(["depth", "--ideal", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["depth_exact"] == 0
+        assert json.loads(capsys.readouterr().out)["depth_exact"] == 1
         monkeypatch.setattr(depth_module, "LCM_LATTICE_LIMIT", 4)
         assert main(["depth", "--ideal", str(path)]) == 2
         assert "lcm lattice has more than LCM_LATTICE_LIMIT = 4" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Depth: the lex-criterion classifier and the Betti-number oracle."""
 
+import hashlib
+import json
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import I, spec, zero_ideal
-from lexseg import depth, kernels
+from conftest import I, components_reference, spec, zero_ideal
+from lexseg import decompose, depth, kernels
+from lexseg.decompose import associated_primes_oracle
 from lexseg.depth import (
     CHARACTERISTIC_LIMIT,
     DepthClass,
@@ -19,6 +22,7 @@ from lexseg.depth import (
 )
 from lexseg.monomials import (
     DomainError,
+    InternalConsistencyError,
     Monomial,
     MonomialIdeal,
     SpecError,
@@ -26,6 +30,7 @@ from lexseg.monomials import (
     supp,
     unit_ideal,
 )
+from lexseg.sweep import iter_specs
 
 
 def faces(k):
@@ -215,6 +220,14 @@ def small_ideals(draw, max_n=5):
     n = draw(st.integers(2, max_n))
     exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
     return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=6)))
+
+
+@st.composite
+def wide_ideals(draw):
+    """n = 1..7 variables, exponents <= 3, 1..9 generators."""
+    n = draw(st.integers(1, 7))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=9)))
 
 
 class TestDepthClassifier:
@@ -451,6 +464,22 @@ class TestLatticeWalk:
                 g for g in ideal.gens if kernels.divides(g, b)
             )
 
+    @seed(20261023)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(wide_ideals())
+    def test_held_walk_is_the_sorted_fiber(self, ideal):
+        # over the gens that can lie in a component Q0, with its radical
+        # held: the fiber {b in the lattice : b_i = Q0_i on the radical},
+        # in the order of the whole walk
+        for q0 in sorted(components_reference(ideal)):
+            held = tuple(i for i, e in enumerate(q0) if e)
+            gens = [g for g in ideal.gens if all(g[i] <= q0[i] for i in held)]
+            walked = [(size, b) for size, b, _ in depth._lattice_walk(gens, held)]
+            fiber = [b for b in lcm_lattice(ideal) if all(b[i] == q0[i] for i in held)]
+            assert walked == sorted(((len(supp(b)), b) for b in fiber), reverse=True)
+            # the fiber's top is the lcm of those gens, and in the fiber
+            assert walked[0][1] == tuple(map(max, zip(*gens)))
+
     def test_single_generator_lattice(self):
         gens = I(3, "x1*x3^2").gens
         assert list(depth._lattice_walk(gens)) == [(2, (1, 0, 2), gens)]
@@ -496,39 +525,45 @@ class TestLatticeWalk:
         assert depths_exact(ideal, (p for p in (2, 3))) == depths_exact(ideal, (2, 3))
 
 
-@st.composite
-def wide_ideals(draw):
-    """n = 1..7 variables, exponents <= 3, 1..9 generators."""
-    n = draw(st.integers(1, 7))
-    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
-    return MonomialIdeal.from_gens(n, draw(st.lists(exponents, min_size=1, max_size=9)))
-
-
 def search_record(ideal, primes):
-    """(depths_exact(ideal, primes), the b the search tested after its
-    stopping rule, the b whose K^b it built)."""
-    walk, require = depth._lattice_walk, depth._require_support
-    walked, tested, built = [], [], []
+    """(depths_exact(ideal, primes), then {"seed": ..., "walk": ...}: for
+    the seed's fiber walk and for the walk after it, the b whose support
+    it tested and the b whose K^b it built, as two lists)."""
+    walk, require, build, seed = (
+        depth._lattice_walk, depth._require_support, depth.upper_koszul_complex,
+        depth._seed,
+    )
+    record = {"seed": ([], []), "walk": ([], [])}
+    phase = ["walk"]
+    walked = []
 
-    def walking(gens):
-        for step in walk(gens):
+    def seeding(ideal, primes):
+        phase[0] = "seed"
+        try:
+            return seed(ideal, primes)
+        finally:
+            phase[0] = "walk"
+
+    def walking(gens, held=()):
+        for step in walk(gens, held):
             walked.append(step[1])
             yield step
 
     def requiring(size):
-        tested.append(walked[-1])
+        record[phase[0]][0].append(walked[-1])
         require(size)
 
     def building(facets, b):
-        built.append(b)
-        return upper_koszul_complex(facets, b)
+        record[phase[0]][1].append(b)
+        return build(facets, b)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depth, "_seed", seeding)
         mp.setattr(depth, "_lattice_walk", walking)
         mp.setattr(depth, "_require_support", requiring)
         mp.setattr(depth, "upper_koszul_complex", building)
         depths = depths_exact(ideal, primes)
-    return depths, tested, built
+    return depths, record
 
 
 class TestConeSkip:
@@ -537,12 +572,14 @@ class TestConeSkip:
     @given(wide_ideals())
     def test_skips_exactly_the_cones_and_matches_the_simplex_reference(self, ideal):
         primes = (2, 3, 32003)
-        depths, tested, built = search_record(ideal, primes)
+        depths, record = search_record(ideal, primes)
         assert depths == simplex_skip_depths(ideal, primes)
-        assert len(set(tested)) == len(tested) and set(built) <= set(tested)
-        # skipped unbuilt exactly when, by its definition, K^b is a cone
-        for b in tested:
-            assert is_cone(membership_faces(ideal, b), supp(b)) == (b not in built)
+        # in the seed's fiber walk and in the walk after it alike
+        for tested, built in record.values():
+            assert len(set(tested)) == len(tested) and set(built) <= set(tested)
+            # skipped unbuilt exactly when, by its definition, K^b is a cone
+            for b in tested:
+                assert is_cone(membership_faces(ideal, b), supp(b)) == (b not in built)
 
     def test_a_cone_that_is_not_the_full_simplex_is_skipped(self):
         # L(x1*x2, x2^2) = (x1*x2, x1*x3, x2^2) at b = x1*x2^2*x3: the
@@ -552,7 +589,8 @@ class TestConeSkip:
         b = (1, 2, 1)
         k = membership_faces(ideal, b)
         assert is_cone(k, supp(b)) and len(k) < 2 ** len(supp(b))
-        depths, tested, built = search_record(ideal, (2, 32003))
+        depths, record = search_record(ideal, (2, 32003))
+        tested, built = record["walk"]
         assert b in tested and b not in built
         assert depths == simplex_skip_depths(ideal, (2, 32003))
 
@@ -595,35 +633,86 @@ class TestPrunedSearch:
                     assert b not in top
 
 
+def seed_fiber(ideal):
+    """(h, the fiber the seed reads, in walk order): h is the largest
+    height of a component, the seed's component Q0 is the first of height
+    h in decompose._components, and its fiber is every b of the reference
+    lattice with b_i = Q0_i on the radical of Q0."""
+    q0 = max(decompose._components(ideal), key=lambda q: len(supp(q)))
+    held = [i for i, e in enumerate(q0) if e]
+    fiber = [b for b in lcm_lattice(ideal) if all(b[i] == q0[i] for i in held)]
+    return len(held), sorted(((len(supp(b)), b) for b in fiber), reverse=True)
+
+
 class TestTargetedRanks:
     @seed(20261018)
     @settings(max_examples=300, deadline=None, database=None)
     @given(small_ideals(max_n=6))
     def test_reads_match_reference_and_skips_are_acyclic(self, ideal):
-        read = depth._betti_from_top
+        read, seed = depth._betti, depth._seed
         for p in (2, 32003):
-            visits = []  # [b, the (i, beta) pairs read at b] per K^b built
+            # [phase, b, the (i, beta) pairs read at b] per K^b built
+            visits = []
+            phase = ["walk"]
+
+            def seeding(ideal, primes):
+                phase[0] = "seed"
+                try:
+                    return seed(ideal, primes)
+                finally:
+                    phase[0] = "walk"
 
             def building(facets, b):
-                visits.append([b, None])
+                visits.append((phase[0], b, []))
                 return upper_koszul_complex(facets, b)
 
-            def reading(k, q, above):
-                visits[-1][1] = reads = []
-                for pair in read(k, q, above):
-                    reads.append(pair)
-                    yield pair
+            def reading(k, q):
+                beta, reads = read(k, q), visits[-1][2]
+
+                def logged(i):
+                    reads.append((i, beta(i)))
+                    return reads[-1][1]
+
+                return logged
 
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(depth, "_seed", seeding)
                 mp.setattr(depth, "upper_koszul_complex", building)
-                mp.setattr(depth, "_betti_from_top", reading)
+                mp.setattr(depth, "_betti", reading)
                 pd = ideal.n - 1 - depth_exact(ideal, p)
             assert pd == betti_numbers(ideal, p).max_index
-            # replay the search over the lattice against the reference
-            built = dict(visits)
+            seeded = [(b, reads) for where, b, reads in visits if where == "seed"]
+            walked = [(b, reads) for where, b, reads in visits if where == "walk"]
+            assert visits[: len(seeded)] == [("seed", *v) for v in seeded]
+
+            # replay the seed over the fiber against the reference: each b
+            # not a cone is read once, at h - 1, until a nonzero beta
+            h, fiber = seed_fiber(ideal)
+            assert h == max(len(q.vars) for q in associated_primes_oracle(ideal).primes)
+            built = dict(seeded)
+            replayed = []
+            hit = h == 1  # beta_0 > 0, read from nothing
+            for size, b in fiber:
+                if hit:
+                    break
+                ranks = homology_ranks(koszul(ideal, b), p)
+                cone = is_cone(membership_faces(ideal, b), supp(b))
+                assert cone == (b not in built)
+                if cone:
+                    assert not any(ranks)
+                    continue
+                replayed.append(b)
+                beta = ranks[h - 1] if h - 1 < len(ranks) else 0
+                assert built[b] == [(h - 1, beta)]
+                hit = beta != 0
+            assert hit, "the fiber holds no nonzero beta_{h-1,b}"
+            assert replayed == [b for b, _ in seeded]
+
+            # replay the walk over the lattice from the seeded best
+            built = dict(walked)
             order = sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True)
             replayed = []
-            best = 0
+            best = h - 1
             for size, b in order:
                 if size - 1 <= best:
                     break
@@ -651,5 +740,87 @@ class TestTargetedRanks:
                     best = reads[-1][0]
                 else:
                     assert reads[-1][0] == best + 1
-            assert replayed == [b for b, _ in visits]
+            assert replayed == [b for b, _ in walked]
             assert best == pd
+
+
+class TestSeed:
+    @seed(20261024)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(wide_ideals())
+    def test_every_top_height_fiber_holds_a_nonzero_beta(self, ideal):
+        # the lemma of the depth module, against the reference fold and
+        # homology, for every component of the largest height h
+        primes = (2, 3, 32003)
+        comps = components_reference(ideal)
+        h = max(len(supp(q)) for q in comps)
+        for q0 in comps:
+            if len(supp(q0)) < h:
+                continue
+            fiber = [
+                b for b in lcm_lattice(ideal)
+                if all(b[i] == e for i, e in enumerate(q0) if e)
+            ]
+            missing = set(primes)
+            for b in fiber:
+                ranks = {p: homology_ranks(koszul(ideal, b), p) for p in missing}
+                missing -= {p for p, r in ranks.items() if h - 1 < len(r) and r[h - 1]}
+                if not missing:
+                    break
+            assert not missing, f"no nonzero beta_{{{h - 1},b}} over {q0}"
+        assert depths_exact(ideal, primes) == simplex_skip_depths(ideal, primes)
+
+    @pytest.mark.parametrize("zero_at", [(2, 32003), (32003,)])
+    def test_a_homology_that_reads_zero_raises(self, zero_at, monkeypatch):
+        # with every beta read as 0, at every prime or at one, the seed
+        # finds nothing there: a loud failure, never the n - h that the
+        # Stanley family would accept. Each prime is seeded by its own
+        # read, not by the lemma. A principal ideal (h = 1) has pd 0 and
+        # reads nothing.
+        betti = depth._betti
+        monkeypatch.setattr(
+            depth,
+            "_betti",
+            lambda by_size, p: (lambda i: 0) if p in zero_at else betti(by_size, p),
+        )
+        for s in iter_specs((2, 4), (2, 3)):
+            ideal = lexsegment_generators(s)
+            if len(ideal.gens) == 1:
+                assert depths_exact(ideal, (2, 32003)) == {2: s.n - 1, 32003: s.n - 1}
+                continue
+            with pytest.raises(InternalConsistencyError, match="no b over the component"):
+                depths_exact(ideal, (2, 32003))
+
+    def test_fiber_walk_holds_to_the_lattice_limit(self, monkeypatch):
+        # the fiber of (x1, x2) in (x1*x3, x1*x4, x2*x3, x2*x4) (or of
+        # (x3, x4)) has 3 elements, read until x1*x2*x3, two points
+        ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
+        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
+        assert depth._seed(ideal, (2,)) == 1
+        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
+        with pytest.raises(DomainError, match="LCM_LATTICE_LIMIT = 2"):
+            depth._seed(ideal, (2,))
+
+    def test_depth_at_two_primes_folds_once(self):
+        ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
+        decompose._components.cache_clear()
+        depth_exact(ideal, 2)
+        depth_exact(ideal, 32003)
+        info = decompose._components.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_n6_d3_depth_is_n_minus_the_top_height(self):
+        # the exhaustive gate on the 1,596 n=6, d=3 specs: the Betti depth
+        # at both primes is n - max|P| over the oracle's Ass, as pretty
+        # clean implies, and the depth digest of the range is pinned
+        rows, wrong = [], []
+        for s in iter_specs((6, 6), (3, 3)):
+            ideal = lexsegment_generators(s)
+            depths = depths_exact(ideal, (2, 32003))
+            h = max(len(q.vars) for q in associated_primes_oracle(ideal).primes)
+            if depths != {2: 6 - h, 32003: 6 - h}:
+                wrong.append((s, depths, h))
+            rows.append([depths[2], depths[32003]])
+        assert len(rows) == 1596 and not wrong
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+        assert digest == "ad96bc3bad39d970"
