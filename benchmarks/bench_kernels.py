@@ -47,9 +47,11 @@ lines time depths_exact at both primes over those 1,596 specs, best of
 3 cold, with the depth digest of the range (the recipe above), then
 one cold staged_filtration pass over those 1,596 specs, print its step
 digest (the recipe above), and count, in a second pass, the nodes the
-search enters (_witness_scanner calls) and the children it builds
-(_add_generator calls, cut children included). The last line is the
-line count of src/lexseg/*.py, the source size the ROADMAP tracks.
+search enters (_children calls) and the children it builds
+(_add_generator calls). The full-segment line times one
+staged_filtration of L(x1^25, x3^25), best of 3, with its step digest.
+The last line is the line count of src/lexseg/*.py, the source size the
+ROADMAP tracks.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
@@ -240,25 +242,33 @@ def n6_d3_search():
     print(f"staged_filtration, {len(specs)} n=6 d=3 specs, one cold pass: "
           f"{seconds:.3f} s, step digest {chain_digest(found)}")
     counts = dict.fromkeys(("nodes entered", "children built"), 0)
-    scanner, step = filtration._witness_scanner, filtration._add_generator
+    children, step = filtration._children, filtration._add_generator
 
-    def counting_scanner(n, comps):
+    def counting_children(n, comps):
         counts["nodes entered"] += 1
-        return scanner(n, comps)
+        return children(n, comps)
 
     def counting_step(n, comps, w):
         counts["children built"] += 1
         return step(n, comps, w)
 
-    filtration._witness_scanner, filtration._add_generator = counting_scanner, counting_step
+    filtration._children, filtration._add_generator = counting_children, counting_step
     try:
         for s in specs:
             filtration.staged_filtration(s)
     finally:
-        filtration._witness_scanner, filtration._add_generator = scanner, step
+        filtration._children, filtration._add_generator = children, step
     print("search counts, same specs:")
     for name, count in counts.items():
         print(f"  {name:<28} {count:8}")
+
+
+def full_segment():
+    spec = monomials.LexSpec(3, 25, (25, 0, 0), (0, 0, 25))
+    best = best_cold(lambda: filtration.staged_filtration(spec))
+    found = filtration.staged_filtration(spec)
+    print(f"staged_filtration, L(x1^25, x3^25), {len(found.steps)} steps, best of 3: "
+          f"{best:.3f} s, step digest {chain_digest([found])}")
 
 
 def oracle_family():
@@ -455,6 +465,7 @@ def main():
     depth_digest()
     n6_d3_depth()
     n6_d3_search()
+    full_segment()
     print(f"src/lexseg/*.py: {source_lines()} lines")
 
 

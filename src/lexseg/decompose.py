@@ -6,15 +6,15 @@ radicals of those components (Miller-Sturmfels, Combinatorial
 Commutative Algebra, ch. 5). The oracle takes its primes from there and
 certifies each one with the lex-first witness monomial w in the witness
 box with (I : w) = P; witnesses() is the one generator of such
-witnesses, shared with the filtration search. A component is a dense
-exponent tuple, Q_i = 0 where x_i is absent; it misses w when Q_i > w_i
-at every i with Q_i > 0. Say Q fails C at i when C_i > 0 and not
-0 < Q_i <= C_i: Q contains C exactly when it fails C nowhere. Two facts
-are used below. Irreducible monomial ideals are prime in the lattice of
-monomial ideals: one that contains an intersection contains a member.
-And two distinct irredundant components differ in at least two
-coordinates, since if they differed at i alone one would contain the
-other.
+witnesses, and the filtration search shares its witness test. A
+component is a dense exponent tuple, Q_i = 0 where x_i is absent; it
+misses w when Q_i > w_i at every i with Q_i > 0. Say Q fails C at i when
+C_i > 0 and not 0 < Q_i <= C_i: Q contains C exactly when it fails C
+nowhere. Two facts are used below. Irreducible monomial ideals are prime
+in the lattice of monomial ideals: one that contains an intersection
+contains a member. And two distinct irredundant components differ in at
+least two coordinates, since if they differed at i alone one would
+contain the other.
 
 The components (_add_generator, the add-one-generator step of Milowski,
 ISSAC 2004, and Roune, JSC 2009). From the irredundant components of J,

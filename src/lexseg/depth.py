@@ -74,8 +74,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import compress
-from math import isqrt
-from operator import and_, lt, neg
+from math import inf, isqrt
+from operator import and_, le, lt, neg
 
 from . import decompose, kernels
 from .monomials import (
@@ -334,7 +334,8 @@ def _seed(ideal: MonomialIdeal, primes) -> int:
     h = len(held)
     if h == 1:
         return 0
-    gens = [g for g in ideal.gens if all(g[i] <= q0[i] for i in held)]
+    bound = tuple(e or inf for e in q0)  # q0 on its radical, no limit off it
+    gens = [g for g in ideal.gens if all(map(le, g, bound))]
     unseeded = list(primes)
     for size, b, divisors in _lattice_walk(gens, held):
         k = _koszul(size, b, divisors)

@@ -11,9 +11,11 @@ Pretty clean chains (Herzog-Popescu, Manuscripta Math. 2006) come from
 one depth-first search, search_filtration, over (prime, witness) steps
 straight to the unit ideal. A node is just the irredundant irreducible
 components of its ideal, and a child J + (w) takes one add-one-generator
-step (decompose._add_generator) from its parent's. Its candidate primes,
-its witnesses (the scan behind decompose.witnesses) and the pretty clean
-cut at each child's edge are all read from components. staged_filtration
+step (decompose._add_generator) from its parent's. The pretty clean cut
+is read off the components before any child is built: only the
+inclusion-maximal primes of Ass(S/J) can have an uncut child, and the
+uncut witnesses pinned at a component lie in a sub-box of the witness
+scan, which the search walks lazily in its own order. staged_filtration
 runs that search once, on the working spec of reduce_fully, I =
 x^factor * I', and lifts the chain it finds to I through the factor.
 
@@ -29,14 +31,17 @@ vectors (kernels._Packing).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
+from operator import neg
 
 from . import kernels
 from .decompose import (
     _add_generator,
+    _box,
     _components,
-    _radicals,
-    _witness_scanner,
+    _witness,
     radicals,
 )
 from .monomials import (
@@ -47,7 +52,6 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     PrimeIdeal,
-    degree,
     lexsegment_generators,
     mon_mul,
     reduce_fully,
@@ -96,24 +100,10 @@ class StanleyDecomposition:
     spaces: tuple[tuple[Monomial, frozenset[int]], ...]
 
 
-def _candidate_primes(n: int, comps) -> list[PrimeIdeal]:
-    """Ass(S/J), the radicals of the irredundant components comps of J in
-    n variables, ordered inclusion-maximal first, lex-smallest tuple
-    first."""
-    primes = _radicals(n, comps)
-    maximal = [
-        p for p in primes if not any(p.is_proper_subset(q) for q in primes)
-    ]
-    rest = [p for p in primes if p not in maximal]
-    maximal.sort(key=lambda p: p.vars)
-    rest.sort(key=lambda p: (-len(p.vars), p.vars))
-    return maximal + rest
-
-
 def _degree_then_lex(w: Monomial):
     # small witnesses first keeps the quotients tame; lex-greatest
     # breaks ties deterministically
-    return (degree(w), tuple(-e for e in w))
+    return (sum(w), tuple(map(neg, w)))
 
 
 def staged_filtration(spec: LexSpec) -> PrimeFiltration:
@@ -161,25 +151,52 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     start is decomposed once, and the child J + (w) gets its components
     from one _add_generator step on J's. J is prime exactly when it has
     one component whose powers are all variables; that node ends the
-    chain with the step (1, J). Any other node tries the primes of
-    Ass(S/J) (_candidate_primes) and each one's witnesses, from one
-    _witness_scanner per node, in _degree_then_lex order (_children).
+    chain with the step (1, J). Any other node tries its uncut children
+    (_children): steps (w, P), P a prime of Ass(S/J) and w a witness of
+    P, prime by prime and in _degree_then_lex order within a prime.
 
-    The pretty clean rule is tested once, at each child's edge: the child
-    J + (w) of the step (w, P) is cut when one of its radicals properly
-    contains P. Every prime filtration of S/J' uses every prime of
-    Ass(S/J') (Herzog-Popescu 2006), so a chain through J' is pretty
-    clean only if no prime of Ass(S/J') properly contains the prime of a
-    step on its path. Testing P alone is enough, by induction on the
-    path: no radical of J properly contains an earlier step's prime.
-    Multiplication by w gives 0 -> S/P -> S/J -> S/(J + (w)) -> 0, so a
-    prime R of Ass(S/(J + (w))) lies in Ass(S/J) or contains P. If R
-    properly contains an earlier step's prime, it is not in Ass(S/J) and
-    it is not P, a radical of J, so R properly contains P. A completed
-    chain is therefore pretty clean. The path is a stack of child
-    generators, not a recursion. Returns the first complete pretty clean
-    filtration, or None. Raises DomainError on entering a node past
-    SEARCH_NODE_LIMIT, counting every node entered, backtracked or not.
+    The pretty clean rule: the child J + (w) of the step (w, P) is cut
+    when one of its radicals properly contains P. Every prime filtration
+    of S/J' uses every prime of Ass(S/J') (Herzog-Popescu 2006), so a
+    chain through J' is pretty clean only if no prime of Ass(S/J')
+    properly contains the prime of a step on its path. Testing P alone
+    is enough, by induction on the path: no radical of J properly
+    contains an earlier step's prime. Multiplication by w gives
+    0 -> S/P -> S/J -> S/(J + (w)) -> 0, so a prime R of
+    Ass(S/(J + (w))) lies in Ass(S/J) or contains P. If R properly
+    contains an earlier step's prime, it is not in Ass(S/J) and it is
+    not P, a radical of J, so R properly contains P. A completed chain
+    is therefore pretty clean.
+
+    The cut is read before a child is built. Let w be a witness of P
+    pinned at the component Q0: w_i = Q0_i - 1 for i in P. Q0 is the
+    only component of J that misses w (decompose module docstring), so
+    the components of J + (w) are those of J other than Q0 and the
+    candidates Q0[k], k in supp w, that the one-pass rule keeps.
+    (a) If P lies properly inside another radical R of J, every child of
+    P is cut: R is the radical of a component C != Q0, which contains w
+    and so stays a component of J + (w). Only the inclusion-maximal
+    primes are tried, sorted by their variables (_maximal_primes).
+    (b) Let P be maximal. No component of J has a radical properly
+    containing P, and Q0[k] has radical P for k in P. For k off P,
+    Q0[k] has radical P + (x_k), so the child is uncut exactly when each
+    Q0[k] with k off P and w_k > 0 is dropped: when Q0 fails some
+    C != Q0 at k alone with w_k <= C_k. Since Q0_k = 0, that is
+    w_k <= cap_k(Q0), the largest C_k over the components C != Q0 that
+    Q0 fails at k alone, and 0 when there are none. So the uncut
+    children of P are the witnesses pinned at its components with every
+    coordinate off P at most its cap, a sub-box of the witness scan.
+    Each pin's sub-box is walked lazily in _degree_then_lex order
+    (_pinned), the pins of P are merged on that key, and no monomial is
+    pinned at two components, so the children come in the order of the
+    sorted scan of every prime with the cut ones left out, and a node
+    that takes its first child tests a few monomials, not its box.
+
+    The path is a stack of child generators, not a recursion. Returns the
+    first complete pretty clean filtration, or None. Raises DomainError
+    on entering a node past SEARCH_NODE_LIMIT, counting every node
+    entered, backtracked or not, and for a node whose witness box is over
+    decompose.WITNESS_BOX_LIMIT.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
@@ -209,17 +226,89 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
 
 def _children(n: int, comps):
     """The uncut children of a node with components comps, in search
-    order, each as (step, components). Primes are bitmasks here, bit
-    i - 1 for x_i: a child of the step prime p is cut when a radical r of
-    its components has p & r == p != r."""
-    scan = _witness_scanner(n, comps)
-    for prime in _candidate_primes(n, comps):
-        p = sum(1 << (i - 1) for i in prime.vars)
-        for w in sorted(scan(prime), key=_degree_then_lex):
-            child = _add_generator(n, comps, w)
-            radicals = {sum(1 << i for i, e in enumerate(q) if e) for q in child}
-            if not any(p & r == p != r for r in radicals):
-                yield FiltrationStep(w, prime), child
+    order, each as (step, components): for each maximal prime of
+    Ass(S/J) (_maximal_primes), the candidates of its pins (_pinned)
+    merged in _degree_then_lex order, kept when they pass the witness
+    test (decompose._witness). A pin of the maximal ideal has one
+    candidate, w = Q0 - 1, so those are sorted without a generator. A
+    child is built with _add_generator only when it is yielded. Reads
+    the witness box first (_box), which raises DomainError over
+    WITNESS_BOX_LIMIT as witnesses() does."""
+    _box(n, comps)
+    powers = [[*compress(enumerate(q), q)] for q in comps]  # the (i, e), e > 0
+    for prime, pins in _maximal_primes(n, comps):
+        if len(prime.vars) == n:
+            corners = (tuple(e - 1 for e in q0) for q0 in pins)
+            found = sorted((_degree_then_lex(w), w) for w in corners)
+        else:
+            found = heapq.merge(*(_pinned(n, comps, q0) for q0 in pins))
+        for _, w in found:
+            if _witness(w, powers):
+                yield FiltrationStep(w, prime), _add_generator(n, comps, w)
+
+
+def _maximal_primes(n: int, comps) -> list:
+    """The inclusion-maximal radicals of the components comps, each as
+    (prime, its pins: the components with that radical), sorted by the
+    prime's variables. Radicals are compared as bitmasks, bit i for x_i."""
+    pins: dict[tuple[int, ...], list] = {}
+    for q in comps:
+        pins.setdefault(supp(q), []).append(q)
+    masks = {key: sum(1 << i for i in key) for key in pins}
+    return [
+        (PrimeIdeal(n, key), pins[key])
+        for key, p in sorted(masks.items())
+        if not any(p & r == p != r for r in masks.values())
+    ]
+
+
+def _pinned(n: int, comps, q0):
+    """The candidates pinned at the component q0 with radical P whose
+    edge is not cut (search_filtration, (b)), as (_degree_then_lex(w), w)
+    in that order: w_i = q0_i - 1 on P and 0 <= w_k <= cap_k(q0) off P.
+    The first one, 0 off P, needs no cap. The caps are read, in the fail
+    loop of _add_generator, only when a second one is asked for: a node
+    usually takes an earlier child, and caps computed for every pin up
+    front cost more than the search saves. The rest of the sub-box comes
+    degree by degree, lex-descending within a degree."""
+    pin = tuple(e - 1 if e else 0 for e in q0)
+    yield _degree_then_lex(pin), pin
+    caps = [0] * n
+    for c in comps:
+        if c is q0:
+            continue
+        fail = None
+        for i in range(n):
+            e = c[i]
+            if e and not 0 < q0[i] <= e:
+                if fail is not None:
+                    break
+                fail = i
+        else:
+            # distinct irredundant components fail each other somewhere
+            if not q0[fail] and caps[fail] < c[fail]:
+                caps[fail] = c[fail]
+    free = [k for k in range(n) if not q0[k]]
+    bounds = [caps[k] for k in free]
+    w = list(pin)
+    for t in range(1, sum(bounds) + 1):
+        for off in _compositions(bounds, t):
+            for k, e in zip(free, off):
+                w[k] = e
+            m = tuple(w)
+            yield _degree_then_lex(m), m
+
+
+def _compositions(bounds, t: int):
+    """Every tuple e with 0 <= e_j <= bounds[j] and sum t, lex-descending."""
+    if len(bounds) == 1:
+        if t <= bounds[0]:
+            yield (t,)
+        return
+    room = sum(bounds[1:])
+    for e in range(min(bounds[0], t), max(t - room, 0) - 1, -1):
+        for rest in _compositions(bounds[1:], t - e):
+            yield (e, *rest)
 
 
 def _largest_exponent(n: int, monomials) -> int:

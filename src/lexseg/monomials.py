@@ -209,9 +209,6 @@ class PrimeIdeal:
             self.n, tuple(variable(self.n, i) for i in self.vars)
         )
 
-    def is_proper_subset(self, other: "PrimeIdeal") -> bool:
-        return set(self.vars) < set(other.vars)
-
     def shift(self, offset: int, n: int) -> "PrimeIdeal":
         """Re-embed into n variables, shifting every index up by offset."""
         return PrimeIdeal.from_vars(n, (v + offset for v in self.vars))

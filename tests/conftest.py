@@ -6,7 +6,8 @@ import random
 import pytest
 
 from lexseg import kernels
-from lexseg.filtration import Report
+from lexseg.decompose import _add_generator, _radicals, _witness_scanner
+from lexseg.filtration import FiltrationStep, Report, _degree_then_lex
 from lexseg.monomials import (
     DimensionError,
     LexSpec,
@@ -28,6 +29,11 @@ def I(n, *gens):
 
 def spec(n, d, u, v):
     return LexSpec(n, d, parse_monomial(u, n), parse_monomial(v, n))
+
+
+def is_proper_subset(p, q):
+    """P is properly contained in Q, for primes of one ring."""
+    return set(p.vars) < set(q.vars)
 
 
 def zero_ideal(n):
@@ -130,6 +136,35 @@ def components_reference(ideal):
     for g in sorted(reversed(ideal.gens), key=sum):
         comps = add_generator_reference(ideal.n, comps, g)
     return set(comps)
+
+
+def candidate_primes_reference(n, comps):
+    """Ass(S/J), the radicals of the irredundant components comps of J in
+    n variables, ordered inclusion-maximal first, lex-smallest tuple
+    first: the primes children_reference tries, in its order."""
+    primes = _radicals(n, comps)
+    maximal = [p for p in primes if not any(is_proper_subset(p, q) for q in primes)]
+    rest = [p for p in primes if p not in maximal]
+    maximal.sort(key=lambda p: p.vars)
+    rest.sort(key=lambda p: (-len(p.vars), p.vars))
+    return maximal + rest
+
+
+def children_reference(n, comps):
+    """The children of a search node with components comps, built and
+    then cut: every witness of every prime of Ass(S/J), in the order of
+    candidate_primes_reference and then _degree_then_lex, each child
+    built with _add_generator and dropped when one of its radicals
+    properly contains the step's prime (bitmasks p, r with
+    p & r == p != r). A reference for filtration._children."""
+    scan = _witness_scanner(n, comps)
+    for prime in candidate_primes_reference(n, comps):
+        p = sum(1 << (i - 1) for i in prime.vars)
+        for w in sorted(scan(prime), key=_degree_then_lex):
+            child = _add_generator(n, comps, w)
+            radicals = {sum(1 << i for i, e in enumerate(q) if e) for q in child}
+            if not any(p & r == p != r for r in radicals):
+                yield FiltrationStep(w, prime), child
 
 
 def ideal_as_prime(ideal):

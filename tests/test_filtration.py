@@ -17,8 +17,11 @@ from conftest import (
     I,
     P,
     add_element,
+    candidate_primes_reference,
+    children_reference,
     ideal_as_prime,
     ideal_sum,
+    is_proper_subset,
     iter_box,
     k_polynomial_reference,
     oracle_random_ideals,
@@ -31,6 +34,7 @@ from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
     _components,
+    _witness,
     associated_primes_oracle,
     irredundant_components,
     witnesses,
@@ -42,9 +46,10 @@ from lexseg.filtration import (
     PrimeFiltration,
     Report,
     StanleyDecomposition,
-    _candidate_primes,
     _degree_then_lex,
     _k_polynomial,
+    _maximal_primes,
+    _pinned,
     sdepth_lower_bound,
     search_filtration,
     staged_filtration,
@@ -65,6 +70,7 @@ from lexseg.monomials import (
     enumerate_degree,
     lexsegment_generators,
     reduce_fully,
+    supp,
     unit,
     unit_ideal,
     variable,
@@ -76,20 +82,28 @@ from lexseg.sweep import iter_specs
 # lexsegments.
 EXTENDED_BUDGET_SECONDS = 20.0
 
+# Fixed wall-time budget of TestFullSegment: staged_filtration of the full
+# segment L(x1^20, x3^20), its three verifiers and stanley_certificate.
+FULL_SEGMENT_BUDGET_SECONDS = 10.0
+
 # Most monomials, C(n + D, n) for degree bound D, that
 # bounded_cover_reference will enumerate.
 COVER_CHECK_LIMIT = 1 << 16
 
 
-def step_digest(specs):
-    """The first 16 hex digits of the sha256 of the JSON list, per spec, of
-    [witness, prime.vars] per step of staged_filtration: the recipe
-    benchmarks/bench_kernels.py prints."""
+def chain_digest(filtrations):
+    """The first 16 hex digits of the sha256 of the JSON list, per
+    filtration, of [witness, prime.vars] per step."""
     chains = [
-        [[list(s.witness), list(s.prime.vars)] for s in staged_filtration(x).steps]
-        for x in specs
+        [[list(s.witness), list(s.prime.vars)] for s in f.steps] for f in filtrations
     ]
     return hashlib.sha256(json.dumps(chains).encode()).hexdigest()[:16]
+
+
+def step_digest(specs):
+    """chain_digest of staged_filtration over the specs: the recipe
+    benchmarks/bench_kernels.py prints."""
+    return chain_digest(map(staged_filtration, specs))
 
 
 def pretty_clean_reference(filtration):
@@ -98,7 +112,7 @@ def pretty_clean_reference(filtration):
     steps = filtration.steps
     for i in range(len(steps)):
         for j in range(i + 1, len(steps)):
-            if steps[i].prime.is_proper_subset(steps[j].prime):
+            if is_proper_subset(steps[i].prime, steps[j].prime):
                 violations.append(
                     f"steps {i} < {j}: ({steps[i].prime.vars}) properly "
                     f"contained in ({steps[j].prime.vars})"
@@ -175,9 +189,9 @@ def small_ideals(draw):
 
 
 def candidate_primes(ideal):
-    """The search's candidate primes at a node with ideal J, from a fresh
-    decomposition of J."""
-    return _candidate_primes(ideal.n, _components(ideal))
+    """Every prime of Ass(S/J), maximal first (candidate_primes_reference),
+    from a fresh decomposition of J."""
+    return candidate_primes_reference(ideal.n, _components(ideal))
 
 
 def greedy_reference(ideal):
@@ -229,42 +243,52 @@ class TestSearchPrimitives:
         for ideal in oracle_random_ideals(20261020, 20):
             assert_witnesses_match_box_scan(ideal)
 
-    def test_candidate_primes_are_the_oracle_primes(self):
+    def test_search_primes_are_the_maximal_oracle_primes(self):
+        # the search tries the inclusion-maximal primes of Ass(S/J), sorted
+        # by their variables, each with the components that have it as
+        # their radical
         rng = random.Random(20261017)
         for _ in range(150):
             ideal = random_ideal(rng)
-            candidates = candidate_primes(ideal)
-            assert len(set(candidates)) == len(candidates)
-            assert set(candidates) == associated_primes_oracle(ideal).primes
+            comps = _components(ideal)
+            primes = associated_primes_oracle(ideal).primes
+            maximal = [
+                p for p in primes if not any(is_proper_subset(p, q) for q in primes)
+            ]
+            tried = _maximal_primes(ideal.n, comps)
+            assert [p for p, _ in tried] == sorted(maximal, key=lambda p: p.vars)
+            for prime, pins in tried:
+                assert pins == [q for q in comps if supp(q) == prime.vars]
 
 
-def unpruned_reference(start, steps=()):
+def unpruned_reference(start, steps=(), dead=None):
     """The search before the Ass prune, as a reference: a candidate prime
     that properly contains an earlier step's prime is skipped, the node's
-    other primes are still tried, and failed states are memoized by the
-    reached ideal and the inclusion-minimal primes used so far. Continues
+    other primes are still tried, and failed states are memoized in dead
+    by the reached ideal and the inclusion-minimal primes used so far.
+    A state fixes what lies below it, so calls may share dead. Continues
     from start after the given steps; returns the completed step list or
     None."""
     n = start.n
-    dead = set()
+    dead = set() if dead is None else dead
 
     def constraint_key(steps):
         primes = {s.prime for s in steps}
         return frozenset(
-            p for p in primes if not any(q.is_proper_subset(p) for q in primes)
+            p for p in primes if not any(is_proper_subset(q, p) for q in primes)
         )
 
     def dfs(current, steps):
         as_prime = ideal_as_prime(current)
         if as_prime is not None:
-            if any(s.prime.is_proper_subset(as_prime) for s in steps):
+            if any(is_proper_subset(s.prime, as_prime) for s in steps):
                 return None
             return steps + [FiltrationStep(unit(n), as_prime)]
         state = (current, constraint_key(steps))
         if state in dead:
             return None
         for prime in candidate_primes(current):
-            if any(s.prime.is_proper_subset(prime) for s in steps):
+            if any(is_proper_subset(s.prime, prime) for s in steps):
                 continue
             for w in sorted(witnesses(current, prime), key=_degree_then_lex):
                 found = dfs(
@@ -280,65 +304,55 @@ def unpruned_reference(start, steps=()):
 
 class SearchRecorder:
     """Rebuilds the library search tree from the calls it makes:
-    _components on the start (the root), _add_generator(n, comps, w) for
-    every child built, _witness_scanner(n, comps) for every node entered,
-    and that node's scan(prime) for every prime expanded. A node is known
-    by its components list, the object these calls take or return, and
-    its ideal is rebuilt here as the parent's ideal + (w)."""
+    _components on the start (the root), and _children(n, comps) for
+    every node entered, with each (step, components) child it yields. A
+    node is known by its components list, the object these calls take
+    or yield, and its ideal is rebuilt here as the parent's ideal + (w)."""
 
     def __init__(self, monkeypatch):
         self.nodes = []
         self.by_comps = {}  # id of a node's components -> the node
         components = filtration_module._components
-        step = filtration_module._add_generator
-        scanner = filtration_module._witness_scanner
+        children = filtration_module._children
 
         def recorded_components(ideal):
             comps = components(ideal)
             self._add({"ideal": ideal, "steps": [], "parent": None}, comps)
             return comps
 
-        def recorded_step(n, comps, w):
-            parent = self.by_comps[id(comps)]
-            carried = step(n, comps, w)
-            self._add(
-                {
-                    "ideal": add_element(parent["ideal"], w),
-                    "steps": parent["steps"] + [FiltrationStep(w, parent["prime"])],
-                    "parent": parent,
-                },
-                carried,
-            )
-            return carried
-
-        def recorded_scanner(n, comps):
+        def recorded_children(n, comps):
             node = self.by_comps[id(comps)]
             node["entered"] = True
-            scan = scanner(n, comps)
-
-            def recorded_scan(prime):
-                node["expanded"].add(prime)
-                node["prime"] = prime
-                return scan(prime)
-
-            return recorded_scan
+            for step, carried in children(n, comps):
+                node["taken"].append(step)
+                child = {
+                    "ideal": add_element(node["ideal"], step.witness),
+                    "steps": node["steps"] + [step],
+                    "parent": node,
+                }
+                self._add(child, carried)
+                yield step, carried
+            node["exhausted"] = True
 
         monkeypatch.setattr(filtration_module, "_components", recorded_components)
-        monkeypatch.setattr(filtration_module, "_add_generator", recorded_step)
-        monkeypatch.setattr(filtration_module, "_witness_scanner", recorded_scanner)
+        monkeypatch.setattr(filtration_module, "_children", recorded_children)
 
     def _add(self, node, comps):
         # the node holds its components, so their id is not reused
-        node.update(comps=comps, entered=False, expanded=set())
+        node.update(comps=comps, entered=False, exhausted=False, taken=[])
         self.nodes.append(node)
         self.by_comps[id(comps)] = node
 
     def cut_nodes(self, found):
-        """Nodes that returned None without trying every candidate prime:
-        a child built but never entered, or an entered node left with an
-        unexpanded prime. When the search succeeds, the last node built is
-        its terminal prime, and that node and its ancestors are its chain
-        and were not cut."""
+        """The nodes the search gave up on, as dicts with the ideal and
+        the steps that reach it: the entered nodes it backtracked from,
+        and at each entered node every child it skipped, a witness of a
+        prime of Ass(S/J) that _children did not yield (cut at its edge,
+        or of a non-maximal prime), up to the child the chain took. When
+        the search succeeds, the last node built is its terminal prime,
+        and that node and its ancestors are its chain. Asserts that the
+        children taken come in the order of every prime's sorted
+        witnesses."""
         chain = set()
         if found is not None:
             node = self.nodes[-1]
@@ -346,15 +360,29 @@ class SearchRecorder:
             while node is not None:
                 chain.add(id(node))
                 node = node["parent"]
-        return [
-            node
-            for node in self.nodes
-            if id(node) not in chain
-            and (
-                not node["entered"]
-                or node["expanded"] != set(candidate_primes(node["ideal"]))
+        cut = []
+        for node in self.nodes:
+            if not node["entered"]:
+                assert id(node) in chain and ideal_as_prime(node["ideal"]) is not None
+                continue
+            assert node["exhausted"] != (id(node) in chain)
+            if node["exhausted"]:
+                cut.append(node)
+            ideal, taken = node["ideal"], node["taken"]
+            order = [
+                FiltrationStep(w, prime)
+                for prime in candidate_primes(ideal)
+                for w in sorted(witnesses(ideal, prime), key=_degree_then_lex)
+            ]
+            if not node["exhausted"]:
+                order = order[: order.index(taken[-1]) + 1]
+            assert [s for s in order if s in taken] == taken
+            cut.extend(
+                {"ideal": add_element(ideal, s.witness), "steps": node["steps"] + [s]}
+                for s in order
+                if s not in taken
             )
-        ]
+        return cut
 
 
 @st.composite
@@ -382,8 +410,9 @@ def assert_search_matches_reference(ideal):
         recorder = SearchRecorder(monkeypatch)
         found = search_filtration(ideal)
     assert recorder.nodes  # the search was seen
+    dead = set()
     for node in recorder.cut_nodes(found):
-        assert unpruned_reference(node["ideal"], node["steps"]) is None, (
+        assert unpruned_reference(node["ideal"], node["steps"], dead) is None, (
             node["ideal"].gens,
             [(s.witness, s.prime.vars) for s in node["steps"]],
         )
@@ -396,6 +425,36 @@ def assert_search_matches_reference(ideal):
     return recorder, found
 
 
+def assert_children_match_reference(ideal):
+    """search_filtration(ideal) where, at every node entered, the lazy
+    children equal those of children_reference, as (step, components)
+    pairs in order. Returns (n, components) of every node entered."""
+    entered = []
+    children = filtration_module._children
+
+    def checked(n, comps):
+        found = list(children(n, comps))
+        assert found == list(children_reference(n, comps)), comps
+        entered.append((n, comps))
+        return iter(found)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(filtration_module, "_children", checked)
+        search_filtration(ideal)
+    return entered
+
+
+# No acceptance lexsegment and none of the ideals prune_inputs draws
+# leaves an entered node without a completion; these do, and the last
+# one has no pretty clean filtration at all.
+BACKTRACKING = [
+    ((2, 0, 1, 0), (1, 1, 0, 0), (0, 1, 2, 1)),
+    ((1, 2, 1, 0), (1, 1, 2, 0), (0, 0, 2, 1)),
+    ((1, 2, 0, 0), (1, 0, 2, 0), (0, 0, 1, 1)),
+    ((2, 1, 0, 0), (1, 0, 0, 1), (0, 2, 1, 0), (0, 0, 2, 1)),
+]
+
+
 class TestAssPrune:
     @seed(20261018)
     @settings(max_examples=300, deadline=None, database=None)
@@ -403,24 +462,58 @@ class TestAssPrune:
     def test_cut_nodes_have_no_completion(self, ideal):
         assert_search_matches_reference(ideal)
 
-    @pytest.mark.parametrize(
-        "gens",
-        [
-            ((2, 0, 1, 0), (1, 1, 0, 0), (0, 1, 2, 1)),
-            ((1, 2, 1, 0), (1, 1, 2, 0), (0, 0, 2, 1)),
-            ((1, 2, 0, 0), (1, 0, 2, 0), (0, 0, 1, 1)),
-            ((2, 1, 0, 0), (1, 0, 0, 1), (0, 2, 1, 0), (0, 0, 2, 1)),
-        ],
-    )
+    @pytest.mark.parametrize("gens", BACKTRACKING)
     def test_backtracking_search_matches_the_reference(self, gens):
-        # no acceptance lexsegment and none of the ideals prune_inputs
-        # draws leaves an entered node without a completion; these do,
-        # and the last one has no pretty clean filtration at all
         recorder, found = assert_search_matches_reference(
             MonomialIdeal.from_gens(4, gens)
         )
         entered = sum(node["entered"] for node in recorder.nodes)
         assert entered > (1 if found is None else len(found.steps) - 1)
+
+    @pytest.mark.parametrize("gens", BACKTRACKING)
+    def test_lazy_children_match_the_reference_when_backtracking(self, gens):
+        ideal = MonomialIdeal.from_gens(4, gens)
+        assert len(assert_children_match_reference(ideal)) > 1
+
+    def test_each_pin_walks_its_cap_sub_box_in_order(self):
+        # every pin of a maximal prime yields its candidates in strictly
+        # increasing _degree_then_lex order, and the witnesses among them
+        # are the uncut children pinned there
+        pairs = 0
+        for ideal in oracle_random_ideals(20261110, 40):
+            n, comps = ideal.n, _components(ideal)
+            powers = [[(i, e) for i, e in enumerate(q) if e] for q in comps]
+            uncut = [step.witness for step, _ in children_reference(n, comps)]
+            for prime, pins in _maximal_primes(n, comps):
+                for q0 in pins:
+                    keyed = list(_pinned(n, comps, q0))
+                    assert all(key == _degree_then_lex(w) for key, w in keyed)
+                    assert all(a[0] < b[0] for a, b in zip(keyed, keyed[1:]))
+                    pairs += sum(a[0][0] == b[0][0] for a, b in zip(keyed, keyed[1:]))
+                    pin = [e - 1 for e in q0 if e]
+                    assert [w for _, w in keyed if _witness(w, powers)] == [
+                        w for w in uncut if [w[i - 1] for i in prime.vars] == pin
+                    ]
+        assert pairs  # some pin yields two candidates of one degree
+
+    def test_lazy_children_match_the_reference_on_drawn_ideals(self):
+        # the draws reach nodes with a non-maximal prime, whose children
+        # are all cut, and maximal primes with two or more pins merged
+        seen = {"non-maximal prime": 0, "merged pins": 0}
+
+        @seed(20261109)
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(st.one_of(small_ideals(), prune_inputs()))
+        def run(ideal):
+            for n, comps in assert_children_match_reference(ideal):
+                tried = _maximal_primes(n, comps)
+                seen["non-maximal prime"] += len(tried) < len({supp(q) for q in comps})
+                seen["merged pins"] += any(
+                    len(pins) > 1 and len(prime.vars) < n for prime, pins in tried
+                )
+
+        run()
+        assert all(seen.values()), seen
 
 
 class TestCarriedComponents:
@@ -449,12 +542,15 @@ class TestCarriedComponents:
         return checked
 
     def test_acceptance_specs(self, monkeypatch):
+        # the search builds only uncut children, 1,732 on the 477
+        # acceptance specs, so the 135 n=2..3, d=4 specs (839) join them
         specs = list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
         assert len(specs) == 477
+        specs += iter_specs((2, 3), (4, 4))
         assert self.edges_checked(monkeypatch, specs) > 2000
 
     def test_seeded_sample_of_n6_d3_specs(self, monkeypatch):
-        specs = random.Random(20261108).sample(list(iter_specs((6, 6), (3, 3))), 60)
+        specs = random.Random(20261108).sample(list(iter_specs((6, 6), (3, 3))), 150)
         assert self.edges_checked(monkeypatch, specs) > 1000
 
 
@@ -476,6 +572,24 @@ class TestExtendedRange:
         assert not failures, failures[:3]
         assert elapsed <= EXTENDED_BUDGET_SECONDS, (
             f"{elapsed:.1f}s over the {EXTENDED_BUDGET_SECONDS:.0f}s budget"
+        )
+
+
+class TestFullSegment:
+    def test_d20_full_segment_within_budget(self):
+        # L(x1^20, x3^20) = (x1, x2, x3)^20: a 1,540-step chain whose every
+        # node has a few hundred components, all of one radical
+        s = spec(3, 20, "x1^20", "x3^20")
+        start = time.perf_counter()
+        f = staged_filtration(s)
+        assert_fully_verified(f)
+        report = stanley_certificate(lexsegment_generators(s), stanley_decomposition(f))
+        elapsed = time.perf_counter() - start
+        assert report.ok, report.violations
+        assert len(f.steps) == comb(22, 3)
+        assert chain_digest([f]) == "08218e0623e85ddd"
+        assert elapsed <= FULL_SEGMENT_BUDGET_SECONDS, (
+            f"{elapsed:.1f}s over the {FULL_SEGMENT_BUDGET_SECONDS:.0f}s budget"
         )
 
 
@@ -518,6 +632,36 @@ class TestSearch:
         specs = list(iter_specs((2, 3), (4, 6)))
         assert len(specs) == 821
         assert step_digest(specs) == "65b0e695ee0fee2d"
+
+    def test_n6_d3_step_digest_and_search_counts(self, monkeypatch):
+        # a lexsegment never backtracks, and no child is built that the
+        # pretty clean cut throws away: one child built per node entered
+        specs = list(iter_specs((6, 6), (3, 3)))
+        assert len(specs) == 1596
+        counts = {"entered": 0, "built": 0}
+        children, step = filtration_module._children, filtration_module._add_generator
+
+        def counting_children(n, comps):
+            counts["entered"] += 1
+            return children(n, comps)
+
+        def counting_step(n, comps, w):
+            counts["built"] += 1
+            return step(n, comps, w)
+
+        monkeypatch.setattr(filtration_module, "_children", counting_children)
+        monkeypatch.setattr(filtration_module, "_add_generator", counting_step)
+        assert step_digest(specs) == "592d34e38c1106b8"
+        assert counts == {"entered": 15678, "built": 15678}
+
+    def test_witness_box_over_limit_stops_the_search(self, monkeypatch):
+        # every node reads its witness box, though it tests only a few of
+        # its monomials; (x1^2, x2^2) has a box of 9
+        monkeypatch.setattr("lexseg.decompose.WITNESS_BOX_LIMIT", 8)
+        with pytest.raises(DomainError, match="witness box"):
+            search_filtration(I(2, "x1^2", "x2^2"))
+        monkeypatch.setattr("lexseg.decompose.WITNESS_BOX_LIMIT", 9)
+        assert search_filtration(I(2, "x1^2", "x2^2")) is not None
 
     def test_node_limit_stops_a_runaway_search(self, monkeypatch):
         # with no limit this ideal entered 12,649 nodes in 5 s unfinished

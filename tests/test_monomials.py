@@ -10,6 +10,7 @@ from conftest import (
     add_element,
     ideal_as_prime,
     ideal_sum,
+    is_proper_subset,
     spec,
     zero_ideal,
 )
@@ -217,8 +218,8 @@ class TestPrimeIdeal:
 
     def test_subset_relations(self):
         assert issubset(P(3, 1), P(3, 1, 2))
-        assert P(3, 1).is_proper_subset(P(3, 1, 2))
-        assert not P(3, 1, 2).is_proper_subset(P(3, 1, 2))
+        assert is_proper_subset(P(3, 1), P(3, 1, 2))
+        assert not is_proper_subset(P(3, 1, 2), P(3, 1, 2))
 
     def test_shift(self):
         assert P(2, 1, 2).shift(1, 3) == P(3, 2, 3)
