@@ -16,8 +16,13 @@ list, per spec, of [witness, prime.vars] per step. Equal digests mean
 identical chains. The extended lines time staged_filtration,
 stanley_certificate, verify_prime_filtration and depth_exact at each
 prime over the 861 n=5, d=3 and n=6, d=2 specs, and depths_exact at both
-primes in one search, as check_spec asks. On those specs one cold
-depths_exact pass at both primes gives the walk counters: lcm lattice
+primes in one search, as check_spec asks, and depth_exact at p=2 then
+p=32003 one call at a time per ideal, as the CLI and the depth-betti
+workload ask, with the K^b it builds and the walk steps it takes (fiber
+and lattice elements popped); with the walk memo of the depth module,
+the second prime replays what the first walked and built. On those
+specs one cold depths_exact pass at both primes gives the walk
+counters: lcm lattice
 elements generated (popped plus queued) and popped by the walk after
 the seed, and upper Koszul complexes K^b built and gf_rank calls, the
 seed's included; and the seed counters: the searches seeded (h >= 2),
@@ -340,6 +345,7 @@ def extended_depth(cases):
               f"{best:.3f} s")
     best = best_cold(lambda: [depth.depths_exact(i, DEFAULT_PRIMES) for i in ideals])
     print(f"depths_exact at both primes, one search, same specs: {best:.3f} s")
+    one_prime_at_a_time(ideals)
     seed_names = ["seeded searches (h >= 2)", "fiber elements generated",
                   "fiber elements popped", "hits at the fiber top"]
     seed_names += [f"hits at p={p}" for p in DEFAULT_PRIMES]
@@ -411,12 +417,48 @@ def extended_depth(cases):
         depth._lattice_walk, depth._seed, depth._betti = walk, seed, betti
         depth.heapq = heapq
         depth.upper_koszul_complex, kernels.gf_rank = build, rank
+        clear_caches()  # the walk memo holds a counting walk
     print("one depths_exact pass at both primes on the same specs:")
     for name, count in counts.items():
         print(f"  {name:<28} {count:8}")
     print("  its seeds:")
     for name, count in seeds.items():
         print(f"  {name:<28} {count:8}")
+
+
+def one_prime_at_a_time(ideals):
+    """Times depth_exact(I, p) for p = 2, then 32003, one call at a time
+    for each ideal, as the CLI and the depth-betti workload ask, and
+    counts in one more cold pass the K^b built and the walk steps, the
+    elements popped by the seed's fiber walks and the lattice walks."""
+
+    def run():
+        for ideal in ideals:
+            for p in DEFAULT_PRIMES:
+                depth.depth_exact(ideal, p)
+
+    best = best_cold(run)
+    counts = dict.fromkeys(("K^b built", "walk steps"), 0)
+    walk, build = depth._lattice_walk, depth.upper_koszul_complex
+
+    def counting_walk(gens, held=()):
+        for step in walk(gens, held):
+            counts["walk steps"] += 1
+            yield step
+
+    def counting_build(facets, b):
+        counts["K^b built"] += 1
+        return build(facets, b)
+
+    clear_caches()
+    depth._lattice_walk, depth.upper_koszul_complex = counting_walk, counting_build
+    try:
+        run()
+    finally:
+        depth._lattice_walk, depth.upper_koszul_complex = walk, build
+        clear_caches()
+    print(f"depth_exact at p=2 then p=32003 per ideal, same specs: {best:.3f} s, "
+          + ", ".join(f"{count} {name}" for name, count in counts.items()))
 
 
 def rows_digest(rows):

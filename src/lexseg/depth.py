@@ -65,6 +65,12 @@ j over GF(p), each rank computed once per b and prime), and stops at the
 first nonzero one. Characteristic is a parameter (any prime below 2^31),
 and one walk serves every prime asked for, so the sweep can cross-check
 two primes.
+
+Only the ranks depend on the field. The lattice, the fiber and every
+K^b are the same over every field, so the last ideal's walks are kept,
+each as the list of steps made so far with their K^b (_walks, _Walk):
+depth_exact(I, p) at one prime after another walks the lattice once
+and builds each K^b once, and still computes its own Betti numbers.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from math import inf, isqrt
 from operator import and_, le, lt, neg
@@ -313,32 +319,99 @@ def _lattice_walk(gens, held=()):
             )
 
 
+class _Walk:
+    """A lattice walk (_lattice_walk(gens, held)) kept as a lazily extended
+    list of its steps (|supp b|, b, the gens dividing b), with the K^b of
+    each b that a reader asked for. Iterating replays the steps made so
+    far, then asks the walk for the next one only when the reader gets
+    past them, so each reader sees the whole walk in order and the walk
+    runs no further than its furthest reader. A walk that raises is
+    finished: a later reader would replay a truncated lattice. So the
+    raise clears the memo that holds the walk (_walks), and the next call
+    walks again and raises again."""
+
+    def __init__(self, gens, held=()) -> None:
+        self._walk = _lattice_walk(gens, held)
+        self._steps: list = []
+        self._built: dict = {}
+
+    def __iter__(self):
+        steps = self._steps
+        k = 0
+        while True:
+            if k == len(steps):
+                try:
+                    step = next(self._walk, None)
+                except BaseException:
+                    _walks.cache_clear()
+                    raise
+                if step is None:
+                    return
+                steps.append(step)
+            yield steps[k]
+            k += 1
+
+    def koszul(self, size: int, b: Monomial, divisors):
+        """K^b(I) by face size, or None for a cone (_koszul), made the
+        first time a reader asks for it. A _koszul that raises keeps
+        nothing, so every later read raises too."""
+        if b not in self._built:
+            self._built[b] = _koszul(size, b, divisors)
+        return self._built[b]
+
+
+@lru_cache(maxsize=1)
+def _walks(ideal: MonomialIdeal, limits) -> tuple:
+    """(Q0, the fiber walk of Q0 or None when h = 1, the lattice walk of
+    I), each walk a _Walk: the part of the depth search of I that no prime
+    changes. Q0 is the first component of the largest height h in
+    decompose._components(I), a memo hit when the oracle has just read I,
+    and its fiber (module docstring) is walked over the generators g with
+    g_i <= Q0_i on its radical, with those coordinates held.
+
+    The last ideal is kept, as decompose._components keeps its fold, so
+    depth_exact(I, p) at one prime after another walks the lattice and
+    builds each K^b once. Only walks and complexes are kept: every beta,
+    rank and depth is computed again at each call. limits is
+    (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT) at the call, part of the key
+    so that no walk is replayed under limits it was not made under. The
+    walks are extended in place, so two threads must not read one ideal
+    at once.
+    """
+    q0 = max(decompose._components(ideal), key=lambda q: len(q) - q.count(0))
+    held = tuple(i for i, e in enumerate(q0) if e)
+    fiber = None
+    if len(held) > 1:
+        bound = tuple(e or inf for e in q0)  # q0 on its radical, no limit off it
+        fiber = _Walk([g for g in ideal.gens if all(map(le, g, bound))], held)
+    return q0, fiber, _Walk(ideal.gens)
+
+
+def _limits() -> tuple[int, int]:
+    """The limits in force, part of the key of _walks."""
+    return LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT
+
+
 def _seed(ideal: MonomialIdeal, primes) -> int:
     """h - 1, where h is the largest height of an associated prime of I,
     once a nonzero beta_{h-1,b}(I) is computed at every prime: then
     pd(I) >= h - 1. When h = 1 that is beta_0, the number of generators,
     and nothing is read.
 
-    Q0 is the first component of height h in decompose._components(I),
-    a memo hit when the oracle has just read I. Its fiber
-    (module docstring) is walked by _lattice_walk, over the generators
-    g with g_i <= Q0_i on its radical and with those coordinates held,
-    and every b that is not a cone (_koszul) is read at h - 1 at each
-    prime not yet seeded, until none is left. Raises
-    InternalConsistencyError when the fiber runs out first, which the
-    lemma rules out over every field, and DomainError as _lattice_walk
-    and _koszul do.
+    The fiber of the component Q0 comes from the one-entry memo _walks,
+    which a call for I at another prime has often walked already. Every
+    b of it that is not a cone (_koszul) is read at h - 1 at each prime
+    not yet seeded, until none is left. Raises InternalConsistencyError
+    when the fiber runs out first, which the lemma rules out over every
+    field, and DomainError as _lattice_walk and _koszul do.
     """
-    q0 = max(decompose._components(ideal), key=lambda q: len(q) - q.count(0))
-    held = tuple(i for i, e in enumerate(q0) if e)
-    h = len(held)
-    if h == 1:
+    q0, fiber, _ = _walks(ideal, _limits())
+    h = len(q0) - q0.count(0)
+    if fiber is None:
         return 0
-    bound = tuple(e or inf for e in q0)  # q0 on its radical, no limit off it
-    gens = [g for g in ideal.gens if all(map(le, g, bound))]
     unseeded = list(primes)
-    for size, b, divisors in _lattice_walk(gens, held):
-        k = _koszul(size, b, divisors)
+    for size, b, divisors in fiber:
+        k = fiber.koszul(size, b, divisors)
         if k is not None:
             unseeded = [p for p in unseeded if not _betti(k, p)(h - 1)]
             if not unseeded:
@@ -383,6 +456,10 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
     best + 1, up to the first nonzero one. Each prime thus reads exactly
     what a seeded search at that prime alone would.
 
+    The walks and their K^b come from the one-entry memo _walks, so a
+    call for I at another prime replays them and walks on only past
+    where that call stopped.
+
     Raises DomainError when no prime is given, one is not a prime below
     CHARACTERISTIC_LIMIT, a walk generates more than LCM_LATTICE_LIMIT
     elements, or the first b read, of the largest support in the fiber or
@@ -397,10 +474,11 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
     for p in primes:
         _require_prime(p)
     best = dict.fromkeys(primes, _seed(ideal, primes))
-    for size, b, divisors in _lattice_walk(ideal.gens):
+    walk = _walks(ideal, _limits())[2]
+    for size, b, divisors in walk:
         if size - 1 <= min(best.values()):
             break
-        k = _koszul(size, b, divisors)
+        k = walk.koszul(size, b, divisors)
         if k is None:
             continue
         for p, found in best.items():

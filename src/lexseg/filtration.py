@@ -192,16 +192,25 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     sorted scan of every prime with the cut ones left out, and a node
     that takes its first child tests a few monomials, not its box.
 
+    The witness box (decompose._box) is read once, at the start: no node
+    has a larger box than its parent. The box of J is the lcm of its
+    generators. Every child's witness w lies in J's box: w_i = Q0_i - 1
+    on P, and off P w_k <= cap_k(Q0), which is 0 or the exponent C_k of
+    a component. The generators of J + (w) are among those of J and w,
+    so their lcm lies below lcm(box, w) = box. So only the start can be
+    over decompose.WITNESS_BOX_LIMIT.
+
     The path is a stack of child generators, not a recursion. Returns the
     first complete pretty clean filtration, or None. Raises DomainError
     on entering a node past SEARCH_NODE_LIMIT, counting every node
-    entered, backtracked or not, and for a node whose witness box is over
-    decompose.WITNESS_BOX_LIMIT.
+    entered, backtracked or not, and for a start whose witness box is
+    over decompose.WITNESS_BOX_LIMIT.
     """
     if ideal.is_zero or ideal.is_unit:
         raise DomainError("need a proper nonzero ideal")
     n = ideal.n
     comps = _components(ideal)
+    _box(n, comps)
     steps: list[FiltrationStep] = []
     frames = []
     entered = 0
@@ -224,27 +233,53 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     return PrimeFiltration(ideal, tuple(steps))
 
 
+class _Node(list):
+    """The components of a search node, as _add_generator lists them, and
+    powers, each component's (i, e) pairs with e > 0 in the same order,
+    which the witness test reads (decompose._witness)."""
+
+    __slots__ = ("powers",)
+
+
+def _pairs(q) -> list:
+    """The (i, e) pairs of the component q with e > 0."""
+    return [*compress(enumerate(q), q)]
+
+
 def _children(n: int, comps):
     """The uncut children of a node with components comps, in search
     order, each as (step, components): for each maximal prime of
     Ass(S/J) (_maximal_primes), the candidates of its pins (_pinned)
     merged in _degree_then_lex order, kept when they pass the witness
-    test (decompose._witness). A pin of the maximal ideal has one
-    candidate, w = Q0 - 1, so those are sorted without a generator. A
-    child is built with _add_generator only when it is yielded. Reads
-    the witness box first (_box), which raises DomainError over
-    WITNESS_BOX_LIMIT as witnesses() does."""
-    _box(n, comps)
-    powers = [[*compress(enumerate(q), q)] for q in comps]  # the (i, e), e > 0
+    test (decompose._witness). A pin Q0 of the maximal ideal has one
+    candidate, w = Q0 - 1, whose key orders the pins as sum(Q0), then
+    lex-descending Q0: two sorts with no key built in Python. A child is
+    built with _add_generator only when it is yielded.
+
+    A child carries its components' pairs (_Node). Q0 is the only
+    component of J that misses a witness w pinned at it, so
+    _add_generator lists those of J + (w) as comps without Q0, in order,
+    then the candidates of Q0 that it keeps: the child's pairs are the
+    node's without Q0's and then those of the candidates. A node made
+    elsewhere, as the root is, gets its pairs here."""
+    powers = getattr(comps, "powers", None) or [_pairs(q) for q in comps]
+    kept = len(comps) - 1
     for prime, pins in _maximal_primes(n, comps):
+        on_prime = [i + 1 in prime.vars for i in range(n)]
         if len(prime.vars) == n:
-            corners = (tuple(e - 1 for e in q0) for q0 in pins)
-            found = sorted((_degree_then_lex(w), w) for w in corners)
+            pins = sorted(pins, reverse=True)
+            pins.sort(key=sum)
+            found = (tuple(e - 1 for e in q0) for q0 in pins)
         else:
-            found = heapq.merge(*(_pinned(n, comps, q0) for q0 in pins))
-        for _, w in found:
+            merged = heapq.merge(*(_pinned(n, comps, q0) for q0 in pins))
+            found = (w for _, w in merged)
+        for w in found:
             if _witness(w, powers):
-                yield FiltrationStep(w, prime), _add_generator(n, comps, w)
+                child = _Node(_add_generator(n, comps, w))
+                at = comps.index(tuple(e + 1 if on else 0 for e, on in zip(w, on_prime)))
+                child.powers = powers[:at] + powers[at + 1 :]
+                child.powers += map(_pairs, child[kept:])
+                yield FiltrationStep(w, prime), child
 
 
 def _maximal_primes(n: int, comps) -> list:
@@ -252,8 +287,9 @@ def _maximal_primes(n: int, comps) -> list:
     (prime, its pins: the components with that radical), sorted by the
     prime's variables. Radicals are compared as bitmasks, bit i for x_i."""
     pins: dict[tuple[int, ...], list] = {}
+    variables = range(1, n + 1)
     for q in comps:
-        pins.setdefault(supp(q), []).append(q)
+        pins.setdefault(tuple(compress(variables, q)), []).append(q)  # supp(q)
     masks = {key: sum(1 << i for i in key) for key in pins}
     return [
         (PrimeIdeal(n, key), pins[key])

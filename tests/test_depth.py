@@ -215,6 +215,24 @@ def simplex_skip_depths(ideal, primes):
     return {p: ideal.n - 1 - found for p, found in best.items()}
 
 
+def real_projective_plane():
+    """The Stanley-Reisner ideal of the 6-vertex real projective plane:
+    S/I is Cohen-Macaulay, of depth 3, except in characteristic 2, where
+    H~_1(RP^2; GF(2)) != 0 drops the depth to 2."""
+    triangles = {
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+    }
+    return MonomialIdeal.from_gens(
+        6,
+        [
+            tuple(int(i in t) for i in range(1, 7))
+            for t in combinations(range(1, 7), 3)
+            if t not in triangles
+        ],
+    )
+
+
 @st.composite
 def small_ideals(draw, max_n=5):
     n = draw(st.integers(2, max_n))
@@ -493,21 +511,7 @@ class TestLatticeWalk:
 
     @pytest.mark.parametrize("primes", [(2, 3, 32003), (32003, 3, 2)])
     def test_one_search_where_the_primes_disagree(self, primes):
-        # the Stanley-Reisner ideal of the 6-vertex real projective plane:
-        # S/I is Cohen-Macaulay, of depth 3, except in characteristic 2,
-        # where H~_1(RP^2; GF(2)) != 0 drops the depth to 2
-        triangles = {
-            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-            (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
-        }
-        ideal = MonomialIdeal.from_gens(
-            6,
-            [
-                tuple(int(i in t) for i in range(1, 7))
-                for t in combinations(range(1, 7), 3)
-                if t not in triangles
-            ],
-        )
+        ideal = real_projective_plane()
         assert depths_exact(ideal, primes) == {2: 2, 3: 3, 32003: 3}
         assert [depth_exact(ideal, p) for p in (2, 3, 32003)] == [2, 3, 3]
 
@@ -528,7 +532,8 @@ class TestLatticeWalk:
 def search_record(ideal, primes):
     """(depths_exact(ideal, primes), then {"seed": ..., "walk": ...}: for
     the seed's fiber walk and for the walk after it, the b whose support
-    it tested and the b whose K^b it built, as two lists)."""
+    it tested and the b whose K^b it built, as two lists), from a cleared
+    walk memo."""
     walk, require, build, seed = (
         depth._lattice_walk, depth._require_support, depth.upper_koszul_complex,
         depth._seed,
@@ -562,6 +567,7 @@ def search_record(ideal, primes):
         mp.setattr(depth, "_lattice_walk", walking)
         mp.setattr(depth, "_require_support", requiring)
         mp.setattr(depth, "upper_koszul_complex", building)
+        depth._walks.cache_clear()  # the walks are made and read here
         depths = depths_exact(ideal, primes)
     return depths, record
 
@@ -615,6 +621,7 @@ class TestPrunedSearch:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(depth, "upper_koszul_complex", recording)
+                depth._walks.cache_clear()  # this search builds its own K^b
                 pd = ideal.n - 1 - depth_exact(ideal, p)
             assert pd == table.max_index
             # every built K^b could still raise the best index found before
@@ -679,6 +686,7 @@ class TestTargetedRanks:
                 mp.setattr(depth, "_seed", seeding)
                 mp.setattr(depth, "upper_koszul_complex", building)
                 mp.setattr(depth, "_betti", reading)
+                depth._walks.cache_clear()  # this search builds its own K^b
                 pd = ideal.n - 1 - depth_exact(ideal, p)
             assert pd == betti_numbers(ideal, p).max_index
             seeded = [(b, reads) for where, b, reads in visits if where == "seed"]
@@ -796,18 +804,23 @@ class TestSeed:
         # (x3, x4)) has 3 elements, read until x1*x2*x3, two points
         ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
+        depth._walks.cache_clear()
         assert depth._seed(ideal, (2,)) == 1
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
+        depth._walks.cache_clear()
         with pytest.raises(DomainError, match="LCM_LATTICE_LIMIT = 2"):
             depth._seed(ideal, (2,))
 
     def test_depth_at_two_primes_folds_once(self):
+        # the second prime reads the walk memo, so the fold is not asked
+        # for again
         ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
         decompose._components.cache_clear()
+        depth._walks.cache_clear()
         depth_exact(ideal, 2)
         depth_exact(ideal, 32003)
         info = decompose._components.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (1, 0)
 
     def test_n6_d3_depth_is_n_minus_the_top_height(self):
         # the exhaustive gate on the 1,596 n=6, d=3 specs: the Betti depth
@@ -824,3 +837,137 @@ class TestSeed:
         assert len(rows) == 1596 and not wrong
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
         assert digest == "ad96bc3bad39d970"
+
+
+def builds(ideal, calls):
+    """Runs depths_exact(ideal, primes) for each primes in calls, in turn,
+    from a cleared walk memo. Returns (the depths of each call, the
+    (phase, b) of every K^b each call built, phase "seed" in the seed's
+    fiber walk and "walk" in the walk after it)."""
+    seed, build = depth._seed, depth.upper_koszul_complex
+    phase = ["walk"]
+    built = []
+
+    def seeding(ideal, primes):
+        phase[0] = "seed"
+        try:
+            return seed(ideal, primes)
+        finally:
+            phase[0] = "walk"
+
+    def building(facets, b):
+        built[-1].append((phase[0], b))
+        return build(facets, b)
+
+    depths = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depth, "_seed", seeding)
+        mp.setattr(depth, "upper_koszul_complex", building)
+        depth._walks.cache_clear()
+        for primes in calls:
+            built.append([])
+            depths.append(depths_exact(ideal, primes))
+    return depths, built
+
+
+def assert_one_walk_serves_every_prime(ideal, primes):
+    """depth_exact at each prime, one call at a time, gives what one
+    depths_exact search at all of them gives, and together the calls
+    build exactly the K^b that one search builds, none of them twice."""
+    ((together,), (once,)) = builds(ideal, [primes])
+    depths, built = builds(ideal, [(p,) for p in primes])
+    assert {p: d[p] for d, p in zip(depths, primes)} == together
+    union = [step for call in built for step in call]
+    assert len(set(union)) == len(union)
+    assert set(union) == set(once) and len(once) == len(set(once))
+    return built
+
+
+class TestWalkMemo:
+    """The one-entry memo of the seed's fiber walk, the lattice walk and
+    their K^b (depth._walks): a depth at another prime replays the walks
+    and builds no K^b again, and a raise is never replayed as a walk cut
+    short."""
+
+    @seed(20261025)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(small_ideals(max_n=6), st.booleans())
+    def test_one_prime_at_a_time_in_either_order(self, ideal, backwards):
+        primes = (2, 3, 32003)[:: -1 if backwards else 1]
+        assert_one_walk_serves_every_prime(ideal, primes)
+
+    @pytest.mark.parametrize("primes", [(2, 3, 32003), (32003, 3, 2)])
+    def test_one_prime_at_a_time_where_the_primes_disagree(self, primes):
+        # pd = 3 over GF(2) stops that search at support 4, and pd = 2 lets
+        # the others walk on to support 3: after GF(2) the later calls
+        # extend the walk, building only K^b that no call built before;
+        # after GF(32003) they build nothing
+        built = assert_one_walk_serves_every_prime(real_projective_plane(), primes)
+        assert built[0] and bool(built[1]) == (primes[0] == 2) and not built[2]
+
+    def test_interleaved_readers_each_see_the_whole_walk(self):
+        # a reader that stops and resumes after another has extended the
+        # walk still reads every step, in order
+        gens = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4").gens
+        walk = depth._Walk(gens)
+        first, second = iter(walk), iter(walk)
+        head = [next(first), next(first)]
+        assert list(second) == head + list(first) == list(depth._lattice_walk(gens))
+
+    def test_the_second_prime_builds_nothing(self):
+        # a lexsegment has the same depth over every field, so the second
+        # prime reads what the first one built
+        ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
+        depths, built = builds(ideal, [(2,), (32003,)])
+        assert built[0] and not built[1]
+        assert depths == [{2: 1}, {32003: 1}]
+
+    @pytest.mark.parametrize("limit, where", [(2, "seed"), (4, "walk")])
+    def test_a_walk_over_the_lattice_limit_raises_at_every_call(
+        self, limit, where, monkeypatch
+    ):
+        # (x1*x3, x1*x4, x2*x3, x2*x4): the fiber walk generates 3
+        # elements and the walk after it 5, so at a limit of 2 the fiber
+        # walk raises and at 4 the walk after it
+        ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
+        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", limit)
+        depth._walks.cache_clear()
+        if where == "walk":
+            assert depth._seed(ideal, (2,)) == 1
+        for p in (2, 2, 32003, 32003):
+            with pytest.raises(DomainError, match=f"LCM_LATTICE_LIMIT = {limit}"):
+                depth_exact(ideal, p)
+        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 5)
+        assert depths_exact(ideal, (2, 32003)) == {2: 1, 32003: 1}
+
+    @pytest.mark.parametrize("limit, where", [(2, "seed"), (3, "walk")])
+    def test_a_walk_over_the_support_limit_raises_at_every_call(
+        self, limit, where, monkeypatch
+    ):
+        # the fiber of (x1, x2) has one element, of support 3, and the
+        # lattice's top, a cone, has support 4
+        ideal = I(4, "x1*x4", "x2*x4^2", "x1^2*x3^3")
+        monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", limit)
+        depth._walks.cache_clear()
+        if where == "walk":
+            assert depth._seed(ideal, (2,)) == 1
+        for p in (2, 2, 32003, 32003):
+            with pytest.raises(DomainError, match=f"KOSZUL_SUPPORT_LIMIT = {limit}"):
+                depth_exact(ideal, p)
+        monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 4)
+        assert depths_exact(ideal, (2, 32003)) == {2: 2, 32003: 2}
+
+    def test_a_seed_that_reads_zero_raises_at_every_call(self, monkeypatch):
+        # the memo keeps walks and complexes, no beta: a homology that
+        # reads zero fails at every call, and a sound one then reads the
+        # same walks again
+        ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
+        betti = depth._betti
+        depth._walks.cache_clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(depth, "_betti", lambda by_size, p: lambda i: 0)
+            for p in (2, 2, 32003):
+                with pytest.raises(InternalConsistencyError, match="no b over"):
+                    depth_exact(ideal, p)
+        assert depth._betti is betti
+        assert depths_exact(ideal, (2, 32003)) == {2: 1, 32003: 1}

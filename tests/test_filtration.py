@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import operator
 import random
 import time
 from functools import lru_cache
@@ -435,6 +436,9 @@ def assert_children_match_reference(ideal):
     def checked(n, comps):
         found = list(children(n, comps))
         assert found == list(children_reference(n, comps)), comps
+        # each child carries the (i, e) pairs a node made afresh would read
+        for _, carried in found:
+            assert carried.powers == [[(i, e) for i, e in enumerate(q) if e] for q in carried]
         entered.append((n, comps))
         return iter(found)
 
@@ -654,9 +658,26 @@ class TestSearch:
         assert step_digest(specs) == "592d34e38c1106b8"
         assert counts == {"entered": 15678, "built": 15678}
 
+    def test_no_node_has_a_larger_box_than_its_parent(self, monkeypatch):
+        # so the start's box check, the only one the search makes, holds
+        # for every node
+        recorder = SearchRecorder(monkeypatch)
+        for s in iter_specs((2, 4), (2, 3)):
+            staged_filtration(s)
+        for gens in BACKTRACKING:
+            search_filtration(MonomialIdeal.from_gens(4, gens))
+        edges = 0
+        for node in recorder.nodes:
+            if node["parent"] is not None:
+                box, parent = witness_box(node["ideal"]), witness_box(node["parent"]["ideal"])
+                assert all(map(operator.le, box, parent)), node["steps"]
+                edges += 1
+        assert edges > 1000
+
     def test_witness_box_over_limit_stops_the_search(self, monkeypatch):
-        # every node reads its witness box, though it tests only a few of
-        # its monomials; (x1^2, x2^2) has a box of 9
+        # the start's witness box bounds every node's, so the search reads
+        # it once, though it tests only a few of its monomials; (x1^2,
+        # x2^2) has a box of 9
         monkeypatch.setattr("lexseg.decompose.WITNESS_BOX_LIMIT", 8)
         with pytest.raises(DomainError, match="witness box"):
             search_filtration(I(2, "x1^2", "x2^2"))
