@@ -53,7 +53,7 @@ lines time depths_exact at both primes over those 1,596 specs, best of
 one cold staged_filtration pass over those 1,596 specs, print its step
 digest (the recipe above), and count, in a second pass, the nodes the
 search enters (_children calls) and the children it builds
-(_add_generator calls). The full-segment line times one
+(_child calls). The full-segment line times one
 staged_filtration of L(x1^25, x3^25), best of 3, with its step digest.
 The last line is the line count of src/lexseg/*.py, the source size the
 ROADMAP tracks.
@@ -247,22 +247,22 @@ def n6_d3_search():
     print(f"staged_filtration, {len(specs)} n=6 d=3 specs, one cold pass: "
           f"{seconds:.3f} s, step digest {chain_digest(found)}")
     counts = dict.fromkeys(("nodes entered", "children built"), 0)
-    children, step = filtration._children, filtration._add_generator
+    children, child = filtration._children, filtration._child
 
     def counting_children(n, comps):
         counts["nodes entered"] += 1
         return children(n, comps)
 
-    def counting_step(n, comps, w):
+    def counting_child(*args):
         counts["children built"] += 1
-        return step(n, comps, w)
+        return child(*args)
 
-    filtration._children, filtration._add_generator = counting_children, counting_step
+    filtration._children, filtration._child = counting_children, counting_child
     try:
         for s in specs:
             filtration.staged_filtration(s)
     finally:
-        filtration._children, filtration._add_generator = children, step
+        filtration._children, filtration._child = children, child
     print("search counts, same specs:")
     for name, count in counts.items():
         print(f"  {name:<28} {count:8}")
@@ -355,10 +355,10 @@ def extended_depth(cases):
     build, rank, betti = depth.upper_koszul_complex, kernels.gf_rank, depth._betti
     fiber = []  # the b the running seed has popped, while it runs
 
-    def counting_seed(ideal, primes):
+    def counting_seed(*args):
         fiber.append(None)
         try:
-            return seed(ideal, primes)
+            return seed(*args)
         finally:
             fiber.clear()
 

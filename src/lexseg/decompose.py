@@ -22,18 +22,22 @@ those of J + (w) are J's components that contain w and the candidates
 that survive one rule. A component Q that misses w has Q + (w) = the
 intersection of the Q[k], k in supp w, where the candidate Q[k] is Q
 with w_k at k. Q[k] contains Q, so a component that contains w contains
-no candidate: it would contain Q. The rule: Q[k] is redundant exactly
-when Q fails some other component C of J at k alone, with w_k <= C_k. If
-C contains w, that says Q[k] contains C. If C misses w, it says Q[k]
-contains C[k], and w_k <= C_k holds anyway. No other candidate C[k'],
-k' != k, lies in Q[k]: it has w_k' at k', where Q[k] has Q_k', 0 or
-above w_k'. No two candidates are equal, as two components differ in
-two coordinates, so containment among candidates is strict and a
-dropped one lies over a kept one. _components folds the step over the
-generators of I, and the filtration search applies it once per edge of
-its tree. _components keeps its last fold (an lru_cache of one entry),
-so irreducible_decomposition(I) and associated_primes_oracle(I) in a
-row, or the oracle and the filtration search on one ideal, fold once.
+no candidate: it would contain Q. The cap of Q at k, cap_k(Q), is the
+largest C_k over the components C != Q of J that Q fails at k alone,
+and 0 when there are none (_caps). The rule: Q[k] is redundant exactly
+when w_k <= cap_k(Q), that is when Q fails some C != Q at k alone with
+w_k <= C_k. If C contains w, that says Q[k] contains C. If C misses w,
+it says Q[k] contains C[k], and w_k <= C_k holds anyway. No other
+candidate C[k'], k' != k, lies in Q[k]: it has w_k' at k', where Q[k]
+has Q_k', 0 or above w_k'. No two candidates are equal, as two
+components differ in two coordinates, so containment among candidates
+is strict and a dropped one lies over a kept one. _components folds the
+step over the generators of I, and the filtration search builds each
+child with the rule from the one component its witness misses
+(filtration._child). _components keeps its last fold (an lru_cache of
+one entry), so irreducible_decomposition(I) and
+associated_primes_oracle(I) in a row, or the oracle and the filtration
+search on one ideal, fold once.
 
 The witness test (_witness). (J : w) is the intersection of the (Q : w)
 over the components Q that miss w, each generated by the
@@ -109,11 +113,32 @@ class AssResult:
     witnesses: tuple[tuple[PrimeIdeal, Monomial], ...]
 
 
+def _caps(n: int, comps, q) -> list[int]:
+    """cap_k(q) for every k (module docstring): the largest C_k over the
+    components C of comps other than q that q fails at k alone, or 0."""
+    caps = [0] * n
+    for c in comps:
+        if c is q:
+            continue
+        fail = None
+        for i in range(n):
+            e = c[i]
+            if e and not 0 < q[i] <= e:
+                if fail is not None:
+                    break
+                fail = i
+        else:
+            # distinct irredundant components fail each other somewhere
+            if caps[fail] < c[fail]:
+                caps[fail] = c[fail]
+    return caps
+
+
 def _add_generator(n: int, comps, w: Monomial) -> list:
     """The irredundant components of J + (w), from those comps of J, as
     dense exponent tuples (e_i = 0 where x_i is absent): the components
-    that contain w, then the candidates that the one-pass rule of the
-    module docstring keeps."""
+    that contain w, then each other component's candidates Q[k] with
+    w_k > cap_k(Q) (module docstring)."""
     support = [k for k in range(n) if w[k]]
     kept, rest = [], []
     for q in comps:
@@ -124,21 +149,8 @@ def _add_generator(n: int, comps, w: Monomial) -> list:
         else:
             rest.append(q)
     for q in rest:
-        drop = set()
-        for c in comps:
-            if c is q:
-                continue
-            fail = None
-            for i in range(n):
-                e = c[i]
-                if e and not 0 < q[i] <= e:
-                    if fail is not None:
-                        break
-                    fail = i
-            else:
-                if w[fail] <= c[fail]:
-                    drop.add(fail)
-        kept.extend(q[:k] + (w[k],) + q[k + 1 :] for k in support if k not in drop)
+        caps = _caps(n, comps, q)
+        kept.extend(q[:k] + (w[k],) + q[k + 1 :] for k in support if w[k] > caps[k])
     return kept
 
 
@@ -246,21 +258,35 @@ def _box(n: int, comps) -> list[int]:
     return box
 
 
+def _pins(n: int, comps) -> dict[tuple[int, ...], list]:
+    """The pins of every radical of the components comps in n variables:
+    the components with that radical, in the order of comps, keyed by
+    the radical's variables."""
+    pins: dict[tuple[int, ...], list] = {}
+    variables = range(1, n + 1)
+    for q in comps:
+        pins.setdefault(tuple(itertools.compress(variables, q)), []).append(q)
+    return pins
+
+
+def _pairs(q) -> list:
+    """The (i, e) pairs of the component q with e > 0, which the witness
+    test reads (_witness)."""
+    return [*itertools.compress(enumerate(q), q)]
+
+
 def _witness_scanner(n: int, comps):
     """The witness scan of every prime of J in n variables, read from the
     irredundant components comps of J (_components) alone: scan(P)
     yields what witnesses(J, P) yields. The witness box (_box), the pins
-    (the components grouped by radical) and each component's powers as
-    (i, e) pairs are made once. A scan walks, lex-descending, the
-    monomials pinned at a component with radical P, with only the
-    coordinates off P ranging over the box, and keeps those that pass
-    the witness test (_witness, module docstring)."""
+    (_pins) and the pairs (_pairs) are made once. A scan walks,
+    lex-descending, the monomials pinned at a component with radical P,
+    with only the coordinates off P ranging over the box, and keeps
+    those that pass the witness test (_witness, module docstring)."""
     box = _box(n, comps)
-    pins: dict[tuple[int, ...], list] = {}
-    for q in comps:
-        pins.setdefault(supp(q), []).append(q)
+    pins = _pins(n, comps)
     full = [range(e, -1, -1) for e in box]
-    powers = [[(i, e) for i, e in enumerate(q) if e] for q in comps]
+    powers = [*map(_pairs, comps)]
 
     def scan(prime: PrimeIdeal):
         scans = [
@@ -299,7 +325,7 @@ def _corners(n: int, comps) -> dict[tuple[int, ...], Monomial]:
     Raises DomainError for a box over WITNESS_BOX_LIMIT (_box).
     """
     box = _box(n, comps)
-    powers = [[(i, e) for i, e in enumerate(q) if e] for q in comps]
+    powers = [*map(_pairs, comps)]
     found: dict[tuple[int, ...], Monomial] = {}
     for q0 in comps:
         w = tuple(e - 1 if e else top for e, top in zip(q0, box))

@@ -387,25 +387,19 @@ def _walks(ideal: MonomialIdeal, limits) -> tuple:
     return q0, fiber, _Walk(ideal.gens)
 
 
-def _limits() -> tuple[int, int]:
-    """The limits in force, part of the key of _walks."""
-    return LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT
-
-
-def _seed(ideal: MonomialIdeal, primes) -> int:
+def _seed(q0, fiber, primes) -> int:
     """h - 1, where h is the largest height of an associated prime of I,
     once a nonzero beta_{h-1,b}(I) is computed at every prime: then
     pd(I) >= h - 1. When h = 1 that is beta_0, the number of generators,
     and nothing is read.
 
-    The fiber of the component Q0 comes from the one-entry memo _walks,
-    which a call for I at another prime has often walked already. Every
+    q0 and its fiber are those of the memo entry _walks(I, ...), whose
+    fiber a call for I at another prime has often walked already. Every
     b of it that is not a cone (_koszul) is read at h - 1 at each prime
     not yet seeded, until none is left. Raises InternalConsistencyError
     when the fiber runs out first, which the lemma rules out over every
     field, and DomainError as _lattice_walk and _koszul do.
     """
-    q0, fiber, _ = _walks(ideal, _limits())
     h = len(q0) - q0.count(0)
     if fiber is None:
         return 0
@@ -456,9 +450,9 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
     best + 1, up to the first nonzero one. Each prime thus reads exactly
     what a seeded search at that prime alone would.
 
-    The walks and their K^b come from the one-entry memo _walks, so a
-    call for I at another prime replays them and walks on only past
-    where that call stopped.
+    The walks and their K^b come from the one-entry memo _walks, read
+    once per call, so a call for I at another prime replays them and
+    walks on only past where that call stopped.
 
     Raises DomainError when no prime is given, one is not a prime below
     CHARACTERISTIC_LIMIT, a walk generates more than LCM_LATTICE_LIMIT
@@ -473,8 +467,8 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
         raise DomainError("no characteristic given")
     for p in primes:
         _require_prime(p)
-    best = dict.fromkeys(primes, _seed(ideal, primes))
-    walk = _walks(ideal, _limits())[2]
+    q0, fiber, walk = _walks(ideal, (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT))
+    best = dict.fromkeys(primes, _seed(q0, fiber, primes))
     for size, b, divisors in walk:
         if size - 1 <= min(best.values()):
             break

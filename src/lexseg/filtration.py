@@ -10,14 +10,16 @@ so the chain always ends at the unit ideal.
 Pretty clean chains (Herzog-Popescu, Manuscripta Math. 2006) come from
 one depth-first search, search_filtration, over (prime, witness) steps
 straight to the unit ideal. A node is just the irredundant irreducible
-components of its ideal, and a child J + (w) takes one add-one-generator
-step (decompose._add_generator) from its parent's. The pretty clean cut
-is read off the components before any child is built: only the
-inclusion-maximal primes of Ass(S/J) can have an uncut child, and the
-uncut witnesses pinned at a component lie in a sub-box of the witness
-scan, which the search walks lazily in its own order. staged_filtration
-runs that search once, on the working spec of reduce_fully, I =
-x^factor * I', and lifts the chain it finds to I through the factor.
+components of its ideal, and a child J + (w) is built from its pin
+(_child): its parent's components without the one that w is pinned at,
+then that one's candidates that the cap rule of decompose keeps. The
+pretty clean cut is read off the components before any child is built:
+only the inclusion-maximal primes of Ass(S/J) can have an uncut child,
+and the uncut witnesses pinned at a component lie in a sub-box of the
+witness scan, which the search walks lazily in its own order.
+staged_filtration runs that search once, on the working spec of
+reduce_fully, I = x^factor * I', and lifts the chain it finds to I
+through the factor.
 
 Each step (w, P) gives the Stanley space w K[Z], Z the complement of P
 (Herzog-Popescu 2006). stanley_certificate proves that spaces w_i K[Z_i]
@@ -33,14 +35,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
 from operator import neg
 
 from . import kernels
 from .decompose import (
-    _add_generator,
     _box,
+    _caps,
     _components,
+    _pairs,
+    _pins,
     _witness,
     radicals,
 )
@@ -148,12 +151,12 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     """Depth-first search for a pretty clean filtration of S/I.
 
     A node is the list of irredundant components of its ideal J: the
-    start is decomposed once, and the child J + (w) gets its components
-    from one _add_generator step on J's. J is prime exactly when it has
-    one component whose powers are all variables; that node ends the
-    chain with the step (1, J). Any other node tries its uncut children
-    (_children): steps (w, P), P a prime of Ass(S/J) and w a witness of
-    P, prime by prime and in _degree_then_lex order within a prime.
+    start is decomposed once, and the child J + (w) is built from its pin
+    (_child). J is prime exactly when it has one component whose powers
+    are all variables; that node ends the chain with the step (1, J).
+    Any other node tries its uncut children (_children): steps (w, P),
+    P a prime of Ass(S/J) and w a witness of P, prime by prime and in
+    _degree_then_lex order within a prime.
 
     The pretty clean rule: the child J + (w) of the step (w, P) is cut
     when one of its radicals properly contains P. Every prime filtration
@@ -172,20 +175,18 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     pinned at the component Q0: w_i = Q0_i - 1 for i in P. Q0 is the
     only component of J that misses w (decompose module docstring), so
     the components of J + (w) are those of J other than Q0 and the
-    candidates Q0[k], k in supp w, that the one-pass rule keeps.
+    candidates Q0[k] with w_k > cap_k(Q0), the cap that the decompose
+    module docstring defines.
     (a) If P lies properly inside another radical R of J, every child of
     P is cut: R is the radical of a component C != Q0, which contains w
     and so stays a component of J + (w). Only the inclusion-maximal
     primes are tried, sorted by their variables (_maximal_primes).
     (b) Let P be maximal. No component of J has a radical properly
     containing P, and Q0[k] has radical P for k in P. For k off P,
-    Q0[k] has radical P + (x_k), so the child is uncut exactly when each
-    Q0[k] with k off P and w_k > 0 is dropped: when Q0 fails some
-    C != Q0 at k alone with w_k <= C_k. Since Q0_k = 0, that is
-    w_k <= cap_k(Q0), the largest C_k over the components C != Q0 that
-    Q0 fails at k alone, and 0 when there are none. So the uncut
-    children of P are the witnesses pinned at its components with every
-    coordinate off P at most its cap, a sub-box of the witness scan.
+    Q0[k] has radical P + (x_k), so the child is uncut exactly when
+    w_k <= cap_k(Q0) at every k off P. So the uncut children of P are
+    the witnesses pinned at its components with every coordinate off P
+    at most its cap, a sub-box of the witness scan.
     Each pin's sub-box is walked lazily in _degree_then_lex order
     (_pinned), the pins of P are merged on that key, and no monomial is
     pinned at two components, so the children come in the order of the
@@ -234,16 +235,11 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
 
 
 class _Node(list):
-    """The components of a search node, as _add_generator lists them, and
-    powers, each component's (i, e) pairs with e > 0 in the same order,
-    which the witness test reads (decompose._witness)."""
+    """The components of a search node, as _child lists them, and powers,
+    their pairs (decompose._pairs) in the same order, which the witness
+    test reads (decompose._witness)."""
 
     __slots__ = ("powers",)
-
-
-def _pairs(q) -> list:
-    """The (i, e) pairs of the component q with e > 0."""
-    return [*compress(enumerate(q), q)]
 
 
 def _children(n: int, comps):
@@ -254,16 +250,9 @@ def _children(n: int, comps):
     test (decompose._witness). A pin Q0 of the maximal ideal has one
     candidate, w = Q0 - 1, whose key orders the pins as sum(Q0), then
     lex-descending Q0: two sorts with no key built in Python. A child is
-    built with _add_generator only when it is yielded.
-
-    A child carries its components' pairs (_Node). Q0 is the only
-    component of J that misses a witness w pinned at it, so
-    _add_generator lists those of J + (w) as comps without Q0, in order,
-    then the candidates of Q0 that it keeps: the child's pairs are the
-    node's without Q0's and then those of the candidates. A node made
-    elsewhere, as the root is, gets its pairs here."""
-    powers = getattr(comps, "powers", None) or [_pairs(q) for q in comps]
-    kept = len(comps) - 1
+    built (_child) only when it is yielded. A node made elsewhere, as
+    the root is, gets its pairs here."""
+    powers = getattr(comps, "powers", None) or [*map(_pairs, comps)]
     for prime, pins in _maximal_primes(n, comps):
         on_prime = [i + 1 in prime.vars for i in range(n)]
         if len(prime.vars) == n:
@@ -275,21 +264,29 @@ def _children(n: int, comps):
             found = (w for _, w in merged)
         for w in found:
             if _witness(w, powers):
-                child = _Node(_add_generator(n, comps, w))
                 at = comps.index(tuple(e + 1 if on else 0 for e, on in zip(w, on_prime)))
-                child.powers = powers[:at] + powers[at + 1 :]
-                child.powers += map(_pairs, child[kept:])
-                yield FiltrationStep(w, prime), child
+                yield FiltrationStep(w, prime), _child(n, comps, powers, at, w)
+
+
+def _child(n: int, comps, powers, at: int, w: Monomial) -> _Node:
+    """The node J + (w) for a witness w pinned at Q0 = comps[at], powers
+    the pairs of comps. Q0 is the only component of J that misses w, so
+    the components of J + (w) are comps without Q0, in order, then the
+    candidates Q0[k] with w_k > cap_k(Q0) (decompose module docstring),
+    and the pairs are the node's without Q0's, then the candidates'."""
+    q0 = comps[at]
+    caps = _caps(n, comps, q0)
+    fresh = [q0[:k] + (w[k],) + q0[k + 1 :] for k in range(n) if w[k] > caps[k]]
+    child = _Node([*comps[:at], *comps[at + 1 :], *fresh])
+    child.powers = [*powers[:at], *powers[at + 1 :], *map(_pairs, fresh)]
+    return child
 
 
 def _maximal_primes(n: int, comps) -> list:
     """The inclusion-maximal radicals of the components comps, each as
     (prime, its pins: the components with that radical), sorted by the
     prime's variables. Radicals are compared as bitmasks, bit i for x_i."""
-    pins: dict[tuple[int, ...], list] = {}
-    variables = range(1, n + 1)
-    for q in comps:
-        pins.setdefault(tuple(compress(variables, q)), []).append(q)  # supp(q)
+    pins = _pins(n, comps)
     masks = {key: sum(1 << i for i in key) for key in pins}
     return [
         (PrimeIdeal(n, key), pins[key])
@@ -302,28 +299,14 @@ def _pinned(n: int, comps, q0):
     """The candidates pinned at the component q0 with radical P whose
     edge is not cut (search_filtration, (b)), as (_degree_then_lex(w), w)
     in that order: w_i = q0_i - 1 on P and 0 <= w_k <= cap_k(q0) off P.
-    The first one, 0 off P, needs no cap. The caps are read, in the fail
-    loop of _add_generator, only when a second one is asked for: a node
-    usually takes an earlier child, and caps computed for every pin up
-    front cost more than the search saves. The rest of the sub-box comes
-    degree by degree, lex-descending within a degree."""
+    The first one, 0 off P, needs no cap. The caps (decompose._caps) are
+    read only when a second one is asked for: a node usually takes an
+    earlier child, and caps computed for every pin up front cost more
+    than the search saves. The rest of the sub-box comes degree by
+    degree, lex-descending within a degree."""
     pin = tuple(e - 1 if e else 0 for e in q0)
     yield _degree_then_lex(pin), pin
-    caps = [0] * n
-    for c in comps:
-        if c is q0:
-            continue
-        fail = None
-        for i in range(n):
-            e = c[i]
-            if e and not 0 < q0[i] <= e:
-                if fail is not None:
-                    break
-                fail = i
-        else:
-            # distinct irredundant components fail each other somewhere
-            if not q0[fail] and caps[fail] < c[fail]:
-                caps[fail] = c[fail]
+    caps = _caps(n, comps, q0)
     free = [k for k in range(n) if not q0[k]]
     bounds = [caps[k] for k in free]
     w = list(pin)

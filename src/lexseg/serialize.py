@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from .filtration import PrimeFiltration
-from .monomials import Monomial, MonomialIdeal, PrimeIdeal
+from .monomials import Monomial, MonomialIdeal
 
 
 class ParseError(ValueError):
@@ -66,12 +66,8 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def prime_to_json(p: PrimeIdeal) -> list[int]:
-    return list(p.vars)
-
-
 def primes_to_json(primes) -> list[list[int]]:
-    return sorted(prime_to_json(p) for p in primes)
+    return sorted(list(p.vars) for p in primes)
 
 
 def ideal_to_json(ideal: MonomialIdeal) -> dict:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle
@@ -57,19 +57,7 @@ class Mismatch:
     oracle: list | None = None
 
     def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "d": self.d,
-            "u": self.u,
-            "v": self.v,
-            "family": self.family,
-            "detail": self.detail,
-        }
-        if self.closed is not None:
-            out["closed"] = self.closed
-        if self.oracle is not None:
-            out["oracle"] = self.oracle
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 @dataclass

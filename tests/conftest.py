@@ -129,6 +129,18 @@ def add_generator_reference(n, comps, w):
     return kept
 
 
+def caps_reference(n, comps, q):
+    """cap_k(q) for every k, read off its definition: the largest C_k over
+    the components C != q of comps that q fails at k alone, and 0 when
+    there is none, where q fails C at i when C_i > 0 and not
+    0 < q_i <= C_i. A reference for decompose._caps."""
+    def fails(c):
+        return [i for i in range(n) if c[i] and not 0 < q[i] <= c[i]]
+
+    return [max((c[k] for c in comps if c != q and fails(c) == [k]), default=0)
+            for k in range(n)]
+
+
 def components_reference(ideal):
     """decompose._components with add_generator_reference as its step, in
     the same generator order, as a set of dense exponent tuples."""

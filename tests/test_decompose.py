@@ -16,6 +16,7 @@ from conftest import (
     P,
     add_element,
     add_generator_reference,
+    caps_reference,
     components_reference,
     iter_box,
     oracle_pool,
@@ -27,6 +28,7 @@ from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
     _add_generator,
+    _caps,
     _components,
     _corners,
     _intersection,
@@ -595,6 +597,46 @@ class TestOnePassFilter:
             for g in sorted(reversed(ideal.gens), key=sum):
                 comps = _add_generator(n, comps, g)
                 assert differ_in_two(comps)
+
+
+class TestCaps:
+    @staticmethod
+    def assert_caps_match_the_definition(ideals):
+        """_caps equals caps_reference at every component of every ideal.
+        Returns the numbers of components with every cap 0 and with a
+        nonzero cap."""
+        zero = nonzero = 0
+        for ideal in ideals:
+            n, comps = ideal.n, _components(ideal)
+            for q in comps:
+                caps = _caps(n, comps, q)
+                assert caps == caps_reference(n, comps, q), (comps, q)
+                zero += not any(caps)
+                nonzero += any(caps)
+        return zero, nonzero
+
+    def test_pool(self):
+        zero, nonzero = self.assert_caps_match_the_definition(oracle_pool())
+        assert zero and nonzero
+
+    def test_seeded_draws(self):
+        # the draws, and two ideals whose every cap is 0: (x1^2, x2^2)
+        # has one component, and (x1, x2) ∩ (x3, x4) has two that fail
+        # each other in two coordinates
+        ideals = oracle_random_ideals(20261112, 200)
+        assert self.assert_caps_match_the_definition(ideals)[1]
+        for ideal in I(2, "x1^2", "x2^2"), I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4"):
+            zero, nonzero = self.assert_caps_match_the_definition([ideal])
+            assert zero == len(_components(ideal)) and not nonzero
+
+    def test_a_hand_worked_cap(self):
+        # (x1^2, x1*x2, x2^3) = (x1, x2^3) ∩ (x1^2, x2): (x1, x2^3) fails
+        # (x1^2, x2) at x2 alone, and (x1^2, x2) fails (x1, x2^3) at x1
+        # alone, so each one's cap at that coordinate is the other's power
+        comps = _components(I(2, "x1^2", "x1*x2", "x2^3"))
+        assert sorted(comps) == [(1, 3), (2, 1)]
+        caps = {q: _caps(2, comps, q) for q in comps}  # q is a component
+        assert caps == {(1, 3): [0, 1], (2, 1): [1, 0]}
 
 
 class TestIrredundantComponents:

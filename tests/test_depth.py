@@ -529,6 +529,15 @@ class TestLatticeWalk:
         assert depths_exact(ideal, (p for p in (2, 3))) == depths_exact(ideal, (2, 3))
 
 
+def seeded(ideal, primes):
+    """depth._seed at the primes on the walk memo's entry for the ideal
+    under the limits in force, as depths_exact reads it."""
+    q0, fiber, _ = depth._walks(
+        ideal, (depth.LCM_LATTICE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT)
+    )
+    return depth._seed(q0, fiber, primes)
+
+
 def search_record(ideal, primes):
     """(depths_exact(ideal, primes), then {"seed": ..., "walk": ...}: for
     the seed's fiber walk and for the walk after it, the b whose support
@@ -542,10 +551,10 @@ def search_record(ideal, primes):
     phase = ["walk"]
     walked = []
 
-    def seeding(ideal, primes):
+    def seeding(*args):
         phase[0] = "seed"
         try:
-            return seed(ideal, primes)
+            return seed(*args)
         finally:
             phase[0] = "walk"
 
@@ -662,10 +671,10 @@ class TestTargetedRanks:
             visits = []
             phase = ["walk"]
 
-            def seeding(ideal, primes):
+            def seeding(*args):
                 phase[0] = "seed"
                 try:
-                    return seed(ideal, primes)
+                    return seed(*args)
                 finally:
                     phase[0] = "walk"
 
@@ -805,11 +814,11 @@ class TestSeed:
         ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
         depth._walks.cache_clear()
-        assert depth._seed(ideal, (2,)) == 1
+        assert seeded(ideal, (2,)) == 1
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
         depth._walks.cache_clear()
         with pytest.raises(DomainError, match="LCM_LATTICE_LIMIT = 2"):
-            depth._seed(ideal, (2,))
+            seeded(ideal, (2,))
 
     def test_depth_at_two_primes_folds_once(self):
         # the second prime reads the walk memo, so the fold is not asked
@@ -848,10 +857,10 @@ def builds(ideal, calls):
     phase = ["walk"]
     built = []
 
-    def seeding(ideal, primes):
+    def seeding(*args):
         phase[0] = "seed"
         try:
-            return seed(ideal, primes)
+            return seed(*args)
         finally:
             phase[0] = "walk"
 
@@ -933,7 +942,7 @@ class TestWalkMemo:
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", limit)
         depth._walks.cache_clear()
         if where == "walk":
-            assert depth._seed(ideal, (2,)) == 1
+            assert seeded(ideal, (2,)) == 1
         for p in (2, 2, 32003, 32003):
             with pytest.raises(DomainError, match=f"LCM_LATTICE_LIMIT = {limit}"):
                 depth_exact(ideal, p)
@@ -950,7 +959,7 @@ class TestWalkMemo:
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", limit)
         depth._walks.cache_clear()
         if where == "walk":
-            assert depth._seed(ideal, (2,)) == 1
+            assert seeded(ideal, (2,)) == 1
         for p in (2, 2, 32003, 32003):
             with pytest.raises(DomainError, match=f"KOSZUL_SUPPORT_LIMIT = {limit}"):
                 depth_exact(ideal, p)

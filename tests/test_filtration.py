@@ -522,7 +522,8 @@ class TestAssPrune:
 
 class TestCarriedComponents:
     """At every edge J -> J + (w) of the search, the components the child
-    gets from one _add_generator step equal a fresh decomposition."""
+    is built with from its pin (_child) equal a fresh decomposition of
+    J + (w)."""
 
     @staticmethod
     def edges_checked(monkeypatch, specs):
@@ -643,18 +644,18 @@ class TestSearch:
         specs = list(iter_specs((6, 6), (3, 3)))
         assert len(specs) == 1596
         counts = {"entered": 0, "built": 0}
-        children, step = filtration_module._children, filtration_module._add_generator
+        children, child = filtration_module._children, filtration_module._child
 
         def counting_children(n, comps):
             counts["entered"] += 1
             return children(n, comps)
 
-        def counting_step(n, comps, w):
+        def counting_child(*args):
             counts["built"] += 1
-            return step(n, comps, w)
+            return child(*args)
 
         monkeypatch.setattr(filtration_module, "_children", counting_children)
-        monkeypatch.setattr(filtration_module, "_add_generator", counting_step)
+        monkeypatch.setattr(filtration_module, "_child", counting_child)
         assert step_digest(specs) == "592d34e38c1106b8"
         assert counts == {"entered": 15678, "built": 15678}
 
