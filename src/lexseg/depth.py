@@ -68,18 +68,20 @@ two primes.
 
 Only the ranks depend on the field. The lattice, the fiber and every
 K^b are the same over every field, so the last ideal's walks are kept,
-each as the list of steps made so far with their K^b (_walks, _Walk):
-depth_exact(I, p) at one prime after another walks the lattice once
-and builds each K^b once, and still computes its own Betti numbers.
+each as an itertools.tee that replays the steps made so far, with their
+K^b (_walks): depth_exact(I, p) at one prime after another walks the
+lattice once and builds each K^b once, and still computes its own Betti
+numbers.
 """
 
 from __future__ import annotations
 
 import heapq
+from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import compress
+from itertools import compress, tee
 from math import inf, isqrt
 from operator import and_, le, lt, neg
 
@@ -319,72 +321,40 @@ def _lattice_walk(gens, held=()):
             )
 
 
-class _Walk:
-    """A lattice walk (_lattice_walk(gens, held)) kept as a lazily extended
-    list of its steps (|supp b|, b, the gens dividing b), with the K^b of
-    each b that a reader asked for. Iterating replays the steps made so
-    far, then asks the walk for the next one only when the reader gets
-    past them, so each reader sees the whole walk in order and the walk
-    runs no further than its furthest reader. A walk that raises is
-    finished: a later reader would replay a truncated lattice. So the
-    raise clears the memo that holds the walk (_walks), and the next call
-    walks again and raises again."""
-
-    def __init__(self, gens, held=()) -> None:
-        self._walk = _lattice_walk(gens, held)
-        self._steps: list = []
-        self._built: dict = {}
-
-    def __iter__(self):
-        steps = self._steps
-        k = 0
-        while True:
-            if k == len(steps):
-                try:
-                    step = next(self._walk, None)
-                except BaseException:
-                    _walks.cache_clear()
-                    raise
-                if step is None:
-                    return
-                steps.append(step)
-            yield steps[k]
-            k += 1
-
-    def koszul(self, size: int, b: Monomial, divisors):
-        """K^b(I) by face size, or None for a cone (_koszul), made the
-        first time a reader asks for it. A _koszul that raises keeps
-        nothing, so every later read raises too."""
-        if b not in self._built:
-            self._built[b] = _koszul(size, b, divisors)
-        return self._built[b]
-
-
 @lru_cache(maxsize=1)
 def _walks(ideal: MonomialIdeal, limits) -> tuple:
     """(Q0, the fiber walk of Q0 or None when h = 1, the lattice walk of
-    I), each walk a _Walk: the part of the depth search of I that no prime
-    changes. Q0 is the first component of the largest height h in
-    decompose._components(I), a memo hit when the oracle has just read I,
-    and its fiber (module docstring) is walked over the generators g with
-    g_i <= Q0_i on its radical, with those coordinates held.
+    I): the part of the depth search of I that no prime changes. Q0 is the
+    first component of the largest height h in decompose._components(I), a
+    memo hit when the oracle has just read I, and its fiber (module
+    docstring) is walked over the generators g with g_i <= Q0_i on its
+    radical, with those coordinates held.
+
+    Each walk is a pair (root, built): root is an itertools.tee of
+    _lattice_walk that is never advanced, so a copy of it replays every
+    step (|supp b|, b, the gens dividing b) from the first, and the walk
+    runs no further than its furthest copy; built maps each b whose K^b a
+    reader asked for to that K^b, or None for a cone (_koszul).
 
     The last ideal is kept, as decompose._components keeps its fold, so
     depth_exact(I, p) at one prime after another walks the lattice and
     builds each K^b once. Only walks and complexes are kept: every beta,
     rank and depth is computed again at each call. limits is
     (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT) at the call, part of the key
-    so that no walk is replayed under limits it was not made under. The
-    walks are extended in place, so two threads must not read one ideal
-    at once.
+    so that no walk is replayed under limits it was not made under. A tee
+    over a walk that raised replays the steps before the raise and then
+    stops, a truncated lattice, so depths_exact clears this memo on any
+    raise. The walks are extended in place, so two threads must not read
+    one ideal at once.
     """
     q0 = max(decompose._components(ideal), key=lambda q: len(q) - q.count(0))
     held = tuple(i for i, e in enumerate(q0) if e)
     fiber = None
     if len(held) > 1:
         bound = tuple(e or inf for e in q0)  # q0 on its radical, no limit off it
-        fiber = _Walk([g for g in ideal.gens if all(map(le, g, bound))], held)
-    return q0, fiber, _Walk(ideal.gens)
+        gens = [g for g in ideal.gens if all(map(le, g, bound))]
+        fiber = (tee(_lattice_walk(gens, held), 1)[0], {})
+    return q0, fiber, (tee(_lattice_walk(ideal.gens), 1)[0], {})
 
 
 def _seed(q0, fiber, primes) -> int:
@@ -403,9 +373,12 @@ def _seed(q0, fiber, primes) -> int:
     h = len(q0) - q0.count(0)
     if fiber is None:
         return 0
+    root, built = fiber
     unseeded = list(primes)
-    for size, b, divisors in fiber:
-        k = fiber.koszul(size, b, divisors)
+    for size, b, divisors in copy(root):
+        if b not in built:
+            built[b] = _koszul(size, b, divisors)
+        k = built[b]
         if k is not None:
             unseeded = [p for p in unseeded if not _betti(k, p)(h - 1)]
             if not unseeded:
@@ -452,7 +425,8 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
 
     The walks and their K^b come from the one-entry memo _walks, read
     once per call, so a call for I at another prime replays them and
-    walks on only past where that call stopped.
+    walks on only past where that call stopped. Any raise clears that
+    memo, so no later call replays a walk cut short.
 
     Raises DomainError when no prime is given, one is not a prime below
     CHARACTERISTIC_LIMIT, a walk generates more than LCM_LATTICE_LIMIT
@@ -467,21 +441,29 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
         raise DomainError("no characteristic given")
     for p in primes:
         _require_prime(p)
-    q0, fiber, walk = _walks(ideal, (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT))
-    best = dict.fromkeys(primes, _seed(q0, fiber, primes))
-    for size, b, divisors in walk:
-        if size - 1 <= min(best.values()):
-            break
-        k = walk.koszul(size, b, divisors)
-        if k is None:
-            continue
-        for p, found in best.items():
-            if found < size - 1:
-                beta = _betti(k, p)
-                for i in range(size - 1, found, -1):
-                    if beta(i):
-                        best[p] = i
-                        break
+    q0, fiber, (root, built) = _walks(
+        ideal, (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT)
+    )
+    try:
+        best = dict.fromkeys(primes, _seed(q0, fiber, primes))
+        for size, b, divisors in copy(root):
+            if size - 1 <= min(best.values()):
+                break
+            if b not in built:
+                built[b] = _koszul(size, b, divisors)
+            k = built[b]
+            if k is None:
+                continue
+            for p, found in best.items():
+                if found < size - 1:
+                    beta = _betti(k, p)
+                    for i in range(size - 1, found, -1):
+                        if beta(i):
+                            best[p] = i
+                            break
+    except BaseException:
+        _walks.cache_clear()
+        raise
     return {p: ideal.n - 1 - found for p, found in best.items()}
 
 

@@ -18,6 +18,9 @@ from . import kernels
 
 Monomial = tuple  # tuple[int, ...]
 
+# Most monomials of one degree that enumerate_degree() will list.
+DEGREE_ENUMERATION_LIMIT = 1 << 20
+
 
 class DimensionError(ValueError):
     """Operands live over different variable counts."""
@@ -99,16 +102,25 @@ def _same_n(a, b):
 
 @lru_cache(maxsize=None)
 def enumerate_degree(n: int, d: int) -> tuple[Monomial, ...]:
-    """All C(n+d-1, d) monomials of degree d, lex-descending."""
+    """All C(n+d-1, d) monomials of degree d, lex-descending.
+
+    Raises DomainError, before listing any, when there are more than
+    DEGREE_ENUMERATION_LIMIT of them."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
+    count = comb(n + d - 1, d)
+    if count > DEGREE_ENUMERATION_LIMIT:
+        raise DomainError(
+            f"(n={n}, d={d}) has {count} monomials, over "
+            f"DEGREE_ENUMERATION_LIMIT = {DEGREE_ENUMERATION_LIMIT}"
+        )
     if n == 1:
         return ((d,),)
     out = []
     for e in range(d, -1, -1):
         for rest in enumerate_degree(n - 1, d - e):
             out.append((e,) + rest)
-    assert len(out) == comb(n + d - 1, d)
+    assert len(out) == count
     return tuple(out)
 
 

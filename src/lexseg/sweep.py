@@ -17,6 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from math import comb
 
 from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle
@@ -201,7 +202,7 @@ def sweep(
     start = time.perf_counter()
     for n in range(n_range[0], n_range[1] + 1):
         for d in range(d_range[0], d_range[1] + 1):
-            count = len(enumerate_degree(n, d))
+            count = comb(n + d - 1, d)
             pairs = count * (count + 1) // 2
             if pairs > cap:
                 raise DomainError(

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,20 @@ from lexseg.serialize import (
 
 # the module, which lexseg.sweep (the function) shadows as an attribute
 sweep_module = importlib.import_module("lexseg.sweep")
+
+
+def run_cli(args, **kwargs):
+    """The CLI on args in a separate Python process with a 60 s timeout,
+    importing lexseg from this checkout; kwargs go to subprocess.run."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lexseg.cli import main; sys.exit(main(sys.argv[1:]))",
+         *args],
+        env=env, capture_output=True, text=True, timeout=60, **kwargs,
+    )
 
 
 def filtration_from_json(data):
@@ -295,17 +310,32 @@ class TestCliExitCodes:
     def test_characteristic_over_limit_exits_promptly(self, args):
         # 2^89 - 1 is a prime; trial division up to its square root would
         # not finish, so a separate process with a timeout runs the command
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from lexseg.cli import main; sys.exit(main(sys.argv[1:]))",
-             *args],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        out = run_cli(args)
         assert out.returncode == 2
         assert "CHARACTERISTIC_LIMIT" in out.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--n", "8", "--d", "30"], "exceeding the cap 100000"),
+            (["ass", "--n", "8", "--d", "30", "--u", "x1^30", "--v", "x8^30"],
+             "DEGREE_ENUMERATION_LIMIT"),
+            (["filtration", "--n", "8", "--d", "30", "--u", "x1^30", "--v", "x8^30"],
+             "DEGREE_ENUMERATION_LIMIT"),
+        ],
+        ids=["sweep", "ass", "filtration"],
+    )
+    def test_huge_degree_refused_from_its_count(self, args, message):
+        # C(37, 30) = 10,295,472 monomials of degree 30 in 8 variables are
+        # refused from their count, before any is listed; the process gets
+        # a 1.5 GB address space, in which listing them fails (exit 3)
+        def capped():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))
+
+        out = run_cli(args, preexec_fn=capped)
+        assert out.returncode == 2, out.stderr
+        assert message in out.stderr
 
     def test_sweep_cap(self, capsys):
         assert main(["sweep", "--n", "2..2", "--d", "2..2", "--cap", "1"]) == 2

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from copy import copy
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -915,13 +916,18 @@ class TestWalkMemo:
         assert built[0] and bool(built[1]) == (primes[0] == 2) and not built[2]
 
     def test_interleaved_readers_each_see_the_whole_walk(self):
-        # a reader that stops and resumes after another has extended the
-        # walk still reads every step, in order
-        gens = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4").gens
-        walk = depth._Walk(gens)
-        first, second = iter(walk), iter(walk)
+        # two readers copied from the memo entry's lattice walk: one that
+        # stops and resumes after the other has extended the walk still
+        # reads every step, in order
+        ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
+        depth._walks.cache_clear()
+        _, _, (root, _) = depth._walks(
+            ideal, (depth.LCM_LATTICE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT)
+        )
+        first, second = copy(root), copy(root)
         head = [next(first), next(first)]
-        assert list(second) == head + list(first) == list(depth._lattice_walk(gens))
+        walk = list(depth._lattice_walk(ideal.gens))
+        assert list(second) == head + list(first) == walk
 
     def test_the_second_prime_builds_nothing(self):
         # a lexsegment has the same depth over every field, so the second
@@ -968,8 +974,8 @@ class TestWalkMemo:
 
     def test_a_seed_that_reads_zero_raises_at_every_call(self, monkeypatch):
         # the memo keeps walks and complexes, no beta: a homology that
-        # reads zero fails at every call, and a sound one then reads the
-        # same walks again
+        # reads zero fails at every call, each raise clears the memo, and a
+        # sound one then walks the lattice again
         ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
         betti = depth._betti
         depth._walks.cache_clear()

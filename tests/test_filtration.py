@@ -581,18 +581,24 @@ class TestExtendedRange:
 
 
 class TestFullSegment:
-    def test_d20_full_segment_within_budget(self):
-        # L(x1^20, x3^20) = (x1, x2, x3)^20: a 1,540-step chain whose every
-        # node has a few hundred components, all of one radical
-        s = spec(3, 20, "x1^20", "x3^20")
+    @pytest.mark.parametrize(
+        "d, digest",
+        [(20, "08218e0623e85ddd"), (25, "321c29dd4da7c4e7")],
+        ids=["20", "25"],
+    )
+    def test_full_segment_within_budget(self, d, digest):
+        # L(x1^d, x3^d) = (x1, x2, x3)^d: a C(d + 2, 3)-step chain (1,540
+        # steps at d = 20, 2,925 at d = 25) whose every node has a few
+        # hundred components, all of one radical
+        s = spec(3, d, f"x1^{d}", f"x3^{d}")
         start = time.perf_counter()
         f = staged_filtration(s)
         assert_fully_verified(f)
         report = stanley_certificate(lexsegment_generators(s), stanley_decomposition(f))
         elapsed = time.perf_counter() - start
         assert report.ok, report.violations
-        assert len(f.steps) == comb(22, 3)
-        assert chain_digest([f]) == "08218e0623e85ddd"
+        assert len(f.steps) == comb(d + 2, 3)
+        assert chain_digest([f]) == digest
         assert elapsed <= FULL_SEGMENT_BUDGET_SECONDS, (
             f"{elapsed:.1f}s over the {FULL_SEGMENT_BUDGET_SECONDS:.0f}s budget"
         )

@@ -1,5 +1,7 @@
 """Core monomial and ideal arithmetic, lex order, specs, and reductions."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,9 @@ from conftest import (
     zero_ideal,
 )
 from lexseg.monomials import (
+    DEGREE_ENUMERATION_LIMIT,
     DimensionError,
+    DomainError,
     LexSpec,
     MonomialIdeal,
     PrimeIdeal,
@@ -111,6 +115,13 @@ class TestLexOrder:
             (0, 0, 2),
         )
         assert len(enumerate_degree(5, 2)) == 15
+
+    def test_enumerate_degree_over_limit_refused_before_listing(self):
+        # C(28, 21) = 1,184,040 monomials of degree 21 in 8 variables, just
+        # over the limit; C(27, 20) = 888,030 at degree 20 is under it
+        assert comb(28, 21) > DEGREE_ENUMERATION_LIMIT >= comb(27, 20)
+        with pytest.raises(DomainError, match="DEGREE_ENUMERATION_LIMIT"):
+            enumerate_degree(8, 21)
 
     @given(monomials3, monomials3)
     def test_multiplication_respects_order(self, a, b):

@@ -26,6 +26,17 @@ def test_no_characteristic_refused_before_any_work(monkeypatch):
         sweep_module.sweep((2, 2), (2, 2), primes=())
 
 
+def test_cap_counted_without_enumerating(monkeypatch):
+    # C(37, 30) = 10,295,472 monomials of degree 30 in 8 variables: the
+    # pairs are counted from that binomial, and none is listed
+    def no_listing(*_args):
+        raise AssertionError("monomials listed before the cap was checked")
+
+    monkeypatch.setattr(sweep_module, "enumerate_degree", no_listing)
+    with pytest.raises(DomainError, match="52998376999128 pairs, exceeding the cap"):
+        sweep_module.sweep((8, 8), (30, 30))
+
+
 @pytest.mark.parametrize("p", [2, 32003])
 def test_working_spec_depth_from_the_spec_depth(p):
     # I = x1^b I' has the pd of I', and each dropped variable adds one to
