@@ -1,5 +1,10 @@
 """Benchmark the kernels and the check families of lexseg.
 
+The first line times one lexsegment_generators call on L(x1^20,
+x1^19*x8), 8 of the 888,030 monomials of degree 20 in 8 variables, in a
+fresh Python process, with that process's peak RSS (ru_maxrss, the
+interpreter included).
+
 The kernel lines time divides, member, minimalize, colon_gens and gf_rank
 from lexseg.kernels on fixed seeded inputs, best of 5; one more
 minimalize line takes a redundant input, the 1,600 pairwise lcms of two
@@ -67,6 +72,7 @@ import heapq
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 from types import SimpleNamespace
@@ -274,6 +280,25 @@ def full_segment():
     found = filtration.staged_filtration(spec)
     print(f"staged_filtration, L(x1^25, x3^25), {len(found.steps)} steps, best of 3: "
           f"{best:.3f} s, step digest {chain_digest([found])}")
+
+
+NARROW_SEGMENT = """
+import resource, time
+from lexseg.monomials import LexSpec, lexsegment_generators
+spec = LexSpec(8, 20, (20,) + (0,) * 7, (19,) + (0,) * 6 + (1,))
+t0 = time.perf_counter()
+gens = lexsegment_generators(spec).gens
+seconds = time.perf_counter() - t0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"lexsegment_generators, L(x1^20, x1^19*x8), {len(gens)} generators, "
+      f"fresh process: {seconds * 1e6:.0f} us, peak RSS {peak:.1f} MB")
+"""
+
+
+def narrow_segment():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", NARROW_SEGMENT], env=env, check=True)
 
 
 def oracle_family():
@@ -496,6 +521,9 @@ def source_lines():
 
 
 def main():
+    # first, while this process is small: ru_maxrss counts the peak of the
+    # forked copy of this process too
+    narrow_segment()
     kernel_lines()
     depth_layer()
     sweep_families()

@@ -27,7 +27,6 @@ from .monomials import (
     SpecKind,
     classify,
     colon,
-    enumerate_degree,
     intersect,
     lexsegment_generators,
     reduce_fully,

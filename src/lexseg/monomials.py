@@ -11,15 +11,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import comb
 
 from . import kernels
 
 Monomial = tuple  # tuple[int, ...]
 
-# Most monomials of one degree that enumerate_degree() will list.
-DEGREE_ENUMERATION_LIMIT = 1 << 20
+# Most generators of one lexsegment that lexsegment_generators() will list.
+SEGMENT_LIMIT = 1 << 20
 
 
 class DimensionError(ValueError):
@@ -98,30 +97,6 @@ def unit(n: int) -> Monomial:
 def _same_n(a, b):
     if len(a) != len(b):
         raise DimensionError(f"variable counts differ: {len(a)} vs {len(b)}")
-
-
-@lru_cache(maxsize=None)
-def enumerate_degree(n: int, d: int) -> tuple[Monomial, ...]:
-    """All C(n+d-1, d) monomials of degree d, lex-descending.
-
-    Raises DomainError, before listing any, when there are more than
-    DEGREE_ENUMERATION_LIMIT of them."""
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    count = comb(n + d - 1, d)
-    if count > DEGREE_ENUMERATION_LIMIT:
-        raise DomainError(
-            f"(n={n}, d={d}) has {count} monomials, over "
-            f"DEGREE_ENUMERATION_LIMIT = {DEGREE_ENUMERATION_LIMIT}"
-        )
-    if n == 1:
-        return ((d,),)
-    out = []
-    for e in range(d, -1, -1):
-        for rest in enumerate_degree(n - 1, d - e):
-            out.append((e,) + rest)
-    assert len(out) == count
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +275,46 @@ def classify(spec: LexSpec) -> SpecKind:
     return SpecKind.ARBITRARY
 
 
+def _lex_rank(m: Monomial) -> int:
+    """The number of monomials of degree |m| lex-greater than m.
+
+    Those that first differ from m at position i, with a larger exponent
+    there, number C(left - m_i + k - 1, k) by the hockey-stick identity,
+    where left is the degree m has from position i on and k = n - i - 1
+    the number of positions after it (the combinatorial number system;
+    Knuth, TAOCP 7.2.1.3)."""
+    left, rank, k = sum(m), 0, len(m) - 1
+    for e in m[:-1]:
+        rank += comb(left - e + k - 1, k)
+        left -= e
+        k -= 1
+    return rank
+
+
 def lexsegment_generators(spec: LexSpec) -> MonomialIdeal:
-    """The ideal generated by L(u, v): all degree-d monomials between u and v."""
-    # enumerate_degree is lex-descending, the canonical generator order
-    gens = tuple(w for w in enumerate_degree(spec.n, spec.d) if spec.v <= w <= spec.u)
-    return MonomialIdeal(spec.n, gens)
+    """The ideal generated by L(u, v): all degree-d monomials between u and v.
+
+    Raises DomainError, before listing any, when the segment has more than
+    SEGMENT_LIMIT of them."""
+    count = _lex_rank(spec.v) - _lex_rank(spec.u) + 1
+    if count > SEGMENT_LIMIT:
+        raise DomainError(
+            f"L(u, v) has {count} generators, over SEGMENT_LIMIT = {SEGMENT_LIMIT}"
+        )
+    # the walk from u down to v by the lex successor, lex-descending as
+    # the canonical order is: the last exponent t goes to 0, and the last
+    # nonzero exponent before it gives one to the position after it,
+    # which gets t + 1
+    m, last = list(spec.u), spec.n - 1
+    gens = [spec.u]
+    for _ in range(count - 1):
+        t, m[last] = m[last], 0
+        i = last - 1
+        while not m[i]:
+            i -= 1
+        m[i], m[i + 1] = m[i] - 1, t + 1
+        gens.append(tuple(m))
+    return MonomialIdeal(spec.n, tuple(gens))
 
 
 def reduce_fully(spec: LexSpec) -> tuple[LexSpec, Monomial]:

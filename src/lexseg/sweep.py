@@ -17,6 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from math import comb
 
 from .closed_form import associated_primes_lexsegment
@@ -36,9 +37,9 @@ from .monomials import (
     LexSpec,
     SpecKind,
     classify,
-    enumerate_degree,
     lexsegment_generators,
     reduce_fully,
+    variable,
 )
 from .serialize import format_monomial, primes_to_json
 
@@ -92,7 +93,9 @@ def iter_specs(n_range, d_range):
     """All (u, v) pairs with u >=_lex v, deterministic order."""
     for n in range(n_range[0], n_range[1] + 1):
         for d in range(d_range[0], d_range[1] + 1):
-            mons = enumerate_degree(n, d)
+            # the full segment L(x1^d, xn^d) is every degree-d monomial
+            full = LexSpec(n, d, variable(n, 1, d), variable(n, n, d))
+            mons = lexsegment_generators(full).gens
             for i, u in enumerate(mons):
                 for v in mons[i:]:
                     yield LexSpec(n, d, u, v)
@@ -169,11 +172,6 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
     return found
 
 
-def _check_spec_tuple(args):
-    spec_args, primes = args
-    return check_spec(LexSpec(*spec_args), primes)
-
-
 def sweep(
     n_range,
     d_range,
@@ -212,9 +210,8 @@ def sweep(
     report = SweepReport(tuple(n_range), tuple(d_range), primes)
     report.specs_tested = len(specs)
     if jobs > 1:
-        work = [((s.n, s.d, s.u, s.v), primes) for s in specs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_spec_tuple, work, chunksize=8))
+            results = list(pool.map(check_spec, specs, repeat(primes), chunksize=8))
     else:
         results = [check_spec(s, primes) for s in specs]
     for found in results:

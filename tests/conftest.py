@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import functools
 import itertools
 import random
 
@@ -29,6 +30,14 @@ def I(n, *gens):
 
 def spec(n, d, u, v):
     return LexSpec(n, d, parse_monomial(u, n), parse_monomial(v, n))
+
+
+@functools.lru_cache(maxsize=None)
+def degree_monomials(n, d):
+    """All degree-d monomials in n variables, lex-descending: a brute-force
+    reference, the exponent vectors of the box [0, d]^n with sum d."""
+    box = itertools.product(range(d + 1), repeat=n)
+    return tuple(sorted((m for m in box if sum(m) == d), reverse=True))
 
 
 def is_proper_subset(p, q):

@@ -43,6 +43,14 @@ def run_cli(args, **kwargs):
     )
 
 
+def cap_address_space():
+    """Caps this process's address space at 1.5 GB (the soft RLIMIT_AS),
+    so that a run listing too much fails instead of taking the machine's
+    memory; a preexec_fn for run_cli."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))
+
+
 def filtration_from_json(data):
     """The inverse of filtration_to_json, for the round-trip test."""
     base = ideal_from_json(data["base"])
@@ -319,9 +327,9 @@ class TestCliExitCodes:
         [
             (["sweep", "--n", "8", "--d", "30"], "exceeding the cap 100000"),
             (["ass", "--n", "8", "--d", "30", "--u", "x1^30", "--v", "x8^30"],
-             "DEGREE_ENUMERATION_LIMIT"),
+             "SEGMENT_LIMIT"),
             (["filtration", "--n", "8", "--d", "30", "--u", "x1^30", "--v", "x8^30"],
-             "DEGREE_ENUMERATION_LIMIT"),
+             "SEGMENT_LIMIT"),
         ],
         ids=["sweep", "ass", "filtration"],
     )
@@ -329,13 +337,21 @@ class TestCliExitCodes:
         # C(37, 30) = 10,295,472 monomials of degree 30 in 8 variables are
         # refused from their count, before any is listed; the process gets
         # a 1.5 GB address space, in which listing them fails (exit 3)
-        def capped():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))
-
-        out = run_cli(args, preexec_fn=capped)
+        out = run_cli(args, preexec_fn=cap_address_space)
         assert out.returncode == 2, out.stderr
         assert message in out.stderr
+
+    @pytest.mark.parametrize(
+        "command", [["ass"], ["filtration", "--verify"], ["stanley"]],
+        ids=["ass", "filtration", "stanley"],
+    )
+    def test_narrow_segment_in_a_huge_degree_answered(self, command):
+        # L(x1^30, x1^29*x8) has 8 generators among the 10,295,472 monomials
+        # of degree 30 in 8 variables: it is walked, not picked out of them,
+        # so it is answered in the same 1.5 GB address space
+        args = [*command, "--n", "8", "--d", "30", "--u", "x1^30", "--v", "x1^29*x8"]
+        out = run_cli(args, preexec_fn=cap_address_space)
+        assert out.returncode == 0, out.stderr
 
     def test_sweep_cap(self, capsys):
         assert main(["sweep", "--n", "2..2", "--d", "2..2", "--cap", "1"]) == 2

@@ -20,6 +20,7 @@ from conftest import (
     add_element,
     candidate_primes_reference,
     children_reference,
+    degree_monomials,
     ideal_as_prime,
     ideal_sum,
     is_proper_subset,
@@ -68,7 +69,6 @@ from lexseg.monomials import (
     PrimeIdeal,
     colon,
     degree,
-    enumerate_degree,
     lexsegment_generators,
     reduce_fully,
     supp,
@@ -392,7 +392,7 @@ def prune_inputs(draw):
     if draw(st.booleans()):
         n = draw(st.integers(2, 4))
         d = draw(st.integers(2, 3))
-        mons = enumerate_degree(n, d)
+        mons = degree_monomials(n, d)
         i = draw(st.integers(0, len(mons) - 1))
         j = draw(st.integers(i, len(mons) - 1))
         return lexsegment_generators(LexSpec(n, d, mons[i], mons[j]))
@@ -976,7 +976,7 @@ def bounded_cover_reference(
     ]
     violations = []
     for d in range(degree_bound + 1):
-        for m in enumerate_degree(n, d):
+        for m in degree_monomials(n, d):
             covers = [
                 k
                 for k, w, fixed in spaces
@@ -1083,7 +1083,7 @@ class TestKPolynomial:
         bound = sum(max((g[i] for g in ideal.gens), default=0) for i in range(n))
         expected = {}
         for d in range(bound + 1):
-            for m in enumerate_degree(n, d):
+            for m in degree_monomials(n, d):
                 if m in ideal:
                     continue
                 for t in itertools.product((0, 1), repeat=n):

@@ -10,6 +10,7 @@ from conftest import (
     I,
     P,
     add_element,
+    degree_monomials,
     ideal_as_prime,
     ideal_sum,
     is_proper_subset,
@@ -17,7 +18,7 @@ from conftest import (
     zero_ideal,
 )
 from lexseg.monomials import (
-    DEGREE_ENUMERATION_LIMIT,
+    SEGMENT_LIMIT,
     DimensionError,
     DomainError,
     LexSpec,
@@ -25,10 +26,10 @@ from lexseg.monomials import (
     PrimeIdeal,
     SpecError,
     SpecKind,
+    _lex_rank,
     classify,
     colon,
     degree,
-    enumerate_degree,
     intersect,
     lexsegment_generators,
     max_var,
@@ -104,8 +105,8 @@ class TestLexOrder:
         assert (1, 1, 0) > (1, 0, 2)
         assert (0, 0, 3) < (0, 1, 0)
 
-    def test_enumerate_degree_descending_and_count(self):
-        mons = enumerate_degree(3, 2)
+    def test_full_segment_descending_and_count(self):
+        mons = lexsegment_generators(spec(3, 2, "x1^2", "x3^2")).gens
         assert mons == (
             (2, 0, 0),
             (1, 1, 0),
@@ -114,14 +115,45 @@ class TestLexOrder:
             (0, 1, 1),
             (0, 0, 2),
         )
-        assert len(enumerate_degree(5, 2)) == 15
+        assert len(lexsegment_generators(spec(5, 2, "x1^2", "x5^2")).gens) == 15
 
-    def test_enumerate_degree_over_limit_refused_before_listing(self):
-        # C(28, 21) = 1,184,040 monomials of degree 21 in 8 variables, just
-        # over the limit; C(27, 20) = 888,030 at degree 20 is under it
-        assert comb(28, 21) > DEGREE_ENUMERATION_LIMIT >= comb(27, 20)
-        with pytest.raises(DomainError, match="DEGREE_ENUMERATION_LIMIT"):
-            enumerate_degree(8, 21)
+    def test_segment_over_limit_refused_before_listing(self):
+        # L(x1^21, x8^21) holds all C(28, 21) = 1,184,040 monomials of
+        # degree 21 in 8 variables, just over the limit; C(27, 20) = 888,030
+        # at degree 20 is under it
+        assert comb(28, 21) > SEGMENT_LIMIT >= comb(27, 20)
+        with pytest.raises(DomainError, match="1184040 generators, over SEGMENT_LIMIT"):
+            lexsegment_generators(spec(8, 21, "x1^21", "x8^21"))
+
+    def test_walk_is_the_reference_slice_and_the_rank_its_position(self):
+        # on every spec of n=1..5, d=1..4, L(u, v) is the slice of the
+        # brute-force lex-descending list from u to v, and the lex rank of
+        # a monomial is its position in that list
+        specs = 0
+        for n in range(1, 6):
+            for d in range(1, 5):
+                mons = degree_monomials(n, d)
+                assert [_lex_rank(m) for m in mons] == list(range(len(mons)))
+                for i, u in enumerate(mons):
+                    for j in range(i, len(mons)):
+                        gens = lexsegment_generators(LexSpec(n, d, u, mons[j])).gens
+                        assert gens == mons[i : j + 1]
+                        specs += 1
+        assert specs == 4395
+
+    def test_full_segment_count(self):
+        for n in range(1, 10):
+            for d in range(1, 6):
+                full = LexSpec(n, d, variable(n, 1, d), variable(n, n, d))
+                assert len(lexsegment_generators(full).gens) == comb(n + d - 1, d)
+
+    def test_narrow_segment_in_a_huge_degree(self):
+        # degree 20 in 8 variables has 888,030 monomials; this segment has 8
+        s = spec(8, 20, "x1^20", "x1^19*x8")
+        expected = (variable(8, 1, 20),) + tuple(
+            (19,) + variable(7, i) for i in range(1, 8)
+        )
+        assert lexsegment_generators(s).gens == expected
 
     @given(monomials3, monomials3)
     def test_multiplication_respects_order(self, a, b):

@@ -28,11 +28,11 @@ def test_no_characteristic_refused_before_any_work(monkeypatch):
 
 def test_cap_counted_without_enumerating(monkeypatch):
     # C(37, 30) = 10,295,472 monomials of degree 30 in 8 variables: the
-    # pairs are counted from that binomial, and none is listed
+    # pairs are counted from that binomial, and no segment is listed
     def no_listing(*_args):
         raise AssertionError("monomials listed before the cap was checked")
 
-    monkeypatch.setattr(sweep_module, "enumerate_degree", no_listing)
+    monkeypatch.setattr(sweep_module, "lexsegment_generators", no_listing)
     with pytest.raises(DomainError, match="52998376999128 pairs, exceeding the cap"):
         sweep_module.sweep((8, 8), (30, 30))
 
