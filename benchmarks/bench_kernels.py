@@ -5,8 +5,8 @@ x1^19*x8), 8 of the 888,030 monomials of degree 20 in 8 variables, in a
 fresh Python process, with that process's peak RSS (ru_maxrss, the
 interpreter included).
 
-The kernel lines time divides, member, minimalize, colon_gens and gf_rank
-from lexseg.kernels on fixed seeded inputs, best of 5; one more
+The kernel lines time divides, member, minimalize, colon_gens, gf_rank
+and gf2_rank from lexseg.kernels on fixed seeded inputs, best of 5; one more
 minimalize line takes a redundant input, the 1,600 pairwise lcms of two
 seeded 40-generator sets, as an intersection makes. A depth line
 times depth_exact at GF(2) and GF(32003) over every n=5, d=2
@@ -23,14 +23,17 @@ stanley_certificate, verify_prime_filtration and depth_exact at each
 prime over the 861 n=5, d=3 and n=6, d=2 specs, and depths_exact at both
 primes in one search, as check_spec asks, and depth_exact at p=2 then
 p=32003 one call at a time per ideal, as the CLI and the depth-betti
-workload ask, with the K^b it builds and the walk steps it takes (fiber
-and lattice elements popped); with the walk memo of the depth module,
+workload ask, with the K^b it builds, the b whose K^b the facet bound
+alone skips (not cones, but of too few facets for any beta the search
+reads) and the walk steps it takes (fiber and lattice elements popped);
+with the walk memo of the depth module,
 the second prime replays what the first walked and built. On those
 specs one cold depths_exact pass at both primes gives the walk
 counters: lcm lattice
 elements generated (popped plus queued) and popped by the walk after
-the seed, and upper Koszul complexes K^b built and gf_rank calls, the
-seed's included; and the seed counters: the searches seeded (h >= 2),
+the seed, upper Koszul complexes K^b built, b skipped by the facet bound
+alone, and gf_rank (odd p) and gf2_rank (p = 2) calls, the seed's
+included; and the seed counters: the searches seeded (h >= 2),
 the fiber elements generated and popped by their fiber walks, and the
 seeds hit, as nonzero beta_{h-1,b} read at each prime, and how many of
 those at the fiber's top. Each timing
@@ -75,6 +78,8 @@ import random
 import subprocess
 import sys
 import time
+from functools import reduce
+from operator import and_
 from types import SimpleNamespace
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -103,7 +108,9 @@ def make_inputs(seed=1):
         [{j: rng.randint(0, 32002) for j in range(30)} for _ in range(30)]
         for _ in range(5)
     ]
-    return mons, gens, mats
+    # bitmask rows, as gf2_rank takes them
+    bit_mats = [[rng.getrandbits(30) for _ in range(30)] for _ in range(5)]
+    return mons, gens, mats, bit_mats
 
 
 def bench(label, fn, repeats=5):
@@ -118,7 +125,7 @@ def timeit(fn):
 
 
 def kernel_lines():
-    mons, gens, mats = make_inputs()
+    mons, gens, mats, bit_mats = make_inputs()
     print("kernels, best of 5:")
     bench(
         "divides x 400 x 40",
@@ -141,6 +148,7 @@ def kernel_lines():
         "gf_rank(30x30, p=32003) x 5",
         lambda: [kernels.gf_rank(mat, 32003) for mat in mats],
     )
+    bench("gf2_rank(30x30) x 5", lambda: [kernels.gf2_rank(mat) for mat in bit_mats])
 
 
 def memos():
@@ -374,10 +382,15 @@ def extended_depth(cases):
     seed_names = ["seeded searches (h >= 2)", "fiber elements generated",
                   "fiber elements popped", "hits at the fiber top"]
     seed_names += [f"hits at p={p}" for p in DEFAULT_PRIMES]
-    counts = dict.fromkeys(("generated", "popped", "K^b built", "gf_rank calls"), 0)
+    counts = dict.fromkeys(
+        ("generated", "popped", "K^b built", "facet-bound skips", "gf_rank calls",
+         "gf2_rank calls"),
+        0,
+    )
     seeds = dict.fromkeys(seed_names, 0)
     walk, push, seed = depth._lattice_walk, depth.heapq.heappush, depth._seed
     build, rank, betti = depth.upper_koszul_complex, kernels.gf_rank, depth._betti
+    rank2, koszul = kernels.gf2_rank, depth._koszul
     fiber = []  # the b the running seed has popped, while it runs
 
     def counting_seed(*args):
@@ -415,6 +428,10 @@ def extended_depth(cases):
         counts["gf_rank calls"] += 1
         return rank(rows, p)
 
+    def counting_rank2(rows):
+        counts["gf2_rank calls"] += 1
+        return rank2(rows)
+
     def counting_betti(k, p):
         beta = betti(k, p)
         if not fiber:
@@ -433,15 +450,16 @@ def extended_depth(cases):
     depth._lattice_walk, depth._seed = counting_walk, counting_seed
     depth._betti = counting_betti
     depth.heapq = SimpleNamespace(heappush=counting_push, heappop=heapq.heappop)
-    depth.upper_koszul_complex = counting_build
-    kernels.gf_rank = counting_rank
+    depth.upper_koszul_complex, depth._koszul = counting_build, counting_koszul(counts)
+    kernels.gf_rank, kernels.gf2_rank = counting_rank, counting_rank2
     try:
         for ideal in ideals:
             depth.depths_exact(ideal, DEFAULT_PRIMES)
     finally:
         depth._lattice_walk, depth._seed, depth._betti = walk, seed, betti
         depth.heapq = heapq
-        depth.upper_koszul_complex, kernels.gf_rank = build, rank
+        depth.upper_koszul_complex, depth._koszul = build, koszul
+        kernels.gf_rank, kernels.gf2_rank = rank, rank2
         clear_caches()  # the walk memo holds a counting walk
     print("one depths_exact pass at both primes on the same specs:")
     for name, count in counts.items():
@@ -451,11 +469,27 @@ def extended_depth(cases):
         print(f"  {name:<28} {count:8}")
 
 
+def counting_koszul(counts):
+    """depth._koszul, counting in counts["facet-bound skips"] each b it
+    skips unbuilt whose facets share no vertex: a b that the cone test
+    alone would have built."""
+    koszul = depth._koszul
+
+    def counting(size, b, divisors, low):
+        found = koszul(size, b, divisors, low)
+        if found is None and not reduce(and_, depth._facets(b, divisors)):
+            counts["facet-bound skips"] += 1
+        return found
+
+    return counting
+
+
 def one_prime_at_a_time(ideals):
     """Times depth_exact(I, p) for p = 2, then 32003, one call at a time
     for each ideal, as the CLI and the depth-betti workload ask, and
     counts in one more cold pass the K^b built and the walk steps, the
-    elements popped by the seed's fiber walks and the lattice walks."""
+    elements popped by the seed's fiber walks and the lattice walks, and
+    the b skipped by the facet bound alone."""
 
     def run():
         for ideal in ideals:
@@ -463,8 +497,8 @@ def one_prime_at_a_time(ideals):
                 depth.depth_exact(ideal, p)
 
     best = best_cold(run)
-    counts = dict.fromkeys(("K^b built", "walk steps"), 0)
-    walk, build = depth._lattice_walk, depth.upper_koszul_complex
+    counts = dict.fromkeys(("K^b built", "facet-bound skips", "walk steps"), 0)
+    walk, build, koszul = depth._lattice_walk, depth.upper_koszul_complex, depth._koszul
 
     def counting_walk(gens, held=()):
         for step in walk(gens, held):
@@ -477,10 +511,12 @@ def one_prime_at_a_time(ideals):
 
     clear_caches()
     depth._lattice_walk, depth.upper_koszul_complex = counting_walk, counting_build
+    depth._koszul = counting_koszul(counts)
     try:
         run()
     finally:
         depth._lattice_walk, depth.upper_koszul_complex = walk, build
+        depth._koszul = koszul
         clear_caches()
     print(f"depth_exact at p=2 then p=32003 per ideal, same specs: {best:.3f} s, "
           + ", ".join(f"{count} {name}" for name, count in counts.items()))

@@ -42,8 +42,9 @@ generators, lies below it. A fiber element c below b differs from b at
 some j outside P, and lies below the child b^(j) of the walk, which is
 then in the fiber too. So the fiber is walked by _lattice_walk itself,
 from that top, with the coordinates in P held fixed. At each b of the
-fiber that is not a cone, beta_{h-1,b} is read at every prime not yet
-seeded, and the fiber is read until every prime is. A fiber that runs
+fiber that is neither a cone nor of at most h - 1 facets (the facet
+bound, below), beta_{h-1,b} is read at every prime not yet seeded, and
+the fiber is read until every prime is. A fiber that runs
 out first contradicts the lemma: InternalConsistencyError, not a silent
 best of 0. The decomposition only chooses where to look; the seed is a
 computed homology at each prime, so a homology that read every beta as
@@ -55,16 +56,35 @@ generators g that divide it. Their sets {i : g_i < b_i}, as bitmasks,
 span K^b, and the inclusion-maximal ones are its facets. K^b is a cone
 exactly when some vertex lies in every facet: then each face sigma has
 sigma + {v} in K^b, the straight-line homotopy to v contracts it, and
-its reduced homology vanishes over every field. So a b whose facets
-share a vertex is skipped, before K^b is built; the full simplex, whose
-one facet is supp(b) (x^(b - 1_supp b) in I), is the one-facet case.
-Any other K^b is built as the submasks of its facets. There i runs from
-|supp b| - 1 down to best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} -
-rk d_i (f_j faces of dimension j, d_j the boundary map out of dimension
-j over GF(p), each rank computed once per b and prime), and stops at the
-first nonzero one. Characteristic is a parameter (any prime below 2^31),
-and one walk serves every prime asked for, so the sweep can cross-check
-two primes.
+its reduced homology vanishes over every field.
+
+The facet bound (a lemma). If K^b has m facets, then beta_{i,b} = 0 for
+every i >= m, over every field. Proof: K^b is the union of the simplices
+on its facets F_1..F_m, and a union K of at most m simplices, each
+holding the empty face, has H~_j(K) = 0 for j >= m - 1, by induction on
+m. For m = 1, K is a simplex, acyclic, or the empty face alone, with
+only H~_{-1}. For m > 1 let K' be the union of the first m - 1: K' and
+the simplex on F_m meet in the union of the simplices on the
+F_j ∩ F_m, j < m, and reduced Mayer-Vietoris,
+H~_j(K') + H~_j(simplex) -> H~_j(K) -> H~_{j-1}(K' ∩ simplex), has
+both ends zero for j >= m - 1 by induction. The cone is the case where
+the facets share a vertex, acyclic whatever m is.
+
+So a b is skipped, before K^b is built, when its facets share a vertex
+(the full simplex, whose one facet is supp(b) when x^(b - 1_supp b) is
+in I, among them) or when they number at most low, where the search
+reads no beta_{i,b} with i < low: low = h - 1 in the seed, which reads
+beta_{h-1}, and low = h in the walk after it, which reads only above
+its best, h - 1 or more. low comes from h, fixed per ideal, and never
+from a prime's running best, so a K^b kept for one prime is kept for
+every other. Any other K^b is built as the submasks of its m facets.
+There i runs from min(|supp b|, m) - 1 down to best + 1, with
+beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of dimension j,
+d_j the boundary map out of dimension j over GF(p), each rank computed
+once per b and prime: over GF(2) by XOR on bitmask rows, kernels.gf2_rank,
+and over odd p by kernels.gf_rank), and stops at the first nonzero one.
+Characteristic is a parameter (any prime below 2^31), and one walk
+serves every prime asked for, so the sweep can cross-check two primes.
 
 Only the ranks depend on the field. The lattice, the fiber and every
 K^b are the same over every field, so the last ideal's walks are kept,
@@ -82,7 +102,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import compress, tee
-from math import inf, isqrt
+from math import inf
 from operator import and_, le, lt, neg
 
 from . import decompose, kernels
@@ -101,9 +121,12 @@ from .monomials import (
 # Most lcm lattice elements, popped plus queued, that _lattice_walk() will
 # generate.
 LCM_LATTICE_LIMIT = 1 << 16
-# Every characteristic p lies below this: it bounds the trial division in
-# _require_prime.
+# Every characteristic p lies below this, where Miller-Rabin on the bases
+# in MILLER_RABIN_BASES is exact (_require_prime).
 CHARACTERISTIC_LIMIT = 1 << 31
+# No composite below 3,215,031,751 is a strong pseudoprime to all of these
+# (Pomerance, Selfridge and Wagstaff, Math. Comp. 1980).
+MILLER_RABIN_BASES = (2, 3, 5, 7)
 # Largest |supp b| at which depths_exact() tests or builds K^b, a complex of
 # up to 2^|supp b| faces.
 KOSZUL_SUPPORT_LIMIT = 16
@@ -217,17 +240,19 @@ def _require_support(size: int) -> None:
         )
 
 
-def _koszul(size: int, b: Monomial, divisors):
-    """K^b(I) by face size (upper_koszul_complex), from the generators
-    that divide b, or None when K^b is a cone: its facets (_facets) share
-    a vertex, so it is acyclic over every field and is not built. Raises
-    DomainError first when |supp b| = size is over KOSZUL_SUPPORT_LIMIT
-    (_require_support)."""
+def _koszul(size: int, b: Monomial, divisors, low: int):
+    """(m, K^b(I) by face size (upper_koszul_complex)), from the
+    generators that divide b, where m is the number of facets of K^b
+    (_facets); or None, and K^b is not built, when its facets share a
+    vertex (a cone, acyclic over every field) or m <= low, so that
+    beta_{i,b} = 0 at every i >= low over every field (the facet bound,
+    module docstring). Raises DomainError first when |supp b| = size is
+    over KOSZUL_SUPPORT_LIMIT (_require_support)."""
     _require_support(size)
     facets = _facets(b, divisors)
-    if reduce(and_, facets):
+    if len(facets) <= low or reduce(and_, facets):
         return None
-    return upper_koszul_complex(facets, b)
+    return len(facets), upper_koszul_complex(facets, b)
 
 
 def _betti(by_size, p: int):
@@ -244,20 +269,33 @@ def _betti(by_size, p: int):
         """Rank of the boundary map from k-element to (k-1)-element faces.
 
         The row of a face f is {column of f minus its j-th smallest
-        vertex: (-1)^j}."""
-        if k not in ranks:
-            index = {f: j for j, f in enumerate(by_size[k - 1])}
-            rows = []
+        vertex: (-1)^j}. Over GF(2), where every sign is 1, it is the
+        bitmask of those columns, ranked by kernels.gf2_rank."""
+        if k in ranks:
+            return ranks[k]
+        rows = []
+        if p == 2:
+            column = {f: 1 << j for j, f in enumerate(by_size[k - 1])}
             for f in by_size[k]:
-                row = {}
-                rest, sign = f, 1
+                row, rest = 0, f
                 while rest:
                     bit = rest & -rest
-                    row[index[f ^ bit]] = sign
+                    row |= column[f ^ bit]
                     rest ^= bit
-                    sign = -sign
                 rows.append(row)
-            ranks[k] = kernels.gf_rank(rows, p) if rows else 0
+            ranks[k] = kernels.gf2_rank(rows) if rows else 0
+            return ranks[k]
+        index = {f: j for j, f in enumerate(by_size[k - 1])}
+        for f in by_size[k]:
+            row = {}
+            rest, sign = f, 1
+            while rest:
+                bit = rest & -rest
+                row[index[f ^ bit]] = sign
+                rest ^= bit
+                sign = -sign
+            rows.append(row)
+        ranks[k] = kernels.gf_rank(rows, p) if rows else 0
         return ranks[k]
 
     def beta(i: int) -> int:
@@ -334,7 +372,9 @@ def _walks(ideal: MonomialIdeal, limits) -> tuple:
     _lattice_walk that is never advanced, so a copy of it replays every
     step (|supp b|, b, the gens dividing b) from the first, and the walk
     runs no further than its furthest copy; built maps each b whose K^b a
-    reader asked for to that K^b, or None for a cone (_koszul).
+    reader asked for to (its facet count, that K^b), or to None for one
+    skipped unbuilt (_koszul). Whether a b is skipped depends only on h,
+    so one entry serves every prime.
 
     The last ideal is kept, as decompose._components keeps its fold, so
     depth_exact(I, p) at one prime after another walks the lattice and
@@ -365,10 +405,12 @@ def _seed(q0, fiber, primes) -> int:
 
     q0 and its fiber are those of the memo entry _walks(I, ...), whose
     fiber a call for I at another prime has often walked already. Every
-    b of it that is not a cone (_koszul) is read at h - 1 at each prime
-    not yet seeded, until none is left. Raises InternalConsistencyError
-    when the fiber runs out first, which the lemma rules out over every
-    field, and DomainError as _lattice_walk and _koszul do.
+    b of it that is neither a cone nor of at most h - 1 facets, where
+    beta_{h-1,b} = 0 by the facet bound (_koszul), is read at h - 1 at
+    each prime not yet seeded, until none is left. Raises
+    InternalConsistencyError when the fiber runs out first, which the
+    lemma rules out over every field, and DomainError as _lattice_walk
+    and _koszul do.
     """
     h = len(q0) - q0.count(0)
     if fiber is None:
@@ -377,10 +419,10 @@ def _seed(q0, fiber, primes) -> int:
     unseeded = list(primes)
     for size, b, divisors in copy(root):
         if b not in built:
-            built[b] = _koszul(size, b, divisors)
+            built[b] = _koszul(size, b, divisors, h - 1)
         k = built[b]
         if k is not None:
-            unseeded = [p for p in unseeded if not _betti(k, p)(h - 1)]
+            unseeded = [p for p in unseeded if not _betti(k[1], p)(h - 1)]
             if not unseeded:
                 return h - 1
     raise InternalConsistencyError(
@@ -389,18 +431,41 @@ def _seed(q0, fiber, primes) -> int:
     )
 
 
+def _is_prime(p: int) -> bool:
+    """True iff p is prime, for p < 3,215,031,751: Miller-Rabin on
+    MILLER_RABIN_BASES, exact there. With p - 1 = d * 2^s, d odd, a prime
+    p has a^d = 1 or a^(d 2^r) = -1 mod p for some r < s, for every base
+    a; below that bound every composite fails this for some base."""
+    if p < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _require_prime(p) -> None:
     """Raises DomainError unless p is a prime below CHARACTERISTIC_LIMIT,
-    the characteristic of GF(p). The limit is tested before the trial
-    division, so that never runs past sqrt(CHARACTERISTIC_LIMIT)."""
+    the characteristic of GF(p). The limit is tested first, so _is_prime
+    is asked only where it is exact."""
     if isinstance(p, int) and p >= CHARACTERISTIC_LIMIT:
         raise DomainError(
             f"characteristic {p} is not below CHARACTERISTIC_LIMIT = "
             f"{CHARACTERISTIC_LIMIT}"
         )
-    if not (
-        isinstance(p, int) and p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
-    ):
+    if not (isinstance(p, int) and _is_prime(p)):
         raise DomainError(f"characteristic {p!r} is not a prime")
 
 
@@ -417,11 +482,14 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
     dividing b, share a vertex v has a cone as K^b(I): v joins every
     face, so K^b is contractible and acyclic over every field, and b is
     skipped without building K^b (_koszul). The full simplex, when
-    x^(b - 1_supp b) is in I, is the cone with the one facet supp(b).
+    x^(b - 1_supp b) is in I, is the cone with the one facet supp(b). So
+    is a b whose m facets number at most h: beta_{i,b} = 0 for i >= m
+    (the facet bound, module docstring), and every best is h - 1 or more.
     Any other K^b is built once; at each prime whose best is below
-    |supp b| - 1, beta_{i,b} is read from i = |supp b| - 1 down to that
-    best + 1, up to the first nonzero one. Each prime thus reads exactly
-    what a seeded search at that prime alone would.
+    min(|supp b|, m) - 1, beta_{i,b} is read from i = min(|supp b|, m) - 1
+    down to that best + 1, up to the first nonzero one. Each prime thus
+    reads every beta that a seeded search at that prime alone would read
+    and could find nonzero.
 
     The walks and their K^b come from the one-entry memo _walks, read
     once per call, so a call for I at another prime replays them and
@@ -445,19 +513,22 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
         ideal, (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT)
     )
     try:
-        best = dict.fromkeys(primes, _seed(q0, fiber, primes))
+        floor = _seed(q0, fiber, primes)
+        best = dict.fromkeys(primes, floor)
         for size, b, divisors in copy(root):
             if size - 1 <= min(best.values()):
                 break
             if b not in built:
-                built[b] = _koszul(size, b, divisors)
+                built[b] = _koszul(size, b, divisors, floor + 1)
             k = built[b]
             if k is None:
                 continue
+            m, by_size = k
+            top = min(size, m) - 1
             for p, found in best.items():
-                if found < size - 1:
-                    beta = _betti(k, p)
-                    for i in range(size - 1, found, -1):
+                if found < top:
+                    beta = _betti(by_size, p)
+                    for i in range(top, found, -1):
                         if beta(i):
                             best[p] = i
                             break

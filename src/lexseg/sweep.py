@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from math import comb
@@ -210,6 +209,9 @@ def sweep(
     report = SweepReport(tuple(n_range), tuple(d_range), primes)
     report.specs_tested = len(specs)
     if jobs > 1:
+        # imported here, so that importing lexseg loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(check_spec, specs, repeat(primes), chunksize=8))
     else:

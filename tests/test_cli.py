@@ -1,5 +1,6 @@
 """Monomial grammar, JSON codecs, and CLI exit codes."""
 
+import concurrent.futures
 import importlib
 import json
 import os
@@ -381,7 +382,7 @@ class TestCliExitCodes:
         def no_work(*_args, **_kwargs):
             raise AssertionError("work started before the input was checked")
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(sweep_module, "check_spec", no_work)
         assert main(["sweep", *args]) == 2
         assert message in capsys.readouterr().err

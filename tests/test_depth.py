@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import time
 from copy import copy
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, seed, settings
@@ -55,6 +57,19 @@ def koszul(ideal, b):
 def is_cone(faces, vertices):
     """True iff some vertex v has sigma + {v} a face for every face sigma."""
     return any(all(f | {v} in faces for f in faces) for v in vertices)
+
+
+def facet_count(faces):
+    """The number of inclusion-maximal faces in the face set faces."""
+    return sum(not any(f < g for g in faces) for f in faces)
+
+
+def skipped(ideal, b, low):
+    """True iff depths_exact skips b unbuilt when it reads no beta_{i,b}
+    with i < low: by its definition, K^b is a cone or has at most low
+    facets (the facet bound of the depth module)."""
+    k = membership_faces(ideal, b)
+    return is_cone(k, supp(b)) or facet_count(k) <= low
 
 
 def facets(k):
@@ -414,6 +429,27 @@ class TestBettiAndDepth:
         with pytest.raises(DomainError, match="CHARACTERISTIC_LIMIT"):
             depth_exact(I(3, "x1*x2", "x2*x3"), p)
 
+    def test_primality_matches_trial_division(self):
+        # every p < 2^16, and the least strong pseudoprimes to the bases 2;
+        # 2 and 3; 2, 3 and 5
+        for p in range(-2, 1 << 16):
+            trial = p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+            assert depth._is_prime(p) == trial, p
+        for n in (2047, 1373653, 25326001):
+            assert not depth._is_prime(n)
+            with pytest.raises(DomainError, match="not a prime"):
+                depth._require_prime(n)
+
+    def test_largest_prime_below_the_limit_is_accepted_fast(self):
+        # Miller-Rabin takes tens of microseconds at this p, and trial
+        # division took milliseconds
+        def seconds():
+            t0 = time.perf_counter()
+            depth._require_prime(2**31 - 1)
+            return time.perf_counter() - t0
+
+        assert min(seconds() for _ in range(5)) < 1e-3
+
     def test_largest_prime_below_the_limit(self):
         ideal = lexsegment_generators(spec(4, 3, "x1*x3*x4", "x2^2*x3"))
         assert CHARACTERISTIC_LIMIT == 2**31
@@ -587,15 +623,36 @@ class TestConeSkip:
     @settings(max_examples=200, deadline=None, database=None)
     @given(wide_ideals())
     def test_skips_exactly_the_cones_and_matches_the_simplex_reference(self, ideal):
+        # and the K^b of too few facets: the seed reads beta_{h-1,b}, so it
+        # skips those of at most h - 1 facets, and the walk after it reads
+        # above h - 1, so it skips those of at most h
         primes = (2, 3, 32003)
         depths, record = search_record(ideal, primes)
         assert depths == simplex_skip_depths(ideal, primes)
-        # in the seed's fiber walk and in the walk after it alike
-        for tested, built in record.values():
+        h = seed_fiber(ideal)[0]
+        for phase, low in (("seed", h - 1), ("walk", h)):
+            tested, built = record[phase]
             assert len(set(tested)) == len(tested) and set(built) <= set(tested)
             # skipped unbuilt exactly when, by its definition, K^b is a cone
+            # or has at most low facets
             for b in tested:
-                assert is_cone(membership_faces(ideal, b), supp(b)) == (b not in built)
+                assert skipped(ideal, b, low) == (b not in built)
+
+    def test_the_facet_skip_follows_h_and_not_the_best(self):
+        # h = 2, and the first b the walk reads, x1^2*x2^2*x3*x4^2, has
+        # beta_{2,b} != 0 at every prime: pd = 2 = h. x1*x2^2*x3*x4^2 comes
+        # next but two, with 3 facets, more than h, so it is built though
+        # no beta at or past 3 can be nonzero there: the walk memo keeps it
+        # for every prime, whatever best each one has reached
+        ideal = I(4, "x1^2*x2*x4^2", "x1^2*x3*x4", "x1*x2^2*x3", "x1*x2^2*x4^2",
+                  "x2^2*x3*x4^2")
+        assert seed_fiber(ideal)[0] == 2
+        tops = [(2, 2, 1, 2), (2, 2, 1, 1), (2, 1, 1, 2), (1, 2, 1, 2)]
+        assert [facet_count(membership_faces(ideal, b)) for b in tops] == [4, 2, 2, 3]
+        for p in (2, 32003):
+            depths, record = search_record(ideal, (p,))
+            assert depths == {p: 1}
+            assert record["walk"] == (tops, [(2, 2, 1, 2), (1, 2, 1, 2)])
 
     def test_a_cone_that_is_not_the_full_simplex_is_skipped(self):
         # L(x1*x2, x2^2) = (x1*x2, x1*x3, x2^2) at b = x1*x2^2*x3: the
@@ -611,43 +668,79 @@ class TestConeSkip:
         assert depths == simplex_skip_depths(ideal, (2, 32003))
 
 
+def assert_facet_bound(ideal):
+    """Every b of the lcm lattice whose K^b has m facets has reference
+    beta_{i,b} = 0 for every i >= m, at p = 2, 3 and 32003; m as _facets
+    counts it and as the membership definition of K^b gives it."""
+    for b in lcm_lattice(ideal):
+        m = facet_count(membership_faces(ideal, b))
+        divisors = [g for g in ideal.gens if kernels.divides(g, b)]
+        assert len(depth._facets(b, divisors)) == m
+        for p in (2, 3, 32003):
+            ranks = homology_ranks(koszul(ideal, b), p)  # ranks[i] = beta_{i,b}
+            assert not any(ranks[m:]), (b, m, p, ranks)
+
+
+class TestFacetBound:
+    @seed(20261026)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(small_ideals(max_n=6))
+    def test_no_betti_number_at_or_past_the_facet_count(self, ideal):
+        assert_facet_bound(ideal)
+
+    def test_no_betti_number_at_or_past_the_facet_count_on_rp2(self):
+        # beta_{3,b} != 0 over GF(2) only, at the b of full support
+        ideal = real_projective_plane()
+        assert_facet_bound(ideal)
+        b = (1,) * 6
+        assert [homology_ranks(koszul(ideal, b), p)[3] for p in (2, 3)] == [1, 0]
+        assert facet_count(membership_faces(ideal, b)) > 3
+
+
 class TestPrunedSearch:
     @seed(20261019)
     @settings(max_examples=80, deadline=None, database=None)
     @given(small_ideals())
     def test_matches_reference_and_visits_only_what_can_raise_pd(self, ideal):
+        h = seed_fiber(ideal)[0]
         for p in (2, 32003):
             table = betti_numbers(ideal, p)
-            # the vanishing bound the search prunes with
-            assert all(i <= len(supp(b)) - 1 for i, b, _ in table.entries)
+            # the vanishing bounds the search prunes with: by support and by
+            # facet count
+            for i, b, _ in table.entries:
+                assert i <= len(supp(b)) - 1
+                assert i < facet_count(membership_faces(ideal, b))
             top = {}
             for i, b, _ in table.entries:
                 top[b] = max(top.get(b, 0), i)
-            visited = []
-
-            def recording(facets, b):
-                visited.append(b)
-                return upper_koszul_complex(facets, b)
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(depth, "upper_koszul_complex", recording)
-                depth._walks.cache_clear()  # this search builds its own K^b
-                pd = ideal.n - 1 - depth_exact(ideal, p)
+            depths, record = search_record(ideal, (p,))
+            pd = ideal.n - 1 - depths[p]
             assert pd == table.max_index
-            # every built K^b could still raise the best index found before
-            # it, and no b left unbuilt could raise the final one by its
-            # support
-            best = 0
-            for b in visited:
+            # a b is skipped unbuilt only when, by its definition, K^b is a
+            # cone, with every reference Betti number zero, or has at most
+            # low facets, with every reference beta_{i,b} at i >= low zero:
+            # none that the phase would read
+            for phase, low in (("seed", h - 1), ("walk", h)):
+                tested, built = record[phase]
+                for b in tested:
+                    if b in built:
+                        assert not skipped(ideal, b, low)
+                        continue
+                    assert skipped(ideal, b, low)
+                    if is_cone(membership_faces(ideal, b), supp(b)):
+                        assert b not in top
+                    assert top.get(b, -1) < low
+            # the walk tests each b while its support could still raise the
+            # best index found before it, from h - 1, and every b whose
+            # support could raise pd
+            tested, built = record["walk"]
+            best = h - 1
+            for b in tested:
                 assert len(supp(b)) - 1 > best
-                assert not is_cone(membership_faces(ideal, b), supp(b))
-                best = max(best, top.get(b, 0))
-            # or, by its definition, has a cone as K^b, with every
-            # reference Betti number zero
-            for b in lcm_lattice(ideal):
-                if b not in visited and len(supp(b)) - 1 > best:
-                    assert is_cone(membership_faces(ideal, b), supp(b))
-                    assert b not in top
+                if b in built:
+                    best = max(best, top.get(b, -1))
+            assert best == pd
+            assert all(b in tested for b in lcm_lattice(ideal) if len(supp(b)) - 1 > pd)
 
 
 def seed_fiber(ideal):
@@ -704,7 +797,8 @@ class TestTargetedRanks:
             assert visits[: len(seeded)] == [("seed", *v) for v in seeded]
 
             # replay the seed over the fiber against the reference: each b
-            # not a cone is read once, at h - 1, until a nonzero beta
+            # neither a cone nor of at most h - 1 facets is read once, at
+            # h - 1, until a nonzero beta
             h, fiber = seed_fiber(ideal)
             assert h == max(len(q.vars) for q in associated_primes_oracle(ideal).primes)
             built = dict(seeded)
@@ -714,10 +808,13 @@ class TestTargetedRanks:
                 if hit:
                     break
                 ranks = homology_ranks(koszul(ideal, b), p)
-                cone = is_cone(membership_faces(ideal, b), supp(b))
-                assert cone == (b not in built)
-                if cone:
-                    assert not any(ranks)
+                k = membership_faces(ideal, b)
+                cone = is_cone(k, supp(b))
+                assert (cone or facet_count(k) <= h - 1) == (b not in built)
+                if b not in built:
+                    # a cone is acyclic; at most h - 1 facets leave every
+                    # beta_{i,b} with i >= h - 1 zero
+                    assert not any(ranks[0 if cone else h - 1 :])
                     continue
                 replayed.append(b)
                 beta = ranks[h - 1] if h - 1 < len(ranks) else 0
@@ -736,20 +833,26 @@ class TestTargetedRanks:
                     break
                 ranks = homology_ranks(koszul(ideal, b), p)
                 # skipped unbuilt exactly when, by its definition, K^b is a
-                # cone, which is acyclic
-                cone = is_cone(membership_faces(ideal, b), supp(b))
-                assert cone == (b not in built)
-                if cone:
-                    assert not any(ranks)
+                # cone, which is acyclic, or has at most h facets, so that
+                # every beta_{i,b} the walk could read, at i >= h, is zero
+                k = membership_faces(ideal, b)
+                m, cone = facet_count(k), is_cone(k, supp(b))
+                assert (cone or m <= h) == (b not in built)
+                if b not in built:
+                    assert not any(ranks[0 if cone else h :])
                     continue
                 replayed.append(b)
                 reads = built[b]
-                # top down from |supp b| - 1, never at or below the best
-                # index so far, and no further than the first nonzero one
-                assert reads, "a K^b was built but none of its ranks read"
+                # top down from min(|supp b|, m) - 1, never at or below the
+                # best index so far, and no further than the first nonzero
+                # one; nothing is read when that start is at or below it
+                start = min(size, m) - 1
                 assert [i for i, _ in reads] == list(
-                    range(size - 1, size - 1 - len(reads), -1)
+                    range(start, start - len(reads), -1)
                 )
+                assert bool(reads) == (start > best)
+                if not reads:
+                    continue
                 assert reads[-1][0] > best
                 assert all(beta == 0 for _, beta in reads[:-1])
                 for i, beta in reads:

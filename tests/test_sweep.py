@@ -1,6 +1,11 @@
 """The sweep driver: input checks and the depth questions check_spec asks."""
 
+import concurrent.futures
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +21,24 @@ ACCEPTANCE = list(sweep_module.iter_specs((2, 4), (2, 3))) + list(
 )
 
 
+def test_import_loads_no_multiprocessing():
+    # the process pool is imported by sweep() only when jobs > 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, lexseg; print('multiprocessing' in sys.modules)"
+    found = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert found.stdout.strip() == "False"
+
+
 def test_no_characteristic_refused_before_any_work(monkeypatch):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started before the input was checked")
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(sweep_module, "check_spec", no_work)
     with pytest.raises(DomainError, match="no characteristic"):
         sweep_module.sweep((2, 2), (2, 2), primes=())
