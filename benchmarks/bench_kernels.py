@@ -25,14 +25,18 @@ primes in one search, as check_spec asks, and depth_exact at p=2 then
 p=32003 one call at a time per ideal, as the CLI and the depth-betti
 workload ask, with the K^b it builds, the b whose K^b the facet bound
 alone skips (not cones, but of too few facets for any beta the search
-reads) and the walk steps it takes (fiber and lattice elements popped);
+reads), the b read in closed form because K^b is the boundary of a
+simplex as it stands or after strong collapse, the b whose core
+collapses to a simplex, the other b whose core's top leaves nothing to
+read, and the walk steps it takes (fiber and lattice elements popped);
 with the walk memo of the depth module,
 the second prime replays what the first walked and built. On those
 specs one cold depths_exact pass at both primes gives the walk
 counters: lcm lattice
 elements generated (popped plus queued) and popped by the walk after
 the seed, upper Koszul complexes K^b built, b skipped by the facet bound
-alone, and gf_rank (odd p) and gf2_rank (p = 2) calls, the seed's
+alone, the same four counts of strong cores, and gf_rank (odd p) and
+gf2_rank (p = 2) calls, the seed's
 included; and the seed counters: the searches seeded (h >= 2),
 the fiber elements generated and popped by their fiber walks, and the
 seeds hit, as nonzero beta_{h-1,b} read at each prime, and how many of
@@ -79,7 +83,7 @@ import subprocess
 import sys
 import time
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from types import SimpleNamespace
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -370,6 +374,12 @@ def extended_range():
     extended_depth(cases)
 
 
+# the b of a depth search that are neither cones nor skipped by the facet
+# bound, and are not built (counting_koszul)
+CORE_COUNTS = ("sphere cores, direct", "sphere cores, after collapse", "cores of one facet",
+               "other core skips")
+
+
 def extended_depth(cases):
     ideals = [ideal for ideal, _ in cases]
     for p in DEFAULT_PRIMES:
@@ -383,8 +393,8 @@ def extended_depth(cases):
                   "fiber elements popped", "hits at the fiber top"]
     seed_names += [f"hits at p={p}" for p in DEFAULT_PRIMES]
     counts = dict.fromkeys(
-        ("generated", "popped", "K^b built", "facet-bound skips", "gf_rank calls",
-         "gf2_rank calls"),
+        ("generated", "popped", "K^b built", "facet-bound skips", *CORE_COUNTS,
+         "gf_rank calls", "gf2_rank calls"),
         0,
     )
     seeds = dict.fromkeys(seed_names, 0)
@@ -470,15 +480,29 @@ def extended_depth(cases):
 
 
 def counting_koszul(counts):
-    """depth._koszul, counting in counts["facet-bound skips"] each b it
-    skips unbuilt whose facets share no vertex: a b that the cone test
-    alone would have built."""
+    """depth._koszul, counting each b it tests that is not a cone: in
+    counts["facet-bound skips"], one of too few facets; in the CORE_COUNTS
+    counts, one whose K^b is the boundary of a simplex, a sphere read in
+    closed form, one whose strong core is such a kept sphere, one whose
+    core is a simplex, and any other whose core's top leaves nothing to
+    read. None of these is built."""
     koszul = depth._koszul
 
     def counting(size, b, divisors, low):
         found = koszul(size, b, divisors, low)
-        if found is None and not reduce(and_, depth._facets(b, divisors)):
+        facets = depth._facets(b, divisors)
+        if reduce(and_, facets):
+            return found
+        if len(facets) <= low:
             counts["facet-bound skips"] += 1
+        elif depth._is_sphere(facets, reduce(or_, facets)):
+            counts[CORE_COUNTS[0]] += 1
+        elif found is not None and found.sphere:
+            counts[CORE_COUNTS[1]] += 1
+        elif len(depth._collapse(facets)) == 1:
+            counts[CORE_COUNTS[2]] += 1
+        elif found is None:
+            counts[CORE_COUNTS[3]] += 1
         return found
 
     return counting
@@ -497,7 +521,7 @@ def one_prime_at_a_time(ideals):
                 depth.depth_exact(ideal, p)
 
     best = best_cold(run)
-    counts = dict.fromkeys(("K^b built", "facet-bound skips", "walk steps"), 0)
+    counts = dict.fromkeys(("K^b built", "facet-bound skips", *CORE_COUNTS, "walk steps"), 0)
     walk, build, koszul = depth._lattice_walk, depth.upper_koszul_complex, depth._koszul
 
     def counting_walk(gens, held=()):

@@ -42,13 +42,16 @@ generators, lies below it. A fiber element c below b differs from b at
 some j outside P, and lies below the child b^(j) of the walk, which is
 then in the fiber too. So the fiber is walked by _lattice_walk itself,
 from that top, with the coordinates in P held fixed. At each b of the
-fiber that is neither a cone nor of at most h - 1 facets (the facet
-bound, below), beta_{h-1,b} is read at every prime not yet seeded, and
-the fiber is read until every prime is. A fiber that runs
-out first contradicts the lemma: InternalConsistencyError, not a silent
-best of 0. The decomposition only chooses where to look; the seed is a
-computed homology at each prime, so a homology that read every beta as
-zero fails loudly rather than agree with n - h.
+fiber that is not skipped (below: a cone, at most h - 1 facets, or a
+strong core with no beta_{h-1,b}), beta_{h-1,b} is read at every prime
+not yet seeded, and the fiber is read until every prime is. A fiber
+that runs out first contradicts the lemma: InternalConsistencyError,
+not a silent best of 0. The decomposition only chooses where to look.
+Every beta, the seed's included, is still read through _betti at each
+prime, from the facets of that K^b: the sphere below is read in closed
+form because its own facets show it is one, never because the lemma
+says a beta is there. So a homology that read every beta as zero fails
+loudly rather than agree with n - h.
 
 The lattice is walked lazily, from its top down (_lattice_walk), so the
 search generates only the part it reads; each visited b comes with the
@@ -70,28 +73,60 @@ H~_j(K') + H~_j(simplex) -> H~_j(K) -> H~_{j-1}(K' ∩ simplex), has
 both ends zero for j >= m - 1 by induction. The cone is the case where
 the facets share a vertex, acyclic whatever m is.
 
-So a b is skipped, before K^b is built, when its facets share a vertex
-(the full simplex, whose one facet is supp(b) when x^(b - 1_supp b) is
-in I, among them) or when they number at most low, where the search
-reads no beta_{i,b} with i < low: low = h - 1 in the seed, which reads
-beta_{h-1}, and low = h in the walk after it, which reads only above
-its best, h - 1 or more. low comes from h, fixed per ideal, and never
-from a prime's running best, so a K^b kept for one prime is kept for
-every other. Any other K^b is built as the submasks of its m facets.
-There i runs from min(|supp b|, m) - 1 down to best + 1, with
-beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of dimension j,
-d_j the boundary map out of dimension j over GF(p), each rank computed
-once per b and prime: over GF(2) by XOR on bitmask rows, kernels.gf2_rank,
-and over odd p by kernels.gf_rank), and stops at the first nonzero one.
-Characteristic is a parameter (any prime below 2^31), and one walk
-serves every prime asked for, so the sweep can cross-check two primes.
+Strong collapse (a lemma; Barmak-Minian, Strong homotopy types, nerves
+and collapses, DCG 2012). A vertex v of a complex K is dominated by a
+vertex u != v when every facet holding v holds u. Then K - v, the faces
+without v, has the reduced homology of K over every field, and its
+facets are the maximal sets among {F - {v}}. Proof: K is the union of
+K - v and the star of v, {sigma : sigma + {v} in K}, which meet in the
+link of v, {sigma in the star : v not in sigma}. The star is a cone on
+v. The link is a cone on u: sigma + {v} lies in a facet, which holds u,
+so sigma + {u} is in the link too. Both are acyclic, so reduced
+Mayer-Vietoris, H~_j(link) -> H~_j(K - v) + H~_j(star) -> H~_j(K) ->
+H~_{j-1}(link), gives H~_j(K - v) = H~_j(K) for every j. Deleting
+dominated vertices until none is left (_collapse) gives the strong core
+of K, with the homology of K.
 
-Only the ranks depend on the field. The lattice, the fiber and every
-K^b are the same over every field, so the last ideal's walks are kept,
-each as an itertools.tee that replays the steps made so far, with their
-K^b (_walks): depth_exact(I, p) at one prime after another walks the
-lattice once and builds each K^b once, and still computes its own Betti
-numbers.
+The sphere. A complex whose m facets are every (m - 1)-subset of their
+union S, |S| = m, is the boundary of the simplex on S, a sphere of
+dimension m - 2: H~_{m-2} has rank 1 and every other H~_j is zero, over
+every field. So beta_{m-1,b} = 1 and every other beta_{i,b} = 0 when the
+strong core of K^b is such a sphere, and no K^b is built to read it.
+
+Where a beta can be nonzero. A complex on v vertices, of m facets and of
+dimension d has H~_j = 0 at j >= v - 1 (only the full simplex, acyclic,
+reaches dimension v - 1), at j >= m - 1 (the facet bound) and at j > d.
+So for the strong core of K^b, beta_{i,b} = 0 past its top, i >
+min(v - 1, m - 1, d + 1).
+
+So a b is skipped, and K^b is not built, when no beta_{i,b} it could
+read is nonzero: i >= low, where low = h - 1 in the seed, which reads
+beta_{h-1}, and low = h in the walk after it, which reads only above its
+best, h - 1 or more. Two cheap tests come first: the facets of K^b share
+a vertex (a cone; the full simplex, whose one facet is supp(b) when
+x^(b - 1_supp b) is in I, among them) or number at most low (the facet
+bound). On what is left, the strong core is taken, and b is skipped when
+the core's top is below low: a core of one facet, a simplex, among them
+(low >= 1). low comes from h, fixed per ideal, and never from a prime's
+running best, so each verdict, kept or skipped, serves every prime. A
+kept core that is a sphere is read in closed form; any other is built,
+as the submasks of its facets, only when some prime first reads a beta
+there, and kept for every other prime. There i runs from the core's top
+down to best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j
+faces of dimension j, d_j the boundary map out of dimension j over
+GF(p), each rank computed once per b and prime: over GF(2) by XOR on
+bitmask rows, kernels.gf2_rank, and over odd p by kernels.gf_rank), and
+stops at the first nonzero one. Characteristic is a parameter (any
+prime below 2^31), and one walk serves every prime asked for, so the
+sweep can cross-check two primes.
+
+Only the ranks depend on the field. The lattice, the fiber, every K^b
+and its core are the same over every field, so the last ideal's walks
+are kept, each as an itertools.tee that replays the steps made so far,
+with the verdict at each b and the cores built so far (_walks):
+depth_exact(I, p) at one prime after another walks the lattice once
+and collapses and builds each K^b at most once, and still computes its
+own Betti numbers.
 """
 
 from __future__ import annotations
@@ -103,7 +138,7 @@ from enum import Enum
 from functools import lru_cache, reduce
 from itertools import compress, tee
 from math import inf
-from operator import and_, le, lt, neg
+from operator import and_, le, lt, neg, or_
 
 from . import decompose, kernels
 from .monomials import (
@@ -197,7 +232,8 @@ def depth_class(spec: LexSpec) -> DepthCase:
 def upper_koszul_complex(facets, b: Monomial) -> list[list[int]]:
     """K^b(I) from its facets (_facets): the squarefree sets
     sigma ⊆ supp(b) with x^b / x^sigma in I, which are the subsets of the
-    sets {i : g_i < b_i} over the generators g dividing b.
+    sets {i : g_i < b_i} over the generators g dividing b. From the facets
+    of its strong core (_collapse), the core.
 
     Faces are bitmasks, bit i - 1 for the variable x_i. Returned by face
     size: entry k holds the k-element faces, for k = 0..|supp b|.
@@ -214,21 +250,52 @@ def upper_koszul_complex(facets, b: Monomial) -> list[list[int]]:
     return by_size
 
 
+def _maximal(masks) -> list[int]:
+    """The inclusion-maximal bitmasks among masks, largest first."""
+    kept: list[int] = []
+    # a kept mask is at least as large, so none that comes later contains it
+    for mask in sorted(masks, key=int.bit_count, reverse=True):
+        for facet in kept:
+            if mask & facet == mask:
+                break
+        else:
+            kept.append(mask)
+    return kept
+
+
 def _facets(b: Monomial, divisors) -> list[int]:
     """The facets of K^b(I), given the generators that divide b: the
     inclusion-maximal sets {i : g_i < b_i}, as bitmasks (bit i - 1 for
     x_i), largest first."""
     bits = [1 << i for i in range(len(b))]
-    masks = {sum(compress(bits, map(lt, g, b))) for g in divisors}
-    facets: list[int] = []
-    # a kept mask is at least as large, so none that comes later contains it
-    for mask in sorted(masks, key=int.bit_count, reverse=True):
-        for facet in facets:
-            if mask & facet == mask:
+    return _maximal({sum(compress(bits, map(lt, g, b))) for g in divisors})
+
+
+def _collapse(facets) -> list[int]:
+    """The facets of the strong core of the complex with these facets
+    (bitmasks, largest first), largest first: delete a vertex v dominated
+    by some u != v, one that lies in every facet holding v, the lowest
+    such v first, until none is left. The facets after each deletion are
+    the maximal sets among {F - {v}}. The core has the reduced homology of
+    the complex over every field (module docstring)."""
+    while True:
+        rest = reduce(or_, facets)
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if reduce(and_, [f for f in facets if f & v]) != v:
+                facets = _maximal([f & ~v for f in facets])
                 break
         else:
-            facets.append(mask)
-    return facets
+            return facets
+
+
+def _is_sphere(facets, vertices: int) -> bool:
+    """True iff the m facets are every (m - 1)-subset of their union of
+    vertices (a bitmask): the complex is the boundary of the simplex on
+    those m vertices, a sphere of dimension m - 2."""
+    m = len(facets)
+    return vertices.bit_count() == m and all(f.bit_count() == m - 1 for f in facets)
 
 
 def _require_support(size: int) -> None:
@@ -240,29 +307,59 @@ def _require_support(size: int) -> None:
         )
 
 
+class _Core:
+    """The strong core of a K^b that depths_exact reads (_koszul), from
+    its facets, largest first (_collapse). top is the last i at which
+    beta_{i,b} can be nonzero over any field, min(v - 1, m - 1, d + 1)
+    for a core of v vertices, m facets and dimension d, so d + 1 is the
+    size of its first facet (module docstring). A sphere, the boundary
+    of the simplex on top + 1 vertices, is read in closed form; any other
+    core is built as a complex (upper_koszul_complex) at its first read
+    (_betti) and kept for the reads at every other prime."""
+
+    __slots__ = ("b", "facets", "top", "sphere", "by_size")
+
+    def __init__(self, b: Monomial, facets):
+        vertices = reduce(or_, facets)
+        self.b, self.facets, self.by_size = b, facets, None
+        self.sphere = _is_sphere(facets, vertices)
+        self.top = min(vertices.bit_count() - 1, len(facets) - 1, facets[0].bit_count())
+
+
 def _koszul(size: int, b: Monomial, divisors, low: int):
-    """(m, K^b(I) by face size (upper_koszul_complex)), from the
-    generators that divide b, where m is the number of facets of K^b
-    (_facets); or None, and K^b is not built, when its facets share a
-    vertex (a cone, acyclic over every field) or m <= low, so that
-    beta_{i,b} = 0 at every i >= low over every field (the facet bound,
-    module docstring). Raises DomainError first when |supp b| = size is
-    over KOSZUL_SUPPORT_LIMIT (_require_support)."""
+    """The strong core (_Core) of K^b(I), from the generators that divide
+    b; or None when no beta_{i,b} with i >= low can be nonzero over any
+    field: the facets of K^b share a vertex (a cone) or number at most low
+    (the facet bound, module docstring), both tested first, or the core
+    has top < low, a simplex (one facet, as low >= 1) among them. Raises
+    DomainError first when |supp b| = size is over KOSZUL_SUPPORT_LIMIT
+    (_require_support)."""
     _require_support(size)
     facets = _facets(b, divisors)
     if len(facets) <= low or reduce(and_, facets):
         return None
-    return len(facets), upper_koszul_complex(facets, b)
+    core = _Core(b, _collapse(facets))
+    return None if core.top < low else core
 
 
-def _betti(by_size, p: int):
-    """beta(i) = rank H~_{i-1} over GF(p) of the complex whose k-element
-    faces are by_size[k], for 1 <= i <= len(by_size) - 2.
+def _betti(core: _Core, p: int):
+    """beta(i) = beta_{i,b} = rank H~_{i-1} over GF(p) of the core of K^b,
+    for 1 <= i <= |supp b| - 1.
 
-    rank H~_{i-1} = f_{i-1} - rk d_{i-1} - rk d_i, where f_j counts the
-    faces of dimension j and d_j is the boundary map out of dimension j;
-    each rank is computed at most once, when a beta first needs it.
+    The boundary of the simplex on top + 1 vertices has
+    beta(top) = 1 and every other beta zero, over every field. Any other
+    core is built as a complex by face size, by_size, if no prime has
+    built it yet, and rank H~_{i-1} = f_{i-1} - rk d_{i-1} - rk d_i, where
+    f_j counts the faces of dimension j and d_j is the boundary map out of
+    dimension j; each rank is computed at most once, when a beta first
+    needs it.
     """
+    if core.sphere:
+        top = core.top
+        return lambda i: int(i == top)
+    if core.by_size is None:
+        core.by_size = upper_koszul_complex(core.facets, core.b)
+    by_size = core.by_size
     ranks: dict[int, int] = {}
 
     def rank(k: int) -> int:
@@ -372,14 +469,16 @@ def _walks(ideal: MonomialIdeal, limits) -> tuple:
     _lattice_walk that is never advanced, so a copy of it replays every
     step (|supp b|, b, the gens dividing b) from the first, and the walk
     runs no further than its furthest copy; built maps each b whose K^b a
-    reader asked for to (its facet count, that K^b), or to None for one
-    skipped unbuilt (_koszul). Whether a b is skipped depends only on h,
-    so one entry serves every prime.
+    reader asked for to the strong core of K^b (_Core), which holds the
+    core's complex once a prime has read it, or to None for one skipped
+    (_koszul). Whether a b is skipped depends only on h, so one entry
+    serves every prime.
 
     The last ideal is kept, as decompose._components keeps its fold, so
     depth_exact(I, p) at one prime after another walks the lattice and
-    builds each K^b once. Only walks and complexes are kept: every beta,
-    rank and depth is computed again at each call. limits is
+    collapses and builds each K^b at most once. Only walks, cores and
+    complexes are kept: every beta, rank and depth is computed again at
+    each call. limits is
     (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT) at the call, part of the key
     so that no walk is replayed under limits it was not made under. A tee
     over a walk that raised replays the steps before the raise and then
@@ -405,9 +504,9 @@ def _seed(q0, fiber, primes) -> int:
 
     q0 and its fiber are those of the memo entry _walks(I, ...), whose
     fiber a call for I at another prime has often walked already. Every
-    b of it that is neither a cone nor of at most h - 1 facets, where
-    beta_{h-1,b} = 0 by the facet bound (_koszul), is read at h - 1 at
-    each prime not yet seeded, until none is left. Raises
+    b of it that _koszul keeps, at low = h - 1, is read at h - 1 at each
+    prime not yet seeded, until none is left; the rest have
+    beta_{h-1,b} = 0 over every field. Raises
     InternalConsistencyError when the fiber runs out first, which the
     lemma rules out over every field, and DomainError as _lattice_walk
     and _koszul do.
@@ -420,9 +519,9 @@ def _seed(q0, fiber, primes) -> int:
     for size, b, divisors in copy(root):
         if b not in built:
             built[b] = _koszul(size, b, divisors, h - 1)
-        k = built[b]
-        if k is not None:
-            unseeded = [p for p in unseeded if not _betti(k[1], p)(h - 1)]
+        core = built[b]
+        if core is not None:
+            unseeded = [p for p in unseeded if not _betti(core, p)(h - 1)]
             if not unseeded:
                 return h - 1
     raise InternalConsistencyError(
@@ -431,6 +530,7 @@ def _seed(q0, fiber, primes) -> int:
     )
 
 
+@lru_cache(maxsize=8)
 def _is_prime(p: int) -> bool:
     """True iff p is prime, for p < 3,215,031,751: Miller-Rabin on
     MILLER_RABIN_BASES, exact there. With p - 1 = d * 2^s, d odd, a prime
@@ -484,14 +584,16 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
     skipped without building K^b (_koszul). The full simplex, when
     x^(b - 1_supp b) is in I, is the cone with the one facet supp(b). So
     is a b whose m facets number at most h: beta_{i,b} = 0 for i >= m
-    (the facet bound, module docstring), and every best is h - 1 or more.
-    Any other K^b is built once; at each prime whose best is below
-    min(|supp b|, m) - 1, beta_{i,b} is read from i = min(|supp b|, m) - 1
-    down to that best + 1, up to the first nonzero one. Each prime thus
-    reads every beta that a seeded search at that prime alone would read
-    and could find nonzero.
+    (the facet bound, module docstring), and every best is h - 1 or more;
+    and a b whose strong core has its top, past which every beta_{i,b} is
+    zero, below h. At each prime whose best is below the top of any other
+    core, beta_{i,b} is read through _betti from i = top down to that
+    best + 1, up to the first nonzero one: in closed form for a sphere,
+    and otherwise from the core, built at the first such read. Each prime
+    thus reads every beta that a seeded search at that prime alone would
+    read and could find nonzero.
 
-    The walks and their K^b come from the one-entry memo _walks, read
+    The walks and their cores come from the one-entry memo _walks, read
     once per call, so a call for I at another prime replays them and
     walks on only past where that call stopped. Any raise clears that
     memo, so no later call replays a walk cut short.
@@ -520,15 +622,13 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
                 break
             if b not in built:
                 built[b] = _koszul(size, b, divisors, floor + 1)
-            k = built[b]
-            if k is None:
+            core = built[b]
+            if core is None:
                 continue
-            m, by_size = k
-            top = min(size, m) - 1
             for p, found in best.items():
-                if found < top:
-                    beta = _betti(by_size, p)
-                    for i in range(top, found, -1):
+                if found < core.top:
+                    beta = _betti(core, p)
+                    for i in range(core.top, found, -1):
                         if beta(i):
                             best[p] = i
                             break

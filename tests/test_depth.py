@@ -5,8 +5,10 @@ import json
 import time
 from copy import copy
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import isqrt
+from operator import or_
 
 import pytest
 from hypothesis import given, seed, settings
@@ -64,12 +66,53 @@ def facet_count(faces):
     return sum(not any(f < g for g in faces) for f in faces)
 
 
+def strong_core(faces):
+    """The strong core of the face set faces, by its definition: while some
+    vertex v is dominated, that is, some u != v lies in every maximal face
+    holding v, keep only the faces without v, the least such v first."""
+    faces = frozenset(faces)
+    while True:
+        maximal = [f for f in faces if not any(f < g for g in faces)]
+        vertices = frozenset().union(*faces)
+        for v in sorted(vertices):
+            star = [f for f in maximal if v in f]
+            if any(all(u in f for f in star) for u in vertices - {v}):
+                faces = frozenset(f for f in faces if v not in f)
+                break
+        else:
+            return faces
+
+
+def is_simplex(faces):
+    """True iff faces are every subset of one nonempty face: a simplex,
+    acyclic over every field."""
+    return facet_count(faces) == 1 and len(faces) > 1
+
+
+def is_simplex_boundary(faces):
+    """True iff faces are every proper subset of their vertex set V: the
+    boundary of the simplex on V, a sphere of dimension |V| - 2."""
+    vertices = frozenset().union(*faces)
+    every = {frozenset(s) for r in range(len(vertices)) for s in combinations(vertices, r)}
+    return faces == every
+
+
+def core_top(faces):
+    """min(vertex count - 1, facet count - 1, dimension + 1) of the face
+    set faces: past it no reduced homology H~_{i-1} is nonzero."""
+    vertices = frozenset().union(*faces)
+    return min(len(vertices) - 1, facet_count(faces) - 1, max(map(len, faces)))
+
+
 def skipped(ideal, b, low):
     """True iff depths_exact skips b unbuilt when it reads no beta_{i,b}
-    with i < low: by its definition, K^b is a cone or has at most low
-    facets (the facet bound of the depth module)."""
+    with i < low: by its definition, K^b is a cone, has at most low
+    facets (the facet bound of the depth module), or has a strong core
+    past whose top, below low, every beta_{i,b} is zero."""
     k = membership_faces(ideal, b)
-    return is_cone(k, supp(b)) or facet_count(k) <= low
+    return (
+        is_cone(k, supp(b)) or facet_count(k) <= low or core_top(strong_core(k)) < low
+    )
 
 
 def facets(k):
@@ -440,6 +483,23 @@ class TestBettiAndDepth:
             with pytest.raises(DomainError, match="not a prime"):
                 depth._require_prime(n)
 
+    def test_a_cached_prime_leaves_the_checks_in_place(self):
+        # a prime proved once is read from the memo; a composite and a p
+        # over the limit still raise after it, and the limit is tested
+        # before the memo is asked
+        depth._is_prime.cache_clear()
+        for _ in range(3):
+            depth._require_prime(32003)
+        assert depth._is_prime.cache_info()[:2] == (2, 1)
+        with pytest.raises(DomainError, match="not a prime"):
+            depth._require_prime(32001)
+        for p in (CHARACTERISTIC_LIMIT, 2**61 - 1):
+            with pytest.raises(DomainError, match="CHARACTERISTIC_LIMIT"):
+                depth._require_prime(p)
+        info = depth._is_prime.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+        assert info.maxsize is not None
+
     def test_largest_prime_below_the_limit_is_accepted_fast(self):
         # Miller-Rabin takes tens of microseconds at this p, and trial
         # division took milliseconds
@@ -578,13 +638,14 @@ def seeded(ideal, primes):
 def search_record(ideal, primes):
     """(depths_exact(ideal, primes), then {"seed": ..., "walk": ...}: for
     the seed's fiber walk and for the walk after it, the b whose support
-    it tested and the b whose K^b it built, as two lists), from a cleared
-    walk memo."""
-    walk, require, build, seed = (
+    it tested and the b whose K^b it built, as two lists; and under
+    "cores", per phase, {b: the verdict of depth._koszul at b}, a _Core or
+    None, for each b tested), from a cleared walk memo."""
+    walk, require, build, seed, koszul = (
         depth._lattice_walk, depth._require_support, depth.upper_koszul_complex,
-        depth._seed,
+        depth._seed, depth._koszul,
     )
-    record = {"seed": ([], []), "walk": ([], [])}
+    record = {"seed": ([], []), "walk": ([], []), "cores": {"seed": {}, "walk": {}}}
     phase = ["walk"]
     walked = []
 
@@ -608,11 +669,16 @@ def search_record(ideal, primes):
         record[phase[0]][1].append(b)
         return build(facets, b)
 
+    def judging(size, b, divisors, low):
+        record["cores"][phase[0]][b] = koszul(size, b, divisors, low)
+        return record["cores"][phase[0]][b]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(depth, "_seed", seeding)
         mp.setattr(depth, "_lattice_walk", walking)
         mp.setattr(depth, "_require_support", requiring)
         mp.setattr(depth, "upper_koszul_complex", building)
+        mp.setattr(depth, "_koszul", judging)
         depth._walks.cache_clear()  # the walks are made and read here
         depths = depths_exact(ideal, primes)
     return depths, record
@@ -626,33 +692,81 @@ class TestConeSkip:
         # and the K^b of too few facets: the seed reads beta_{h-1,b}, so it
         # skips those of at most h - 1 facets, and the walk after it reads
         # above h - 1, so it skips those of at most h
+        # and the K^b whose strong core has no beta past its top to read:
+        # one of at most low facets, or of too few vertices or too low a
+        # dimension, a simplex (one facet) among them. A kept core that is
+        # the boundary of a simplex is read in closed form, never built.
         primes = (2, 3, 32003)
         depths, record = search_record(ideal, primes)
         assert depths == simplex_skip_depths(ideal, primes)
         h = seed_fiber(ideal)[0]
         for phase, low in (("seed", h - 1), ("walk", h)):
             tested, built = record[phase]
+            cores = record["cores"][phase]
             assert len(set(tested)) == len(tested) and set(built) <= set(tested)
+            assert list(cores) == tested
             # skipped unbuilt exactly when, by its definition, K^b is a cone
-            # or has at most low facets
+            # or has at most low facets, or its core's top is below low
             for b in tested:
-                assert skipped(ideal, b, low) == (b not in built)
+                assert skipped(ideal, b, low) == (cores[b] is None)
+                if cores[b] is not None:
+                    core = strong_core(membership_faces(ideal, b))
+                    assert cores[b].top == core_top(core)
+                    assert cores[b].sphere == is_simplex_boundary(core)
+            assert not any(cores[b] is None or cores[b].sphere for b in built)
+        # the seed reads beta_{h-1,b} at every b it keeps, until it is seeded,
+        # so it builds every kept core that is not a sphere, at its first read
+        tested, built = record["seed"]
+        cores = record["cores"]["seed"]
+        assert built == [b for b in tested if cores[b] is not None and not cores[b].sphere]
 
     def test_the_facet_skip_follows_h_and_not_the_best(self):
-        # h = 2, and the first b the walk reads, x1^2*x2^2*x3*x4^2, has
+        # h = 2, and the first b the walk reads, x1^2*x2^2*x3*x4^2, whose
+        # K^b is a square, a circle and no simplex boundary, has
         # beta_{2,b} != 0 at every prime: pd = 2 = h. x1*x2^2*x3*x4^2 comes
-        # next but two, with 3 facets, more than h, so it is built though
-        # no beta at or past 3 can be nonzero there: the walk memo keeps it
+        # next but two, with 3 facets, more than h, so the facet bound
+        # keeps it; but its K^b is three points, its own core, with no
+        # beta past beta_1, so it is skipped by that top, below h, and
+        # built at neither prime. Every verdict is the walk memo's, from h,
         # for every prime, whatever best each one has reached
         ideal = I(4, "x1^2*x2*x4^2", "x1^2*x3*x4", "x1*x2^2*x3", "x1*x2^2*x4^2",
                   "x2^2*x3*x4^2")
         assert seed_fiber(ideal)[0] == 2
         tops = [(2, 2, 1, 2), (2, 2, 1, 1), (2, 1, 1, 2), (1, 2, 1, 2)]
         assert [facet_count(membership_faces(ideal, b)) for b in tops] == [4, 2, 2, 3]
+        square, points = (membership_faces(ideal, b) for b in (tops[0], tops[3]))
+        assert strong_core(square) == square and not is_simplex_boundary(square)
+        assert strong_core(points) == points and core_top(points) == 1
         for p in (2, 32003):
             depths, record = search_record(ideal, (p,))
             assert depths == {p: 1}
-            assert record["walk"] == (tops, [(2, 2, 1, 2), (1, 2, 1, 2)])
+            assert record["walk"] == (tops, [(2, 2, 1, 2)])
+            cores = record["cores"]["walk"]
+            assert [cores[b] is None for b in tops] == [False, True, True, True]
+
+    def test_a_kept_core_at_or_below_every_best_is_never_built(self):
+        # h = 3, and the first b, x1^3*x2*x3^2*x4^2*x5^3*x6^3, gives pd = 3
+        # at every prime. The next, x1^3*x2*x3^2*x4^2*x5^3*x6, has a core of
+        # 4 facets on 5 vertices, of dimension 2 and no sphere: top 3 = h,
+        # so it is kept for any prime whose best is below 3, but each best
+        # is 3 already, so no prime reads it and it is never built
+        ideal = MonomialIdeal.from_gens(6, [
+            (3, 1, 1, 2, 2, 0), (3, 0, 2, 1, 1, 1), (2, 0, 2, 0, 3, 0),
+            (0, 1, 0, 2, 3, 1), (0, 0, 0, 1, 0, 3),
+        ])
+        assert seed_fiber(ideal)[0] == 3
+        first, kept = (3, 1, 2, 2, 3, 3), (3, 1, 2, 2, 3, 1)
+        core = strong_core(membership_faces(ideal, kept))
+        assert facet_count(core) == 4 and core_top(core) == 3
+        assert not is_simplex_boundary(core)
+        for primes in ((2,), (32003,), (2, 3, 32003)):
+            depths, record = search_record(ideal, primes)
+            assert depths == dict.fromkeys(primes, 2)
+            tested, built = record["walk"]
+            assert tested[:2] == [first, kept] and built == [first]
+            assert record["cores"]["walk"][kept].top == 3
+        depths, built = builds(ideal, [(2,), (3,), (32003,)])
+        assert built == [[("walk", first)], [], []]
 
     def test_a_cone_that_is_not_the_full_simplex_is_skipped(self):
         # L(x1*x2, x2^2) = (x1*x2, x1*x3, x2^2) at b = x1*x2^2*x3: the
@@ -697,6 +811,73 @@ class TestFacetBound:
         assert facet_count(membership_faces(ideal, b)) > 3
 
 
+def assert_core_homology(ideal):
+    """At every b of the lcm lattice: depth._collapse gives the reference
+    strong core of K^b, with the reduced homology of K^b at p = 2, 3 and
+    32003; a core that is a simplex is acyclic; depth._is_sphere holds
+    exactly for a core that is the boundary of a simplex; and every beta
+    read through depth._betti from the verdict of depth._koszul, in closed
+    form or from a built core, equals the reference homology of K^b."""
+    for b in lcm_lattice(ideal):
+        k = membership_faces(ideal, b)
+        divisors = [g for g in ideal.gens if kernels.divides(g, b)]
+        facets = depth._collapse(depth._facets(b, divisors))
+        core = strong_core(k)
+        assert faces(upper_koszul_complex(facets, b)) == core
+        assert depth._is_sphere(facets, reduce(or_, facets)) == is_simplex_boundary(core)
+        verdict = depth._koszul(len(supp(b)), b, divisors, 1)
+        for p in (2, 3, 32003):
+            ranks = homology_ranks(koszul(ideal, b), p)  # ranks[i] = beta_{i,b}
+            core_ranks = homology_ranks(upper_koszul_complex(facets, b), p)
+            pad = [0] * (len(supp(b)) + 1)
+            assert (core_ranks + pad)[: len(pad)] == (ranks + pad)[: len(pad)]
+            if is_simplex(core):
+                assert not any(ranks)
+            if verdict is None:
+                assert not any(ranks[1:])
+                continue
+            beta = depth._betti(verdict, p)
+            assert [beta(i) for i in range(1, len(supp(b)))] == (ranks + pad)[1 : len(supp(b))]
+
+
+class TestStrongCollapse:
+    @seed(20261027)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(small_ideals(max_n=6))
+    def test_the_core_has_the_homology_of_k_b(self, ideal):
+        assert_core_homology(ideal)
+
+    def test_the_core_has_the_homology_of_k_b_on_rp2(self):
+        # at the b of full support K^b has no dominated vertex and is no
+        # sphere: it is its own core, built at its first read, and reads
+        # beta_3 != 0 over GF(2) only
+        ideal = real_projective_plane()
+        assert_core_homology(ideal)
+        b = (1,) * 6
+        k = membership_faces(ideal, b)
+        assert strong_core(k) == k and not is_simplex_boundary(k)
+        core = depth._koszul(6, b, ideal.gens, 3)
+        assert core.by_size is None and not core.sphere
+        assert [depth._betti(core, p)(3) for p in (2, 3)] == [1, 0]
+        assert faces(core.by_size) == k
+        for p in (2, 3):
+            _, record = search_record(ideal, (p,))
+            assert b in record["walk"][1]
+
+    def test_a_sphere_is_read_in_closed_form(self):
+        # (x1, x2, x3) at b = x1*x2*x3: K^b is every proper subset of
+        # {1, 2, 3}, a circle, with beta_2 = 1 and nothing else, over every
+        # field, read without building K^b
+        ideal = I(3, "x1", "x2", "x3")
+        b = (1, 1, 1)
+        core = depth._koszul(3, b, ideal.gens, 1)
+        assert core.sphere and core.top == 2
+        for p in (2, 3, 32003):
+            beta = depth._betti(core, p)
+            assert [beta(i) for i in (1, 2)] == homology_ranks(koszul(ideal, b), p)[1:] == [0, 1]
+        assert core.by_size is None
+
+
 class TestPrunedSearch:
     @seed(20261019)
     @settings(max_examples=80, deadline=None, database=None)
@@ -718,15 +899,20 @@ class TestPrunedSearch:
             assert pd == table.max_index
             # a b is skipped unbuilt only when, by its definition, K^b is a
             # cone, with every reference Betti number zero, or has at most
-            # low facets, with every reference beta_{i,b} at i >= low zero:
-            # none that the phase would read
+            # low facets, or a strong core whose top is below low, with
+            # every reference beta_{i,b} at i >= low zero: none that the
+            # phase would read. A kept b is built only when its core is no
+            # sphere, and has no reference Betti number past the core's top
             for phase, low in (("seed", h - 1), ("walk", h)):
                 tested, built = record[phase]
+                cores = record["cores"][phase]
                 for b in tested:
-                    if b in built:
+                    if cores[b] is not None:
                         assert not skipped(ideal, b, low)
+                        assert top.get(b, -1) <= cores[b].top
+                        assert b not in built or not cores[b].sphere
                         continue
-                    assert skipped(ideal, b, low)
+                    assert skipped(ideal, b, low) and b not in built
                     if is_cone(membership_faces(ideal, b), supp(b)):
                         assert b not in top
                     assert top.get(b, -1) < low
@@ -734,10 +920,11 @@ class TestPrunedSearch:
             # best index found before it, from h - 1, and every b whose
             # support could raise pd
             tested, built = record["walk"]
+            cores = record["cores"]["walk"]
             best = h - 1
             for b in tested:
                 assert len(supp(b)) - 1 > best
-                if b in built:
+                if cores[b] is not None:
                     best = max(best, top.get(b, -1))
             assert best == pd
             assert all(b in tested for b in lcm_lattice(ideal) if len(supp(b)) - 1 > pd)
@@ -759,10 +946,15 @@ class TestTargetedRanks:
     @settings(max_examples=300, deadline=None, database=None)
     @given(small_ideals(max_n=6))
     def test_reads_match_reference_and_skips_are_acyclic(self, ideal):
-        read, seed = depth._betti, depth._seed
+        read, seed, build, judge = (
+            depth._betti, depth._seed, depth.upper_koszul_complex, depth._koszul
+        )
         for p in (2, 32003):
-            # [phase, b, the (i, beta) pairs read at b] per K^b built
-            visits = []
+            # [phase, b, the (i, beta) pairs read at b] per core read, the
+            # (phase, b) of each K^b built, and per phase {b: the verdict of
+            # depth._koszul} for each b tested
+            visits, built = [], []
+            verdicts = {"seed": {}, "walk": {}}
             phase = ["walk"]
 
             def seeding(*args):
@@ -773,11 +965,16 @@ class TestTargetedRanks:
                     phase[0] = "walk"
 
             def building(facets, b):
-                visits.append((phase[0], b, []))
-                return upper_koszul_complex(facets, b)
+                built.append((phase[0], b))
+                return build(facets, b)
 
-            def reading(k, q):
-                beta, reads = read(k, q), visits[-1][2]
+            def judging(size, b, divisors, low):
+                verdicts[phase[0]][b] = judge(size, b, divisors, low)
+                return verdicts[phase[0]][b]
+
+            def reading(core, q):
+                visits.append((phase[0], core.b, []))
+                beta, reads = read(core, q), visits[-1][2]
 
                 def logged(i):
                     reads.append((i, beta(i)))
@@ -788,6 +985,7 @@ class TestTargetedRanks:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(depth, "_seed", seeding)
                 mp.setattr(depth, "upper_koszul_complex", building)
+                mp.setattr(depth, "_koszul", judging)
                 mp.setattr(depth, "_betti", reading)
                 depth._walks.cache_clear()  # this search builds its own K^b
                 pd = ideal.n - 1 - depth_exact(ideal, p)
@@ -795,13 +993,17 @@ class TestTargetedRanks:
             seeded = [(b, reads) for where, b, reads in visits if where == "seed"]
             walked = [(b, reads) for where, b, reads in visits if where == "walk"]
             assert visits[: len(seeded)] == [("seed", *v) for v in seeded]
+            # one prime: each b is read at most once per phase
+            for phase_reads in (seeded, walked):
+                assert len({b for b, _ in phase_reads}) == len(phase_reads)
 
             # replay the seed over the fiber against the reference: each b
-            # neither a cone nor of at most h - 1 facets is read once, at
-            # h - 1, until a nonzero beta
+            # neither a cone nor of at most h - 1 facets nor of a core whose
+            # top is below h - 1 is read once, at h - 1, until a nonzero
+            # beta; it is built there unless its core is a sphere
             h, fiber = seed_fiber(ideal)
             assert h == max(len(q.vars) for q in associated_primes_oracle(ideal).primes)
-            built = dict(seeded)
+            reads_at = dict(seeded)
             replayed = []
             hit = h == 1  # beta_0 > 0, read from nothing
             for size, b in fiber:
@@ -809,22 +1011,26 @@ class TestTargetedRanks:
                     break
                 ranks = homology_ranks(koszul(ideal, b), p)
                 k = membership_faces(ideal, b)
-                cone = is_cone(k, supp(b))
-                assert (cone or facet_count(k) <= h - 1) == (b not in built)
-                if b not in built:
-                    # a cone is acyclic; at most h - 1 facets leave every
+                cone, core = is_cone(k, supp(b)), strong_core(k)
+                kept = not (cone or facet_count(k) <= h - 1 or core_top(core) < h - 1)
+                assert kept == (verdicts["seed"][b] is not None) == (b in reads_at)
+                if not kept:
+                    # a cone, or a core that is a simplex, is acyclic; at most
+                    # h - 1 facets, or a core top below h - 1, leave every
                     # beta_{i,b} with i >= h - 1 zero
-                    assert not any(ranks[0 if cone else h - 1 :])
+                    simplex = cone or is_simplex(core)
+                    assert not any(ranks[0 if simplex else h - 1 :])
                     continue
                 replayed.append(b)
                 beta = ranks[h - 1] if h - 1 < len(ranks) else 0
-                assert built[b] == [(h - 1, beta)]
+                assert reads_at[b] == [(h - 1, beta)]
+                assert (("seed", b) in built) == (not is_simplex_boundary(core))
                 hit = beta != 0
             assert hit, "the fiber holds no nonzero beta_{h-1,b}"
             assert replayed == [b for b, _ in seeded]
 
             # replay the walk over the lattice from the seeded best
-            built = dict(walked)
+            reads_at = dict(walked)
             order = sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True)
             replayed = []
             best = h - 1
@@ -833,26 +1039,33 @@ class TestTargetedRanks:
                     break
                 ranks = homology_ranks(koszul(ideal, b), p)
                 # skipped unbuilt exactly when, by its definition, K^b is a
-                # cone, which is acyclic, or has at most h facets, so that
-                # every beta_{i,b} the walk could read, at i >= h, is zero
+                # cone, which is acyclic, or has at most h facets, or a core
+                # whose top is below h, so that every beta_{i,b} the walk
+                # could read, at i >= h, is zero
                 k = membership_faces(ideal, b)
-                m, cone = facet_count(k), is_cone(k, supp(b))
-                assert (cone or m <= h) == (b not in built)
-                if b not in built:
-                    assert not any(ranks[0 if cone else h :])
+                m, cone, core = facet_count(k), is_cone(k, supp(b)), strong_core(k)
+                kept = not (cone or m <= h or core_top(core) < h)
+                assert kept == (verdicts["walk"][b] is not None)
+                if not kept:
+                    simplex = cone or is_simplex(core)
+                    assert not any(ranks[0 if simplex else h :]) and b not in reads_at
                     continue
-                replayed.append(b)
-                reads = built[b]
-                # top down from min(|supp b|, m) - 1, never at or below the
-                # best index so far, and no further than the first nonzero
-                # one; nothing is read when that start is at or below it
-                start = min(size, m) - 1
+                reads = reads_at.get(b, [])
+                # top down from the core's top, min(its vertices, its facets,
+                # its dimension + 2) - 1, never at or below the best index so
+                # far, and no further than the first nonzero one; nothing is
+                # read, and nothing built, when that start is at or below it
+                start = core_top(core)
+                assert verdicts["walk"][b].top == start
+                assert not any(ranks[start + 1 :])
                 assert [i for i, _ in reads] == list(
                     range(start, start - len(reads), -1)
                 )
                 assert bool(reads) == (start > best)
+                assert (("walk", b) in built) == (bool(reads) and not is_simplex_boundary(core))
                 if not reads:
                     continue
+                replayed.append(b)
                 assert reads[-1][0] > best
                 assert all(beta == 0 for _, beta in reads[:-1])
                 for i, beta in reads:
@@ -1033,11 +1246,19 @@ class TestWalkMemo:
         assert list(second) == head + list(first) == walk
 
     def test_the_second_prime_builds_nothing(self):
-        # a lexsegment has the same depth over every field, so the second
-        # prime reads what the first one built
-        ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
+        # this ideal has the same depth over both fields, and the first b
+        # read, x1^2*x2^2*x3*x4^2, has a square as K^b, with no dominated
+        # vertex and no sphere: the first prime builds it at its read, and
+        # the second prime reads what the first one built
+        ideal = I(4, "x1^2*x2*x4^2", "x1^2*x3*x4", "x1*x2^2*x3", "x1*x2^2*x4^2",
+                  "x2^2*x3*x4^2")
         depths, built = builds(ideal, [(2,), (32003,)])
         assert built[0] and not built[1]
+        assert depths == [{2: 1}, {32003: 1}]
+        # on a lexsegment every core read is a sphere, read in closed form
+        ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
+        depths, built = builds(ideal, [(2,), (32003,)])
+        assert built == [[], []]
         assert depths == [{2: 1}, {32003: 1}]
 
     @pytest.mark.parametrize("limit, where", [(2, "seed"), (4, "walk")])
