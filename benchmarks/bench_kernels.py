@@ -5,8 +5,8 @@ x1^19*x8), 8 of the 888,030 monomials of degree 20 in 8 variables, in a
 fresh Python process, with that process's peak RSS (ru_maxrss, the
 interpreter included).
 
-The kernel lines time divides, member, minimalize, colon_gens, gf_rank
-and gf2_rank from lexseg.kernels on fixed seeded inputs, best of 5; one more
+The kernel lines time divides, member, minimalize, colon_gens and
+gf_rank from lexseg.kernels on fixed seeded inputs, best of 5; one more
 minimalize line takes a redundant input, the 1,600 pairwise lcms of two
 seeded 40-generator sets, as an intersection makes. A depth line
 times depth_exact at GF(2) and GF(32003) over every n=5, d=2
@@ -35,9 +35,8 @@ specs one cold depths_exact pass at both primes gives the walk
 counters: lcm lattice
 elements generated (popped plus queued) and popped by the walk after
 the seed, upper Koszul complexes K^b built, b skipped by the facet bound
-alone, the same four counts of strong cores, and gf_rank (odd p) and
-gf2_rank (p = 2) calls, the seed's
-included; and the seed counters: the searches seeded (h >= 2),
+alone, the same four counts of strong cores, and gf_rank calls, the
+seed's included; and the seed counters: the searches seeded (h >= 2),
 the fiber elements generated and popped by their fiber walks, and the
 seeds hit, as nonzero beta_{h-1,b} read at each prime, and how many of
 those at the fiber's top. Each timing
@@ -65,7 +64,11 @@ lines time depths_exact at both primes over those 1,596 specs, best of
 one cold staged_filtration pass over those 1,596 specs, print its step
 digest (the recipe above), and count, in a second pass, the nodes the
 search enters (_children calls) and the children it builds
-(_child calls). The full-segment line times one
+(_child calls). The wide-range lines run depths_exact at both primes,
+one cold pass, over all 2,485 n=5, d=4 specs and over every 5th n=7,
+d=3 spec in iter_specs order (714), ranges no test gates, each with
+its depth digest (the recipe above) and the K^b it builds. The
+full-segment line times one
 staged_filtration of L(x1^25, x3^25), best of 3, with its step digest.
 The last line is the line count of src/lexseg/*.py, the source size the
 ROADMAP tracks.
@@ -112,9 +115,7 @@ def make_inputs(seed=1):
         [{j: rng.randint(0, 32002) for j in range(30)} for _ in range(30)]
         for _ in range(5)
     ]
-    # bitmask rows, as gf2_rank takes them
-    bit_mats = [[rng.getrandbits(30) for _ in range(30)] for _ in range(5)]
-    return mons, gens, mats, bit_mats
+    return mons, gens, mats
 
 
 def bench(label, fn, repeats=5):
@@ -129,7 +130,7 @@ def timeit(fn):
 
 
 def kernel_lines():
-    mons, gens, mats, bit_mats = make_inputs()
+    mons, gens, mats = make_inputs()
     print("kernels, best of 5:")
     bench(
         "divides x 400 x 40",
@@ -152,7 +153,6 @@ def kernel_lines():
         "gf_rank(30x30, p=32003) x 5",
         lambda: [kernels.gf_rank(mat, 32003) for mat in mats],
     )
-    bench("gf2_rank(30x30) x 5", lambda: [kernels.gf2_rank(mat) for mat in bit_mats])
 
 
 def memos():
@@ -394,13 +394,13 @@ def extended_depth(cases):
     seed_names += [f"hits at p={p}" for p in DEFAULT_PRIMES]
     counts = dict.fromkeys(
         ("generated", "popped", "K^b built", "facet-bound skips", *CORE_COUNTS,
-         "gf_rank calls", "gf2_rank calls"),
+         "gf_rank calls"),
         0,
     )
     seeds = dict.fromkeys(seed_names, 0)
     walk, push, seed = depth._lattice_walk, depth.heapq.heappush, depth._seed
     build, rank, betti = depth.upper_koszul_complex, kernels.gf_rank, depth._betti
-    rank2, koszul = kernels.gf2_rank, depth._koszul
+    koszul = depth._koszul
     fiber = []  # the b the running seed has popped, while it runs
 
     def counting_seed(*args):
@@ -438,10 +438,6 @@ def extended_depth(cases):
         counts["gf_rank calls"] += 1
         return rank(rows, p)
 
-    def counting_rank2(rows):
-        counts["gf2_rank calls"] += 1
-        return rank2(rows)
-
     def counting_betti(k, p):
         beta = betti(k, p)
         if not fiber:
@@ -461,7 +457,7 @@ def extended_depth(cases):
     depth._betti = counting_betti
     depth.heapq = SimpleNamespace(heappush=counting_push, heappop=heapq.heappop)
     depth.upper_koszul_complex, depth._koszul = counting_build, counting_koszul(counts)
-    kernels.gf_rank, kernels.gf2_rank = counting_rank, counting_rank2
+    kernels.gf_rank = counting_rank
     try:
         for ideal in ideals:
             depth.depths_exact(ideal, DEFAULT_PRIMES)
@@ -469,7 +465,7 @@ def extended_depth(cases):
         depth._lattice_walk, depth._seed, depth._betti = walk, seed, betti
         depth.heapq = heapq
         depth.upper_koszul_complex, depth._koszul = build, koszul
-        kernels.gf_rank, kernels.gf2_rank = rank, rank2
+        kernels.gf_rank = rank
         clear_caches()  # the walk memo holds a counting walk
     print("one depths_exact pass at both primes on the same specs:")
     for name, count in counts.items():
@@ -558,6 +554,34 @@ def n6_d3_depth():
           f"depth digest {rows_digest(rows)}")
 
 
+def wide_depth():
+    ranges = (
+        ("n=5 d=4", list(iter_specs((5, 5), (4, 4)))),
+        ("every 5th n=7 d=3", list(iter_specs((7, 7), (3, 3)))[::5]),
+    )
+    build = depth.upper_koszul_complex
+    for label, specs in ranges:
+        ideals = [lexsegment_generators(s) for s in specs]
+        built = 0
+
+        def counting_build(facets, b):
+            nonlocal built
+            built += 1
+            return build(facets, b)
+
+        clear_caches()
+        depth.upper_koszul_complex = counting_build
+        try:
+            t0 = time.perf_counter()
+            rows = [list(depth.depths_exact(i, DEFAULT_PRIMES).values()) for i in ideals]
+            seconds = time.perf_counter() - t0
+        finally:
+            depth.upper_koszul_complex = build
+            clear_caches()
+        print(f"depths_exact at both primes, {len(ideals)} {label} specs, one cold pass: "
+              f"{seconds:.3f} s, depth digest {rows_digest(rows)}, {built} K^b built")
+
+
 def depth_digest():
     specs = [
         s
@@ -595,6 +619,7 @@ def main():
     depth_digest()
     n6_d3_depth()
     n6_d3_search()
+    wide_depth()
     full_segment()
     print(f"src/lexseg/*.py: {source_lines()} lines")
 

@@ -187,8 +187,7 @@ def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     """The irredundant irreducible decomposition of a proper nonzero ideal."""
-    if ideal.is_zero or ideal.is_unit:
-        raise DomainError("cannot decompose the zero or unit ideal")
+    _require_proper(ideal)
     result = irredundant_components(ideal)
     if _intersection(ideal.n, result) != ideal:
         raise InternalConsistencyError(
@@ -352,8 +351,11 @@ def witnesses(ideal: MonomialIdeal, prime: PrimeIdeal):
 
 
 def _require_proper(ideal: MonomialIdeal) -> None:
+    """Raises DomainError for the zero or the unit ideal: the decomposition,
+    the oracle, the filtration search and the depth search each take a
+    proper nonzero ideal only."""
     if ideal.is_zero or ideal.is_unit:
-        raise DomainError("the zero and unit ideals have no associated primes")
+        raise DomainError("need a proper nonzero ideal")
 
 
 def radicals(ideal: MonomialIdeal) -> frozenset[PrimeIdeal]:

@@ -114,9 +114,8 @@ as the submasks of its facets, only when some prime first reads a beta
 there, and kept for every other prime. There i runs from the core's top
 down to best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j
 faces of dimension j, d_j the boundary map out of dimension j over
-GF(p), each rank computed once per b and prime: over GF(2) by XOR on
-bitmask rows, kernels.gf2_rank, and over odd p by kernels.gf_rank), and
-stops at the first nonzero one. Characteristic is a parameter (any
+GF(p), each rank computed once per b and prime by kernels.gf_rank),
+and stops at the first nonzero one. Characteristic is a parameter (any
 prime below 2^31), and one walk serves every prime asked for, so the
 sweep can cross-check two primes.
 
@@ -363,25 +362,12 @@ def _betti(core: _Core, p: int):
     ranks: dict[int, int] = {}
 
     def rank(k: int) -> int:
-        """Rank of the boundary map from k-element to (k-1)-element faces.
-
-        The row of a face f is {column of f minus its j-th smallest
-        vertex: (-1)^j}. Over GF(2), where every sign is 1, it is the
-        bitmask of those columns, ranked by kernels.gf2_rank."""
+        """Rank over GF(p) of the boundary map from k-element to
+        (k-1)-element faces, by kernels.gf_rank: the row of a face f is
+        {column of f minus its j-th smallest vertex: (-1)^j}."""
         if k in ranks:
             return ranks[k]
         rows = []
-        if p == 2:
-            column = {f: 1 << j for j, f in enumerate(by_size[k - 1])}
-            for f in by_size[k]:
-                row, rest = 0, f
-                while rest:
-                    bit = rest & -rest
-                    row |= column[f ^ bit]
-                    rest ^= bit
-                rows.append(row)
-            ranks[k] = kernels.gf2_rank(rows) if rows else 0
-            return ranks[k]
         index = {f: j for j, f in enumerate(by_size[k - 1])}
         for f in by_size[k]:
             row = {}
@@ -605,8 +591,7 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
     InternalConsistencyError when the seed finds no nonzero beta.
     """
     primes = tuple(primes)
-    if ideal.is_zero or ideal.is_unit:
-        raise DomainError("need a proper nonzero ideal")
+    decompose._require_proper(ideal)
     if not primes:
         raise DomainError("no characteristic given")
     for p in primes:

@@ -44,6 +44,7 @@ from .decompose import (
     _components,
     _pairs,
     _pins,
+    _require_proper,
     _witness,
     radicals,
 )
@@ -207,8 +208,7 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     entered, backtracked or not, and for a start whose witness box is
     over decompose.WITNESS_BOX_LIMIT.
     """
-    if ideal.is_zero or ideal.is_unit:
-        raise DomainError("need a proper nonzero ideal")
+    _require_proper(ideal)
     n = ideal.n
     comps = _components(ideal)
     _box(n, comps)

@@ -1,6 +1,6 @@
-"""The hot-path kernels: divisibility, membership, minimal generators,
-colon ideals and rank over GF(p), on plain exponent tuples, rank over
-GF(2) on bitmask rows, and the one packed layout of exponent vectors
+"""The hot-path kernels: divisibility, membership, minimal generators
+and colon ideals on plain exponent tuples, rank over GF(p) for every
+prime p on sparse rows, and the one packed layout of exponent vectors
 (_Packing) for the loops that run on ints instead.
 
 Callers go through the module (kernels.member, ...), so a profiler can
@@ -168,25 +168,4 @@ def gf_rank(rows, p):
                         r[j] = y
                     else:
                         del r[j]  # c * x != 0 mod p, so y = 0 only for j in r
-    return len(pivots)
-
-
-def gf2_rank(rows):
-    """Rank over GF(2) of a 0/1 matrix whose rows are int bitmasks, bit j
-    for the column j.
-
-    XOR elimination: each row is reduced by the pivot row kept for its
-    lowest set bit, which clears that bit and changes only higher ones,
-    until it is zero or becomes the pivot of a new lowest bit. The rank
-    is the number of pivots.
-    """
-    pivots = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = row
-                break
-            row ^= pivot
     return len(pivots)

@@ -28,6 +28,24 @@ def I(n, *gens):
     return MonomialIdeal.from_gens(n, [parse_monomial(g, n) for g in gens])
 
 
+def real_projective_plane():
+    """The Stanley-Reisner ideal of the 6-vertex real projective plane:
+    S/I is Cohen-Macaulay, of depth 3, except in characteristic 2, where
+    H~_1(RP^2; GF(2)) != 0 drops the depth to 2."""
+    triangles = {
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+    }
+    return MonomialIdeal.from_gens(
+        6,
+        [
+            tuple(int(i in t) for i in range(1, 7))
+            for t in itertools.combinations(range(1, 7), 3)
+            if t not in triangles
+        ],
+    )
+
+
 def spec(n, d, u, v):
     return LexSpec(n, d, parse_monomial(u, n), parse_monomial(v, n))
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import I, P
+from conftest import I, P, real_projective_plane
 from lexseg import cli
 from lexseg.cli import main
 from lexseg.filtration import FiltrationStep, PrimeFiltration, search_filtration
@@ -164,6 +164,17 @@ class TestCliExitCodes:
         path.write_text(json.dumps({"n": 2, "gens": [[1, 0], [0, 1]]}))
         assert main(["depth", "--ideal", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["depth_exact"] == 0
+
+    @pytest.mark.parametrize("p, expected", [("2", 2), ("3", 3)])
+    def test_depth_ideal_depends_on_the_characteristic(
+        self, p, expected, tmp_path, capsys
+    ):
+        # RP^2: H~_1 is nonzero only in characteristic 2; its K^b at full
+        # support is built and ranked at either prime
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(ideal_to_json(real_projective_plane())))
+        assert main(["depth", "--ideal", str(path), "--p", p]) == 0
+        assert json.loads(capsys.readouterr().out)["depth_exact"] == expected
 
     @pytest.mark.parametrize("p", ["4", "0"])
     def test_depth_non_prime_characteristic_usage_error(self, p, capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import I, components_reference, spec, zero_ideal
+from conftest import I, components_reference, real_projective_plane, spec, zero_ideal
 from lexseg import decompose, depth, kernels
 from lexseg.decompose import associated_primes_oracle
 from lexseg.depth import (
@@ -272,24 +272,6 @@ def simplex_skip_depths(ideal, primes):
                         best[p] = i
                         break
     return {p: ideal.n - 1 - found for p, found in best.items()}
-
-
-def real_projective_plane():
-    """The Stanley-Reisner ideal of the 6-vertex real projective plane:
-    S/I is Cohen-Macaulay, of depth 3, except in characteristic 2, where
-    H~_1(RP^2; GF(2)) != 0 drops the depth to 2."""
-    triangles = {
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
-    }
-    return MonomialIdeal.from_gens(
-        6,
-        [
-            tuple(int(i in t) for i in range(1, 7))
-            for t in combinations(range(1, 7), 3)
-            if t not in triangles
-        ],
-    )
 
 
 @st.composite

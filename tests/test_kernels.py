@@ -1,6 +1,6 @@
 """The hot-path kernels of lexseg.kernels on small hand-checked inputs,
-minimalize against its earlier all-pairs body, gf_rank against its
-earlier dense elimination and gf2_rank against gf_rank at p = 2."""
+minimalize against its earlier all-pairs body and gf_rank, at p = 2 and
+at odd p, against its earlier dense elimination."""
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -66,7 +66,8 @@ def gf_rank_reference(rows, p):
 def matrices(draw):
     """A prime p and 0..8 rows of 1..8 columns: mostly zeros, entries
     around 0 and around multiples of p, negatives included, and sometimes
-    a repeated or all-zero row."""
+    a repeated row, the sum of two drawn rows (dependent) or an all-zero
+    row."""
     p = draw(st.sampled_from([2, 3, 32003, 2**31 - 1]))
     ncols = draw(st.integers(1, 8))
     entry = st.one_of(
@@ -79,6 +80,9 @@ def matrices(draw):
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
     if rows and draw(st.booleans()):
         rows.append(list(draw(st.sampled_from(rows))))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append([x + y for x, y in zip(a, b)])
     if draw(st.booleans()):
         rows.append([0] * ncols)
     return draw(st.permutations(rows)), p
@@ -128,6 +132,8 @@ class TestPureKernels:
         assert kernels.gf_rank([{0: 1}, {1: 1}], 2) == 2
         assert kernels.gf_rank([{0: 1, 1: 1}, {0: 1, 1: 1}], 2) == 1
         assert kernels.gf_rank([{0: 2}, {}], 2) == 0  # 2 = 0 mod 2
+        # the third row is the sum of the first two mod 2
+        assert kernels.gf_rank([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 2) == 2
         assert kernels.gf_rank([], 5) == 0
 
     def test_gf_rank_edges(self):
@@ -146,38 +152,6 @@ class TestPureKernels:
         rows, p = case
         rank = gf_rank_reference(rows, p)
         assert kernels.gf_rank(sparse(rows), p) == rank
-
-    def test_gf2_rank(self):
-        assert kernels.gf2_rank([]) == 0
-        assert kernels.gf2_rank([0, 0]) == 0
-        assert kernels.gf2_rank([0b01, 0b10]) == 2
-        assert kernels.gf2_rank([0b11, 0b11, 0]) == 1
-        # the third row is the sum of the first two
-        assert kernels.gf2_rank([0b011, 0b110, 0b101]) == 2
-        assert kernels.gf2_rank([1 << 100, 1 << 100 | 1, 1]) == 2
-
-    @seed(20261103)
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(
-        st.integers(1, 12).flatmap(
-            lambda ncols: st.lists(
-                st.lists(st.integers(0, 1), min_size=ncols, max_size=ncols),
-                max_size=12,
-            )
-        ),
-        st.data(),
-    )
-    def test_gf2_rank_matches_gf_rank_at_2(self, rows, data):
-        # with, sometimes, a zero row and the sum of two drawn rows
-        # (dependent), in a drawn order
-        if rows and data.draw(st.booleans()):
-            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
-            rows.append([x ^ y for x, y in zip(a, b)])
-        if rows and data.draw(st.booleans()):
-            rows.append([0] * len(rows[0]))
-        rows = data.draw(st.permutations(rows))
-        bitmasks = [sum(x << j for j, x in enumerate(row)) for row in rows]
-        assert kernels.gf2_rank(bitmasks) == kernels.gf_rank(sparse(rows), 2)
 
     def test_backend_is_python(self):
         assert lexseg.BACKEND == kernels.BACKEND == "python"
