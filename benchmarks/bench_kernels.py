@@ -21,16 +21,17 @@ list, per spec, of [witness, prime.vars] per step. Equal digests mean
 identical chains. The extended lines time staged_filtration,
 stanley_certificate, verify_prime_filtration and depth_exact at each
 prime over the 861 n=5, d=3 and n=6, d=2 specs, and depths_exact at both
-primes in one search, as check_spec asks, and depth_exact at p=2 then
-p=32003 one call at a time per ideal, as the CLI and the depth-betti
-workload ask, with the K^b it builds, the b whose K^b the facet bound
+primes, as check_spec asks, and depth_exact at p=2 then p=32003 one call
+at a time per ideal, as the depth-betti workload asks, with the K^b it
+builds, the b whose K^b the facet bound
 alone skips (not cones, but of too few facets for any beta the search
 reads), the b read in closed form because K^b is the boundary of a
 simplex as it stands or after strong collapse, the b whose core
 collapses to a simplex, the other b whose core's top leaves nothing to
 read, and the walk steps it takes (fiber and lattice elements popped);
-with the walk memo of the depth module,
-the second prime replays what the first walked and built. On those
+either way each prime runs its own search, and through the walk memo of
+the depth module the second prime replays what the first walked and
+built. On those
 specs one cold depths_exact pass at both primes gives the walk
 counters: lcm lattice
 elements generated (popped plus queued) and popped by the walk after
@@ -39,7 +40,7 @@ alone, the same four counts of strong cores, and gf_rank calls, the
 seed's included; and the seed counters: the searches seeded (h >= 2),
 the fiber elements generated and popped by their fiber walks, and the
 seeds hit, as nonzero beta_{h-1,b} read at each prime, and how many of
-those at the fiber's top. Each timing
+those at the fiber's top, its first step. Each timing
 is the best of 3 runs, each run from empty caches. The memo lines give
 the hits, misses and entries of every lru_cache after one cold
 check_spec pass over the 477 acceptance specs, the one-entry
@@ -70,12 +71,14 @@ d=3 spec in iter_specs order (714), ranges no test gates, each with
 its depth digest (the recipe above) and the K^b it builds. The
 full-segment line times one
 staged_filtration of L(x1^25, x3^25), best of 3, with its step digest.
-The last line is the line count of src/lexseg/*.py, the source size the
-ROADMAP tracks.
+The last line is the line count of src/lexseg/*.py and its non-blank,
+non-comment lines outside docstrings, the source size the ROADMAP
+tracks.
 
 Run:  python3 benchmarks/bench_kernels.py
 """
 
+import ast
 import glob
 import hashlib
 import heapq
@@ -387,7 +390,7 @@ def extended_depth(cases):
         print(f"depth_exact p={p}, {len(ideals)} n=5 d=3 and n=6 d=2 specs: "
               f"{best:.3f} s")
     best = best_cold(lambda: [depth.depths_exact(i, DEFAULT_PRIMES) for i in ideals])
-    print(f"depths_exact at both primes, one search, same specs: {best:.3f} s")
+    print(f"depths_exact at both primes, same specs: {best:.3f} s")
     one_prime_at_a_time(ideals)
     seed_names = ["seeded searches (h >= 2)", "fiber elements generated",
                   "fiber elements popped", "hits at the fiber top"]
@@ -401,7 +404,10 @@ def extended_depth(cases):
     walk, push, seed = depth._lattice_walk, depth.heapq.heappush, depth._seed
     build, rank, betti = depth.upper_koszul_complex, kernels.gf_rank, depth._betti
     koszul = depth._koszul
-    fiber = []  # the b the running seed has popped, while it runs
+    fiber = []  # not empty while a seed runs
+    # the b of the last fiber walk's first step: a later prime's seed
+    # replays that walk from the walk memo, so only the first one runs it
+    top = [None]
 
     def counting_seed(*args):
         fiber.append(None)
@@ -415,10 +421,11 @@ def extended_depth(cases):
         (seeds if fiber else counts)[generated] += 1  # the top
         if fiber:
             seeds["seeded searches (h >= 2)"] += 1
-        for step in walk(gens, held):
+        for k, step in enumerate(walk(gens, held)):
             if fiber:
                 seeds["fiber elements popped"] += 1
-                fiber.append(step[1])
+                if not k:
+                    top[0] = step[1]
             else:
                 counts["popped"] += 1
             yield step
@@ -438,8 +445,8 @@ def extended_depth(cases):
         counts["gf_rank calls"] += 1
         return rank(rows, p)
 
-    def counting_betti(k, p):
-        beta = betti(k, p)
+    def counting_betti(core, p):
+        beta = betti(core, p)
         if not fiber:
             return beta
 
@@ -447,7 +454,7 @@ def extended_depth(cases):
             found = beta(i)
             if found:
                 seeds[f"hits at p={p}"] += 1
-                seeds["hits at the fiber top"] += len(fiber) == 2
+                seeds["hits at the fiber top"] += core.b == top[0]
             return found
 
         return hit
@@ -597,11 +604,26 @@ def depth_digest():
 
 
 def source_lines():
-    total = 0
+    """(lines, non-blank non-comment lines outside docstrings) of
+    src/lexseg/*.py; a docstring is the leading string of a module, class
+    or function."""
+    total = code = 0
     for path in glob.glob(os.path.join(SRC, "lexseg", "*.py")):
         with open(path) as fh:
-            total += sum(1 for _ in fh)
-    return total
+            text = fh.read()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and (
+                ast.get_docstring(node, clean=False) is not None
+            ):
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = text.splitlines()
+        total += len(lines)
+        code += sum(
+            1 for k, line in enumerate(lines, 1)
+            if k not in docs and line.strip() and not line.lstrip().startswith("#")
+        )
+    return total, code
 
 
 def main():
@@ -621,7 +643,9 @@ def main():
     n6_d3_search()
     wide_depth()
     full_segment()
-    print(f"src/lexseg/*.py: {source_lines()} lines")
+    total, code = source_lines()
+    print(f"src/lexseg/*.py: {total} lines, {code} outside docstrings, "
+          "blanks and comments")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ beta_{i,b}(I) is the rank of reduced homology H~_{i-1} of the upper
 Koszul complex K^b(I) (Hochster's formula; Miller-Sturmfels,
 Combinatorial Commutative Algebra, ch. 1 and 5), and depth(S/I) =
 n - 1 - pd(I) by Auslander-Buchsbaum. Only pd(I) = max{i : beta_{i,b} != 0}
-is needed, so depths_exact searches for it instead of building the whole
-Betti table. K^b(I) lives on the simplex on supp(b), so over every field
-beta_{i,b} != 0 implies i <= |supp b| - 1. The search visits the lattice
+is needed, so depth_exact searches for it, over one field GF(p),
+instead of building the whole Betti table. K^b(I) lives on the simplex
+on supp(b), so over every field beta_{i,b} != 0 implies
+i <= |supp b| - 1. The search visits the lattice
 by decreasing |supp b| and stops at the first b whose bound cannot beat
 the best index found so far. It starts that best at h - 1, where h is
 the largest height of an associated prime, from a nonzero
@@ -43,14 +44,13 @@ some j outside P, and lies below the child b^(j) of the walk, which is
 then in the fiber too. So the fiber is walked by _lattice_walk itself,
 from that top, with the coordinates in P held fixed. At each b of the
 fiber that is not skipped (below: a cone, at most h - 1 facets, or a
-strong core with no beta_{h-1,b}), beta_{h-1,b} is read at every prime
-not yet seeded, and the fiber is read until every prime is. A fiber
-that runs out first contradicts the lemma: InternalConsistencyError,
-not a silent best of 0. The decomposition only chooses where to look.
-Every beta, the seed's included, is still read through _betti at each
-prime, from the facets of that K^b: the sphere below is read in closed
-form because its own facets show it is one, never because the lemma
-says a beta is there. So a homology that read every beta as zero fails
+strong core with no beta_{h-1,b}), beta_{h-1,b} is read over GF(p), and
+the fiber is read until one is nonzero. A fiber that runs out first
+contradicts the lemma: InternalConsistencyError, not a silent best of 0.
+The decomposition only chooses where to look. Every beta, the seed's
+included, is still read through _betti at p, from the facets of that
+K^b: the sphere below is read in closed form because its own facets
+show it is one, never because the lemma says a beta is there. So a homology that read every beta as zero fails
 loudly rather than agree with n - h.
 
 The lattice is walked lazily, from its top down (_lattice_walk), so the
@@ -107,25 +107,26 @@ a vertex (a cone; the full simplex, whose one facet is supp(b) when
 x^(b - 1_supp b) is in I, among them) or number at most low (the facet
 bound). On what is left, the strong core is taken, and b is skipped when
 the core's top is below low: a core of one facet, a simplex, among them
-(low >= 1). low comes from h, fixed per ideal, and never from a prime's
-running best, so each verdict, kept or skipped, serves every prime. A
-kept core that is a sphere is read in closed form; any other is built,
-as the submasks of its facets, only when some prime first reads a beta
-there, and kept for every other prime. There i runs from the core's top
-down to best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j
-faces of dimension j, d_j the boundary map out of dimension j over
-GF(p), each rank computed once per b and prime by kernels.gf_rank),
-and stops at the first nonzero one. Characteristic is a parameter (any
-prime below 2^31), and one walk serves every prime asked for, so the
+(low >= 1). low comes from h, fixed per ideal, and never from the
+search's running best, so each verdict, kept or skipped, holds over
+every field. A kept core that is a sphere is read in closed form; any
+other is built, as the submasks of its facets, only when a search
+first reads a beta there. There i runs from the core's top down to
+best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of
+dimension j, d_j the boundary map out of dimension j over GF(p), each
+rank computed once per b and search by kernels.gf_rank), and stops at
+the first nonzero one. Characteristic is a parameter (any prime below
+2^31), and depths_exact runs one search per prime asked for, so the
 sweep can cross-check two primes.
 
 Only the ranks depend on the field. The lattice, the fiber, every K^b
 and its core are the same over every field, so the last ideal's walks
 are kept, each as an itertools.tee that replays the steps made so far,
-with the verdict at each b and the cores built so far (_walks):
-depth_exact(I, p) at one prime after another walks the lattice once
-and collapses and builds each K^b at most once, and still computes its
-own Betti numbers.
+with the verdict at each b and the cores built so far (_walks). That
+memo is the one place where primes share work: depth_exact(I, p) at
+one prime after another walks the lattice once and collapses and
+builds each K^b at most once, and each search still computes its own
+Betti numbers.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ CHARACTERISTIC_LIMIT = 1 << 31
 # No composite below 3,215,031,751 is a strong pseudoprime to all of these
 # (Pomerance, Selfridge and Wagstaff, Math. Comp. 1980).
 MILLER_RABIN_BASES = (2, 3, 5, 7)
-# Largest |supp b| at which depths_exact() tests or builds K^b, a complex of
+# Largest |supp b| at which depth_exact() tests or builds K^b, a complex of
 # up to 2^|supp b| faces.
 KOSZUL_SUPPORT_LIMIT = 16
 
@@ -307,14 +308,14 @@ def _require_support(size: int) -> None:
 
 
 class _Core:
-    """The strong core of a K^b that depths_exact reads (_koszul), from
+    """The strong core of a K^b that depth_exact reads (_koszul), from
     its facets, largest first (_collapse). top is the last i at which
     beta_{i,b} can be nonzero over any field, min(v - 1, m - 1, d + 1)
     for a core of v vertices, m facets and dimension d, so d + 1 is the
     size of its first facet (module docstring). A sphere, the boundary
     of the simplex on top + 1 vertices, is read in closed form; any other
     core is built as a complex (upper_koszul_complex) at its first read
-    (_betti) and kept for the reads at every other prime."""
+    (_betti) and kept for the reads at every later prime."""
 
     __slots__ = ("b", "facets", "top", "sphere", "by_size")
 
@@ -462,13 +463,14 @@ def _walks(ideal: MonomialIdeal, limits) -> tuple:
 
     The last ideal is kept, as decompose._components keeps its fold, so
     depth_exact(I, p) at one prime after another walks the lattice and
-    collapses and builds each K^b at most once. Only walks, cores and
+    collapses and builds each K^b at most once: this memo is the only
+    work that searches at different primes share. Only walks, cores and
     complexes are kept: every beta, rank and depth is computed again at
     each call. limits is
     (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT) at the call, part of the key
     so that no walk is replayed under limits it was not made under. A tee
     over a walk that raised replays the steps before the raise and then
-    stops, a truncated lattice, so depths_exact clears this memo on any
+    stops, a truncated lattice, so depth_exact clears this memo on any
     raise. The walks are extended in place, so two threads must not read
     one ideal at once.
     """
@@ -482,37 +484,33 @@ def _walks(ideal: MonomialIdeal, limits) -> tuple:
     return q0, fiber, (tee(_lattice_walk(ideal.gens), 1)[0], {})
 
 
-def _seed(q0, fiber, primes) -> int:
+def _seed(q0, fiber, p: int) -> int:
     """h - 1, where h is the largest height of an associated prime of I,
-    once a nonzero beta_{h-1,b}(I) is computed at every prime: then
+    once a nonzero beta_{h-1,b}(I) over GF(p) is computed: then
     pd(I) >= h - 1. When h = 1 that is beta_0, the number of generators,
     and nothing is read.
 
     q0 and its fiber are those of the memo entry _walks(I, ...), whose
     fiber a call for I at another prime has often walked already. Every
-    b of it that _koszul keeps, at low = h - 1, is read at h - 1 at each
-    prime not yet seeded, until none is left; the rest have
-    beta_{h-1,b} = 0 over every field. Raises
-    InternalConsistencyError when the fiber runs out first, which the
-    lemma rules out over every field, and DomainError as _lattice_walk
-    and _koszul do.
+    b of it that _koszul keeps, at low = h - 1, is read at h - 1 until
+    one is nonzero; the rest have beta_{h-1,b} = 0 over every field.
+    Raises InternalConsistencyError when the fiber runs out first, which
+    the lemma rules out over every field, and DomainError as
+    _lattice_walk and _koszul do.
     """
-    h = len(q0) - q0.count(0)
     if fiber is None:
         return 0
+    h = len(q0) - q0.count(0)
     root, built = fiber
-    unseeded = list(primes)
     for size, b, divisors in copy(root):
         if b not in built:
             built[b] = _koszul(size, b, divisors, h - 1)
         core = built[b]
-        if core is not None:
-            unseeded = [p for p in unseeded if not _betti(core, p)(h - 1)]
-            if not unseeded:
-                return h - 1
+        if core is not None and _betti(core, p)(h - 1):
+            return h - 1
     raise InternalConsistencyError(
         f"no b over the component {q0} of height {h} has beta_{{{h - 1},b}} "
-        f"!= 0 over GF(p) for p in {unseeded}: the homology is wrong"
+        f"!= 0 over GF({p}): the homology is wrong"
     )
 
 
@@ -556,39 +554,13 @@ def _require_prime(p) -> None:
 
 
 def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
-    """{p: depth(S/I) = n - 1 - pd(I) over GF(p)} for each prime p in
-    primes, from one walk of the lcm lattice.
+    """{p: depth_exact(I, p)} for each prime p in primes, read once.
 
-    Each prime's best index starts at h - 1 from the seed (_seed), a
-    computed nonzero beta_{h-1,b} in the fiber of a component of the
-    largest height h. The walk visits b by decreasing |supp b| (then
-    decreasing lex) and stops at the first b with |supp b| - 1 <= best at
-    every prime, since beta_{i,b} = 0 for i > |supp b| - 1. A visited b
-    whose facets, the maximal sets {i : g_i < b_i} over the generators g
-    dividing b, share a vertex v has a cone as K^b(I): v joins every
-    face, so K^b is contractible and acyclic over every field, and b is
-    skipped without building K^b (_koszul). The full simplex, when
-    x^(b - 1_supp b) is in I, is the cone with the one facet supp(b). So
-    is a b whose m facets number at most h: beta_{i,b} = 0 for i >= m
-    (the facet bound, module docstring), and every best is h - 1 or more;
-    and a b whose strong core has its top, past which every beta_{i,b} is
-    zero, below h. At each prime whose best is below the top of any other
-    core, beta_{i,b} is read through _betti from i = top down to that
-    best + 1, up to the first nonzero one: in closed form for a sphere,
-    and otherwise from the core, built at the first such read. Each prime
-    thus reads every beta that a seeded search at that prime alone would
-    read and could find nonzero.
-
-    The walks and their cores come from the one-entry memo _walks, read
-    once per call, so a call for I at another prime replays them and
-    walks on only past where that call stopped. Any raise clears that
-    memo, so no later call replays a walk cut short.
-
-    Raises DomainError when no prime is given, one is not a prime below
-    CHARACTERISTIC_LIMIT, a walk generates more than LCM_LATTICE_LIMIT
-    elements, or the first b read, of the largest support in the fiber or
-    the lattice, is over KOSZUL_SUPPORT_LIMIT. Raises
-    InternalConsistencyError when the seed finds no nonzero beta.
+    Raises DomainError, before any search, when I is zero or the unit
+    ideal, no prime is given or one is not a prime below
+    CHARACTERISTIC_LIMIT; then as depth_exact does. The searches share
+    their walks and cores through the memo _walks, so the lattice is
+    walked once for all of them.
     """
     primes = tuple(primes)
     decompose._require_proper(ideal)
@@ -596,34 +568,58 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
         raise DomainError("no characteristic given")
     for p in primes:
         _require_prime(p)
+    return {p: depth_exact(ideal, p) for p in primes}
+
+
+def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
+    """depth(S/I) = n - 1 - pd(I), with pd(I) found over GF(p), p prime.
+
+    The best index starts at h - 1 from the seed (_seed), a computed
+    nonzero beta_{h-1,b} in the fiber of a component of the largest
+    height h. The walk visits b by decreasing |supp b| (then decreasing
+    lex) and stops at the first b with |supp b| - 1 <= best, since
+    beta_{i,b} = 0 for i > |supp b| - 1. A visited b whose facets, the
+    maximal sets {i : g_i < b_i} over the generators g dividing b, share
+    a vertex v has a cone as K^b(I): v joins every face, so K^b is
+    contractible and acyclic over every field, and b is skipped without
+    building K^b (_koszul). The full simplex, when x^(b - 1_supp b) is in
+    I, is the cone with the one facet supp(b). So is a b whose m facets
+    number at most h: beta_{i,b} = 0 for i >= m (the facet bound, module
+    docstring), and best is h - 1 or more; and a b whose strong core has
+    its top, past which every beta_{i,b} is zero, below h. When best is
+    below the top of any other core, beta_{i,b} is read through _betti
+    from i = top down to best + 1, up to the first nonzero one: in closed
+    form for a sphere, and otherwise from the core, built at the first
+    such read.
+
+    The walks and their cores come from the one-entry memo _walks, so a
+    call for I at another prime replays them and walks on only past
+    where the calls before it stopped. Any raise clears that memo, so no
+    later call replays a walk cut short.
+
+    Raises DomainError when I is zero or the unit ideal, p is not a prime
+    below CHARACTERISTIC_LIMIT, a walk generates more than
+    LCM_LATTICE_LIMIT elements, or the first b read, of the largest
+    support in the fiber or the lattice, is over KOSZUL_SUPPORT_LIMIT.
+    Raises InternalConsistencyError when the seed finds no nonzero beta.
+    """
+    decompose._require_proper(ideal)
+    _require_prime(p)
     q0, fiber, (root, built) = _walks(
         ideal, (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT)
     )
     try:
-        floor = _seed(q0, fiber, primes)
-        best = dict.fromkeys(primes, floor)
+        best = floor = _seed(q0, fiber, p)
         for size, b, divisors in copy(root):
-            if size - 1 <= min(best.values()):
+            if size - 1 <= best:
                 break
             if b not in built:
                 built[b] = _koszul(size, b, divisors, floor + 1)
             core = built[b]
-            if core is None:
-                continue
-            for p, found in best.items():
-                if found < core.top:
-                    beta = _betti(core, p)
-                    for i in range(core.top, found, -1):
-                        if beta(i):
-                            best[p] = i
-                            break
+            if core is not None and best < core.top:
+                beta = _betti(core, p)
+                best = next((i for i in range(core.top, best, -1) if beta(i)), best)
     except BaseException:
         _walks.cache_clear()
         raise
-    return {p: ideal.n - 1 - found for p, found in best.items()}
-
-
-def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
-    """depth(S/I) = n - 1 - pd(I), with pd(I) found over GF(p), p prime:
-    depths_exact at the one prime."""
-    return depths_exact(ideal, (p,))[p]
+    return ideal.n - 1 - best

@@ -3,12 +3,17 @@
 Criteria 1 and 3-5 share three exhaustive sweeps (n=2..4, d=2..3;
 n=5, d=2; and the wide sweep of n=5, d=3, n=6, d=2 and n=7, d=2) run
 once per session; the remaining criteria use frozen fixtures, a seeded
-random-ideal battery, and constructed negatives.
+random-ideal battery, and constructed negatives. Two gates past those
+ranges follow: the whole n=6, d=3 sweep, and seeded draws of lexsegments
+at n=7..9, d=3 and n=7, d=4 through check_spec.
 """
 
 import random
+import time
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, P, spec
 from lexseg.closed_form import associated_primes_lexsegment
@@ -23,6 +28,7 @@ from lexseg.filtration import (
     verify_prime_filtration,
 )
 from lexseg.monomials import (
+    LexSpec,
     MonomialIdeal,
     SpecKind,
     classify,
@@ -32,12 +38,17 @@ from lexseg.monomials import (
     reduce_fully,
     unit_ideal,
 )
-from lexseg.sweep import iter_specs, sweep
+from lexseg.sweep import check_spec, iter_specs, sweep
 
 MAIN_BUDGET_SECONDS = 60.0
 EXT_BUDGET_SECONDS = 120.0
 # The wide sweep's 1,267 specs took 6.5 s on a 2-vCPU VM; 20 s leaves 3x.
 WIDE_BUDGET_SECONDS = 20.0
+# The 1,596 n=6, d=3 specs took 4.3-5.0 s in one process on a 2-vCPU VM.
+N6_D3_BUDGET_SECONDS = 30.0
+# 60 drawn specs past the exhaustive ranges took 1.1 s on a 2-vCPU VM.
+DRAWN_SPECS = 60
+DRAWN_BUDGET_SECONDS = 20.0
 
 
 @pytest.fixture(scope="session")
@@ -247,3 +258,51 @@ def test_criterion_7_negative_controls():
         if ok
         else f"swap={fail_swap} drop={fail_drop} double={fail_double}",
     )
+
+
+def test_n6_d3_sweep():
+    """Every check family agrees on all 1,596 n=6, d=3 specs, within its
+    budget, in one process."""
+    report = sweep((6, 6), (3, 3))
+    print(f"[n=6 d=3] {report.specs_tested} specs, {len(report.mismatches)} "
+          f"mismatches, {report.seconds:.1f}s/{N6_D3_BUDGET_SECONDS:.0f}s")
+    assert report.specs_tested == 1596
+    assert report.mismatches == []
+    assert report.seconds <= N6_D3_BUDGET_SECONDS
+
+
+@st.composite
+def wide_lexsegments(draw):
+    """L(u, v) at (n, d) in n=7..9, d=3 and n=7, d=4, the ranges that one
+    exhaustive sweep each found free of mismatches; u and v are the lex
+    larger and smaller of two drawn monomials of degree d. n=8..9, d=4 is
+    left out: some of its lattices pass LCM_LATTICE_LIMIT."""
+    n, d = draw(st.sampled_from([(7, 3), (8, 3), (9, 3), (7, 4)]))
+
+    def monomial(variables):
+        return tuple(variables.count(i) for i in range(n))
+
+    variables = st.lists(st.integers(0, n - 1), min_size=d, max_size=d)
+    u, v = sorted((monomial(draw(variables)), monomial(draw(variables))), reverse=True)
+    return LexSpec(n, d, u, v)
+
+
+def test_drawn_specs_past_the_exhaustive_ranges():
+    """A fixed count of seeded draws past the exhaustive ranges passes
+    every check family of check_spec, within a wall budget."""
+    drawn = []
+
+    @seed(20261020)
+    @settings(max_examples=DRAWN_SPECS, deadline=None, database=None)
+    @given(wide_lexsegments())
+    def check(s):
+        drawn.append(s)
+        assert check_spec(s) == []
+
+    t0 = time.perf_counter()
+    check()
+    seconds = time.perf_counter() - t0
+    print(f"[drawn] {len(drawn)} specs at n=7..9 d=3 and n=7 d=4, "
+          f"{seconds:.1f}s/{DRAWN_BUDGET_SECONDS:.0f}s")
+    assert len(drawn) == DRAWN_SPECS
+    assert seconds <= DRAWN_BUDGET_SECONDS

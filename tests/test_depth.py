@@ -484,8 +484,10 @@ class TestBettiAndDepth:
 
     def test_largest_prime_below_the_limit_is_accepted_fast(self):
         # Miller-Rabin takes tens of microseconds at this p, and trial
-        # division took milliseconds
+        # division took milliseconds. Each call proves p prime from a
+        # cleared memo, so no call times a memo hit
         def seconds():
+            depth._is_prime.cache_clear()
             t0 = time.perf_counter()
             depth._require_prime(2**31 - 1)
             return time.perf_counter() - t0
@@ -608,13 +610,13 @@ class TestLatticeWalk:
         assert depths_exact(ideal, (p for p in (2, 3))) == depths_exact(ideal, (2, 3))
 
 
-def seeded(ideal, primes):
-    """depth._seed at the primes on the walk memo's entry for the ideal
-    under the limits in force, as depths_exact reads it."""
+def seeded(ideal, p):
+    """depth._seed at the prime p on the walk memo's entry for the ideal
+    under the limits in force, as depth_exact reads it."""
     q0, fiber, _ = depth._walks(
         ideal, (depth.LCM_LATTICE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT)
     )
-    return depth._seed(q0, fiber, primes)
+    return depth._seed(q0, fiber, p)
 
 
 def search_record(ideal, primes):
@@ -1113,11 +1115,11 @@ class TestSeed:
         ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
         depth._walks.cache_clear()
-        assert seeded(ideal, (2,)) == 1
+        assert seeded(ideal, 2) == 1
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
         depth._walks.cache_clear()
         with pytest.raises(DomainError, match="LCM_LATTICE_LIMIT = 2"):
-            seeded(ideal, (2,))
+            seeded(ideal, 2)
 
     def test_depth_at_two_primes_folds_once(self):
         # the second prime reads the walk memo, so the fold is not asked
@@ -1254,7 +1256,7 @@ class TestWalkMemo:
         monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", limit)
         depth._walks.cache_clear()
         if where == "walk":
-            assert seeded(ideal, (2,)) == 1
+            assert seeded(ideal, 2) == 1
         for p in (2, 2, 32003, 32003):
             with pytest.raises(DomainError, match=f"LCM_LATTICE_LIMIT = {limit}"):
                 depth_exact(ideal, p)
@@ -1271,7 +1273,7 @@ class TestWalkMemo:
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", limit)
         depth._walks.cache_clear()
         if where == "walk":
-            assert seeded(ideal, (2,)) == 1
+            assert seeded(ideal, 2) == 1
         for p in (2, 2, 32003, 32003):
             with pytest.raises(DomainError, match=f"KOSZUL_SUPPORT_LIMIT = {limit}"):
                 depth_exact(ideal, p)
