@@ -22,25 +22,13 @@ identical chains. The extended lines time staged_filtration,
 stanley_certificate, verify_prime_filtration and depth_exact at each
 prime over the 861 n=5, d=3 and n=6, d=2 specs, and depths_exact at both
 primes, as check_spec asks, and depth_exact at p=2 then p=32003 one call
-at a time per ideal, as the depth-betti workload asks, with the K^b it
-builds, the b whose K^b the facet bound
-alone skips (not cones, but of too few facets for any beta the search
-reads), the b read in closed form because K^b is the boundary of a
-simplex as it stands or after strong collapse, the b whose core
-collapses to a simplex, the other b whose core's top leaves nothing to
-read, and the walk steps it takes (fiber and lattice elements popped);
-either way each prime runs its own search, and through the walk memo of
-the depth module the second prime replays what the first walked and
-built. On those
-specs one cold depths_exact pass at both primes gives the walk
-counters: lcm lattice
-elements generated (popped plus queued) and popped by the walk after
-the seed, upper Koszul complexes K^b built, b skipped by the facet bound
-alone, the same four counts of strong cores, and gf_rank calls, the
-seed's included; and the seed counters: the searches seeded (h >= 2),
-the fiber elements generated and popped by their fiber walks, and the
-seeds hit, as nonzero beta_{h-1,b} read at each prime, and how many of
-those at the fiber's top, its first step. Each timing
+at a time per ideal, as the depth-betti workload asks; either way each
+prime reads the cores of one box search, shared through the search memo
+of the depth module. On those specs one cold depths_exact pass at both
+primes gives the search counters: the nodes the box search enters, the
+points of the box it reaches (leaves), the cores it keeps, the sphere
+reads (closed-form reads of a sphere, the seeds' included), the cores
+built as complexes and the gf_rank calls. Each timing
 is the best of 3 runs, each run from empty caches. The memo lines give
 the hits, misses and entries of every lru_cache after one cold
 check_spec pass over the 477 acceptance specs, the one-entry
@@ -49,7 +37,9 @@ irreducible_decomposition plus associated_primes_oracle over the 804
 pool ideals of the perfbench oracle-random workload (read from
 perfbench/workloads.py, which is only imported), best of 3 cold, and
 counts the folds (_components memo misses) and memo hits of its last
-run. The decomposition lines time _components alone, from a cleared
+run; the pool depth line times depths_exact at (2, 3, 32003) over the
+same ideals, best of 3 cold, with the cores the search keeps and builds
+and the digest of the rows, per ideal, of the sorted (p, depth) pairs. The decomposition lines time _components alone, from a cleared
 memo, over the 804 pool ideals and the ideals of the 1,596 n=6, d=3
 specs, best of 3. The oracle digest line is the first 16 hex digits of
 the sha256 of the JSON list, per pool ideal, of [sorted component
@@ -68,8 +58,10 @@ search enters (_children calls) and the children it builds
 (_child calls). The wide-range lines run depths_exact at both primes,
 one cold pass, over all 2,485 n=5, d=4 specs and over every 5th n=7,
 d=3 spec in iter_specs order (714), ranges no test gates, each with
-its depth digest (the recipe above) and the K^b it builds. The
-full-segment line times one
+its depth digest (the recipe above) and the cores it builds. The
+past-the-lattice line times depths_exact at both primes on
+L(x1*x6*x9^2, x4*x5*x6*x7), n=9, d=4, best of 3 cold, with the nodes
+the search enters. The full-segment line times one
 staged_filtration of L(x1^25, x3^25), best of 3, with its step digest.
 The last line is the line count of src/lexseg/*.py and its non-blank,
 non-comment lines outside docstrings, the source size the ROADMAP
@@ -81,16 +73,12 @@ Run:  python3 benchmarks/bench_kernels.py
 import ast
 import glob
 import hashlib
-import heapq
 import json
 import os
 import random
 import subprocess
 import sys
 import time
-from functools import reduce
-from operator import and_, or_
-from types import SimpleNamespace
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 sys.path.insert(0, SRC)
@@ -289,6 +277,17 @@ def n6_d3_search():
         print(f"  {name:<28} {count:8}")
 
 
+def past_the_lattice():
+    spec = monomials.LexSpec(9, 4, (1, 0, 0, 0, 0, 1, 0, 0, 2), (0, 0, 0, 1, 1, 1, 1, 0, 0))
+    ideal = lexsegment_generators(spec)
+    best = best_cold(lambda: depth.depths_exact(ideal, DEFAULT_PRIMES))
+    found = depth.depths_exact(ideal, DEFAULT_PRIMES)
+    nodes = depth._search(ideal, (depth.BOX_NODE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT))[3]
+    print(f"depths_exact at both primes, L(x1*x6*x9^2, x4*x5*x6*x7), "
+          f"{len(ideal.gens)} generators, best of 3: {best:.3f} s, depths {found}, "
+          f"{nodes} nodes entered")
+
+
 def full_segment():
     spec = monomials.LexSpec(3, 25, (25, 0, 0), (0, 0, 25))
     best = best_cold(lambda: filtration.staged_filtration(spec))
@@ -341,6 +340,13 @@ def oracle_family():
     ]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
     print(f"oracle digest, {len(ideals)} pool ideals: {digest}")
+    primes = (2, 3, 32003)
+    best = best_cold(lambda: [depth.depths_exact(i, primes) for i in ideals])
+    rows = [sorted(depth.depths_exact(i, primes).items()) for i in ideals]
+    counts = search_counts(lambda: [depth.depths_exact(i, primes) for i in ideals])
+    print(f"depths_exact at {primes}, {len(ideals)} pool ideals: {best:.3f} s, "
+          f"{counts['cores kept']} cores kept, {counts['cores built']} built, "
+          f"row digest {rows_digest(rows)}")
 
 
 def decomposition_lines():
@@ -377,12 +383,6 @@ def extended_range():
     extended_depth(cases)
 
 
-# the b of a depth search that are neither cones nor skipped by the facet
-# bound, and are not built (counting_koszul)
-CORE_COUNTS = ("sphere cores, direct", "sphere cores, after collapse", "cores of one facet",
-               "other core skips")
-
-
 def extended_depth(cases):
     ideals = [ideal for ideal, _ in cases]
     for p in DEFAULT_PRIMES:
@@ -391,162 +391,63 @@ def extended_depth(cases):
               f"{best:.3f} s")
     best = best_cold(lambda: [depth.depths_exact(i, DEFAULT_PRIMES) for i in ideals])
     print(f"depths_exact at both primes, same specs: {best:.3f} s")
-    one_prime_at_a_time(ideals)
-    seed_names = ["seeded searches (h >= 2)", "fiber elements generated",
-                  "fiber elements popped", "hits at the fiber top"]
-    seed_names += [f"hits at p={p}" for p in DEFAULT_PRIMES]
-    counts = dict.fromkeys(
-        ("generated", "popped", "K^b built", "facet-bound skips", *CORE_COUNTS,
-         "gf_rank calls"),
-        0,
+    best = best_cold(
+        lambda: [depth.depth_exact(i, p) for i in ideals for p in DEFAULT_PRIMES]
     )
-    seeds = dict.fromkeys(seed_names, 0)
-    walk, push, seed = depth._lattice_walk, depth.heapq.heappush, depth._seed
-    build, rank, betti = depth.upper_koszul_complex, kernels.gf_rank, depth._betti
-    koszul = depth._koszul
-    fiber = []  # not empty while a seed runs
-    # the b of the last fiber walk's first step: a later prime's seed
-    # replays that walk from the walk memo, so only the first one runs it
-    top = [None]
+    print(f"depth_exact at p=2 then p=32003 per ideal, same specs: {best:.3f} s")
+    counts = search_counts(lambda: [depth.depths_exact(i, DEFAULT_PRIMES) for i in ideals])
+    print("one depths_exact pass at both primes on the same specs:")
+    for name, count in counts.items():
+        print(f"  {name:<28} {count:8}")
 
-    def counting_seed(*args):
-        fiber.append(None)
-        try:
-            return seed(*args)
-        finally:
-            fiber.clear()
 
-    def counting_walk(gens, held=()):
-        generated = "fiber elements generated" if fiber else "generated"
-        (seeds if fiber else counts)[generated] += 1  # the top
-        if fiber:
-            seeds["seeded searches (h >= 2)"] += 1
-        for k, step in enumerate(walk(gens, held)):
-            if fiber:
-                seeds["fiber elements popped"] += 1
-                if not k:
-                    top[0] = step[1]
-            else:
-                counts["popped"] += 1
-            yield step
+def search_counts(run):
+    """The box search counters of run() from empty caches: nodes entered
+    (from each search's memo entry), leaves (_leaf calls), cores kept,
+    sphere reads (_betti on a sphere), cores built (_faces_by_size calls)
+    and gf_rank calls."""
+    counts = dict.fromkeys(("nodes entered", "leaves", "cores kept", "sphere reads",
+                            "cores built", "gf_rank calls"), 0)
+    search, leaf, betti = depth._search, depth._leaf, depth._betti
+    build, rank = depth._faces_by_size, kernels.gf_rank
 
-    def counting_push(heap, item):
-        if fiber:
-            seeds["fiber elements generated"] += 1
-        else:
-            counts["generated"] += 1
-        push(heap, item)
+    def counting_search(ideal, limits):
+        entry = search(ideal, limits)
+        if search.cache_info().misses > counting_search.misses:
+            counting_search.misses += 1
+            counts["nodes entered"] += entry[3]
+            counts["cores kept"] += len(entry[2])
+        return entry
 
-    def counting_build(ideal, b):
-        counts["K^b built"] += 1
-        return build(ideal, b)
+    counting_search.misses = 0
+    counting_search.cache_clear = search.cache_clear
+
+    def counting_leaf(masks, h):
+        counts["leaves"] += 1
+        return leaf(masks, h)
+
+    def counting_betti(core, p):
+        counts["sphere reads"] += core.sphere
+        return betti(core, p)
+
+    def counting_build(facets):
+        counts["cores built"] += 1
+        return build(facets)
 
     def counting_rank(rows, p):
         counts["gf_rank calls"] += 1
         return rank(rows, p)
 
-    def counting_betti(core, p):
-        beta = betti(core, p)
-        if not fiber:
-            return beta
-
-        def hit(i):
-            found = beta(i)
-            if found:
-                seeds[f"hits at p={p}"] += 1
-                seeds["hits at the fiber top"] += core.b == top[0]
-            return found
-
-        return hit
-
     clear_caches()
-    depth._lattice_walk, depth._seed = counting_walk, counting_seed
-    depth._betti = counting_betti
-    depth.heapq = SimpleNamespace(heappush=counting_push, heappop=heapq.heappop)
-    depth.upper_koszul_complex, depth._koszul = counting_build, counting_koszul(counts)
-    kernels.gf_rank = counting_rank
-    try:
-        for ideal in ideals:
-            depth.depths_exact(ideal, DEFAULT_PRIMES)
-    finally:
-        depth._lattice_walk, depth._seed, depth._betti = walk, seed, betti
-        depth.heapq = heapq
-        depth.upper_koszul_complex, depth._koszul = build, koszul
-        kernels.gf_rank = rank
-        clear_caches()  # the walk memo holds a counting walk
-    print("one depths_exact pass at both primes on the same specs:")
-    for name, count in counts.items():
-        print(f"  {name:<28} {count:8}")
-    print("  its seeds:")
-    for name, count in seeds.items():
-        print(f"  {name:<28} {count:8}")
-
-
-def counting_koszul(counts):
-    """depth._koszul, counting each b it tests that is not a cone: in
-    counts["facet-bound skips"], one of too few facets; in the CORE_COUNTS
-    counts, one whose K^b is the boundary of a simplex, a sphere read in
-    closed form, one whose strong core is such a kept sphere, one whose
-    core is a simplex, and any other whose core's top leaves nothing to
-    read. None of these is built."""
-    koszul = depth._koszul
-
-    def counting(size, b, divisors, low):
-        found = koszul(size, b, divisors, low)
-        facets = depth._facets(b, divisors)
-        if reduce(and_, facets):
-            return found
-        if len(facets) <= low:
-            counts["facet-bound skips"] += 1
-        elif depth._is_sphere(facets, reduce(or_, facets)):
-            counts[CORE_COUNTS[0]] += 1
-        elif found is not None and found.sphere:
-            counts[CORE_COUNTS[1]] += 1
-        elif len(depth._collapse(facets)) == 1:
-            counts[CORE_COUNTS[2]] += 1
-        elif found is None:
-            counts[CORE_COUNTS[3]] += 1
-        return found
-
-    return counting
-
-
-def one_prime_at_a_time(ideals):
-    """Times depth_exact(I, p) for p = 2, then 32003, one call at a time
-    for each ideal, as the CLI and the depth-betti workload ask, and
-    counts in one more cold pass the K^b built and the walk steps, the
-    elements popped by the seed's fiber walks and the lattice walks, and
-    the b skipped by the facet bound alone."""
-
-    def run():
-        for ideal in ideals:
-            for p in DEFAULT_PRIMES:
-                depth.depth_exact(ideal, p)
-
-    best = best_cold(run)
-    counts = dict.fromkeys(("K^b built", "facet-bound skips", *CORE_COUNTS, "walk steps"), 0)
-    walk, build, koszul = depth._lattice_walk, depth.upper_koszul_complex, depth._koszul
-
-    def counting_walk(gens, held=()):
-        for step in walk(gens, held):
-            counts["walk steps"] += 1
-            yield step
-
-    def counting_build(facets, b):
-        counts["K^b built"] += 1
-        return build(facets, b)
-
-    clear_caches()
-    depth._lattice_walk, depth.upper_koszul_complex = counting_walk, counting_build
-    depth._koszul = counting_koszul(counts)
+    depth._search, depth._leaf, depth._betti = counting_search, counting_leaf, counting_betti
+    depth._faces_by_size, kernels.gf_rank = counting_build, counting_rank
     try:
         run()
     finally:
-        depth._lattice_walk, depth.upper_koszul_complex = walk, build
-        depth._koszul = koszul
+        depth._search, depth._leaf, depth._betti = search, leaf, betti
+        depth._faces_by_size, kernels.gf_rank = build, rank
         clear_caches()
-    print(f"depth_exact at p=2 then p=32003 per ideal, same specs: {best:.3f} s, "
-          + ", ".join(f"{count} {name}" for name, count in counts.items()))
+    return counts
 
 
 def rows_digest(rows):
@@ -566,27 +467,27 @@ def wide_depth():
         ("n=5 d=4", list(iter_specs((5, 5), (4, 4)))),
         ("every 5th n=7 d=3", list(iter_specs((7, 7), (3, 3)))[::5]),
     )
-    build = depth.upper_koszul_complex
+    build = depth._faces_by_size
     for label, specs in ranges:
         ideals = [lexsegment_generators(s) for s in specs]
         built = 0
 
-        def counting_build(facets, b):
+        def counting_build(facets):
             nonlocal built
             built += 1
-            return build(facets, b)
+            return build(facets)
 
         clear_caches()
-        depth.upper_koszul_complex = counting_build
+        depth._faces_by_size = counting_build
         try:
             t0 = time.perf_counter()
             rows = [list(depth.depths_exact(i, DEFAULT_PRIMES).values()) for i in ideals]
             seconds = time.perf_counter() - t0
         finally:
-            depth.upper_koszul_complex = build
+            depth._faces_by_size = build
             clear_caches()
         print(f"depths_exact at both primes, {len(ideals)} {label} specs, one cold pass: "
-              f"{seconds:.3f} s, depth digest {rows_digest(rows)}, {built} K^b built")
+              f"{seconds:.3f} s, depth digest {rows_digest(rows)}, {built} cores built")
 
 
 def depth_digest():
@@ -642,6 +543,7 @@ def main():
     n6_d3_depth()
     n6_d3_search()
     wide_depth()
+    past_the_lattice()
     full_segment()
     total, code = source_lines()
     print(f"src/lexseg/*.py: {total} lines, {code} outside docstrings, "

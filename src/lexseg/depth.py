@@ -1,77 +1,73 @@
 """Depth of S/I: a lex-criterion classifier for lexsegment ideals and an
-independent exact oracle via multigraded Betti numbers over a prime field.
+independent exact route through local cohomology over a prime field.
 
-The oracle route: for b in the lcm lattice of the minimal generators,
-beta_{i,b}(I) is the rank of reduced homology H~_{i-1} of the upper
-Koszul complex K^b(I) (Hochster's formula; Miller-Sturmfels,
-Combinatorial Commutative Algebra, ch. 1 and 5), and depth(S/I) =
-n - 1 - pd(I) by Auslander-Buchsbaum. Only pd(I) = max{i : beta_{i,b} != 0}
-is needed, so depth_exact searches for it, over one field GF(p),
-instead of building the whole Betti table. K^b(I) lives on the simplex
-on supp(b), so over every field beta_{i,b} != 0 implies
-i <= |supp b| - 1. The search visits the lattice
-by decreasing |supp b| and stops at the first b whose bound cannot beat
-the best index found so far. It starts that best at h - 1, where h is
-the largest height of an associated prime, from a nonzero
-beta_{h-1,b} it has computed (_seed), so it only visits the b with
-|supp b| >= h + 1.
+Takayama's formula (Takayama, Combinatorial characterizations of
+generalized Cohen-Macaulay monomial ideals, Bull. Math. Soc. Sci. Math.
+Roumanie 48, 2005). Let I be a proper nonzero monomial ideal and rho_j
+the largest exponent of x_j in a minimal generator. For a in Z^n let
+G = {j : a_j < 0} and V = [n] - G. Then
+dim H^i_m(S/I)_a = dim H~_{i-|G|-1}(Delta_a), where Delta_a is the
+complex of the F ⊆ V such that every minimal generator u has some j in
+V - F with u_j > a_j. This is zero unless a_j < rho_j at every j, and a
+negative a_j enters only through its sign, so every degree that matters
+lies in the box B = prod_j {-1, 0, ..., rho_j - 1}.
+
+Alexander duality (Miller-Sturmfels, Combinatorial Commutative Algebra,
+ch. 5). The dual of Delta_a in V is the complex D_a with one facet
+{j : u_j <= a_j} per generator u (a_j = -1 keeps j out of every one),
+and over a field H~_k(Delta_a) = H~_{|V|-k-3}(D_a) when V is not empty.
+When some facet is all of V, Delta_a is void and D_a is a simplex, both
+acyclic. depth(S/I) is the least i with H^i_m(S/I) != 0, and
+i = n - 2 - q turns the formula into
+
+    depth(S/I) = n - 2 - max{q : H~_q(D_a) != 0 over GF(p), a in B}.
+
+A nonzero H~_q with q >= 0 needs a nonempty face, so V is not empty
+there, and q = -1 only says depth <= n - 1, true of every proper
+nonzero I. The search keeps the maximum as best = q + 1, the index i of
+beta(i) = rank H~_{i-1} (_betti), and returns n - 1 - best.
+
+Which facets matter. H~_q of a complex is fixed by its faces of sizes
+q + 1 and q + 2: the kernel of the boundary out of the q-faces does not
+change with the (q-1)-faces around it, which are faces of those q-faces
+in any complex that holds them. Each such face lies in a facet of at
+least its size. So at q >= k - 1, H~_q(D_a) is that of the subcomplex
+generated by the facets of size >= k, and only the generators u with at
+most n - k misses, coordinates where u_j > a_j, give one.
 
 The seed (a lemma). Let Q0 be an irredundant irreducible component of I
-of height h, with radical P, and let a be its exponent vector, zero off
-P. Then some b in the lcm lattice with b|_P = a has beta_{h-1,b}(I) != 0,
-over every field. Proof: setting x_j = 1 for every j not in P gives an
-ideal I_P of S_P = K[x_i : i in P], and the dehomogenization is exact on
-Z^n-graded modules, so it takes the minimal free resolution of I to a
-Z^P-graded free resolution of I_P, not necessarily minimal, with one
-summand S_P(-b|_P) for each S(-b). Hence
-beta_{i,a}(I_P) <= sum over b with b|_P = a of beta_{i,b}(I). The
-components of I_P are the Q|_P of the components Q of I with radical in
-P, Q0|_P among them. The corner x^(a - 1_P) lies outside Q0 and in every
-other such Q (decompose, the corners), so it lies outside I_P and
-x_i x^(a - 1_P) lies in I_P for each i in P: it is a socle monomial of
-S_P/I_P. So K^a(I_P) holds every proper subset of P and not P, the
-boundary of the simplex on P, a sphere of dimension h - 2, and
-beta_{h-1,a}(I_P) = 1. So pd(I) >= h - 1, and the b that proves it lies
-in the fiber {b in the lattice : b|_P = a}.
+of the largest height h >= 2, with radical P, and let its corner c have
+c_j = Q0_j - 1 on P and c_j = -1 off P. Then the facets of D_c of size
+>= h - 1 are the h sets P - {i}, i in P: the boundary of the simplex on
+P, a sphere with H~_{h-2} of rank 1 over every field, so
+depth(S/I) <= n - h. Proof: V = P, and each facet
+{j in P : u_j < Q0_j} misses some j in P, as u lies in Q0. Setting
+x_j = 1 for every j not in P gives an ideal I_P of S_P = K[x_i : i in P],
+the intersection of the Q|_P over the components Q of I with radical in
+P, Q0|_P among them. x^(c|_P) lies outside Q0|_P and in every other such
+Q|_P (decompose, the corners: Q0 alone misses its corner), so
+x_i x^(c|_P) lies in I_P for each i in P: some generator u has
+u_j <= c_j at every j in P - {i}, and its facet is P - {i}. The
+decomposition only chooses where to look: the corner's facets are read
+through _betti over GF(p), as a sphere because they show they are one,
+and a read of zero raises InternalConsistencyError, so a homology that
+reads every beta as zero fails loudly rather than agree with n - h.
+When h = 1 the seed is best = 0, from nothing read.
 
-The fiber has a top: the lcm of the generators g with g|_P <= a, the
-generators that divide the corner of Q0 plus 1_P. At each i in P one of
-them has g_i = a_i: x_i x^(a - 1_P) lies in I_P and x^(a - 1_P) does
-not, so some generator has g|_P <= a - 1_P + e_i but not g_i < a_i. So
-the top is in the fiber, and every fiber element, an lcm of such
-generators, lies below it. A fiber element c below b differs from b at
-some j outside P, and lies below the child b^(j) of the walk, which is
-then in the fiber too. So the fiber is walked by _lattice_walk itself,
-from that top, with the coordinates in P held fixed. At each b of the
-fiber that is not skipped (below: a cone, at most h - 1 facets, or a
-strong core with no beta_{h-1,b}), beta_{h-1,b} is read over GF(p), and
-the fiber is read until one is nonzero. A fiber that runs out first
-contradicts the lemma: InternalConsistencyError, not a silent best of 0.
-The decomposition only chooses where to look. Every beta, the seed's
-included, is still read through _betti at p, from the facets of that
-K^b: the sphere below is read in closed form because its own facets
-show it is one, never because the lemma says a beta is there. So a homology that read every beta as zero fails
-loudly rather than agree with n - h.
+So the search needs only q >= h - 1, beta(i) at i >= h, and only the
+facets of size >= h.
 
-The lattice is walked lazily, from its top down (_lattice_walk), so the
-search generates only the part it reads; each visited b comes with the
-generators g that divide it. Their sets {i : g_i < b_i}, as bitmasks,
-span K^b, and the inclusion-maximal ones are its facets. K^b is a cone
-exactly when some vertex lies in every facet: then each face sigma has
-sigma + {v} in K^b, the straight-line homotopy to v contracts it, and
-its reduced homology vanishes over every field.
-
-The facet bound (a lemma). If K^b has m facets, then beta_{i,b} = 0 for
-every i >= m, over every field. Proof: K^b is the union of the simplices
-on its facets F_1..F_m, and a union K of at most m simplices, each
-holding the empty face, has H~_j(K) = 0 for j >= m - 1, by induction on
-m. For m = 1, K is a simplex, acyclic, or the empty face alone, with
-only H~_{-1}. For m > 1 let K' be the union of the first m - 1: K' and
-the simplex on F_m meet in the union of the simplices on the
-F_j ∩ F_m, j < m, and reduced Mayer-Vietoris,
-H~_j(K') + H~_j(simplex) -> H~_j(K) -> H~_{j-1}(K' ∩ simplex), has
-both ends zero for j >= m - 1 by induction. The cone is the case where
-the facets share a vertex, acyclic whatever m is.
+The facet bound (a lemma). A complex with m facets has H~_j = 0 for
+every j >= m - 1, over every field. Proof: it is the union of the
+simplices on its facets F_1..F_m, each holding the empty face; by
+induction on m. For m = 1 it is a simplex, acyclic, or the empty face
+alone, with only H~_{-1}. For m > 1 let K' be the union of the first
+m - 1: K' and the simplex on F_m meet in the union of the simplices on
+the F_j ∩ F_m, j < m, and reduced Mayer-Vietoris,
+H~_j(K') + H~_j(simplex) -> H~_j(K) -> H~_{j-1}(K' ∩ simplex), has both
+ends zero for j >= m - 1 by induction. A cone, whose facets share a
+vertex v, is acyclic whatever m is: each face sigma has sigma + {v} in
+it, and the straight-line homotopy to v contracts it.
 
 Strong collapse (a lemma; Barmak-Minian, Strong homotopy types, nerves
 and collapses, DCG 2012). A vertex v of a complex K is dominated by a
@@ -90,62 +86,62 @@ of K, with the homology of K.
 The sphere. A complex whose m facets are every (m - 1)-subset of their
 union S, |S| = m, is the boundary of the simplex on S, a sphere of
 dimension m - 2: H~_{m-2} has rank 1 and every other H~_j is zero, over
-every field. So beta_{m-1,b} = 1 and every other beta_{i,b} = 0 when the
-strong core of K^b is such a sphere, and no K^b is built to read it.
+every field. It is read in closed form, and nothing is built.
 
 Where a beta can be nonzero. A complex on v vertices, of m facets and of
 dimension d has H~_j = 0 at j >= v - 1 (only the full simplex, acyclic,
 reaches dimension v - 1), at j >= m - 1 (the facet bound) and at j > d.
-So for the strong core of K^b, beta_{i,b} = 0 past its top, i >
-min(v - 1, m - 1, d + 1).
+So beta(i) = 0 past the top of a strong core, i > min(v - 1, m - 1,
+d + 1) (_Core).
 
-So a b is skipped, and K^b is not built, when no beta_{i,b} it could
-read is nonzero: i >= low, where low = h - 1 in the seed, which reads
-beta_{h-1}, and low = h in the walk after it, which reads only above its
-best, h - 1 or more. Two cheap tests come first: the facets of K^b share
-a vertex (a cone; the full simplex, whose one facet is supp(b) when
-x^(b - 1_supp b) is in I, among them) or number at most low (the facet
-bound). On what is left, the strong core is taken, and b is skipped when
-the core's top is below low: a core of one facet, a simplex, among them
-(low >= 1). low comes from h, fixed per ideal, and never from the
-search's running best, so each verdict, kept or skipped, holds over
-every field. A kept core that is a sphere is read in closed form; any
-other is built, as the submasks of its facets, only when a search
-first reads a beta there. There i runs from the core's top down to
-best + 1, with beta_{i,b} = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of
-dimension j, d_j the boundary map out of dimension j over GF(p), each
-rank computed once per b and search by kernels.gf_rank), and stops at
-the first nonzero one. Characteristic is a parameter (any prime below
-2^31), and depths_exact runs one search per prime asked for, so the
-sweep can cross-check two primes.
+The search (_search). A depth-first search sets a_1, a_2, ... in turn.
+It carries each generator that can still give a facet of size >= h, one
+with at most n - h misses, as an item: its exponents still to be read,
+its facet so far as a bitmask (bit j - 1 for x_j) and its misses so far.
+Two items alike in all three give one facet at every point below and
+are carried once, and an item past n - h misses is dropped. a_j enters
+only through which items have u_j <= a_j, so one a_j per class is tried:
+a_j = -1, where every item misses, and each distinct u_j of the items
+but the largest. At the largest every item holds j, so every facet
+below does too, a cone; or the largest is rho_j, outside the box. A
+prefix with at most h items left has at most h facets at every point
+below (the facet bound), and is dropped whole. At each point a of the
+box that is reached, the maximal sets among the facets, each of size
+>= h, are skipped when they share a vertex (a cone, a facet that is all
+of V among them), number at most h, or collapse to a strong core whose
+top is below h (a simplex, of one facet, among them). Every skip comes
+from h, fixed per ideal, and never from a prime's running best, so each
+holds over every field. The rest are kept, once per distinct core. When
+h = n there is nothing to search: no complex on n vertices has a beta
+past beta(n - 1), and best starts at h - 1.
 
-Only the ranks depend on the field. The lattice, the fiber, every K^b
-and its core are the same over every field, so the last ideal's walks
-are kept, each as an itertools.tee that replays the steps made so far,
-with the verdict at each b and the cores built so far (_walks). That
-memo is the one place where primes share work: depth_exact(I, p) at
-one prime after another walks the lattice once and collapses and
-builds each K^b at most once, and each search still computes its own
-Betti numbers.
+The search depends on I alone, not on p, so its result (h, the seed's
+core, the kept cores by falling top and the nodes it entered) is a
+one-entry memo (_search), as decompose._components keeps its fold.
+depth_exact(I, p) reads the seed at p, then each kept core from its top
+down to best + 1, while best is below that top, up to the first nonzero
+beta. A sphere is read in closed form; any other core is built, by face
+size, at its first read, and kept for the reads at every later prime,
+where beta(i) = f_{i-1} - rk d_{i-1} - rk d_i (f_j faces of dimension
+j, d_j the boundary map out of dimension j over GF(p), each rank
+computed once per core and read by kernels.gf_rank). Characteristic is
+a parameter (any prime below 2^31), so the sweep can cross-check two
+primes.
 """
 
 from __future__ import annotations
 
-import heapq
-from copy import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
-from itertools import compress, tee
-from math import inf
-from operator import and_, le, lt, neg, or_
+from itertools import compress
+from operator import and_, lt, or_
 
 from . import decompose, kernels
 from .monomials import (
     DomainError,
     InternalConsistencyError,
     LexSpec,
-    Monomial,
     MonomialIdeal,
     SpecError,
     SpecKind,
@@ -153,17 +149,17 @@ from .monomials import (
     variable,
 )
 
-# Most lcm lattice elements, popped plus queued, that _lattice_walk() will
-# generate.
-LCM_LATTICE_LIMIT = 1 << 16
+# Most nodes, prefixes (a_1, ..., a_j) of a point of the box, that the
+# depth search (_search) enters.
+BOX_NODE_LIMIT = 1 << 20
 # Every characteristic p lies below this, where Miller-Rabin on the bases
 # in MILLER_RABIN_BASES is exact (_require_prime).
 CHARACTERISTIC_LIMIT = 1 << 31
 # No composite below 3,215,031,751 is a strong pseudoprime to all of these
 # (Pomerance, Selfridge and Wagstaff, Math. Comp. 1980).
 MILLER_RABIN_BASES = (2, 3, 5, 7)
-# Largest |supp b| at which depth_exact() tests or builds K^b, a complex of
-# up to 2^|supp b| faces.
+# Largest n at which depth_exact() searches: a core it builds is a complex
+# on up to n vertices, of up to 2^n faces.
 KOSZUL_SUPPORT_LIMIT = 16
 
 
@@ -226,25 +222,20 @@ def depth_class(spec: LexSpec) -> DepthCase:
 
 
 # ---------------------------------------------------------------------------
-# exact depth via upper Koszul complexes
+# exact depth via local cohomology
 
 
-def upper_koszul_complex(facets, b: Monomial) -> list[list[int]]:
-    """K^b(I) from its facets (_facets): the squarefree sets
-    sigma ⊆ supp(b) with x^b / x^sigma in I, which are the subsets of the
-    sets {i : g_i < b_i} over the generators g dividing b. From the facets
-    of its strong core (_collapse), the core.
-
-    Faces are bitmasks, bit i - 1 for the variable x_i. Returned by face
-    size: entry k holds the k-element faces, for k = 0..|supp b|.
-    """
-    faces = {0} if facets else set()
+def _faces_by_size(facets) -> list[list[int]]:
+    """Every face of the complex with these facets (bitmasks, bit j - 1
+    for x_j), by face size: entry k holds the k-element faces, for k
+    from 0 to the number of vertices."""
+    faces = {0}
     for facet in facets:
         face = facet
         while face:
             faces.add(face)
             face = (face - 1) & facet
-    by_size = [[] for _ in range(len(b) - b.count(0) + 1)]
+    by_size = [[] for _ in range(reduce(or_, facets).bit_count() + 1)]
     for face in faces:
         by_size[face.bit_count()].append(face)
     return by_size
@@ -261,14 +252,6 @@ def _maximal(masks) -> list[int]:
         else:
             kept.append(mask)
     return kept
-
-
-def _facets(b: Monomial, divisors) -> list[int]:
-    """The facets of K^b(I), given the generators that divide b: the
-    inclusion-maximal sets {i : g_i < b_i}, as bitmasks (bit i - 1 for
-    x_i), largest first."""
-    bits = [1 << i for i in range(len(b))]
-    return _maximal({sum(compress(bits, map(lt, g, b))) for g in divisors})
 
 
 def _collapse(facets) -> list[int]:
@@ -298,53 +281,29 @@ def _is_sphere(facets, vertices: int) -> bool:
     return vertices.bit_count() == m and all(f.bit_count() == m - 1 for f in facets)
 
 
-def _require_support(size: int) -> None:
-    """Raises DomainError when |supp b| = size is over KOSZUL_SUPPORT_LIMIT."""
-    if size > KOSZUL_SUPPORT_LIMIT:
-        raise DomainError(
-            f"|supp b| = {size} is over KOSZUL_SUPPORT_LIMIT = "
-            f"{KOSZUL_SUPPORT_LIMIT}"
-        )
-
-
 class _Core:
-    """The strong core of a K^b that depth_exact reads (_koszul), from
-    its facets, largest first (_collapse). top is the last i at which
-    beta_{i,b} can be nonzero over any field, min(v - 1, m - 1, d + 1)
-    for a core of v vertices, m facets and dimension d, so d + 1 is the
-    size of its first facet (module docstring). A sphere, the boundary
-    of the simplex on top + 1 vertices, is read in closed form; any other
-    core is built as a complex (upper_koszul_complex) at its first read
-    (_betti) and kept for the reads at every later prime."""
+    """The strong core of a complex that the depth search keeps, from its
+    facets, largest first (_collapse). top is the last i at which
+    beta(i) = rank H~_{i-1} can be nonzero over any field,
+    min(v - 1, m - 1, d + 1) for a core of v vertices, m facets and
+    dimension d, so d + 1 is the size of its first facet (module
+    docstring). A sphere, the boundary of the simplex on top + 1 vertices,
+    is read in closed form; any other core is built as a complex
+    (_faces_by_size) at its first read (_betti) and kept for the reads at
+    every later prime."""
 
-    __slots__ = ("b", "facets", "top", "sphere", "by_size")
+    __slots__ = ("facets", "top", "sphere", "by_size")
 
-    def __init__(self, b: Monomial, facets):
+    def __init__(self, facets):
         vertices = reduce(or_, facets)
-        self.b, self.facets, self.by_size = b, facets, None
+        self.facets, self.by_size = facets, None
         self.sphere = _is_sphere(facets, vertices)
         self.top = min(vertices.bit_count() - 1, len(facets) - 1, facets[0].bit_count())
 
 
-def _koszul(size: int, b: Monomial, divisors, low: int):
-    """The strong core (_Core) of K^b(I), from the generators that divide
-    b; or None when no beta_{i,b} with i >= low can be nonzero over any
-    field: the facets of K^b share a vertex (a cone) or number at most low
-    (the facet bound, module docstring), both tested first, or the core
-    has top < low, a simplex (one facet, as low >= 1) among them. Raises
-    DomainError first when |supp b| = size is over KOSZUL_SUPPORT_LIMIT
-    (_require_support)."""
-    _require_support(size)
-    facets = _facets(b, divisors)
-    if len(facets) <= low or reduce(and_, facets):
-        return None
-    core = _Core(b, _collapse(facets))
-    return None if core.top < low else core
-
-
 def _betti(core: _Core, p: int):
-    """beta(i) = beta_{i,b} = rank H~_{i-1} over GF(p) of the core of K^b,
-    for 1 <= i <= |supp b| - 1.
+    """beta(i) = rank H~_{i-1} over GF(p) of the core, for
+    1 <= i <= its vertex count - 1.
 
     The boundary of the simplex on top + 1 vertices has
     beta(top) = 1 and every other beta zero, over every field. Any other
@@ -358,7 +317,7 @@ def _betti(core: _Core, p: int):
         top = core.top
         return lambda i: int(i == top)
     if core.by_size is None:
-        core.by_size = upper_koszul_complex(core.facets, core.b)
+        core.by_size = _faces_by_size(core.facets)
     by_size = core.by_size
     ranks: dict[int, int] = {}
 
@@ -388,130 +347,115 @@ def _betti(core: _Core, p: int):
     return beta
 
 
-def _lattice_walk(gens, held=()):
-    """Yields (|supp b|, b, the gens dividing b) for every b in the lcm
-    lattice of gens, by decreasing |supp b| and then decreasing lex: the
-    order of sorted(((|supp b|, b) for b in the lattice), reverse=True).
-
-    Every lattice element below b lies below some
-    b^(i) = lcm{g : g | b, g_i < b_i} with i in supp b, and each b^(i) is
-    itself in the lattice, componentwise below b, so later in the order.
-    So a heap seeded with the lcm of all gens, that pushes each b^(i) of a
-    popped b once, pops the lattice in order: an element not yet popped
-    has an ancestor in the heap that comes no later. The gens dividing
-    b^(i) are exactly those g | b with g_i < b_i, so each queued element
-    carries them. The b^(i) of b are computed only when the next element
-    is asked for.
-
-    With held, indices of coordinates held fixed, only the b^(i) with i
-    not held that keep every held coordinate of b are pushed, and the
-    walk yields, in the same order, the fiber of the top: the b with
-    b_i = top_i at every held i. Every fiber element below b lies below
-    one of those b^(i) (module docstring), so the order argument above
-    holds there.
-
-    Raises DomainError once more than LCM_LATTICE_LIMIT elements, popped
-    plus queued, have been generated. A fiber is part of the lattice, so
-    a lattice within the limit is walked, whole or in a fiber.
-    """
-    top = tuple(map(max, zip(*gens)))
-    seen = {top}
-    free = [i for i in range(len(top)) if i not in held]
-    # heapq pops the least: -|supp b| first, then b negated componentwise
-    heap = [(top.count(0) - len(top), tuple(map(neg, top)), top, gens)]
-    while heap:
-        neg_size, _, b, below = heapq.heappop(heap)
-        yield -neg_size, b, below
-        for i in free:
-            e = b[i]
-            if not e:
-                continue
-            lower = [g for g in below if g[i] < e]
-            if not lower:
-                continue  # every g | b has g_i = b_i
-            child = tuple(map(max, zip(*lower)))
-            if child in seen or held and any(child[j] < b[j] for j in held):
-                continue
-            seen.add(child)
-            if len(seen) > LCM_LATTICE_LIMIT:
-                raise DomainError(
-                    f"lcm lattice has more than LCM_LATTICE_LIMIT = "
-                    f"{LCM_LATTICE_LIMIT} elements"
-                )
-            heapq.heappush(
-                heap, (child.count(0) - len(child), tuple(map(neg, child)), child, lower)
-            )
-
-
 @lru_cache(maxsize=1)
-def _walks(ideal: MonomialIdeal, limits) -> tuple:
-    """(Q0, the fiber walk of Q0 or None when h = 1, the lattice walk of
-    I): the part of the depth search of I that no prime changes. Q0 is the
-    first component of the largest height h in decompose._components(I), a
-    memo hit when the oracle has just read I, and its fiber (module
-    docstring) is walked over the generators g with g_i <= Q0_i on its
-    radical, with those coordinates held.
+def _search(ideal: MonomialIdeal, limits) -> tuple:
+    """(h, the seed's core, the kept cores by falling top, the nodes
+    entered): the part of the depth search of I that no prime changes
+    (module docstring). h is the largest height of an associated prime,
+    that of the first such component Q0 in decompose._components(I), a
+    memo hit when the oracle has just read I. The seed's core is that of
+    the facets of size >= h - 1 at the corner of Q0, None when h = 1 or
+    when there are none. The kept cores are the distinct ones that _leaf
+    keeps at the points of the box the depth-first search reaches.
 
-    Each walk is a pair (root, built): root is an itertools.tee of
-    _lattice_walk that is never advanced, so a copy of it replays every
-    step (|supp b|, b, the gens dividing b) from the first, and the walk
-    runs no further than its furthest copy; built maps each b whose K^b a
-    reader asked for to the strong core of K^b (_Core), which holds the
-    core's complex once a prime has read it, or to None for one skipped
-    (_koszul). Whether a b is skipped depends only on h, so one entry
-    serves every prime.
-
-    The last ideal is kept, as decompose._components keeps its fold, so
-    depth_exact(I, p) at one prime after another walks the lattice and
-    collapses and builds each K^b at most once: this memo is the only
-    work that searches at different primes share. Only walks, cores and
-    complexes are kept: every beta, rank and depth is computed again at
-    each call. limits is
-    (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT) at the call, part of the key
-    so that no walk is replayed under limits it was not made under. A tee
-    over a walk that raised replays the steps before the raise and then
-    stops, a truncated lattice, so depth_exact clears this memo on any
-    raise. The walks are extended in place, so two threads must not read
-    one ideal at once.
+    The last ideal is kept, so depth_exact(I, p) at one prime after
+    another searches once, and each core built at one prime is read at
+    the next. limits is (BOX_NODE_LIMIT, KOSZUL_SUPPORT_LIMIT) at the
+    call, part of the key so that no search is read under limits it was
+    not made under. Raises DomainError when n is over
+    KOSZUL_SUPPORT_LIMIT, before the fold, or once the search enters more
+    than BOX_NODE_LIMIT nodes.
     """
+    n = ideal.n
+    if n > KOSZUL_SUPPORT_LIMIT:
+        raise DomainError(
+            f"n = {n} is over KOSZUL_SUPPORT_LIMIT = {KOSZUL_SUPPORT_LIMIT}"
+        )
     q0 = max(decompose._components(ideal), key=lambda q: len(q) - q.count(0))
-    held = tuple(i for i, e in enumerate(q0) if e)
-    fiber = None
-    if len(held) > 1:
-        bound = tuple(e or inf for e in q0)  # q0 on its radical, no limit off it
-        gens = [g for g in ideal.gens if all(map(le, g, bound))]
-        fiber = (tee(_lattice_walk(gens, held), 1)[0], {})
-    return q0, fiber, (tee(_lattice_walk(ideal.gens), 1)[0], {})
-
-
-def _seed(q0, fiber, p: int) -> int:
-    """h - 1, where h is the largest height of an associated prime of I,
-    once a nonzero beta_{h-1,b}(I) over GF(p) is computed: then
-    pd(I) >= h - 1. When h = 1 that is beta_0, the number of generators,
-    and nothing is read.
-
-    q0 and its fiber are those of the memo entry _walks(I, ...), whose
-    fiber a call for I at another prime has often walked already. Every
-    b of it that _koszul keeps, at low = h - 1, is read at h - 1 until
-    one is nonzero; the rest have beta_{h-1,b} = 0 over every field.
-    Raises InternalConsistencyError when the fiber runs out first, which
-    the lemma rules out over every field, and DomainError as
-    _lattice_walk and _koszul do.
-    """
-    if fiber is None:
-        return 0
     h = len(q0) - q0.count(0)
-    root, built = fiber
-    for size, b, divisors in copy(root):
-        if b not in built:
-            built[b] = _koszul(size, b, divisors, h - 1)
-        core = built[b]
-        if core is not None and _betti(core, p)(h - 1):
-            return h - 1
-    raise InternalConsistencyError(
-        f"no b over the component {q0} of height {h} has beta_{{{h - 1},b}} "
-        f"!= 0 over GF({p}): the homology is wrong"
-    )
+    seed = None
+    if h > 1:
+        # the corner's facets {j : u_j <= Q0_j - 1}, all inside the radical
+        bits = [1 << j for j in range(n)]
+        masks = {sum(compress(bits, map(lt, u, q0))) for u in ideal.gens}
+        facets = _maximal(m for m in masks if m.bit_count() >= h - 1)
+        seed = _Core(facets) if facets else None
+    slack = n - h
+    kept = {}
+    nodes = 0
+
+    def enter(j, items):
+        """Every point of the box below the prefix (a_1, ..., a_j), whose
+        items are (the exponents u_{j+1}.. still to be read, the facet so
+        far, the misses so far)."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > BOX_NODE_LIMIT:
+            raise DomainError(
+                f"depth search enters more than BOX_NODE_LIMIT = {BOX_NODE_LIMIT} "
+                "nodes"
+            )
+        if j == n:
+            core = _leaf({m for _, m, _ in items}, h)
+            if core is not None:
+                kept.setdefault(frozenset(core.facets), core)
+            return
+        bit = 1 << j
+        child = {(s[1:], m, k + 1) for s, m, k in items if k < slack}  # a_j = -1
+        if len(child) > h:
+            enter(j + 1, child)
+        for t in sorted({s[0] for s, _, _ in items})[:-1]:
+            child = {
+                (s[1:], m | bit, k) if s[0] <= t else (s[1:], m, k + 1)
+                for s, m, k in items
+                if s[0] <= t or k < slack
+            }
+            if len(child) > h:
+                enter(j + 1, child)
+
+    if h < n:
+        enter(0, {(u, 0, 0) for u in ideal.gens})
+    return h, seed, sorted(kept.values(), key=lambda core: -core.top), nodes
+
+
+def _leaf(masks, h: int):
+    """The strong core (_Core) of the complex whose facets are the maximal
+    sets among masks, each of size >= h; or None when it has no
+    beta(i) != 0 at i >= h over any field: the facets share a vertex (a
+    cone) or number at most h (the facet bound), both tested first, or
+    the core has top < h, a simplex (one facet) among them."""
+    facets = _maximal(masks)
+    if len(facets) <= h or reduce(and_, facets):
+        return None
+    core = _Core(_collapse(facets))
+    return None if core.top < h else core
+
+
+def _depth(ideal: MonomialIdeal, p: int) -> int:
+    """depth(S/I) over GF(p), for a proper nonzero I and a prime p that
+    the caller has checked: n - 1 - best, where best starts at h - 1 once
+    the seed's core reads beta(h - 1) != 0 (0 when h = 1), and each kept
+    core whose top is above best is read from its top down to best + 1,
+    up to the first nonzero beta. Raises InternalConsistencyError when the
+    seed reads zero, and DomainError as _search does; any raise clears
+    the memo _search."""
+    try:
+        h, seed, cores, _ = _search(ideal, (BOX_NODE_LIMIT, KOSZUL_SUPPORT_LIMIT))
+        if h > 1 and not (seed and seed.top >= h - 1 and _betti(seed, p)(h - 1)):
+            raise InternalConsistencyError(
+                f"the corner of a component of height {h} reads "
+                f"beta_{h - 1} = 0 over GF({p}): the homology is wrong"
+            )
+        best = h - 1
+        for core in cores:
+            if core.top <= best:
+                break
+            beta = _betti(core, p)
+            best = next((i for i in range(core.top, best, -1) if beta(i)), best)
+    except BaseException:
+        _search.cache_clear()
+        raise
+    return ideal.n - 1 - best
 
 
 @lru_cache(maxsize=8)
@@ -558,9 +502,9 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
 
     Raises DomainError, before any search, when I is zero or the unit
     ideal, no prime is given or one is not a prime below
-    CHARACTERISTIC_LIMIT; then as depth_exact does. The searches share
-    their walks and cores through the memo _walks, so the lattice is
-    walked once for all of them.
+    CHARACTERISTIC_LIMIT; then as depth_exact does. Each ideal and prime
+    is checked once; the primes share one search through the memo
+    _search, and each reads the kept cores at its own prime.
     """
     primes = tuple(primes)
     decompose._require_proper(ideal)
@@ -568,58 +512,28 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
         raise DomainError("no characteristic given")
     for p in primes:
         _require_prime(p)
-    return {p: depth_exact(ideal, p) for p in primes}
+    return {p: _depth(ideal, p) for p in primes}
 
 
 def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
-    """depth(S/I) = n - 1 - pd(I), with pd(I) found over GF(p), p prime.
+    """depth(S/I) over GF(p), p prime: n - 2 - max q with H~_q(D_a) != 0
+    over the points a of the exponent box (Takayama's formula and
+    Alexander duality, module docstring).
 
-    The best index starts at h - 1 from the seed (_seed), a computed
-    nonzero beta_{h-1,b} in the fiber of a component of the largest
-    height h. The walk visits b by decreasing |supp b| (then decreasing
-    lex) and stops at the first b with |supp b| - 1 <= best, since
-    beta_{i,b} = 0 for i > |supp b| - 1. A visited b whose facets, the
-    maximal sets {i : g_i < b_i} over the generators g dividing b, share
-    a vertex v has a cone as K^b(I): v joins every face, so K^b is
-    contractible and acyclic over every field, and b is skipped without
-    building K^b (_koszul). The full simplex, when x^(b - 1_supp b) is in
-    I, is the cone with the one facet supp(b). So is a b whose m facets
-    number at most h: beta_{i,b} = 0 for i >= m (the facet bound, module
-    docstring), and best is h - 1 or more; and a b whose strong core has
-    its top, past which every beta_{i,b} is zero, below h. When best is
-    below the top of any other core, beta_{i,b} is read through _betti
-    from i = top down to best + 1, up to the first nonzero one: in closed
-    form for a sphere, and otherwise from the core, built at the first
-    such read.
-
-    The walks and their cores come from the one-entry memo _walks, so a
-    call for I at another prime replays them and walks on only past
-    where the calls before it stopped. Any raise clears that memo, so no
-    later call replays a walk cut short.
+    The search (_search) is seeded at a corner of a component of the
+    largest height h, a sphere read at p, and keeps only the cores, at
+    the points of the box, that could hold H~_q at q >= h - 1 over some
+    field: the rest are cones, have at most h facets of size >= h, or
+    collapse to a strong core with nothing past its top to read. Each
+    kept core is read at p (_betti), in closed form when it is a sphere.
+    The search is a one-entry memo, so a call for I at another prime
+    reads the same cores without searching again. Any raise clears it.
 
     Raises DomainError when I is zero or the unit ideal, p is not a prime
-    below CHARACTERISTIC_LIMIT, a walk generates more than
-    LCM_LATTICE_LIMIT elements, or the first b read, of the largest
-    support in the fiber or the lattice, is over KOSZUL_SUPPORT_LIMIT.
-    Raises InternalConsistencyError when the seed finds no nonzero beta.
+    below CHARACTERISTIC_LIMIT, n is over KOSZUL_SUPPORT_LIMIT or the
+    search enters more than BOX_NODE_LIMIT nodes. Raises
+    InternalConsistencyError when the seed reads zero.
     """
     decompose._require_proper(ideal)
     _require_prime(p)
-    q0, fiber, (root, built) = _walks(
-        ideal, (LCM_LATTICE_LIMIT, KOSZUL_SUPPORT_LIMIT)
-    )
-    try:
-        best = floor = _seed(q0, fiber, p)
-        for size, b, divisors in copy(root):
-            if size - 1 <= best:
-                break
-            if b not in built:
-                built[b] = _koszul(size, b, divisors, floor + 1)
-            core = built[b]
-            if core is not None and best < core.top:
-                beta = _betti(core, p)
-                best = next((i for i in range(core.top, best, -1) if beta(i)), best)
-    except BaseException:
-        _walks.cache_clear()
-        raise
-    return ideal.n - 1 - best
+    return _depth(ideal, p)

@@ -3,7 +3,7 @@
 For every (n, d) in range and every pair u >=_lex v of degree-d monomials,
 four check families run: closed-form versus oracle associated primes,
 the three verifiers on the pretty clean filtration from
-staged_filtration, depth classifier versus the exact Betti oracle (at
+staged_filtration, depth classifier versus the exact depth oracle (at
 every configured prime), and the Stanley family: the exact Stanley
 certificate (the K-polynomial of S/I against the Hilbert series
 numerator of the decomposition, filtration.stanley_certificate) and the

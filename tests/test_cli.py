@@ -202,33 +202,41 @@ class TestCliExitCodes:
         assert "non-negative integer" in capsys.readouterr().err
 
     def test_lcm_lattice_over_limit_is_usage_error(self, tmp_path, capsys):
-        # (x1, ..., x20): 2^20 - 1 lcms, but the walk's first element, of
-        # support 20, is already over KOSZUL_SUPPORT_LIMIT
+        # (x1, ..., x20): 2^20 - 1 lcms, but n = 20 is already over
+        # KOSZUL_SUPPORT_LIMIT, tested before any search
         path = tmp_path / "ideal.json"
         gens = [[int(i == j) for i in range(20)] for j in range(20)]
         path.write_text(json.dumps({"n": 20, "gens": gens}))
         assert main(["depth", "--ideal", str(path)]) == 2
-        assert "|supp b| = 20 is over KOSZUL_SUPPORT_LIMIT" in capsys.readouterr().err
+        assert "n = 20 is over KOSZUL_SUPPORT_LIMIT" in capsys.readouterr().err
 
     def test_lcm_lattice_walk_over_limit_is_usage_error(
         self, tmp_path, capsys, monkeypatch
     ):
         # (x1*x3, x1*x4, x2*x3, x2*x4) = (x1, x2) ∩ (x3, x4): h = 2 and
-        # pd(I) = 2, so the walk still runs after the seed. The seed's fiber
-        # walk generates 3 elements (x1*x2*x3*x4, x1*x2*x4, x1*x2*x3, or the
-        # same over (x3, x4)), and the walk after it generates the top and
-        # its 4 children, stopping at x1*x2*x3 with beta_2 read at the top;
-        # it refuses the fifth at a limit of 4
+        # pd(I) = 2, so the box search runs after the seed. It enters 11
+        # nodes, one of them the point where the square on {1, 2, 3, 4}
+        # gives beta_2, so it answers at a node limit of 11, the limit that
+        # took the lattice walk's place, and refuses at 10
         path = tmp_path / "ideal.json"
         gens = [[1, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 1]]
         path.write_text(json.dumps({"n": 4, "gens": gens}))
         depth_module = importlib.import_module("lexseg.depth")
-        monkeypatch.setattr(depth_module, "LCM_LATTICE_LIMIT", 5)
+        monkeypatch.setattr(depth_module, "BOX_NODE_LIMIT", 11)
         assert main(["depth", "--ideal", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["depth_exact"] == 1
-        monkeypatch.setattr(depth_module, "LCM_LATTICE_LIMIT", 4)
+        monkeypatch.setattr(depth_module, "BOX_NODE_LIMIT", 10)
         assert main(["depth", "--ideal", str(path)]) == 2
-        assert "lcm lattice has more than LCM_LATTICE_LIMIT = 4" in capsys.readouterr().err
+        assert "more than BOX_NODE_LIMIT = 10 nodes" in capsys.readouterr().err
+
+    def test_spec_past_the_lattice_limit_is_answered(self, capsys):
+        # L(x1*x6*x9^2, x4*x5*x6*x7): 243 generators, more lcm lattice
+        # elements than the walk that the box search replaced could take,
+        # and h = 8, so the depth is 9 - 8
+        code = main(["depth", "--n", "9", "--d", "4", "--u", "x1*x6*x9^2",
+                     "--v", "x4*x5*x6*x7", "--exact"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["depth_exact"] == 1
 
     def test_koszul_support_over_limit_is_usage_error(self, tmp_path, capsys):
         # (x1*...*x30): a one-element lattice, but 2^30 subsets of supp b

@@ -1,14 +1,15 @@
-"""Depth: the lex-criterion classifier and the Betti-number oracle."""
+"""Depth: the lex-criterion classifier and the exact depth, a search over
+the exponent box by local cohomology, crossed with Hochster's formula over
+the whole lcm lattice and with Takayama's formula read directly."""
 
 import hashlib
 import json
 import time
-from copy import copy
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, compress, product
 from math import isqrt
-from operator import or_
+from operator import lt, or_
 
 import pytest
 from hypothesis import given, seed, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import I, components_reference, real_projective_plane, spec, zero_ideal
 from lexseg import decompose, depth, kernels
+from lexseg.closed_form import associated_primes_lexsegment
 from lexseg.decompose import associated_primes_oracle
 from lexseg.depth import (
     CHARACTERISTIC_LIMIT,
@@ -23,7 +25,6 @@ from lexseg.depth import (
     depth_class,
     depth_exact,
     depths_exact,
-    upper_koszul_complex,
 )
 from lexseg.monomials import (
     DomainError,
@@ -38,26 +39,35 @@ from lexseg.monomials import (
 from lexseg.sweep import iter_specs
 
 
+def variables(mask):
+    """The variables of the bitmask mask (bit i - 1 for x_i), as a set."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def faces(k):
-    """The face set of the complex k, which upper_koszul_complex returns
-    as one list of bitmask faces (bit i - 1 for x_i) per face size, as
-    sets of variables."""
+    """The face set of the complex k, which depth._faces_by_size returns
+    as one list of bitmask faces per face size, as sets of variables."""
+    return frozenset(variables(f) for level in k for f in level)
+
+
+def generated(facets):
+    """The complex generated by facets (sets of variables): every subset of
+    one of them. No facet gives the void complex, with no face at all."""
     return frozenset(
-        frozenset(i + 1 for i in range(f.bit_length()) if f >> i & 1)
-        for level in k
-        for f in level
+        frozenset(s) for f in facets for r in range(len(f) + 1) for s in combinations(f, r)
     )
 
 
-def koszul(ideal, b):
-    """K^b(I) as depths_exact builds it: from the facets of the generators
-    that divide b."""
-    divisors = [g for g in ideal.gens if kernels.divides(g, b)]
-    return upper_koszul_complex(depth._facets(b, divisors), b)
+def from_masks(masks):
+    """The complex generated by the bitmask facets masks."""
+    return generated(map(variables, masks))
 
 
-def is_cone(faces, vertices):
-    """True iff some vertex v has sigma + {v} a face for every face sigma."""
+def is_cone(faces, vertices=None):
+    """True iff some vertex v has sigma + {v} a face for every face sigma;
+    vertices default to those of the faces."""
+    if vertices is None:
+        vertices = frozenset().union(*faces)
     return any(all(f | {v} in faces for f in faces) for v in vertices)
 
 
@@ -104,20 +114,16 @@ def core_top(faces):
     return min(len(vertices) - 1, facet_count(faces) - 1, max(map(len, faces)))
 
 
-def skipped(ideal, b, low):
-    """True iff depths_exact skips b unbuilt when it reads no beta_{i,b}
-    with i < low: by its definition, K^b is a cone, has at most low
-    facets (the facet bound of the depth module), or has a strong core
-    past whose top, below low, every beta_{i,b} is zero."""
-    k = membership_faces(ideal, b)
-    return (
-        is_cone(k, supp(b)) or facet_count(k) <= low or core_top(strong_core(k)) < low
-    )
+def skipped(k, h):
+    """True iff the depth search skips the complex k, unbuilt, when it
+    reads no beta(i) = rank H~_{i-1} with i < h: by its definition, k is a
+    cone, has at most h facets (the facet bound of the depth module), or
+    has a strong core past whose top, below h, every beta(i) is zero."""
+    return is_cone(k) or facet_count(k) <= h or core_top(strong_core(k)) < h
 
 
-def facets(k):
-    """Inclusion-maximal faces of the complex k, smallest first."""
-    fs = faces(k)
+def facets(fs):
+    """Inclusion-maximal faces of the face set fs, smallest first."""
     return tuple(
         f
         for f in sorted(fs, key=lambda s: (len(s), sorted(s)))
@@ -126,19 +132,20 @@ def facets(k):
 
 
 def dim(k):
-    """Largest face size of the complex k minus one; -2 for the void complex."""
-    return max((len(f) for f in faces(k)), default=-1) - 1
+    """Largest face size of the face set k minus one; -2 for the void complex."""
+    return max((len(f) for f in k), default=-1) - 1
 
 
 def homology_ranks(complex, p):
-    """Reduced homology ranks over GF(p), indexed from dimension -1: every
-    boundary rank of the complex, the reference for the ranks depth_exact
-    reads.
+    """Reduced homology ranks over GF(p) of the face set complex, indexed
+    from dimension -1: every boundary rank of the complex, the reference
+    for the ranks depth_exact reads.
 
-    Returns [rank H~_{-1}, rank H~_0, rank H~_1, ...].
+    Returns [rank H~_{-1}, rank H~_0, rank H~_1, ...]; [0] for the void
+    complex.
     """
     by_dim = {}
-    for f in faces(complex):
+    for f in complex:
         by_dim.setdefault(len(f) - 1, []).append(tuple(sorted(f)))
     if not by_dim:
         return [0]
@@ -170,7 +177,7 @@ def homology_ranks(complex, p):
 
 def lcm_lattice(ideal):
     """lcms of nonempty generator subsets, adding one generator at a time:
-    the whole lattice, the reference for the walk depth_exact takes."""
+    the whole lattice, where Hochster's formula reads the Betti numbers."""
     lattice: set[Monomial] = set()
     for g in ideal.gens:
         lattice |= {tuple(map(max, b, g)) for b in lattice}
@@ -206,11 +213,13 @@ class BettiTable:
 
 
 def betti_numbers(ideal: MonomialIdeal, p: int) -> BettiTable:
-    """Reference for depth_exact: beta_{i,b}(I) = rank H~_{i-1}(K^b(I)) at
-    every b of the lcm lattice, with no pruning."""
+    """Reference for depth_exact, by Hochster's formula:
+    beta_{i,b}(I) = rank H~_{i-1}(K^b(I)) at every b of the lcm lattice,
+    K^b(I) by its definition (membership_faces), with no pruning; then
+    depth(S/I) = n - 1 - max_index by Auslander-Buchsbaum."""
     entries = []
     for b in sorted(lcm_lattice(ideal), reverse=True):
-        ranks = homology_ranks(koszul(ideal, b), p)
+        ranks = homology_ranks(membership_faces(ideal, b), p)
         for i, r in enumerate(ranks):  # ranks[i] = H~_{i-1}
             if r:
                 entries.append((i, b, r))
@@ -255,9 +264,10 @@ def tuple_betti_from_top(by_size, p, above):
 
 
 def simplex_skip_depths(ideal, primes):
-    """The search that the cone skip replaced: the same walk order and
-    reads, skipping only a b whose K^b is the full simplex, found by one
-    membership test of x^(b - 1_supp b)."""
+    """A second Hochster reference, pruned only by support: the lcm lattice
+    by decreasing |supp b|, stopping once |supp b| - 1 cannot raise the
+    best index, and skipping only a b whose K^b is the full simplex, found
+    by one membership test of x^(b - 1_supp b)."""
     best = dict.fromkeys(primes, 0)
     for size, b in sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True):
         if size - 1 <= min(best.values()):
@@ -272,6 +282,63 @@ def simplex_skip_depths(ideal, primes):
                         best[p] = i
                         break
     return {p: ideal.n - 1 - found for p, found in best.items()}
+
+
+def box(ideal):
+    """Every point a of the exponent box prod_j {-1, 0, ..., rho_j - 1},
+    rho_j the largest exponent of x_j in a generator."""
+    tops = map(max, zip(*ideal.gens))
+    return list(product(*(range(-1, rho) for rho in tops)))
+
+
+def takayama_faces(ideal, a):
+    """Delta_a of Takayama's formula, by its definition: the F ⊆ V =
+    {j : a_j >= 0} such that every generator u has some j in V - F with
+    u_j > a_j."""
+    v = [j + 1 for j, e in enumerate(a) if e >= 0]
+    return frozenset(
+        frozenset(f)
+        for r in range(len(v) + 1)
+        for f in combinations(v, r)
+        if all(any(u[j - 1] > a[j - 1] for j in v if j not in f) for u in ideal.gens)
+    )
+
+
+def dual_faces(ideal, a):
+    """D_a, the Alexander dual of Delta_a in V: {V - F : F ⊆ V, F not in
+    Delta_a}."""
+    v = frozenset(j + 1 for j, e in enumerate(a) if e >= 0)
+    delta = takayama_faces(ideal, a)
+    return frozenset(
+        v - frozenset(f)
+        for r in range(len(v) + 1)
+        for f in combinations(sorted(v), r)
+        if frozenset(f) not in delta
+    )
+
+
+def local_cohomology_depth(ideal, p):
+    """depth(S/I) over GF(p) by Takayama's formula read directly, with no
+    duality and no pruning: the least i = k + |G| + 1 with
+    H~_k(Delta_a) != 0 over the points a of the box, G = {j : a_j < 0}."""
+    found = []
+    for a in box(ideal):
+        ranks = homology_ranks(takayama_faces(ideal, a), p)  # ranks[k + 1] = H~_k
+        g = sum(e < 0 for e in a)
+        found += [k + g for k, r in enumerate(ranks) if r]
+    return min(found)
+
+
+def box_complexes(ideal, h):
+    """{the complex generated by the facets {j : u_j <= a_j} of size >= h :
+    a in the box}: every complex the depth search could read."""
+    return {
+        generated(
+            f for f in (frozenset(j + 1 for j, e in enumerate(a) if u[j] <= e) for u in ideal.gens)
+            if len(f) >= h
+        )
+        for a in box(ideal)
+    }
 
 
 @st.composite
@@ -330,69 +397,74 @@ class TestUpperKoszul:
     def test_faces_at_generator_degree(self):
         # b = x1*x2 for I = (x1*x2): sigma = {} excluded, {1},{2},{1,2} by
         # whether x^b / x^sigma stays in I
-        k = koszul(I(2, "x1*x2"), (1, 1))
-        assert faces(k) == frozenset({frozenset()})
+        k = membership_faces(I(2, "x1*x2"), (1, 1))
+        assert k == frozenset({frozenset()})
 
     def test_two_vertices_no_edge(self):
         # b = x1*x2 for I = (x1, x2): the edge {1,2} would need 1 in I
-        k = koszul(I(2, "x1", "x2"), (1, 1))
-        assert faces(k) == frozenset(
+        k = membership_faces(I(2, "x1", "x2"), (1, 1))
+        assert k == frozenset(
             {frozenset(), frozenset({1}), frozenset({2})}
         )
         assert dim(k) == 0
 
     @seed(20261018)
-    @settings(max_examples=150, deadline=None, database=None)
-    @given(small_ideals(max_n=6), st.lists(st.integers(0, 4), min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(small_ideals(max_n=4), st.lists(st.integers(-1, 4), min_size=6, max_size=6))
     def test_facets_give_the_membership_faces(self, ideal, extra):
-        # every b of the lcm lattice, and one b that need not be in it
-        for b in sorted(lcm_lattice(ideal)) + [tuple(extra[: ideal.n])]:
-            divisors = [g for g in ideal.gens if kernels.divides(g, b)]
-            masks = depth._facets(b, divisors)
-            k = upper_koszul_complex(masks, b)
-            # one level per face size 0..|supp b|, each of distinct
+        # at every point a of the box, and one a that need not be in it:
+        # the sets {j : u_j <= a_j}, one per generator, are the facets of
+        # D_a, the Alexander dual of Takayama's Delta_a, and
+        # depth._faces_by_size gives its faces by size
+        for a in box(ideal) + [tuple(extra[: ideal.n])]:
+            bits = [1 << j for j in range(ideal.n)]
+            masks = {sum(b for b, x, e in zip(bits, u, a) if x <= e) for u in ideal.gens}
+            dual = dual_faces(ideal, a)
+            assert from_masks(masks) == dual
+            top = depth._maximal(masks)
+            assert frozenset(map(variables, top)) == frozenset(facets(dual))
+            assert [m.bit_count() for m in top] == sorted(
+                (m.bit_count() for m in top), reverse=True
+            )
+            k = depth._faces_by_size(top)
+            # one level per face size 0..the vertex count, each of distinct
             # bitmasks of that many bits
-            assert len(k) == len(supp(b)) + 1
+            assert len(k) == len(frozenset().union(*dual)) + 1
             for size, level in enumerate(k):
                 assert len(set(level)) == len(level)
                 assert all(f.bit_count() == size for f in level)
-            assert faces(k) == membership_faces(ideal, b)
-            # the facets are the inclusion-maximal faces, largest first
-            assert faces([masks]) == frozenset(facets(k))
-            assert [m.bit_count() for m in masks] == sorted(
-                (m.bit_count() for m in masks), reverse=True
-            )
+            assert faces(k) == dual
 
     def test_support_limit(self, monkeypatch):
-        # the tests and benchmarks reach |supp b| <= 7, far below the
-        # limit; over it the search raises before building K^b
-        def building(facets, b):
-            raise AssertionError("K^b built over KOSZUL_SUPPORT_LIMIT")
+        # the tests and benchmarks reach n <= 9, far below the limit; over
+        # it the search raises before building any complex
+        def building(facets):
+            raise AssertionError("a complex built over KOSZUL_SUPPORT_LIMIT")
 
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 2)
         assert depth_exact(I(2, "x1^2", "x2^2")) == 0
-        monkeypatch.setattr(depth, "upper_koszul_complex", building)
-        with pytest.raises(DomainError, match="KOSZUL_SUPPORT_LIMIT"):
+        monkeypatch.setattr(depth, "_faces_by_size", building)
+        with pytest.raises(DomainError, match="n = 3 is over KOSZUL_SUPPORT_LIMIT = 2"):
             depth_exact(I(3, "x1*x2*x3"))
 
 
 class TestHomology:
     def test_point_is_acyclic(self):
         # b = x1*x2 for I = (x1): faces {} and {2}, a single point
-        k = koszul(I(2, "x1"), (1, 1))
+        k = membership_faces(I(2, "x1"), (1, 1))
         assert homology_ranks(k, 2) == [0, 0]
 
     def test_two_points_have_reduced_h0(self):
         # b = lcm of x1, x2 for I = (x1, x2)... K^b has facets {1} and {2}
         # joined by {1,2}, so it is contractible; use the disjoint pair via
         # I = (x1^2, x2^2) at b = (2, 2) quotients instead
-        k = koszul(I(2, "x1^2", "x2^2"), (2, 2))
+        k = membership_faces(I(2, "x1^2", "x2^2"), (2, 2))
         assert facets(k) == (frozenset({1}), frozenset({2}))
         assert homology_ranks(k, 2) == [0, 1]
 
     def test_empty_complex_has_hminus1(self):
         # only the empty face: reduced homology concentrated in degree -1
-        k = koszul(I(2, "x1*x2"), (1, 1))
+        k = membership_faces(I(2, "x1*x2"), (1, 1))
         assert homology_ranks(k, 32003) == [1]
 
 
@@ -426,6 +498,10 @@ class TestBettiAndDepth:
     def test_characteristic_parameter(self):
         ideal = lexsegment_generators(spec(4, 3, "x1*x3*x4", "x2^2*x3"))
         assert depth_exact(ideal, 2) == depth_exact(ideal, 32003) == 1
+        # the primes are read once, so an iterator is checked and searched
+        ideal = I(3, "x1*x2", "x2*x3")
+        assert depths_exact(ideal, iter([2])) == {2: depth_exact(ideal, 2)}
+        assert depths_exact(ideal, (p for p in (2, 3))) == depths_exact(ideal, (2, 3))
 
     def test_permutation_invariance(self):
         # swapping variables permutes multidegrees but not total Betti numbers
@@ -442,8 +518,14 @@ class TestBettiAndDepth:
 
     @pytest.mark.parametrize("p", [0, 1, 4, 9, -3, 32001])
     def test_rejects_non_prime_characteristic(self, p):
+        ideal = I(3, "x1*x2", "x2*x3")
         with pytest.raises(DomainError, match="not a prime"):
-            depth_exact(I(3, "x1*x2", "x2*x3"), p)
+            depth_exact(ideal, p)
+        # depths_exact checks every prime before any search, and needs one
+        with pytest.raises(DomainError, match="not a prime"):
+            depths_exact(ideal, (2, p))
+        with pytest.raises(DomainError, match="no characteristic"):
+            depths_exact(ideal, ())
 
     @pytest.mark.parametrize(
         "p", [CHARACTERISTIC_LIMIT, 2**61 - 1, 2**89 - 1, 10**30]
@@ -500,172 +582,151 @@ class TestBettiAndDepth:
         assert depth_exact(ideal, 2**31 - 1) == depth_exact(ideal, 32003) == 1
 
     def test_lcm_lattice_limit(self, monkeypatch):
-        # I = (x1, x2) has the 3-element lattice {x1*x2, x1, x2}: the walk
-        # generates the top, then both of its children at once
-        walk = depth._lattice_walk
-        gens = I(2, "x1", "x2").gens
-        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
-        assert [step[:2] for step in walk(gens)] == [(2, (1, 1)), (1, (1, 0)), (1, (0, 1))]
-        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
-        steps = walk(gens)
-        assert next(steps)[:2] == (2, (1, 1))  # one element generated so far
-        with pytest.raises(DomainError, match="lcm lattice"):
-            next(steps)
+        # the node limit of the box search took the place of the lattice
+        # walk's limit. (x1, x2) has h = n = 2: no complex on 2 vertices
+        # has a beta past beta_1, so the seed alone gives the depth and the
+        # search enters no node, even at a limit of 0
+        ideal = I(2, "x1", "x2")
+        monkeypatch.setattr(depth, "BOX_NODE_LIMIT", 0)
+        assert depth_exact(ideal, 2) == 0
+        assert depth._search(ideal, (0, depth.KOSZUL_SUPPORT_LIMIT))[3] == 0
+        # x1*x2 has h = 1 < n: the search enters its root, where the one
+        # generator is too few for any facet bound, and no node below
+        with pytest.raises(DomainError, match="BOX_NODE_LIMIT = 0"):
+            depth_exact(I(2, "x1*x2"), 2)
+        monkeypatch.setattr(depth, "BOX_NODE_LIMIT", 1)
+        assert depth_exact(I(2, "x1*x2"), 2) == 1
 
     @pytest.mark.parametrize(
-        "n, gens", [(2, ("x1^2", "x1*x2", "x2^2")), (4, ("x1*x2", "x2*x3", "x1*x3", "x4^2"))]
+        "n, gens", [(2, ("x1^2*x2",)), (4, ("x1*x2", "x2*x3", "x1*x3", "x4^2"))]
     )
     def test_lcm_lattice_limit_counts_the_generated_elements(self, n, gens, monkeypatch):
-        # the whole walk generates each lattice element once: it runs at a
-        # limit of the lattice size and raises at one less
+        # the search counts every node it enters against the limit: it runs
+        # at a limit of the count it reports and raises at one less
         ideal = I(n, *gens)
-        size = len(lcm_lattice(ideal))
-        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", size)
-        assert len(list(depth._lattice_walk(ideal.gens))) == size
-        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", size - 1)
-        with pytest.raises(DomainError, match="lcm lattice"):
-            list(depth._lattice_walk(ideal.gens))
+        depth._search.cache_clear()
+        nodes = depth._search(ideal, (depth.BOX_NODE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT))[3]
+        assert nodes >= 1
+        monkeypatch.setattr(depth, "BOX_NODE_LIMIT", nodes)
+        expected = depth_exact(ideal, 2)
+        assert expected == ideal.n - 1 - betti_numbers(ideal, 2).max_index
+        monkeypatch.setattr(depth, "BOX_NODE_LIMIT", nodes - 1)
+        with pytest.raises(DomainError, match=f"BOX_NODE_LIMIT = {nodes - 1}"):
+            depth_exact(ideal, 2)
 
     def test_support_limit_holds_when_the_first_b_is_skipped(self, monkeypatch):
-        # the one b of support 4, x1^2*x2*x3^3*x4^2, has x1*x3^2*x4 in I: a
-        # full simplex, so a cone, skipped unbuilt, yet its support is held
-        # to the limit
+        # the limit is on n, tested before the search: this ideal keeps no
+        # core at all (every point of its box is skipped), yet n = 4 is
+        # held to the limit
         ideal = I(4, "x1*x4", "x2*x4^2", "x1^2*x3^3")
-        assert [b for b in lcm_lattice(ideal) if len(supp(b)) == 4] == [(2, 1, 3, 2)]
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 3)
         with pytest.raises(DomainError, match="KOSZUL_SUPPORT_LIMIT"):
             depth_exact(ideal, 2)
         monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", 4)
         assert depth_exact(ideal, 2) == 2
+        assert depth._search(ideal, (depth.BOX_NODE_LIMIT, 4))[2] == []
 
 
-class TestLatticeWalk:
-    @seed(20261020)
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(
-        st.integers(1, 6).flatmap(
-            lambda n: st.lists(
-                st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=7
-            ).map(lambda gens: MonomialIdeal.from_gens(n, gens))
-        )
-    )
-    def test_unstopped_walk_is_the_sorted_lattice(self, ideal):
-        # single generators included: min_size=1 and generators that divide
-        # others minimalize away
-        walked = [(size, b) for size, b, _ in depth._lattice_walk(ideal.gens)]
-        assert len(set(walked)) == len(walked)
-        assert walked == sorted(
-            ((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True
-        )
-        # each b comes with exactly the generators that divide it
-        for _, b, divisors in depth._lattice_walk(ideal.gens):
-            assert sorted(divisors) == sorted(
-                g for g in ideal.gens if kernels.divides(g, b)
-            )
+class TestLocalCohomology:
+    @seed(20261030)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_ideals(max_n=4))
+    def test_takayama_depth_is_the_hochster_depth(self, ideal):
+        # Takayama's formula read directly over the box, with no duality,
+        # Hochster's formula over the whole lcm lattice, and the search
+        for p in (2, 32003):
+            pd = betti_numbers(ideal, p).max_index
+            assert local_cohomology_depth(ideal, p) == ideal.n - 1 - pd == depth_exact(ideal, p)
 
-    @seed(20261023)
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(wide_ideals())
-    def test_held_walk_is_the_sorted_fiber(self, ideal):
-        # over the gens that can lie in a component Q0, with its radical
-        # held: the fiber {b in the lattice : b_i = Q0_i on the radical},
-        # in the order of the whole walk
-        for q0 in sorted(components_reference(ideal)):
-            held = tuple(i for i, e in enumerate(q0) if e)
-            gens = [g for g in ideal.gens if all(g[i] <= q0[i] for i in held)]
-            walked = [(size, b) for size, b, _ in depth._lattice_walk(gens, held)]
-            fiber = [b for b in lcm_lattice(ideal) if all(b[i] == q0[i] for i in held)]
-            assert walked == sorted(((len(supp(b)), b) for b in fiber), reverse=True)
-            # the fiber's top is the lcm of those gens, and in the fiber
-            assert walked[0][1] == tuple(map(max, zip(*gens)))
-
-    def test_single_generator_lattice(self):
-        gens = I(3, "x1*x3^2").gens
-        assert list(depth._lattice_walk(gens)) == [(2, (1, 0, 2), gens)]
-
-    @seed(20261021)
-    @settings(max_examples=150, deadline=None, database=None)
-    @given(small_ideals(max_n=6), st.booleans())
-    def test_one_search_equals_a_search_per_prime(self, ideal, backwards):
-        primes = (2, 3, 32003)[:: -1 if backwards else 1]
-        assert depths_exact(ideal, primes) == {p: depth_exact(ideal, p) for p in primes}
-
-    @pytest.mark.parametrize("primes", [(2, 3, 32003), (32003, 3, 2)])
-    def test_one_search_where_the_primes_disagree(self, primes):
+    def test_takayama_depth_is_the_hochster_depth_on_rp2(self):
         ideal = real_projective_plane()
-        assert depths_exact(ideal, primes) == {2: 2, 3: 3, 32003: 3}
-        assert [depth_exact(ideal, p) for p in (2, 3, 32003)] == [2, 3, 3]
-
-    def test_one_search_checks_every_prime_first(self):
-        ideal = I(3, "x1*x2", "x2*x3")
-        with pytest.raises(DomainError, match="not a prime"):
-            depths_exact(ideal, (2, 4))
-        with pytest.raises(DomainError, match="no characteristic"):
-            depths_exact(ideal, ())
-
-    def test_one_shot_prime_iterable(self):
-        # the primes are read once, so an iterator is checked and searched
-        ideal = I(3, "x1*x2", "x2*x3")
-        assert depths_exact(ideal, iter([2])) == {2: depth_exact(ideal, 2)}
-        assert depths_exact(ideal, (p for p in (2, 3))) == depths_exact(ideal, (2, 3))
+        found = {p: local_cohomology_depth(ideal, p) for p in (2, 3, 32003)}
+        assert found == {2: 2, 3: 3, 32003: 3} == depths_exact(ideal, (2, 3, 32003))
+        assert {p: 5 - betti_numbers(ideal, p).max_index for p in (2, 3)} == {2: 2, 3: 3}
 
 
-def seeded(ideal, p):
-    """depth._seed at the prime p on the walk memo's entry for the ideal
-    under the limits in force, as depth_exact reads it."""
-    q0, fiber, _ = depth._walks(
-        ideal, (depth.LCM_LATTICE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT)
-    )
-    return depth._seed(q0, fiber, p)
+# L(u, v) at n = 9, d = 4 past the lcm lattice limit of the walk that the
+# box search replaced
+PAST_THE_LATTICE_LIMIT = [
+    ("x1*x4*x7^2", "x4^3*x5"),
+    ("x1*x6^2*x7", "x6^3*x7"),
+    ("x1*x6*x7^2", "x4*x7*x9^2"),
+    ("x1*x6*x8^2", "x4^2*x8*x9"),
+]
+
+
+class TestPastTheLatticeLimit:
+    @pytest.mark.parametrize("u, v", PAST_THE_LATTICE_LIMIT)
+    def test_depth_is_n_minus_the_top_height(self, u, v):
+        # each has more lcm lattice elements than the walk's limit, 2^16;
+        # the closed form gives Ass, and pretty clean gives the depth
+        s = spec(9, 4, u, v)
+        h = max(len(q.vars) for q in associated_primes_lexsegment(s))
+        assert depths_exact(lexsegment_generators(s), (2, 32003)) == {2: 9 - h, 32003: 9 - h}
+        assert h == 8
 
 
 def search_record(ideal, primes):
-    """(depths_exact(ideal, primes), then {"seed": ..., "walk": ...}: for
-    the seed's fiber walk and for the walk after it, the b whose support
-    it tested and the b whose K^b it built, as two lists; and under
-    "cores", per phase, {b: the verdict of depth._koszul at b}, a _Core or
-    None, for each b tested), from a cleared walk memo."""
-    walk, require, build, seed, koszul = (
-        depth._lattice_walk, depth._require_support, depth.upper_koszul_complex,
-        depth._seed, depth._koszul,
-    )
-    record = {"seed": ([], []), "walk": ([], []), "cores": {"seed": {}, "walk": {}}}
-    phase = ["walk"]
-    walked = []
+    """depths_exact(ideal, primes) from a cleared memo, and a record of the
+    search: "entry", the memo entry (h, seed, cores, nodes); "leaves", per
+    point of the box the search reached, (the facets it had there, as
+    bitmasks, the verdict of depth._leaf: a _Core or None); "built", the
+    facets of each core built as a complex; "reads", per core read, (p,
+    the core, the (i, beta(i)) pairs read)."""
+    leaf, build, read = depth._leaf, depth._faces_by_size, depth._betti
+    record = {"leaves": [], "built": [], "reads": []}
 
-    def seeding(*args):
-        phase[0] = "seed"
-        try:
-            return seed(*args)
-        finally:
-            phase[0] = "walk"
+    def judging(masks, h):
+        record["leaves"].append((frozenset(masks), leaf(masks, h)))
+        return record["leaves"][-1][1]
 
-    def walking(gens, held=()):
-        for step in walk(gens, held):
-            walked.append(step[1])
-            yield step
+    def building(facets):
+        record["built"].append(frozenset(facets))
+        return build(facets)
 
-    def requiring(size):
-        record[phase[0]][0].append(walked[-1])
-        require(size)
+    def reading(core, p):
+        record["reads"].append((p, core, []))
+        beta, reads = read(core, p), record["reads"][-1][2]
 
-    def building(facets, b):
-        record[phase[0]][1].append(b)
-        return build(facets, b)
+        def logged(i):
+            reads.append((i, beta(i)))
+            return reads[-1][1]
 
-    def judging(size, b, divisors, low):
-        record["cores"][phase[0]][b] = koszul(size, b, divisors, low)
-        return record["cores"][phase[0]][b]
+        return logged
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(depth, "_seed", seeding)
-        mp.setattr(depth, "_lattice_walk", walking)
-        mp.setattr(depth, "_require_support", requiring)
-        mp.setattr(depth, "upper_koszul_complex", building)
-        mp.setattr(depth, "_koszul", judging)
-        depth._walks.cache_clear()  # the walks are made and read here
+        mp.setattr(depth, "_leaf", judging)
+        mp.setattr(depth, "_faces_by_size", building)
+        mp.setattr(depth, "_betti", reading)
+        depth._search.cache_clear()
         depths = depths_exact(ideal, primes)
+    record["entry"] = depth._search(ideal, (depth.BOX_NODE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT))
     return depths, record
+
+
+def assert_leaf_verdicts(record):
+    """At every point the search reached: its facets are of size >= h, and
+    _leaf skips them exactly when, by its definition, the complex they
+    generate is a cone, has at most h facets, or has a strong core whose
+    top is below h; a kept core is that strong core, with its top, and a
+    sphere exactly when it is the boundary of a simplex. The memo keeps
+    each distinct kept core once, and no core built is a sphere."""
+    h, _, cores, _ = record["entry"]
+    kept = set()
+    for masks, verdict in record["leaves"]:
+        assert all(m.bit_count() >= h for m in masks)
+        k = from_masks(masks)
+        assert skipped(k, h) == (verdict is None)
+        if verdict is not None:
+            core = strong_core(k)
+            assert from_masks(verdict.facets) == core
+            assert verdict.top == core_top(core)
+            assert verdict.sphere == is_simplex_boundary(core)
+            kept.add(frozenset(verdict.facets))
+    assert {frozenset(c.facets) for c in cores} == kept and len(cores) == len(kept)
+    assert [c.top for c in cores] == sorted((c.top for c in cores), reverse=True)
+    built = {frozenset(c.facets): c for c in cores}
+    assert not any(built[f].sphere for f in record["built"])
 
 
 class TestConeSkip:
@@ -673,110 +734,68 @@ class TestConeSkip:
     @settings(max_examples=200, deadline=None, database=None)
     @given(wide_ideals())
     def test_skips_exactly_the_cones_and_matches_the_simplex_reference(self, ideal):
-        # and the K^b of too few facets: the seed reads beta_{h-1,b}, so it
-        # skips those of at most h - 1 facets, and the walk after it reads
-        # above h - 1, so it skips those of at most h
-        # and the K^b whose strong core has no beta past its top to read:
-        # one of at most low facets, or of too few vertices or too low a
-        # dimension, a simplex (one facet) among them. A kept core that is
-        # the boundary of a simplex is read in closed form, never built.
+        # and the complexes of too few facets, h or fewer, and those whose
+        # strong core has no beta past its top to read: one of too few
+        # vertices or too low a dimension, a simplex (one facet) among
+        # them. A kept core that is the boundary of a simplex is read in
+        # closed form, never built.
         primes = (2, 3, 32003)
         depths, record = search_record(ideal, primes)
         assert depths == simplex_skip_depths(ideal, primes)
-        h = seed_fiber(ideal)[0]
-        for phase, low in (("seed", h - 1), ("walk", h)):
-            tested, built = record[phase]
-            cores = record["cores"][phase]
-            assert len(set(tested)) == len(tested) and set(built) <= set(tested)
-            assert list(cores) == tested
-            # skipped unbuilt exactly when, by its definition, K^b is a cone
-            # or has at most low facets, or its core's top is below low
-            for b in tested:
-                assert skipped(ideal, b, low) == (cores[b] is None)
-                if cores[b] is not None:
-                    core = strong_core(membership_faces(ideal, b))
-                    assert cores[b].top == core_top(core)
-                    assert cores[b].sphere == is_simplex_boundary(core)
-            assert not any(cores[b] is None or cores[b].sphere for b in built)
-        # the seed reads beta_{h-1,b} at every b it keeps, until it is seeded,
-        # so it builds every kept core that is not a sphere, at its first read
-        tested, built = record["seed"]
-        cores = record["cores"]["seed"]
-        assert built == [b for b in tested if cores[b] is not None and not cores[b].sphere]
+        assert_leaf_verdicts(record)
 
     def test_the_facet_skip_follows_h_and_not_the_best(self):
-        # h = 2, and the first b the walk reads, x1^2*x2^2*x3*x4^2, whose
-        # K^b is a square, a circle and no simplex boundary, has
-        # beta_{2,b} != 0 at every prime: pd = 2 = h. x1*x2^2*x3*x4^2 comes
-        # next but two, with 3 facets, more than h, so the facet bound
-        # keeps it; but its K^b is three points, its own core, with no
-        # beta past beta_1, so it is skipped by that top, below h, and
-        # built at neither prime. Every verdict is the walk memo's, from h,
-        # for every prime, whatever best each one has reached
+        # h = 2 and pd = 2 = h at every prime, from one square, a circle and
+        # no simplex boundary. Two other points carry 3 facets of size >= 2,
+        # more than h, so the facet bound keeps them; but each is a path,
+        # whose strong core is one vertex, of top 0: skipped by that top,
+        # below h, and built at no prime. Every verdict is the
+        # memo's, from h, for every prime, whatever best each has reached
         ideal = I(4, "x1^2*x2*x4^2", "x1^2*x3*x4", "x1*x2^2*x3", "x1*x2^2*x4^2",
                   "x2^2*x3*x4^2")
-        assert seed_fiber(ideal)[0] == 2
-        tops = [(2, 2, 1, 2), (2, 2, 1, 1), (2, 1, 1, 2), (1, 2, 1, 2)]
-        assert [facet_count(membership_faces(ideal, b)) for b in tops] == [4, 2, 2, 3]
-        square, points = (membership_faces(ideal, b) for b in (tops[0], tops[3]))
-        assert strong_core(square) == square and not is_simplex_boundary(square)
-        assert strong_core(points) == points and core_top(points) == 1
+        square = frozenset({0b1001, 0b1010, 0b0101, 0b0110})
+        paths = [frozenset({0b1001, 0b1010, 0b0101}), frozenset({0b1001, 0b0101, 0b0110})]
         for p in (2, 32003):
             depths, record = search_record(ideal, (p,))
-            assert depths == {p: 1}
-            assert record["walk"] == (tops, [(2, 2, 1, 2)])
-            cores = record["cores"]["walk"]
-            assert [cores[b] is None for b in tops] == [False, True, True, True]
+            assert depths == {p: 1} and record["entry"][0] == 2
+            assert record["leaves"] == [(paths[0], None), (paths[1], None),
+                                        (square, record["entry"][2][0])]
+            for path in paths:
+                core = strong_core(from_masks(path))
+                assert facet_count(from_masks(path)) == 3 and core_top(core) == 0
+            assert record["built"] == [square]
 
     def test_a_kept_core_at_or_below_every_best_is_never_built(self):
-        # h = 3, and the first b, x1^3*x2*x3^2*x4^2*x5^3*x6^3, gives pd = 3
-        # at every prime. The next, x1^3*x2*x3^2*x4^2*x5^3*x6, has a core of
-        # 4 facets on 5 vertices, of dimension 2 and no sphere: top 3 = h,
-        # so it is kept for any prime whose best is below 3, but each best
-        # is 3 already, so no prime reads it and it is never built
-        ideal = MonomialIdeal.from_gens(6, [
-            (3, 1, 1, 2, 2, 0), (3, 0, 2, 1, 1, 1), (2, 0, 2, 0, 3, 0),
-            (0, 1, 0, 2, 3, 1), (0, 0, 0, 1, 0, 3),
+        # h = 2, and the search keeps two squares, each of top 2, not
+        # spheres. The first read gives beta_2 != 0, so best = 2 at every
+        # prime; the second square's top is no more than that best, so no
+        # prime reads it and it is never built
+        ideal = MonomialIdeal.from_gens(5, [
+            (2, 1, 2, 0, 0), (2, 0, 1, 2, 2), (1, 2, 2, 1, 1), (1, 2, 1, 2, 2),
         ])
-        assert seed_fiber(ideal)[0] == 3
-        first, kept = (3, 1, 2, 2, 3, 3), (3, 1, 2, 2, 3, 1)
-        core = strong_core(membership_faces(ideal, kept))
-        assert facet_count(core) == 4 and core_top(core) == 3
-        assert not is_simplex_boundary(core)
         for primes in ((2,), (32003,), (2, 3, 32003)):
             depths, record = search_record(ideal, primes)
             assert depths == dict.fromkeys(primes, 2)
-            tested, built = record["walk"]
-            assert tested[:2] == [first, kept] and built == [first]
-            assert record["cores"]["walk"][kept].top == 3
-        depths, built = builds(ideal, [(2,), (3,), (32003,)])
-        assert built == [[("walk", first)], [], []]
+            h, _, cores, _ = record["entry"]
+            assert h == 2 and [(c.top, c.sphere) for c in cores] == [(2, False)] * 2
+            assert record["built"] == [frozenset(cores[0].facets)]
+            assert [(core, reads) for _, core, reads in record["reads"][1:2]] == [
+                (cores[0], [(2, 1)])
+            ]
+            assert all(core is not cores[1] for _, core, _ in record["reads"])
 
     def test_a_cone_that_is_not_the_full_simplex_is_skipped(self):
-        # L(x1*x2, x2^2) = (x1*x2, x1*x3, x2^2) at b = x1*x2^2*x3: the
-        # facets {2, 3} (of x1*x2) and {1, 3} (of x2^2) meet in x3, and
-        # x^(b - 1_supp b) = x2 is not in I
-        ideal = lexsegment_generators(spec(3, 2, "x1*x2", "x2^2"))
-        b = (1, 2, 1)
-        k = membership_faces(ideal, b)
-        assert is_cone(k, supp(b)) and len(k) < 2 ** len(supp(b))
+        # one point of this box has the facets {1, 2}, {1, 3} and {1, 4}:
+        # more than h = 2, none of them all of V, and all through x1, a cone
+        ideal = MonomialIdeal.from_gens(4, [
+            (3, 2, 1, 0), (1, 2, 0, 2), (0, 2, 1, 1), (0, 0, 2, 2),
+        ])
+        cone = frozenset({0b1001, 0b0011, 0b0101})
+        k = from_masks(cone)
+        assert is_cone(k) and facet_count(k) == 3
         depths, record = search_record(ideal, (2, 32003))
-        tested, built = record["walk"]
-        assert b in tested and b not in built
+        assert record["entry"][0] == 2 and (cone, None) in record["leaves"]
         assert depths == simplex_skip_depths(ideal, (2, 32003))
-
-
-def assert_facet_bound(ideal):
-    """Every b of the lcm lattice whose K^b has m facets has reference
-    beta_{i,b} = 0 for every i >= m, at p = 2, 3 and 32003; m as _facets
-    counts it and as the membership definition of K^b gives it."""
-    for b in lcm_lattice(ideal):
-        m = facet_count(membership_faces(ideal, b))
-        divisors = [g for g in ideal.gens if kernels.divides(g, b)]
-        assert len(depth._facets(b, divisors)) == m
-        for p in (2, 3, 32003):
-            ranks = homology_ranks(koszul(ideal, b), p)  # ranks[i] = beta_{i,b}
-            assert not any(ranks[m:]), (b, m, p, ranks)
 
 
 class TestFacetBound:
@@ -791,37 +810,56 @@ class TestFacetBound:
         ideal = real_projective_plane()
         assert_facet_bound(ideal)
         b = (1,) * 6
-        assert [homology_ranks(koszul(ideal, b), p)[3] for p in (2, 3)] == [1, 0]
-        assert facet_count(membership_faces(ideal, b)) > 3
+        k = membership_faces(ideal, b)
+        assert [homology_ranks(k, p)[3] for p in (2, 3)] == [1, 0]
+        assert facet_count(k) > 3
+
+
+def assert_facet_bound(ideal):
+    """Every complex K^b of the lcm lattice with m facets has reference
+    beta_{i,b} = 0 for every i >= m, at p = 2, 3 and 32003, and
+    depth._maximal counts its facets."""
+    bits = [1 << j for j in range(ideal.n)]
+    for b in lcm_lattice(ideal):
+        k = membership_faces(ideal, b)
+        m = facet_count(k)
+        masks = {sum(compress(bits, map(lt, g, b))) for g in ideal.gens if kernels.divides(g, b)}
+        assert len(depth._maximal(masks)) == m
+        for p in (2, 3, 32003):
+            ranks = homology_ranks(k, p)  # ranks[i] = beta_{i,b}
+            assert not any(ranks[m:]), (b, m, p, ranks)
 
 
 def assert_core_homology(ideal):
-    """At every b of the lcm lattice: depth._collapse gives the reference
-    strong core of K^b, with the reduced homology of K^b at p = 2, 3 and
-    32003; a core that is a simplex is acyclic; depth._is_sphere holds
-    exactly for a core that is the boundary of a simplex; and every beta
-    read through depth._betti from the verdict of depth._koszul, in closed
-    form or from a built core, equals the reference homology of K^b."""
+    """At every b of the lcm lattice, on K^b as a test complex:
+    depth._collapse gives the reference strong core, with the reduced
+    homology of K^b at p = 2, 3 and 32003; a core that is a simplex is
+    acyclic; depth._is_sphere holds exactly for a core that is the boundary
+    of a simplex; and every beta read through depth._betti from the
+    verdict of depth._leaf, in closed form or from a built core, equals the
+    reference homology."""
+    bits = [1 << j for j in range(ideal.n)]
     for b in lcm_lattice(ideal):
         k = membership_faces(ideal, b)
-        divisors = [g for g in ideal.gens if kernels.divides(g, b)]
-        facets = depth._collapse(depth._facets(b, divisors))
+        masks = [sum(compress(bits, map(lt, g, b))) for g in ideal.gens if kernels.divides(g, b)]
+        collapsed = depth._collapse(depth._maximal(masks))
         core = strong_core(k)
-        assert faces(upper_koszul_complex(facets, b)) == core
-        assert depth._is_sphere(facets, reduce(or_, facets)) == is_simplex_boundary(core)
-        verdict = depth._koszul(len(supp(b)), b, divisors, 1)
+        assert from_masks(collapsed) == core
+        assert depth._is_sphere(collapsed, reduce(or_, collapsed)) == is_simplex_boundary(core)
+        verdict = depth._leaf(masks, 1)
+        size = len(supp(b))
         for p in (2, 3, 32003):
-            ranks = homology_ranks(koszul(ideal, b), p)  # ranks[i] = beta_{i,b}
-            core_ranks = homology_ranks(upper_koszul_complex(facets, b), p)
-            pad = [0] * (len(supp(b)) + 1)
-            assert (core_ranks + pad)[: len(pad)] == (ranks + pad)[: len(pad)]
+            pad = [0] * (size + 1)
+            ranks = (homology_ranks(k, p) + pad)[: size + 1]  # ranks[i] = beta_{i,b}
+            assert (homology_ranks(core, p) + pad)[: size + 1] == ranks
             if is_simplex(core):
                 assert not any(ranks)
             if verdict is None:
                 assert not any(ranks[1:])
                 continue
             beta = depth._betti(verdict, p)
-            assert [beta(i) for i in range(1, len(supp(b)))] == (ranks + pad)[1 : len(supp(b))]
+            assert [beta(i) for i in range(1, verdict.top + 1)] == ranks[1 : verdict.top + 1]
+            assert not any(ranks[verdict.top + 1 :])
 
 
 class TestStrongCollapse:
@@ -832,97 +870,76 @@ class TestStrongCollapse:
         assert_core_homology(ideal)
 
     def test_the_core_has_the_homology_of_k_b_on_rp2(self):
-        # at the b of full support K^b has no dominated vertex and is no
-        # sphere: it is its own core, built at its first read, and reads
-        # beta_3 != 0 over GF(2) only
+        # the box search keeps RP^2 itself, 10 triangles on 6 vertices: no
+        # dominated vertex and no sphere, its own core, built at its first
+        # read, and it reads beta_3 != 0 over GF(2) only
         ideal = real_projective_plane()
         assert_core_homology(ideal)
-        b = (1,) * 6
-        k = membership_faces(ideal, b)
-        assert strong_core(k) == k and not is_simplex_boundary(k)
-        core = depth._koszul(6, b, ideal.gens, 3)
-        assert core.by_size is None and not core.sphere
-        assert [depth._betti(core, p)(3) for p in (2, 3)] == [1, 0]
-        assert faces(core.by_size) == k
         for p in (2, 3):
             _, record = search_record(ideal, (p,))
-            assert b in record["walk"][1]
+            rp2 = record["entry"][2][-1]
+            k = from_masks(rp2.facets)
+            assert facet_count(k) == 10 and strong_core(k) == k
+            assert not rp2.sphere and rp2.top == 3
+            assert homology_ranks(k, p)[3] == (p == 2)
+            assert frozenset(rp2.facets) in record["built"]
+            assert [reads for _, core, reads in record["reads"] if core is rp2] == [
+                [(3, int(p == 2))]
+            ]
 
     def test_a_sphere_is_read_in_closed_form(self):
-        # (x1, x2, x3) at b = x1*x2*x3: K^b is every proper subset of
+        # the facets {1, 2}, {1, 3} and {2, 3}: every proper subset of
         # {1, 2, 3}, a circle, with beta_2 = 1 and nothing else, over every
-        # field, read without building K^b
-        ideal = I(3, "x1", "x2", "x3")
-        b = (1, 1, 1)
-        core = depth._koszul(3, b, ideal.gens, 1)
+        # field, read without building a complex
+        masks = [0b011, 0b101, 0b110]
+        core = depth._leaf(masks, 1)
         assert core.sphere and core.top == 2
         for p in (2, 3, 32003):
             beta = depth._betti(core, p)
-            assert [beta(i) for i in (1, 2)] == homology_ranks(koszul(ideal, b), p)[1:] == [0, 1]
+            assert [beta(i) for i in (1, 2)] == homology_ranks(from_masks(masks), p)[1:] == [0, 1]
         assert core.by_size is None
+
+
+def assert_pruned_search(ideal):
+    """The depth is Hochster's, and the search keeps every complex of the
+    box that could raise pd past h - 1 over some field: no point it
+    prunes, by misses, by too few generators left or by a class of a_j it
+    does not try, holds a complex that is not skipped. Returns the number
+    of cores kept."""
+    for p in (2, 32003):
+        depths, record = search_record(ideal, (p,))
+        assert depths[p] == ideal.n - 1 - betti_numbers(ideal, p).max_index
+    h, _, cores, _ = record["entry"]
+    reached = {from_masks(masks) for masks, _ in record["leaves"]}
+    complexes = box_complexes(ideal, h)
+    assert reached <= complexes
+    kept = {from_masks(c.facets) for c in cores}
+    for k in complexes:
+        if not skipped(k, h):
+            assert k in reached and strong_core(k) in kept
+    return len(cores)
 
 
 class TestPrunedSearch:
     @seed(20261019)
     @settings(max_examples=80, deadline=None, database=None)
-    @given(small_ideals())
+    @given(small_ideals(max_n=4))
     def test_matches_reference_and_visits_only_what_can_raise_pd(self, ideal):
-        h = seed_fiber(ideal)[0]
-        for p in (2, 32003):
-            table = betti_numbers(ideal, p)
-            # the vanishing bounds the search prunes with: by support and by
-            # facet count
-            for i, b, _ in table.entries:
-                assert i <= len(supp(b)) - 1
-                assert i < facet_count(membership_faces(ideal, b))
-            top = {}
-            for i, b, _ in table.entries:
-                top[b] = max(top.get(b, 0), i)
-            depths, record = search_record(ideal, (p,))
-            pd = ideal.n - 1 - depths[p]
-            assert pd == table.max_index
-            # a b is skipped unbuilt only when, by its definition, K^b is a
-            # cone, with every reference Betti number zero, or has at most
-            # low facets, or a strong core whose top is below low, with
-            # every reference beta_{i,b} at i >= low zero: none that the
-            # phase would read. A kept b is built only when its core is no
-            # sphere, and has no reference Betti number past the core's top
-            for phase, low in (("seed", h - 1), ("walk", h)):
-                tested, built = record[phase]
-                cores = record["cores"][phase]
-                for b in tested:
-                    if cores[b] is not None:
-                        assert not skipped(ideal, b, low)
-                        assert top.get(b, -1) <= cores[b].top
-                        assert b not in built or not cores[b].sphere
-                        continue
-                    assert skipped(ideal, b, low) and b not in built
-                    if is_cone(membership_faces(ideal, b), supp(b)):
-                        assert b not in top
-                    assert top.get(b, -1) < low
-            # the walk tests each b while its support could still raise the
-            # best index found before it, from h - 1, and every b whose
-            # support could raise pd
-            tested, built = record["walk"]
-            cores = record["cores"]["walk"]
-            best = h - 1
-            for b in tested:
-                assert len(supp(b)) - 1 > best
-                if cores[b] is not None:
-                    best = max(best, top.get(b, -1))
-            assert best == pd
-            assert all(b in tested for b in lcm_lattice(ideal) if len(supp(b)) - 1 > pd)
+        assert_pruned_search(ideal)
 
-
-def seed_fiber(ideal):
-    """(h, the fiber the seed reads, in walk order): h is the largest
-    height of a component, the seed's component Q0 is the first of height
-    h in decompose._components, and its fiber is every b of the reference
-    lattice with b_i = Q0_i on the radical of Q0."""
-    q0 = max(decompose._components(ideal), key=lambda q: len(supp(q)))
-    held = [i for i, e in enumerate(q0) if e]
-    fiber = [b for b in lcm_lattice(ideal) if all(b[i] == q0[i] for i in held)]
-    return len(held), sorted(((len(supp(b)), b) for b in fiber), reverse=True)
+    @pytest.mark.parametrize("gens, kept", [
+        (None, 7),  # RP^2
+        (((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)), 1),
+        (((2, 1, 2, 0, 0), (2, 0, 1, 2, 2), (1, 2, 2, 1, 1), (1, 2, 1, 2, 2)), 2),
+        (((3, 1, 1, 2, 2, 0), (3, 0, 2, 1, 1, 1), (2, 0, 2, 0, 3, 0),
+          (0, 1, 0, 2, 3, 1), (0, 0, 0, 1, 0, 3)), 2),
+    ])
+    def test_keeps_every_core_that_could_raise_pd(self, gens, kept):
+        # ideals that keep cores, which few small drawn ideals do
+        ideal = real_projective_plane() if gens is None else MonomialIdeal.from_gens(
+            len(gens[0]), gens
+        )
+        assert assert_pruned_search(ideal) == kept
 
 
 class TestTargetedRanks:
@@ -930,136 +947,48 @@ class TestTargetedRanks:
     @settings(max_examples=300, deadline=None, database=None)
     @given(small_ideals(max_n=6))
     def test_reads_match_reference_and_skips_are_acyclic(self, ideal):
-        read, seed, build, judge = (
-            depth._betti, depth._seed, depth.upper_koszul_complex, depth._koszul
-        )
         for p in (2, 32003):
-            # [phase, b, the (i, beta) pairs read at b] per core read, the
-            # (phase, b) of each K^b built, and per phase {b: the verdict of
-            # depth._koszul} for each b tested
-            visits, built = [], []
-            verdicts = {"seed": {}, "walk": {}}
-            phase = ["walk"]
-
-            def seeding(*args):
-                phase[0] = "seed"
-                try:
-                    return seed(*args)
-                finally:
-                    phase[0] = "walk"
-
-            def building(facets, b):
-                built.append((phase[0], b))
-                return build(facets, b)
-
-            def judging(size, b, divisors, low):
-                verdicts[phase[0]][b] = judge(size, b, divisors, low)
-                return verdicts[phase[0]][b]
-
-            def reading(core, q):
-                visits.append((phase[0], core.b, []))
-                beta, reads = read(core, q), visits[-1][2]
-
-                def logged(i):
-                    reads.append((i, beta(i)))
-                    return reads[-1][1]
-
-                return logged
-
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(depth, "_seed", seeding)
-                mp.setattr(depth, "upper_koszul_complex", building)
-                mp.setattr(depth, "_koszul", judging)
-                mp.setattr(depth, "_betti", reading)
-                depth._walks.cache_clear()  # this search builds its own K^b
-                pd = ideal.n - 1 - depth_exact(ideal, p)
+            depths, record = search_record(ideal, (p,))
+            pd = ideal.n - 1 - depths[p]
             assert pd == betti_numbers(ideal, p).max_index
-            seeded = [(b, reads) for where, b, reads in visits if where == "seed"]
-            walked = [(b, reads) for where, b, reads in visits if where == "walk"]
-            assert visits[: len(seeded)] == [("seed", *v) for v in seeded]
-            # one prime: each b is read at most once per phase
-            for phase_reads in (seeded, walked):
-                assert len({b for b, _ in phase_reads}) == len(phase_reads)
-
-            # replay the seed over the fiber against the reference: each b
-            # neither a cone nor of at most h - 1 facets nor of a core whose
-            # top is below h - 1 is read once, at h - 1, until a nonzero
-            # beta; it is built there unless its core is a sphere
-            h, fiber = seed_fiber(ideal)
+            h, seed_core, cores, _ = record["entry"]
             assert h == max(len(q.vars) for q in associated_primes_oracle(ideal).primes)
-            reads_at = dict(seeded)
-            replayed = []
-            hit = h == 1  # beta_0 > 0, read from nothing
-            for size, b in fiber:
-                if hit:
-                    break
-                ranks = homology_ranks(koszul(ideal, b), p)
-                k = membership_faces(ideal, b)
-                cone, core = is_cone(k, supp(b)), strong_core(k)
-                kept = not (cone or facet_count(k) <= h - 1 or core_top(core) < h - 1)
-                assert kept == (verdicts["seed"][b] is not None) == (b in reads_at)
-                if not kept:
-                    # a cone, or a core that is a simplex, is acyclic; at most
-                    # h - 1 facets, or a core top below h - 1, leave every
-                    # beta_{i,b} with i >= h - 1 zero
-                    simplex = cone or is_simplex(core)
-                    assert not any(ranks[0 if simplex else h - 1 :])
-                    continue
-                replayed.append(b)
-                beta = ranks[h - 1] if h - 1 < len(ranks) else 0
-                assert reads_at[b] == [(h - 1, beta)]
-                assert (("seed", b) in built) == (not is_simplex_boundary(core))
-                hit = beta != 0
-            assert hit, "the fiber holds no nonzero beta_{h-1,b}"
-            assert replayed == [b for b, _ in seeded]
-
-            # replay the walk over the lattice from the seeded best
-            reads_at = dict(walked)
-            order = sorted(((len(supp(b)), b) for b in lcm_lattice(ideal)), reverse=True)
-            replayed = []
-            best = h - 1
-            for size, b in order:
-                if size - 1 <= best:
-                    break
-                ranks = homology_ranks(koszul(ideal, b), p)
-                # skipped unbuilt exactly when, by its definition, K^b is a
-                # cone, which is acyclic, or has at most h facets, or a core
-                # whose top is below h, so that every beta_{i,b} the walk
-                # could read, at i >= h, is zero
-                k = membership_faces(ideal, b)
-                m, cone, core = facet_count(k), is_cone(k, supp(b)), strong_core(k)
-                kept = not (cone or m <= h or core_top(core) < h)
-                assert kept == (verdicts["walk"][b] is not None)
-                if not kept:
-                    simplex = cone or is_simplex(core)
-                    assert not any(ranks[0 if simplex else h :]) and b not in reads_at
-                    continue
-                reads = reads_at.get(b, [])
-                # top down from the core's top, min(its vertices, its facets,
-                # its dimension + 2) - 1, never at or below the best index so
-                # far, and no further than the first nonzero one; nothing is
-                # read, and nothing built, when that start is at or below it
-                start = core_top(core)
-                assert verdicts["walk"][b].top == start
-                assert not any(ranks[start + 1 :])
-                assert [i for i, _ in reads] == list(
-                    range(start, start - len(reads), -1)
-                )
-                assert bool(reads) == (start > best)
-                assert (("walk", b) in built) == (bool(reads) and not is_simplex_boundary(core))
-                if not reads:
-                    continue
-                replayed.append(b)
-                assert reads[-1][0] > best
-                assert all(beta == 0 for _, beta in reads[:-1])
-                for i, beta in reads:
-                    assert beta == (ranks[i] if i < len(ranks) else 0)
-                if reads[-1][1]:
-                    best = reads[-1][0]
+            reads = record["reads"]
+            # the seed is read first, once, at h - 1, and reads 1: a sphere
+            if h > 1:
+                assert reads[0] == (p, seed_core, [(h - 1, 1)]) and seed_core.sphere
+                reads = reads[1:]
+            # a skipped complex has no reference beta(i) at i >= h: every
+            # one is zero for a cone or a core that is a simplex
+            for masks, verdict in record["leaves"]:
+                k = from_masks(masks)
+                ranks = homology_ranks(k, p)
+                if verdict is None:
+                    simplex = is_cone(k) or is_simplex(strong_core(k))
+                    assert not any(ranks[0 if simplex else h :])
                 else:
-                    assert reads[-1][0] == best + 1
-            assert replayed == [b for b, _ in walked]
-            assert best == pd
+                    assert not any(ranks[verdict.top + 1 :])
+            # the kept cores by falling top, each read from its top down to
+            # best + 1, up to the first nonzero beta, while best is below its
+            # top; each read equals the reference, and only a core read that
+            # is no sphere is built
+            best = h - 1
+            replayed = []
+            for core in cores:
+                if core.top <= best:
+                    break
+                ranks = homology_ranks(from_masks(core.facets), p)
+                expected = []
+                for i in range(core.top, best, -1):
+                    expected.append((i, ranks[i] if i < len(ranks) else 0))
+                    if expected[-1][1]:
+                        best = i
+                        break
+                replayed.append((p, core, expected))
+            assert reads == replayed and best == pd
+            assert record["built"] == [
+                frozenset(core.facets) for _, core, _ in replayed if not core.sphere
+            ]
 
 
 class TestSeed:
@@ -1068,74 +997,75 @@ class TestSeed:
     @given(wide_ideals())
     def test_every_top_height_fiber_holds_a_nonzero_beta(self, ideal):
         # the lemma of the depth module, against the reference fold and
-        # homology, for every component of the largest height h
+        # homology, for every component of the largest height h: at its
+        # corner, the faces of size >= h - 1 of D_c, the dual of Takayama's
+        # Delta_c by its definition, generate the boundary of the simplex
+        # on the radical, with H~_{h-2} of rank 1 at every prime
         primes = (2, 3, 32003)
         comps = components_reference(ideal)
         h = max(len(supp(q)) for q in comps)
         for q0 in comps:
-            if len(supp(q0)) < h:
+            if len(supp(q0)) < h or h < 2:
                 continue
-            fiber = [
-                b for b in lcm_lattice(ideal)
-                if all(b[i] == e for i, e in enumerate(q0) if e)
-            ]
-            missing = set(primes)
-            for b in fiber:
-                ranks = {p: homology_ranks(koszul(ideal, b), p) for p in missing}
-                missing -= {p for p, r in ranks.items() if h - 1 < len(r) and r[h - 1]}
-                if not missing:
-                    break
-            assert not missing, f"no nonzero beta_{{{h - 1},b}} over {q0}"
+            corner = tuple(e - 1 if e else -1 for e in q0)
+            dual = dual_faces(ideal, corner)
+            k = generated(f for f in dual if len(f) >= h - 1)
+            assert frozenset().union(*k) == frozenset(supp(q0))
+            assert is_simplex_boundary(k)
+            assert all(homology_ranks(k, p)[h - 1] == 1 for p in primes)
         assert depths_exact(ideal, primes) == simplex_skip_depths(ideal, primes)
 
     @pytest.mark.parametrize("zero_at", [(2, 32003), (32003,)])
     def test_a_homology_that_reads_zero_raises(self, zero_at, monkeypatch):
         # with every beta read as 0, at every prime or at one, the seed
-        # finds nothing there: a loud failure, never the n - h that the
-        # Stanley family would accept. Each prime is seeded by its own
+        # finds nothing at the corner: a loud failure, never the n - h that
+        # the Stanley family would accept. Each prime is seeded by its own
         # read, not by the lemma. A principal ideal (h = 1) has pd 0 and
         # reads nothing.
         betti = depth._betti
         monkeypatch.setattr(
             depth,
             "_betti",
-            lambda by_size, p: (lambda i: 0) if p in zero_at else betti(by_size, p),
+            lambda core, p: (lambda i: 0) if p in zero_at else betti(core, p),
         )
         for s in iter_specs((2, 4), (2, 3)):
             ideal = lexsegment_generators(s)
             if len(ideal.gens) == 1:
                 assert depths_exact(ideal, (2, 32003)) == {2: s.n - 1, 32003: s.n - 1}
                 continue
-            with pytest.raises(InternalConsistencyError, match="no b over the component"):
+            with pytest.raises(InternalConsistencyError, match="the corner of a component"):
                 depths_exact(ideal, (2, 32003))
 
     def test_fiber_walk_holds_to_the_lattice_limit(self, monkeypatch):
-        # the fiber of (x1, x2) in (x1*x3, x1*x4, x2*x3, x2*x4) (or of
-        # (x3, x4)) has 3 elements, read until x1*x2*x3, two points
-        ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
-        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 3)
-        depth._walks.cache_clear()
-        assert seeded(ideal, 2) == 1
-        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 2)
-        depth._walks.cache_clear()
-        with pytest.raises(DomainError, match="LCM_LATTICE_LIMIT = 2"):
-            seeded(ideal, 2)
+        # the seed is read at one point, the corner, before the search
+        # enters any node: where h = n nothing is searched, so the depth
+        # holds at a node limit of 0, and a seed that reads zero still
+        # raises there; where h < n the search runs and meets the limit
+        monkeypatch.setattr(depth, "BOX_NODE_LIMIT", 0)
+        ideal = I(3, "x1^2", "x1*x2", "x2^3", "x3")
+        assert depths_exact(ideal, (2, 32003)) == {2: 0, 32003: 0}
+        with monkeypatch.context() as mp:
+            mp.setattr(depth, "_betti", lambda core, p: lambda i: 0)
+            with pytest.raises(InternalConsistencyError, match="the corner"):
+                depth_exact(ideal, 2)
+        with pytest.raises(DomainError, match="BOX_NODE_LIMIT = 0"):
+            depth_exact(I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4"), 2)
 
     def test_depth_at_two_primes_folds_once(self):
-        # the second prime reads the walk memo, so the fold is not asked
+        # the second prime reads the search memo, so the fold is not asked
         # for again
         ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
         decompose._components.cache_clear()
-        depth._walks.cache_clear()
+        depth._search.cache_clear()
         depth_exact(ideal, 2)
         depth_exact(ideal, 32003)
         info = decompose._components.cache_info()
         assert (info.misses, info.hits) == (1, 0)
 
     def test_n6_d3_depth_is_n_minus_the_top_height(self):
-        # the exhaustive gate on the 1,596 n=6, d=3 specs: the Betti depth
-        # at both primes is n - max|P| over the oracle's Ass, as pretty
-        # clean implies, and the depth digest of the range is pinned
+        # the exhaustive gate on the 1,596 n=6, d=3 specs: the depth at
+        # both primes is n - max|P| over the oracle's Ass, as pretty clean
+        # implies, and the depth digest of the range is pinned
         rows, wrong = [], []
         for s in iter_specs((6, 6), (3, 3)):
             ideal = lexsegment_generators(s)
@@ -1151,97 +1081,93 @@ class TestSeed:
 
 def builds(ideal, calls):
     """Runs depths_exact(ideal, primes) for each primes in calls, in turn,
-    from a cleared walk memo. Returns (the depths of each call, the
-    (phase, b) of every K^b each call built, phase "seed" in the seed's
-    fiber walk and "walk" in the walk after it)."""
-    seed, build = depth._seed, depth.upper_koszul_complex
-    phase = ["walk"]
+    from a cleared search memo. Returns (the depths of each call, the
+    facets of every core each call built, the searches run)."""
+    build = depth._faces_by_size
     built = []
 
-    def seeding(*args):
-        phase[0] = "seed"
-        try:
-            return seed(*args)
-        finally:
-            phase[0] = "walk"
-
-    def building(facets, b):
-        built[-1].append((phase[0], b))
-        return build(facets, b)
+    def building(facets):
+        built[-1].append(frozenset(facets))
+        return build(facets)
 
     depths = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(depth, "_seed", seeding)
-        mp.setattr(depth, "upper_koszul_complex", building)
-        depth._walks.cache_clear()
+        mp.setattr(depth, "_faces_by_size", building)
+        depth._search.cache_clear()
         for primes in calls:
             built.append([])
             depths.append(depths_exact(ideal, primes))
-    return depths, built
+    return depths, built, depth._search.cache_info().misses
 
 
-def assert_one_walk_serves_every_prime(ideal, primes):
+def assert_one_search_serves_every_prime(ideal, primes):
     """depth_exact at each prime, one call at a time, gives what one
-    depths_exact search at all of them gives, and together the calls
-    build exactly the K^b that one search builds, none of them twice."""
-    ((together,), (once,)) = builds(ideal, [primes])
-    depths, built = builds(ideal, [(p,) for p in primes])
+    depths_exact call at all of them gives, from one search, and together
+    the calls build exactly the cores that one call builds, none twice."""
+    ((together,), (once,), _) = builds(ideal, [primes])
+    depths, built, searches = builds(ideal, [(p,) for p in primes])
     assert {p: d[p] for d, p in zip(depths, primes)} == together
-    union = [step for call in built for step in call]
+    assert searches == 1
+    union = [f for call in built for f in call]
     assert len(set(union)) == len(union)
     assert set(union) == set(once) and len(once) == len(set(once))
     return built
 
 
 class TestWalkMemo:
-    """The one-entry memo of the seed's fiber walk, the lattice walk and
-    their K^b (depth._walks): a depth at another prime replays the walks
-    and builds no K^b again, and a raise is never replayed as a walk cut
-    short."""
+    """The one-entry memo of the search (depth._search): a depth at another
+    prime reads the same seed and kept cores and builds no core again, and
+    a raise is never read back as a search cut short."""
 
     @seed(20261025)
     @settings(max_examples=150, deadline=None, database=None)
     @given(small_ideals(max_n=6), st.booleans())
     def test_one_prime_at_a_time_in_either_order(self, ideal, backwards):
         primes = (2, 3, 32003)[:: -1 if backwards else 1]
-        assert_one_walk_serves_every_prime(ideal, primes)
+        assert_one_search_serves_every_prime(ideal, primes)
 
     @pytest.mark.parametrize("primes", [(2, 3, 32003), (32003, 3, 2)])
     def test_one_prime_at_a_time_where_the_primes_disagree(self, primes):
-        # pd = 3 over GF(2) stops that search at support 4, and pd = 2 lets
-        # the others walk on to support 3: after GF(2) the later calls
-        # extend the walk, building only K^b that no call built before;
-        # after GF(32003) they build nothing
-        built = assert_one_walk_serves_every_prime(real_projective_plane(), primes)
-        assert built[0] and bool(built[1]) == (primes[0] == 2) and not built[2]
+        # RP^2 has depth 2 over GF(2) and 3 over the others. The search
+        # keeps 7 cores, none a sphere, RP^2 itself last: every first call
+        # reads and builds all 7 (over GF(2) the last gives beta_3 != 0),
+        # and the later calls read them built
+        ideal = real_projective_plane()
+        assert depths_exact(ideal, primes) == {2: 2, 3: 3, 32003: 3}
+        assert [depth_exact(ideal, p) for p in (2, 3, 32003)] == [2, 3, 3]
+        built = assert_one_search_serves_every_prime(ideal, primes)
+        assert len(built[0]) == 7 and not built[1] and not built[2]
 
     def test_interleaved_readers_each_see_the_whole_walk(self):
-        # two readers copied from the memo entry's lattice walk: one that
-        # stops and resumes after the other has extended the walk still
-        # reads every step, in order
-        ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
-        depth._walks.cache_clear()
-        _, _, (root, _) = depth._walks(
-            ideal, (depth.LCM_LATTICE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT)
-        )
-        first, second = copy(root), copy(root)
-        head = [next(first), next(first)]
-        walk = list(depth._lattice_walk(ideal.gens))
-        assert list(second) == head + list(first) == walk
+        # the memo holds one ideal: a call for another ideal in between
+        # evicts it, and the next call for the first ideal searches again,
+        # to the same seed, cores and depth
+        ideal, other = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4"), I(3, "x1*x2", "x2*x3")
+        depth._search.cache_clear()
+        limits = (depth.BOX_NODE_LIMIT, depth.KOSZUL_SUPPORT_LIMIT)
+        assert depth_exact(ideal, 2) == 1
+        first = depth._search(ideal, limits)
+        assert depth_exact(other, 2) == 1
+        assert depth_exact(ideal, 32003) == 1
+        again = depth._search(ideal, limits)
+        assert again is not first and depth._search.cache_info().misses == 3
+        assert [again[0], again[3]] == [first[0], first[3]]
+        assert [c.facets for c in again[2]] == [c.facets for c in first[2]]
 
     def test_the_second_prime_builds_nothing(self):
-        # this ideal has the same depth over both fields, and the first b
-        # read, x1^2*x2^2*x3*x4^2, has a square as K^b, with no dominated
-        # vertex and no sphere: the first prime builds it at its read, and
-        # the second prime reads what the first one built
+        # this ideal has the same depth over both fields, and the one core
+        # kept, a square, has no dominated vertex and is no sphere: the
+        # first prime builds it at its read, and the second prime reads
+        # what the first one built
         ideal = I(4, "x1^2*x2*x4^2", "x1^2*x3*x4", "x1*x2^2*x3", "x1*x2^2*x4^2",
                   "x2^2*x3*x4^2")
-        depths, built = builds(ideal, [(2,), (32003,)])
+        depths, built, _ = builds(ideal, [(2,), (32003,)])
         assert built[0] and not built[1]
         assert depths == [{2: 1}, {32003: 1}]
-        # on a lexsegment every core read is a sphere, read in closed form
+        # on a lexsegment no core is kept, and the seed is a sphere, read in
+        # closed form
         ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
-        depths, built = builds(ideal, [(2,), (32003,)])
+        depths, built, _ = builds(ideal, [(2,), (32003,)])
         assert built == [[], []]
         assert depths == [{2: 1}, {32003: 1}]
 
@@ -1249,31 +1175,33 @@ class TestWalkMemo:
     def test_a_walk_over_the_lattice_limit_raises_at_every_call(
         self, limit, where, monkeypatch
     ):
-        # (x1*x3, x1*x4, x2*x3, x2*x4): the fiber walk generates 3
-        # elements and the walk after it 5, so at a limit of 2 the fiber
-        # walk raises and at 4 the walk after it
+        # the search of (x1*x3, x1*x4, x2*x3, x2*x4) enters 11 nodes, so it
+        # raises at a node limit of 2 or 4 at every call, and then runs at
+        # 11. "seed": from a cleared memo, "walk": after a search of the
+        # ideal under the default limits, which the memo holds but does not
+        # serve under other limits
         ideal = I(4, "x1*x3", "x1*x4", "x2*x3", "x2*x4")
-        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", limit)
-        depth._walks.cache_clear()
+        depth._search.cache_clear()
         if where == "walk":
-            assert seeded(ideal, 2) == 1
+            assert depths_exact(ideal, (2, 32003)) == {2: 1, 32003: 1}
+        monkeypatch.setattr(depth, "BOX_NODE_LIMIT", limit)
         for p in (2, 2, 32003, 32003):
-            with pytest.raises(DomainError, match=f"LCM_LATTICE_LIMIT = {limit}"):
+            with pytest.raises(DomainError, match=f"BOX_NODE_LIMIT = {limit}"):
                 depth_exact(ideal, p)
-        monkeypatch.setattr(depth, "LCM_LATTICE_LIMIT", 5)
+        monkeypatch.setattr(depth, "BOX_NODE_LIMIT", 11)
         assert depths_exact(ideal, (2, 32003)) == {2: 1, 32003: 1}
 
     @pytest.mark.parametrize("limit, where", [(2, "seed"), (3, "walk")])
     def test_a_walk_over_the_support_limit_raises_at_every_call(
         self, limit, where, monkeypatch
     ):
-        # the fiber of (x1, x2) has one element, of support 3, and the
-        # lattice's top, a cone, has support 4
+        # n = 4 is over a limit of 2 or 3 at every call, from a cleared memo
+        # ("seed") or after a search under the default limits ("walk")
         ideal = I(4, "x1*x4", "x2*x4^2", "x1^2*x3^3")
-        monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", limit)
-        depth._walks.cache_clear()
+        depth._search.cache_clear()
         if where == "walk":
-            assert seeded(ideal, 2) == 1
+            assert depths_exact(ideal, (2, 32003)) == {2: 2, 32003: 2}
+        monkeypatch.setattr(depth, "KOSZUL_SUPPORT_LIMIT", limit)
         for p in (2, 2, 32003, 32003):
             with pytest.raises(DomainError, match=f"KOSZUL_SUPPORT_LIMIT = {limit}"):
                 depth_exact(ideal, p)
@@ -1281,16 +1209,17 @@ class TestWalkMemo:
         assert depths_exact(ideal, (2, 32003)) == {2: 2, 32003: 2}
 
     def test_a_seed_that_reads_zero_raises_at_every_call(self, monkeypatch):
-        # the memo keeps walks and complexes, no beta: a homology that
+        # the memo keeps the search and complexes, no beta: a homology that
         # reads zero fails at every call, each raise clears the memo, and a
-        # sound one then walks the lattice again
+        # sound one then searches again
         ideal = lexsegment_generators(spec(5, 3, "x1*x3*x5", "x2^3"))
         betti = depth._betti
-        depth._walks.cache_clear()
+        depth._search.cache_clear()
         with monkeypatch.context() as mp:
-            mp.setattr(depth, "_betti", lambda by_size, p: lambda i: 0)
+            mp.setattr(depth, "_betti", lambda core, p: lambda i: 0)
             for p in (2, 2, 32003):
-                with pytest.raises(InternalConsistencyError, match="no b over"):
+                with pytest.raises(InternalConsistencyError, match="the corner"):
                     depth_exact(ideal, p)
+                assert depth._search.cache_info().currsize == 0
         assert depth._betti is betti
         assert depths_exact(ideal, (2, 32003)) == {2: 1, 32003: 1}
