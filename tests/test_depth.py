@@ -498,10 +498,6 @@ class TestBettiAndDepth:
     def test_characteristic_parameter(self):
         ideal = lexsegment_generators(spec(4, 3, "x1*x3*x4", "x2^2*x3"))
         assert depth_exact(ideal, 2) == depth_exact(ideal, 32003) == 1
-        # the primes are read once, so an iterator is checked and searched
-        ideal = I(3, "x1*x2", "x2*x3")
-        assert depths_exact(ideal, iter([2])) == {2: depth_exact(ideal, 2)}
-        assert depths_exact(ideal, (p for p in (2, 3))) == depths_exact(ideal, (2, 3))
 
     def test_permutation_invariance(self):
         # swapping variables permutes multidegrees but not total Betti numbers
@@ -518,14 +514,8 @@ class TestBettiAndDepth:
 
     @pytest.mark.parametrize("p", [0, 1, 4, 9, -3, 32001])
     def test_rejects_non_prime_characteristic(self, p):
-        ideal = I(3, "x1*x2", "x2*x3")
         with pytest.raises(DomainError, match="not a prime"):
-            depth_exact(ideal, p)
-        # depths_exact checks every prime before any search, and needs one
-        with pytest.raises(DomainError, match="not a prime"):
-            depths_exact(ideal, (2, p))
-        with pytest.raises(DomainError, match="no characteristic"):
-            depths_exact(ideal, ())
+            depth_exact(I(3, "x1*x2", "x2*x3"), p)
 
     @pytest.mark.parametrize(
         "p", [CHARACTERISTIC_LIMIT, 2**61 - 1, 2**89 - 1, 10**30]
@@ -1112,6 +1102,37 @@ def assert_one_search_serves_every_prime(ideal, primes):
     assert len(set(union)) == len(union)
     assert set(union) == set(once) and len(once) == len(set(once))
     return built
+
+
+class TestLatticeWalk:
+    """depths_exact: one depth search, over the exponent box, serves every
+    prime asked for, with each prime checked before the search."""
+
+    @seed(20261021)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(small_ideals(max_n=6), st.booleans())
+    def test_one_search_equals_a_search_per_prime(self, ideal, backwards):
+        primes = (2, 3, 32003)[:: -1 if backwards else 1]
+        assert depths_exact(ideal, primes) == {p: depth_exact(ideal, p) for p in primes}
+
+    @pytest.mark.parametrize("primes", [(2, 3, 32003), (32003, 3, 2)])
+    def test_one_search_where_the_primes_disagree(self, primes):
+        ideal = real_projective_plane()
+        assert depths_exact(ideal, primes) == {2: 2, 3: 3, 32003: 3}
+        assert [depth_exact(ideal, p) for p in (2, 3, 32003)] == [2, 3, 3]
+
+    def test_one_search_checks_every_prime_first(self):
+        ideal = I(3, "x1*x2", "x2*x3")
+        with pytest.raises(DomainError, match="not a prime"):
+            depths_exact(ideal, (2, 4))
+        with pytest.raises(DomainError, match="no characteristic"):
+            depths_exact(ideal, ())
+
+    def test_one_shot_prime_iterable(self):
+        # the primes are read once, so an iterator is checked and searched
+        ideal = I(3, "x1*x2", "x2*x3")
+        assert depths_exact(ideal, iter([2])) == {2: depth_exact(ideal, 2)}
+        assert depths_exact(ideal, (p for p in (2, 3))) == depths_exact(ideal, (2, 3))
 
 
 class TestWalkMemo:
