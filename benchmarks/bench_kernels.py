@@ -8,7 +8,12 @@ interpreter included).
 The kernel lines time divides, member, minimalize, colon_gens and
 gf_rank from lexseg.kernels on fixed seeded inputs, best of 5; one more
 minimalize line takes a redundant input, the 1,600 pairwise lcms of two
-seeded 40-generator sets, as an intersection makes. A depth line
+seeded 40-generator sets, as an intersection makes. Three more time the
+packed kernels of kernels._Packing, which the intersect-back fold, the
+K-polynomial and the chain check run, on the same inputs packed once
+outside the timed runs: member and colon as the tuple lines call them,
+and extend_minimal on the distinct lcms in ascending order, the walk of
+minimalize without its sort. A depth line
 times depth_exact at GF(2) and GF(32003) over every n=5, d=2
 lexsegment, and the family lines time each check family of
 lexseg.sweep.check_spec over the 357 n=2..4, d=2..3 specs: closed form,
@@ -57,8 +62,8 @@ digest (the recipe above), and count, in a second pass, the nodes the
 search enters (_children calls) and the children it builds
 (_child calls). The wide-range lines run depths_exact at both primes,
 one cold pass, over all 2,485 n=5, d=4 specs and over every 5th n=7,
-d=3 spec in iter_specs order (714), ranges no test gates, each with
-its depth digest (the recipe above) and the cores it builds. The
+d=3 spec in iter_specs order (714), each with its depth digest (the
+recipe above), which tier-1 pins too, and the cores it builds. The
 past-the-lattice line times depths_exact at both primes on
 L(x1*x6*x9^2, x4*x5*x6*x7), n=9, d=4, best of 3 cold, with the nodes
 the search enters. The full-segment line times one
@@ -144,6 +149,17 @@ def kernel_lines():
         "gf_rank(30x30, p=32003) x 5",
         lambda: [kernels.gf_rank(mat, 32003) for mat in mats],
     )
+    # the packed forms on the same inputs, packed once; every exponent and
+    # every colon quotient is at most 4
+    packing = kernels._Packing(5, 4)
+    pmons, pgens = [*map(packing.pack, mons)], [*map(packing.pack, gens)]
+    plcms = sorted(set(map(packing.pack, lcms)))
+    bench("_Packing.member x 400", lambda: [packing.member(m, pgens) for m in pmons])
+    bench(
+        "_Packing.extend_minimal x 5",
+        lambda: [packing.extend_minimal([], plcms) for _ in range(5)],
+    )
+    bench("_Packing.colon x 400", lambda: [packing.colon(pgens, m) for m in pmons])
 
 
 def memos():

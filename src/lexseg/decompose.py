@@ -85,6 +85,9 @@ from .monomials import (
 
 # Largest witness box, in monomials, that witnesses() will scan.
 WITNESS_BOX_LIMIT = 1 << 20
+# Most components the decomposition fold (_components) may hold after a
+# step; a step costs about the square of the count.
+COMPONENT_LIMIT = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -162,10 +165,16 @@ def _components(ideal: MonomialIdeal) -> tuple:
     component with no powers. The unit ideal comes out as the
     intersection of no components. The last fold is kept, so callers
     that read one ideal in a row share it; it is a tuple, since they all
-    get the same object."""
+    get the same object. Raises DomainError once a step leaves more than
+    COMPONENT_LIMIT components."""
     comps = [(0,) * ideal.n]
     for g in sorted(reversed(ideal.gens), key=sum):
         comps = _add_generator(ideal.n, comps, g)
+        if len(comps) > COMPONENT_LIMIT:
+            raise DomainError(
+                f"the decomposition fold holds {len(comps)} components, over "
+                f"COMPONENT_LIMIT = {COMPONENT_LIMIT}"
+            )
     return tuple(comps)
 
 

@@ -146,7 +146,7 @@ from .monomials import (
     SpecError,
     SpecKind,
     classify,
-    variable,
+    max_var,
 )
 
 # Most nodes, prefixes (a_1, ..., a_j) of a point of the box, that the
@@ -186,34 +186,20 @@ def depth_class(spec: LexSpec) -> DepthCase:
         raise SpecError("depth classifier only applies to arbitrary-class specs")
     if spec.b1 > 0 or spec.a1 == 0:
         raise SpecError("spec must be reduced (x1 | u, x1 does not divide v)")
-    n, d = spec.n, spec.d
-    xn_u = list(spec.u)
-    xn_u[n - 1] += 1
-    x1_v = list(spec.v)
-    x1_v[0] += 1
-    if tuple(xn_u) >= tuple(x1_v):
+    n, d, u, v = spec.n, spec.d, spec.u, spec.v
+    if (*u[:-1], u[-1] + 1) >= (v[0] + 1, *v[1:]):
         return DepthCase(DepthClass.DEPTH0, None)
     # positive depth forces u = x1 * xl^al * ... (a1 = 1)
     l = spec.l
     assert l is not None and spec.a1 == 1
-    a_l = spec.a_l
-    sub = "a" if a_l < d - 1 else "b"
-    # v = x2^(d-1) * xj shape?
-    j_shape = None
-    for j in range(2, n + 1):
-        shape = list(variable(n, 2, d - 1))
-        shape[j - 1] += 1
-        if spec.v == tuple(shape):
-            j_shape = j
-            break
-    depth1 = False
-    if j_shape is not None and 2 <= j_shape <= n - 2 and j_shape >= l - 1:
-        depth1 = True
-    threshold = list(variable(n, 2, d - 1))
-    threshold[n - 2] += 1  # x2^(d-1) * x_{n-1}
-    if spec.v <= tuple(threshold):
-        depth1 = True
-    ge2 = j_shape is not None and 2 <= j_shape <= n - 2 and l >= j_shape + 2
+    sub = "a" if spec.a_l < d - 1 else "b"
+    # v = x2^(d-1) * xj exactly when v_1 = 0 and v_2 >= d - 1, with j = max(v)
+    j = max_var(v) if v[0] == 0 and v[1] >= d - 1 else None
+    shaped = j is not None and 2 <= j <= n - 2
+    # v <=_lex x2^(d-1) * x_(n-1), as v_1 = 0: v_2 < d - 1, or that shape at j >= n - 1
+    below = v[1] < d - 1 or (j is not None and j >= n - 1)
+    depth1 = below or (shaped and j >= l - 1)
+    ge2 = shaped and l >= j + 2
     if depth1 == ge2:
         raise SpecError(
             f"depth-1 and depth>1 criteria disagree on {spec}: {depth1}, {ge2}"

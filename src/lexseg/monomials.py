@@ -262,15 +262,15 @@ class LexSpec:
 
 def classify(spec: LexSpec) -> SpecKind:
     """The trivial, extremal or arbitrary class of the spec."""
-    x1d = variable(spec.n, 1, spec.d)
-    xnd = variable(spec.n, spec.n, spec.d)
     if spec.u == spec.v:
         return SpecKind.PRINCIPAL
-    if spec.u == x1d and spec.v == xnd:
+    # u = x1^d and v = xn^d, read off one exponent each
+    initial, final = spec.u[0] == spec.d, spec.v[-1] == spec.d
+    if initial and final:
         return SpecKind.FULL_SEGMENT
-    if spec.u == x1d:
+    if initial:
         return SpecKind.INITIAL
-    if spec.v == xnd:
+    if final:
         return SpecKind.FINAL
     return SpecKind.ARBITRARY
 
@@ -335,8 +335,8 @@ def reduce_fully(spec: LexSpec) -> tuple[LexSpec, Monomial]:
         if spec.b1 > 0:
             b = spec.b1
             factor[len(factor) - spec.n] = b
-            x1b = variable(spec.n, 1, b)
-            spec = LexSpec(spec.n, spec.d - b, mon_div(spec.u, x1b), mon_div(spec.v, x1b))
+            # b1 <= a1, as u >=_lex v
+            spec = LexSpec(spec.n, spec.d - b, (spec.a1 - b, *spec.u[1:]), (0, *spec.v[1:]))
         elif spec.a1 == 0:
             k = min_var(spec.u) - 1
             spec = LexSpec(spec.n - k, spec.d, spec.u[k:], spec.v[k:])

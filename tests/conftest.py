@@ -46,6 +46,15 @@ def real_projective_plane():
     )
 
 
+def disjoint_edges(k):
+    """(x1*x2, x3*x4, ..., x_(2k-1)*x_2k), in 2k variables: the intersection
+    of the 2^k primes that take one variable of each edge."""
+    n = 2 * k
+    return MonomialIdeal.from_gens(
+        n, [tuple(int(j // 2 == i) for j in range(n)) for i in range(k)]
+    )
+
+
 def spec(n, d, u, v):
     return LexSpec(n, d, parse_monomial(u, n), parse_monomial(v, n))
 

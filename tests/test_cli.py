@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import I, P, real_projective_plane
+from conftest import I, P, disjoint_edges, real_projective_plane
 from lexseg import cli
 from lexseg.cli import main
 from lexseg.filtration import FiltrationStep, PrimeFiltration, search_filtration
@@ -254,6 +254,19 @@ class TestCliExitCodes:
         assert main(["decompose", "--ideal", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert sorted(out["components"]) == [[[1, 1], [2, 2]], [[2, 1]]]
+
+    @pytest.mark.parametrize("command", ["decompose", "oracle-ass"])
+    def test_component_limit_is_usage_error(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # 4 disjoint edges have 16 components: a fold limit of 15 refuses them
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(ideal_to_json(disjoint_edges(4))))
+        decompose_module = importlib.import_module("lexseg.decompose")
+        monkeypatch.setattr(decompose_module, "COMPONENT_LIMIT", 15)
+        decompose_module._components.cache_clear()
+        assert main([command, "--ideal", str(path)]) == 2
+        assert "over COMPONENT_LIMIT = 15" in capsys.readouterr().err
 
     def test_missing_file_usage_error(self):
         assert main(["oracle-ass", "--ideal", "/nonexistent.json"]) == 2

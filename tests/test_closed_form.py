@@ -1,15 +1,10 @@
-"""Closed-form associated primes: case formulas, dispatcher, fixtures."""
+"""Closed-form associated primes: each case formula through the dispatcher,
+reductions, fixtures."""
 
 import pytest
 
 from conftest import FIXTURES, P, spec
-from lexseg.closed_form import (
-    ass_depth0,
-    ass_depth_pos,
-    ass_final,
-    ass_initial,
-    associated_primes_lexsegment,
-)
+from lexseg.closed_form import associated_primes_lexsegment
 from lexseg.decompose import associated_primes_oracle
 from lexseg.monomials import (
     LexSpec,
@@ -75,61 +70,52 @@ class TestSuppWitnessPrimes:
 
 
 class TestCaseFormulas:
+    # reduced specs (x1 | u, x1 does not divide v), where the dispatcher
+    # reads one case formula and adds nothing
     def test_initial(self):
-        assert ass_initial(spec(3, 2, "x1^2", "x2*x3")) == frozenset(
+        assert associated_primes_lexsegment(spec(3, 2, "x1^2", "x2*x3")) == frozenset(
             {P(3, 1, 2), P(3, 1, 2, 3)}
         )
-        assert ass_initial(spec(4, 2, "x1^2", "x2*x4")) == frozenset(
+        assert associated_primes_lexsegment(spec(4, 2, "x1^2", "x2*x4")) == frozenset(
             {P(4, 1, 2), P(4, 1, 2, 3, 4)}
         )
-        with pytest.raises(SpecError):
-            ass_initial(spec(3, 2, "x1*x2", "x2*x3"))
 
     def test_initial_of_xn_power_is_maximal(self):
-        assert ass_initial(spec(3, 2, "x1^2", "x3^2")) == frozenset(
+        assert associated_primes_lexsegment(spec(3, 2, "x1^2", "x3^2")) == frozenset(
             {P(3, 1, 2, 3)}
         )
 
     def test_final(self):
-        assert ass_final(spec(3, 2, "x1*x2", "x3^2")) == frozenset(
+        assert associated_primes_lexsegment(spec(3, 2, "x1*x2", "x3^2")) == frozenset(
             {P(3, 1, 2, 3), P(3, 2, 3)}
         )
-        assert ass_final(spec(2, 3, "x1*x2^2", "x2^3")) == frozenset(
+        assert associated_primes_lexsegment(spec(2, 3, "x1*x2^2", "x2^3")) == frozenset(
             {P(2, 1, 2), P(2, 2)}
         )
-        with pytest.raises(SpecError):
-            ass_final(spec(3, 2, "x1^2", "x3^2"))  # full segment, not final
 
     def test_depth0(self):
-        assert ass_depth0(spec(3, 2, "x1*x2", "x2*x3")) == frozenset(
+        assert associated_primes_lexsegment(spec(3, 2, "x1*x2", "x2*x3")) == frozenset(
             {P(3, 1, 2), P(3, 1, 2, 3), P(3, 2, 3)}
         )
-        assert ass_depth0(spec(4, 2, "x1*x2", "x2*x4")) == frozenset(
+        assert associated_primes_lexsegment(spec(4, 2, "x1*x2", "x2*x4")) == frozenset(
             {P(4, 1, 2), P(4, 1, 2, 3, 4), P(4, 2, 3, 4)}
         )
-        with pytest.raises(SpecError):
-            ass_depth0(spec(4, 2, "x1*x2", "x2*x3"))  # depth 1, not 0
 
     def test_depth1_b(self):
-        assert ass_depth_pos(spec(4, 2, "x1*x2", "x2*x3")) == frozenset(
+        assert associated_primes_lexsegment(spec(4, 2, "x1*x2", "x2*x3")) == frozenset(
             {P(4, 2, 3, 4), P(4, 1, 2), P(4, 1, 2, 3)}
         )
 
     def test_depth_ge2_b(self):
-        assert ass_depth_pos(spec(5, 2, "x1*x5", "x2*x3")) == frozenset(
+        assert associated_primes_lexsegment(spec(5, 2, "x1*x5", "x2*x3")) == frozenset(
             {P(5, 1, 2), P(5, 1, 2, 3), P(5, 2, 5), P(5, 2, 3, 5)}
         )
 
     def test_depth1_a(self):
-        assert ass_depth_pos(spec(4, 3, "x1*x3*x4", "x2^2*x3")) == frozenset(
+        s = spec(4, 3, "x1*x3*x4", "x2^2*x3")
+        assert associated_primes_lexsegment(s) == frozenset(
             {P(4, 2, 3, 4), P(4, 1, 2), P(4, 1, 2, 3), P(4, 2, 4)}
         )
-
-    def test_guards(self):
-        with pytest.raises(SpecError):
-            ass_depth_pos(spec(3, 2, "x1*x2", "x2*x3"))  # depth 0
-        with pytest.raises(SpecError):
-            ass_depth0(spec(3, 2, "x1^2", "x2*x3"))  # initial class
 
 
 class TestDispatcher:

@@ -18,6 +18,7 @@ from conftest import (
     add_generator_reference,
     caps_reference,
     components_reference,
+    disjoint_edges,
     iter_box,
     oracle_pool,
     oracle_random_ideals,
@@ -503,6 +504,33 @@ class TestComponentsMemo:
         for ideal in (a, b, a):
             assert set(_components(ideal)) == components_reference(ideal)
         assert _components.cache_info().misses == 3
+
+
+class TestComponentLimit:
+    # 4 disjoint edges fold to 2, 4, 8 and then 16 components
+    @pytest.mark.parametrize(
+        "entry", [irreducible_decomposition, associated_primes_oracle]
+    )
+    def test_a_fold_past_the_limit_is_refused(self, entry, monkeypatch):
+        ideal = disjoint_edges(4)
+        monkeypatch.setattr(decompose_module, "COMPONENT_LIMIT", 16)
+        _components.cache_clear()
+        assert len(_components(ideal)) == 16
+        monkeypatch.setattr(decompose_module, "COMPONENT_LIMIT", 15)
+        _components.cache_clear()
+        refusal = "holds 16 components, over COMPONENT_LIMIT = 15"
+        with pytest.raises(DomainError, match=refusal):
+            entry(ideal)
+        # the refused fold is not kept
+        assert _components.cache_info().currsize == 0
+
+    def test_the_limit_is_checked_after_every_step(self, monkeypatch):
+        # at a limit of 3 the second step, to 4 components, is refused
+        # before the last two edges are folded
+        monkeypatch.setattr(decompose_module, "COMPONENT_LIMIT", 3)
+        _components.cache_clear()
+        with pytest.raises(DomainError, match="holds 4 components"):
+            _components(disjoint_edges(4))
 
 
 @st.composite

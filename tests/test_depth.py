@@ -349,6 +349,24 @@ def small_ideals(draw, max_n=5):
 
 
 @st.composite
+def two_block_ideals(draw, min_n=4, max_n=6):
+    """(x_A) ∩ (x_B) for disjoint blocks A, B of >= 2 variables each, plus
+    one generator with exponents <= 2. Most of these keep a core in the
+    depth search, which few small_ideals do."""
+    n = draw(st.integers(min_n, max_n))
+    order = draw(st.permutations(range(n)))
+    a = draw(st.integers(2, n - 2))
+    b = draw(st.integers(2, n - a))
+    gens = [
+        tuple(int(j in (i, k)) for j in range(n))
+        for i in order[:a]
+        for k in order[a : a + b]
+    ]
+    gens.append(draw(st.tuples(*[st.integers(0, 2)] * n).filter(any)))
+    return MonomialIdeal.from_gens(n, gens)
+
+
+@st.composite
 def wide_ideals(draw):
     """n = 1..7 variables, exponents <= 3, 1..9 generators."""
     n = draw(st.integers(1, 7))
@@ -635,6 +653,11 @@ class TestLocalCohomology:
         assert {p: 5 - betti_numbers(ideal, p).max_index for p in (2, 3)} == {2: 2, 3: 3}
 
 
+# One cold pass at both primes took 1.0-1.1 s over the 2,485 n=5, d=4
+# specs and 0.5 s over every 5th n=7, d=3 spec on a 2-vCPU VM; 10 s
+# leaves over 9x.
+WIDE_DEPTH_BUDGET_SECONDS = 10.0
+
 # L(u, v) at n = 9, d = 4 past the lcm lattice limit of the walk that the
 # box search replaced
 PAST_THE_LATTICE_LIMIT = [
@@ -917,6 +940,13 @@ class TestPrunedSearch:
     def test_matches_reference_and_visits_only_what_can_raise_pd(self, ideal):
         assert_pruned_search(ideal)
 
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(two_block_ideals())
+    def test_the_same_on_ideals_that_keep_cores(self, ideal):
+        # the drawn ideals above rarely reach a kept core; these mostly do
+        assert_pruned_search(ideal)
+
     @pytest.mark.parametrize("gens, kept", [
         (None, 7),  # RP^2
         (((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)), 1),
@@ -1067,6 +1097,27 @@ class TestSeed:
         assert len(rows) == 1596 and not wrong
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
         assert digest == "ad96bc3bad39d970"
+
+    @pytest.mark.parametrize("n, d, step, count, digest", [
+        (5, 4, 1, 2485, "b735bfe579fd88b8"),
+        (7, 3, 5, 714, "2ca3a99ed7919a0e"),
+    ])
+    def test_wide_depth_digests(self, n, d, step, count, digest):
+        # the depth digests benchmarks/bench_kernels.py records for n=5,
+        # d=4 and every 5th n=7, d=3 spec: depths_exact at both primes, one
+        # cold pass, within its budget
+        specs = list(iter_specs((n, n), (d, d)))[::step]
+        ideals = [lexsegment_generators(s) for s in specs]
+        decompose._components.cache_clear()
+        depth._search.cache_clear()
+        t0 = time.perf_counter()
+        rows = [list(depths_exact(ideal, (2, 32003)).values()) for ideal in ideals]
+        elapsed = time.perf_counter() - t0
+        assert len(rows) == count
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest
+        assert elapsed <= WIDE_DEPTH_BUDGET_SECONDS, (
+            f"{elapsed:.1f}s over the {WIDE_DEPTH_BUDGET_SECONDS:.0f}s budget"
+        )
 
 
 def builds(ideal, calls):
