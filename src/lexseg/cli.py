@@ -21,9 +21,6 @@ from .filtration import (
     staged_filtration,
     stanley_certificate,
     stanley_decomposition,
-    supp_equals_ass,
-    verify_pretty_clean,
-    verify_prime_filtration,
 )
 from .monomials import (
     InternalConsistencyError,
@@ -34,7 +31,7 @@ from .monomials import (
     lexsegment_generators,
     reduce_fully,
 )
-from .sweep import DEFAULT_CAP, DEFAULT_PRIMES, sweep
+from .sweep import DEFAULT_CAP, DEFAULT_PRIMES, depth_mismatch, filtration_reports, sweep
 
 USAGE_ERROR = 2
 MISMATCH = 1
@@ -42,11 +39,8 @@ INTERNAL_ERROR = 3
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    lo, dots, hi = text.partition("..")
+    return int(lo), int(hi if dots else lo)
 
 
 def _load_spec(args) -> LexSpec:
@@ -85,7 +79,6 @@ def _emit_text(payload, indent: str = "") -> None:
 def _cmd_ass(args) -> int:
     spec = _load_spec(args)
     out: dict = {"n": spec.n, "d": spec.d, "u": args.u, "v": args.v}
-    status = 0
     if args.method in ("closed", "both"):
         out["closed"] = serialize.primes_to_json(associated_primes_lexsegment(spec))
     if args.method in ("oracle", "both"):
@@ -95,9 +88,8 @@ def _cmd_ass(args) -> int:
         )
     if args.method == "both" and out["closed"] != out["oracle"]:
         out["mismatch"] = True
-        status = MISMATCH
     _emit(out, args.json)
-    return status
+    return MISMATCH if "mismatch" in out else 0
 
 
 def _cmd_oracle_ass(args) -> int:
@@ -140,15 +132,20 @@ def _cmd_depth(args) -> int:
     work = reduce_fully(spec)[0]
     kind = classify(work)
     out["class"] = kind.value
+    case = None
     if kind == SpecKind.ARBITRARY:
         case = depth_class(work)
         out["depth_class"] = case.depth.name
         if case.subcase:
             out["subcase"] = case.subcase
     if args.exact:
-        out["depth_exact"] = depth_exact(lexsegment_generators(spec), args.p)
+        exact = depth_exact(lexsegment_generators(spec), args.p)
+        out["depth_exact"] = exact
+        detail = case and depth_mismatch(spec, work, case, exact)
+        if detail:
+            out["mismatch"] = detail
     _emit(out, True)
-    return 0
+    return MISMATCH if "mismatch" in out else 0
 
 
 def _cmd_filtration(args) -> int:
@@ -157,11 +154,7 @@ def _cmd_filtration(args) -> int:
     out = serialize.filtration_to_json(filtration)
     status = 0
     if args.verify:
-        reports = {
-            "prime_filtration": verify_prime_filtration(filtration),
-            "pretty_clean": verify_pretty_clean(filtration),
-            "supp_equals_ass": supp_equals_ass(filtration),
-        }
+        reports = filtration_reports(filtration)
         out["verification"] = {
             name: {"ok": r.ok, "violations": list(r.violations)}
             for name, r in reports.items()
@@ -223,11 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_args(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--u", required=True)
-        p.add_argument("--v", required=True)
+    def add_spec_args(p, required=True):
+        p.add_argument("--n", type=int, required=required)
+        p.add_argument("--d", type=int, required=required)
+        p.add_argument("--u", required=required)
+        p.add_argument("--v", required=required)
 
     p = sub.add_parser("ass", help="associated primes of a lexsegment ideal")
     add_spec_args(p)
@@ -244,10 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("depth", help="depth classification / exact depth")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--u")
-    p.add_argument("--v")
+    add_spec_args(p, required=False)
     p.add_argument("--ideal", help="ideal JSON file (implies --exact)")
     p.add_argument("--exact", action="store_true")
     p.add_argument("--p", type=int, default=32003)

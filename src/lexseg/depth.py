@@ -164,6 +164,8 @@ KOSZUL_SUPPORT_LIMIT = 16
 
 
 class DepthClass(Enum):
+    """depth(S/I) by the classifier; the value is the depth capped at 2."""
+
     DEPTH0 = 0
     DEPTH1 = 1
     DEPTH_GE2 = 2

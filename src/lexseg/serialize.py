@@ -23,25 +23,18 @@ _FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse "x<i>^<e>" factors joined by "*", or "1"."""
+    """Parse "x<i>^<e>" factors joined by "*", or "1". A refused factor
+    reports its start offset in the stripped text."""
     text = text.strip()
     if text == "1":
         return (0,) * n
     exps = [0] * n
     pos = 0
-    expect_factor = True
-    while pos < len(text):
-        if not expect_factor:
-            if text[pos] != "*":
-                raise ParseError(f"expected '*', found {text[pos]!r}", pos)
-            pos += 1
-            expect_factor = True
-            continue
-        m = _FACTOR.match(text, pos)
+    for part in text.split("*"):
+        m = _FACTOR.fullmatch(part)
         if not m:
-            raise ParseError(f"expected a factor x<i> or x<i>^<e>", pos)
-        i = int(m.group(1))
-        e = int(m.group(2)) if m.group(2) else 1
+            raise ParseError("expected a factor x<i> or x<i>^<e>", pos)
+        i, e = int(m.group(1)), int(m.group(2) or 1)
         if not 1 <= i <= n:
             raise ParseError(f"variable index {i} out of range 1..{n}", pos)
         if e < 1:
@@ -49,10 +42,7 @@ def parse_monomial(text: str, n: int) -> Monomial:
         if exps[i - 1]:
             raise ParseError(f"variable x{i} repeated", pos)
         exps[i - 1] = e
-        pos = m.end()
-        expect_factor = False
-    if expect_factor:
-        raise ParseError("dangling '*' or empty input", pos)
+        pos += len(part) + 1
     return tuple(exps)
 
 

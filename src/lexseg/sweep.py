@@ -21,7 +21,7 @@ from math import comb
 
 from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle
-from .depth import DepthClass, _require_prime, depth_class, depths_exact
+from .depth import DepthCase, _require_prime, depth_class, depths_exact
 from .filtration import (
     sdepth_lower_bound,
     staged_filtration,
@@ -100,6 +100,29 @@ def iter_specs(n_range, d_range):
                     yield LexSpec(n, d, u, v)
 
 
+def filtration_reports(filtration, ass=None) -> dict:
+    """The three verifiers on a filtration, by name: chain validity, pretty
+    cleanness and Supp = Ass (ass as supp_equals_ass takes it)."""
+    return {
+        "prime_filtration": verify_prime_filtration(filtration),
+        "pretty_clean": verify_pretty_clean(filtration),
+        "supp_equals_ass": supp_equals_ass(filtration, ass),
+    }
+
+
+def depth_mismatch(
+    spec: LexSpec, work: LexSpec, case: DepthCase, exact: int
+) -> str | None:
+    """None when the depth class of the working spec holds for the exact
+    depth of spec, else the mismatch detail. I = x^factor I' has the pd of
+    I', and each dropped variable adds one to the depth."""
+    work_exact = exact - (spec.n - work.n)
+    # a DepthClass value is the depth capped at 2 (DEPTH_GE2 = 2)
+    if min(work_exact, 2) != case.depth.value:
+        return f"classifier {case.depth.name} vs exact depth {work_exact}"
+    return None
+
+
 def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
     """Run all four check families on one spec."""
     found: list[Mismatch] = []
@@ -126,11 +149,7 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
     depths = depths_exact(ideal, primes)
     filtration = staged_filtration(spec)
     # the oracle's primes are Ass(S/I), the radicals supp_equals_ass reads
-    for name, report in (
-        ("prime_filtration", verify_prime_filtration(filtration)),
-        ("pretty_clean", verify_pretty_clean(filtration)),
-        ("supp_equals_ass", supp_equals_ass(filtration, oracle)),
-    ):
+    for name, report in filtration_reports(filtration, oracle).items():
         if not report.ok:
             record("filtration", f"{name}: {'; '.join(report.violations)}")
 
@@ -139,20 +158,9 @@ def check_spec(spec: LexSpec, primes=DEFAULT_PRIMES) -> list[Mismatch]:
     exact = depths[primes[0]]
     work = reduce_fully(spec)[0]
     if classify(work) == SpecKind.ARBITRARY:
-        case = depth_class(work)
-        # I = x^factor I' has the pd of I', and each dropped variable adds one
-        # to the depth
-        work_exact = exact - (spec.n - work.n)
-        agree = {
-            DepthClass.DEPTH0: work_exact == 0,
-            DepthClass.DEPTH1: work_exact == 1,
-            DepthClass.DEPTH_GE2: work_exact >= 2,
-        }[case.depth]
-        if not agree:
-            record(
-                "depth",
-                f"classifier {case.depth.name} vs exact depth {work_exact}",
-            )
+        detail = depth_mismatch(spec, work, depth_class(work), exact)
+        if detail:
+            record("depth", detail)
 
     decomposition = stanley_decomposition(filtration)
     bound = sdepth_lower_bound(decomposition)

@@ -10,10 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from conftest import I, P, disjoint_edges, real_projective_plane
+from conftest import I, P, disjoint_edges, real_projective_plane, spec
 from lexseg import cli
 from lexseg.cli import main
+from lexseg.depth import DepthCase, DepthClass
 from lexseg.filtration import FiltrationStep, PrimeFiltration, search_filtration
 from lexseg.monomials import InternalConsistencyError, PrimeIdeal
 from lexseg.serialize import (
@@ -86,6 +89,27 @@ class TestParseMonomial:
         for text in ("x1*x2^2", "1", "x2^3*x3"):
             assert format_monomial(parse_monomial(text, 3)) == text
 
+    @seed(20261020)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.tuples(*[st.integers(0, 40)] * n)))
+    def test_drawn_round_trip(self, m):
+        assert parse_monomial(format_monomial(m), len(m)) == m
+
+    @pytest.mark.parametrize("text", [
+        "x1x2", "x1 *x2", "x1^", "x1^-1", "x1^0", "x0", "x4", "x1*x1", "*x1",
+        "x1*", "", "y2",
+    ])
+    def test_malformed_refused(self, text):
+        with pytest.raises(ParseError):
+            parse_monomial(text, 3)
+
+    @pytest.mark.parametrize("text, pos", [("x1**x2", 3), ("x1*x1", 3)])
+    def test_refused_factor_reports_its_start(self, text, pos):
+        with pytest.raises(ParseError) as exc:
+            parse_monomial(text, 3)
+        assert exc.value.pos == pos
+
 
 class TestJsonCodecs:
     def test_ideal_round_trip(self):
@@ -155,6 +179,44 @@ class TestCliExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["depth_class"] == "DEPTH1"
         assert out["depth_exact"] == 1
+
+    def test_depth_exact_against_the_class_through_the_dropped_variable(
+        self, capsys
+    ):
+        # L(x2*x3, x3*x4) drops x1: its working spec is DEPTH0, and the
+        # exact depth of the spec is 1, one more per dropped variable
+        code = main(
+            ["depth", "--n", "4", "--d", "2", "--u", "x2*x3", "--v", "x3*x4",
+             "--exact"]
+        )
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["depth_class"], out["depth_exact"]) == ("DEPTH0", 1)
+        assert "mismatch" not in out
+
+    def test_depth_exact_disagreeing_with_the_class_is_a_mismatch(
+        self, monkeypatch, capsys
+    ):
+        # a classifier that says DEPTH0 where the depth is 1: the CLI
+        # exits 1 with the detail the sweep records for the same spec
+        def wrong(work):
+            return DepthCase(DepthClass.DEPTH0, None)
+
+        monkeypatch.setattr(cli, "depth_class", wrong)
+        monkeypatch.setattr(sweep_module, "depth_class", wrong)
+        code = main(
+            ["depth", "--n", "4", "--d", "2", "--u", "x1*x2", "--v", "x2*x3",
+             "--exact"]
+        )
+        assert code == 1
+        out = json.loads(capsys.readouterr().out)
+        found = sweep_module.check_spec(spec(4, 2, "x1*x2", "x2*x3"))
+        assert [m.detail for m in found if m.family == "depth"] == [out["mismatch"]]
+        assert out["mismatch"] == "classifier DEPTH0 vs exact depth 1"
+        # without --exact nothing is compared
+        args = ["depth", "--n", "4", "--d", "2", "--u", "x1*x2", "--v", "x2*x3"]
+        assert main(args) == 0
+        assert "mismatch" not in json.loads(capsys.readouterr().out)
 
     def test_depth_requires_spec_or_ideal(self):
         assert main(["depth", "--n", "3"]) == 2

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import I, components_reference, real_projective_plane, spec, zero_ideal
+from conftest import (
+    I,
+    components_reference,
+    oracle_pool,
+    real_projective_plane,
+    spec,
+    zero_ideal,
+)
 from lexseg import decompose, depth, kernels
 from lexseg.closed_form import associated_primes_lexsegment
 from lexseg.decompose import associated_primes_oracle
@@ -655,7 +662,8 @@ class TestLocalCohomology:
 
 # One cold pass at both primes took 1.0-1.1 s over the 2,485 n=5, d=4
 # specs and 0.5 s over every 5th n=7, d=3 spec on a 2-vCPU VM; 10 s
-# leaves over 9x.
+# leaves over 9x. The depth digest over the 1,338 specs and the pool took
+# 0.52 s, and the pool at three primes 0.45 s.
 WIDE_DEPTH_BUDGET_SECONDS = 10.0
 
 # L(u, v) at n = 9, d = 4 past the lcm lattice limit of the walk that the
@@ -1115,6 +1123,51 @@ class TestSeed:
         elapsed = time.perf_counter() - t0
         assert len(rows) == count
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == digest
+        assert elapsed <= WIDE_DEPTH_BUDGET_SECONDS, (
+            f"{elapsed:.1f}s over the {WIDE_DEPTH_BUDGET_SECONDS:.0f}s budget"
+        )
+
+    def test_depth_digest_over_the_specs_and_the_pool(self):
+        # the depth digest of benchmarks/bench_kernels.py: depth_exact at 2,
+        # then at 32003, over the ideals of the 1,338 specs n=2..4, d=2..3,
+        # n=5, d=2..3 and n=6, d=2, each range in iter_specs order, then
+        # the 804 oracle-random pool ideals; one cold pass, within its budget
+        specs = [
+            s
+            for n, d in (((2, 4), (2, 3)), ((5, 5), (2, 2)), ((5, 5), (3, 3)),
+                         ((6, 6), (2, 2)))
+            for s in iter_specs(n, d)
+        ]
+        ideals = [lexsegment_generators(s) for s in specs] + oracle_pool()
+        decompose._components.cache_clear()
+        depth._search.cache_clear()
+        t0 = time.perf_counter()
+        rows = [[depth_exact(i, 2), depth_exact(i, 32003)] for i in ideals]
+        elapsed = time.perf_counter() - t0
+        assert (len(specs), len(rows)) == (1338, 1338 + 804)
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == (
+            "9c816dd44af49c64"
+        )
+        assert elapsed <= WIDE_DEPTH_BUDGET_SECONDS, (
+            f"{elapsed:.1f}s over the {WIDE_DEPTH_BUDGET_SECONDS:.0f}s budget"
+        )
+
+    def test_pool_rows_at_three_primes(self):
+        # the pool row digest of benchmarks/bench_kernels.py: the sorted
+        # (p, depth) pairs of depths_exact at (2, 3, 32003) per pool ideal.
+        # The pool is the one input measured whose searches keep cores, so
+        # it reaches the reads of _betti past the spheres; one cold pass,
+        # within its budget
+        ideals = oracle_pool()
+        decompose._components.cache_clear()
+        depth._search.cache_clear()
+        t0 = time.perf_counter()
+        rows = [sorted(depths_exact(i, (2, 3, 32003)).items()) for i in ideals]
+        elapsed = time.perf_counter() - t0
+        assert len(rows) == 804
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == (
+            "247b8115bbbac9e1"
+        )
         assert elapsed <= WIDE_DEPTH_BUDGET_SECONDS, (
             f"{elapsed:.1f}s over the {WIDE_DEPTH_BUDGET_SECONDS:.0f}s budget"
         )
