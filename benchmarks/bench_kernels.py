@@ -46,7 +46,14 @@ run; the pool depth line times depths_exact at (2, 3, 32003) over the
 same ideals, best of 3 cold, with the cores the search keeps and builds
 and the digest of the rows, per ideal, of the sorted (p, depth) pairs. The decomposition lines time _components alone, from a cleared
 memo, over the 804 pool ideals and the ideals of the 1,596 n=6, d=3
-specs, best of 3. The oracle digest line is the first 16 hex digits of
+specs, best of 3. The intersect-back lines time the check of
+irreducible_decomposition (_intersection) alone, on folds made
+beforehand, best of 3, next to the fold (_components from a cleared
+memo, best of 3), with the candidate lcms the check forms (the
+candidates it hands to _Packing.extend_minimal), on the 804 pool
+ideals, on 10 and 11 disjoint edges (x1*x2, x3*x4, ...; 1,024 and
+2,048 components) and on L(x1^63, x3^63) (2,016 components). The
+oracle digest line is the first 16 hex digits of
 the sha256 of the JSON list, per pool ideal, of [sorted component
 powers, [[prime.vars, witness] per oracle prime]]; equal digests mean
 identical components, primes and witnesses. The depth digest line is
@@ -376,6 +383,51 @@ def decomposition_lines():
         print(f"  {len(ideals):5} {label:<22} {best:8.3f} s")
 
 
+def disjoint_edges(k):
+    """(x1*x2, x3*x4, ..., x_(2k-1)*x_2k) in 2k variables: 2^k components."""
+    n = 2 * k
+    return monomials.MonomialIdeal.from_gens(
+        n, [tuple(int(j // 2 == i) for j in range(n)) for i in range(k)]
+    )
+
+
+def intersect_back_lines():
+    pool = [
+        monomials.MonomialIdeal.from_gens(*oracle_gens(k)) for k in range(ORACLE_POOL)
+    ]
+    full = lexsegment_generators(monomials.LexSpec(3, 63, (63, 0, 0), (0, 0, 63)))
+    cases = (
+        ("pool ideals", pool),
+        ("10 disjoint edges", [disjoint_edges(10)]),
+        ("11 disjoint edges", [disjoint_edges(11)]),
+        ("L(x1^63, x3^63)", [full]),
+    )
+    print("intersect-back check (_intersection) on a made fold, best of 3, "
+          "next to the fold (_components, memo cleared), best of 3:")
+    extend = kernels._Packing.extend_minimal
+    for label, ideals in cases:
+        fold = best_cold(lambda ideals=ideals: list(map(decompose._components, ideals)))
+        folds = [(i.n, decompose._components(i)) for i in ideals]
+        check = min(
+            timeit(lambda: [decompose._intersection(*f) for f in folds]) for _ in range(3)
+        )
+        lcms = 0
+
+        def counting(packing, kept, candidates):
+            nonlocal lcms
+            lcms += len(candidates)
+            return extend(packing, kept, candidates)
+
+        kernels._Packing.extend_minimal = counting
+        try:
+            for f in folds:
+                decompose._intersection(*f)
+        finally:
+            kernels._Packing.extend_minimal = extend
+        print(f"  {label:<22} fold {fold:7.3f} s  check {check:7.3f} s  "
+              f"{lcms:8} lcms")
+
+
 def extended_range():
     specs = list(iter_specs((5, 5), (3, 3))) + list(iter_specs((6, 6), (2, 2)))
 
@@ -554,6 +606,7 @@ def main():
     step_digest()
     oracle_family()
     decomposition_lines()
+    intersect_back_lines()
     extended_range()
     depth_digest()
     n6_d3_depth()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import serialize
@@ -38,9 +39,15 @@ MISMATCH = 1
 INTERNAL_ERROR = 3
 
 
+_RANGE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, dots, hi = text.partition("..")
-    return int(lo), int(hi if dots else lo)
+    """"<lo>..<hi>" or "<k>" in ASCII digits: no sign, blank or underscore."""
+    m = _RANGE.fullmatch(text)
+    if not m:
+        raise ValueError(f"range {text!r} is not <lo>..<hi> or <k> in ASCII digits")
+    return int(m.group(1)), int(m.group(2) or m.group(1))
 
 
 def _load_spec(args) -> LexSpec:

@@ -57,11 +57,17 @@ lex-greatest corner over the components with radical P. When Q0 contains
 some Q != Q0, that Q misses Q0's corner too, so a redundant component
 list fails the test at a corner.
 
-irreducible_decomposition() checks the components by folding them back
-together, one at a time, and comparing with I (_intersection). That fold
-runs on packed exponent vectors (kernels._Packing), where one guard-bit
-subtraction tests divisibility and membership in a component. Everything
-else here works on exponent tuples.
+irreducible_decomposition() checks the dense components of _components
+by folding them back together, one at a time and in the order the fold
+made them, and comparing with I (_intersection); it returns those same
+checked tuples. The order is the fold's, not ascending power sum: on 10
+and 11 disjoint edges the check then forms 10,240 and 22,528 candidate
+lcms, not 81,570 and 230,538, and it takes a fraction of the fold (11
+edges: 0.03-0.04 s against 0.7-0.8 s; L(x1^63, x3^63): 0.43-0.47 s
+against 0.63-0.70 s), so COMPONENT_LIMIT bounds it too. The check runs
+on packed exponent vectors (kernels._Packing), where one guard-bit
+subtraction tests divisibility and membership in a component.
+Everything else here works on exponent tuples.
 """
 
 from __future__ import annotations
@@ -86,7 +92,8 @@ from .monomials import (
 # Largest witness box, in monomials, that witnesses() will scan.
 WITNESS_BOX_LIMIT = 1 << 20
 # Most components the decomposition fold (_components) may hold after a
-# step; a step costs about the square of the count.
+# step; a step costs about the square of the count. It bounds the
+# intersect-back check too, which costs a fraction of the fold.
 COMPONENT_LIMIT = 1 << 11
 
 
@@ -184,63 +191,82 @@ def _radicals(n: int, comps) -> set[PrimeIdeal]:
     return {PrimeIdeal(n, s) for s in {supp(q) for q in comps}}
 
 
+def _irreducibles(n: int, comps) -> frozenset[IrreducibleIdeal]:
+    """The dense components comps in n variables as IrreducibleIdeals."""
+    return frozenset(
+        IrreducibleIdeal(n, tuple(itertools.compress(enumerate(q, 1), q)))
+        for q in comps
+    )
+
+
 def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     """The irredundant irreducible components of I (_components). Their
     radicals are Ass(S/I). Unchecked: irreducible_decomposition adds the
     intersect-back check."""
-    return frozenset(
-        IrreducibleIdeal(ideal.n, tuple((i, e) for i, e in enumerate(q, 1) if e))
-        for q in _components(ideal)
-    )
+    return _irreducibles(ideal.n, _components(ideal))
 
 
 def irreducible_decomposition(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
-    """The irredundant irreducible decomposition of a proper nonzero ideal."""
+    """The irredundant irreducible decomposition of a proper nonzero ideal:
+    the components of _components(I), returned once the intersect-back
+    check has read those same dense tuples."""
     _require_proper(ideal)
-    result = irredundant_components(ideal)
-    if _intersection(ideal.n, result) != ideal:
+    comps = _components(ideal)
+    if _intersection(ideal.n, comps) != ideal:
         raise InternalConsistencyError(
             f"decomposition does not intersect back to the input: {ideal}"
         )
-    return result
+    return _irreducibles(ideal.n, comps)
 
 
 def _intersection(n: int, comps) -> MonomialIdeal:
-    """The intersection of irreducible ideals, folding one in at a time.
+    """The intersection of the irreducible ideals comps, dense exponent
+    tuples in n variables (Q_i = 0 where x_i is absent), folding one in
+    at a time.
 
-    J ∩ Q for Q = (x_i^e_i : i in A) is generated by the lcms of each
-    generator g of J with each x_i^e_i. If g lies in Q, one of them is g
+    J ∩ Q for Q = (x_i^Q_i : Q_i > 0) is generated by the lcms of each
+    generator g of J with each x_i^Q_i. If g lies in Q, one of them is g
     and the others are its multiples, so g stays; otherwise they are g
-    with g_i raised to e_i, one for each i in A. No new lcm divides a g
-    that stays: it would be a multiple of a generator of J outside Q, and
-    the generators of J divide no other one. So only the new lcms are
-    tested, in ascending order, each against the gens kept so far.
+    with g_i raised to Q_i, one for each i in supp Q. No new lcm divides
+    a g that stays: it would be a multiple of a generator of J outside
+    Q, and the generators of J divide no other one. So only the new lcms
+    are tested, in ascending order, each against the gens kept so far.
 
     The fold runs on packed exponent vectors (kernels._Packing, which
     proves the guard-bit tests), sized from top, the largest exponent of
     the components. Every exponent in the fold is 0 or an exponent of a
     component, even when comps decomposes nothing, so it is at most top.
     g lies in Q when one of Q's guard bits survives (g | guard) - power,
-    with power Q's powers and guard Q's guard bits. The components go in
-    by ascending power sum, which keeps the running intersection smaller
-    than other orders tried; the result is the same in any order.
+    with power Q packed and guard the guard bits of supp Q. The guard
+    bit of a field of power + low, where low fills the value bits of
+    every field, is set exactly when Q_i > 0, and no field carries, as
+    Q_i + 2^(w - 1) - 1 < 2^w; so guard is (power + low) & guards. The
+    mask that clears each variable's field is made once.
+
+    The components go in the order given, unsorted. The result is the
+    same in any order, but the work is not. In the order of the
+    decomposition fold (_components), 10 and 11 disjoint edges form
+    10,240 and 22,528 candidate lcms, in 0.02 and 0.03-0.04 s on a
+    2-vCPU container; by ascending power sum, ties in hash order, they
+    form 81,570 and 230,538, in 1.0-1.1 and 5.6-6.0 s.
     """
-    top = max((e for c in comps for _, e in c.powers), default=0)
+    top = max(itertools.chain.from_iterable(comps), default=0)
     packing = kernels._Packing(n, top)
-    w, mask, shifts = packing.width, packing.mask, packing.shifts
+    w, shifts, guards = packing.width, packing.shifts, packing.guards
+    clears = [~(packing.mask << s) for s in shifts]
+    low = (guards >> (w - 1)) * ((1 << (w - 1)) - 1)
     gens = [0]
-    for c in sorted(comps, key=lambda c: sum(e for _, e in c.powers)):
-        power = sum(e << shifts[i - 1] for i, e in c.powers)
-        guard = sum(1 << (shifts[i - 1] + w - 1) for i, _ in c.powers)
-        raised = [
-            (~(mask << shifts[i - 1]), e << shifts[i - 1]) for i, e in c.powers
-        ]
+    for c in comps:
+        raised = [(clears[i], e << shifts[i]) for i, e in enumerate(c) if e]
+        power = sum([put for _, put in raised])
+        guard = (power + low) & guards
         kept, met = [], set()
         for g in gens:
             if ((g | guard) - power) & guard:
                 kept.append(g)
             else:
-                met.update((g & clear) | put for clear, put in raised)
+                for clear, put in raised:
+                    met.add((g & clear) | put)
         gens = packing.extend_minimal(kept, sorted(met))
     gens.sort(reverse=True)
     return MonomialIdeal(n, tuple(map(packing.unpack, gens)))

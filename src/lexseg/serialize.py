@@ -19,12 +19,14 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
+# ASCII digits only: \d would take any Unicode decimal digit
+_FACTOR = re.compile(r"x([0-9]+)(?:\^([0-9]+))?")
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
-    """Parse "x<i>^<e>" factors joined by "*", or "1". A refused factor
-    reports its start offset in the stripped text."""
+    """Parse "x<i>^<e>" factors joined by "*", or "1", with i and e in
+    ASCII digits. A refused factor reports its start offset in the
+    stripped text."""
     text = text.strip()
     if text == "1":
         return (0,) * n

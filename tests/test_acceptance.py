@@ -5,7 +5,8 @@ n=5, d=2; and the wide sweep of n=5, d=3, n=6, d=2 and n=7, d=2) run
 once per session; the remaining criteria use frozen fixtures, a seeded
 random-ideal battery, and constructed negatives. Two gates past those
 ranges follow: the whole n=6, d=3 sweep, and seeded draws of lexsegments
-at n=7..9, d=3 and n=7, d=4 through check_spec.
+at n=7..9, d=3 and n=7, d=4 through check_spec. Last, the decomposition
+and the oracle answer the full segment L(x1^40, x3^40) within a budget.
 """
 
 import random
@@ -17,7 +18,11 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, P, spec
 from lexseg.closed_form import associated_primes_lexsegment
-from lexseg.decompose import associated_primes_oracle, irreducible_decomposition
+from lexseg.decompose import (
+    _components,
+    associated_primes_oracle,
+    irreducible_decomposition,
+)
 from lexseg.depth import DepthClass, depth_class, depth_exact
 from lexseg.filtration import (
     FiltrationStep,
@@ -49,6 +54,9 @@ N6_D3_BUDGET_SECONDS = 30.0
 # 60 drawn specs past the exhaustive ranges took 1.1 s on a 2-vCPU VM.
 DRAWN_SPECS = 60
 DRAWN_BUDGET_SECONDS = 20.0
+# The decomposition and the oracle of L(x1^40, x3^40) took 0.44-0.45 s on a
+# 2-vCPU VM.
+FULL_SEGMENT_BUDGET_SECONDS = 5.0
 
 
 @pytest.fixture(scope="session")
@@ -306,3 +314,23 @@ def test_drawn_specs_past_the_exhaustive_ranges():
           f"{seconds:.1f}s/{DRAWN_BUDGET_SECONDS:.0f}s")
     assert len(drawn) == DRAWN_SPECS
     assert seconds <= DRAWN_BUDGET_SECONDS
+
+
+def test_full_segment_decomposition():
+    """The decomposition and the oracle answer the full segment L(x1^40,
+    x3^40), 861 generators and 820 components, from a cold fold within a
+    wall budget, and the oracle's primes are the closed form's."""
+    s = LexSpec(3, 40, (40, 0, 0), (0, 0, 40))
+    ideal = lexsegment_generators(s)
+    _components.cache_clear()
+    t0 = time.perf_counter()
+    components = irreducible_decomposition(ideal)
+    oracle = associated_primes_oracle(ideal)
+    seconds = time.perf_counter() - t0
+    print(f"[full segment] L(x1^40, x3^40), {len(ideal.gens)} generators, "
+          f"{len(components)} components, "
+          f"{seconds:.2f}s/{FULL_SEGMENT_BUDGET_SECONDS:.0f}s")
+    assert (len(ideal.gens), len(components)) == (861, 820)
+    assert oracle.primes == {c.radical() for c in components}
+    assert oracle.primes == associated_primes_lexsegment(s)
+    assert seconds <= FULL_SEGMENT_BUDGET_SECONDS

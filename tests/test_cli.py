@@ -99,6 +99,8 @@ class TestParseMonomial:
     @pytest.mark.parametrize("text", [
         "x1x2", "x1 *x2", "x1^", "x1^-1", "x1^0", "x0", "x4", "x1*x1", "*x1",
         "x1*", "", "y2",
+        # Unicode digits other than ASCII: Arabic-Indic, fullwidth
+        "x\u0661^\u0662", "x1^\u0662", "x\uff11",
     ])
     def test_malformed_refused(self, text):
         with pytest.raises(ParseError):
@@ -448,6 +450,18 @@ class TestCliExitCodes:
         out = run_cli(args, preexec_fn=cap_address_space)
         assert out.returncode == 0, out.stderr
 
+    @pytest.mark.parametrize("text, bounds", [("2..4", (2, 4)), ("3", (3, 3)),
+                                              ("10..11", (10, 11))])
+    def test_range_grammar(self, text, bounds):
+        assert cli._parse_range(text) == bounds
+
+    @pytest.mark.parametrize("text", [
+        "-1..2", " 3", "2..", "..3", "2...3", "", "\u0662..\u0663", "\uff13",
+    ])
+    def test_range_outside_the_grammar_refused(self, text):
+        with pytest.raises(ValueError, match="in ASCII digits"):
+            cli._parse_range(text)
+
     def test_sweep_cap(self, capsys):
         assert main(["sweep", "--n", "2..2", "--d", "2..2", "--cap", "1"]) == 2
         assert "6 pairs, exceeding the cap 1" in capsys.readouterr().err
@@ -464,10 +478,14 @@ class TestCliExitCodes:
             (["--n", "2..2", "--d", "3..2"], "range 3..2 is empty"),
             (["--n", "2..2", "--d", "2..2", "--jobs", "2", "--p", "4,32003"],
              "not a prime"),
+            # ASCII digits only: int() would take these
+            (["--n", "1_0..1_1", "--d", "2..2"], "in ASCII digits"),
+            (["--n", " +3 ", "--d", "2..2"], "in ASCII digits"),
+            (["--n", "2..2", "--d", "\u0662"], "in ASCII digits"),
         ],
         ids=[
             "jobs-0", "jobs-negative", "jobs-over-cpu-count", "empty-n", "empty-d",
-            "non-prime",
+            "non-prime", "underscored-n", "signed-n", "arabic-indic-d",
         ],
     )
     def test_sweep_input_refused_before_any_work(

@@ -64,6 +64,13 @@ def intersection_of(comps, n):
     return acc
 
 
+def dense(c):
+    """The irreducible ideal c as a dense exponent tuple, 0 where x_i is
+    absent: the form the intersect-back check reads."""
+    powers = dict(c.powers)
+    return tuple(powers.get(i, 0) for i in range(1, c.n + 1))
+
+
 def tuple_intersection(n, comps):
     """Reference: the intersect-back fold on exponent tuples, each step
     minimalized whole by kernels.minimalize."""
@@ -167,21 +174,21 @@ class TestIrreducibleDecomposition:
                 comps.append(IrreducibleIdeal(n, powers))
             if comps and rng.random() < 0.2:
                 comps.append(rng.choice(comps))
-            assert _intersection(n, comps) == intersection_of(comps, n)
+            assert _intersection(n, [*map(dense, comps)]) == intersection_of(comps, n)
 
     def test_dropped_component_fails_the_intersect_back_check(self, monkeypatch):
+        # the broken families go in where the check reads them, the fold;
+        # every full decomposition is read before the first patch
         ideals = [I(3, "x1*x2", "x1*x3", "x2^2", "x2*x3"), I(2, "x1*x2")]
         ideals += oracle_random_ideals(20261103, 10)
         checked = 0
-        for ideal in ideals:
-            full = irredundant_components(ideal)
+        for ideal, full in [(i, irredundant_components(i)) for i in ideals]:
             if len(full) < 2:
                 continue
             for dropped in full:
+                rest = tuple(map(dense, full - {dropped}))
                 monkeypatch.setattr(
-                    decompose_module,
-                    "irredundant_components",
-                    lambda _ideal, rest=full - {dropped}: rest,
+                    decompose_module, "_components", lambda _ideal, rest=rest: rest
                 )
                 with pytest.raises(InternalConsistencyError):
                     irreducible_decomposition(ideal)
@@ -189,18 +196,17 @@ class TestIrreducibleDecomposition:
         assert checked >= 10
 
     def test_corrupted_component_fails_the_intersect_back_check(self, monkeypatch):
-        # a decomposition is unique, so any changed member breaks it
+        # a decomposition is unique, so any changed member breaks it; the
+        # broken families go in as the fold, as in the test above
         ideals = [I(3, "x1*x2", "x1*x3", "x2^2", "x2*x3"), I(2, "x1*x2", "x2^3")]
         ideals += oracle_random_ideals(20261108, 12)
         rng = random.Random(20261109)
         kinds = set()
-        for ideal in ideals:
-            full = irredundant_components(ideal)
+        for ideal, full in [(i, irredundant_components(i)) for i in ideals]:
             for family in corrupted(full, ideal.n, rng):
+                folded = tuple(map(dense, family))
                 monkeypatch.setattr(
-                    decompose_module,
-                    "irredundant_components",
-                    lambda _ideal, family=family: family,
+                    decompose_module, "_components", lambda _ideal, folded=folded: folded
                 )
                 with pytest.raises(InternalConsistencyError):
                     irreducible_decomposition(ideal)
@@ -215,7 +221,7 @@ class TestIrreducibleDecomposition:
     @example((8, [IrreducibleIdeal(8, ((8, 256),))] * 2 + [IrreducibleIdeal(8, ())]))
     def test_packed_fold_matches_the_tuple_reference(self, family):
         n, comps = family
-        assert _intersection(n, comps) == tuple_intersection(n, comps)
+        assert _intersection(n, [*map(dense, comps)]) == tuple_intersection(n, comps)
 
     def test_oracle_digest_on_the_pool(self):
         # output identity: the oracle digest of the 804 oracle-random pool
@@ -533,6 +539,50 @@ class TestComponentLimit:
             _components(disjoint_edges(4))
 
 
+class TestIntersectBackOrder:
+    def test_the_check_reads_the_fold_as_it_is(self, monkeypatch):
+        # the very tuple _components returns, in fold order, unsorted
+        ideal = I(3, "x1*x2", "x1*x3", "x2^2", "x2*x3")
+        read, check = [], decompose_module._intersection
+        monkeypatch.setattr(
+            decompose_module,
+            "_intersection",
+            lambda n, comps: read.append(comps) or check(n, comps),
+        )
+        _components.cache_clear()
+        result = irreducible_decomposition(ideal)
+        assert len(read) == 1 and read[0] is _components(ideal)
+        assert result == irredundant_components(ideal)
+
+    def test_what_is_returned_is_what_was_checked(self, monkeypatch):
+        # the fold is read once: the first read, here in reverse order,
+        # passes the check and comes back; a second read would get a
+        # family short of one component
+        ideal = I(3, "x1^2*x2", "x1*x3^2", "x2^3", "x2*x3")
+        expected, full = irredundant_components(ideal), _components(ideal)
+        assert len(full) > 1
+        reads = iter([tuple(reversed(full)), full[1:]])
+        monkeypatch.setattr(decompose_module, "_components", lambda _ideal: next(reads))
+        assert irreducible_decomposition(ideal) == expected
+
+    def test_ten_disjoint_edges_form_few_lcms(self, monkeypatch):
+        # the 1,024 components of 10 disjoint edges, checked in fold order,
+        # form 10,240 candidate lcms; by ascending power sum, ties in hash
+        # order, they formed 81,570
+        ideal = disjoint_edges(10)
+        _components.cache_clear()
+        assert len(_components(ideal)) == 1024  # the fold, outside the count
+        formed, extend = [], kernels._Packing.extend_minimal
+
+        def counting(packing, kept, candidates):
+            formed.append(len(candidates))
+            return extend(packing, kept, candidates)
+
+        monkeypatch.setattr(kernels._Packing, "extend_minimal", counting)
+        assert len(irreducible_decomposition(ideal)) == 1024
+        assert len(formed) == 1024 and sum(formed) <= 1 << 14
+
+
 @st.composite
 def random_ideals(draw):
     n = draw(st.integers(2, 5))
@@ -698,5 +748,6 @@ class TestIrredundantComponents:
         # the unit ideal is the intersection of no components; the one
         # component with no powers would be the zero ideal
         assert irredundant_components(unit_ideal(n)) == frozenset()
-        assert _intersection(n, irredundant_components(unit_ideal(n))) == unit_ideal(n)
+        assert _components(unit_ideal(n)) == ()
+        assert _intersection(n, _components(unit_ideal(n))) == unit_ideal(n)
         assert irredundant_components(zero_ideal(n)) == {IrreducibleIdeal(n, ())}
