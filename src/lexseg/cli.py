@@ -42,6 +42,14 @@ INTERNAL_ERROR = 3
 _RANGE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
 
+def _integer(text: str) -> int:
+    """An integer flag in ASCII digits, with an optional leading minus: no
+    blank, plus sign, underscore or other Unicode digit."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     """"<lo>..<hi>" or "<k>" in ASCII digits: no sign, blank or underscore."""
     m = _RANGE.fullmatch(text)
@@ -62,25 +70,12 @@ def _load_ideal(path: str) -> MonomialIdeal:
 
 
 def _emit(payload, as_json: bool) -> None:
+    """The payload as indented JSON, or one "key: value" line per key."""
     if as_json:
         print(json.dumps(payload, indent=2))
     else:
-        _emit_text(payload)
-
-
-def _emit_text(payload, indent: str = "") -> None:
-    if isinstance(payload, dict):
         for key, value in payload.items():
-            if isinstance(value, (dict, list)):
-                print(f"{indent}{key}:")
-                _emit_text(value, indent + "  ")
-            else:
-                print(f"{indent}{key}: {value}")
-    elif isinstance(payload, list):
-        for value in payload:
-            _emit_text(value, indent)
-    else:
-        print(f"{indent}{payload}")
+            print(f"{key}: {value}")
 
 
 def _cmd_ass(args) -> int:
@@ -192,11 +187,10 @@ def _cmd_stanley(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    primes = tuple(int(p) for p in args.p.split(","))
     report = sweep(
         _parse_range(args.n),
         _parse_range(args.d),
-        primes=primes,
+        primes=args.p,
         jobs=args.jobs,
         cap=args.cap,
     )
@@ -224,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_spec_args(p, required=True):
-        p.add_argument("--n", type=int, required=required)
-        p.add_argument("--d", type=int, required=required)
+        p.add_argument("--n", type=_integer, required=required)
+        p.add_argument("--d", type=_integer, required=required)
         p.add_argument("--u", required=required)
         p.add_argument("--v", required=required)
 
@@ -247,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_args(p, required=False)
     p.add_argument("--ideal", help="ideal JSON file (implies --exact)")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--p", type=int, default=32003)
+    p.add_argument("--p", type=_integer, default=32003)
     p.set_defaults(func=_cmd_depth)
 
     p = sub.add_parser("filtration", help="prime filtration of S/I")
@@ -262,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="exhaustive verification sweep")
     p.add_argument("--n", required=True, help="range LO..HI")
     p.add_argument("--d", required=True, help="range LO..HI")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--p", default=",".join(str(p) for p in DEFAULT_PRIMES))
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--jobs", type=_integer, default=1)
+    p.add_argument("--p", type=lambda text: tuple(map(_integer, text.split(","))),
+                   default=",".join(str(p) for p in DEFAULT_PRIMES))
+    p.add_argument("--cap", type=_integer, default=DEFAULT_CAP)
     p.add_argument("--json", help="write the full report to this file")
     p.set_defaults(func=_cmd_sweep)
 

@@ -199,13 +199,6 @@ def _irreducibles(n: int, comps) -> frozenset[IrreducibleIdeal]:
     )
 
 
-def irredundant_components(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
-    """The irredundant irreducible components of I (_components). Their
-    radicals are Ass(S/I). Unchecked: irreducible_decomposition adds the
-    intersect-back check."""
-    return _irreducibles(ideal.n, _components(ideal))
-
-
 def irreducible_decomposition(ideal: MonomialIdeal) -> frozenset[IrreducibleIdeal]:
     """The irredundant irreducible decomposition of a proper nonzero ideal:
     the components of _components(I), returned once the intersect-back

@@ -174,7 +174,7 @@ class DepthClass(Enum):
 @dataclass(frozen=True)
 class DepthCase:
     depth: DepthClass
-    subcase: str | None  # "a" (a_l < d-1) or "b" (a_l = d-1); None for depth 0
+    subcase: str | None  # "a" (u_l < d-1) or "b" (u_l = d-1); None for depth 0
 
 
 def depth_class(spec: LexSpec) -> DepthCase:
@@ -194,7 +194,7 @@ def depth_class(spec: LexSpec) -> DepthCase:
     # positive depth forces u = x1 * xl^al * ... (a1 = 1)
     l = spec.l
     assert l is not None and spec.a1 == 1
-    sub = "a" if spec.a_l < d - 1 else "b"
+    sub = "a" if u[l - 1] < d - 1 else "b"
     # v = x2^(d-1) * xj exactly when v_1 = 0 and v_2 >= d - 1, with j = max(v)
     j = max_var(v) if v[0] == 0 and v[1] >= d - 1 else None
     shaped = j is not None and 2 <= j <= n - 2
@@ -419,33 +419,6 @@ def _leaf(masks, h: int):
     return None if core.top < h else core
 
 
-def _depth(ideal: MonomialIdeal, p: int) -> int:
-    """depth(S/I) over GF(p), for a proper nonzero I and a prime p that
-    the caller has checked: n - 1 - best, where best starts at h - 1 once
-    the seed's core reads beta(h - 1) != 0 (0 when h = 1), and each kept
-    core whose top is above best is read from its top down to best + 1,
-    up to the first nonzero beta. Raises InternalConsistencyError when the
-    seed reads zero, and DomainError as _search does; any raise clears
-    the memo _search."""
-    try:
-        h, seed, cores, _ = _search(ideal, (BOX_NODE_LIMIT, KOSZUL_SUPPORT_LIMIT))
-        if h > 1 and not (seed and seed.top >= h - 1 and _betti(seed, p)(h - 1)):
-            raise InternalConsistencyError(
-                f"the corner of a component of height {h} reads "
-                f"beta_{h - 1} = 0 over GF({p}): the homology is wrong"
-            )
-        best = h - 1
-        for core in cores:
-            if core.top <= best:
-                break
-            beta = _betti(core, p)
-            best = next((i for i in range(core.top, best, -1) if beta(i)), best)
-    except BaseException:
-        _search.cache_clear()
-        raise
-    return ideal.n - 1 - best
-
-
 @lru_cache(maxsize=8)
 def _is_prime(p: int) -> bool:
     """True iff p is prime, for p < 3,215,031,751: Miller-Rabin on
@@ -490,9 +463,9 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
 
     Raises DomainError, before any search, when I is zero or the unit
     ideal, no prime is given or one is not a prime below
-    CHARACTERISTIC_LIMIT; then as depth_exact does. Each ideal and prime
-    is checked once; the primes share one search through the memo
-    _search, and each reads the kept cores at its own prime.
+    CHARACTERISTIC_LIMIT; then as depth_exact does. The primes share one
+    search through the memo _search, and each reads the kept cores at its
+    own prime.
     """
     primes = tuple(primes)
     decompose._require_proper(ideal)
@@ -500,7 +473,7 @@ def depths_exact(ideal: MonomialIdeal, primes) -> dict[int, int]:
         raise DomainError("no characteristic given")
     for p in primes:
         _require_prime(p)
-    return {p: _depth(ideal, p) for p in primes}
+    return {p: depth_exact(ideal, p) for p in primes}
 
 
 def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
@@ -512,10 +485,13 @@ def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
     largest height h, a sphere read at p, and keeps only the cores, at
     the points of the box, that could hold H~_q at q >= h - 1 over some
     field: the rest are cones, have at most h facets of size >= h, or
-    collapse to a strong core with nothing past its top to read. Each
-    kept core is read at p (_betti), in closed form when it is a sphere.
-    The search is a one-entry memo, so a call for I at another prime
-    reads the same cores without searching again. Any raise clears it.
+    collapse to a strong core with nothing past its top to read. best
+    starts at h - 1 once the seed's core reads beta(h - 1) != 0 (0 when
+    h = 1), and each kept core whose top is above best is read at p
+    (_betti) from its top down to best + 1, up to the first nonzero beta,
+    in closed form when it is a sphere; the depth is n - 1 - best. The
+    search is a one-entry memo, so a call for I at another prime reads
+    the same cores without searching again. Any raise clears it.
 
     Raises DomainError when I is zero or the unit ideal, p is not a prime
     below CHARACTERISTIC_LIMIT, n is over KOSZUL_SUPPORT_LIMIT or the
@@ -524,4 +500,20 @@ def depth_exact(ideal: MonomialIdeal, p: int = 32003) -> int:
     """
     decompose._require_proper(ideal)
     _require_prime(p)
-    return _depth(ideal, p)
+    try:
+        h, seed, cores, _ = _search(ideal, (BOX_NODE_LIMIT, KOSZUL_SUPPORT_LIMIT))
+        if h > 1 and not (seed and seed.top >= h - 1 and _betti(seed, p)(h - 1)):
+            raise InternalConsistencyError(
+                f"the corner of a component of height {h} reads "
+                f"beta_{h - 1} = 0 over GF({p}): the homology is wrong"
+            )
+        best = h - 1
+        for core in cores:
+            if core.top <= best:
+                break
+            beta = _betti(core, p)
+            best = next((i for i in range(core.top, best, -1) if beta(i)), best)
+    except BaseException:
+        _search.cache_clear()
+        raise
+    return ideal.n - 1 - best

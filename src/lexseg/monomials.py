@@ -50,19 +50,6 @@ def mon_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mon_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exact quotient a / b; raises if b does not divide a."""
-    _same_n(a, b)
-    if not kernels.divides(b, a):
-        raise ValueError(f"{b} does not divide {a}")
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    _same_n(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def supp(m: Monomial) -> tuple[int, ...]:
     """1-based indices of the variables dividing m."""
     return tuple(itertools.compress(range(1, len(m) + 1), m))
@@ -154,7 +141,7 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """I ∩ J via pairwise lcms of generators."""
     if a.n != b.n:
         raise DimensionError("variable counts differ")
-    lcms = [mon_lcm(g, h) for g in a.gens for h in b.gens]
+    lcms = [tuple(map(max, g, h)) for g in a.gens for h in b.gens]
     return MonomialIdeal(a.n, kernels.minimalize(tuple(lcms)))
 
 
@@ -253,11 +240,6 @@ class LexSpec:
         if degree(rest) == 0:
             return None
         return min_var(rest)
-
-    @property
-    def a_l(self) -> int | None:
-        l = self.l
-        return None if l is None else self.u[l - 1]
 
 
 def classify(spec: LexSpec) -> SpecKind:

@@ -67,6 +67,13 @@ def degree_monomials(n, d):
     return tuple(sorted((m for m in box if sum(m) == d), reverse=True))
 
 
+def mon_div(a, b):
+    """The exact quotient a / b; raises ValueError when b does not divide a."""
+    if not kernels.divides(b, a):
+        raise ValueError(f"{b} does not divide {a}")
+    return tuple(x - y for x, y in zip(a, b))
+
+
 def is_proper_subset(p, q):
     """P is properly contained in Q, for primes of one ring."""
     return set(p.vars) < set(q.vars)

@@ -17,7 +17,7 @@ from conftest import I, P, disjoint_edges, real_projective_plane, spec
 from lexseg import cli
 from lexseg.cli import main
 from lexseg.depth import DepthCase, DepthClass
-from lexseg.filtration import FiltrationStep, PrimeFiltration, search_filtration
+from lexseg.filtration import FiltrationStep, PrimeFiltration, Report, search_filtration
 from lexseg.monomials import InternalConsistencyError, PrimeIdeal
 from lexseg.serialize import (
     ParseError,
@@ -498,6 +498,112 @@ class TestCliExitCodes:
         monkeypatch.setattr(sweep_module, "check_spec", no_work)
         assert main(["sweep", *args]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["sweep", "--n", "2..2", "--d", "2..2", "--p", "3_2003, 2"], "--p"),
+            (["depth", "--n", "\u0663", "--d", "2", "--u", "x1^2", "--v", "x2*x3",
+              "--exact", "--p", "\uff13"], "--n"),
+            (["sweep", "--n", "2", "--d", "2", "--jobs", "\uff12"], "--jobs"),
+            (["sweep", "--n", "2", "--d", "2", "--cap", "1_000"], "--cap"),
+            (["sweep", "--n", "2", "--d", "2", "--p", "2,"], "--p"),
+            (["ass", "--n", "3", "--d", "+2", "--u", "x1^2", "--v", "x2*x3"], "--d"),
+            (["depth", "--n", "3", "--d", "2", "--u", "x1^2", "--v", "x2*x3",
+              "--exact", "--p", " 2"], "--p"),
+        ],
+        ids=["sweep-p-underscored", "depth-arabic-indic-n", "sweep-jobs-fullwidth",
+             "sweep-cap-underscored", "sweep-p-empty-item", "ass-d-signed",
+             "depth-p-blank"],
+    )
+    def test_integer_flags_take_ascii_digits_only(
+        self, args, flag, monkeypatch, capsys
+    ):
+        # int() would take each of these; every integer flag is -?[0-9]+
+        def no_work(*_args, **_kwargs):
+            raise AssertionError("work started before the input was checked")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(sweep_module, "check_spec", no_work)
+        monkeypatch.setattr(cli, "depth_exact", no_work)
+        monkeypatch.setattr(cli, "associated_primes_lexsegment", no_work)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err
+        assert "is not an integer in ASCII digits" in err
+
+    def test_ass_text_prints_one_line_per_key(self, capsys):
+        # a prime list is one value: [[1], [2, 3]] and [[1, 2], [3]] differ
+        code = main(["ass", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "n: 3",
+            "d: 2",
+            "u: x1*x2",
+            "v: x2*x3",
+            "closed: [[1, 2], [1, 2, 3], [2, 3]]",
+            "oracle: [[1, 2], [1, 2, 3], [2, 3]]",
+        ]
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_ass_disagreement_is_a_mismatch(self, as_json, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "associated_primes_lexsegment", lambda s: {P(3, 1), P(3, 2, 3)}
+        )
+        args = ["ass", "--n", "3", "--d", "2", "--u", "x1*x2", "--v", "x2*x3"]
+        assert main(args + ["--json"] * as_json) == 1
+        out = capsys.readouterr().out
+        if as_json:
+            found = json.loads(out)
+            assert (found["closed"], found["mismatch"]) == ([[1], [2, 3]], True)
+        else:
+            assert out.splitlines()[-3:] == [
+                "closed: [[1], [2, 3]]",
+                "oracle: [[1, 2], [1, 2, 3], [2, 3]]",
+                "mismatch: True",
+            ]
+
+    def test_sweep_mismatch_is_printed_and_exits_1(self, tmp_path, monkeypatch, capsys):
+        # a closed form that is wrong on L(x1^2, x1*x2) alone
+        real = sweep_module.associated_primes_lexsegment
+        target = spec(2, 2, "x1^2", "x1*x2")
+        monkeypatch.setattr(
+            sweep_module, "associated_primes_lexsegment",
+            lambda s: real(s) | {P(2, 2)} if s == target else real(s),
+        )
+        path = tmp_path / "report.json"
+        assert main(["sweep", "--n", "2..2", "--d", "2..2", "--json", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["specs_tested: 6", "agreements: 5", "mismatches: 1"]
+        assert lines[4:] == [
+            "mismatch: n=2 d=2 u=x1^2 v=x1*x2 [ass] "
+            "closed-form and oracle prime sets differ"
+        ]
+        report = json.loads(path.read_text())
+        assert report["mismatch_count"] == 1
+        assert report["mismatches"] == [
+            {"n": 2, "d": 2, "u": "x1^2", "v": "x1*x2", "family": "ass",
+             "detail": "closed-form and oracle prime sets differ",
+             "closed": [[1], [1, 2], [2]], "oracle": [[1], [1, 2]]}
+        ]
+
+    def test_filtration_verify_failure_exits_1(self, monkeypatch, capsys):
+        # the verifiers lexseg filtration --verify runs are the sweep's
+        violation = "(x2, x3) at 0 inside (x1, x2, x3) at 1"
+        monkeypatch.setattr(
+            sweep_module, "verify_pretty_clean", lambda f: Report((violation,))
+        )
+        code = main(
+            ["filtration", "--n", "3", "--d", "2", "--u", "x1*x2",
+             "--v", "x2*x3", "--verify"]
+        )
+        assert code == 1
+        found = json.loads(capsys.readouterr().out)["verification"]
+        assert found == {
+            "prime_filtration": {"ok": True, "violations": []},
+            "pretty_clean": {"ok": False, "violations": [violation]},
+            "supp_equals_ass": {"ok": True, "violations": []},
+        }
 
     def test_sweep_process_pool_matches_one_process(self):
         one = sweep_module.sweep((2, 3), (2, 2), jobs=1)

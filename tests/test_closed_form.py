@@ -3,7 +3,7 @@ reductions, fixtures."""
 
 import pytest
 
-from conftest import FIXTURES, P, spec
+from conftest import FIXTURES, P, mon_div, spec
 from lexseg.closed_form import associated_primes_lexsegment
 from lexseg.decompose import associated_primes_oracle
 from lexseg.monomials import (
@@ -13,7 +13,6 @@ from lexseg.monomials import (
     SpecError,
     colon,
     lexsegment_generators,
-    mon_div,
     mon_mul,
     supp,
     variable,

@@ -33,9 +33,9 @@ from lexseg.decompose import (
     _components,
     _corners,
     _intersection,
+    _irreducibles,
     associated_primes_oracle,
     irreducible_decomposition,
-    irredundant_components,
     witnesses,
 )
 from lexseg.monomials import (
@@ -51,6 +51,12 @@ from lexseg.monomials import (
     unit_ideal,
     variable,
 )
+
+
+def unchecked_components(ideal):
+    """The fold of I (_components) as IrreducibleIdeals, unchecked: no
+    intersect-back check, and the zero and unit ideals are taken too."""
+    return _irreducibles(ideal.n, _components(ideal))
 
 
 def components_as_ideals(ideal):
@@ -182,7 +188,7 @@ class TestIrreducibleDecomposition:
         ideals = [I(3, "x1*x2", "x1*x3", "x2^2", "x2*x3"), I(2, "x1*x2")]
         ideals += oracle_random_ideals(20261103, 10)
         checked = 0
-        for ideal, full in [(i, irredundant_components(i)) for i in ideals]:
+        for ideal, full in [(i, unchecked_components(i)) for i in ideals]:
             if len(full) < 2:
                 continue
             for dropped in full:
@@ -202,7 +208,7 @@ class TestIrreducibleDecomposition:
         ideals += oracle_random_ideals(20261108, 12)
         rng = random.Random(20261109)
         kinds = set()
-        for ideal, full in [(i, irredundant_components(i)) for i in ideals]:
+        for ideal, full in [(i, unchecked_components(i)) for i in ideals]:
             for family in corrupted(full, ideal.n, rng):
                 folded = tuple(map(dense, family))
                 monkeypatch.setattr(
@@ -307,6 +313,10 @@ class TestWitnessSearch:
         ideal = I(4, *WITNESS_IDEAL)
         assert list(witnesses(ideal, P(4, 4))) == []
 
+    def test_prime_in_another_ring_refused(self):
+        with pytest.raises(DomainError, match="variable counts"):
+            next(witnesses(I(4, *WITNESS_IDEAL), P(3, 1)))
+
     def test_zero_and_unit_ideals(self):
         # (0 : 1) = 0 is the prime with no variables; (1 : w) is never prime
         for prime in (P(2), P(2, 1), P(2, 1, 2)):
@@ -318,7 +328,7 @@ class TestWitnessSearch:
         ideal = I(2, "x1^2", "x1*x2", "x2^3")
         box = witness_box(ideal)
         assert box[0] >= 2 and box[1] >= 3
-        for c in irredundant_components(ideal):
+        for c in unchecked_components(ideal):
             assert all(e <= box[i - 1] for i, e in c.powers)
 
     def test_box_from_components_is_the_lcm_of_the_generators(self):
@@ -552,14 +562,14 @@ class TestIntersectBackOrder:
         _components.cache_clear()
         result = irreducible_decomposition(ideal)
         assert len(read) == 1 and read[0] is _components(ideal)
-        assert result == irredundant_components(ideal)
+        assert result == unchecked_components(ideal)
 
     def test_what_is_returned_is_what_was_checked(self, monkeypatch):
         # the fold is read once: the first read, here in reverse order,
         # passes the check and comes back; a second read would get a
         # family short of one component
         ideal = I(3, "x1^2*x2", "x1*x3^2", "x2^3", "x2*x3")
-        expected, full = irredundant_components(ideal), _components(ideal)
+        expected, full = unchecked_components(ideal), _components(ideal)
         assert len(full) > 1
         reads = iter([tuple(reversed(full)), full[1:]])
         monkeypatch.setattr(decompose_module, "_components", lambda _ideal: next(reads))
@@ -722,23 +732,23 @@ class TestIrredundantComponents:
     @settings(max_examples=400, deadline=None, database=None)
     @given(fold_ideals())
     def test_fold_matches_the_split_reference(self, ideal):
-        assert irredundant_components(ideal) == pairwise_irredundant(ideal)
+        assert unchecked_components(ideal) == pairwise_irredundant(ideal)
 
     @seed(20261020)
     @settings(max_examples=120, deadline=None, database=None)
     @given(random_ideals())
     def test_matches_pairwise_contains(self, ideal):
-        assert irredundant_components(ideal) == pairwise_irredundant(ideal)
+        assert unchecked_components(ideal) == pairwise_irredundant(ideal)
 
     def test_matches_pairwise_contains_on_oracle_random_ideals(self):
         for ideal in oracle_random_ideals(20261021, 60):
-            assert irredundant_components(ideal) == pairwise_irredundant(ideal)
+            assert unchecked_components(ideal) == pairwise_irredundant(ideal)
 
     def test_exponent_at_the_top_of_the_encoding(self):
         # (x1^2*x2, x1^2*x3) splits into (x1^2) and (x2, x3); the largest
         # exponent sits alone on a support, so it must not encode as 0
         ideal = I(3, "x1^2*x2", "x1^2*x3")
-        assert irredundant_components(ideal) == pairwise_irredundant(ideal) == {
+        assert unchecked_components(ideal) == pairwise_irredundant(ideal) == {
             IrreducibleIdeal(3, ((1, 2),)),
             IrreducibleIdeal(3, ((2, 1), (3, 1))),
         }
@@ -747,7 +757,7 @@ class TestIrredundantComponents:
     def test_unit_ideal_is_the_empty_intersection(self, n):
         # the unit ideal is the intersection of no components; the one
         # component with no powers would be the zero ideal
-        assert irredundant_components(unit_ideal(n)) == frozenset()
+        assert unchecked_components(unit_ideal(n)) == frozenset()
         assert _components(unit_ideal(n)) == ()
         assert _intersection(n, _components(unit_ideal(n))) == unit_ideal(n)
-        assert irredundant_components(zero_ideal(n)) == {IrreducibleIdeal(n, ())}
+        assert unchecked_components(zero_ideal(n)) == {IrreducibleIdeal(n, ())}

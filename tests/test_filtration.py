@@ -36,9 +36,9 @@ from lexseg import kernels
 from lexseg.decompose import (
     IrreducibleIdeal,
     _components,
+    _irreducibles,
     _witness,
     associated_primes_oracle,
-    irredundant_components,
     witnesses,
 )
 from lexseg.depth import depth_exact
@@ -539,7 +539,7 @@ class TestCarriedComponents:
             assert {
                 IrreducibleIdeal(n, tuple((i, e) for i, e in enumerate(q, 1) if e))
                 for q in carried
-            } == irredundant_components(node["ideal"]), (
+            } == _irreducibles(n, _components(node["ideal"])), (
                 node["parent"]["ideal"].gens,
                 node["steps"][-1].witness,
             )

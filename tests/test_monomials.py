@@ -14,6 +14,7 @@ from conftest import (
     ideal_as_prime,
     ideal_sum,
     is_proper_subset,
+    mon_div,
     spec,
     zero_ideal,
 )
@@ -34,8 +35,6 @@ from lexseg.monomials import (
     lexsegment_generators,
     max_var,
     min_var,
-    mon_div,
-    mon_lcm,
     mon_mul,
     reduce_fully,
     supp,
@@ -48,6 +47,10 @@ from lexseg.sweep import iter_specs
 
 def mon_gcd(a, b):
     return tuple(min(x, y) for x, y in zip(a, b))
+
+
+def mon_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def contains_ideal(a, b):
@@ -95,6 +98,10 @@ class TestMonomialOps:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             mon_mul((1, 0), (1, 0, 0))
+
+    def test_unit_monomial_has_no_last_variable(self):
+        with pytest.raises(ValueError, match="no support"):
+            max_var((0, 0, 0))
 
 
 class TestLexOrder:
@@ -193,6 +200,10 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError):
             MonomialIdeal.from_gens(2, [(1, -1)])
 
+    def test_generator_of_another_length_rejected(self):
+        with pytest.raises(DimensionError, match="length"):
+            MonomialIdeal.from_gens(3, [(1, 0)])
+
 
 class TestColonIntersectSum:
     def test_colon_example(self):
@@ -205,6 +216,12 @@ class TestColonIntersectSum:
 
     def test_intersect_example(self):
         assert intersect(I(2, "x1"), I(2, "x2")) == I(2, "x1*x2")
+
+    def test_operands_of_another_length_rejected(self):
+        with pytest.raises(DimensionError, match="monomial length"):
+            colon(I(3, "x1*x2"), (0, 1))
+        with pytest.raises(DimensionError, match="variable counts"):
+            intersect(I(2, "x1"), I(3, "x2"))
 
     def test_sum_example(self):
         assert ideal_sum(I(2, "x1*x2"), I(2, "x2^2")) == I(2, "x1*x2", "x2^2")
@@ -281,6 +298,10 @@ class TestLexSpec:
         with pytest.raises(DimensionError):
             LexSpec(3, 2, (1, 1), (1, 1))
 
+    def test_no_variables_refused(self):
+        with pytest.raises(SpecError, match="need n >= 1"):
+            LexSpec(0, 1, (), ())
+
     def test_negative_exponent_is_refused(self):
         # degree and lex order alone accept both
         with pytest.raises(SpecError, match="negative exponent"):
@@ -291,7 +312,7 @@ class TestLexSpec:
     def test_derived_fields(self):
         s = spec(4, 3, "x1*x3^2", "x2^2*x4")
         assert (s.a1, s.b1) == (1, 0)
-        assert (s.l, s.a_l) == (3, 2)
+        assert (s.l, s.u[s.l - 1]) == (3, 2)
         assert spec(3, 2, "x1^2", "x2*x3").l is None
 
     def test_classify(self):

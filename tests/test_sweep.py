@@ -1,4 +1,5 @@
-"""The sweep driver: input checks and the depth questions check_spec asks."""
+"""The sweep driver: input checks, the depth questions check_spec asks and
+the mismatch each check family records."""
 
 import concurrent.futures
 import importlib
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import spec
-from lexseg.depth import depth_exact, depths_exact
+from conftest import P, spec
+from lexseg.depth import DepthCase, DepthClass, depth_exact, depths_exact
+from lexseg.filtration import Report
 from lexseg.monomials import DomainError, lexsegment_generators, reduce_fully
 
 # the module, which lexseg.sweep (the function) shadows as an attribute
@@ -92,3 +94,71 @@ def test_one_shot_prime_iterable():
     report = sweep_module.sweep((2, 2), (2, 2), primes=(p for p in (2, 3)))
     assert report.ok and report.specs_tested == 6
     assert report.primes == (2, 3)
+
+
+# L(x1*x2, x2*x3) in 4 variables: arbitrary class, depth 1 at both primes,
+# DEPTH1, Ass {(x1, x2), (x1, x2, x3), (x2, x3, x4)}, sdepth bound 1
+BROKEN = spec(4, 2, "x1*x2", "x2*x3")
+
+
+@pytest.mark.parametrize(
+    "route, broken, family, detail",
+    [
+        ("associated_primes_lexsegment",
+         lambda real: lambda s: real(s) | {P(4, 4)},
+         "ass", "closed-form and oracle prime sets differ"),
+        ("verify_pretty_clean",
+         lambda real: lambda f: Report(("(x1, x2) at 0 inside (x1, x2, x3) at 1",)),
+         "filtration", "pretty_clean: (x1, x2) at 0 inside (x1, x2, x3) at 1"),
+        ("depths_exact",
+         lambda real: lambda i, ps: {p: real(i, ps)[p] + k for k, p in enumerate(ps)},
+         "depth", "depth differs across primes: {2: 1, 32003: 2}"),
+        ("depth_class",
+         lambda real: lambda w: DepthCase(DepthClass(real(w).depth.value + 1), "b"),
+         "depth", "classifier DEPTH_GE2 vs exact depth 1"),
+        ("sdepth_lower_bound",
+         lambda real: lambda d: real(d) + 1,
+         "stanley", "depth 1, n - max|P| over Ass 1 and sdepth lower bound 2 are "
+                    "not all equal"),
+        ("stanley_certificate",
+         lambda real: lambda i, d: Report(("x4 is covered twice",)),
+         "stanley", "certificate: x4 is covered twice"),
+    ],
+    ids=["closed-form", "verifier", "depth-across-primes", "depth-class",
+         "sdepth-bound", "certificate"],
+)
+def test_each_family_records_its_mismatch(route, broken, family, detail, monkeypatch):
+    # one route of check_spec answers wrongly: the spec gets one record of
+    # that family, and its JSON holds what reproduces it
+    assert sweep_module.check_spec(BROKEN) == []
+    monkeypatch.setattr(
+        sweep_module, route, broken(getattr(sweep_module, route))
+    )
+    found = sweep_module.check_spec(BROKEN)
+    assert [(m.family, m.detail) for m in found] == [(family, detail)]
+    record = {"n": 4, "d": 2, "u": "x1*x2", "v": "x2*x3", "family": family,
+              "detail": detail}
+    if family == "ass":
+        record["closed"] = [[1, 2], [1, 2, 3], [2, 3, 4], [4]]
+        record["oracle"] = [[1, 2], [1, 2, 3], [2, 3, 4]]
+    assert found[0].to_json() == record
+
+
+def test_sweep_reports_the_mismatch_of_one_spec(monkeypatch):
+    # a closed form that is wrong on one of the 6 specs of n=2, d=2 only
+    real = sweep_module.associated_primes_lexsegment
+    target = spec(2, 2, "x1^2", "x1*x2")
+    monkeypatch.setattr(
+        sweep_module, "associated_primes_lexsegment",
+        lambda s: real(s) | {P(2, 2)} if s == target else real(s),
+    )
+    report = sweep_module.sweep((2, 2), (2, 2))
+    assert not report.ok
+    assert (report.specs_tested, report.agreements) == (6, 5)
+    [m] = report.mismatches
+    assert (m.u, m.v, m.family, m.closed, m.oracle) == (
+        "x1^2", "x1*x2", "ass", [[1], [1, 2], [2]], [[1], [1, 2]]
+    )
+    payload = report.to_json()
+    assert payload["mismatch_count"] == 1
+    assert payload["mismatches"] == [m.to_json()]
