@@ -1,9 +1,12 @@
 """Benchmark the kernels and the check families of lexseg.
 
-The first line times one lexsegment_generators call on L(x1^20,
-x1^19*x8), 8 of the 888,030 monomials of degree 20 in 8 variables, in a
-fresh Python process, with that process's peak RSS (ru_maxrss, the
-interpreter included).
+The start-up line times import lexseg.cli, as the CLI runs it, in a
+fresh python -S interpreter (no site imports), best of 7 processes, and
+counts the modules that import loads; under PYTHONDONTWRITEBYTECODE each
+of those imports compiles the sources too. The next line times one
+lexsegment_generators call on L(x1^20, x1^19*x8), 8 of the 888,030
+monomials of degree 20 in 8 variables, in a fresh Python process, with
+that process's peak RSS (ru_maxrss, the interpreter included).
 
 The kernel lines time divides, member, minimalize, colon_gens and
 gf_rank from lexseg.kernels on fixed seeded inputs, best of 5; one more
@@ -332,10 +335,35 @@ print(f"lexsegment_generators, L(x1^20, x1^19*x8), {len(gens)} generators, "
 """
 
 
-def narrow_segment():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", NARROW_SEGMENT], env=env, check=True)
+
+
+def narrow_segment():
+    subprocess.run([sys.executable, "-c", NARROW_SEGMENT], env=src_env(), check=True)
+
+
+STARTUP = """
+import sys, time
+before = len(sys.modules)
+t0 = time.perf_counter()
+import lexseg.cli
+print(time.perf_counter() - t0, len(sys.modules) - before)
+"""
+
+
+def startup():
+    runs = [
+        subprocess.run(
+            [sys.executable, "-S", "-c", STARTUP], env=src_env(), check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        for _ in range(7)
+    ]
+    best = min(float(seconds) for seconds, _ in runs)
+    print(f"import lexseg.cli, fresh python -S process, best of 7: {best * 1000:.1f} ms, "
+          f"{runs[0][1]} modules loaded")
 
 
 def oracle_family():
@@ -598,6 +626,7 @@ def source_lines():
 def main():
     # first, while this process is small: ru_maxrss counts the peak of the
     # forked copy of this process too
+    startup()
     narrow_segment()
     kernel_lines()
     depth_layer()

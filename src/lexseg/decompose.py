@@ -76,7 +76,7 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .monomials import (
@@ -97,8 +97,7 @@ WITNESS_BOX_LIMIT = 1 << 20
 COMPONENT_LIMIT = 1 << 11
 
 
-@dataclass(frozen=True)
-class IrreducibleIdeal:
+class IrreducibleIdeal(NamedTuple):
     """An ideal generated by pure variable powers x_i^e_i.
 
     powers is a sorted tuple of (variable index, exponent) pairs.
@@ -117,8 +116,7 @@ class IrreducibleIdeal:
         return PrimeIdeal(self.n, tuple(i for i, _ in self.powers))
 
 
-@dataclass(frozen=True)
-class AssResult:
+class AssResult(NamedTuple):
     primes: frozenset[PrimeIdeal]
     witnesses: tuple[tuple[PrimeIdeal, Monomial], ...]
 

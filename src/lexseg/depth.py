@@ -131,11 +131,11 @@ primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_, lt, or_
+from typing import NamedTuple
 
 from . import decompose, kernels
 from .monomials import (
@@ -171,8 +171,7 @@ class DepthClass(Enum):
     DEPTH_GE2 = 2
 
 
-@dataclass(frozen=True)
-class DepthCase:
+class DepthCase(NamedTuple):
     depth: DepthClass
     subcase: str | None  # "a" (u_l < d-1) or "b" (u_l = d-1); None for depth 0
 

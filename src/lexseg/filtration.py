@@ -34,8 +34,8 @@ vectors (kernels._Packing).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import neg
+from typing import NamedTuple
 
 from . import kernels
 from .decompose import (
@@ -73,14 +73,12 @@ K_POLYNOMIAL_LIMIT = 1 << 16
 SEARCH_NODE_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class FiltrationStep:
+class FiltrationStep(NamedTuple):
     witness: Monomial
     prime: PrimeIdeal
 
 
-@dataclass(frozen=True)
-class PrimeFiltration:
+class PrimeFiltration(NamedTuple):
     base: MonomialIdeal
     steps: tuple[FiltrationStep, ...]
 
@@ -89,8 +87,7 @@ class PrimeFiltration:
         return frozenset(s.prime for s in self.steps)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     violations: tuple[str, ...]
 
     @property
@@ -98,8 +95,7 @@ class Report:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class StanleyDecomposition:
+class StanleyDecomposition(NamedTuple):
     n: int
     spaces: tuple[tuple[Monomial, frozenset[int]], ...]
 

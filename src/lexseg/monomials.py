@@ -9,9 +9,9 @@ comparison of exponent vectors, which this module leans on throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
+from typing import NamedTuple
 
 from . import kernels
 
@@ -86,12 +86,16 @@ def _same_n(a, b):
         raise DimensionError(f"variable counts differ: {len(a)} vs {len(b)}")
 
 
+def _is_int(value) -> bool:
+    """An int, and not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # monomial ideals
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """A monomial ideal in canonical form.
 
     gens holds the minimal monomial generators (no generator divides
@@ -108,8 +112,11 @@ class MonomialIdeal:
         for g in gens:
             if len(g) != n:
                 raise DimensionError(f"generator {g} has length != {n}")
-            if any(e < 0 for e in g):
-                raise ValueError(f"negative exponent in {g}")
+            for e in g:
+                if not _is_int(e):
+                    raise ValueError(f"non-integer exponent {e!r} in {g}")
+                if e < 0:
+                    raise ValueError(f"negative exponent in {g}")
         return cls(n, kernels.minimalize(gens))
 
     @property
@@ -149,8 +156,7 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 # prime ideals generated by variables
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """A prime monomial ideal: generated by a set of variables.
 
     vars is the sorted tuple of 1-based indices; the maximal ideal has
@@ -200,30 +206,48 @@ class SpecKind(Enum):
     ARBITRARY = "arbitrary"
 
 
-@dataclass(frozen=True)
-class LexSpec:
-    """The tuple (n, d, u, v) defining the lexsegment ideal (L(u, v))."""
-
+class _LexSpecFields(NamedTuple):
     n: int
     d: int
     u: Monomial
     v: Monomial
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
-        if self.n < 1 or self.d < 1:
-            raise SpecError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        if len(self.u) != self.n or len(self.v) != self.n:
-            raise DimensionError("u, v must have length n")
-        if min(self.u) < 0 or min(self.v) < 0:
-            raise SpecError(f"negative exponent in u={self.u} or v={self.v}")
-        if degree(self.u) != self.d or degree(self.v) != self.d:
+
+class LexSpec(_LexSpecFields):
+    """The tuple (n, d, u, v) defining the lexsegment ideal (L(u, v)).
+
+    Every construction validates, _make, _replace, copy and unpickling at
+    every pickle protocol included: n, d and every exponent are ints (not
+    bools), u and v become tuples of length n and degree d, and u >=_lex v.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, d, u, v):
+        u, v = tuple(u), tuple(v)
+        if not all(map(_is_int, (n, d, *u, *v))):
             raise SpecError(
-                f"deg(u)={degree(self.u)}, deg(v)={degree(self.v)}, expected d={self.d}"
+                f"n, d and every exponent must be ints, got n={n!r}, d={d!r}, u={u}, v={v}"
             )
-        if self.u < self.v:
-            raise SpecError(f"need u >=_lex v, got u={self.u} < v={self.v}")
+        if n < 1 or d < 1:
+            raise SpecError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+        if len(u) != n or len(v) != n:
+            raise DimensionError("u, v must have length n")
+        if min(u) < 0 or min(v) < 0:
+            raise SpecError(f"negative exponent in u={u} or v={v}")
+        if degree(u) != d or degree(v) != d:
+            raise SpecError(f"deg(u)={degree(u)}, deg(v)={degree(v)}, expected d={d}")
+        if u < v:
+            raise SpecError(f"need u >=_lex v, got u={u} < v={v}")
+        return super().__new__(cls, n, d, u, v)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # protocols 0 and 1 would rebuild the tuple past __new__
+        return type(self), tuple(self)
 
     @property
     def a1(self) -> int:

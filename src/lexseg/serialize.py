@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from .filtration import PrimeFiltration
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _is_int
 
 
 class ParseError(ValueError):
@@ -67,7 +67,7 @@ def ideal_to_json(ideal: MonomialIdeal) -> dict:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 def ideal_from_json(data: dict) -> MonomialIdeal:

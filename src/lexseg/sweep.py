@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from math import comb
+from typing import NamedTuple
 
 from .closed_form import associated_primes_lexsegment
 from .decompose import associated_primes_oracle
@@ -46,8 +46,7 @@ DEFAULT_PRIMES = (2, 32003)
 DEFAULT_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     n: int
     d: int
     u: str
@@ -58,18 +57,17 @@ class Mismatch:
     oracle: list | None = None
 
     def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
-@dataclass
 class SweepReport:
-    n_range: tuple[int, int]
-    d_range: tuple[int, int]
-    primes: tuple[int, ...]
-    specs_tested: int = 0
-    agreements: int = 0
-    mismatches: list[Mismatch] = field(default_factory=list)
-    seconds: float = 0.0
+    """What one sweep() found, filled in as it runs."""
+
+    def __init__(self, n_range, d_range, primes):
+        self.n_range, self.d_range, self.primes = n_range, d_range, primes
+        self.specs_tested = self.agreements = 0
+        self.mismatches: list[Mismatch] = []
+        self.seconds = 0.0
 
     @property
     def ok(self) -> bool:

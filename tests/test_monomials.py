@@ -18,6 +18,7 @@ from conftest import (
     spec,
     zero_ideal,
 )
+from lexseg.closed_form import associated_primes_lexsegment
 from lexseg.monomials import (
     SEGMENT_LIMIT,
     DimensionError,
@@ -200,6 +201,10 @@ class TestMonomialIdeal:
         with pytest.raises(ValueError):
             MonomialIdeal.from_gens(2, [(1, -1)])
 
+    def test_fractional_exponent_rejected(self):
+        with pytest.raises(ValueError, match="non-integer exponent 1.5"):
+            MonomialIdeal.from_gens(2, [(1.5, 1)])
+
     def test_generator_of_another_length_rejected(self):
         with pytest.raises(DimensionError, match="length"):
             MonomialIdeal.from_gens(3, [(1, 0)])
@@ -308,6 +313,20 @@ class TestLexSpec:
             LexSpec(2, 2, (3, -1), (2, 0))
         with pytest.raises(SpecError, match="negative exponent"):
             LexSpec(2, 2, (2, 0), (-1, 3))
+
+    def test_fractional_exponents_refused_before_the_closed_form(self):
+        # degree 2 and u >=_lex v hold, but x1^1.5*x2^0.5 is no monomial
+        with pytest.raises(SpecError, match="must be ints"):
+            associated_primes_lexsegment(LexSpec(2, 2, (1.5, 0.5), (0, 2)))
+
+    def test_float_variable_count_refused(self):
+        with pytest.raises(SpecError, match="must be ints, got n=2.0"):
+            LexSpec(2.0, 2, (1, 1), (0, 2))
+
+    def test_bool_exponents_refused(self):
+        # True == 1, so the degree and the lex order alone accept them
+        with pytest.raises(SpecError, match="must be ints"):
+            LexSpec(2, 2, (True, True), (0, 2))
 
     def test_derived_fields(self):
         s = spec(4, 3, "x1*x3^2", "x2^2*x4")

@@ -36,6 +36,23 @@ def test_import_loads_no_multiprocessing():
     assert found.stdout.strip() == "False"
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records are NamedTuples: dataclasses, with the inspect it imports,
+    # was most of the time import lexseg took; -S keeps site's imports out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, lexseg, lexseg.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    found = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert found.stdout.strip() == "[]"
+
+
 def test_no_characteristic_refused_before_any_work(monkeypatch):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started before the input was checked")
