@@ -40,7 +40,9 @@ built as complexes and the gf_rank calls. Each timing
 is the best of 3 runs, each run from empty caches. The memo lines give
 the hits, misses and entries of every lru_cache after one cold
 check_spec pass over the 477 acceptance specs, the one-entry
-_components memo among them. The oracle-random family line times
+_components memo among them, and the units and entries of the tail
+memo of the filtration search; every cold run empties the tail memo
+too. The oracle-random family line times
 irreducible_decomposition plus associated_primes_oracle over the 804
 pool ideals of the perfbench oracle-random workload (read from
 perfbench/workloads.py, which is only imported), best of 3 cold, and
@@ -68,9 +70,11 @@ the 804 pool ideals; equal digests mean identical depths. The n=6, d=3
 lines time depths_exact at both primes over those 1,596 specs, best of
 3 cold, with the depth digest of the range (the recipe above), then
 one cold staged_filtration pass over those 1,596 specs, print its step
-digest (the recipe above), and count, in a second pass, the nodes the
-search enters (_children calls) and the children it builds
-(_child calls). The wide-range lines run depths_exact at both primes,
+digest (the recipe above) and the entries and units the tail memo of
+the search (filtration._TAILS) then holds, time a second pass that
+empties the tail memo before each spec, and count the nodes the search
+enters (_children calls) and the children it builds (_child calls),
+first with each search cold, then in one pass through the tail memo. The wide-range lines run depths_exact at both primes,
 one cold pass, over all 2,485 n=5, d=4 specs and over every 5th n=7,
 d=3 spec in iter_specs order (714), each with its depth digest (the
 recipe above), which tier-1 pins too, and the cores it builds. The
@@ -185,6 +189,7 @@ def memos():
 def clear_caches():
     for fn in memos().values():
         fn.cache_clear()
+    filtration._TAILS.clear()
 
 
 def best_cold(run, repeats=3):
@@ -257,6 +262,9 @@ def memo_lines():
         info = fn.cache_info()
         print(f"  {name:<36} hits {info.hits:7}  misses {info.misses:7}  "
               f"entries {info.currsize:7}")
+    tails = filtration._TAILS
+    print(f"  {'lexseg.filtration._TAILS':<36} units {tails.units:7}  "
+          f"entries {len(tails):7}")
 
 
 def chain_digest(filtrations):
@@ -275,32 +283,52 @@ def step_digest():
 
 def n6_d3_search():
     specs = list(iter_specs((6, 6), (3, 3)))
+    tails = filtration._TAILS
     clear_caches()
     t0 = time.perf_counter()
     found = [filtration.staged_filtration(s) for s in specs]
     seconds = time.perf_counter() - t0
     print(f"staged_filtration, {len(specs)} n=6 d=3 specs, one cold pass: "
+          f"{seconds:.3f} s, step digest {chain_digest(found)}, "
+          f"tail memo {len(tails)} entries, {tails.units} units")
+
+    def cold_search(s):
+        tails.clear()
+        return filtration.staged_filtration(s)
+
+    clear_caches()
+    t0 = time.perf_counter()
+    found = [cold_search(s) for s in specs]
+    seconds = time.perf_counter() - t0
+    print(f"staged_filtration, same specs, tail memo emptied before each: "
           f"{seconds:.3f} s, step digest {chain_digest(found)}")
-    counts = dict.fromkeys(("nodes entered", "children built"), 0)
+    counts = {
+        name: {"cold": 0, "warm": 0} for name in ("nodes entered", "children built")
+    }
     children, child = filtration._children, filtration._child
+    search = "cold"
 
     def counting_children(n, comps):
-        counts["nodes entered"] += 1
+        counts["nodes entered"][search] += 1
         return children(n, comps)
 
     def counting_child(*args):
-        counts["children built"] += 1
+        counts["children built"][search] += 1
         return child(*args)
 
     filtration._children, filtration._child = counting_children, counting_child
     try:
         for s in specs:
+            cold_search(s)
+        search = "warm"
+        tails.clear()
+        for s in specs:
             filtration.staged_filtration(s)
     finally:
         filtration._children, filtration._child = children, child
-    print("search counts, same specs:")
+    print("search counts, same specs, each search cold, then one pass warm:")
     for name, count in counts.items():
-        print(f"  {name:<28} {count:8}")
+        print(f"  {name:<28} {count['cold']:8} {count['warm']:8}")
 
 
 def past_the_lattice():

@@ -72,6 +72,11 @@ K_POLYNOMIAL_LIMIT = 1 << 16
 # step of its chain but the last.
 SEARCH_NODE_LIMIT = 1 << 16
 
+# Most units, components in the keys plus steps held, that the tail memo
+# of search_filtration (_TAILS) may hold, about 150 bytes each. The 477
+# acceptance specs store 4,418 units, so their sweeps never clear it.
+TAIL_MEMO_LIMIT = 1 << 14
+
 
 class FiltrationStep(NamedTuple):
     witness: Monomial
@@ -198,6 +203,30 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     so their lcm lies below lcm(box, w) = box. So only the start can be
     over decompose.WITNESS_BOX_LIMIT.
 
+    The search below a node J depends only on the set of J's components.
+    Its children and their order do: the maximal primes are sorted, the
+    pins of the maximal ideal are sorted, the pins of any other prime are
+    merged on _degree_then_lex, which no two of their candidates share,
+    and the caps, the witness test and the child's components read the
+    components as a set. So does the cut, which tests the step's prime
+    against the child's own radicals, never an earlier step's (the
+    induction above). So every search that reaches J goes on from J the
+    same way: it completes with the same tail, after entering the same
+    number of nodes from J, backtracked ones included. The tail memo
+    (_TAILS) keeps, for each node that a completed search entered on its
+    final path, keyed by its components as a frozenset, that tail and that
+    count. Each node is looked up before it is entered. A hit appends the
+    tail and stops; it raises exactly when entered + count is over
+    SEARCH_NODE_LIMIT, entered counting the nodes before it, as the cold
+    search would raise while entering the hit node's subtree. Backtracked
+    nodes and failed searches store nothing. The memo holds at most
+    TAIL_MEMO_LIMIT units, components in its keys plus steps held, each
+    steps tuple once, and is cleared when a completed path does not fit.
+    A path over the limit alone is not stored, and nodes past the limit
+    on the path are neither keyed nor looked up: skipping a lookup only
+    makes the search cold. So every call returns or raises as a cold
+    search does, whatever ran before it.
+
     The path is a stack of child generators, not a recursion. Returns the
     first complete pretty clean filtration, or None. Raises DomainError
     on entering a node past SEARCH_NODE_LIMIT, counting every node
@@ -210,24 +239,77 @@ def search_filtration(ideal: MonomialIdeal) -> PrimeFiltration | None:
     _box(n, comps)
     steps: list[FiltrationStep] = []
     frames = []
+    # per frame: its node's memo key, the nodes entered up to it and the
+    # units of the path up to it, its components plus one per step
+    path = []
     entered = 0
     while not (len(comps) == 1 and max(comps[0]) == 1):
-        entered += 1
+        units = len(comps) + 1 + (path[-1][2] if path else 0)
+        # past TAIL_MEMO_LIMIT the path can no longer be stored: no key,
+        # and the lookup of None misses
+        key = frozenset(comps) if units <= TAIL_MEMO_LIMIT else None
+        hit = _TAILS.get(key)
+        entered += hit[2] if hit else 1
         if entered > SEARCH_NODE_LIMIT:
             raise DomainError(
                 f"filtration search of the {len(ideal.gens)}-generator ideal "
                 f"enters over SEARCH_NODE_LIMIT = {SEARCH_NODE_LIMIT} nodes"
             )
+        if hit:
+            tail, offset, _ = hit
+            steps.extend(tail[offset:])
+            break
         frames.append(_children(n, comps))
+        path.append((key, entered, units))
         while (child := next(frames[-1], None)) is None:
             frames.pop()
+            path.pop()
             if not frames:
                 return None
             steps.pop()
         step, comps = child
         steps.append(step)
-    steps.append(FiltrationStep(unit(n), PrimeIdeal(n, supp(comps[0]))))
-    return PrimeFiltration(ideal, tuple(steps))
+    else:
+        steps.append(FiltrationStep(unit(n), PrimeIdeal(n, supp(comps[0]))))
+    chain = tuple(steps)
+    _TAILS.store(path, chain, entered)
+    return PrimeFiltration(ideal, chain)
+
+
+class _TailMemo(dict):
+    """The tail memo of search_filtration: the components of a node on a
+    completed chain, as a frozenset, -> (steps, offset, count): the
+    chain's steps, the node's first step steps[offset], and the nodes a
+    search entered from the node until the chain completed. units counts
+    the components in the keys plus the steps held, each steps tuple once,
+    and stays at most TAIL_MEMO_LIMIT."""
+
+    units = 0
+
+    def clear(self):
+        super().clear()
+        self.units = 0
+
+    def store(self, path, chain, entered: int):
+        """Stores the nodes of a completed search's path, in chain order
+        as search_filtration lists them, all sharing chain; entered counts
+        the nodes of the whole search. Clears the memo first when they do
+        not fit, and stores nothing when they alone are over the limit,
+        as they are when a node of path has no key."""
+        if not path:
+            return
+        # the path's units count one step per node; chain holds the rest
+        units = path[-1][2] - len(path) + len(chain)
+        if units > TAIL_MEMO_LIMIT:
+            return
+        if self.units + units > TAIL_MEMO_LIMIT:
+            self.clear()
+        self.units += units
+        for offset, (key, at, _) in enumerate(path):
+            self[key] = (chain, offset, entered - at + 1)
+
+
+_TAILS = _TailMemo()
 
 
 class _Node(list):

@@ -187,9 +187,9 @@ def sweep(
     """Checks every spec in the ranges with check_spec, on jobs processes.
 
     Raises DomainError, before any spec is checked or any process started,
-    when jobs is outside 1..os.cpu_count(), a range is empty, no
-    characteristic is given or one is not a prime, or some (n, d) has
-    more than cap pairs.
+    when jobs is outside 1..os.cpu_count(), a range is empty or starts
+    below 1, no characteristic is given or one is not a prime, or some
+    (n, d) has more than cap pairs.
     """
     primes = tuple(primes)
     cpus = os.cpu_count() or 1
@@ -198,6 +198,8 @@ def sweep(
     for name, (lo, hi) in (("n", n_range), ("d", d_range)):
         if lo > hi:
             raise DomainError(f"the {name} range {lo}..{hi} is empty")
+        if lo < 1:
+            raise DomainError(f"the {name} range {lo}..{hi} starts below 1")
     if not primes:
         raise DomainError("no characteristic given")
     for p in primes:

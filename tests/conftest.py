@@ -8,7 +8,7 @@ import pytest
 
 from lexseg import kernels
 from lexseg.decompose import _add_generator, _radicals, _witness_scanner
-from lexseg.filtration import FiltrationStep, Report, _degree_then_lex
+from lexseg.filtration import _TAILS, FiltrationStep, Report, _degree_then_lex
 from lexseg.monomials import (
     DimensionError,
     LexSpec,
@@ -17,6 +17,13 @@ from lexseg.monomials import (
     colon,
 )
 from lexseg.serialize import parse_monomial
+
+
+@pytest.fixture(autouse=True)
+def empty_tail_memo():
+    """Every test starts from an empty tail memo of the filtration search
+    (filtration._TAILS), so none sees the tails an earlier test stored."""
+    _TAILS.clear()
 
 
 def P(n, *vars):

@@ -476,6 +476,8 @@ class TestCliExitCodes:
              "outside 1.."),
             (["--n", "3..2", "--d", "2..2"], "range 3..2 is empty"),
             (["--n", "2..2", "--d", "3..2"], "range 3..2 is empty"),
+            (["--n", "0..1", "--d", "1..1"], "n range 0..1 starts below 1"),
+            (["--n", "2..2", "--d", "0..1"], "d range 0..1 starts below 1"),
             (["--n", "2..2", "--d", "2..2", "--jobs", "2", "--p", "4,32003"],
              "not a prime"),
             # ASCII digits only: int() would take these
@@ -485,6 +487,7 @@ class TestCliExitCodes:
         ],
         ids=[
             "jobs-0", "jobs-negative", "jobs-over-cpu-count", "empty-n", "empty-d",
+            "n-below-1", "d-below-1",
             "non-prime", "underscored-n", "signed-n", "arabic-indic-d",
         ],
     )

@@ -127,9 +127,10 @@ def assert_fully_verified(filtration):
         assert report.ok, report.violations
 
 
-def entered_nodes(monkeypatch, ideal):
+def entered_nodes(monkeypatch, ideal, cold=True):
     """search_filtration(ideal) and the number of nodes it entered, the
-    _children generators it made, backtracked ones included."""
+    _children generators it made, backtracked ones included. A cold search
+    starts from an empty tail memo; a warm one keeps the memo."""
     made = []
     children = filtration_module._children
 
@@ -137,11 +138,30 @@ def entered_nodes(monkeypatch, ideal):
         made.append(comps)
         return children(n, comps)
 
+    if cold:
+        filtration_module._TAILS.clear()
     monkeypatch.setattr(filtration_module, "_children", counting)
     try:
         return search_filtration(ideal), len(made)
     finally:
         monkeypatch.setattr(filtration_module, "_children", children)
+
+
+def cold_chains(specs):
+    """{spec: staged_filtration(spec)}, each from an empty tail memo."""
+    chains = {}
+    for s in specs:
+        filtration_module._TAILS.clear()
+        chains[s] = staged_filtration(s)
+    return chains
+
+
+def memo_units():
+    """The units the tail memo holds, recounted from its entries: the
+    components in its keys plus the steps of each distinct steps tuple."""
+    tails = filtration_module._TAILS
+    held = {id(chain): len(chain) for chain, _, _ in tails.values()}
+    return sum(map(len, tails)) + sum(held.values())
 
 
 def packed_k_polynomial(ideal):
@@ -308,7 +328,9 @@ class SearchRecorder:
     _components on the start (the root), and _children(n, comps) for
     every node entered, with each (step, components) child it yields. A
     node is known by its components list, the object these calls take
-    or yield, and its ideal is rebuilt here as the parent's ideal + (w)."""
+    or yield, and its ideal is rebuilt here as the parent's ideal + (w).
+    The root hook empties the tail memo, so every search it sees is
+    cold and enters every node of its tree."""
 
     def __init__(self, monkeypatch):
         self.nodes = []
@@ -317,6 +339,7 @@ class SearchRecorder:
         children = filtration_module._children
 
         def recorded_components(ideal):
+            filtration_module._TAILS.clear()
             comps = components(ideal)
             self._add({"ideal": ideal, "steps": [], "parent": None}, comps)
             return comps
@@ -427,9 +450,10 @@ def assert_search_matches_reference(ideal):
 
 
 def assert_children_match_reference(ideal):
-    """search_filtration(ideal) where, at every node entered, the lazy
-    children equal those of children_reference, as (step, components)
-    pairs in order. Returns (n, components) of every node entered."""
+    """search_filtration(ideal), cold, where, at every node entered, the
+    lazy children equal those of children_reference, as (step,
+    components) pairs in order. Returns (n, components) of every node
+    entered."""
     entered = []
     children = filtration_module._children
 
@@ -442,6 +466,7 @@ def assert_children_match_reference(ideal):
         entered.append((n, comps))
         return iter(found)
 
+    filtration_module._TAILS.clear()
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(filtration_module, "_children", checked)
         search_filtration(ideal)
@@ -647,6 +672,8 @@ class TestSearch:
     def test_n6_d3_step_digest_and_search_counts(self, monkeypatch):
         # a lexsegment never backtracks, and no child is built that the
         # pretty clean cut throws away: one child built per node entered
+        # by a cold search. One pass through the tail memo, under
+        # TAIL_MEMO_LIMIT = 1 << 14, enters fewer nodes: 9,172.
         specs = list(iter_specs((6, 6), (3, 3)))
         assert len(specs) == 1596
         counts = {"entered": 0, "built": 0}
@@ -662,8 +689,13 @@ class TestSearch:
 
         monkeypatch.setattr(filtration_module, "_children", counting_children)
         monkeypatch.setattr(filtration_module, "_child", counting_child)
-        assert step_digest(specs) == "592d34e38c1106b8"
+        cold = cold_chains(specs)
+        assert chain_digest(cold[s] for s in specs) == "592d34e38c1106b8"
         assert counts == {"entered": 15678, "built": 15678}
+        counts.update(entered=0, built=0)
+        filtration_module._TAILS.clear()
+        assert step_digest(specs) == "592d34e38c1106b8"
+        assert counts == {"entered": 9172, "built": 9172}
 
     def test_no_node_has_a_larger_box_than_its_parent(self, monkeypatch):
         # so the start's box check, the only one the search makes, holds
@@ -739,6 +771,111 @@ class TestSearch:
             search_filtration(zero_ideal(2))
         with pytest.raises(DomainError):
             search_filtration(unit_ideal(2))
+
+
+def acceptance_specs():
+    """The 477 acceptance specs: n=2..4, d=2..3 and n=5, d=2."""
+    return list(iter_specs((2, 4), (2, 3))) + list(iter_specs((5, 5), (2, 2)))
+
+
+class TestTailMemo:
+    """The tail memo of search_filtration (filtration._TAILS): a search
+    returns or raises as a cold one does, whatever ran before it."""
+
+    def test_warm_chains_equal_cold_chains(self, monkeypatch):
+        specs = acceptance_specs() + list(iter_specs((2, 3), (4, 6)))
+        assert len(specs) == 1298
+        entered = {"cold": 0, "warm": 0}
+        children = filtration_module._children
+        pass_ = "cold"
+
+        def counting(n, comps):
+            entered[pass_] += 1
+            return children(n, comps)
+
+        monkeypatch.setattr(filtration_module, "_children", counting)
+        cold = cold_chains(specs)
+        pass_ = "warm"
+        random.Random(20261022).shuffle(specs)
+        filtration_module._TAILS.clear()
+        for s in specs:
+            assert staged_filtration(s) == cold[s], s
+        assert 0 < entered["warm"] < entered["cold"]
+        assert memo_units() == filtration_module._TAILS.units
+
+    def test_node_limit_falls_where_it_falls_cold(self, monkeypatch):
+        # each probe runs with the memo warmed from other roots, so it may
+        # hit a stored tail at its start, part way down or not at all; at
+        # SEARCH_NODE_LIMIT = its cold node count it passes, one below it
+        # raises
+        specs = acceptance_specs()
+        rng = random.Random(20261023)
+        hits = {"at the start": 0, "part way": 0}
+        for s in rng.sample(specs, 80):
+            ideal = lexsegment_generators(reduce_fully(s)[0])
+            found, cold = entered_nodes(monkeypatch, ideal)
+            if not cold:
+                continue  # a prime ideal: no node to enter
+            filtration_module._TAILS.clear()
+            for other in rng.sample(specs, 40):
+                if other != s:
+                    staged_filtration(other)
+            monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", cold - 1)
+            with pytest.raises(DomainError, match="SEARCH_NODE_LIMIT"):
+                search_filtration(ideal)
+            monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", cold)
+            chain, warm = entered_nodes(monkeypatch, ideal, cold=False)
+            assert chain == found and warm <= cold
+            hits["at the start"] += not warm
+            hits["part way"] += 0 < warm < cold
+            monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", SEARCH_NODE_LIMIT)
+        assert all(hits.values()), hits
+
+    @pytest.mark.parametrize("gens", BACKTRACKING[:3])
+    def test_node_limit_counts_backtracked_nodes_on_a_hit(self, monkeypatch, gens):
+        # each ideal of a backtracking chain is a root whose stored count
+        # includes the nodes its cold search backtracked from
+        base = MonomialIdeal.from_gens(4, gens)
+        found = search_filtration(base)
+        ideals = [base]
+        for step in found.steps[:-2]:
+            ideals.append(add_element(ideals[-1], step.witness))
+        backtracked = 0
+        for ideal in ideals:
+            chain, cold = entered_nodes(monkeypatch, ideal)
+            backtracked += cold > len(chain.steps) - 1
+            search_filtration(base)  # warms the memo with the base's chain
+            monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", cold - 1)
+            with pytest.raises(DomainError, match="SEARCH_NODE_LIMIT"):
+                search_filtration(ideal)
+            monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", cold)
+            assert entered_nodes(monkeypatch, ideal, cold=False) == (chain, 0)
+            monkeypatch.setattr("lexseg.filtration.SEARCH_NODE_LIMIT", SEARCH_NODE_LIMIT)
+        assert backtracked
+
+    @pytest.mark.parametrize("limit", [64, 512])
+    def test_memo_stays_within_a_small_bound(self, monkeypatch, limit):
+        specs = acceptance_specs()
+        cold = cold_chains(specs)
+        random.Random(limit).shuffle(specs)
+        monkeypatch.setattr("lexseg.filtration.TAIL_MEMO_LIMIT", limit)
+        filtration_module._TAILS.clear()
+        clears = 0
+        for s in specs:
+            before = filtration_module._TAILS.units
+            assert staged_filtration(s) == cold[s], s
+            assert memo_units() == filtration_module._TAILS.units <= limit
+            clears += filtration_module._TAILS.units < before
+        assert clears and filtration_module._TAILS
+
+    def test_a_path_over_the_bound_is_not_stored(self, monkeypatch):
+        # the 56-step chain of (x1, x2, x3)^6 holds over 64 units
+        monkeypatch.setattr("lexseg.filtration.TAIL_MEMO_LIMIT", 64)
+        f = staged_filtration(spec(3, 6, "x1^6", "x3^6"))
+        assert len(f.steps) == 56 and not filtration_module._TAILS
+        monkeypatch.setattr("lexseg.filtration.TAIL_MEMO_LIMIT", 1 << 14)
+        assert staged_filtration(spec(3, 6, "x1^6", "x3^6")) == f
+        assert len(filtration_module._TAILS) == 55
 
 
 class TestStaged:
